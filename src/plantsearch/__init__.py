@@ -13,6 +13,7 @@ from .encoder import (
     encode,
     encode_batch,
     featurize,
+    featurize_many,
     init_encoder,
     load_encoder,
     save_encoder,
@@ -109,7 +110,7 @@ __all__ = [
     "GraphFormatError", "GraphInvariantError", "LexicalMatcher",
     "load_graph", "save_graph", "build_graph", "predict_links", "expand_context",
     # encoder
-    "EncoderParams", "featurize", "init_encoder", "encode", "encode_batch",
+    "EncoderParams", "featurize", "featurize_many", "init_encoder", "encode", "encode_batch",
     "save_encoder", "load_encoder",
     # losses
     "NonFiniteError", "cosine", "triplet_loss", "triplet_loss_grad",

@@ -511,10 +511,13 @@ def _filtered_triplets(cfg: RunConfig, out_dir: Path,
     tpath = _require(out_dir / "triplets" / "triplets.jsonl", "sample-triplets")
     tset = triplets_mod.load_triplets(tpath, cfg.sampling_params())
     quality = cfg.raw["quality"]
-    return pairs_mod.quality_filter(
-        tset, texts, _scorer(cfg),
-        t_pos=float(quality["t_pos"]), t_margin=float(quality["t_margin"]),
-    )
+    try:
+        return pairs_mod.quality_filter(
+            tset, texts, _scorer(cfg),
+            t_pos=float(quality["t_pos"]), t_margin=float(quality["t_margin"]),
+        )
+    except KeyError as exc:  # a triplet names a document no built graph has
+        raise MissingArtifactError(f"{tpath}: {exc.args[0]}") from None
 
 
 def _fresh_encoder(cfg: RunConfig) -> EncoderParams:

@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -42,14 +43,14 @@ def word_tokens(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
+def _word_features(word: str) -> list[str]:
+    marked = f"<{word}>"
+    return [marked] + [marked[i : i + 3] for i in range(len(marked) - 2)]
+
+
 def feature_strings(text: str) -> list[str]:
     """All feature strings of a text, with multiplicity."""
-    feats: list[str] = []
-    for word in word_tokens(text):
-        marked = f"<{word}>"
-        feats.append(marked)
-        feats.extend(marked[i : i + 3] for i in range(len(marked) - 2))
-    return feats
+    return [f for word in word_tokens(text) for f in _word_features(word)]
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,48 @@ def featurize(text: str, vocab_buckets: int = DEFAULT_VOCAB_BUCKETS) -> TokenFea
     )
     ids, counts = np.unique(hashed, return_counts=True)
     return TokenFeatures(ids, counts, len(feats))
+
+
+@dataclass(frozen=True)
+class FeatureMatrix:
+    """Featurized texts in CSR layout: row i spans ``indptr[i]:indptr[i + 1]``."""
+
+    indptr: np.ndarray  # int64, n_texts + 1 offsets
+    bucket_ids: np.ndarray  # int64, sorted unique within each row
+    counts: np.ndarray  # int64, parallel to bucket_ids
+    totals: np.ndarray  # int64, feature count of each text
+
+    def row(self, i: int) -> TokenFeatures:
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        return TokenFeatures(self.bucket_ids[lo:hi], self.counts[lo:hi], int(self.totals[i]))
+
+
+def featurize_many(texts: Sequence[str],
+                   vocab_buckets: int = DEFAULT_VOCAB_BUCKETS) -> FeatureMatrix:
+    """Featurize texts into one matrix whose row i equals ``featurize(texts[i])``.
+
+    Each distinct word is hashed once per call; texts share its bucket ids.
+    """
+    word_buckets: dict[str, list[int]] = {}
+    hashed: list[int] = []
+    totals: list[int] = []
+    for text in texts:
+        start = len(hashed)
+        for word in word_tokens(text):
+            got = word_buckets.get(word)
+            if got is None:
+                got = word_buckets[word] = [fnv1a_64(f.encode("utf-8")) % vocab_buckets
+                                            for f in _word_features(word)]
+            hashed += got
+        totals.append(len(hashed) - start)
+    lengths = np.array(totals, dtype=np.int64)
+    # One sort of (text, bucket) keys gives every row's sorted unique ids and counts.
+    rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    keys, counts = np.unique(rows * vocab_buckets + np.array(hashed, dtype=np.int64),
+                             return_counts=True)
+    row_of = keys // vocab_buckets
+    indptr = np.searchsorted(row_of, np.arange(len(lengths) + 1))
+    return FeatureMatrix(indptr, keys - row_of * vocab_buckets, counts, lengths)
 
 
 @dataclass
@@ -133,11 +176,13 @@ def encode(p: EncoderParams, text: str) -> np.ndarray:
     return encode_features(p, featurize(text, p.vocab_buckets))
 
 
-def encode_batch(p: EncoderParams, texts: list[str]) -> np.ndarray:
-    # Row-wise loop on purpose: bitwise identical to encoding one at a time.
+def encode_batch(p: EncoderParams, texts: Sequence[str]) -> np.ndarray:
+    """Row i equals ``encode(p, texts[i])`` bit for bit; texts are featurized once together."""
+    fm = featurize_many(texts, p.vocab_buckets)
     out = np.zeros((len(texts), p.dim), dtype=np.float64)
-    for i, text in enumerate(texts):
-        out[i] = encode(p, text)
+    # Row-wise products on purpose: vectorized gather-sums round differently.
+    for i in range(len(texts)):
+        out[i] = encode_features(p, fm.row(i))
     return out
 
 

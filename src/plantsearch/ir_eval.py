@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, encode
+from .encoder import EncoderParams, encode_batch
 from .storage import read_json_lines, write_json_lines
 
 logger = logging.getLogger(__name__)
@@ -80,14 +80,23 @@ class Benchmark:
 
 def rank_corpus(p: EncoderParams, query_text: str, corpus: Mapping[str, str]) -> list[str]:
     """All doc ids by descending encoder cosine, ties by ascending id."""
+    return rank_queries(p, [query_text], corpus)[0]
+
+
+def rank_queries(p: EncoderParams, query_texts: Sequence[str],
+                 corpus: Mapping[str, str]) -> list[list[str]]:
+    """:func:`rank_corpus` for each query; corpus and queries are encoded in one batch."""
     doc_ids = sorted(corpus)
     if not doc_ids:
         raise ValueError("empty corpus")
-    q = encode(p, query_text)
-    matrix = np.stack([encode(p, corpus[d]) for d in doc_ids])
-    scores = _cosine_against(matrix, q)
-    order = sorted(range(len(doc_ids)), key=lambda i: (-scores[i], doc_ids[i]))
-    return [doc_ids[i] for i in order]
+    vecs = encode_batch(p, [corpus[d] for d in doc_ids] + list(query_texts))
+    matrix = vecs[: len(doc_ids)]
+    rankings = []
+    for q in vecs[len(doc_ids) :]:
+        scores = _cosine_against(matrix, q)
+        order = sorted(range(len(doc_ids)), key=lambda i: (-scores[i], doc_ids[i]))
+        rankings.append([doc_ids[i] for i in order])
+    return rankings
 
 
 def _cosine_against(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -200,21 +209,16 @@ class EvalReport:
 def evaluate_run(p: EncoderParams, b: Benchmark, k: int = 10) -> EvalReport:
     """Macro-averaged retrieval metrics: per plant, then unweighted across plants.
 
-    Documents and queries are encoded once per plant; rankings match
-    :func:`rank_corpus` exactly (same scores, same tie-break).
+    Rankings come from :func:`rank_queries`, one batch per plant.
     """
     b.validate()
     if not b.plants:
         raise ValueError("benchmark has no plants")
     per_plant: dict[str, PlantMetrics] = {}
     for plant in b.plants:
-        doc_ids = sorted(plant.corpus)
-        matrix = np.stack([encode(p, plant.corpus[d]) for d in doc_ids])
+        rankings = rank_queries(p, [q.text for q in plant.queries], plant.corpus)
         aps, rrs, ndcgs = [], [], []
-        for q in plant.queries:
-            scores = _cosine_against(matrix, encode(p, q.text))
-            order = sorted(range(len(doc_ids)), key=lambda i: (-scores[i], doc_ids[i]))
-            ranking = [doc_ids[i] for i in order]
+        for q, ranking in zip(plant.queries, rankings):
             grades = plant.qrels.get(q.query_id, {})
             relevant = {d for d, g in grades.items() if g > 0}
             aps.append(ap_at_k(ranking, relevant, k))

@@ -18,10 +18,10 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, encode, word_tokens
+from .encoder import EncoderParams, encode_batch, word_tokens
 from .losses import cosine
 from .storage import read_json_lines, write_json_lines
-from .triplets import Triplet, TripletSet
+from .triplets import TripletSet
 
 logger = logging.getLogger(__name__)
 
@@ -86,9 +86,9 @@ def generate_query(doc_text: str, m: int, corpus_stats: CorpusStats) -> str:
 
 
 class PairScorer(Protocol):
-    """Scores a (query-doc text, doc text) pair; higher means more related."""
+    """Scores (query-doc text, doc text) pairs; higher means more related."""
 
-    def score(self, query_text: str, doc_text: str) -> float: ...
+    def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]: ...
 
 
 @dataclass
@@ -97,14 +97,16 @@ class EncoderCosineScorer:
 
     Stand-in for an externally trained relevance scorer: deterministic
     given its params, with scores in [-scale, scale]. Zero-vector texts
-    score 0.
+    score 0. Each distinct text is encoded once per call.
     """
 
     params: EncoderParams
     scale: float = 10.0
 
-    def score(self, query_text: str, doc_text: str) -> float:
-        return self.scale * cosine(encode(self.params, query_text), encode(self.params, doc_text))
+    def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        texts = list(dict.fromkeys(t for pair in pairs for t in pair))
+        vecs = dict(zip(texts, encode_batch(self.params, texts)))
+        return [self.scale * cosine(vecs[a], vecs[b]) for a, b in pairs]
 
 
 def quality_filter(
@@ -120,22 +122,17 @@ def quality_filter(
     score(q, neg) >= t_margin. Filtering is idempotent for a
     deterministic scorer.
     """
-    kept: list[Triplet] = []
-    cache: dict[tuple[str, str], float] = {}
-
-    def _score(a: str, b: str) -> float:
-        key = (a, b)
-        if key not in cache:
-            cache[key] = scorer.score(texts[a], texts[b])
-        return cache[key]
-
     for t in tset.triplets:
         for doc_id in (t.query, t.positive, t.negative):
             if doc_id not in texts:
                 raise KeyError(f"no text for document {doc_id!r}")
-        s_pos = _score(t.query, t.positive)
-        if s_pos >= t_pos and s_pos - _score(t.query, t.negative) >= t_margin:
-            kept.append(t)
+    scores = scorer.score_pairs([
+        (texts[t.query], texts[d]) for t in tset.triplets for d in (t.positive, t.negative)
+    ])
+    kept = [
+        t for t, s_pos, s_neg in zip(tset.triplets, scores[0::2], scores[1::2])
+        if s_pos >= t_pos and s_pos - s_neg >= t_margin
+    ]
     logger.info("quality_filter: kept %d of %d triplets", len(kept), len(tset.triplets))
     return TripletSet(kept, tset.params, tset.index_fingerprint, tset.skipped)
 

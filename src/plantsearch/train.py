@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, TokenFeatures, featurize
+from .encoder import EncoderParams, TokenFeatures, encode_features, featurize_many
 from .losses import NonFiniteError, mnr_loss_grad, triplet_loss_grad
 from .pairs import PairLabel, QueryDocPair
 from .triplets import TripletSet
@@ -33,12 +33,9 @@ class DocSimConfig:
     learning_rate: float = 0.1
     batch_size: int = 16
     rng_seed: int = 0
-    weight_decay: float = 0.0
-    optimizer: str = "sgd"  # "sgd" or "adam"
 
     def validate(self) -> None:
-        _validate_common(self.epochs, self.learning_rate, self.batch_size,
-                         self.weight_decay, self.optimizer)
+        _validate_common(self.epochs, self.learning_rate, self.batch_size)
         if self.margin <= 0:
             raise ValueError(f"margin must be positive, got {self.margin}")
 
@@ -51,29 +48,22 @@ class BiEncoderConfig:
     similarity_scale: float = 20.0
     learning_rate: float = 0.05
     rng_seed: int = 0
-    weight_decay: float = 0.0
-    optimizer: str = "sgd"
 
     def validate(self) -> None:
-        _validate_common(self.epochs, self.learning_rate, self.batch_size,
-                         self.weight_decay, self.optimizer)
+        _validate_common(self.epochs, self.learning_rate, self.batch_size)
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if self.similarity_scale <= 0:
             raise ValueError(f"similarity_scale must be positive, got {self.similarity_scale}")
 
 
-def _validate_common(epochs, learning_rate, batch_size, weight_decay, optimizer) -> None:
+def _validate_common(epochs, learning_rate, batch_size) -> None:
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if learning_rate <= 0:
         raise ValueError(f"learning_rate must be positive, got {learning_rate}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if weight_decay < 0:
-        raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-    if optimizer not in ("sgd", "adam"):
-        raise ValueError(f"optimizer must be 'sgd' or 'adam', got {optimizer!r}")
 
 
 def effective_lr(base: float, step: int, warmup_steps: int) -> float:
@@ -91,70 +81,27 @@ class TrainResult:
     wall_time: float
 
 
-class _Sgd:
-    def __init__(self, weight_decay: float):
-        self.weight_decay = weight_decay
+def _sgd_step(table: np.ndarray, texts: Sequence[tuple[TokenFeatures, np.ndarray]],
+              lr: float) -> None:
+    """One SGD step from (features, vector gradient) pairs, one pair per encoded text.
 
-    def step(self, table: np.ndarray, rows: np.ndarray, grads: np.ndarray, lr: float) -> None:
-        if self.weight_decay:
-            grads = grads + self.weight_decay * table[rows]
-        table[rows] -= lr * grads
-
-
-class _Adam:
-    """Adam applied lazily: moment updates touch only the rows in the step."""
-
-    def __init__(self, weight_decay: float, shape: tuple[int, int],
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.t = 0
-
-    def step(self, table: np.ndarray, rows: np.ndarray, grads: np.ndarray, lr: float) -> None:
-        if self.weight_decay:
-            grads = grads + self.weight_decay * table[rows]
-        self.t += 1
-        self.m[rows] = self.beta1 * self.m[rows] + (1 - self.beta1) * grads
-        self.v[rows] = self.beta2 * self.v[rows] + (1 - self.beta2) * grads**2
-        m_hat = self.m[rows] / (1 - self.beta1**self.t)
-        v_hat = self.v[rows] / (1 - self.beta2**self.t)
-        table[rows] -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def _make_optimizer(name: str, weight_decay: float, shape: tuple[int, int]):
-    if name == "adam":
-        return _Adam(weight_decay, shape)
-    return _Sgd(weight_decay)
-
-
-def _scatter(acc: dict[int, np.ndarray], feats: TokenFeatures, g_vec: np.ndarray) -> None:
-    # d encode / d table[b] = count_b / total, so the vector gradient
-    # lands on each bucket with its pooling weight.
-    if feats.total == 0:
+    d encode / d table[b] = count_b / total, so each vector gradient
+    lands on its text's buckets with the pooling weights. Texts add into
+    one zeroed buffer over the union of their buckets, in the given
+    order; buckets are unique within a text, so every bucket sums its
+    terms in text order.
+    """
+    texts = [(f, g) for f, g in texts if f.total]
+    if not texts:
         return
-    weights = feats.counts.astype(np.float64) / feats.total
-    for b, w in zip(feats.bucket_ids.tolist(), weights.tolist()):
-        got = acc.get(b)
-        if got is None:
-            acc[b] = w * g_vec
-        else:
-            got += w * g_vec
-
-
-def _flush(acc: dict[int, np.ndarray], table: np.ndarray, opt, lr: float) -> None:
-    if not acc:
-        return
-    rows = np.fromiter(acc.keys(), dtype=np.int64, count=len(acc))
-    grads = np.stack(list(acc.values()))
-    opt.step(table, rows, grads, lr)
-
-
-def _encode_cached(table: np.ndarray, feats: TokenFeatures, dim: int) -> np.ndarray:
-    if feats.total == 0:
-        return np.zeros(dim)
-    return (feats.counts.astype(np.float64) @ table[feats.bucket_ids]) / feats.total
+    rows, inv = np.unique(np.concatenate([f.bucket_ids for f, _ in texts]), return_inverse=True)
+    grads = np.zeros((len(rows), table.shape[1]))
+    lo = 0
+    for f, g in texts:
+        hi = lo + len(f.bucket_ids)
+        grads[inv[lo:hi]] += (f.counts / f.total)[:, None] * g
+        lo = hi
+    table[rows] -= lr * grads
 
 
 def train_docsim(
@@ -175,16 +122,16 @@ def train_docsim(
     if cfg.epochs == 0 or not tset.triplets:
         return TrainResult(out, [], 0, time.perf_counter() - start)
 
-    feats: dict[str, TokenFeatures] = {}
-    for t in tset.triplets:
-        for doc_id in (t.query, t.positive, t.negative):
-            if doc_id not in feats:
-                if doc_id not in texts:
-                    raise KeyError(f"no text for document {doc_id!r}")
-                feats[doc_id] = featurize(texts[doc_id], out.vocab_buckets)
+    doc_ids = list(dict.fromkeys(
+        d for t in tset.triplets for d in (t.query, t.positive, t.negative)
+    ))
+    for doc_id in doc_ids:
+        if doc_id not in texts:
+            raise KeyError(f"no text for document {doc_id!r}")
+    fm = featurize_many([texts[d] for d in doc_ids], out.vocab_buckets)
+    feats = {d: fm.row(i) for i, d in enumerate(doc_ids)}
 
     rng = np.random.default_rng(cfg.rng_seed)
-    opt = _make_optimizer(cfg.optimizer, cfg.weight_decay, out.embedding_table.shape)
     table = out.embedding_table
     n = len(tset.triplets)
     epoch_losses: list[float] = []
@@ -194,21 +141,19 @@ def train_docsim(
         total_loss = 0.0
         for lo in range(0, n, cfg.batch_size):
             batch = [tset.triplets[i] for i in order[lo : lo + cfg.batch_size]]
-            acc: dict[int, np.ndarray] = {}
+            grads: list[tuple[TokenFeatures, np.ndarray]] = []
             for t in batch:
                 fq, fp, fn = feats[t.query], feats[t.positive], feats[t.negative]
-                dq = _encode_cached(table, fq, out.dim)
-                dp = _encode_cached(table, fp, out.dim)
-                dn = _encode_cached(table, fn, out.dim)
-                loss, gq, gp, gn = triplet_loss_grad(dq, dp, dn, cfg.margin)
+                loss, gq, gp, gn = triplet_loss_grad(
+                    encode_features(out, fq), encode_features(out, fp),
+                    encode_features(out, fn), cfg.margin,
+                )
                 total_loss += loss
                 if loss == 0.0:
                     continue
                 coeff = 1.0 / len(batch)
-                _scatter(acc, fq, coeff * gq)
-                _scatter(acc, fp, coeff * gp)
-                _scatter(acc, fn, coeff * gn)
-            _flush(acc, table, opt, cfg.learning_rate)
+                grads += [(fq, coeff * gq), (fp, coeff * gp), (fn, coeff * gn)]
+            _sgd_step(table, grads, cfg.learning_rate)
             steps += 1
         if not np.isfinite(total_loss):
             raise NonFiniteError(f"non-finite docsim loss in epoch {epoch}")
@@ -262,22 +207,19 @@ def train_biencoder(
         if pr.label is PairLabel.NEGATIVE and pr.doc_id not in negatives[pr.query_text]:
             negatives[pr.query_text].append(pr.doc_id)
 
-    doc_feats: dict[str, TokenFeatures] = {}
-    for pr in pairs:
-        if pr.doc_id not in doc_feats:
-            if pr.doc_id not in texts:
-                raise KeyError(f"no text for document {pr.doc_id!r}")
-            doc_feats[pr.doc_id] = featurize(texts[pr.doc_id], out.vocab_buckets)
-    query_feats = {
-        q: featurize(q, out.vocab_buckets)
-        for q in {pr.query_text for pr in pairs}
-    }
+    doc_ids = list(dict.fromkeys(pr.doc_id for pr in pairs))
+    for doc_id in doc_ids:
+        if doc_id not in texts:
+            raise KeyError(f"no text for document {doc_id!r}")
+    queries = list(dict.fromkeys(pr.query_text for pr in pairs))
+    fm = featurize_many([texts[d] for d in doc_ids] + queries, out.vocab_buckets)
+    doc_feats = {d: fm.row(i) for i, d in enumerate(doc_ids)}
+    query_feats = {q: fm.row(len(doc_ids) + i) for i, q in enumerate(queries)}
 
     if cfg.epochs == 0:
         return TrainResult(out, [], 0, time.perf_counter() - start)
 
     rng = np.random.default_rng(cfg.rng_seed)
-    opt = _make_optimizer(cfg.optimizer, cfg.weight_decay, out.embedding_table.shape)
     table = out.embedding_table
     epoch_losses: list[float] = []
     step = 0
@@ -293,12 +235,10 @@ def train_biencoder(
                     if doc_id != pr.doc_id and doc_id not in batch_docs and doc_id not in extras:
                         extras.append(doc_id)
             all_docs = batch_docs + extras
-            q_mat = np.stack([
-                _encode_cached(table, query_feats[pr.query_text], out.dim) for pr in batch
-            ])
-            d_mat = np.stack([
-                _encode_cached(table, doc_feats[d], out.dim) for d in all_docs
-            ])
+            q_feats = [query_feats[pr.query_text] for pr in batch]
+            d_feats = [doc_feats[d] for d in all_docs]
+            q_mat = np.stack([encode_features(out, f) for f in q_feats])
+            d_mat = np.stack([encode_features(out, f) for f in d_feats])
             loss, g_q, g_d = mnr_loss_grad(q_mat, d_mat, cfg.similarity_scale)
             if not np.isfinite(loss):
                 raise NonFiniteError(f"non-finite bi-encoder loss in epoch {epoch}")
@@ -306,12 +246,7 @@ def train_biencoder(
             rows_seen += len(batch)
             step += 1
             lr = effective_lr(cfg.learning_rate, step, cfg.warmup_steps)
-            acc: dict[int, np.ndarray] = {}
-            for i, pr in enumerate(batch):
-                _scatter(acc, query_feats[pr.query_text], g_q[i])
-            for j, doc_id in enumerate(all_docs):
-                _scatter(acc, doc_feats[doc_id], g_d[j])
-            _flush(acc, table, opt, lr)
+            _sgd_step(table, list(zip(q_feats, g_q)) + list(zip(d_feats, g_d)), lr)
         epoch_losses.append(loss_sum / rows_seen)
         logger.debug("bi-encoder epoch %d mean loss %.6f", epoch, epoch_losses[-1])
     if not np.isfinite(table).all():

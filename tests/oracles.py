@@ -138,3 +138,30 @@ def oracle_fnv1a_64(data: bytes) -> int:
         value = value ^ byte
         value = (value * 0x100000001B3) % (1 << 64)
     return value
+
+
+def oracle_scatter(acc: dict, bucket_ids, counts, total: int, g_vec) -> None:
+    """The per-bucket dict scatter: add (count_b / total) * g_vec to acc[b]."""
+    if total == 0:
+        return
+    weights = counts.astype(float) / total
+    for b, w in zip(bucket_ids.tolist(), weights.tolist()):
+        got = acc.get(b)
+        if got is None:
+            acc[b] = w * g_vec
+        else:
+            got += w * g_vec
+
+
+def oracle_flush(acc: dict, table, lr: float) -> None:
+    """Apply the accumulated bucket gradients as one SGD step on the table rows."""
+    for b, g in acc.items():
+        table[b] = table[b] - lr * g
+
+
+def oracle_sgd_step(table, texts, lr: float) -> None:
+    """One SGD step from (TokenFeatures, vector gradient) pairs via the dict scatter."""
+    acc: dict = {}
+    for feats, g_vec in texts:
+        oracle_scatter(acc, feats.bucket_ids, feats.counts, feats.total, g_vec)
+    oracle_flush(acc, table, lr)

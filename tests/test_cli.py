@@ -113,6 +113,24 @@ def test_strict_mode_verifies_before_reading(pipeline_run, tmp_path):
     assert rebuilt.read_bytes() == before
 
 
+@pytest.mark.parametrize("stage", ["train-docsim", "gen-pairs"])
+def test_exit_3_on_triplet_naming_unknown_doc(pipeline_run, tmp_path, caplog, stage):
+    cfg_path, out1, _ = pipeline_run
+    out = tmp_path / "ghost"
+    shutil.copytree(out1, out)
+    tpath = out / "triplets" / "triplets.jsonl"
+    row = {"q": "ghost-doc", "pos": "ghost-doc", "neg": "ghost-doc", "neg_kind": "easy"}
+    tpath.write_text(tpath.read_text(encoding="utf-8") + json.dumps(row) + "\n",
+                     encoding="utf-8")
+    with caplog.at_level("ERROR", logger="plantsearch.cli"):
+        rc = cli.main([stage, "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert "no text for document 'ghost-doc'" in errors[0].getMessage()
+    assert "\n" not in errors[0].getMessage()
+
+
 def test_seed_override_changes_outputs(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(MICRO_CONFIG), encoding="utf-8")

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from plantsearch.encoder import (
     encode_batch,
     feature_strings,
     featurize,
+    featurize_many,
     fnv1a_64,
     init_encoder,
     load_encoder,
@@ -61,6 +64,38 @@ def test_featurize_empty_text():
     tf = featurize("!!!", vocab_buckets=16)
     assert tf.total == 0
     assert tf.bucket_ids.size == 0
+
+
+@pytest.mark.parametrize("vocab_buckets", [7, 256, 2**16])
+def test_featurize_many_rows_equal_featurize(vocab_buckets):
+    texts = [
+        "Pumpe leckt am Flansch, Pumpe tropft",
+        "",
+        "!!! ... ,;",
+        "Lömi ÄRGER über Öl-Straße",
+        "ab ab ab cd",
+        "Pumpe leckt am Flansch, Pumpe tropft",
+        "x",
+    ]
+    fm = featurize_many(texts, vocab_buckets)
+    assert len(fm.totals) == len(texts)
+    assert fm.indptr[0] == 0 and fm.indptr[-1] == len(fm.bucket_ids) == len(fm.counts)
+    for arr in (fm.indptr, fm.bucket_ids, fm.counts, fm.totals):
+        assert arr.dtype == np.int64
+    for i, text in enumerate(texts):
+        want = featurize(text, vocab_buckets)
+        got = fm.row(i)
+        np.testing.assert_array_equal(got.bucket_ids, want.bucket_ids)
+        np.testing.assert_array_equal(got.counts, want.counts)
+        assert got.total == want.total
+        # and against the independent hash over the feature multiset
+        expected = Counter(
+            oracle_fnv1a_64(f.encode("utf-8")) % vocab_buckets for f in feature_strings(text)
+        )
+        assert dict(zip(got.bucket_ids.tolist(), got.counts.tolist())) == expected
+        assert got.total == sum(expected.values())
+    assert fm.row(1).total == 0 and fm.row(2).total == 0
+    assert len(featurize_many([], vocab_buckets).totals) == 0
 
 
 def test_encode_is_mean_of_feature_rows():

@@ -15,7 +15,8 @@ from plantsearch.pairs import (
     save_pairs,
     triplets_to_pairs,
 )
-from plantsearch.encoder import init_encoder
+from plantsearch.encoder import encode, init_encoder
+from plantsearch.losses import cosine
 from plantsearch.triplets import NegKind, SamplingParams, Triplet, TripletSet
 
 CORPUS = [
@@ -88,8 +89,8 @@ class StubScorer:
     def __init__(self, table):
         self.table = table
 
-    def score(self, query_text, doc_text):
-        return self.table[(query_text, doc_text)]
+    def score_pairs(self, pairs):
+        return [self.table[pair] for pair in pairs]
 
 
 def test_quality_filter_thresholds():
@@ -135,10 +136,15 @@ def test_quality_filter_idempotent_with_encoder_scorer():
 
 def test_encoder_cosine_scorer_range():
     scorer = EncoderCosineScorer(init_encoder(dim=8, vocab_buckets=128, seed=1), scale=10.0)
-    s = scorer.score("pumpe leckt", "pumpe leckt")
-    assert s == pytest.approx(10.0, abs=1e-9)  # identical text: cosine 1
-    assert -10.0 <= scorer.score("pumpe", "kessel") <= 10.0
-    assert scorer.score("", "pumpe") == 0.0  # zero vector scores 0
+    same, other, empty = scorer.score_pairs(
+        [("pumpe leckt", "pumpe leckt"), ("pumpe", "kessel"), ("", "pumpe")]
+    )
+    assert same == pytest.approx(10.0, abs=1e-9)  # identical text: cosine 1
+    assert -10.0 <= other <= 10.0
+    # one batch per call, same bits as encoding each text on its own
+    p = scorer.params
+    assert other == 10.0 * cosine(encode(p, "pumpe"), encode(p, "kessel"))
+    assert empty == 0.0  # zero vector scores 0
 
 
 def test_triplets_to_pairs_structure():
