@@ -31,6 +31,15 @@ class FlatIndex:
     def row(self, node_id: str) -> int:
         return self._row[node_id]
 
+    def row_mask(self, ids: Iterable[str]) -> np.ndarray:
+        """Boolean mask over the rows of the given indexed ids."""
+        mask = np.zeros(len(self.ids), dtype=bool)
+        for node_id in ids:
+            if node_id not in self._row:
+                raise KeyError(f"candidate id {node_id!r} not in index")
+            mask[self._row[node_id]] = True
+        return mask
+
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         for node_id in self.ids:
@@ -60,32 +69,37 @@ def build_index(emb: EmbeddingTable, eligible: Iterable[str]) -> FlatIndex:
 
 
 def knn(
-    idx: FlatIndex, query_id: str, k: int, among: Iterable[str] | None = None
+    idx: FlatIndex, query_id: str, k: int, among: Iterable[str] | np.ndarray | None = None
 ) -> list[tuple[str, float]]:
     """Top-k cosine neighbors of an indexed node, query excluded.
 
     Sorted by descending cosine, ties broken by ascending id, so the
     result is a total order. ``among`` restricts candidates to a subset
-    of the indexed ids. k must not exceed the candidate count.
+    of the indexed ids, given as ids or as a ``FlatIndex.row_mask``
+    (build the mask once when many queries share one subset). k must
+    not exceed the candidate count.
     """
     if query_id not in idx:
         raise KeyError(f"query id {query_id!r} not in index")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if among is None:
-        cand_rows = [i for i in range(len(idx)) if idx.ids[i] != query_id]
+        mask = np.ones(len(idx), dtype=bool)
+    elif isinstance(among, np.ndarray):
+        if among.dtype != bool or among.shape != (len(idx),):
+            raise ValueError(f"row mask must be bool of shape ({len(idx)},)")
+        mask = among.copy()
     else:
-        cand_rows = []
-        for node_id in set(among):
-            if node_id == query_id:
-                continue
-            if node_id not in idx:
-                raise KeyError(f"candidate id {node_id!r} not in index")
-            cand_rows.append(idx.row(node_id))
-    if k > len(cand_rows):
-        raise ValueError(f"k={k} exceeds {len(cand_rows)} available candidates")
-    scores = idx.matrix[cand_rows] @ idx.matrix[idx.row(query_id)]
-    ranked = sorted(
-        range(len(cand_rows)), key=lambda j: (-scores[j], idx.ids[cand_rows[j]])
-    )
-    return [(idx.ids[cand_rows[j]], float(scores[j])) for j in ranked[:k]]
+        mask = idx.row_mask(among)
+    q = idx.row(query_id)
+    mask[q] = False
+    rows = np.flatnonzero(mask)
+    if k > rows.size:
+        raise ValueError(f"k={k} exceeds {rows.size} available candidates")
+    # One ddot per row (np.vecdot): a row's score does not depend on which
+    # other rows are scored, so equal rows tie exactly. A gemv (matrix @ q)
+    # rounds by row position and can split such ties.
+    scores = np.vecdot(idx.matrix, idx.matrix[q])[rows]
+    # Rows ascend in id order, so a stable sort breaks ties by ascending id.
+    top = np.argsort(-scores, kind="stable")[:k]
+    return [(idx.ids[r], s) for r, s in zip(rows[top].tolist(), scores[top].tolist())]

@@ -27,7 +27,9 @@ import numpy as np
 from . import ann, graph_embed, ir_eval, kg, pairs as pairs_mod, synth, train, triplets as triplets_mod
 from .encoder import EncoderParams, init_encoder, load_encoder, save_encoder
 from .losses import NonFiniteError
-from .storage import derive_seed, sha256_file, write_ids, write_json_lines, write_matrix
+from .storage import (
+    EmbeddingFileError, derive_seed, sha256_file, write_ids, write_json_lines, write_matrix,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -93,9 +95,6 @@ DEFAULT_RUN_CONFIG: dict[str, Any] = {
     ],
 }
 
-_TOP_KEYS = set(DEFAULT_RUN_CONFIG) | {"composition", "ablations"}
-
-
 def _merged(defaults: Mapping[str, Any], override: Mapping[str, Any], where: str) -> dict:
     out = dict(defaults)
     for key, value in override.items():
@@ -113,7 +112,7 @@ class RunConfig:
 
     def __init__(self, raw: Mapping[str, Any]):
         for key in raw:
-            if key not in _TOP_KEYS:
+            if key not in DEFAULT_RUN_CONFIG:
                 raise ConfigError(f"unknown config key {key!r}")
         base = {k: v for k, v in DEFAULT_RUN_CONFIG.items() if k not in ("plants", "ablations")}
         merged = _merged(
@@ -299,12 +298,16 @@ def _require(path: Path, producer: str) -> Path:
 
 def stage_synth(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
     t0 = time.perf_counter()
+    if not cfg.plant_configs:
+        raise ConfigError("no plant configs")
+    plants = [synth.generate_plant(pcfg) for pcfg in cfg.plant_configs]
+    bench = ir_eval.Benchmark([gp.bench for gp in plants])
+    bench.validate()  # id collisions fail here, before any file is written
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
     sid_rows: list[pairs_mod.QueryDocPair] = []
     plant_meta = []
-    for pcfg in cfg.plant_configs:
-        gp = synth.generate_plant(pcfg)
+    for pcfg, gp in zip(cfg.plant_configs, plants):
         pdir = out_dir / "plants" / pcfg.plant_id
         pdir.mkdir(parents=True, exist_ok=True)
         kg.save_graph(gp.graph, pdir / "nodes.jsonl", pdir / "edges.jsonl")
@@ -321,7 +324,6 @@ def stage_synth(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
         json.dumps({"plants": plant_meta}, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
     outputs += [out_dir / "sid.jsonl", out_dir / "benchmark.json"]
-    bench = synth.generate_multi_plant(cfg.plant_configs)  # id-collision check
     logger.info("synth: %d plants, %d queries total",
                 len(bench.plants), sum(len(p.queries) for p in bench.plants))
     _write_manifest(out_dir, "synth", cfg.seed,
@@ -466,7 +468,10 @@ def stage_sample_triplets(cfg: RunConfig, out_dir: Path, strict: bool = False) -
         emb = graph_embed.load_embeddings(out_dir / "ge" / pid)
         g = _load_built_graph(out_dir, pid)
         log_ids = [n.id for n in g.text_logs()]
-        index = ann.build_index(emb, log_ids)
+        try:
+            index = ann.build_index(emb, log_ids)
+        except KeyError as exc:  # the saved table does not cover the graph's logs
+            raise EmbeddingFileError(f"{out_dir / 'ge' / pid}: {exc.args[0]}") from None
         plant_params = triplets_mod.SamplingParams(
             **{**asdict(params), "rng_seed": derive_seed(cfg.seed, f"triplets:{pid}")}
         )
@@ -626,7 +631,7 @@ def _biencoder_texts(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
 
 def _train_biencoder_variant(cfg: RunConfig, out_dir: Path, name: str, use_get: bool,
                              use_sid: bool, use_drmm: bool, docsim: bool,
-                             target_dir: Path, strict: bool) -> dict:
+                             target_dir: Path) -> dict:
     pair_rows, report = _compose(cfg, out_dir, use_get, use_sid, use_drmm)
     texts = _biencoder_texts(cfg, out_dir)
     if docsim:
@@ -660,7 +665,7 @@ def stage_train_biencoder(cfg: RunConfig, out_dir: Path, strict: bool = False) -
         _check_strict(out_dir, inputs)
     info = _train_biencoder_variant(
         cfg, out_dir, "default", comp["use_get"], comp["use_sid"], comp["use_drmm"],
-        docsim_wanted, out_dir / "encoders", strict,
+        docsim_wanted, out_dir / "encoders",
     )
     edir = out_dir / "encoders"
     _write_manifest(out_dir, "train-biencoder", cfg.seed,
@@ -729,7 +734,7 @@ def stage_pipeline(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
         adir = out_dir / "ablations" / name
         info = _train_biencoder_variant(
             cfg, out_dir, name, ablation["use_get"], ablation["use_sid"],
-            ablation["use_drmm"], ablation["docsim"], adir, strict,
+            ablation["use_drmm"], ablation["docsim"], adir,
         )
         metrics = stage_evaluate(cfg, out_dir, strict, encoder_dir=adir,
                                  report_stem=f"report-{name}")
@@ -788,6 +793,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_run_config(args.config, args.seed)
         STAGES[args.command](cfg, Path(args.out), args.strict)
+    except EmbeddingFileError as exc:  # a ValueError, but a corrupt artifact
+        logger.error("%s", exc)
+        return 3
     except (ConfigError, ValueError) as exc:
         logger.error("%s", exc)
         return 2

@@ -11,6 +11,7 @@ test suite, so the conventions are pinned down precisely:
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -18,6 +19,11 @@ import numpy as np
 
 class NonFiniteError(ArithmeticError):
     """A loss or gradient stopped being finite."""
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a 1-d float64 vector, sqrt(v.dot(v)), without its dispatch cost."""
+    return math.sqrt(v.dot(v))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -159,6 +165,12 @@ def edge_ranking_loss_grad(
     s(x) = cos(src + rel, x). Returns (loss, g_src, g_rel, g_dst,
     g_neg_dsts); the src and rel gradients coincide because the score
     depends on them only through their sum.
+
+    All negatives are scored in one array pass that rounds exactly like
+    a per-negative ``_cosine_grads`` loop: each row dot product and norm
+    is one BLAS ddot (``np.vecdot``), every product and quotient keeps
+    that loop's operand order, and the sums run over the active rows in
+    negative order.
     """
     src = np.asarray(src, dtype=np.float64)
     rel = np.asarray(rel, dtype=np.float64)
@@ -167,24 +179,45 @@ def edge_ranking_loss_grad(
     if negs.shape[0] == 0:
         raise ValueError("need at least one negative")
     a = src + rel
-    s_pos, g_a_pos, g_dst_pos = _cosine_grads(a, dst)
-
     m = negs.shape[0]
+    na, nd = _norm(a), _norm(dst)
+    s_pos = float(a.dot(dst) / (na * nd)) if na != 0.0 and nd != 0.0 else 0.0
+    norms = np.sqrt(np.vecdot(negs, negs))
+    # A zero-norm operand scores 0 with zero gradient, as in _cosine_grads.
+    live = (norms != 0.0) & (na != 0.0)
+    denom = na * norms
+    s_neg = np.divide(np.vecdot(negs, a), denom, out=np.zeros(m), where=live)
+    terms = (margin - s_pos) + s_neg
+    g_a = np.zeros(a.shape)
+    g_dst = np.zeros(dst.shape)
+    g_negs = np.zeros(negs.shape)
+    act = (terms > 0.0).nonzero()[0]
+    if act.size == 0:
+        return 0.0, g_a.copy(), g_a, g_dst, g_negs
+
     loss = 0.0
-    g_a = np.zeros_like(a)
-    g_dst = np.zeros_like(dst)
-    g_negs = np.zeros_like(negs)
-    for j in range(m):
-        s_neg, g_a_neg, g_neg = _cosine_grads(a, negs[j])
-        term = margin - s_pos + s_neg
-        if term > 0.0:
-            loss += term
-            g_a += (g_a_neg - g_a_pos) / m
-            g_dst -= g_dst_pos / m
-            g_negs[j] = g_neg / m
+    for term in terms[act].tolist():
+        loss += term
     loss /= m
     if not np.isfinite(loss):
         raise NonFiniteError("non-finite ranking loss")
+
+    _, g_a_pos, g_dst_pos = _cosine_grads(a, dst)
+    g_a_neg = np.zeros((act.size, a.size))
+    g_neg = np.zeros((act.size, a.size))
+    sel = live[act]
+    rows = act[sel]
+    b = negs[rows]
+    cos = s_neg[rows][:, None]
+    nab = denom[rows][:, None]
+    nb = norms[rows][:, None]
+    g_a_neg[sel] = b / nab - cos * a / (na * na)
+    g_neg[sel] = a / nab - cos * b / (nb * nb)
+    # Row by row in negative order; np.add.reduce would sum pairwise when dim == 1.
+    for g_row in (g_a_neg - g_a_pos) / m:
+        g_a += g_row
+        g_dst -= g_dst_pos / m
+    g_negs[act] = g_neg / m
     return float(loss), g_a.copy(), g_a, g_dst, g_negs
 
 

@@ -68,7 +68,10 @@ def read_ids(path: str | Path) -> list[str]:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            ids[int(obj["row"])] = str(obj["id"])
+            row = int(obj["row"])
+            if row in ids:
+                raise EmbeddingFileError(f"{path}: row {row} appears twice (line {line_no})")
+            ids[row] = str(obj["id"])
     if sorted(ids) != list(range(len(ids))):
         raise EmbeddingFileError(f"{path}: non-contiguous row numbering")
     return [ids[i] for i in range(len(ids))]

@@ -90,8 +90,14 @@ def filtered_random_sample(
     c: int,
     rng: np.random.Generator,
 ) -> list[str]:
-    """c ids drawn uniformly without replacement from corpus minus excluded."""
-    candidates = sorted(set(corpus) - excluded)
+    """c ids drawn uniformly without replacement from corpus minus excluded.
+
+    A sequence corpus must be sorted without repeats, so callers drawing
+    for many queries sort once; a set is sorted here.
+    """
+    if isinstance(corpus, (set, frozenset)):
+        corpus = sorted(corpus)
+    candidates = [i for i in corpus if i not in excluded]
     if len(candidates) < c:
         raise ValueError(
             f"cannot draw {c} ids from {len(candidates)} remaining candidates"
@@ -118,7 +124,9 @@ def sample_triplets(index: FlatIndex, g: KnowledgeGraph, p: SamplingParams) -> T
             raise ValueError(f"indexed id {node_id!r} is not a text log")
 
     corpus = sorted(index.ids)
-    eligible = {i for i in corpus if len(g.nodes[i].text) >= p.min_text_chars}
+    eligible_ids = [i for i in corpus if len(g.nodes[i].text) >= p.min_text_chars]
+    eligible = set(eligible_ids)
+    eligible_rows = index.row_mask(eligible_ids)
     rng = np.random.default_rng(p.rng_seed)
     triplets: list[Triplet] = []
     skipped = 0
@@ -131,11 +139,11 @@ def sample_triplets(index: FlatIndex, g: KnowledgeGraph, p: SamplingParams) -> T
         if len(eligible) - 1 < p.k_hard + p.c_easy:
             skipped += 1
             continue
-        neighbors = [n for n, _ in knn(index, query, p.k_hard, among=eligible)]
+        neighbors = [n for n, _ in knn(index, query, p.k_hard, among=eligible_rows)]
         positives = band_sample(neighbors, p.k_pos, p.c_pos)
         hard = band_sample(neighbors, p.k_hard, p.c_hard)
         easy = filtered_random_sample(
-            eligible, excluded=set(neighbors) | {query}, c=p.c_easy, rng=rng
+            eligible_ids, excluded=set(neighbors) | {query}, c=p.c_easy, rng=rng
         )
         emitted = 0
         for neg in easy:

@@ -35,6 +35,48 @@ def test_knn_matches_oracle_on_random_instances():
         assert got == want, f"trial {trial}: {got} != {want}"
 
 
+def test_knn_among_forms_match_oracle_with_ties():
+    """Sets, lists with duplicates and row masks select the same candidates;
+    duplicated vectors tie exactly at any dimension and break by id."""
+    rng = np.random.default_rng(77)
+    ties = 0
+    for trial in range(150):
+        dim = int(rng.choice([3, 16, 64]))
+        n = int(rng.integers(4, 40))
+        vectors = {}
+        for i in range(n):
+            donor = f"d{int(rng.integers(0, i)):03d}" if i >= 2 and rng.random() < 0.3 else None
+            vectors[f"d{i:03d}"] = list(vectors[donor]) if donor else rng.normal(size=dim).tolist()
+        index = build_index(make_table(vectors), list(vectors))
+        ids = sorted(vectors)
+        query = ids[int(rng.integers(0, n))]
+        among = {i for i in ids if rng.random() < 0.7} | {query}
+        if len(among) < 3:
+            continue
+        k = int(rng.integers(1, len(among)))
+        want = oracle_knn(vectors, query, k, among)
+        listed = sorted(among) + sorted(among)[:3]
+        for form in (among, listed, index.row_mask(listed)):
+            assert [doc for doc, _ in knn(index, query, k, among=form)] == want, trial
+        scores = [s for _, s in knn(index, query, len(among) - 1, among=among)]
+        ties += len(set(scores)) < len(scores)
+    assert ties > 20
+
+
+def test_knn_row_mask_validation():
+    vectors = {"q": [1.0, 0.0], "a": [0.5, 0.0], "b": [0.0, 1.0]}
+    index = build_index(make_table(vectors), list(vectors))
+    with pytest.raises(KeyError):
+        index.row_mask(["a", "ghost"])
+    with pytest.raises(ValueError):
+        knn(index, "q", 1, among=np.ones(2, dtype=bool))
+    with pytest.raises(ValueError):
+        knn(index, "q", 1, among=np.ones(3))
+    mask = index.row_mask(["a", "q"])
+    assert [doc for doc, _ in knn(index, "q", 1, among=mask)] == ["a"]
+    assert mask.tolist() == [True, False, True]  # the caller's mask is not modified
+
+
 def test_knn_tie_break_ascending_id():
     vectors = {"q": [1.0, 0.0], "b": [2.0, 0.0], "a": [4.0, 0.0], "c": [0.0, 1.0]}
     index = build_index(make_table(vectors), list(vectors))

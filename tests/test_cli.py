@@ -131,6 +131,50 @@ def test_exit_3_on_triplet_naming_unknown_doc(pipeline_run, tmp_path, caplog, st
     assert "\n" not in errors[0].getMessage()
 
 
+@pytest.mark.parametrize("damage", ["truncate", "append"])
+@pytest.mark.parametrize("suffix", [".gemb", ".ids", ".rels.json"])
+def test_exit_3_on_corrupt_ge_artifact(pipeline_run, tmp_path, caplog, suffix, damage):
+    cfg_path, out1, _ = pipeline_run
+    out = tmp_path / "corrupt"
+    shutil.copytree(out1, out)
+    path = (out / "ge" / "X").with_suffix(suffix)
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2] if damage == "truncate" else blob + b"\xffjunk\n")
+    with caplog.at_level("ERROR", logger="plantsearch.cli"):
+        rc = cli.main(["sample-triplets", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert "X" in errors[0].getMessage() and "\n" not in errors[0].getMessage()
+
+
+def test_exit_3_on_ge_table_missing_a_log(pipeline_run, tmp_path, caplog):
+    cfg_path, out1, _ = pipeline_run
+    out = tmp_path / "renamed"
+    shutil.copytree(out1, out)
+    ids = out / "ge" / "X.ids"
+    lines = ids.read_text(encoding="utf-8").splitlines(keepends=True)
+    log_row = next(i for i, line in enumerate(lines) if ":log:" in line)
+    lines[log_row] = json.dumps({"id": "X:log:renamed", "row": log_row}) + "\n"
+    ids.write_text("".join(lines), encoding="utf-8")
+    with caplog.at_level("ERROR", logger="plantsearch.cli"):
+        rc = cli.main(["sample-triplets", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "ids not in embedding table" in errors[0].getMessage()
+
+
+def test_synth_failure_writes_nothing(tmp_path):
+    """Every plant is generated and checked before the first file is written."""
+    cfg_path = tmp_path / "cfg.json"
+    plant = MICRO_CONFIG["plants"][0]
+    starved = {"plant_id": "N", "n_fl": 4, "n_logs": 1, "n_queries": 2}  # too few logs
+    cfg_path.write_text(json.dumps({"plants": [plant, starved]}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert cli.main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_seed_override_changes_outputs(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(MICRO_CONFIG), encoding="utf-8")

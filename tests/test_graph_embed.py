@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import make_graph, make_table
-from oracles import oracle_edge_score, oracle_link_prediction
+from oracles import (
+    oracle_edge_ranking_loss_grad,
+    oracle_edge_score,
+    oracle_link_prediction,
+    oracle_np_link_prediction,
+)
+from plantsearch import graph_embed
 from plantsearch.graph_embed import (
     GETrainConfig,
     InitMode,
@@ -15,7 +21,7 @@ from plantsearch.graph_embed import (
     split_edges,
     train_graph_embeddings,
 )
-from plantsearch.kg import Edge, NodeKind, Relation
+from plantsearch.kg import RELATION_SIGNATURES, Edge, NodeKind, Relation
 
 
 def _chain_graph(n_logs=6):
@@ -128,6 +134,25 @@ def test_train_deterministic():
         np.testing.assert_array_equal(a.relation_params[rel], b.relation_params[rel])
 
 
+def test_train_bitwise_equals_oracle_driven_run(monkeypatch):
+    g = _chain_graph(10)
+    ids = sorted(g.nodes)
+    rng = np.random.default_rng(8)
+    text_vectors = {node_id: rng.normal(size=8) for node_id in ids}
+    text_vectors["l3"] = text_vectors["l2"].copy()  # duplicate rows tie exactly
+    text_vectors["l5"] = np.zeros(8)  # a zero-norm row
+    runs = []
+    for loss_grad in (graph_embed.edge_ranking_loss_grad, oracle_edge_ranking_loss_grad):
+        monkeypatch.setattr(graph_embed, "edge_ranking_loss_grad", loss_grad)
+        for cfg in (GETrainConfig(dim=8, epochs=6, negatives_per_edge=7, rng_seed=3),
+                    GETrainConfig(dim=8, epochs=4, ranking_margin=0.8, rng_seed=4,
+                                  init_mode=InitMode.TEXT_VECTORS)):
+            emb = train_graph_embeddings(g, init_embeddings(g, cfg, text_vectors), cfg)
+            runs.append((emb.vectors.tobytes(),
+                         [emb.relation_params[rel].tobytes() for rel in Relation]))
+    assert runs[:2] == runs[2:]
+
+
 def test_train_requires_coverage_and_edges():
     g = _chain_graph()
     cfg = GETrainConfig(dim=4)
@@ -221,6 +246,31 @@ def test_eval_link_prediction_matches_oracle():
         for key in ("mrr", "hits_at_1", "hits_at_10", "auc"):
             assert getattr(report, key) == pytest.approx(want[key], abs=1e-12), (trial, key)
         assert report.n_edges == len(edges)
+
+
+def test_eval_link_prediction_bitwise_equals_cosine_loop():
+    rng = np.random.default_rng(405)
+    kind_map = {"text_log": NodeKind.TEXT_LOG, "functional_location": NodeKind.FUNCTIONAL_LOCATION}
+    dst_kind = {rel: RELATION_SIGNATURES[rel][1] for rel in Relation}
+    tied = 0
+    for trial in range(150):
+        vectors, kinds, rels, edges = _random_lp_instance(rng)
+        # exact duplicates of the true destinations and a zero-norm node
+        for _, dst, _ in edges[:2]:
+            vectors[f"{dst}-twin"] = list(vectors[dst])
+            kinds[f"{dst}-twin"] = kinds[dst]
+        vectors["l00"] = [0.0] * len(vectors["l00"])
+        table = make_table(vectors, rels)
+        node_kinds = {node_id: kind_map[k] for node_id, k in kinds.items()}
+        test_edges = [Edge(s, d, r) for s, d, r in edges]
+        pool = list(vectors)[: len(vectors) - int(rng.integers(0, 3))]
+        report = eval_link_prediction(table, test_edges, pool, node_kinds)
+        want = oracle_np_link_prediction(table, test_edges, pool, node_kinds, dst_kind)
+        assert report.to_dict() == dict(want, n_edges=len(test_edges)), trial
+        tied += any(
+            f"{e.dst}-twin" in pool and score_edge(table, e.src, e.rel, e.dst) == score_edge(
+                table, e.src, e.rel, f"{e.dst}-twin") for e in test_edges)
+    assert tied > 50
 
 
 def test_eval_lp_hand_case_auc():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import oracle_cosine, oracle_mnr
+from oracles import oracle_cosine, oracle_edge_ranking_loss_grad, oracle_mnr, oracle_np_cosine
 from plantsearch.losses import (
     NonFiniteError,
     cosine,
@@ -201,6 +201,52 @@ def test_edge_ranking_grad_finite_difference():
 
         # margin 5 keeps every hinge active, so the loss is smooth here
         assert finite_diff_check(f, packed, probe_count=20, seed=trial) < 1e-6
+
+
+def _edge_loss_case(rng, trial):
+    """Random edge-loss inputs; trial % 7 in 1..5 picks a boundary case."""
+    dim = int(rng.choice([1, 2, 3, 16, 64]))
+    m = int(rng.integers(1, 12))
+    src, rel, dst = rng.normal(size=(3, dim)) * 10.0 ** rng.uniform(-3, 3)
+    negs = rng.normal(size=(m, dim)) * 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+    margin = float(rng.choice([0.05, 0.1, 0.5, 1.0, 3.0]))
+    case = trial % 7
+    if case == 1:  # src + rel is exactly zero: every cosine is 0
+        rel = -src
+    elif case == 2:  # zero-norm negative rows and sometimes a zero-norm dst
+        negs[rng.integers(0, m, size=max(1, m // 3))] = 0.0
+        if rng.random() < 0.5:
+            dst = np.zeros(dim)
+    elif case == 3:  # the same negative drawn repeatedly
+        negs = negs[rng.integers(0, min(m, 2), size=m)]
+    elif case == 4:  # no active hinge: dst = src + rel, negatives point away
+        dst = src + rel
+        negs = -(src + rel) * rng.uniform(0.5, 2.0, size=(m, 1))
+    elif case == 5 and dim >= 2:  # one term lands exactly on 0: 1 - 1 + 0
+        src, rel, dst = np.eye(dim)[0], np.zeros(dim), np.eye(dim)[0]
+        negs[0] = np.eye(dim)[1]
+        margin = 1.0
+    return src, rel, dst, negs, margin
+
+
+def test_edge_ranking_bitwise_equals_per_negative_loop():
+    rng = np.random.default_rng(31)
+    seen = {"zero_a": 0, "zero_neg": 0, "inactive": 0, "term_zero": 0, "active": 0}
+    for trial in range(700):
+        src, rel, dst, negs, margin = _edge_loss_case(rng, trial)
+        got = edge_ranking_loss_grad(src, rel, dst, negs, margin)
+        want = oracle_edge_ranking_loss_grad(src, rel, dst, negs, margin)
+        assert got[0] == want[0], trial
+        for g, w in zip(got[1:], want[1:]):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), trial
+        a = src + rel
+        s_pos = oracle_np_cosine(a, dst)
+        seen["zero_a"] += not a.any()
+        seen["zero_neg"] += not np.all(negs.any(axis=1))
+        seen["inactive"] += got[0] == 0.0
+        seen["active"] += got[0] > 0.0
+        seen["term_zero"] += any(margin - s_pos + oracle_np_cosine(a, n) == 0.0 for n in negs)
+    assert all(n > 0 for n in seen.values()), seen
 
 
 def test_edge_ranking_requires_negatives():

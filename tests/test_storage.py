@@ -76,6 +76,15 @@ def test_ids_round_trip_unicode(tmp_path):
     assert read_ids(path) == ids
 
 
+def test_ids_reject_repeated_row(tmp_path):
+    path = tmp_path / "x.ids"
+    write_ids(path, ["a", "b", "c"])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"id": "z", "row": 1}\n')  # would silently relabel row 1
+    with pytest.raises(EmbeddingFileError, match="row 1 appears twice"):
+        read_ids(path)
+
+
 def test_json_lines_round_trip(tmp_path):
     records = [{"b": 2, "a": "ä"}, {"a": None, "b": [1, 2]}]
     path = tmp_path / "x.jsonl"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_graph, make_table
+from oracles import oracle_filtered_random_sample
 from plantsearch.ann import build_index, knn
 from plantsearch.triplets import (
     NegKind,
@@ -74,6 +75,19 @@ def test_filtered_random_sample_excludes_and_is_uniform():
     assert drawn == set(corpus) - excluded
     values = [counts[c] for c in sorted(drawn)]
     assert max(values) - min(values) < 0.25 * max(values)  # roughly uniform
+
+
+def test_filtered_random_sample_matches_sorted_set_oracle():
+    rng = np.random.default_rng(12)
+    for trial in range(200):
+        corpus = sorted({f"d{int(i):03d}" for i in rng.integers(0, 60, size=40)})
+        excluded = {c for c in corpus if rng.random() < 0.4}
+        c = int(rng.integers(1, len(corpus) - len(excluded) + 1))
+        seed = int(rng.integers(0, 2**32))
+        want = oracle_filtered_random_sample(corpus, excluded, c, np.random.default_rng(seed))
+        for form in (corpus, set(corpus)):
+            got = filtered_random_sample(form, excluded, c, np.random.default_rng(seed))
+            assert got == want, trial
 
 
 def test_filtered_random_sample_exhausted():
