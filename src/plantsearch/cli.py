@@ -677,16 +677,22 @@ def stage_train_biencoder(cfg: RunConfig, out_dir: Path, strict: bool = False) -
                 [round(x, 4) for x in info["epoch_losses"]])
 
 
+def _benchmark_files(out_dir: Path, pid: str) -> list[Path]:
+    """A plant's nodes, edges, queries and qrels files, as _load_benchmark reads them."""
+    pdir = out_dir / "plants" / pid
+    return [_require(pdir / name, "synth")
+            for name in ("nodes.jsonl", "edges.jsonl", "queries.jsonl", "qrels.txt")]
+
+
 def _load_benchmark(out_dir: Path) -> ir_eval.Benchmark:
     plants = []
     for meta in _plant_list(out_dir):
         pid = meta["plant_id"]
-        pdir = out_dir / "plants" / pid
-        g = kg.load_graph(_require(pdir / "nodes.jsonl", "synth"),
-                          _require(pdir / "edges.jsonl", "synth"))
+        nodes_path, edges_path, queries_path, qrels_path = _benchmark_files(out_dir, pid)
+        g = kg.load_graph(nodes_path, edges_path)
         corpus = {n.id: n.text for n in g.text_logs()}
-        queries = ir_eval.load_queries(_require(pdir / "queries.jsonl", "synth")).get(pid, [])
-        qrels = ir_eval.load_qrels(_require(pdir / "qrels.txt", "synth"))
+        queries = ir_eval.load_queries(queries_path).get(pid, [])
+        qrels = ir_eval.load_qrels(qrels_path)
         plants.append(ir_eval.BenchmarkPlant(pid, corpus, queries, qrels,
                                              training=meta["training"]))
     bench = ir_eval.Benchmark(plants)
@@ -703,7 +709,13 @@ def stage_evaluate(cfg: RunConfig, out_dir: Path, strict: bool = False,
         raise MissingArtifactError(f"{matrix_path} not found: run train-biencoder first")
     inputs = _hash_paths(out_dir, [matrix_path])
     if strict:
-        _check_strict(out_dir, inputs)
+        # Every file this stage reads, the plant list before the plants it names.
+        _check_strict(out_dir, _hash_paths(out_dir, [
+            matrix_path, _require(edir / "biencoder.json", "train-biencoder"),
+            _require(out_dir / "benchmark.json", "synth")]))
+        _check_strict(out_dir, _hash_paths(out_dir, [
+            path for meta in _plant_list(out_dir)
+            for path in _benchmark_files(out_dir, meta["plant_id"])]))
     params = load_encoder(matrix_path, edir / "biencoder.json")
     bench = _load_benchmark(out_dir)
     report = ir_eval.evaluate_run(params, bench)

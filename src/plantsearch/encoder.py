@@ -122,17 +122,14 @@ def featurize_many(texts: Sequence[str],
 class EncoderParams:
     """Bucket embedding table plus the hashing configuration.
 
-    Pooling is fixed to the mean; the field exists so persisted headers
-    stay self-describing.
+    Pooling is always the mean; persisted headers record it as ``"pooling":
+    "mean"`` so that they stay self-describing.
     """
 
     embedding_table: np.ndarray  # (vocab_buckets, dim) float64
     vocab_buckets: int = DEFAULT_VOCAB_BUCKETS
-    pooling: str = "mean"
 
     def __post_init__(self) -> None:
-        if self.pooling != "mean":
-            raise ValueError(f"unsupported pooling {self.pooling!r}")
         if self.embedding_table.ndim != 2 or self.embedding_table.shape[0] != self.vocab_buckets:
             raise ValueError(
                 f"embedding table shape {self.embedding_table.shape} does not match "
@@ -146,7 +143,7 @@ class EncoderParams:
         return int(self.embedding_table.shape[1])
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(self.embedding_table.copy(), self.vocab_buckets, self.pooling)
+        return EncoderParams(self.embedding_table.copy(), self.vocab_buckets)
 
 
 def init_encoder(
@@ -189,7 +186,7 @@ def encode_batch(p: EncoderParams, texts: Sequence[str]) -> np.ndarray:
 def save_encoder(p: EncoderParams, matrix_path: str | Path, header_path: str | Path) -> None:
     write_matrix(matrix_path, p.embedding_table)
     header = {"dim": p.dim, "vocab_buckets": p.vocab_buckets, "hash_algo": HASH_ALGO,
-              "pooling": p.pooling}
+              "pooling": "mean"}
     Path(header_path).write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -197,10 +194,12 @@ def load_encoder(matrix_path: str | Path, header_path: str | Path) -> EncoderPar
     header = json.loads(Path(header_path).read_text(encoding="utf-8"))
     if header.get("hash_algo") != HASH_ALGO:
         raise ValueError(f"unsupported hash algorithm {header.get('hash_algo')!r}")
+    if header.get("pooling", "mean") != "mean":
+        raise ValueError(f"unsupported pooling {header['pooling']!r}")
     table = read_matrix(matrix_path)
     if table.shape != (header["vocab_buckets"], header["dim"]):
         raise ValueError(
             f"matrix shape {table.shape} does not match header "
             f"({header['vocab_buckets']}, {header['dim']})"
         )
-    return EncoderParams(table, int(header["vocab_buckets"]), header.get("pooling", "mean"))
+    return EncoderParams(table, int(header["vocab_buckets"]))

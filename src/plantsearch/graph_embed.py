@@ -159,6 +159,94 @@ def _corruption_candidates(
     return by_kind
 
 
+def _allowed_corruptions(
+    g: KnowledgeGraph, emb: EmbeddingTable, edges: Sequence[Edge]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Allowed corruption rows per distinct (src, rel), as one CSR table.
+
+    Returns ``(indptr, rows, group)``: edge i belongs to group
+    ``group[i]``, and group j's allowed rows, the same-kind rows minus the
+    true neighbors of its (src, rel), are ``rows[indptr[j]:indptr[j + 1]]``.
+    """
+    by_kind = _corruption_candidates(g, emb)
+    pool_pos = np.empty(len(emb.node_ids), dtype=np.int64)  # row -> position in its kind's pool
+    for pool in by_kind.values():
+        pool_pos[pool] = np.arange(pool.size)
+    groups: dict[tuple[str, Relation], int] = {}
+    group = np.empty(len(edges), dtype=np.int64)
+    pools: list[np.ndarray] = []
+    keeps: list[np.ndarray] = []
+    for i, e in enumerate(edges):
+        j = groups.get((e.src, e.rel))
+        if j is None:
+            j = groups[(e.src, e.rel)] = len(pools)
+            pool = by_kind[RELATION_SIGNATURES[e.rel][1]]
+            keep = np.ones(pool.size, dtype=bool)
+            keep[pool_pos[[emb.row(d) for d in g.out_neighbors(e.src, e.rel)]]] = False
+            pools.append(pool)
+            keeps.append(keep)
+        group[i] = j
+    indptr = np.zeros(len(pools) + 1, dtype=np.int64)
+    np.cumsum([keep.sum() for keep in keeps], out=indptr[1:])
+    # Filled in place: the table is the largest array of training, and a
+    # concatenation would hold it twice.
+    rows = np.empty(indptr[-1], dtype=np.int64)
+    for j, (pool, keep) in enumerate(zip(pools, keeps)):
+        rows[indptr[j]:indptr[j + 1]] = pool[keep]
+    return indptr, rows, group
+
+
+def _draw_negatives(
+    rng: np.random.Generator, indptr: np.ndarray, rows: np.ndarray, groups: np.ndarray, k: int
+) -> np.ndarray:
+    """(len(groups), k) rows drawn with replacement from each group's allowed rows.
+
+    One ``rng.integers`` call with per-row bounds draws exactly the stream
+    of one ``rng.choice(rows[indptr[j]:indptr[j + 1]], size=k,
+    replace=True)`` call per group j of ``groups``, in order. Every listed
+    group must be non-empty.
+    """
+    starts = indptr[groups]
+    picks = rng.integers(0, (indptr[groups + 1] - starts)[:, None], size=(groups.size, k))
+    return rows[starts[:, None] + picks]
+
+
+def _hinge_active(
+    vec: np.ndarray,
+    rel_mat: np.ndarray,
+    src: np.ndarray,
+    rel: np.ndarray,
+    dst: np.ndarray,
+    negs: np.ndarray,
+    margin: float,
+) -> np.ndarray:
+    """Per edge, whether ``edge_ranking_loss_grad`` would find a positive hinge term.
+
+    The scores round exactly as in that function: each row dot and norm
+    is one ddot (``np.vecdot``), and products, quotients and the term
+    ``(margin - s_pos) + s_neg`` keep its operand order.
+    """
+    a = vec[src] + rel_mat[rel]
+    d = vec[dst]
+    b = vec[negs]  # (edges, k, dim)
+    na = np.sqrt(np.vecdot(a, a))
+    nd = np.sqrt(np.vecdot(d, d))
+    s_pos = np.divide(np.vecdot(a, d), na * nd, out=np.zeros(na.size),
+                      where=(na != 0.0) & (nd != 0.0))
+    norms = np.sqrt(np.vecdot(b, b))
+    s_neg = np.divide(np.vecdot(b, a[:, None, :]), na[:, None] * norms,
+                      out=np.zeros(norms.shape), where=(norms != 0.0) & (na != 0.0)[:, None])
+    terms = (margin - s_pos)[:, None] + s_neg
+    return (terms > 0.0).any(axis=1)
+
+
+# Edges scored per array pass. At the default config about one edge in
+# eight has an active hinge, so a pass usually reaches the next active
+# edge, while the edges scored after it and scored again by the next pass
+# stay few.
+BLOCK = 16
+
+
 def train_graph_embeddings(
     g: KnowledgeGraph, emb: EmbeddingTable, cfg: GETrainConfig
 ) -> EmbeddingTable:
@@ -169,6 +257,14 @@ def train_graph_embeddings(
     from same-kind nodes minus the true neighbors of (src, rel), and
     takes one SGD step on the mean hinge loss. epochs == 0 returns an
     untouched copy.
+
+    The epoch is an exact speculative scan: one array pass scores the
+    next ``BLOCK`` edges against the current table, the first edge with
+    an active hinge takes its step through ``edge_ranking_loss_grad``,
+    and the next pass starts right after it. The edges before it leave
+    the table untouched, so the result is bit for bit that of a
+    per-edge loop. Each epoch's negatives are drawn in one call, the
+    same stream as one ``rng.choice`` per edge.
     """
     cfg.validate()
     for node_id in g.nodes:
@@ -182,40 +278,46 @@ def train_graph_embeddings(
         raise ValueError("graph has no edges")
 
     rng = np.random.default_rng(cfg.rng_seed)
-    by_kind = _corruption_candidates(g, out)
-    # Allowed corruption rows per (src, rel): same-kind rows minus true neighbors.
-    allowed_cache: dict[tuple[str, Relation], np.ndarray] = {}
-
-    def allowed_rows(src: str, rel: Relation) -> np.ndarray:
-        key = (src, rel)
-        got = allowed_cache.get(key)
-        if got is None:
-            kind = RELATION_SIGNATURES[rel][1]
-            neighbor_rows = {out.row(d) for d in g.out_neighbors(src, rel)}
-            pool = by_kind[kind]
-            got = pool[~np.isin(pool, list(neighbor_rows))]
-            allowed_cache[key] = got
-        return got
+    indptr, allowed, group = _allowed_corruptions(g, out, edges)
+    # An edge whose same-kind nodes are all true neighbors draws nothing and is skipped.
+    drawable = indptr[group + 1] > indptr[group]
+    src_rows = np.array([out.row(e.src) for e in edges], dtype=np.int64)
+    dst_rows = np.array([out.row(e.dst) for e in edges], dtype=np.int64)
+    rel_index = {rel: j for j, rel in enumerate(Relation)}
+    rel_ids = np.array([rel_index[e.rel] for e in edges], dtype=np.int64)
+    # The relation translations become row views of one matrix, so that a
+    # pass can gather them and a step updates them in place.
+    rel_mat = np.stack([out.relation_params[rel] for rel in Relation])
+    out.relation_params = dict(zip(Relation, rel_mat))
 
     vec = out.vectors
+    lr, margin = cfg.learning_rate, cfg.ranking_margin
     for epoch in range(cfg.epochs):
-        epoch_loss = 0.0
         order = rng.permutation(len(edges))
-        for edge_idx in order:
-            e = edges[edge_idx]
-            allowed = allowed_rows(e.src, e.rel)
-            if allowed.size == 0:
-                continue  # every same-kind node is a true neighbor
-            neg_rows = rng.choice(allowed, size=cfg.negatives_per_edge, replace=True)
-            src_row, dst_row = out.row(e.src), out.row(e.dst)
-            rel_vec = out.relation_params[e.rel]
+        order = order[drawable[order]]
+        negs = _draw_negatives(rng, indptr, allowed, group[order], cfg.negatives_per_edge)
+        src, dst, rel = src_rows[order], dst_rows[order], rel_ids[order]
+        epoch_loss = 0.0
+        active = scanned = passes = pos = 0
+        while pos < order.size:
+            blk = slice(pos, pos + BLOCK)
+            hit = _hinge_active(vec, rel_mat, src[blk], rel[blk], dst[blk], negs[blk], margin)
+            passes += 1
+            scanned += hit.size
+            if not hit.any():
+                pos += hit.size
+                continue
+            i = pos + int(hit.argmax())
+            pos = i + 1
+            src_row, dst_row, neg_rows = src[i], dst[i], negs[i]
+            rel_vec = rel_mat[rel[i]]
             loss, g_src, g_rel, g_dst, g_negs = edge_ranking_loss_grad(
-                vec[src_row], rel_vec, vec[dst_row], vec[neg_rows], cfg.ranking_margin
+                vec[src_row], rel_vec, vec[dst_row], vec[neg_rows], margin
             )
             epoch_loss += loss
             if loss == 0.0:
                 continue
-            lr = cfg.learning_rate
+            active += 1
             vec[src_row] -= lr * g_src
             rel_vec -= lr * g_rel
             vec[dst_row] -= lr * g_dst
@@ -223,7 +325,8 @@ def train_graph_embeddings(
             np.subtract.at(vec, neg_rows, lr * g_negs)
         if not np.isfinite(epoch_loss):
             raise NonFiniteError(f"non-finite training loss in epoch {epoch}")
-        logger.debug("ge epoch %d mean loss %.6f", epoch, epoch_loss / len(edges))
+        logger.debug("ge epoch %d mean loss %.6f, %d active edges, %d edges scanned in %d passes",
+                     epoch, epoch_loss / len(edges), active, scanned, passes)
     if not np.isfinite(vec).all():
         raise NonFiniteError("non-finite node vectors after training")
     return out

@@ -252,3 +252,48 @@ def oracle_filtered_random_sample(corpus, excluded, c, rng):
     candidates = sorted(set(corpus) - excluded)
     picks = rng.choice(len(candidates), size=c, replace=False)
     return [candidates[i] for i in picks]
+
+
+def oracle_train_graph_embeddings(g, emb, cfg):
+    """The per-edge SGD loop: one rng.choice and one loss call per edge."""
+    from plantsearch.kg import RELATION_SIGNATURES, NodeKind
+    from plantsearch.losses import NonFiniteError, edge_ranking_loss_grad
+
+    cfg.validate()
+    out = emb.copy()
+    if cfg.epochs == 0:
+        return out
+    edges = list(g.edges)
+    rng = np.random.default_rng(cfg.rng_seed)
+    by_kind = {
+        kind: np.array([out.row(i) for i in sorted(n.id for n in g.nodes_of_kind(kind))],
+                       dtype=np.int64)
+        for kind in NodeKind
+    }
+    vec = out.vectors
+    for epoch in range(cfg.epochs):
+        epoch_loss = 0.0
+        for edge_idx in rng.permutation(len(edges)):
+            e = edges[edge_idx]
+            pool = by_kind[RELATION_SIGNATURES[e.rel][1]]
+            neighbor_rows = {out.row(d) for d in g.out_neighbors(e.src, e.rel)}
+            allowed = pool[~np.isin(pool, list(neighbor_rows))]
+            if allowed.size == 0:
+                continue
+            neg_rows = rng.choice(allowed, size=cfg.negatives_per_edge, replace=True)
+            src_row, dst_row = out.row(e.src), out.row(e.dst)
+            rel_vec = out.relation_params[e.rel]
+            loss, g_src, g_rel, g_dst, g_negs = edge_ranking_loss_grad(
+                vec[src_row], rel_vec, vec[dst_row], vec[neg_rows], cfg.ranking_margin
+            )
+            epoch_loss += loss
+            if loss == 0.0:
+                continue
+            lr = cfg.learning_rate
+            vec[src_row] -= lr * g_src
+            rel_vec -= lr * g_rel
+            vec[dst_row] -= lr * g_dst
+            np.subtract.at(vec, neg_rows, lr * g_negs)
+        if not np.isfinite(epoch_loss):
+            raise NonFiniteError(f"non-finite training loss in epoch {epoch}")
+    return out

@@ -164,6 +164,36 @@ def test_exit_3_on_ge_table_missing_a_log(pipeline_run, tmp_path, caplog):
     assert len(errors) == 1 and "ids not in embedding table" in errors[0].getMessage()
 
 
+@pytest.fixture(scope="module")
+def trained_run(pipeline_run, tmp_path_factory):
+    """The tiny pipeline run plus a train-biencoder run, ready for evaluate."""
+    cfg_path, out1, _ = pipeline_run
+    out = tmp_path_factory.mktemp("trained") / "run"
+    shutil.copytree(out1, out)
+    assert cli.main(["train-biencoder", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return cfg_path, out
+
+
+@pytest.mark.parametrize("name", ["plants/X/qrels.txt", "plants/X/queries.jsonl",
+                                  "plants/Y/nodes.jsonl", "plants/Y/edges.jsonl",
+                                  "encoders/biencoder.json", "benchmark.json"])
+def test_evaluate_strict_hashes_every_file_it_reads(trained_run, tmp_path, caplog, name):
+    cfg_path, trained = trained_run
+    out = tmp_path / "tampered"
+    shutil.copytree(trained, out)
+    args = ["evaluate", "--config", str(cfg_path), "--out", str(out), "--strict"]
+    assert cli.main(args) == 0
+    path = out / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines) + lines[-1])  # append a copy of the last line
+    caplog.clear()
+    with caplog.at_level("ERROR", logger="plantsearch.cli"):
+        assert cli.main(args) == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert f"provenance hash mismatch for {name}" in errors[0].getMessage()
+
+
 def test_synth_failure_writes_nothing(tmp_path):
     """Every plant is generated and checked before the first file is written."""
     cfg_path = tmp_path / "cfg.json"

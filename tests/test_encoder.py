@@ -139,8 +139,6 @@ def test_init_encoder_validation():
     with pytest.raises(ValueError):
         init_encoder(dim=8, vocab_buckets=0)
     with pytest.raises(ValueError):
-        EncoderParams(np.zeros((4, 2)), vocab_buckets=4, pooling="max")
-    with pytest.raises(ValueError):
         EncoderParams(np.zeros((4, 2)), vocab_buckets=8)
 
 
@@ -174,6 +172,17 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(
         back.embedding_table, p.embedding_table.astype(np.float32).astype(np.float64)
     )
+
+
+def test_encoder_header_pins_mean_pooling(tmp_path):
+    p = init_encoder(dim=4, vocab_buckets=16, seed=0)
+    save_encoder(p, tmp_path / "enc.gemb", tmp_path / "enc.json")
+    header = (tmp_path / "enc.json").read_text(encoding="utf-8")
+    assert header == '{"dim": 4, "hash_algo": "fnv1a-64", "pooling": "mean", "vocab_buckets": 16}\n'
+    load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json")
+    (tmp_path / "enc.json").write_text(header.replace('"mean"', '"max"'), encoding="utf-8")
+    with pytest.raises(ValueError, match="unsupported pooling 'max'"):
+        load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json")
 
 
 def test_load_encoder_rejects_unknown_hash(tmp_path):

@@ -6,9 +6,11 @@ from oracles import (
     oracle_edge_ranking_loss_grad,
     oracle_edge_score,
     oracle_link_prediction,
+    oracle_np_cosine,
     oracle_np_link_prediction,
+    oracle_train_graph_embeddings,
 )
-from plantsearch import graph_embed
+from plantsearch import graph_embed, losses
 from plantsearch.graph_embed import (
     GETrainConfig,
     InitMode,
@@ -151,6 +153,139 @@ def test_train_bitwise_equals_oracle_driven_run(monkeypatch):
             runs.append((emb.vectors.tobytes(),
                          [emb.relation_params[rel].tobytes() for rel in Relation]))
     assert runs[:2] == runs[2:]
+
+
+def _table_bytes(emb):
+    return emb.vectors.tobytes(), [emb.relation_params[rel].tobytes() for rel in Relation]
+
+
+def _scan_graph():
+    """Logs on four FLs under a root; l9 reports about every FL, so
+    (l9, reports_about) has no allowed corruption and is never drawn for."""
+    logs = [(f"l{i}", f"text {i}") for i in range(10)]
+    fls = [(f"f{j}", f"C{j}", f"fl {j}") for j in range(4)] + [("root", "R", "r")]
+    edges = [(f"l{i}", f"f{i % 4}", Relation.REPORTS_ABOUT) for i in range(9)]
+    edges += [("l9", fl, Relation.REPORTS_ABOUT) for fl, _, _ in fls]
+    edges += [(f"f{j}", "root", Relation.PART_OF) for j in range(4)]
+    edges += [(f"l{i}", f"l{i + 1}", Relation.RELATED_TO) for i in range(9)]
+    return make_graph(logs, fls, edges)
+
+
+def _idle_graph(dim, rng):
+    """40 logs near their FL's axis vector: at margin 0.5 only l00, which lies
+    between f0 and f1, has an active hinge. Returns the graph and text vectors."""
+    axes = np.eye(dim)
+    fl_vectors = {"f0": axes[0], "f1": axes[1], "f2": -(axes[0] + axes[1])}
+    logs = [(f"l{i:02d}", f"text {i}") for i in range(40)]
+    edges = [(log_id, f"f{i % 2}", Relation.REPORTS_ABOUT) for i, (log_id, _) in enumerate(logs)]
+    g = make_graph(logs, [(fl, fl.upper(), fl) for fl in fl_vectors], edges)
+    text_vectors = dict(fl_vectors)
+    for i, (log_id, _) in enumerate(logs):
+        text_vectors[log_id] = fl_vectors[f"f{i % 2}"] + 0.05 * rng.normal(size=dim)
+    text_vectors["l00"] = axes[0] + axes[1]
+    return g, text_vectors
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16, 64])
+def test_train_scan_bitwise_equals_per_edge_oracle(dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    g = _scan_graph()
+    text_vectors = {node_id: rng.normal(size=dim) for node_id in sorted(g.nodes)}
+    text_vectors["l3"] = text_vectors["l2"].copy()  # duplicate rows tie exactly
+    text_vectors["f1"] = text_vectors["f0"].copy()
+    text_vectors["l5"] = np.zeros(dim)  # zero-norm rows
+    text_vectors["f2"] = np.zeros(dim)
+    idle, idle_vectors = _idle_graph(dim, rng)
+    text_cfg = GETrainConfig(dim=dim, init_mode=InitMode.TEXT_VECTORS)
+    random_start = init_embeddings(g, GETrainConfig(dim=dim, rng_seed=dim))
+    text_start = init_embeddings(g, text_cfg, text_vectors)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return losses.edge_ranking_loss_grad(*args)
+
+    monkeypatch.setattr(graph_embed, "edge_ranking_loss_grad", counted)
+    # (graph, start, margin, edges that draw negatives); the five l9 edges
+    # of _scan_graph draw none. A margin of 2.0 makes every edge active.
+    cases = [(g, random_start, 0.1, 22), (g, text_start, 0.5, 22), (g, text_start, 2.0, 22),
+             (idle, init_embeddings(idle, text_cfg, idle_vectors), 0.5, 40)]
+    for k in (1, 10):
+        for graph, start, margin, drawable in cases:
+            for epochs in (0, 1, 3):
+                cfg = GETrainConfig(dim=dim, epochs=epochs, ranking_margin=margin,
+                                    negatives_per_edge=k, rng_seed=7)
+                calls.clear()
+                got = train_graph_embeddings(graph, start, cfg)
+                want = oracle_train_graph_embeddings(graph, start, cfg)
+                assert _table_bytes(got) == _table_bytes(want), (k, margin, epochs)
+                if margin == 2.0:
+                    assert len(calls) == drawable * epochs
+                elif graph is idle:
+                    assert len(calls) <= 0.1 * drawable * epochs
+
+
+def test_train_scan_at_hinge_boundary_equals_oracle():
+    """Margins within a few ulps of s_pos - s_neg, where rounding decides
+    the sign of the hinge term: the scan must step exactly where the loss
+    finds a positive term. With s_neg in (-0.5, -0.25) and s_pos in
+    (0.5, 1), ``margin - (s_pos - s_neg)`` and ``(margin + s_neg) - s_pos``
+    each round differently from the loss's ``(margin - s_pos) + s_neg`` on
+    some of these instances."""
+    g = make_graph([("l0", "text")], [("f0", "C0", "a"), ("f1", "C1", "b")],
+                   [("l0", "f0", Relation.REPORTS_ABOUT)])  # f1 is the only corruption
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=16)
+        text_vectors = {"l0": x, "f0": x + 0.5 * rng.normal(size=16),
+                        "f1": rng.normal(size=16) - 0.3 * x}
+        emb = init_embeddings(g, GETrainConfig(dim=16, init_mode=InitMode.TEXT_VECTORS),
+                              text_vectors)
+        margins = [oracle_np_cosine(x, text_vectors["f0"])
+                   - oracle_np_cosine(x, text_vectors["f1"])]
+        for _ in range(4):
+            margins = [np.nextafter(margins[0], 0.0)] + margins + [np.nextafter(margins[-1], 2.0)]
+        moved = []
+        for margin in margins:
+            cfg = GETrainConfig(dim=16, epochs=1, ranking_margin=float(margin),
+                                negatives_per_edge=1)
+            got = train_graph_embeddings(g, emb, cfg)
+            assert _table_bytes(got) == _table_bytes(oracle_train_graph_embeddings(g, emb, cfg))
+            moved.append(not np.array_equal(got.vectors, emb.vectors))
+        assert moved[0] is False and moved[-1] is True  # the sweep straddles the boundary
+
+
+def test_train_logs_scan_counts_per_epoch(caplog):
+    g = _scan_graph()
+    cfg = GETrainConfig(dim=4, epochs=2, ranking_margin=2.0, rng_seed=2)
+    with caplog.at_level("DEBUG", logger="plantsearch.graph_embed"):
+        train_graph_embeddings(g, init_embeddings(g, cfg), cfg)
+    lines = [r.getMessage() for r in caplog.records if r.name == "plantsearch.graph_embed"]
+    assert len(lines) == 2
+    # Every one of the 22 drawable edges is active, so each pass ends at its
+    # first edge and scores min(16, edges left) of them.
+    scanned = sum(min(graph_embed.BLOCK, left) for left in range(1, 23))
+    for epoch, line in enumerate(lines):
+        assert line.startswith(f"ge epoch {epoch} mean loss ")
+        assert line.endswith(f", 22 active edges, {scanned} edges scanned in 22 passes")
+
+
+def test_draw_negatives_equals_sequential_choice():
+    sizes = [1, 3, 1, 7, 2, 1, 50, 4096]
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    rows = np.random.default_rng(0).permutation(int(indptr[-1])) * 3
+    for seed in range(20):
+        case = np.random.default_rng(100 + seed)
+        for n in (0, 1, 37):
+            groups = case.integers(0, len(sizes), size=n)
+            for k in (1, 10):
+                one, seq = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = graph_embed._draw_negatives(one, indptr, rows, groups, k)
+                want = [seq.choice(rows[indptr[j]:indptr[j + 1]], size=k, replace=True)
+                        for j in groups]
+                assert got.shape == (n, k)
+                assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(n, k))
+                assert one.bit_generator.state == seq.bit_generator.state
 
 
 def test_train_requires_coverage_and_edges():
