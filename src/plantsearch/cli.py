@@ -657,17 +657,19 @@ def _train_biencoder_variant(cfg: RunConfig, out_dir: Path, name: str, use_get: 
 def stage_train_biencoder(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
     t0 = time.perf_counter()
     comp = cfg.raw["composition"]
-    docsim_wanted = (out_dir / "encoders" / "docsim.gemb").exists()
-    inputs = _hash_paths(out_dir, [p for p in [
-        out_dir / "pairs" / "get.jsonl", out_dir / "pairs" / "sid.jsonl",
-    ] if p.exists()])
+    edir = out_dir / "encoders"
+    docsim_wanted = (edir / "docsim.gemb").exists()
+    read = [p for p in [out_dir / "pairs" / "get.jsonl", out_dir / "pairs" / "sid.jsonl"]
+            if p.exists()]
+    if docsim_wanted:
+        read += [edir / "docsim.gemb", _require(edir / "docsim.json", "train-docsim")]
+    inputs = _hash_paths(out_dir, read)
     if strict:
         _check_strict(out_dir, inputs)
     info = _train_biencoder_variant(
         cfg, out_dir, "default", comp["use_get"], comp["use_sid"], comp["use_drmm"],
-        docsim_wanted, out_dir / "encoders",
+        docsim_wanted, edir,
     )
-    edir = out_dir / "encoders"
     _write_manifest(out_dir, "train-biencoder", cfg.seed,
                     {**cfg.raw["biencoder"], **info},
                     inputs,

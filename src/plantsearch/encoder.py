@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .storage import read_matrix, write_matrix
+from .storage import EmbeddingFileError, read_matrix, write_matrix
 
 DEFAULT_DIM = 64
 DEFAULT_VOCAB_BUCKETS = 1 << 16
@@ -88,6 +88,23 @@ class FeatureMatrix:
     def row(self, i: int) -> TokenFeatures:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return TokenFeatures(self.bucket_ids[lo:hi], self.counts[lo:hi], int(self.totals[i]))
+
+    def pooling_weights(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, W) for texts ``rows``: sorted distinct bucket ids and dense pooling weights.
+
+        ``W[i, j]`` is count / total of bucket ``u[j]`` in text ``rows[i]``
+        (an empty text is a zero row), so ``W @ table[u]`` mean-pools the
+        texts and ``W.T @ G`` is the table gradient of vector gradients G.
+        """
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        text = np.repeat(np.arange(len(rows)), lengths)
+        entry = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths,
+                                                     lengths)
+        u, col = np.unique(self.bucket_ids[entry], return_inverse=True)
+        w = np.zeros((len(rows), len(u)))
+        w[text, col] = self.counts[entry] / self.totals[rows][text]
+        return u, w
 
 
 def featurize_many(texts: Sequence[str],
@@ -191,15 +208,24 @@ def save_encoder(p: EncoderParams, matrix_path: str | Path, header_path: str | P
 
 
 def load_encoder(matrix_path: str | Path, header_path: str | Path) -> EncoderParams:
-    header = json.loads(Path(header_path).read_text(encoding="utf-8"))
+    """Read a saved encoder; a corrupt header or matrix raises EmbeddingFileError naming it."""
+    try:
+        header = json.loads(Path(header_path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise EmbeddingFileError(f"{header_path}: unreadable encoder header ({exc})") from None
+    if not isinstance(header, dict) or any(type(header.get(key)) is not int
+                                           for key in ("dim", "vocab_buckets")):
+        raise EmbeddingFileError(f"{header_path}: encoder header needs integer dim and "
+                                 f"vocab_buckets")
     if header.get("hash_algo") != HASH_ALGO:
-        raise ValueError(f"unsupported hash algorithm {header.get('hash_algo')!r}")
+        raise EmbeddingFileError(
+            f"{header_path}: unsupported hash algorithm {header.get('hash_algo')!r}")
     if header.get("pooling", "mean") != "mean":
-        raise ValueError(f"unsupported pooling {header['pooling']!r}")
+        raise EmbeddingFileError(f"{header_path}: unsupported pooling {header['pooling']!r}")
     table = read_matrix(matrix_path)
     if table.shape != (header["vocab_buckets"], header["dim"]):
-        raise ValueError(
-            f"matrix shape {table.shape} does not match header "
+        raise EmbeddingFileError(
+            f"{matrix_path}: matrix shape {table.shape} does not match header "
             f"({header['vocab_buckets']}, {header['dim']})"
         )
-    return EncoderParams(table, int(header["vocab_buckets"]))
+    return EncoderParams(table, header["vocab_buckets"])

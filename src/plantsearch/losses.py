@@ -51,14 +51,7 @@ def _cosine_grads(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.n
 
 def triplet_loss(dq: np.ndarray, dp: np.ndarray, dn: np.ndarray, margin: float = 1.0) -> float:
     """max(||dq-dp|| - ||dq-dn|| + margin, 0) over equal-dimension vectors."""
-    dq, dp, dn = (np.asarray(v, dtype=np.float64) for v in (dq, dp, dn))
-    if not (dq.shape == dp.shape == dn.shape):
-        raise ValueError(f"dimension mismatch: {dq.shape}, {dp.shape}, {dn.shape}")
-    for name, v in (("query", dq), ("positive", dp), ("negative", dn)):
-        if not np.isfinite(v).all():
-            raise NonFiniteError(f"non-finite {name} vector")
-    value = np.linalg.norm(dq - dp) - np.linalg.norm(dq - dn) + margin
-    return float(max(value, 0.0))
+    return triplet_loss_grad(dq, dp, dn, margin)[0]
 
 
 def triplet_loss_grad(
@@ -70,20 +63,36 @@ def triplet_loss_grad(
     contributes a zero (sub)gradient, as does an inactive hinge.
     """
     dq, dp, dn = (np.asarray(v, dtype=np.float64) for v in (dq, dp, dn))
-    loss = triplet_loss(dq, dp, dn, margin)
-    gq = np.zeros_like(dq)
-    gp = np.zeros_like(dp)
-    gn = np.zeros_like(dn)
-    if loss > 0.0:
-        diff_p, diff_n = dq - dp, dq - dn
-        norm_p, norm_n = np.linalg.norm(diff_p), np.linalg.norm(diff_n)
-        if norm_p > 0.0:
-            gq += diff_p / norm_p
-            gp -= diff_p / norm_p
-        if norm_n > 0.0:
-            gq -= diff_n / norm_n
-            gn += diff_n / norm_n
-    return loss, gq, gp, gn
+    if not (dq.shape == dp.shape == dn.shape):
+        raise ValueError(f"dimension mismatch: {dq.shape}, {dp.shape}, {dn.shape}")
+    loss, gq, gp, gn = triplet_loss_grad_batch(dq[None], dp[None], dn[None], margin)
+    return float(loss[0]), gq[0], gp[0], gn[0]
+
+
+def triplet_loss_grad_batch(
+    dq: np.ndarray, dp: np.ndarray, dn: np.ndarray, margin: float = 1.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Triplet losses and gradients of every row of three (n, dim) matrices in one pass.
+
+    Returns the (n,) losses and the three gradient matrices. Each row
+    rounds like a per-row ``np.linalg.norm`` loop: a norm is one BLAS
+    ddot per row (``np.vecdot``) and the gradients add their unit
+    vectors to zeros in that loop's order.
+    """
+    for name, v in (("query", dq), ("positive", dp), ("negative", dn)):
+        if not np.isfinite(v).all():
+            raise NonFiniteError(f"non-finite {name} vector")
+    diff_p, diff_n = dq - dp, dq - dn
+    norm_p = np.sqrt(np.vecdot(diff_p, diff_p))
+    norm_n = np.sqrt(np.vecdot(diff_n, diff_n))
+    value = norm_p - norm_n + margin
+    loss = np.where(value < 0.0, 0.0, value)  # max(value, 0.0) row by row
+    active = loss > 0.0
+    unit_p = np.divide(diff_p, norm_p[:, None], out=np.zeros_like(diff_p),
+                       where=(active & (norm_p > 0.0))[:, None])
+    unit_n = np.divide(diff_n, norm_n[:, None], out=np.zeros_like(diff_n),
+                       where=(active & (norm_n > 0.0))[:, None])
+    return loss, 0.0 + unit_p - unit_n, 0.0 - unit_p, 0.0 + unit_n
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 Embedding matrices use a small binary container: a 16-byte header
 (magic ``GEMB``, u32 version, u32 rows, u32 dim, little-endian)
 followed by rows x dim float32 values, with node ids in a line-JSON
-sidecar mapping row -> id.
+sidecar mapping row -> id. Tables live in float64 while they train and
+are rounded to float32 once when written: ``read_matrix`` returns those
+float32 values as float64, so a docsim encoder starts the bi-encoder
+stage rounded, and a table read back writes the same bytes again.
 """
 
 from __future__ import annotations

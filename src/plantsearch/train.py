@@ -4,8 +4,10 @@ Stage one (document similarity) fits triplets under a euclidean margin
 loss; stage two (bi-encoder) fits query-document pairs under the
 multiple negatives ranking loss with in-batch negatives. Both stages
 update only the encoder's bucket table, and because the encoder is
-linear in that table the chain rule reduces to scattering each text
-vector gradient onto the text's buckets with its mean-pooling weights.
+linear in that table, each SGD step is two gemms over the mini-batch's
+buckets: the texts' vectors are ``W @ table[u]`` and the table gradient
+is ``W.T @ G``, with W the batch's pooling weights
+(``FeatureMatrix.pooling_weights``).
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ from __future__ import annotations
 import logging
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, TokenFeatures, encode_features, featurize_many
-from .losses import NonFiniteError, mnr_loss_grad, triplet_loss_grad
+from .encoder import EncoderParams, featurize_many
+from .losses import NonFiniteError, mnr_loss_grad, triplet_loss_grad_batch
 from .pairs import PairLabel, QueryDocPair
 from .triplets import TripletSet
 
@@ -81,29 +83,6 @@ class TrainResult:
     wall_time: float
 
 
-def _sgd_step(table: np.ndarray, texts: Sequence[tuple[TokenFeatures, np.ndarray]],
-              lr: float) -> None:
-    """One SGD step from (features, vector gradient) pairs, one pair per encoded text.
-
-    d encode / d table[b] = count_b / total, so each vector gradient
-    lands on its text's buckets with the pooling weights. Texts add into
-    one zeroed buffer over the union of their buckets, in the given
-    order; buckets are unique within a text, so every bucket sums its
-    terms in text order.
-    """
-    texts = [(f, g) for f, g in texts if f.total]
-    if not texts:
-        return
-    rows, inv = np.unique(np.concatenate([f.bucket_ids for f, _ in texts]), return_inverse=True)
-    grads = np.zeros((len(rows), table.shape[1]))
-    lo = 0
-    for f, g in texts:
-        hi = lo + len(f.bucket_ids)
-        grads[inv[lo:hi]] += (f.counts / f.total)[:, None] * g
-        lo = hi
-    table[rows] -= lr * grads
-
-
 def train_docsim(
     p: EncoderParams,
     tset: TripletSet,
@@ -129,7 +108,9 @@ def train_docsim(
         if doc_id not in texts:
             raise KeyError(f"no text for document {doc_id!r}")
     fm = featurize_many([texts[d] for d in doc_ids], out.vocab_buckets)
-    feats = {d: fm.row(i) for i, d in enumerate(doc_ids)}
+    row_of = {d: i for i, d in enumerate(doc_ids)}
+    members = np.array([[row_of[t.query], row_of[t.positive], row_of[t.negative]]
+                        for t in tset.triplets])
 
     rng = np.random.default_rng(cfg.rng_seed)
     table = out.embedding_table
@@ -139,26 +120,27 @@ def train_docsim(
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         total_loss = 0.0
+        active = 0
         for lo in range(0, n, cfg.batch_size):
-            batch = [tset.triplets[i] for i in order[lo : lo + cfg.batch_size]]
-            grads: list[tuple[TokenFeatures, np.ndarray]] = []
-            for t in batch:
-                fq, fp, fn = feats[t.query], feats[t.positive], feats[t.negative]
-                loss, gq, gp, gn = triplet_loss_grad(
-                    encode_features(out, fq), encode_features(out, fp),
-                    encode_features(out, fn), cfg.margin,
-                )
+            batch = members[order[lo : lo + cfg.batch_size]]
+            m = len(batch)
+            u, w = fm.pooling_weights(batch.T.ravel())  # queries, positives, negatives
+            x = w @ table[u]
+            losses, gq, gp, gn = triplet_loss_grad_batch(x[:m], x[m : 2 * m], x[2 * m :],
+                                                         cfg.margin)
+            for loss in losses.tolist():  # one by one in batch order, not a pairwise sum
                 total_loss += loss
-                if loss == 0.0:
-                    continue
-                coeff = 1.0 / len(batch)
-                grads += [(fq, coeff * gq), (fp, coeff * gp), (fn, coeff * gn)]
-            _sgd_step(table, grads, cfg.learning_rate)
+            batch_active = int(np.count_nonzero(losses))
+            if batch_active:
+                g = (1.0 / m) * np.concatenate([gq, gp, gn])
+                table[u] -= cfg.learning_rate * (w.T @ g)
+            active += batch_active
             steps += 1
         if not np.isfinite(total_loss):
             raise NonFiniteError(f"non-finite docsim loss in epoch {epoch}")
         epoch_losses.append(total_loss / n)
-        logger.debug("docsim epoch %d mean loss %.6f", epoch, epoch_losses[-1])
+        logger.debug("docsim epoch %d mean loss %.6f, %d of %d triplets active",
+                     epoch, epoch_losses[-1], active, n)
     if not np.isfinite(table).all():
         raise NonFiniteError("non-finite encoder table after docsim training")
     return TrainResult(out, epoch_losses, steps, time.perf_counter() - start)
@@ -204,7 +186,7 @@ def train_biencoder(
         raise ValueError("no positive pairs to train on")
     negatives: dict[str, list[str]] = defaultdict(list)
     for pr in pairs:
-        if pr.label is PairLabel.NEGATIVE and pr.doc_id not in negatives[pr.query_text]:
+        if pr.label is PairLabel.NEGATIVE:
             negatives[pr.query_text].append(pr.doc_id)
 
     doc_ids = list(dict.fromkeys(pr.doc_id for pr in pairs))
@@ -213,8 +195,8 @@ def train_biencoder(
             raise KeyError(f"no text for document {doc_id!r}")
     queries = list(dict.fromkeys(pr.query_text for pr in pairs))
     fm = featurize_many([texts[d] for d in doc_ids] + queries, out.vocab_buckets)
-    doc_feats = {d: fm.row(i) for i, d in enumerate(doc_ids)}
-    query_feats = {q: fm.row(len(doc_ids) + i) for i, q in enumerate(queries)}
+    doc_row = {d: i for i, d in enumerate(doc_ids)}
+    query_row = {q: len(doc_ids) + i for i, q in enumerate(queries)}
 
     if cfg.epochs == 0:
         return TrainResult(out, [], 0, time.perf_counter() - start)
@@ -227,28 +209,33 @@ def train_biencoder(
         order = rng.permutation(len(positives))
         loss_sum = 0.0
         rows_seen = 0
-        for batch in _pack_batches(positives, order, cfg.batch_size):
-            batch_docs = [pr.doc_id for pr in batch]
-            extras: list[str] = []
+        batches = _pack_batches(positives, order, cfg.batch_size)
+        widest = (0, 0)
+        for batch in batches:
+            all_docs = [pr.doc_id for pr in batch]
+            seen = set(all_docs)
             for pr in batch:
                 for doc_id in negatives.get(pr.query_text, ()):
-                    if doc_id != pr.doc_id and doc_id not in batch_docs and doc_id not in extras:
-                        extras.append(doc_id)
-            all_docs = batch_docs + extras
-            q_feats = [query_feats[pr.query_text] for pr in batch]
-            d_feats = [doc_feats[d] for d in all_docs]
-            q_mat = np.stack([encode_features(out, f) for f in q_feats])
-            d_mat = np.stack([encode_features(out, f) for f in d_feats])
-            loss, g_q, g_d = mnr_loss_grad(q_mat, d_mat, cfg.similarity_scale)
+                    if doc_id not in seen:
+                        seen.add(doc_id)
+                        all_docs.append(doc_id)
+            u, w = fm.pooling_weights(np.array([query_row[pr.query_text] for pr in batch]
+                                               + [doc_row[d] for d in all_docs]))
+            if w.shape[1] > widest[1]:
+                widest = w.shape
+            x = w @ table[u]
+            loss, g_q, g_d = mnr_loss_grad(x[: len(batch)], x[len(batch) :],
+                                           cfg.similarity_scale)
             if not np.isfinite(loss):
                 raise NonFiniteError(f"non-finite bi-encoder loss in epoch {epoch}")
             loss_sum += loss * len(batch)
             rows_seen += len(batch)
             step += 1
             lr = effective_lr(cfg.learning_rate, step, cfg.warmup_steps)
-            _sgd_step(table, list(zip(q_feats, g_q)) + list(zip(d_feats, g_d)), lr)
+            table[u] -= lr * (w.T @ np.concatenate([g_q, g_d]))
         epoch_losses.append(loss_sum / rows_seen)
-        logger.debug("bi-encoder epoch %d mean loss %.6f", epoch, epoch_losses[-1])
+        logger.debug("bi-encoder epoch %d mean loss %.6f, %d steps, widest batch %d texts x "
+                     "%d buckets", epoch, epoch_losses[-1], len(batches), *widest)
     if not np.isfinite(table).all():
         raise NonFiniteError("non-finite encoder table after bi-encoder training")
     return TrainResult(out, epoch_losses, step, time.perf_counter() - start)

@@ -5,7 +5,9 @@ in plain Python (lists, math module), deliberately sharing no code or
 vectorization strategy with the package, so agreement is meaningful
 evidence rather than a tautology. The exception is the bit-exact
 section at the end: the former per-row numpy loops that the package's
-array code replaced, kept so that tests can demand equality to the bit.
+array code replaced, kept so that tests can demand equality to the bit
+or, for the training loops, whose batched gemms sum in another order, a
+stated tolerance.
 """
 
 from __future__ import annotations
@@ -144,31 +146,29 @@ def oracle_fnv1a_64(data: bytes) -> int:
     return value
 
 
-def oracle_scatter(acc: dict, bucket_ids, counts, total: int, g_vec) -> None:
-    """The per-bucket dict scatter: add (count_b / total) * g_vec to acc[b]."""
-    if total == 0:
-        return
-    weights = counts.astype(float) / total
-    for b, w in zip(bucket_ids.tolist(), weights.tolist()):
-        got = acc.get(b)
-        if got is None:
-            acc[b] = w * g_vec
-        else:
-            got += w * g_vec
+def oracle_triplet_loss_grad(dq, dp, dn, margin):
+    """The per-row triplet loss: np.linalg.norm distances, unit-vector gradients."""
+    from plantsearch.losses import NonFiniteError
 
-
-def oracle_flush(acc: dict, table, lr: float) -> None:
-    """Apply the accumulated bucket gradients as one SGD step on the table rows."""
-    for b, g in acc.items():
-        table[b] = table[b] - lr * g
-
-
-def oracle_sgd_step(table, texts, lr: float) -> None:
-    """One SGD step from (TokenFeatures, vector gradient) pairs via the dict scatter."""
-    acc: dict = {}
-    for feats, g_vec in texts:
-        oracle_scatter(acc, feats.bucket_ids, feats.counts, feats.total, g_vec)
-    oracle_flush(acc, table, lr)
+    dq, dp, dn = (np.asarray(v, dtype=np.float64) for v in (dq, dp, dn))
+    for name, v in (("query", dq), ("positive", dp), ("negative", dn)):
+        if not np.isfinite(v).all():
+            raise NonFiniteError(f"non-finite {name} vector")
+    value = np.linalg.norm(dq - dp) - np.linalg.norm(dq - dn) + margin
+    loss = float(max(value, 0.0))
+    gq = np.zeros_like(dq)
+    gp = np.zeros_like(dp)
+    gn = np.zeros_like(dn)
+    if loss > 0.0:
+        diff_p, diff_n = dq - dp, dq - dn
+        norm_p, norm_n = np.linalg.norm(diff_p), np.linalg.norm(diff_n)
+        if norm_p > 0.0:
+            gq += diff_p / norm_p
+            gp -= diff_p / norm_p
+        if norm_n > 0.0:
+            gq -= diff_n / norm_n
+            gn += diff_n / norm_n
+    return loss, gq, gp, gn
 
 
 def oracle_np_cosine(a, b) -> float:
@@ -297,3 +297,119 @@ def oracle_train_graph_embeddings(g, emb, cfg):
         if not np.isfinite(epoch_loss):
             raise NonFiniteError(f"non-finite training loss in epoch {epoch}")
     return out
+
+
+def oracle_sgd_step(table, texts, lr: float) -> None:
+    """One SGD step from (TokenFeatures, vector gradient) pairs, one pair per text.
+
+    Texts add (count_b / total) * g into one zeroed buffer over the union
+    of their buckets, in the given order; empty texts are skipped.
+    """
+    texts = [(f, g) for f, g in texts if f.total]
+    if not texts:
+        return
+    rows, inv = np.unique(np.concatenate([f.bucket_ids for f, _ in texts]), return_inverse=True)
+    grads = np.zeros((len(rows), table.shape[1]))
+    lo = 0
+    for f, g in texts:
+        hi = lo + len(f.bucket_ids)
+        grads[inv[lo:hi]] += (f.counts / f.total)[:, None] * g
+        lo = hi
+    table[rows] -= lr * grads
+
+
+def oracle_train_docsim(p, tset, texts, cfg):
+    """Per-text docsim SGD: three encodes and one per-row triplet loss per triplet."""
+    from plantsearch.encoder import encode_features, featurize_many
+    from plantsearch.losses import NonFiniteError
+    from plantsearch.train import TrainResult
+
+    cfg.validate()
+    out = p.copy()
+    if cfg.epochs == 0 or not tset.triplets:
+        return TrainResult(out, [], 0, 0.0)
+    doc_ids = list(dict.fromkeys(
+        d for t in tset.triplets for d in (t.query, t.positive, t.negative)
+    ))
+    fm = featurize_many([texts[d] for d in doc_ids], out.vocab_buckets)
+    feats = {d: fm.row(i) for i, d in enumerate(doc_ids)}
+    rng = np.random.default_rng(cfg.rng_seed)
+    table = out.embedding_table
+    n = len(tset.triplets)
+    epoch_losses = []
+    steps = 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        total_loss = 0.0
+        for lo in range(0, n, cfg.batch_size):
+            batch = [tset.triplets[i] for i in order[lo : lo + cfg.batch_size]]
+            grads = []
+            for t in batch:
+                fq, fp, fn = feats[t.query], feats[t.positive], feats[t.negative]
+                loss, gq, gp, gn = oracle_triplet_loss_grad(
+                    encode_features(out, fq), encode_features(out, fp),
+                    encode_features(out, fn), cfg.margin,
+                )
+                total_loss += loss
+                if loss == 0.0:
+                    continue
+                coeff = 1.0 / len(batch)
+                grads += [(fq, coeff * gq), (fp, coeff * gp), (fn, coeff * gn)]
+            oracle_sgd_step(table, grads, cfg.learning_rate)
+            steps += 1
+        if not np.isfinite(total_loss):
+            raise NonFiniteError(f"non-finite docsim loss in epoch {epoch}")
+        epoch_losses.append(total_loss / n)
+    return TrainResult(out, epoch_losses, steps, 0.0)
+
+
+def oracle_train_biencoder(p, pairs, texts, cfg):
+    """Per-text bi-encoder MNR SGD: texts encoded one by one, gradients scattered per text."""
+    from collections import defaultdict
+
+    from plantsearch.encoder import encode_features, featurize_many
+    from plantsearch.losses import mnr_loss_grad
+    from plantsearch.pairs import PairLabel
+    from plantsearch.train import TrainResult, _pack_batches, effective_lr
+
+    cfg.validate()
+    out = p.copy()
+    positives = [pr for pr in pairs if pr.label is PairLabel.POSITIVE]
+    negatives = defaultdict(list)
+    for pr in pairs:
+        if pr.label is PairLabel.NEGATIVE and pr.doc_id not in negatives[pr.query_text]:
+            negatives[pr.query_text].append(pr.doc_id)
+    doc_ids = list(dict.fromkeys(pr.doc_id for pr in pairs))
+    queries = list(dict.fromkeys(pr.query_text for pr in pairs))
+    fm = featurize_many([texts[d] for d in doc_ids] + queries, out.vocab_buckets)
+    doc_feats = {d: fm.row(i) for i, d in enumerate(doc_ids)}
+    query_feats = {q: fm.row(len(doc_ids) + i) for i, q in enumerate(queries)}
+    if cfg.epochs == 0:
+        return TrainResult(out, [], 0, 0.0)
+    rng = np.random.default_rng(cfg.rng_seed)
+    table = out.embedding_table
+    epoch_losses = []
+    step = 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(positives))
+        loss_sum = 0.0
+        rows_seen = 0
+        for batch in _pack_batches(positives, order, cfg.batch_size):
+            batch_docs = [pr.doc_id for pr in batch]
+            extras = []
+            for pr in batch:
+                for doc_id in negatives.get(pr.query_text, ()):
+                    if doc_id != pr.doc_id and doc_id not in batch_docs and doc_id not in extras:
+                        extras.append(doc_id)
+            q_feats = [query_feats[pr.query_text] for pr in batch]
+            d_feats = [doc_feats[d] for d in batch_docs + extras]
+            q_mat = np.stack([encode_features(out, f) for f in q_feats])
+            d_mat = np.stack([encode_features(out, f) for f in d_feats])
+            loss, g_q, g_d = mnr_loss_grad(q_mat, d_mat, cfg.similarity_scale)
+            loss_sum += loss * len(batch)
+            rows_seen += len(batch)
+            step += 1
+            lr = effective_lr(cfg.learning_rate, step, cfg.warmup_steps)
+            oracle_sgd_step(table, list(zip(q_feats, g_q)) + list(zip(d_feats, g_d)), lr)
+        epoch_losses.append(loss_sum / rows_seen)
+    return TrainResult(out, epoch_losses, step, 0.0)

@@ -194,6 +194,63 @@ def test_evaluate_strict_hashes_every_file_it_reads(trained_run, tmp_path, caplo
     assert f"provenance hash mismatch for {name}" in errors[0].getMessage()
 
 
+HEADER_DAMAGE = {
+    "truncated": lambda blob: blob[:10],
+    "not-utf8": lambda blob: b"\xff" + blob,
+    "not-an-object": lambda blob: b"[1]\n",
+    "no-vocab-buckets": lambda blob: _edit_header(blob, vocab_buckets=None),
+    "float-dim": lambda blob: _edit_header(blob, dim=16.0),
+    "string-dim": lambda blob: _edit_header(blob, dim="16"),
+    "unknown-hash": lambda blob: _edit_header(blob, hash_algo="md5"),
+    "max-pooling": lambda blob: _edit_header(blob, pooling="max"),
+}
+
+
+def _edit_header(blob, **changes):
+    header = json.loads(blob)
+    for key, value in changes.items():
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+    return json.dumps(header).encode()
+
+
+@pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
+@pytest.mark.parametrize("stage, header", [("evaluate", "encoders/biencoder.json"),
+                                           ("train-biencoder", "encoders/docsim.json")])
+def test_exit_3_on_corrupt_encoder_header(trained_run, tmp_path, caplog, stage, header, damage):
+    cfg_path, trained = trained_run
+    out = tmp_path / "corrupt"
+    shutil.copytree(trained, out)
+    path = out / header
+    path.write_bytes(HEADER_DAMAGE[damage](path.read_bytes()))
+    with caplog.at_level("ERROR", logger="plantsearch.cli"):
+        rc = cli.main([stage, "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert message.startswith(f"{path}: ") and "\n" not in message
+
+
+@pytest.mark.parametrize("name", ["encoders/docsim.gemb", "encoders/docsim.json"])
+def test_train_biencoder_strict_hashes_docsim_encoder(pipeline_run, tmp_path, caplog, name):
+    cfg_path, out1, _ = pipeline_run
+    out = tmp_path / "tampered"
+    shutil.copytree(out1, out)
+    args = ["train-biencoder", "--config", str(cfg_path), "--out", str(out), "--strict"]
+    assert cli.main(args) == 0
+    path = out / name
+    path.write_bytes(path.read_bytes() + b" ")  # still valid JSON for docsim.json
+    caplog.clear()
+    with caplog.at_level("ERROR", logger="plantsearch.cli"):
+        assert cli.main(args) == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert f"provenance hash mismatch for {name}" in errors[0].getMessage()
+
+
 def test_synth_failure_writes_nothing(tmp_path):
     """Every plant is generated and checked before the first file is written."""
     cfg_path = tmp_path / "cfg.json"

@@ -168,10 +168,12 @@ def test_save_load_round_trip(tmp_path):
     back = load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json")
     assert back.vocab_buckets == 128
     assert back.dim == 6
-    # float32 storage round trip
-    np.testing.assert_array_equal(
-        back.embedding_table, p.embedding_table.astype(np.float32).astype(np.float64)
-    )
+    # training runs in float64 and .gemb stores float32: one rounding, then a fixed point
+    assert back.embedding_table.dtype == np.float64
+    np.testing.assert_array_equal(back.embedding_table, p.embedding_table.astype("<f4"))
+    save_encoder(back, tmp_path / "again.gemb", tmp_path / "again.json")
+    assert (tmp_path / "again.gemb").read_bytes() == (tmp_path / "enc.gemb").read_bytes()
+    assert (tmp_path / "again.json").read_bytes() == (tmp_path / "enc.json").read_bytes()
 
 
 def test_encoder_header_pins_mean_pooling(tmp_path):

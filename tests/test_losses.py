@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import oracle_cosine, oracle_edge_ranking_loss_grad, oracle_mnr, oracle_np_cosine
+from oracles import (
+    oracle_cosine,
+    oracle_edge_ranking_loss_grad,
+    oracle_mnr,
+    oracle_np_cosine,
+    oracle_triplet_loss_grad,
+)
 from plantsearch.losses import (
     NonFiniteError,
     cosine,
@@ -13,6 +19,7 @@ from plantsearch.losses import (
     mnr_loss_grad,
     triplet_loss,
     triplet_loss_grad,
+    triplet_loss_grad_batch,
 )
 
 # Hand-computed: (query, positive, negative, margin, expected loss).
@@ -69,6 +76,40 @@ def test_triplet_grad_zero_when_hinge_inactive():
     )
     assert loss == 0.0
     assert not gq.any() and not gp.any() and not gn.any()
+
+
+def test_triplet_loss_grad_batch_bitwise_equals_per_row_loop():
+    rng = np.random.default_rng(17)
+    seen = {"zero_p": 0, "zero_n": 0, "inactive": 0, "term_zero": 0, "active": 0}
+    cases = [(np.array([dq], float), np.array([dp], float), np.array([dn], float), margin)
+             for dq, dp, dn, margin, _ in TRIPLET_FIXTURES]
+    for trial in range(300):
+        n, dim = int(rng.integers(1, 20)), int(rng.choice([1, 2, 3, 16, 64]))
+        margin = float(rng.choice([0.1, 1.0, 2.5]))
+        dq, dp, dn = (rng.normal(size=(n, dim)) * rng.choice([0.1, 1.0]) for _ in range(3))
+        dp[0] = dq[0]  # zero positive distance
+        dn[n // 2] = dq[n // 2]  # zero negative distance
+        dq[-1], dp[-1], dn[-1] = 0.0, 0.0, 0.0
+        dn[-1, 0] = margin  # 0 - margin + margin: the hinge term is exactly 0
+        cases.append((dq, dp, dn, margin))
+    for dq, dp, dn, margin in cases:
+        losses, gq, gp, gn = triplet_loss_grad_batch(dq, dp, dn, margin)
+        assert losses.shape == (len(dq),)
+        for i in range(len(dq)):
+            want = oracle_triplet_loss_grad(dq[i], dp[i], dn[i], margin)
+            one = triplet_loss_grad(dq[i], dp[i], dn[i], margin)
+            assert losses[i] == want[0] == one[0] == triplet_loss(dq[i], dp[i], dn[i], margin)
+            for got, w, o in zip((gq[i], gp[i], gn[i]), want[1:], one[1:]):
+                assert got.tobytes() == w.tobytes() == o.tobytes(), (dq[i], dp[i], dn[i], margin)
+            seen["zero_p"] += not (dq[i] - dp[i]).any()
+            seen["zero_n"] += not (dq[i] - dn[i]).any()
+            seen["inactive"] += want[0] == 0.0
+            seen["active"] += want[0] > 0.0
+            term = np.linalg.norm(dq[i] - dp[i]) - np.linalg.norm(dq[i] - dn[i]) + margin
+            seen["term_zero"] += term == 0.0
+    assert all(n > 0 for n in seen.values()), seen
+    with pytest.raises(NonFiniteError):
+        triplet_loss_grad_batch(np.zeros((2, 2)), np.full((2, 2), np.inf), np.zeros((2, 2)))
 
 
 def test_triplet_grad_finite_difference():

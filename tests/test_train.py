@@ -1,9 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from oracles import oracle_sgd_step
-from plantsearch import train
-from plantsearch.encoder import TokenFeatures, encode, featurize_many, init_encoder
+from oracles import oracle_train_biencoder, oracle_train_docsim
+from plantsearch.encoder import encode, init_encoder
 from plantsearch.losses import cosine
 from plantsearch.pairs import PairLabel, PairSource, QueryDocPair
 from plantsearch.train import (
@@ -11,7 +12,6 @@ from plantsearch.train import (
     DocSimConfig,
     TrainResult,
     _pack_batches,
-    _sgd_step,
     effective_lr,
     train_biencoder,
     train_docsim,
@@ -204,53 +204,84 @@ def test_train_biencoder_epochs_zero():
     assert result.steps == 0
 
 
-def _random_features(rng, vocab_buckets):
-    if rng.random() < 0.2:  # a text without word tokens
-        empty = np.empty(0, dtype=np.int64)
-        return TokenFeatures(empty, empty.copy(), 0)
-    ids = np.unique(rng.integers(0, vocab_buckets, size=rng.integers(1, 12)))
-    counts = rng.integers(1, 4, size=len(ids))
-    return TokenFeatures(ids, counts, int(counts.sum()) + int(rng.integers(0, 3)))
+def _assert_matches_oracle(got, want):
+    """Batched gemms sum in another order than the per-text loops: a few float64 ulps."""
+    fast, slow = got.params.embedding_table, want.params.embedding_table
+    np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+    # .gemb stores float32, where that drift vanishes
+    assert fast.astype("<f4").tobytes() == slow.astype("<f4").tobytes()
+    assert len(got.epoch_losses) == len(want.epoch_losses)
+    np.testing.assert_allclose(got.epoch_losses, want.epoch_losses, rtol=0, atol=1e-12)
+    assert got.steps == want.steps
 
 
-def test_sgd_step_bitwise_equals_dict_scatter_oracle():
-    rng = np.random.default_rng(0)
-    fm = featurize_many(list(_TEXTS.values()) + ["", "...", "pumpe leckt"], 64)
-    for trial in range(50):
-        table = rng.normal(size=(64, 5))
-        texts = [
-            (_random_features(rng, 64) if rng.random() < 0.5
-             else fm.row(int(rng.integers(0, len(fm.totals)))), rng.normal(size=5))
-            for _ in range(int(rng.integers(1, 20)))
-        ]
-        want = table.copy()
-        oracle_sgd_step(want, texts, 0.3)
-        _sgd_step(table, texts, 0.3)
-        assert table.tobytes() == want.tobytes(), trial
-    untouched = rng.normal(size=(8, 3))
-    before = untouched.copy()
-    empty = np.empty(0, dtype=np.int64)
-    _sgd_step(untouched, [(TokenFeatures(empty, empty, 0), np.ones(3))], 1.0)
-    _sgd_step(untouched, [], 1.0)
-    assert untouched.tobytes() == before.tobytes()
+def _random_corpus(rng, n_docs):
+    words = ["pumpe", "leckt", "flansch", "dichtung", "filter", "druck", "kessel", "ventil",
+             "klemmt", "antrieb", "motor", "lager", "heiss", "welle", "sensor", "ausfall"]
+    texts = {f"r{i}": " ".join(rng.choice(words, size=int(rng.integers(1, 12))))
+             for i in range(n_docs)}
+    texts["e1"], texts["e2"] = "", "!!!"  # texts without word tokens
+    return texts
 
 
-def test_training_bitwise_equals_oracle_driven_run(monkeypatch):
-    p = init_encoder(dim=8, vocab_buckets=64, seed=4)  # few buckets: texts share rows
-    texts = dict(_TEXTS, e1="", e2="!!!")
-    tset = TripletSet(_docsim_triplets().triplets + [Triplet("e1", "a1", "e2", NegKind.EASY)],
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_docsim_matches_per_text_oracle(epochs):
+    rng = np.random.default_rng(epochs)
+    texts = dict(_TEXTS, **_random_corpus(rng, 30))
+    ids = sorted(texts)
+    # a1 repeats across triplets and as its own positive (a zero distance); e1/e2 are empty
+    fixed = _docsim_triplets().triplets + [Triplet("e1", "a1", "e2", NegKind.EASY),
+                                           Triplet("a1", "a1", "b1", NegKind.HARD)]
+    drawn = [Triplet(*rng.choice(ids, size=3), NegKind.EASY) for _ in range(60)]
+    for dim, buckets, batch_size, lr, margin in [(8, 64, 2, 0.5, 1.0), (16, 256, 16, 0.3, 0.5),
+                                                 (5, 32, 1, 0.2, 2.0)]:
+        p = init_encoder(dim=dim, vocab_buckets=buckets, seed=dim)  # few buckets: shared rows
+        tset = TripletSet(fixed + drawn, SamplingParams(), "")
+        cfg = DocSimConfig(margin=margin, epochs=epochs, learning_rate=lr,
+                           batch_size=batch_size, rng_seed=dim)
+        got = train_docsim(p, tset, texts, cfg)
+        _assert_matches_oracle(got, oracle_train_docsim(p, tset, texts, cfg))
+        if epochs:
+            assert not np.array_equal(got.params.embedding_table, p.embedding_table)
+
+
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_biencoder_matches_per_text_oracle(epochs):
+    rng = np.random.default_rng(epochs)
+    texts = dict(_TEXTS, **_random_corpus(rng, 30))
+    docs = sorted(d for d in texts if d not in ("e1", "e2"))  # zero-norm rows are an MNR error
+    queries = ["pumpe leckt", "filter verstopft", "ventil klemmt", "motor heiss", "lager welle"]
+    # label-0 docs join their query's batch as extra negative columns, some already in it
+    pairs = _biencoder_pairs() + [_pair("filter verstopft", "a1", PairLabel.POSITIVE)] + [
+        _pair(str(rng.choice(queries)), str(rng.choice(docs)),
+              PairLabel.POSITIVE if rng.random() < 0.6 else PairLabel.NEGATIVE)
+        for _ in range(40)
+    ]
+    for dim, buckets, batch_size in [(8, 64, 3), (16, 256, 8), (5, 32, 64)]:
+        start = init_encoder(dim=dim, vocab_buckets=buckets, seed=dim)
+        cfg = BiEncoderConfig(epochs=epochs, batch_size=batch_size, warmup_steps=2,
+                              learning_rate=0.3, rng_seed=dim)
+        got = train_biencoder(start, pairs, texts, cfg)
+        _assert_matches_oracle(got, oracle_train_biencoder(start, pairs, texts, cfg))
+        if epochs:
+            assert not np.array_equal(got.params.embedding_table, start.embedding_table)
+
+
+def test_training_logs_per_epoch_diagnostics(caplog):
+    p = init_encoder(dim=8, vocab_buckets=64, seed=4)
+    # margin 0.15 keeps the four fixture hinges active and a1 -> a1 -> b1 inactive
+    tset = TripletSet(_docsim_triplets().triplets + [Triplet("a1", "a1", "b1", NegKind.HARD)],
                       SamplingParams(), "")
-    # zero-norm rows are an MNR error, so only docsim sees the empty texts
-    pairs = _biencoder_pairs() + [_pair("filter verstopft", "a1", PairLabel.POSITIVE)]
-    dcfg = DocSimConfig(epochs=3, batch_size=2, learning_rate=0.5, rng_seed=1)
-    bcfg = BiEncoderConfig(epochs=3, batch_size=3, warmup_steps=2, learning_rate=0.3, rng_seed=2)
-    fast_d = train_docsim(p, tset, texts, dcfg)
-    fast_b = train_biencoder(fast_d.params, pairs, texts, bcfg)
-    monkeypatch.setattr(train, "_sgd_step", oracle_sgd_step)
-    slow_d = train_docsim(p, tset, texts, dcfg)
-    slow_b = train_biencoder(slow_d.params, pairs, texts, bcfg)
-    assert fast_d.params.embedding_table.tobytes() == slow_d.params.embedding_table.tobytes()
-    assert fast_b.params.embedding_table.tobytes() == slow_b.params.embedding_table.tobytes()
-    assert fast_d.epoch_losses == slow_d.epoch_losses
-    assert fast_b.epoch_losses == slow_b.epoch_losses
-    assert not np.array_equal(fast_b.params.embedding_table, p.embedding_table)
+    with caplog.at_level("DEBUG", logger="plantsearch.train"):
+        train_docsim(p, tset, _TEXTS, DocSimConfig(margin=0.15, epochs=2, batch_size=3))
+        train_biencoder(p, _biencoder_pairs(), _TEXTS,
+                        BiEncoderConfig(epochs=1, batch_size=2, rng_seed=1))
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 3
+    for epoch, line in enumerate(lines[:2]):
+        m = re.fullmatch(rf"docsim epoch {epoch} mean loss \S+, (\d) of 5 triplets active", line)
+        assert m and 1 <= int(m[1]) <= 4, line
+    # three positives with distinct queries, two per batch; the first batch pools two
+    # queries, their two positives and both label-0 docs of "pumpe leckt"
+    assert re.fullmatch(r"bi-encoder epoch 0 mean loss \S+, 2 steps, "
+                        r"widest batch 6 texts x \d+ buckets", lines[2]), lines[2]
