@@ -6,6 +6,12 @@ hashes of inputs and outputs. Reruns with the same config and seed
 produce byte-identical artifacts and manifests (wall-clock timings go
 to a separate timings.json, which is the one non-deterministic file).
 
+Each stage is one row of ``TABLE``: the files it reads, each tied to the
+stage that produces it (or to the config that names it), the files it
+writes, and its run function. One runner hashes every read, checks it
+under --strict against its producer's manifest, runs the stage, and
+writes its manifest and timing.
+
 Exit codes: 0 success, 2 config or input validation error, 3 missing
 stage dependency or provenance mismatch, 4 numerical failure.
 """
@@ -18,9 +24,9 @@ import logging
 import shutil
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +34,8 @@ from . import ann, graph_embed, ir_eval, kg, pairs as pairs_mod, synth, train, t
 from .encoder import EncoderParams, init_encoder, load_encoder, save_encoder
 from .losses import NonFiniteError
 from .storage import (
-    EmbeddingFileError, derive_seed, sha256_file, write_ids, write_json_lines, write_matrix,
+    EmbeddingFileError, derive_seed, read_ids, read_json_lines, read_matrix, sha256_file, write_ids,
+    write_matrix,
 )
 
 logger = logging.getLogger(__name__)
@@ -181,46 +188,34 @@ class RunConfig:
             mode = graph_embed.InitMode(section["init_mode"])
         except ValueError:
             raise ConfigError(f"unknown init_mode {section['init_mode']!r}") from None
-        cfg = graph_embed.GETrainConfig(
+        cfg = _valid(graph_embed.GETrainConfig(
             dim=int(section["dim"]),
             epochs=int(section["epochs"]),
             learning_rate=float(section["learning_rate"]),
             ranking_margin=float(section["ranking_margin"]),
             negatives_per_edge=int(section["negatives_per_edge"]),
             init_mode=mode,
-        )
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        ))
         fraction = float(section["lp_test_fraction"])
         if not (0.0 < fraction < 1.0):
             raise ConfigError(f"lp_test_fraction must be in (0, 1), got {fraction}")
         return cfg, fraction
 
     def sampling_params(self) -> triplets_mod.SamplingParams:
-        p = triplets_mod.SamplingParams(**{k: int(v) for k, v in self.raw["sampling"].items()})
-        try:
-            p.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        return p
+        return _valid(triplets_mod.SamplingParams(
+            **{k: int(v) for k, v in self.raw["sampling"].items()}))
 
     def docsim_config(self) -> train.DocSimConfig:
-        cfg = train.DocSimConfig(**self.raw["docsim"])
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        return cfg
+        return _valid(train.DocSimConfig(**self.raw["docsim"]))
 
     def biencoder_config(self) -> train.BiEncoderConfig:
-        cfg = train.BiEncoderConfig(**self.raw["biencoder"])
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        return cfg
+        return _valid(train.BiEncoderConfig(**self.raw["biencoder"]))
+
+
+def _valid(stage_config: Any) -> Any:
+    """A stage config that passed its ``validate()``, whose ValueError exits 2."""
+    stage_config.validate()
+    return stage_config
 
 
 def load_run_config(path: str | None, seed_override: int | None) -> RunConfig:
@@ -245,70 +240,212 @@ def load_run_config(path: str | None, seed_override: int | None) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Manifests and provenance
+# The stage runner
 
 
-def _hash_paths(root: Path, paths: Sequence[Path]) -> dict[str, str]:
-    out = {}
-    for p in sorted(paths):
-        out[str(p.relative_to(root))] = sha256_file(p)
-    return out
+Read = tuple[str, str | None]  # a name under --out and its producer, or a config path and None
+PLANT_LIST: Read = ("benchmark.json", "synth")
+TRIPLETS: Read = ("triplets/triplets.jsonl", "sample-triplets")
 
 
-def _write_manifest(out_dir: Path, stage: str, seed: int, config: Any,
-                    inputs: dict[str, str], outputs: dict[str, str]) -> Path:
-    manifest = {"stage": stage, "seed": seed, "config": config,
-                "inputs": inputs, "outputs": outputs}
-    path = out_dir / f"manifest-{stage}.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    return path
+def _variant(stage: str, ablation: Mapping[str, Any] | None) -> str:
+    """A stage run's id: the stage name, or ``<stage>:<ablation>`` inside ``pipeline``."""
+    return stage if ablation is None else f"{stage}:{ablation['name']}"
 
 
-def _record_timing(out_dir: Path, stage: str, seconds: float) -> None:
-    path = out_dir / "timings.json"
-    data = {}
-    if path.exists():
-        data = json.loads(path.read_text(encoding="utf-8"))
-    data[stage] = round(seconds, 3)
-    path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+def _missing(path: Path, producer: str) -> MissingArtifactError:
+    return MissingArtifactError(f"{path} not found: run {producer.split(':')[0]} first")
 
 
-def _check_strict(out_dir: Path, inputs: dict[str, str]) -> None:
-    """Verify input hashes against the producing stages' manifests."""
-    recorded: dict[str, str] = {}
-    for manifest_path in sorted(out_dir.glob("manifest-*.json")):
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        recorded.update(manifest.get("outputs", {}))
-    for rel, digest in inputs.items():
-        if rel in recorded and recorded[rel] != digest:
-            raise MissingArtifactError(
-                f"provenance hash mismatch for {rel}: artifact changed since it was produced"
+def _manifest_path(out_dir: Path, run_id: str) -> Path:
+    return out_dir / f"manifest-{run_id.replace(':', '-')}.json"
+
+
+@dataclass
+class Run:
+    """One run of one stage: its settings, the reads it has hashed, and the artifact store.
+
+    The store maps an artifact kind plus the names and sha256 digests of the files it is
+    parsed from to the parsed artifact, so the stages of one ``pipeline`` parse each file
+    once. It serves one config, and nothing may mutate what it holds. Encoder tables stay
+    out of it: each is 32 MiB at the default size.
+    """
+
+    stage: str
+    cfg: RunConfig
+    out: Path
+    strict: bool
+    store: dict[tuple, Any]
+    ablation: Mapping[str, Any] | None = None  # set for train-biencoder and evaluate in pipeline
+    inputs: dict[str, str] = field(default_factory=dict)  # read name -> sha256
+    claims: dict[str, dict] = field(default_factory=dict)  # producer -> its manifest's outputs
+    sealed: bool = False  # set once the declared reads are hashed
+
+    @property
+    def id(self) -> str:
+        return _variant(self.stage, self.ablation)
+
+    def read(self, name: str, producer: str | None) -> Path:
+        """Require and hash one read; under --strict its producer's manifest must claim it."""
+        path = self.out / name if producer else Path(name)
+        if name in self.inputs:
+            return path
+        if self.sealed:
+            raise RuntimeError(f"{self.id} reads {name}, which its stage row does not declare")
+        if not path.exists():
+            raise (_missing(path, producer) if producer else
+                   MissingArtifactError(f"{path} not found: check the run config"))
+        digest = sha256_file(path)
+        if self.strict and producer:
+            claimed = self._claims(producer).get(name)
+            if claimed != digest:
+                raise MissingArtifactError(
+                    f"provenance hash mismatch for {name}: artifact changed since it was produced"
+                    if claimed else
+                    f"{name} is not among the outputs of {_manifest_path(self.out, producer)}")
+        self.inputs[name] = digest
+        return path
+
+    def _claims(self, producer: str) -> dict[str, str]:
+        if producer not in self.claims:
+            path = _manifest_path(self.out, producer)
+            try:
+                manifest = json.loads(path.read_text(encoding="utf-8"))
+                self.claims[producer] = dict(manifest["outputs"])
+            except FileNotFoundError:
+                raise _missing(path, producer) from None
+            except (ValueError, KeyError, TypeError):
+                raise MissingArtifactError(f"{path}: unreadable manifest") from None
+        return self.claims[producer]
+
+    def load(self, kind: str, names: Sequence[str], parse: Callable[[], Any]) -> Any:
+        """The artifact parsed from the hashed reads ``names``, parsed once per store."""
+        key = (kind, *((name, self.inputs[name]) for name in names))
+        if key not in self.store:
+            self.store[key] = parse()
+        return self.store[key]
+
+    def plants(self) -> list[dict]:
+        path = self.read(*PLANT_LIST)
+        return self.load("plants", [path.name],
+                         lambda: json.loads(path.read_text(encoding="utf-8"))["plants"])
+
+    def plant_ids(self, training: bool = False) -> list[str]:
+        return [p["plant_id"] for p in self.plants() if p["training"] or not training]
+
+    def graph(self, root: str, pid: str) -> kg.KnowledgeGraph:
+        """A plant's graph as synth (``plants``) or build-graph (``graphs``) wrote it."""
+        names = _graph_files(root, pid)
+        return self.load("graph", names, lambda: kg.load_graph(*(self.out / n for n in names)))
+
+    def log_texts(self) -> dict[str, str]:
+        """The text of every log in the built graphs, by id."""
+        return self.load("texts", _graphs(self, "graphs"), lambda: {
+            n.id: n.text for pid in self.plant_ids() for n in self.graph("graphs", pid).text_logs()
+        })
+
+    def filtered_triplets(self) -> triplets_mod.TripletSet:
+        """The sampled triplets that pass the quality filter."""
+        return self.load("filtered", [TRIPLETS[0], *_graphs(self, "graphs")], self._filter)
+
+    def _filter(self) -> triplets_mod.TripletSet:
+        tpath = self.out / TRIPLETS[0]
+        tset = triplets_mod.load_triplets(tpath, self.cfg.sampling_params())
+        quality = self.cfg.raw["quality"]
+        try:
+            return pairs_mod.quality_filter(
+                tset, self.log_texts(), pairs_mod.EncoderCosineScorer(
+                    _fresh_encoder(self.cfg, "scorer"), float(quality["scorer_scale"])),
+                t_pos=float(quality["t_pos"]), t_margin=float(quality["t_margin"]),
             )
+        except KeyError as exc:  # a triplet names a document no built graph has
+            raise MissingArtifactError(f"{tpath}: {exc.args[0]}") from None
+
+    def benchmark(self) -> ir_eval.Benchmark:
+        return self.load("benchmark", [PLANT_LIST[0], *_benchmark_files(self)], self._benchmark)
+
+    def _benchmark(self) -> ir_eval.Benchmark:
+        plants = []
+        for meta in self.plants():
+            pid = meta["plant_id"]
+            pdir = self.out / "plants" / pid
+            corpus = {n.id: n.text for n in self.graph("plants", pid).text_logs()}
+            queries = ir_eval.load_queries(pdir / "queries.jsonl").get(pid, [])
+            qrels = ir_eval.load_qrels(pdir / "qrels.txt")
+            plants.append(ir_eval.BenchmarkPlant(pid, corpus, queries, qrels,
+                                                 training=meta["training"]))
+        bench = ir_eval.Benchmark(plants)
+        bench.validate()
+        return bench
 
 
-def _require(path: Path, producer: str) -> Path:
-    if not path.exists():
-        raise MissingArtifactError(f"{path} not found: run {producer} first")
-    return path
+def _graph_files(root: str, pid: str) -> list[str]:
+    return [f"{root}/{pid}/nodes.jsonl", f"{root}/{pid}/edges.jsonl"]
+
+
+def _graphs(r: Run, root: str, training: bool = False) -> list[str]:
+    return [name for pid in r.plant_ids(training) for name in _graph_files(root, pid)]
+
+
+def _benchmark_files(r: Run) -> list[str]:
+    """Each plant's nodes, edges, queries and qrels, as ``Run.benchmark`` reads them."""
+    return [f"plants/{pid}/{name}" for pid in r.plant_ids()
+            for name in ("nodes.jsonl", "edges.jsonl", "queries.jsonl", "qrels.txt")]
+
+
+def _from(producer: str | None, names: Sequence[str]) -> list[Read]:
+    return [(name, producer) for name in names]
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table: what a stage reads and writes, and how it runs."""
+
+    name: str
+    reads: Callable[[Run], list[Read]]
+    writes: Callable[[Run], list[str]]  # names under --out
+    run: Callable[[Run], tuple[Any, Any]]  # -> (manifest config, value for the caller)
+
+
+def _run(stage: Stage, r: Run) -> Any:
+    """Hash every read (checked under --strict), run, then write the manifest and the timing."""
+    t0 = time.perf_counter()
+    for name, producer in stage.reads(r):
+        r.read(name, producer)
+    r.sealed = True
+    config, result = stage.run(r)
+    _dump(_manifest_path(r.out, r.id), {
+        "stage": r.id.replace(":", "-"), "seed": r.cfg.seed, "config": config, "inputs": r.inputs,
+        "outputs": {name: sha256_file(r.out / name) for name in stage.writes(r)}})
+    timings = r.out / "timings.json"
+    data = json.loads(timings.read_text(encoding="utf-8")) if timings.exists() else {}
+    _dump(timings, {**data, r.id: round(time.perf_counter() - t0, 3)})
+    return result
+
+
+def _dump(path: Path, obj: Any) -> None:
+    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
 # Stages
 
 
-def stage_synth(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
-    t0 = time.perf_counter()
-    if not cfg.plant_configs:
+PLANT_FILES = ("nodes.jsonl", "edges.jsonl", "vectors.gemb", "vectors.ids", "queries.jsonl",
+               "qrels.txt")
+GE_FILES = (".gemb", ".ids", ".rels.json")
+
+
+def _synth(r: Run) -> tuple[dict, None]:
+    if not r.cfg.plant_configs:
         raise ConfigError("no plant configs")
-    plants = [synth.generate_plant(pcfg) for pcfg in cfg.plant_configs]
+    plants = [synth.generate_plant(pcfg) for pcfg in r.cfg.plant_configs]
     bench = ir_eval.Benchmark([gp.bench for gp in plants])
     bench.validate()  # id collisions fail here, before any file is written
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
     sid_rows: list[pairs_mod.QueryDocPair] = []
     plant_meta = []
-    for pcfg, gp in zip(cfg.plant_configs, plants):
-        pdir = out_dir / "plants" / pcfg.plant_id
+    for pcfg, gp in zip(r.cfg.plant_configs, plants):
+        pdir = r.out / "plants" / pcfg.plant_id
         pdir.mkdir(parents=True, exist_ok=True)
         kg.save_graph(gp.graph, pdir / "nodes.jsonl", pdir / "edges.jsonl")
         node_ids = sorted(gp.text_vectors)
@@ -318,49 +455,20 @@ def stage_synth(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
         ir_eval.save_qrels(gp.bench.qrels, pdir / "qrels.txt")
         sid_rows.extend(gp.sid_pairs)
         plant_meta.append({"plant_id": pcfg.plant_id, "training": pcfg.training})
-        outputs.extend(pdir.iterdir())
-    pairs_mod.save_pairs(sid_rows, out_dir / "sid.jsonl")
-    (out_dir / "benchmark.json").write_text(
-        json.dumps({"plants": plant_meta}, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-    outputs += [out_dir / "sid.jsonl", out_dir / "benchmark.json"]
+    pairs_mod.save_pairs(sid_rows, r.out / "sid.jsonl")
+    _dump(r.out / "benchmark.json", {"plants": plant_meta})
     logger.info("synth: %d plants, %d queries total",
                 len(bench.plants), sum(len(p.queries) for p in bench.plants))
-    _write_manifest(out_dir, "synth", cfg.seed,
-                    {"plants": [asdict(p) for p in cfg.plant_configs]},
-                    {}, _hash_paths(out_dir, outputs))
-    _record_timing(out_dir, "synth", time.perf_counter() - t0)
+    return {"plants": [asdict(p) for p in r.cfg.plant_configs]}, None
 
 
-def _plant_list(out_dir: Path) -> list[dict]:
-    meta_path = _require(out_dir / "benchmark.json", "synth")
-    return json.loads(meta_path.read_text(encoding="utf-8"))["plants"]
-
-
-def _training_plants(out_dir: Path) -> list[str]:
-    return [p["plant_id"] for p in _plant_list(out_dir) if p["training"]]
-
-
-def stage_build_graph(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
-    t0 = time.perf_counter()
-    plant_metas = _plant_list(out_dir)
-    inputs: list[Path] = []
-    for meta in plant_metas:
-        pdir = out_dir / "plants" / meta["plant_id"]
-        inputs += [_require(pdir / "nodes.jsonl", "synth"),
-                   _require(pdir / "edges.jsonl", "synth")]
-    in_hashes = _hash_paths(out_dir, inputs)
-    if strict:
-        _check_strict(out_dir, in_hashes)
-    outputs: list[Path] = []
+def _build_graph(r: Run) -> tuple[dict, None]:
     matcher = kg.LexicalMatcher()
-    for meta in plant_metas:
-        pid = meta["plant_id"]
-        pdir = out_dir / "plants" / pid
-        g = kg.build_graph(kg.load_graph(pdir / "nodes.jsonl", pdir / "edges.jsonl"))
-        if cfg.enrich:
+    for pid in r.plant_ids():
+        g = kg.build_graph(r.graph("plants", pid))
+        if r.cfg.enrich:
             g = kg.predict_links(g, matcher)
-        if cfg.expand:
+        if r.cfg.expand:
             expanded = [
                 kg.Node(n.id, n.kind, kg.expand_context(g, n.id), n.code, n.ts)
                 if n.kind is kg.NodeKind.TEXT_LOG
@@ -368,63 +476,39 @@ def stage_build_graph(cfg: RunConfig, out_dir: Path, strict: bool = False) -> No
                 for n in g.nodes.values()
             ]
             g = kg.KnowledgeGraph.from_parts(expanded, g.edges)
-        gdir = out_dir / "graphs" / pid
+        gdir = r.out / "graphs" / pid
         gdir.mkdir(parents=True, exist_ok=True)
         kg.save_graph(g, gdir / "nodes.jsonl", gdir / "edges.jsonl")
-        outputs += [gdir / "nodes.jsonl", gdir / "edges.jsonl"]
-    _write_manifest(out_dir, "build-graph", cfg.seed,
-                    {"enrich": cfg.enrich, "expand_context": cfg.expand},
-                    in_hashes, _hash_paths(out_dir, outputs))
-    _record_timing(out_dir, "build-graph", time.perf_counter() - t0)
+    return {"enrich": r.cfg.enrich, "expand_context": r.cfg.expand}, None
 
 
-def _load_built_graph(out_dir: Path, pid: str) -> kg.KnowledgeGraph:
-    gdir = out_dir / "graphs" / pid
-    return kg.load_graph(
-        _require(gdir / "nodes.jsonl", "build-graph"),
-        _require(gdir / "edges.jsonl", "build-graph"),
-    )
+def _train_ge_reads(r: Run) -> list[Read]:
+    ge_cfg, _ = r.cfg.ge_config()  # a bad config exits 2 before a missing artifact exits 3
+    vectors = [f"plants/{pid}/vectors.{ext}" for pid in r.plant_ids(training=True)
+               for ext in ("gemb", "ids")]
+    text_init = ge_cfg.init_mode is graph_embed.InitMode.TEXT_VECTORS
+    return [PLANT_LIST, *_from("build-graph", _graphs(r, "graphs", training=True)),
+            *_from("synth", vectors if text_init else [])]
 
 
-def _load_text_vectors(out_dir: Path, pid: str) -> dict[str, np.ndarray]:
-    from .storage import read_ids, read_matrix
-
-    pdir = out_dir / "plants" / pid
-    matrix = read_matrix(_require(pdir / "vectors.gemb", "synth"))
-    ids = read_ids(_require(pdir / "vectors.ids", "synth"))
-    return {node_id: matrix[i] for i, node_id in enumerate(ids)}
-
-
-def stage_train_ge(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
-    t0 = time.perf_counter()
-    ge_cfg, lp_fraction = cfg.ge_config()
-    pids = _training_plants(out_dir)
-    inputs: list[Path] = []
-    for pid in pids:
-        gdir = out_dir / "graphs" / pid
-        inputs += [_require(gdir / "nodes.jsonl", "build-graph"),
-                   _require(gdir / "edges.jsonl", "build-graph")]
-        if ge_cfg.init_mode is graph_embed.InitMode.TEXT_VECTORS:
-            pdir = out_dir / "plants" / pid
-            inputs += [_require(pdir / "vectors.gemb", "synth"),
-                       _require(pdir / "vectors.ids", "synth")]
-    in_hashes = _hash_paths(out_dir, inputs)
-    if strict:
-        _check_strict(out_dir, in_hashes)
-    outputs: list[Path] = []
-    gedir = out_dir / "ge"
+def _train_ge(r: Run) -> tuple[dict, None]:
+    ge_cfg, lp_fraction = r.cfg.ge_config()
+    gedir = r.out / "ge"
     gedir.mkdir(parents=True, exist_ok=True)
     lp_summary = {}
-    for pid in pids:
-        g = _load_built_graph(out_dir, pid)
+    for pid in r.plant_ids(training=True):
+        g = r.graph("graphs", pid)
         plant_cfg = graph_embed.GETrainConfig(**{**asdict(ge_cfg), "init_mode": ge_cfg.init_mode,
-                                                 "rng_seed": derive_seed(cfg.seed, f"ge:{pid}")})
+                                                 "rng_seed": derive_seed(r.cfg.seed, f"ge:{pid}")})
         text_vectors = None
         if plant_cfg.init_mode is graph_embed.InitMode.TEXT_VECTORS:
-            text_vectors = _load_text_vectors(out_dir, pid)
+            pdir = r.out / "plants" / pid
+            matrix = read_matrix(pdir / "vectors.gemb")
+            text_vectors = {node_id: matrix[i]
+                            for i, node_id in enumerate(read_ids(pdir / "vectors.ids"))}
         emb = graph_embed.init_embeddings(g, plant_cfg, text_vectors)
         train_edges, test_edges = graph_embed.split_edges(
-            g, lp_fraction, derive_seed(cfg.seed, f"ge-split:{pid}")
+            g, lp_fraction, derive_seed(r.cfg.seed, f"ge-split:{pid}")
         )
         g_train = kg.KnowledgeGraph.from_parts(g.nodes.values(), train_edges)
         trained = graph_embed.train_graph_embeddings(g_train, emb, plant_cfg)
@@ -434,46 +518,35 @@ def stage_train_ge(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
         )
         lp_summary[pid] = report.scaled()
         graph_embed.save_embeddings(trained, gedir / pid)
-        (gedir / f"{pid}.lp.json").write_text(
-            json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
-        outputs += [gedir / f"{pid}.gemb", gedir / f"{pid}.ids",
-                    gedir / f"{pid}.rels.json", gedir / f"{pid}.lp.json"]
+        _dump(gedir / f"{pid}.lp.json", report.to_dict())
         logger.info("train-ge %s: MRR %.2f, AUC %.2f", pid, report.scaled()["mrr"],
                     report.scaled()["auc"])
-    _write_manifest(out_dir, "train-ge", cfg.seed,
-                    {**cfg.raw["graph_embed"], "lp": lp_summary},
-                    in_hashes, _hash_paths(out_dir, outputs))
-    _record_timing(out_dir, "train-ge", time.perf_counter() - t0)
+    return {**r.cfg.raw["graph_embed"], "lp": lp_summary}, None
 
 
-def stage_sample_triplets(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
-    t0 = time.perf_counter()
-    params = cfg.sampling_params()
-    pids = _training_plants(out_dir)
-    inputs: list[Path] = []
-    for pid in pids:
-        stem = out_dir / "ge" / pid
-        inputs += [_require(stem.with_suffix(".gemb"), "train-ge"),
-                   _require(stem.with_suffix(".ids"), "train-ge"),
-                   _require(stem.with_suffix(".rels.json"), "train-ge")]
-    in_hashes = _hash_paths(out_dir, inputs)
-    if strict:
-        _check_strict(out_dir, in_hashes)
+def _sample_triplets_reads(r: Run) -> list[Read]:
+    r.cfg.sampling_params()  # a bad config exits 2 before a missing artifact exits 3
+    pids = r.plant_ids(training=True)
+    return [PLANT_LIST, *_from("train-ge", [f"ge/{pid}{sfx}" for pid in pids for sfx in GE_FILES]),
+            *_from("build-graph", _graphs(r, "graphs", training=True))]
+
+
+def _sample_triplets(r: Run) -> tuple[dict, None]:
+    params = r.cfg.sampling_params()
     all_triplets: list[triplets_mod.Triplet] = []
     meta = {}
-    tdir = out_dir / "triplets"
+    tdir = r.out / "triplets"
     tdir.mkdir(parents=True, exist_ok=True)
-    for pid in pids:
-        emb = graph_embed.load_embeddings(out_dir / "ge" / pid)
-        g = _load_built_graph(out_dir, pid)
+    for pid in r.plant_ids(training=True):
+        emb = graph_embed.load_embeddings(r.out / "ge" / pid)
+        g = r.graph("graphs", pid)
         log_ids = [n.id for n in g.text_logs()]
         try:
             index = ann.build_index(emb, log_ids)
         except KeyError as exc:  # the saved table does not cover the graph's logs
-            raise EmbeddingFileError(f"{out_dir / 'ge' / pid}: {exc.args[0]}") from None
+            raise EmbeddingFileError(f"{r.out / 'ge' / pid}: {exc.args[0]}") from None
         plant_params = triplets_mod.SamplingParams(
-            **{**asdict(params), "rng_seed": derive_seed(cfg.seed, f"triplets:{pid}")}
+            **{**asdict(params), "rng_seed": derive_seed(r.cfg.seed, f"triplets:{pid}")}
         )
         tset = triplets_mod.sample_triplets(index, g, plant_params)
         all_triplets.extend(tset.triplets)
@@ -486,93 +559,49 @@ def stage_sample_triplets(cfg: RunConfig, out_dir: Path, strict: bool = False) -
                     pid, len(tset.triplets), tset.skipped)
     merged = triplets_mod.TripletSet(all_triplets, params, "", 0)
     triplets_mod.save_triplets(merged, tdir / "triplets.jsonl")
-    (tdir / "meta.json").write_text(
-        json.dumps({"params": asdict(params), "plants": meta}, sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
-    _write_manifest(out_dir, "sample-triplets", cfg.seed, asdict(params),
-                    in_hashes, _hash_paths(out_dir, [tdir / "triplets.jsonl", tdir / "meta.json"]))
-    _record_timing(out_dir, "sample-triplets", time.perf_counter() - t0)
+    _dump(tdir / "meta.json", {"params": asdict(params), "plants": meta})
+    return asdict(params), None
 
 
-def _all_log_texts(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
-    texts: dict[str, str] = {}
-    for meta in _plant_list(out_dir):
-        g = _load_built_graph(out_dir, meta["plant_id"])
-        for n in g.text_logs():
-            texts[n.id] = n.text
-    return texts
-
-
-def _scorer(cfg: RunConfig) -> pairs_mod.EncoderCosineScorer:
+def _fresh_encoder(cfg: RunConfig, label: str = "encoder-init") -> EncoderParams:
     enc = cfg.raw["encoder"]
-    frozen = init_encoder(int(enc["dim"]), int(enc["vocab_buckets"]),
-                          derive_seed(cfg.seed, "scorer"))
-    return pairs_mod.EncoderCosineScorer(frozen, float(cfg.raw["quality"]["scorer_scale"]))
+    return init_encoder(int(enc["dim"]), int(enc["vocab_buckets"]), derive_seed(cfg.seed, label))
 
 
-def _filtered_triplets(cfg: RunConfig, out_dir: Path,
-                       texts: Mapping[str, str]) -> triplets_mod.TripletSet:
-    tpath = _require(out_dir / "triplets" / "triplets.jsonl", "sample-triplets")
-    tset = triplets_mod.load_triplets(tpath, cfg.sampling_params())
-    quality = cfg.raw["quality"]
-    try:
-        return pairs_mod.quality_filter(
-            tset, texts, _scorer(cfg),
-            t_pos=float(quality["t_pos"]), t_margin=float(quality["t_margin"]),
-        )
-    except KeyError as exc:  # a triplet names a document no built graph has
-        raise MissingArtifactError(f"{tpath}: {exc.args[0]}") from None
+def _triplet_reads(r: Run) -> list[Read]:
+    """The triplets and the built graphs whose log texts they name."""
+    return [TRIPLETS, PLANT_LIST, *_from("build-graph", _graphs(r, "graphs"))]
 
 
-def _fresh_encoder(cfg: RunConfig) -> EncoderParams:
-    enc = cfg.raw["encoder"]
-    return init_encoder(int(enc["dim"]), int(enc["vocab_buckets"]),
-                        derive_seed(cfg.seed, "encoder-init"))
-
-
-def stage_train_docsim(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
-    t0 = time.perf_counter()
-    inputs = _hash_paths(
-        out_dir, [_require(out_dir / "triplets" / "triplets.jsonl", "sample-triplets")]
-    )
-    if strict:
-        _check_strict(out_dir, inputs)
-    texts = _all_log_texts(cfg, out_dir)
-    filtered = _filtered_triplets(cfg, out_dir, texts)
-    dcfg = cfg.docsim_config()
-    dcfg.rng_seed = derive_seed(cfg.seed, "docsim")
-    result = train.train_docsim(_fresh_encoder(cfg), filtered, texts, dcfg)
-    edir = out_dir / "encoders"
+def _train_docsim(r: Run) -> tuple[dict, None]:
+    texts = r.log_texts()
+    filtered = r.filtered_triplets()
+    dcfg = r.cfg.docsim_config()
+    dcfg.rng_seed = derive_seed(r.cfg.seed, "docsim")
+    result = train.train_docsim(_fresh_encoder(r.cfg), filtered, texts, dcfg)
+    edir = r.out / "encoders"
     edir.mkdir(parents=True, exist_ok=True)
     save_encoder(result.params, edir / "docsim.gemb", edir / "docsim.json")
-    _write_manifest(
-        out_dir, "train-docsim", cfg.seed,
-        {**cfg.raw["docsim"], "kept_triplets": len(filtered.triplets),
-         "epoch_losses": result.epoch_losses},
-        inputs, _hash_paths(out_dir, [edir / "docsim.gemb", edir / "docsim.json"]),
-    )
-    _record_timing(out_dir, "train-docsim", time.perf_counter() - t0)
     logger.info("train-docsim: %d triplets kept, losses %s",
                 len(filtered.triplets), [round(x, 4) for x in result.epoch_losses])
+    return {**r.cfg.raw["docsim"], "kept_triplets": len(filtered.triplets),
+            "epoch_losses": result.epoch_losses}, None
 
 
-def stage_gen_pairs(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
-    t0 = time.perf_counter()
-    inputs = _hash_paths(
-        out_dir, [_require(out_dir / "triplets" / "triplets.jsonl", "sample-triplets")]
-    )
-    if strict:
-        _check_strict(out_dir, inputs)
-    texts = _all_log_texts(cfg, out_dir)
-    filtered = _filtered_triplets(cfg, out_dir, texts)
-    m = int(cfg.raw["quality"]["query_terms"])
-    pdir = out_dir / "pairs"
+def _drmm_pairs(cfg: RunConfig) -> str | None:
+    """The DRMM pair file that gen-pairs copies, if the composition uses one."""
+    comp = cfg.raw["composition"]
+    return comp["drmm_pairs"] if comp["use_drmm"] else None
+
+
+def _gen_pairs(r: Run) -> tuple[dict, None]:
+    filtered = r.filtered_triplets()
+    m = int(r.cfg.raw["quality"]["query_terms"])
+    pdir = r.out / "pairs"
     pdir.mkdir(parents=True, exist_ok=True)
     get_rows: list[pairs_mod.QueryDocPair] = []
-    for pid in _training_plants(out_dir):
-        g = _load_built_graph(out_dir, pid)
-        corpus = {n.id: n.text for n in g.text_logs()}
+    for pid in r.plant_ids(training=True):
+        corpus = {n.id: n.text for n in r.graph("graphs", pid).text_logs()}
         plant_triplets = [t for t in filtered.triplets if t.query in corpus]
         if not plant_triplets:
             continue
@@ -585,204 +614,170 @@ def stage_gen_pairs(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None
         }
         get_rows.extend(pairs_mod.triplets_to_pairs(subset, queries))
     pairs_mod.save_pairs(get_rows, pdir / "get.jsonl")
-    outputs = [pdir / "get.jsonl"]
-    sid_src = out_dir / "sid.jsonl"
-    if sid_src.exists():
-        shutil.copyfile(sid_src, pdir / "sid.jsonl")
-        outputs.append(pdir / "sid.jsonl")
-    comp = cfg.raw["composition"]
-    if comp["use_drmm"] and comp["drmm_pairs"]:
-        shutil.copyfile(comp["drmm_pairs"], pdir / "drmm.jsonl")
-        outputs.append(pdir / "drmm.jsonl")
-    _write_manifest(out_dir, "gen-pairs", cfg.seed,
-                    {"query_terms": m, "quality": cfg.raw["quality"],
-                     "kept_triplets": len(filtered.triplets)},
-                    inputs, _hash_paths(out_dir, outputs))
-    _record_timing(out_dir, "gen-pairs", time.perf_counter() - t0)
+    shutil.copyfile(r.out / "sid.jsonl", pdir / "sid.jsonl")
+    if _drmm_pairs(r.cfg):
+        shutil.copyfile(_drmm_pairs(r.cfg), pdir / "drmm.jsonl")
     logger.info("gen-pairs: %d GET rows from %d triplets", len(get_rows),
                 len(filtered.triplets))
+    return {"query_terms": m, "quality": r.cfg.raw["quality"],
+            "kept_triplets": len(filtered.triplets)}, None
 
 
-def _compose(cfg: RunConfig, out_dir: Path, use_get: bool, use_sid: bool,
-             use_drmm: bool) -> tuple[list[pairs_mod.QueryDocPair], pairs_mod.CompositionReport]:
-    pdir = out_dir / "pairs"
-    components: list[tuple[pairs_mod.PairSource, Path]] = []
-    if use_get:
-        components.append((pairs_mod.PairSource.GET, _require(pdir / "get.jsonl", "gen-pairs")))
-    if use_sid:
-        components.append((pairs_mod.PairSource.SID, _require(pdir / "sid.jsonl", "gen-pairs")))
-    if use_drmm:
-        components.append((pairs_mod.PairSource.DRMM, _require(pdir / "drmm.jsonl", "gen-pairs")))
+def _encoder_dir(ablation: Mapping[str, Any] | None) -> str:
+    return "encoders" if ablation is None else f"ablations/{ablation['name']}"
+
+
+def _biencoder_job(r: Run) -> Mapping[str, Any]:
+    """A pipeline ablation, or for the command the composition, from docsim.gemb if present."""
+    if r.ablation is not None:
+        return r.ablation
+    comp = r.cfg.raw["composition"]
+    return {"name": "default", "use_get": comp["use_get"], "use_sid": comp["use_sid"],
+            "use_drmm": comp["use_drmm"],
+            "docsim": (r.out / "encoders" / "docsim.gemb").exists()}
+
+
+def _pair_files(job: Mapping[str, Any]) -> list[tuple[pairs_mod.PairSource, str]]:
+    return [(source, f"pairs/{source.value.lower()}.jsonl") for source in pairs_mod.PairSource
+            if job[f"use_{source.value.lower()}"]]
+
+
+def _biencoder_reads(r: Run) -> list[Read]:
+    job = _biencoder_job(r)
+    reads = _from("gen-pairs", [name for _, name in _pair_files(job)])
+    if job["docsim"]:
+        reads += _from("train-docsim", ["encoders/docsim.gemb", "encoders/docsim.json"])
+    reads += [PLANT_LIST, *_from("build-graph", _graphs(r, "graphs"))]
+    corpus = r.cfg.raw["composition"]["drmm_corpus"]
+    return reads + _from(None, [corpus] if corpus else [])
+
+
+def _train_biencoder(r: Run) -> tuple[dict, dict]:
+    job = _biencoder_job(r)
+    components = [(source, r.out / name) for source, name in _pair_files(job)]
     if not components:
         raise ConfigError("composition selects no pair sources")
-    return pairs_mod.compose_dataset(components)
-
-
-def _biencoder_texts(cfg: RunConfig, out_dir: Path) -> dict[str, str]:
-    texts = _all_log_texts(cfg, out_dir)
-    corpus_path = cfg.raw["composition"]["drmm_corpus"]
-    if corpus_path:
-        from .storage import read_json_lines
-
-        for rec in read_json_lines(corpus_path):
-            texts[str(rec["id"])] = str(rec["text"])
-    return texts
-
-
-def _train_biencoder_variant(cfg: RunConfig, out_dir: Path, name: str, use_get: bool,
-                             use_sid: bool, use_drmm: bool, docsim: bool,
-                             target_dir: Path) -> dict:
-    pair_rows, report = _compose(cfg, out_dir, use_get, use_sid, use_drmm)
-    texts = _biencoder_texts(cfg, out_dir)
-    if docsim:
-        edir = out_dir / "encoders"
-        _require(edir / "docsim.gemb", "train-docsim")
-        start = load_encoder(edir / "docsim.gemb", edir / "docsim.json")
+    pair_rows, report = pairs_mod.compose_dataset(components)
+    texts = r.log_texts()
+    corpus = r.cfg.raw["composition"]["drmm_corpus"]
+    if corpus:
+        texts = {**texts, **{str(rec["id"]): str(rec["text"]) for rec in read_json_lines(corpus)}}
+    if job["docsim"]:
+        start = load_encoder(r.out / "encoders" / "docsim.gemb", r.out / "encoders" / "docsim.json")
     else:
-        start = _fresh_encoder(cfg)
-    bcfg = cfg.biencoder_config()
-    bcfg.rng_seed = derive_seed(cfg.seed, f"biencoder:{name}")
+        start = _fresh_encoder(r.cfg)
+    bcfg = r.cfg.biencoder_config()
+    bcfg.rng_seed = derive_seed(r.cfg.seed, f"biencoder:{job['name']}")
     result = train.train_biencoder(start, pair_rows, texts, bcfg)
-    target_dir.mkdir(parents=True, exist_ok=True)
-    save_encoder(result.params, target_dir / "biencoder.gemb", target_dir / "biencoder.json")
-    return {
-        "name": name,
-        "composition": report.to_dict(),
-        "docsim": docsim,
-        "epoch_losses": result.epoch_losses,
-        "steps": result.steps,
-    }
+    target = r.out / _encoder_dir(r.ablation)
+    target.mkdir(parents=True, exist_ok=True)
+    save_encoder(result.params, target / "biencoder.gemb", target / "biencoder.json")
+    info = {"name": job["name"], "composition": report.to_dict(), "docsim": job["docsim"],
+            "epoch_losses": result.epoch_losses, "steps": result.steps}
+    logger.info("%s: %d steps, losses %s", r.id, result.steps,
+                [round(x, 4) for x in result.epoch_losses])
+    return {**r.cfg.raw["biencoder"], **info}, info
 
 
-def stage_train_biencoder(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
-    t0 = time.perf_counter()
-    comp = cfg.raw["composition"]
-    edir = out_dir / "encoders"
-    docsim_wanted = (edir / "docsim.gemb").exists()
-    read = [p for p in [out_dir / "pairs" / "get.jsonl", out_dir / "pairs" / "sid.jsonl"]
-            if p.exists()]
-    if docsim_wanted:
-        read += [edir / "docsim.gemb", _require(edir / "docsim.json", "train-docsim")]
-    inputs = _hash_paths(out_dir, read)
-    if strict:
-        _check_strict(out_dir, inputs)
-    info = _train_biencoder_variant(
-        cfg, out_dir, "default", comp["use_get"], comp["use_sid"], comp["use_drmm"],
-        docsim_wanted, edir,
-    )
-    _write_manifest(out_dir, "train-biencoder", cfg.seed,
-                    {**cfg.raw["biencoder"], **info},
-                    inputs,
-                    _hash_paths(out_dir, [edir / "biencoder.gemb", edir / "biencoder.json"]))
-    _record_timing(out_dir, "train-biencoder", time.perf_counter() - t0)
-    logger.info("train-biencoder: %d steps, losses %s", info["steps"],
-                [round(x, 4) for x in info["epoch_losses"]])
+def _report_stem(ablation: Mapping[str, Any] | None) -> str:
+    return "report" if ablation is None else f"report-{ablation['name']}"
 
 
-def _benchmark_files(out_dir: Path, pid: str) -> list[Path]:
-    """A plant's nodes, edges, queries and qrels files, as _load_benchmark reads them."""
-    pdir = out_dir / "plants" / pid
-    return [_require(pdir / name, "synth")
-            for name in ("nodes.jsonl", "edges.jsonl", "queries.jsonl", "qrels.txt")]
+def _evaluate_reads(r: Run) -> list[Read]:
+    edir = _encoder_dir(r.ablation)
+    return [*_from(_variant("train-biencoder", r.ablation),
+                   [f"{edir}/biencoder.gemb", f"{edir}/biencoder.json"]),
+            PLANT_LIST, *_from("synth", _benchmark_files(r))]
 
 
-def _load_benchmark(out_dir: Path) -> ir_eval.Benchmark:
-    plants = []
-    for meta in _plant_list(out_dir):
-        pid = meta["plant_id"]
-        nodes_path, edges_path, queries_path, qrels_path = _benchmark_files(out_dir, pid)
-        g = kg.load_graph(nodes_path, edges_path)
-        corpus = {n.id: n.text for n in g.text_logs()}
-        queries = ir_eval.load_queries(queries_path).get(pid, [])
-        qrels = ir_eval.load_qrels(qrels_path)
-        plants.append(ir_eval.BenchmarkPlant(pid, corpus, queries, qrels,
-                                             training=meta["training"]))
-    bench = ir_eval.Benchmark(plants)
-    bench.validate()
-    return bench
+def _evaluate(r: Run) -> tuple[dict, dict]:
+    edir = r.out / _encoder_dir(r.ablation)
+    report = ir_eval.evaluate_run(load_encoder(edir / "biencoder.gemb", edir / "biencoder.json"),
+                                  r.benchmark())
+    stem = _report_stem(r.ablation)
+    _dump(r.out / f"{stem}.json", report.to_dict())
+    (r.out / f"{stem}.txt").write_text(report.format_table() + "\n", encoding="utf-8")
+    logger.info("evaluate %s:\n%s", stem, report.format_table())
+    return {"k": 10}, report.to_dict()
 
 
-def stage_evaluate(cfg: RunConfig, out_dir: Path, strict: bool = False,
-                   encoder_dir: Path | None = None, report_stem: str = "report") -> dict:
-    t0 = time.perf_counter()
-    edir = encoder_dir or (out_dir / "encoders")
-    matrix_path = edir / "biencoder.gemb"
-    if not matrix_path.exists():
-        raise MissingArtifactError(f"{matrix_path} not found: run train-biencoder first")
-    inputs = _hash_paths(out_dir, [matrix_path])
-    if strict:
-        # Every file this stage reads, the plant list before the plants it names.
-        _check_strict(out_dir, _hash_paths(out_dir, [
-            matrix_path, _require(edir / "biencoder.json", "train-biencoder"),
-            _require(out_dir / "benchmark.json", "synth")]))
-        _check_strict(out_dir, _hash_paths(out_dir, [
-            path for meta in _plant_list(out_dir)
-            for path in _benchmark_files(out_dir, meta["plant_id"])]))
-    params = load_encoder(matrix_path, edir / "biencoder.json")
-    bench = _load_benchmark(out_dir)
-    report = ir_eval.evaluate_run(params, bench)
-    (out_dir / f"{report_stem}.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-    (out_dir / f"{report_stem}.txt").write_text(report.format_table() + "\n", encoding="utf-8")
-    _write_manifest(out_dir, f"evaluate-{report_stem}" if report_stem != "report" else "evaluate",
-                    cfg.seed, {"k": 10}, inputs,
-                    _hash_paths(out_dir, [out_dir / f"{report_stem}.json",
-                                          out_dir / f"{report_stem}.txt"]))
-    _record_timing(out_dir, f"evaluate:{report_stem}", time.perf_counter() - t0)
-    logger.info("evaluate %s:\n%s", report_stem, report.format_table())
-    return report.to_dict()
+TABLE = [
+    Stage("synth", lambda r: [],
+          lambda r: [f"plants/{p.plant_id}/{name}" for p in r.cfg.plant_configs
+                     for name in PLANT_FILES] + ["sid.jsonl", "benchmark.json"],
+          _synth),
+    Stage("build-graph", lambda r: [PLANT_LIST, *_from("synth", _graphs(r, "plants"))],
+          lambda r: _graphs(r, "graphs"), _build_graph),
+    Stage("train-ge", _train_ge_reads,
+          lambda r: [f"ge/{pid}{sfx}" for pid in r.plant_ids(training=True)
+                     for sfx in (*GE_FILES, ".lp.json")],
+          _train_ge),
+    Stage("sample-triplets", _sample_triplets_reads,
+          lambda r: ["triplets/triplets.jsonl", "triplets/meta.json"], _sample_triplets),
+    Stage("train-docsim", _triplet_reads,
+          lambda r: ["encoders/docsim.gemb", "encoders/docsim.json"], _train_docsim),
+    Stage("gen-pairs", lambda r: _triplet_reads(r) + _from("synth", ["sid.jsonl"])
+          + _from(None, [_drmm_pairs(r.cfg)] if _drmm_pairs(r.cfg) else []),
+          lambda r: ["pairs/get.jsonl", "pairs/sid.jsonl"]
+          + (["pairs/drmm.jsonl"] if _drmm_pairs(r.cfg) else []),
+          _gen_pairs),
+    Stage("train-biencoder", _biencoder_reads,
+          lambda r: [f"{_encoder_dir(r.ablation)}/biencoder.{ext}" for ext in ("gemb", "json")],
+          _train_biencoder),
+    Stage("evaluate", _evaluate_reads,
+          lambda r: [f"{_report_stem(r.ablation)}.{ext}" for ext in ("json", "txt")], _evaluate),
+]
+
+
+def _command(stage: Stage) -> Callable[..., Any]:
+    def command(cfg: RunConfig, out_dir: Path, strict: bool = False,
+                store: dict[tuple, Any] | None = None,
+                ablation: Mapping[str, Any] | None = None) -> Any:
+        run = Run(stage.name, cfg, Path(out_dir), strict, {} if store is None else store, ablation)
+        return _run(stage, run)
+
+    return command
+
+
+STAGES: dict[str, Callable[..., Any]] = {stage.name: _command(stage) for stage in TABLE}
+stage_synth = STAGES["synth"]
+stage_build_graph = STAGES["build-graph"]
+stage_train_ge = STAGES["train-ge"]
+stage_sample_triplets = STAGES["sample-triplets"]
+stage_train_docsim = STAGES["train-docsim"]
+stage_gen_pairs = STAGES["gen-pairs"]
+stage_train_biencoder = _train_biencoder_variant = STAGES["train-biencoder"]
+stage_evaluate = STAGES["evaluate"]
 
 
 def stage_pipeline(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
-    stage_synth(cfg, out_dir, strict)
-    stage_build_graph(cfg, out_dir, strict)
-    stage_train_ge(cfg, out_dir, strict)
-    stage_sample_triplets(cfg, out_dir, strict)
-    if any(a["docsim"] for a in cfg.ablations):
-        stage_train_docsim(cfg, out_dir, strict)
-    stage_gen_pairs(cfg, out_dir, strict)
+    """Every stage through ``STAGES`` with one shared store, then one encoder per ablation.
+
+    Each ablation trains into ``ablations/<name>/`` and is evaluated into
+    ``report-<name>.*``; ``encoders/biencoder.*`` is left to ``train-biencoder``.
+    """
+    out_dir = Path(out_dir)
+    store: dict[tuple, Any] = {}
+    for name in ("synth", "build-graph", "train-ge", "sample-triplets", "train-docsim",
+                 "gen-pairs"):
+        if name != "train-docsim" or any(a["docsim"] for a in cfg.ablations):
+            STAGES[name](cfg, out_dir, strict, store)
     rows = []
     for ablation in cfg.ablations:
-        name = ablation["name"]
-        adir = out_dir / "ablations" / name
-        info = _train_biencoder_variant(
-            cfg, out_dir, name, ablation["use_get"], ablation["use_sid"],
-            ablation["use_drmm"], ablation["docsim"], adir,
-        )
-        metrics = stage_evaluate(cfg, out_dir, strict, encoder_dir=adir,
-                                 report_stem=f"report-{name}")
+        info = STAGES["train-biencoder"](cfg, out_dir, strict, store, ablation)
+        metrics = STAGES["evaluate"](cfg, out_dir, strict, store, ablation)
         rows.append({"ablation": info, "metrics": metrics})
-    final = {"seed": cfg.seed, "rows": rows}
-    (out_dir / "report.json").write_text(
-        json.dumps(final, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-    table = []
-    for row in rows:
-        m = row["metrics"]
-        table.append(
-            f"{row['ablation']['name']:<18}"
-            f"{100 * m['mean_map10']:>10.2f}{100 * m['mean_mrr10']:>10.2f}"
-            f"{100 * m['mean_ndcg10']:>10.2f}{100 * m['mean']:>10.2f}"
-        )
+    _dump(out_dir / "report.json", {"seed": cfg.seed, "rows": rows})
+    table = [f"{row['ablation']['name']:<18}" + "".join(
+        f"{100 * row['metrics'][key]:>10.2f}"
+        for key in ("mean_map10", "mean_mrr10", "mean_ndcg10", "mean")) for row in rows]
     header = f"{'ablation':<18}{'MAP@10':>10}{'MRR@10':>10}{'nDCG@10':>10}{'Mean':>10}"
-    (out_dir / "report.txt").write_text(
-        "\n".join([header, "-" * len(header)] + table) + "\n", encoding="utf-8"
-    )
+    (out_dir / "report.txt").write_text("\n".join([header, "-" * len(header)] + table) + "\n",
+                                        encoding="utf-8")
     logger.info("pipeline report:\n%s", "\n".join([header] + table))
 
 
-STAGES = {
-    "synth": stage_synth,
-    "build-graph": stage_build_graph,
-    "train-ge": stage_train_ge,
-    "sample-triplets": stage_sample_triplets,
-    "train-docsim": stage_train_docsim,
-    "gen-pairs": stage_gen_pairs,
-    "train-biencoder": stage_train_biencoder,
-    "evaluate": stage_evaluate,
-    "pipeline": stage_pipeline,
-}
+STAGES["pipeline"] = stage_pipeline
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -797,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the run seed")
         p.add_argument("--out", default="runs/out", help="output directory")
         p.add_argument("--strict", action="store_true",
-                       help="verify recorded input hashes before reading artifacts")
+                       help="check every read against its producer's manifest before running")
     return parser
 
 
@@ -807,15 +802,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_run_config(args.config, args.seed)
         STAGES[args.command](cfg, Path(args.out), args.strict)
-    except EmbeddingFileError as exc:  # a ValueError, but a corrupt artifact
-        logger.error("%s", exc)
+    except (MissingArtifactError, FileNotFoundError, EmbeddingFileError) as exc:
+        logger.error("%s", exc)  # EmbeddingFileError is a ValueError, so it is caught first
         return 3
     except (ConfigError, ValueError) as exc:
         logger.error("%s", exc)
         return 2
-    except (MissingArtifactError, FileNotFoundError) as exc:
-        logger.error("%s", exc)
-        return 3
     except (NonFiniteError, ArithmeticError) as exc:
         logger.error("numerical failure: %s", exc)
         return 4

@@ -55,7 +55,10 @@ def read_matrix(path: str | Path) -> np.ndarray:
         raise EmbeddingFileError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
-    return np.frombuffer(payload, dtype="<f4").reshape(rows, dim).astype(np.float64)
+    matrix = np.frombuffer(payload, dtype="<f4").reshape(rows, dim).astype(np.float64)
+    if not np.isfinite(matrix).all():
+        raise EmbeddingFileError(f"{path}: payload holds non-finite values")
+    return matrix
 
 
 def write_ids(path: str | Path, ids: Sequence[str]) -> None:

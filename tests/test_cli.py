@@ -1,9 +1,10 @@
 import json
 import shutil
+import struct
 
 import pytest
 
-from plantsearch import cli
+from plantsearch import cli, kg, pairs
 from plantsearch.losses import NonFiniteError
 
 TINY_CONFIG = {
@@ -30,18 +31,22 @@ MICRO_CONFIG = {
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
-    """The tiny pipeline run twice into separate directories."""
+    """The tiny pipeline run twice into separate directories, the second time with --strict."""
     root = tmp_path_factory.mktemp("cli")
     cfg_path = root / "cfg.json"
     cfg_path.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
     out1, out2 = root / "run1", root / "run2"
-    for out in (out1, out2):
-        assert cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
-    return cfg_path, out1, out2
+    assert cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out1)]) == 0
+    strict_rc = cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out2), "--strict"])
+    return cfg_path, out1, out2, strict_rc
+
+
+def test_pipeline_strict_exits_0(pipeline_run):
+    assert pipeline_run[3] == 0
 
 
 def test_pipeline_report_structure(pipeline_run):
-    _, out1, _ = pipeline_run
+    _, out1, *_ = pipeline_run
     report = json.loads((out1 / "report.json").read_text(encoding="utf-8"))
     assert report["seed"] == 3
     names = [row["ablation"]["name"] for row in report["rows"]]
@@ -61,7 +66,7 @@ def test_pipeline_report_structure(pipeline_run):
 
 
 def test_pipeline_writes_stage_manifests(pipeline_run):
-    _, out1, _ = pipeline_run
+    _, out1, *_ = pipeline_run
     for stage in ("synth", "build-graph", "train-ge", "sample-triplets",
                   "train-docsim", "gen-pairs"):
         manifest = json.loads(
@@ -73,7 +78,7 @@ def test_pipeline_writes_stage_manifests(pipeline_run):
 
 
 def test_pipeline_reruns_byte_identical(pipeline_run):
-    _, out1, out2 = pipeline_run
+    _, out1, out2, _ = pipeline_run
     files1 = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
     files2 = sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
     assert files1 == files2
@@ -87,7 +92,7 @@ def test_pipeline_reruns_byte_identical(pipeline_run):
 
 
 def test_strict_mode_catches_tampered_artifacts(pipeline_run, tmp_path):
-    cfg_path, out1, _ = pipeline_run
+    cfg_path, out1, *_ = pipeline_run
     out3 = tmp_path / "tampered"
     shutil.copytree(out1, out3)
     nodes = out3 / "plants" / "X" / "nodes.jsonl"
@@ -102,7 +107,7 @@ def test_strict_mode_catches_tampered_artifacts(pipeline_run, tmp_path):
 def test_strict_mode_verifies_before_reading(pipeline_run, tmp_path):
     """A tamper that breaks parsing still surfaces as a provenance failure,
     and the stage must not overwrite its outputs before detecting it."""
-    cfg_path, out1, _ = pipeline_run
+    cfg_path, out1, *_ = pipeline_run
     out = tmp_path / "corrupted"
     shutil.copytree(out1, out)
     rebuilt = out / "graphs" / "X" / "nodes.jsonl"
@@ -115,7 +120,7 @@ def test_strict_mode_verifies_before_reading(pipeline_run, tmp_path):
 
 @pytest.mark.parametrize("stage", ["train-docsim", "gen-pairs"])
 def test_exit_3_on_triplet_naming_unknown_doc(pipeline_run, tmp_path, caplog, stage):
-    cfg_path, out1, _ = pipeline_run
+    cfg_path, out1, *_ = pipeline_run
     out = tmp_path / "ghost"
     shutil.copytree(out1, out)
     tpath = out / "triplets" / "triplets.jsonl"
@@ -131,25 +136,40 @@ def test_exit_3_on_triplet_naming_unknown_doc(pipeline_run, tmp_path, caplog, st
     assert "\n" not in errors[0].getMessage()
 
 
-@pytest.mark.parametrize("damage", ["truncate", "append"])
-@pytest.mark.parametrize("suffix", [".gemb", ".ids", ".rels.json"])
+def _nan_payload(blob):
+    """A .gemb file whose first payload value (after the 16-byte header) is a float32 NaN."""
+    return blob[:16] + struct.pack("<f", float("nan")) + blob[20:]
+
+
+GE_DAMAGE = {
+    "truncate": lambda blob: blob[: len(blob) // 2],
+    "append": lambda blob: blob + b"\xffjunk\n",
+    "nan": _nan_payload,
+}
+
+
+@pytest.mark.parametrize("suffix, damage", [(suffix, damage)
+                                            for suffix in (".gemb", ".ids", ".rels.json")
+                                            for damage in ("truncate", "append")]
+                         + [(".gemb", "nan")])
 def test_exit_3_on_corrupt_ge_artifact(pipeline_run, tmp_path, caplog, suffix, damage):
-    cfg_path, out1, _ = pipeline_run
+    cfg_path, out1, *_ = pipeline_run
     out = tmp_path / "corrupt"
     shutil.copytree(out1, out)
     path = (out / "ge" / "X").with_suffix(suffix)
-    blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) // 2] if damage == "truncate" else blob + b"\xffjunk\n")
+    path.write_bytes(GE_DAMAGE[damage](path.read_bytes()))
     with caplog.at_level("ERROR", logger="plantsearch.cli"):
         rc = cli.main(["sample-triplets", "--config", str(cfg_path), "--out", str(out)])
     assert rc == 3
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and errors[0].exc_info is None
     assert "X" in errors[0].getMessage() and "\n" not in errors[0].getMessage()
+    if damage == "nan":  # the message names the file that holds the bad value
+        assert errors[0].getMessage().startswith(f"{path}: ")
 
 
 def test_exit_3_on_ge_table_missing_a_log(pipeline_run, tmp_path, caplog):
-    cfg_path, out1, _ = pipeline_run
+    cfg_path, out1, *_ = pipeline_run
     out = tmp_path / "renamed"
     shutil.copytree(out1, out)
     ids = out / "ge" / "X.ids"
@@ -167,7 +187,7 @@ def test_exit_3_on_ge_table_missing_a_log(pipeline_run, tmp_path, caplog):
 @pytest.fixture(scope="module")
 def trained_run(pipeline_run, tmp_path_factory):
     """The tiny pipeline run plus a train-biencoder run, ready for evaluate."""
-    cfg_path, out1, _ = pipeline_run
+    cfg_path, out1, *_ = pipeline_run
     out = tmp_path_factory.mktemp("trained") / "run"
     shutil.copytree(out1, out)
     assert cli.main(["train-biencoder", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -234,9 +254,158 @@ def test_exit_3_on_corrupt_encoder_header(trained_run, tmp_path, caplog, stage, 
     assert message.startswith(f"{path}: ") and "\n" not in message
 
 
+def test_exit_3_on_nan_encoder_payload(trained_run, tmp_path, caplog):
+    cfg_path, trained = trained_run
+    out = tmp_path / "nan"
+    shutil.copytree(trained, out)
+    path = out / "encoders" / "biencoder.gemb"
+    path.write_bytes(_nan_payload(path.read_bytes()))
+    with caplog.at_level("ERROR", logger="plantsearch.cli"):
+        rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert message.startswith(f"{path}: ") and "non-finite" in message and "\n" not in message
+
+
+@pytest.mark.parametrize("stage", ["sample-triplets", "train-docsim", "gen-pairs",
+                                   "train-biencoder"])
+def test_strict_checks_built_graphs(pipeline_run, tmp_path, caplog, stage):
+    """Every stage that reads a built graph hashes it and checks it against build-graph."""
+    cfg_path, out1, *_ = pipeline_run
+    out = tmp_path / "edited"
+    shutil.copytree(out1, out)
+    nodes = out / "graphs" / "X" / "nodes.jsonl"
+    lines = nodes.read_text(encoding="utf-8").splitlines(keepends=True)
+    word = json.loads(lines[0])["text"].split()[0]
+    edited = lines[0].replace(f'"text": "{word}', '"text": "edited', 1)
+    assert edited != lines[0]
+    nodes.write_text("".join([edited] + lines[1:]), encoding="utf-8")
+    caplog.clear()
+    with caplog.at_level("ERROR", logger="plantsearch.cli"):
+        rc = cli.main([stage, "--config", str(cfg_path), "--out", str(out), "--strict"])
+    assert rc == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert "provenance hash mismatch for graphs/X/nodes.jsonl" in errors[0].getMessage()
+
+
+def test_strict_needs_the_producer_manifest(pipeline_run, tmp_path, caplog):
+    cfg_path, out1, *_ = pipeline_run
+    out = tmp_path / "unvouched"
+    shutil.copytree(out1, out)
+    (out / "manifest-synth.json").unlink()
+    with caplog.at_level("ERROR", logger="plantsearch.cli"):
+        rc = cli.main(["build-graph", "--config", str(cfg_path), "--out", str(out), "--strict"])
+    assert rc == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert "manifest-synth.json not found" in errors[0].getMessage()
+
+
+def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch):
+    calls = {"load_graph": [], "quality_filter": 0}
+    load_graph, quality_filter = kg.load_graph, pairs.quality_filter
+
+    def counted_load_graph(nodes_path, edges_path):
+        calls["load_graph"].append((str(nodes_path), str(edges_path)))
+        return load_graph(nodes_path, edges_path)
+
+    def counted_quality_filter(*args, **kwargs):
+        calls["quality_filter"] += 1
+        return quality_filter(*args, **kwargs)
+
+    monkeypatch.setattr(kg, "load_graph", counted_load_graph)
+    monkeypatch.setattr(pairs, "quality_filter", counted_quality_filter)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
+    # plants/X, plants/Y, graphs/X and graphs/Y, each parsed once
+    assert len(calls["load_graph"]) == 4 and len(set(calls["load_graph"])) == 4
+    assert calls["quality_filter"] == 1
+    timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
+    for ablation in TINY_CONFIG["ablations"]:
+        assert f"train-biencoder:{ablation['name']}" in timings
+
+
+DRMM_PAIRS = [
+    {"query": "leckage am flansch", "doc_id": "drmm:1", "label": 1},
+    {"query": "leckage am flansch", "doc_id": "drmm:2", "label": 0},
+    {"query": "motor ueberhitzt", "doc_id": "drmm:2", "label": 1},
+    {"query": "filter verstopft", "doc_id": "drmm:3", "label": 1},
+]
+DRMM_CORPUS = [
+    {"id": "drmm:1", "text": "Flansch an Pumpe undicht, Leckage festgestellt"},
+    {"id": "drmm:2", "text": "Motor laeuft heiss, Temperaturalarm ausgeloest"},
+    {"id": "drmm:3", "text": "Vorfilter verstopft, Differenzdruck zu hoch"},
+]
+
+
+def _drmm_config(tmp_path, pairs_path):
+    corpus_path = tmp_path / "drmm-corpus.jsonl"
+    corpus_path.write_text("".join(json.dumps(r) + "\n" for r in DRMM_CORPUS), encoding="utf-8")
+    config = dict(TINY_CONFIG,
+                  composition={"use_drmm": True, "drmm_pairs": str(pairs_path),
+                               "drmm_corpus": str(corpus_path)},
+                  ablations=[{"name": "drmm", "use_get": False, "use_sid": True,
+                              "docsim": False}])
+    cfg_path = tmp_path / "drmm.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    return cfg_path, corpus_path
+
+
+@pytest.fixture(scope="module")
+def drmm_run(tmp_path_factory):
+    """The tiny pipeline with DRMM pairs from files the config names, and one DRMM ablation."""
+    root = tmp_path_factory.mktemp("drmm")
+    pairs_path = root / "drmm-pairs.jsonl"
+    pairs_path.write_text("".join(json.dumps(r) + "\n" for r in DRMM_PAIRS), encoding="utf-8")
+    cfg_path, corpus_path = _drmm_config(root, pairs_path)
+    out = root / "run"
+    assert cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return out, pairs_path, corpus_path
+
+
+def test_drmm_pairs_reach_the_ablation(drmm_run):
+    out, pairs_path, _ = drmm_run
+    assert (out / "pairs" / "drmm.jsonl").read_bytes() == pairs_path.read_bytes()
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    (row,) = report["rows"]
+    assert row["ablation"]["name"] == "drmm"
+    assert row["ablation"]["composition"]["per_source"]["DRMM"]["positives"] == 3
+
+
+def test_drmm_files_are_manifest_inputs(drmm_run):
+    out, pairs_path, corpus_path = drmm_run
+
+    def inputs(stage):
+        return json.loads((out / f"manifest-{stage}.json").read_text(encoding="utf-8"))["inputs"]
+
+    assert str(pairs_path) in inputs("gen-pairs")
+    assert str(corpus_path) in inputs("train-biencoder-drmm")
+
+
+def test_exit_3_on_missing_drmm_pairs(pipeline_run, tmp_path, caplog):
+    _, out1, *_ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    shutil.rmtree(out / "pairs")
+    absent = tmp_path / "absent.jsonl"
+    cfg_path, _ = _drmm_config(tmp_path, absent)
+    with caplog.at_level("ERROR", logger="plantsearch.cli"):
+        rc = cli.main(["gen-pairs", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert errors[0].getMessage() == f"{absent} not found: check the run config"
+    assert not (out / "pairs").exists()  # a missing input stops the stage before it writes
+
+
 @pytest.mark.parametrize("name", ["encoders/docsim.gemb", "encoders/docsim.json"])
 def test_train_biencoder_strict_hashes_docsim_encoder(pipeline_run, tmp_path, caplog, name):
-    cfg_path, out1, _ = pipeline_run
+    cfg_path, out1, *_ = pipeline_run
     out = tmp_path / "tampered"
     shutil.copytree(out1, out)
     args = ["train-biencoder", "--config", str(cfg_path), "--out", str(out), "--strict"]
