@@ -34,7 +34,7 @@ from . import ann, graph_embed, ir_eval, kg, pairs as pairs_mod, synth, train, t
 from .encoder import EncoderParams, init_encoder, load_encoder, save_encoder
 from .losses import NonFiniteError
 from .storage import (
-    EmbeddingFileError, derive_seed, read_ids, read_json_lines, read_matrix, sha256_file, write_ids,
+    EmbeddingFileError, derive_seed, read_ids, read_matrix, sha256_file, write_ids,
     write_matrix,
 )
 
@@ -652,6 +652,23 @@ def _biencoder_reads(r: Run) -> list[Read]:
     return reads + _from(None, [corpus] if corpus else [])
 
 
+def _drmm_texts(path: str) -> dict[str, str]:
+    """Doc id -> text of the DRMM corpus file; a line that is no record with both exits 3."""
+    texts = {}
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                texts[str(rec["id"])] = str(rec["text"])
+            except (ValueError, KeyError, TypeError):
+                raise MissingArtifactError(
+                    f"{path}:{line_no}: DRMM corpus line is not a record with id and text"
+                ) from None
+    return texts
+
+
 def _train_biencoder(r: Run) -> tuple[dict, dict]:
     job = _biencoder_job(r)
     components = [(source, r.out / name) for source, name in _pair_files(job)]
@@ -661,7 +678,7 @@ def _train_biencoder(r: Run) -> tuple[dict, dict]:
     texts = r.log_texts()
     corpus = r.cfg.raw["composition"]["drmm_corpus"]
     if corpus:
-        texts = {**texts, **{str(rec["id"]): str(rec["text"]) for rec in read_json_lines(corpus)}}
+        texts = {**texts, **_drmm_texts(corpus)}
     if job["docsim"]:
         start = load_encoder(r.out / "encoders" / "docsim.gemb", r.out / "encoders" / "docsim.json")
     else:

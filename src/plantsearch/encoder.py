@@ -25,6 +25,10 @@ HASH_ALGO = "fnv1a-64"
 
 _WORD_RE = re.compile(r"\w+")
 
+# Dense pooling-weight elements per gemm block (2 MiB of float64); the flat
+# positions of a block's weights fit an int32.
+_POOL_BLOCK = 1 << 18
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
@@ -96,15 +100,70 @@ class FeatureMatrix:
         (an empty text is a zero row), so ``W @ table[u]`` mean-pools the
         texts and ``W.T @ G`` is the table gradient of vector gradients G.
         """
+        u, flat, weight = self._pooling_entries(rows)
+        w = np.zeros((len(rows), len(u)))
+        w.ravel()[flat] = weight
+        return u, w
+
+    def _pooling_entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``u`` of :meth:`pooling_weights` and the nonzero weights of ``W`` at flat positions."""
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
         text = np.repeat(np.arange(len(rows)), lengths)
         entry = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths,
                                                      lengths)
         u, col = np.unique(self.bucket_ids[entry], return_inverse=True)
-        w = np.zeros((len(rows), len(u)))
-        w[text, col] = self.counts[entry] / self.totals[rows][text]
-        return u, w
+        return u, text * len(u) + col, self.counts[entry] / self.totals[rows][text]
+
+    def _row_blocks(self, rows: np.ndarray | None = None) -> list[np.ndarray]:
+        """``rows`` (default: every text) split so that each block's dense ``W`` is bounded."""
+        rows = np.arange(len(self.totals)) if rows is None else rows
+        step = max(1, _POOL_BLOCK // max(1, len(np.unique(self.bucket_ids))))
+        return [rows[lo : lo + step] for lo in range(0, len(rows), step)]
+
+    def pooling(self) -> Pooling:
+        """Every text's pooling weights in compact form, in blocks of bounded dense size.
+
+        Texts with equal pooling weights (equal texts, or one text's words
+        reordered or recased) share one row, so their vectors are bit-identical.
+        """
+        first: dict[bytes, int] = {}
+        inverse = np.array([
+            first.setdefault(self.bucket_ids[lo:hi].tobytes()
+                             + (self.counts[lo:hi] / total).tobytes(), i)
+            for i, (lo, hi, total) in enumerate(zip(self.indptr[:-1], self.indptr[1:],
+                                                     self.totals))
+        ], dtype=np.int64)
+        rows, inverse = np.unique(inverse, return_inverse=True)
+        blocks = []
+        for block in self._row_blocks(rows):
+            u, flat, weight = self._pooling_entries(block)
+            blocks.append((len(block), u, flat.astype(np.int32), weight))
+        return Pooling(blocks, inverse)
+
+
+@dataclass(frozen=True)
+class Pooling:
+    """Mean pooling of many texts, held without a dense matrix and independent of any table.
+
+    Block ``(n, u, flat, weight)`` pools ``n`` distinct rows over the sorted
+    buckets ``u``: its dense weights ``W`` (n × len(u)) are zero but for
+    ``W.flat[flat] = weight``. Text i pools distinct row ``inverse[i]``.
+    """
+
+    blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+    inverse: np.ndarray  # int64, text -> distinct row
+
+    def encode(self, table: np.ndarray) -> np.ndarray:
+        """Every text's mean-pooled vector: one gemm ``W @ table[u]`` per block."""
+        out = np.zeros((sum(n for n, *_ in self.blocks), table.shape[1]))
+        lo = 0
+        for n, u, flat, weight in self.blocks:
+            w = np.zeros((n, len(u)))
+            w.ravel()[flat] = weight
+            out[lo : lo + n] = w @ table[u]
+            lo += n
+        return out[self.inverse]
 
 
 def featurize_many(texts: Sequence[str],
@@ -191,12 +250,16 @@ def encode(p: EncoderParams, text: str) -> np.ndarray:
 
 
 def encode_batch(p: EncoderParams, texts: Sequence[str]) -> np.ndarray:
-    """Row i equals ``encode(p, texts[i])`` bit for bit; texts are featurized once together."""
+    """Row i equals ``encode(p, texts[i])`` within a few ulps (a gemm sums in another order).
+
+    Texts are featurized once together and pooled with one gemm ``W @ table[u]``
+    per block of rows (``FeatureMatrix.pooling_weights``).
+    """
     fm = featurize_many(texts, p.vocab_buckets)
-    out = np.zeros((len(texts), p.dim), dtype=np.float64)
-    # Row-wise products on purpose: vectorized gather-sums round differently.
-    for i in range(len(texts)):
-        out[i] = encode_features(p, fm.row(i))
+    out = np.zeros((len(texts), p.dim))
+    for rows in fm._row_blocks():
+        u, w = fm.pooling_weights(rows)
+        out[rows] = w @ p.embedding_table[u]
     return out
 
 

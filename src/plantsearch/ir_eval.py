@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, encode_batch
+from .encoder import EncoderParams, Pooling, encode_batch, featurize_many
 from .storage import read_json_lines, write_json_lines
 
 logger = logging.getLogger(__name__)
@@ -83,31 +84,54 @@ def rank_corpus(p: EncoderParams, query_text: str, corpus: Mapping[str, str]) ->
     return rank_queries(p, [query_text], corpus)[0]
 
 
+# Corpora the memo remembers, least recently used dropped first.
+_CORPUS_MEMO_SIZE = 4
+_corpus_memo: OrderedDict[tuple[int, tuple[str, ...]], Pooling | None] = OrderedDict()
+
+
+def _corpus_pooling(vocab_buckets: int, texts: tuple[str, ...]) -> tuple[Pooling, bool]:
+    """The texts' pooling weights and whether the memo held them.
+
+    The memo is keyed by content only and holds no table data, so a table
+    changed in place between calls is still read afresh. It keeps a corpus's
+    weights from the corpus's second call on, so corpora ranked once each
+    (one evaluation over many plants) leave nothing behind but their keys.
+    """
+    key = (vocab_buckets, texts)
+    seen = key in _corpus_memo
+    pooling = _corpus_memo.pop(key, None)
+    hit = pooling is not None
+    if pooling is None:
+        pooling = featurize_many(texts, vocab_buckets).pooling()
+    _corpus_memo[key] = pooling if seen else None
+    if len(_corpus_memo) > _CORPUS_MEMO_SIZE:
+        _corpus_memo.popitem(last=False)
+    return pooling, hit
+
+
 def rank_queries(p: EncoderParams, query_texts: Sequence[str],
                  corpus: Mapping[str, str]) -> list[list[str]]:
-    """:func:`rank_corpus` for each query; corpus and queries are encoded in one batch."""
+    """:func:`rank_corpus` for each query.
+
+    The corpus's pooling weights come from a small memo keyed by its texts in
+    id order; each call encodes the corpus with one gemm per block against the
+    current table and featurizes only the queries. Each score is one ddot
+    (``np.vecdot``), so documents with equal vectors tie exactly, and the
+    stable sort over id-sorted rows puts tied documents in ascending id order.
+    """
     doc_ids = sorted(corpus)
     if not doc_ids:
         raise ValueError("empty corpus")
-    vecs = encode_batch(p, [corpus[d] for d in doc_ids] + list(query_texts))
-    matrix = vecs[: len(doc_ids)]
-    rankings = []
-    for q in vecs[len(doc_ids) :]:
-        scores = _cosine_against(matrix, q)
-        order = sorted(range(len(doc_ids)), key=lambda i: (-scores[i], doc_ids[i]))
-        rankings.append([doc_ids[i] for i in order])
-    return rankings
-
-
-def _cosine_against(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
-    qn = np.linalg.norm(q)
-    norms = np.linalg.norm(matrix, axis=1)
-    if qn == 0.0:
-        return np.zeros(matrix.shape[0])
-    safe = np.where(norms == 0.0, 1.0, norms)
-    scores = (matrix @ q) / (safe * qn)
-    scores[norms == 0.0] = 0.0
-    return scores
+    pooling, hit = _corpus_pooling(p.vocab_buckets, tuple(corpus[d] for d in doc_ids))
+    logger.debug("rank_queries: corpus memo %s, texts featurized: %d", "hit" if hit else "miss",
+                 len(query_texts) + (0 if hit else len(doc_ids)))
+    docs = pooling.encode(p.embedding_table)
+    queries = encode_batch(p, query_texts)
+    dots = np.vecdot(docs[None, :, :], queries[:, None, :])
+    norms = np.sqrt(np.vecdot(docs, docs))[None, :] * np.sqrt(np.vecdot(queries, queries))[:, None]
+    scores = np.where(norms == 0.0, 0.0, dots / np.where(norms == 0.0, 1.0, norms))
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return [[doc_ids[i] for i in row] for row in order.tolist()]
 
 
 def ap_at_k(ranking: Sequence[str], relevant: set[str], k: int) -> float:

@@ -413,3 +413,16 @@ def oracle_train_biencoder(p, pairs, texts, cfg):
             oracle_sgd_step(table, list(zip(q_feats, g_q)) + list(zip(d_feats, g_d)), lr)
         epoch_losses.append(loss_sum / rows_seen)
     return TrainResult(out, epoch_losses, step, 0.0)
+
+
+def oracle_rank_corpus(p, query_texts, corpus):
+    """Per query: per-text ``encode``, one ``np.dot`` cosine per document, order by (-score, id)."""
+    from plantsearch.encoder import encode
+
+    docs = {d: encode(p, text) for d, text in corpus.items()}
+    rankings = []
+    for text in query_texts:
+        q = encode(p, text)
+        scores = {d: oracle_np_cosine(v, q) for d, v in docs.items()}
+        rankings.append(sorted(corpus, key=lambda d: (-scores[d], d)))
+    return rankings

@@ -403,6 +403,26 @@ def test_exit_3_on_missing_drmm_pairs(pipeline_run, tmp_path, caplog):
     assert not (out / "pairs").exists()  # a missing input stops the stage before it writes
 
 
+@pytest.mark.parametrize("command", ["train-biencoder", "pipeline"])
+def test_exit_3_on_drmm_corpus_record_without_text(pipeline_run, tmp_path, caplog, command):
+    _, out1, *_ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    pairs_path = tmp_path / "drmm-pairs.jsonl"
+    pairs_path.write_text("".join(json.dumps(r) + "\n" for r in DRMM_PAIRS), encoding="utf-8")
+    shutil.copyfile(pairs_path, out / "pairs" / "drmm.jsonl")
+    cfg_path, corpus_path = _drmm_config(tmp_path, pairs_path)
+    corpus_path.write_text(json.dumps(DRMM_CORPUS[0]) + "\n" + json.dumps({"id": "drmm:2"}) + "\n",
+                           encoding="utf-8")
+    with caplog.at_level("ERROR", logger="plantsearch.cli"):
+        rc = cli.main([command, "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert errors[0].getMessage() == (
+        f"{corpus_path}:2: DRMM corpus line is not a record with id and text")
+
+
 @pytest.mark.parametrize("name", ["encoders/docsim.gemb", "encoders/docsim.json"])
 def test_train_biencoder_strict_hashes_docsim_encoder(pipeline_run, tmp_path, caplog, name):
     cfg_path, out1, *_ = pipeline_run

@@ -114,12 +114,31 @@ def test_encode_empty_text_is_zero():
     np.testing.assert_array_equal(encode(p, " .,! "), np.zeros(4))
 
 
-def test_encode_batch_bitwise_equals_loop():
+def test_encode_batch_matches_loop():
+    """A gemm sums in another order than the per-text encode: rows agree within 1e-12."""
     p = init_encoder(dim=8, vocab_buckets=256, seed=3)
     texts = ["Pumpe leckt", "", "Filter verstopft am Ventil", "Pumpe leckt"]
     batch = encode_batch(p, texts)
     for i, text in enumerate(texts):
-        np.testing.assert_array_equal(batch[i], encode(p, text))
+        np.testing.assert_allclose(batch[i], encode(p, text), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(batch[1], np.zeros(8))
+    assert encode_batch(p, []).shape == (0, 8)
+
+
+def test_encode_batch_equal_pooling_rows_are_bit_identical_across_blocks():
+    """Texts with equal pooling weights share one row, even when the rows span many gemm blocks."""
+    rng = np.random.default_rng(11)
+    words = [f"w{i}x{j}" for i in range(400) for j in range(3)]
+    base = [" ".join(rng.choice(words, size=int(rng.integers(1, 12)))) for _ in range(300)]
+    texts = base + [base[0], " ".join(reversed(base[1].split())), f"{base[2]} {base[2]}"]
+    p = init_encoder(dim=16, vocab_buckets=1 << 16, seed=2)
+    pooling = featurize_many(texts, p.vocab_buckets).pooling()
+    assert len(pooling.blocks) > 1
+    batch = pooling.encode(p.embedding_table)
+    for copy, original in ((300, 0), (301, 1), (302, 2)):
+        np.testing.assert_array_equal(batch[copy], batch[original])
+    for i in range(0, len(texts), 37):
+        np.testing.assert_allclose(batch[i], encode(p, texts[i]), rtol=0, atol=1e-12)
 
 
 def test_init_encoder_distribution_and_determinism():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from plantsearch import ir_eval, pairs, synth
 from plantsearch.encoder import init_encoder
 from plantsearch.ir_eval import (
     AP_NORMALIZER_NOTE,
@@ -15,12 +16,13 @@ from plantsearch.ir_eval import (
     load_queries,
     ndcg_at_k,
     rank_corpus,
+    rank_queries,
     rr_at_k,
     save_qrels,
     save_queries,
 )
 
-from oracles import oracle_ap, oracle_ndcg, oracle_rr
+from oracles import oracle_ap, oracle_ndcg, oracle_rank_corpus, oracle_rr
 
 
 def test_ap_hand_computed():
@@ -99,6 +101,89 @@ def test_rank_corpus_ties_and_zero_vectors():
     assert ranking[:2] == ["a", "b"]
     with pytest.raises(ValueError, match="empty corpus"):
         rank_corpus(p, "x", {})
+
+
+@pytest.mark.parametrize("seed", [7, 301])
+def test_rank_queries_matches_oracle_on_synth_plants(seed):
+    plant = synth.generate_plant(synth.PlantConfig(plant_id="S", seed=seed)).bench
+    p = init_encoder(dim=64, vocab_buckets=1 << 16, seed=seed)
+    stats = pairs.CorpusStats.from_texts(plant.corpus.values())
+    doc_ids = sorted(plant.corpus)
+    queries = [q.text for q in plant.queries] + [
+        pairs.generate_query(plant.corpus[d], m, stats) for m in (2, 3) for d in doc_ids[::25]
+    ]
+    want = oracle_rank_corpus(p, queries, plant.corpus)
+    assert rank_queries(p, queries, plant.corpus) == want
+    assert [rank_corpus(p, text, plant.corpus) for text in queries[:5]] == want[:5]
+
+
+def test_rank_queries_duplicate_texts_tie_by_ascending_id():
+    """Equal texts score bit-identically wherever their rows sit, so ascending id breaks the tie."""
+    rng = np.random.default_rng(5)
+    words = [f"teil{i}" for i in range(60)]
+    p = init_encoder(dim=64, vocab_buckets=4096, seed=1)
+    for _ in range(30):
+        n = int(rng.integers(20, 400))
+        texts = [" ".join(rng.choice(words, size=int(rng.integers(1, 8)))) for _ in range(n // 3)]
+        corpus = {f"d{i:03d}": texts[int(rng.integers(len(texts)))] for i in rng.permutation(n)}
+        queries = [texts[0], " ".join(rng.choice(words, size=3)), ""]
+        assert rank_queries(p, queries, corpus) == oracle_rank_corpus(p, queries, corpus)
+
+
+def _memo_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "plantsearch.ir_eval"]
+
+
+def test_rank_queries_logs_memo_hits_and_texts_featurized(caplog):
+    ir_eval._corpus_memo.clear()
+    p = init_encoder(dim=8, vocab_buckets=64, seed=3)
+    corpus = {"a": "pumpe leckt", "b": "kessel druck", "c": "ventil klemmt"}
+    with caplog.at_level("DEBUG", logger="plantsearch.ir_eval"):
+        rank_queries(p, ["pumpe", "kessel"], corpus)
+        rank_queries(p, ["ventil"], corpus)  # kept from its second call on
+        rank_queries(p, ["ventil", "druck"], corpus)
+    assert _memo_lines(caplog) == ["rank_queries: corpus memo miss, texts featurized: 5",
+                                   "rank_queries: corpus memo miss, texts featurized: 4",
+                                   "rank_queries: corpus memo hit, texts featurized: 2"]
+
+
+def test_corpus_memo_follows_the_table_and_the_texts(caplog):
+    ir_eval._corpus_memo.clear()
+    rng = np.random.default_rng(9)
+    words = [f"wort{i}" for i in range(40)]
+    corpus = {f"d{i:02d}": " ".join(rng.choice(words, size=4)) for i in range(30)}
+    query = "wort1 wort2 wort3"
+    p = init_encoder(dim=16, vocab_buckets=512, seed=5)
+    with caplog.at_level("DEBUG", logger="plantsearch.ir_eval"):
+        rank_corpus(p, query, corpus)
+        before = rank_corpus(p, query, corpus)
+        # training changes the table in place; the memo holds no table data
+        p.embedding_table[:] = init_encoder(dim=16, vocab_buckets=512, seed=6).embedding_table
+        after = rank_corpus(p, query, corpus)
+        # the same texts under other ids, in the same id order
+        renamed = {f"x{d}": text for d, text in corpus.items()}
+        renamed_ranking = rank_corpus(p, query, renamed)
+        changed = dict(corpus, d07=corpus["d07"] + " wort39")
+        changed_ranking = rank_corpus(p, query, changed)
+    assert before == oracle_rank_corpus(init_encoder(16, 512, 5), [query], corpus)[0]
+    assert after != before
+    assert after == oracle_rank_corpus(p, [query], corpus)[0]
+    assert renamed_ranking == [f"x{d}" for d in after]
+    assert changed_ranking == oracle_rank_corpus(p, [query], changed)[0]
+    assert [line.split(",")[0] for line in _memo_lines(caplog)] == [
+        f"rank_queries: corpus memo {event}" for event in ("miss", "miss", "hit", "hit", "miss")]
+
+
+def test_corpus_memo_stays_bounded():
+    p = init_encoder(dim=8, vocab_buckets=64, seed=3)
+    for i in range(5 * ir_eval._CORPUS_MEMO_SIZE):
+        for _ in range(2):
+            assert rank_corpus(p, "pumpe", {"a": f"pumpe {i}", "b": "kessel"})[0] == "a"
+        assert len(ir_eval._corpus_memo) <= ir_eval._CORPUS_MEMO_SIZE
+    # corpora ranked once each keep no pooling weights
+    for i in range(ir_eval._CORPUS_MEMO_SIZE):
+        rank_corpus(p, "pumpe", {"a": f"kessel {i}"})
+    assert all(pooling is None for pooling in ir_eval._corpus_memo.values())
 
 
 def _benchmark():
