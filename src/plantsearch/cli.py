@@ -655,14 +655,14 @@ def _biencoder_reads(r: Run) -> list[Read]:
 def _drmm_texts(path: str) -> dict[str, str]:
     """Doc id -> text of the DRMM corpus file; a line that is no record with both exits 3."""
     texts = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode("utf-8"))
                 texts[str(rec["id"])] = str(rec["text"])
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError):  # UnicodeDecodeError is a ValueError
                 raise MissingArtifactError(
                     f"{path}:{line_no}: DRMM corpus line is not a record with id and text"
                 ) from None

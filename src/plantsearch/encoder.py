@@ -115,12 +115,6 @@ class FeatureMatrix:
         u, col = np.unique(self.bucket_ids[entry], return_inverse=True)
         return u, text * len(u) + col, self.counts[entry] / self.totals[rows][text]
 
-    def _row_blocks(self, rows: np.ndarray | None = None) -> list[np.ndarray]:
-        """``rows`` (default: every text) split so that each block's dense ``W`` is bounded."""
-        rows = np.arange(len(self.totals)) if rows is None else rows
-        step = max(1, _POOL_BLOCK // max(1, len(np.unique(self.bucket_ids))))
-        return [rows[lo : lo + step] for lo in range(0, len(rows), step)]
-
     def pooling(self) -> Pooling:
         """Every text's pooling weights in compact form, in blocks of bounded dense size.
 
@@ -135,8 +129,10 @@ class FeatureMatrix:
                                                      self.totals))
         ], dtype=np.int64)
         rows, inverse = np.unique(inverse, return_inverse=True)
+        step = max(1, _POOL_BLOCK // max(1, len(np.unique(self.bucket_ids))))
         blocks = []
-        for block in self._row_blocks(rows):
+        for lo in range(0, len(rows), step):
+            block = rows[lo : lo + step]
             u, flat, weight = self._pooling_entries(block)
             blocks.append((len(block), u, flat.astype(np.int32), weight))
         return Pooling(blocks, inverse)
@@ -252,15 +248,10 @@ def encode(p: EncoderParams, text: str) -> np.ndarray:
 def encode_batch(p: EncoderParams, texts: Sequence[str]) -> np.ndarray:
     """Row i equals ``encode(p, texts[i])`` within a few ulps (a gemm sums in another order).
 
-    Texts are featurized once together and pooled with one gemm ``W @ table[u]``
-    per block of rows (``FeatureMatrix.pooling_weights``).
+    Texts are featurized once together and pooled with one gemm per block of
+    rows (:meth:`FeatureMatrix.pooling`); equal texts get bit-identical rows.
     """
-    fm = featurize_many(texts, p.vocab_buckets)
-    out = np.zeros((len(texts), p.dim))
-    for rows in fm._row_blocks():
-        u, w = fm.pooling_weights(rows)
-        out[rows] = w @ p.embedding_table[u]
-    return out
+    return featurize_many(texts, p.vocab_buckets).pooling().encode(p.embedding_table)
 
 
 def save_encoder(p: EncoderParams, matrix_path: str | Path, header_path: str | Path) -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -84,40 +83,39 @@ def rank_corpus(p: EncoderParams, query_text: str, corpus: Mapping[str, str]) ->
     return rank_queries(p, [query_text], corpus)[0]
 
 
-# Corpora the memo remembers, least recently used dropped first.
-_CORPUS_MEMO_SIZE = 4
-_corpus_memo: OrderedDict[tuple[int, tuple[str, ...]], Pooling | None] = OrderedDict()
+# The last corpus ranked: ((vocab_buckets, texts in id order), its pooling
+# weights, or None after its first call in a row).
+_corpus_memo: tuple[tuple[int, tuple[str, ...]], Pooling | None] | None = None
 
 
 def _corpus_pooling(vocab_buckets: int, texts: tuple[str, ...]) -> tuple[Pooling, bool]:
     """The texts' pooling weights and whether the memo held them.
 
-    The memo is keyed by content only and holds no table data, so a table
-    changed in place between calls is still read afresh. It keeps a corpus's
-    weights from the corpus's second call on, so corpora ranked once each
-    (one evaluation over many plants) leave nothing behind but their keys.
+    The memo holds the last corpus only, keyed by content, and no table data,
+    so a table changed in place between calls is still read afresh. It keeps
+    the weights once the same corpus comes twice in a row, so an evaluation
+    that ranks each plant once in turn leaves no weights alive.
     """
+    global _corpus_memo
     key = (vocab_buckets, texts)
-    seen = key in _corpus_memo
-    pooling = _corpus_memo.pop(key, None)
-    hit = pooling is not None
-    if pooling is None:
-        pooling = featurize_many(texts, vocab_buckets).pooling()
-    _corpus_memo[key] = pooling if seen else None
-    if len(_corpus_memo) > _CORPUS_MEMO_SIZE:
-        _corpus_memo.popitem(last=False)
-    return pooling, hit
+    repeat = _corpus_memo is not None and _corpus_memo[0] == key
+    if repeat and _corpus_memo[1] is not None:
+        return _corpus_memo[1], True
+    pooling = featurize_many(texts, vocab_buckets).pooling()
+    _corpus_memo = (key, pooling if repeat else None)
+    return pooling, False
 
 
 def rank_queries(p: EncoderParams, query_texts: Sequence[str],
                  corpus: Mapping[str, str]) -> list[list[str]]:
     """:func:`rank_corpus` for each query.
 
-    The corpus's pooling weights come from a small memo keyed by its texts in
-    id order; each call encodes the corpus with one gemm per block against the
-    current table and featurizes only the queries. Each score is one ddot
-    (``np.vecdot``), so documents with equal vectors tie exactly, and the
-    stable sort over id-sorted rows puts tied documents in ascending id order.
+    The corpus's pooling weights come from a one-corpus memo keyed by its
+    texts in id order, so on a memo hit only the queries are featurized. Each
+    call encodes the corpus with one gemm per block against the current
+    table. Each score is one ddot (``np.vecdot``), so documents with equal
+    vectors tie exactly, and the stable sort over id-sorted rows puts tied
+    documents in ascending id order.
     """
     doc_ids = sorted(corpus)
     if not doc_ids:

@@ -403,8 +403,12 @@ def test_exit_3_on_missing_drmm_pairs(pipeline_run, tmp_path, caplog):
     assert not (out / "pairs").exists()  # a missing input stops the stage before it writes
 
 
+@pytest.mark.parametrize("bad_line", [json.dumps({"id": "drmm:2"}).encode(),
+                                      b'{"id": "drmm:2", "text": "\xff"}'],
+                         ids=["no-text", "not-utf8"])
 @pytest.mark.parametrize("command", ["train-biencoder", "pipeline"])
-def test_exit_3_on_drmm_corpus_record_without_text(pipeline_run, tmp_path, caplog, command):
+def test_exit_3_on_drmm_corpus_record_without_text(pipeline_run, tmp_path, caplog, command,
+                                                   bad_line):
     _, out1, *_ = pipeline_run
     out = tmp_path / "run"
     shutil.copytree(out1, out)
@@ -412,8 +416,7 @@ def test_exit_3_on_drmm_corpus_record_without_text(pipeline_run, tmp_path, caplo
     pairs_path.write_text("".join(json.dumps(r) + "\n" for r in DRMM_PAIRS), encoding="utf-8")
     shutil.copyfile(pairs_path, out / "pairs" / "drmm.jsonl")
     cfg_path, corpus_path = _drmm_config(tmp_path, pairs_path)
-    corpus_path.write_text(json.dumps(DRMM_CORPUS[0]) + "\n" + json.dumps({"id": "drmm:2"}) + "\n",
-                           encoding="utf-8")
+    corpus_path.write_bytes(json.dumps(DRMM_CORPUS[0]).encode() + b"\n" + bad_line + b"\n")
     with caplog.at_level("ERROR", logger="plantsearch.cli"):
         rc = cli.main([command, "--config", str(cfg_path), "--out", str(out)])
     assert rc == 3

@@ -134,21 +134,21 @@ def _memo_lines(caplog):
     return [r.getMessage() for r in caplog.records if r.name == "plantsearch.ir_eval"]
 
 
-def test_rank_queries_logs_memo_hits_and_texts_featurized(caplog):
-    ir_eval._corpus_memo.clear()
+def test_rank_queries_logs_memo_hits_and_texts_featurized(caplog, monkeypatch):
+    monkeypatch.setattr(ir_eval, "_corpus_memo", None)
     p = init_encoder(dim=8, vocab_buckets=64, seed=3)
     corpus = {"a": "pumpe leckt", "b": "kessel druck", "c": "ventil klemmt"}
     with caplog.at_level("DEBUG", logger="plantsearch.ir_eval"):
         rank_queries(p, ["pumpe", "kessel"], corpus)
-        rank_queries(p, ["ventil"], corpus)  # kept from its second call on
+        rank_queries(p, ["ventil"], corpus)  # kept once it comes twice in a row
         rank_queries(p, ["ventil", "druck"], corpus)
     assert _memo_lines(caplog) == ["rank_queries: corpus memo miss, texts featurized: 5",
                                    "rank_queries: corpus memo miss, texts featurized: 4",
                                    "rank_queries: corpus memo hit, texts featurized: 2"]
 
 
-def test_corpus_memo_follows_the_table_and_the_texts(caplog):
-    ir_eval._corpus_memo.clear()
+def test_corpus_memo_follows_the_table_and_the_texts(caplog, monkeypatch):
+    monkeypatch.setattr(ir_eval, "_corpus_memo", None)
     rng = np.random.default_rng(9)
     words = [f"wort{i}" for i in range(40)]
     corpus = {f"d{i:02d}": " ".join(rng.choice(words, size=4)) for i in range(30)}
@@ -174,16 +174,17 @@ def test_corpus_memo_follows_the_table_and_the_texts(caplog):
         f"rank_queries: corpus memo {event}" for event in ("miss", "miss", "hit", "hit", "miss")]
 
 
-def test_corpus_memo_stays_bounded():
+def test_corpus_memo_holds_the_last_corpus_only():
     p = init_encoder(dim=8, vocab_buckets=64, seed=3)
-    for i in range(5 * ir_eval._CORPUS_MEMO_SIZE):
+    for i in range(20):
         for _ in range(2):
             assert rank_corpus(p, "pumpe", {"a": f"pumpe {i}", "b": "kessel"})[0] == "a"
-        assert len(ir_eval._corpus_memo) <= ir_eval._CORPUS_MEMO_SIZE
-    # corpora ranked once each keep no pooling weights
-    for i in range(ir_eval._CORPUS_MEMO_SIZE):
+    key, pooling = ir_eval._corpus_memo
+    assert key == (64, ("pumpe 19", "kessel")) and pooling is not None
+    # corpora ranked once each in turn, as one evaluation over many plants, keep no weights
+    for i in range(3):
         rank_corpus(p, "pumpe", {"a": f"kessel {i}"})
-    assert all(pooling is None for pooling in ir_eval._corpus_memo.values())
+    assert ir_eval._corpus_memo[1] is None
 
 
 def _benchmark():
