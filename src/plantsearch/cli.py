@@ -34,8 +34,8 @@ from . import ann, graph_embed, ir_eval, kg, pairs as pairs_mod, synth, train, t
 from .encoder import EncoderParams, init_encoder, load_encoder, save_encoder
 from .losses import NonFiniteError
 from .storage import (
-    EmbeddingFileError, derive_seed, read_ids, read_matrix, sha256_file, write_ids,
-    write_matrix,
+    CorruptFileError, EmbeddingFileError, derive_seed, read_ids, read_json_lines, read_matrix,
+    sha256_file, write_ids, write_matrix,
 )
 
 logger = logging.getLogger(__name__)
@@ -654,19 +654,8 @@ def _biencoder_reads(r: Run) -> list[Read]:
 
 def _drmm_texts(path: str) -> dict[str, str]:
     """Doc id -> text of the DRMM corpus file; a line that is no record with both exits 3."""
-    texts = {}
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line.decode("utf-8"))
-                texts[str(rec["id"])] = str(rec["text"])
-            except (ValueError, KeyError, TypeError):  # UnicodeDecodeError is a ValueError
-                raise MissingArtifactError(
-                    f"{path}:{line_no}: DRMM corpus line is not a record with id and text"
-                ) from None
-    return texts
+    return dict(read_json_lines(path, lambda rec: (str(rec["id"]), str(rec["text"])),
+                                "DRMM corpus line is not a record with id and text"))
 
 
 def _train_biencoder(r: Run) -> tuple[dict, dict]:
@@ -686,6 +675,7 @@ def _train_biencoder(r: Run) -> tuple[dict, dict]:
     bcfg = r.cfg.biencoder_config()
     bcfg.rng_seed = derive_seed(r.cfg.seed, f"biencoder:{job['name']}")
     result = train.train_biencoder(start, pair_rows, texts, bcfg)
+    del start  # training copied it; free it before the trained table is written
     target = r.out / _encoder_dir(r.ablation)
     target.mkdir(parents=True, exist_ok=True)
     save_encoder(result.params, target / "biencoder.gemb", target / "biencoder.json")
@@ -819,8 +809,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_run_config(args.config, args.seed)
         STAGES[args.command](cfg, Path(args.out), args.strict)
-    except (MissingArtifactError, FileNotFoundError, EmbeddingFileError) as exc:
-        logger.error("%s", exc)  # EmbeddingFileError is a ValueError, so it is caught first
+    except (MissingArtifactError, FileNotFoundError, CorruptFileError) as exc:
+        logger.error("%s", exc)  # CorruptFileError is a ValueError, so it is caught first
         return 3
     except (ConfigError, ValueError) as exc:
         logger.error("%s", exc)

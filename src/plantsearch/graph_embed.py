@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .kg import Edge, KnowledgeGraph, NodeKind, Relation, RELATION_SIGNATURES
-from .losses import NonFiniteError, cosine, edge_ranking_loss_grad
+from .losses import NonFiniteError, cosine, edge_scores, edge_step
 from .storage import EmbeddingFileError, read_ids, read_matrix, write_ids, write_matrix
 
 logger = logging.getLogger(__name__)
@@ -211,35 +211,6 @@ def _draw_negatives(
     return rows[starts[:, None] + picks]
 
 
-def _hinge_active(
-    vec: np.ndarray,
-    rel_mat: np.ndarray,
-    src: np.ndarray,
-    rel: np.ndarray,
-    dst: np.ndarray,
-    negs: np.ndarray,
-    margin: float,
-) -> np.ndarray:
-    """Per edge, whether ``edge_ranking_loss_grad`` would find a positive hinge term.
-
-    The scores round exactly as in that function: each row dot and norm
-    is one ddot (``np.vecdot``), and products, quotients and the term
-    ``(margin - s_pos) + s_neg`` keep its operand order.
-    """
-    a = vec[src] + rel_mat[rel]
-    d = vec[dst]
-    b = vec[negs]  # (edges, k, dim)
-    na = np.sqrt(np.vecdot(a, a))
-    nd = np.sqrt(np.vecdot(d, d))
-    s_pos = np.divide(np.vecdot(a, d), na * nd, out=np.zeros(na.size),
-                      where=(na != 0.0) & (nd != 0.0))
-    norms = np.sqrt(np.vecdot(b, b))
-    s_neg = np.divide(np.vecdot(b, a[:, None, :]), na[:, None] * norms,
-                      out=np.zeros(norms.shape), where=(norms != 0.0) & (na != 0.0)[:, None])
-    terms = (margin - s_pos)[:, None] + s_neg
-    return (terms > 0.0).any(axis=1)
-
-
 # Edges scored per array pass. At the default config about one edge in
 # eight has an active hinge, so a pass usually reaches the next active
 # edge, while the edges scored after it and scored again by the next pass
@@ -258,13 +229,14 @@ def train_graph_embeddings(
     takes one SGD step on the mean hinge loss. epochs == 0 returns an
     untouched copy.
 
-    The epoch is an exact speculative scan: one array pass scores the
-    next ``BLOCK`` edges against the current table, the first edge with
-    an active hinge takes its step through ``edge_ranking_loss_grad``,
-    and the next pass starts right after it. The edges before it leave
-    the table untouched, so the result is bit for bit that of a
-    per-edge loop. Each epoch's negatives are drawn in one call, the
-    same stream as one ``rng.choice`` per edge.
+    The epoch is an exact speculative scan: one ``edge_scores`` pass
+    scores the next ``BLOCK`` edges against the current table, the first
+    edge with an active hinge takes its step from its row of that pass
+    (``edge_step``), and the next pass starts right after it. The edges
+    before it leave the table untouched, so the result is bit for bit
+    that of a per-edge ``edge_ranking_loss_grad`` loop. Each epoch's
+    negatives are drawn in one call, the same stream as one
+    ``rng.choice`` per edge.
     """
     cfg.validate()
     for node_id in g.nodes:
@@ -301,28 +273,26 @@ def train_graph_embeddings(
         active = scanned = passes = pos = 0
         while pos < order.size:
             blk = slice(pos, pos + BLOCK)
-            hit = _hinge_active(vec, rel_mat, src[blk], rel[blk], dst[blk], negs[blk], margin)
+            a = vec[src[blk]] + rel_mat[rel[blk]]
+            d, b = vec[dst[blk]], vec[negs[blk]]
+            sc = edge_scores(a, d, b, margin)
+            hit = (sc.terms > 0.0).any(axis=1)
             passes += 1
             scanned += hit.size
             if not hit.any():
                 pos += hit.size
                 continue
-            i = pos + int(hit.argmax())
+            j = int(hit.argmax())
+            i = pos + j
             pos = i + 1
-            src_row, dst_row, neg_rows = src[i], dst[i], negs[i]
-            rel_vec = rel_mat[rel[i]]
-            loss, g_src, g_rel, g_dst, g_negs = edge_ranking_loss_grad(
-                vec[src_row], rel_vec, vec[dst_row], vec[neg_rows], margin
-            )
+            loss, g_a, g_dst, g_negs = edge_step(a[j], d[j], b[j], sc.row(j))
             epoch_loss += loss
-            if loss == 0.0:
-                continue
             active += 1
-            vec[src_row] -= lr * g_src
-            rel_vec -= lr * g_rel
-            vec[dst_row] -= lr * g_dst
-            # neg_rows may repeat; accumulate before applying.
-            np.subtract.at(vec, neg_rows, lr * g_negs)
+            vec[src[i]] -= lr * g_a
+            rel_mat[rel[i]] -= lr * g_a
+            vec[dst[i]] -= lr * g_dst
+            # negs[i] may repeat; accumulate before applying.
+            np.subtract.at(vec, negs[i], lr * g_negs)
         if not np.isfinite(epoch_loss):
             raise NonFiniteError(f"non-finite training loss in epoch {epoch}")
         logger.debug("ge epoch %d mean loss %.6f, %d active edges, %d edges scanned in %d passes",
@@ -407,27 +377,22 @@ def eval_link_prediction(
         if node_id not in kinds:
             raise KeyError(f"no kind known for pool node {node_id!r}")
 
-    # Per kind: candidate positions, vectors and norms, built once. A score
-    # is dot / (na * nb) with each dot one ddot (np.vecdot, like np.dot), so
-    # it equals cosine(a, vector) bit for bit.
+    # Per kind: candidate positions and vectors, built once. Each edge's true
+    # and candidate scores come from one edge_scores call, whose ddots
+    # (np.vecdot, like np.dot) make them equal cosine() bit for bit.
     pool_by_kind: dict[NodeKind, list[str]] = {kind: [] for kind in NodeKind}
     for node_id in pool:
         pool_by_kind[kinds[node_id]].append(node_id)
-    cands: dict[NodeKind, tuple[dict[str, int], np.ndarray, np.ndarray]] = {}
-    for kind, ids in pool_by_kind.items():
-        vectors = emb.vectors[[emb.row(c) for c in ids]]
-        cands[kind] = ({c: j for j, c in enumerate(ids)}, vectors,
-                       np.sqrt(np.vecdot(vectors, vectors)))
+    cands = {kind: ({c: j for j, c in enumerate(ids)}, emb.vectors[[emb.row(c) for c in ids]])
+             for kind, ids in pool_by_kind.items()}
 
     ranks = np.empty(len(test_edges), dtype=np.float64)
     aucs = np.empty(len(test_edges), dtype=np.float64)
     for i, e in enumerate(test_edges):
-        pos, vectors, norms = cands[RELATION_SIGNATURES[e.rel][1]]
+        pos, vectors = cands[RELATION_SIGNATURES[e.rel][1]]
         a = emb.vector(e.src) + emb.relation_params[e.rel]
-        true_score = cosine(a, emb.vector(e.dst))
-        na = np.linalg.norm(a)
-        scores = np.divide(np.vecdot(vectors, a), na * norms, out=np.zeros(norms.size),
-                           where=(norms != 0.0) & (na != 0.0))
+        sc = edge_scores(a[None], emb.vector(e.dst)[None], vectors[None], 0.0)
+        true_score, scores = sc.s_pos[0], sc.s_neg[0]
         dst_pos = pos.get(e.dst)
         if dst_pos is not None:
             scores = np.delete(scores, dst_pos)

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .encoder import EncoderParams, Pooling, encode_batch, featurize_many
-from .storage import read_json_lines, write_json_lines
+from .storage import CorruptFileError, read_json_lines, write_json_lines
 
 logger = logging.getLogger(__name__)
 
@@ -274,15 +274,17 @@ def save_qrels(qrels: Mapping[str, Mapping[str, int]], path: str | Path) -> None
 
 def load_qrels(path: str | Path) -> dict[str, dict[str, int]]:
     out: dict[str, dict[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{line_no}: expected 4 fields, got {len(parts)}")
-            query_id, _, doc_id, grade = parts
-            out.setdefault(query_id, {})[doc_id] = int(grade)
+            try:  # UnicodeDecodeError is a ValueError
+                query_id, _, doc_id, grade = line.decode("utf-8").split()
+                out.setdefault(query_id, {})[doc_id] = int(grade)
+            except ValueError:
+                raise CorruptFileError(
+                    f"{path}:{line_no}: expected 4 fields, the last an integer grade"
+                ) from None
     return out
 
 
@@ -297,8 +299,9 @@ def save_queries(queries: Mapping[str, list[Query]], path: str | Path) -> None:
 
 def load_queries(path: str | Path) -> dict[str, list[Query]]:
     out: dict[str, list[Query]] = {}
-    for rec in read_json_lines(path):
-        out.setdefault(str(rec["plant"]), []).append(
-            Query(str(rec["query_id"]), str(rec["text"]))
-        )
+    for plant, query in read_json_lines(
+        path, lambda rec: (str(rec["plant"]), Query(str(rec["query_id"]), str(rec["text"]))),
+        "query line is not a record with query_id, text and plant",
+    ):
+        out.setdefault(plant, []).append(query)
     return out

@@ -11,8 +11,7 @@ test suite, so the conventions are pinned down precisely:
 
 from __future__ import annotations
 
-import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,28 +20,11 @@ class NonFiniteError(ArithmeticError):
     """A loss or gradient stopped being finite."""
 
 
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm of a 1-d float64 vector, sqrt(v.dot(v)), without its dispatch cost."""
-    return math.sqrt(v.dot(v))
-
-
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
-
-
-def _cosine_grads(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """(cos, d cos/d a, d cos/d b); zero vectors give zero everywhere."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        z = np.zeros_like(a, dtype=np.float64)
-        return 0.0, z, z.copy()
-    cos = float(np.dot(a, b) / (na * nb))
-    ga = b / (na * nb) - cos * a / (na * na)
-    gb = a / (na * nb) - cos * b / (nb * nb)
-    return cos, ga, gb
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +144,82 @@ def mnr_loss_grad(
 # Margin ranking loss over translated-cosine edge scores
 
 
+class EdgeScores(NamedTuple):
+    """Translated-cosine scores of n edges, each against k negatives."""
+
+    na: np.ndarray  # (n,) norms of a = src + rel
+    nd: np.ndarray  # (n,) norms of dst
+    s_pos: np.ndarray  # (n,) cos(a, dst)
+    norms: np.ndarray  # (n, k) norms of the negatives
+    s_neg: np.ndarray  # (n, k) cos(a, negative)
+    terms: np.ndarray  # (n, k) hinge terms (margin - s_pos) + s_neg
+
+    def row(self, i: int) -> "EdgeScores":
+        """Edge i's scores: scalars and (k,) rows."""
+        return EdgeScores(*(field[i] for field in self))
+
+
+def edge_scores(a: np.ndarray, dst: np.ndarray, negs: np.ndarray, margin) -> EdgeScores:
+    """Score n edges in one array pass: ``a = src + rel`` and ``dst`` are (n, dim),
+    ``negs`` is (n, k, dim) and ``margin`` a float or one per edge.
+
+    Each row dot product and norm is one BLAS ddot (``np.vecdot``), so a
+    row rounds exactly like ``np.dot`` and ``np.linalg.norm`` on that
+    edge alone, whatever else is in the batch. A zero-norm operand scores 0.
+    """
+    na = np.sqrt(np.vecdot(a, a))
+    nd = np.sqrt(np.vecdot(dst, dst))
+    s_pos = np.divide(np.vecdot(a, dst), na * nd, out=np.zeros(na.shape),
+                      where=(na != 0.0) & (nd != 0.0))
+    norms = np.sqrt(np.vecdot(negs, negs))
+    s_neg = np.divide(np.vecdot(negs, a[:, None, :]), na[:, None] * norms,
+                      out=np.zeros(norms.shape), where=(norms != 0.0) & (na != 0.0)[:, None])
+    terms = (margin - s_pos)[:, None] + s_neg
+    return EdgeScores(na, nd, s_pos, norms, s_neg, terms)
+
+
+def edge_step(
+    a: np.ndarray, dst: np.ndarray, negs: np.ndarray, sc: EdgeScores
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean hinge max(0, terms) of one edge and its gradients, from the edge's
+    ``edge_scores`` row ``sc`` and its vectors (``a`` and ``dst`` (dim,), ``negs`` (k, dim)).
+
+    Returns (loss, g_a, g_dst, g_negs), all zero when no term is positive.
+    A zero-norm operand has zero gradient. Products and quotients keep the
+    operand order of a per-negative cosine-gradient loop, and the loss and
+    the ``g_a``/``g_dst`` sums add the active negatives one by one in
+    order: ``cumsum`` after a leading zero row, which also keeps the sign
+    of ``0.0 + (-0.0)``. (``np.add.reduce`` would sum pairwise when dim == 1.)
+    """
+    g_negs = np.zeros(negs.shape)
+    act = (sc.terms > 0.0).nonzero()[0]
+    if act.size == 0:
+        return 0.0, np.zeros(a.shape), np.zeros(dst.shape), g_negs
+    m = sc.terms.size
+    loss = float(np.cumsum(sc.terms[act])[-1]) / m
+    if not np.isfinite(loss):
+        raise NonFiniteError("non-finite ranking loss")
+
+    na, nd, s_pos = sc.na, sc.nd, sc.s_pos
+    g_a_pos, g_dst_pos = np.zeros(a.shape), np.zeros(dst.shape)
+    if na != 0.0 and nd != 0.0:
+        g_a_pos = dst / (na * nd) - s_pos * a / (na * na)
+        g_dst_pos = a / (na * nd) - s_pos * dst / (nd * nd)
+    g_a_neg = np.zeros((act.size, a.size))
+    g_neg = np.zeros((act.size, a.size))
+    live = (sc.norms[act] != 0.0) & (na != 0.0)
+    rows = act[live]
+    b, cos, nb = negs[rows], sc.s_neg[rows][:, None], sc.norms[rows][:, None]
+    g_a_neg[live] = b / (na * nb) - cos * a / (na * na)
+    g_neg[live] = a / (na * nb) - cos * b / (nb * nb)
+    steps = np.zeros((act.size + 1, 2, a.size))
+    steps[1:, 0] = (g_a_neg - g_a_pos) / m
+    steps[1:, 1] = -(g_dst_pos / m)
+    g_a, g_dst = steps.cumsum(axis=0)[-1]
+    g_negs[act] = g_neg / m
+    return loss, g_a, g_dst, g_negs
+
+
 def edge_ranking_loss_grad(
     src: np.ndarray,
     rel: np.ndarray,
@@ -173,13 +231,8 @@ def edge_ranking_loss_grad(
 
     s(x) = cos(src + rel, x). Returns (loss, g_src, g_rel, g_dst,
     g_neg_dsts); the src and rel gradients coincide because the score
-    depends on them only through their sum.
-
-    All negatives are scored in one array pass that rounds exactly like
-    a per-negative ``_cosine_grads`` loop: each row dot product and norm
-    is one BLAS ddot (``np.vecdot``), every product and quotient keeps
-    that loop's operand order, and the sums run over the active rows in
-    negative order.
+    depends on them only through their sum. The one-edge case of
+    ``edge_scores`` and ``edge_step``.
     """
     src = np.asarray(src, dtype=np.float64)
     rel = np.asarray(rel, dtype=np.float64)
@@ -188,46 +241,9 @@ def edge_ranking_loss_grad(
     if negs.shape[0] == 0:
         raise ValueError("need at least one negative")
     a = src + rel
-    m = negs.shape[0]
-    na, nd = _norm(a), _norm(dst)
-    s_pos = float(a.dot(dst) / (na * nd)) if na != 0.0 and nd != 0.0 else 0.0
-    norms = np.sqrt(np.vecdot(negs, negs))
-    # A zero-norm operand scores 0 with zero gradient, as in _cosine_grads.
-    live = (norms != 0.0) & (na != 0.0)
-    denom = na * norms
-    s_neg = np.divide(np.vecdot(negs, a), denom, out=np.zeros(m), where=live)
-    terms = (margin - s_pos) + s_neg
-    g_a = np.zeros(a.shape)
-    g_dst = np.zeros(dst.shape)
-    g_negs = np.zeros(negs.shape)
-    act = (terms > 0.0).nonzero()[0]
-    if act.size == 0:
-        return 0.0, g_a.copy(), g_a, g_dst, g_negs
-
-    loss = 0.0
-    for term in terms[act].tolist():
-        loss += term
-    loss /= m
-    if not np.isfinite(loss):
-        raise NonFiniteError("non-finite ranking loss")
-
-    _, g_a_pos, g_dst_pos = _cosine_grads(a, dst)
-    g_a_neg = np.zeros((act.size, a.size))
-    g_neg = np.zeros((act.size, a.size))
-    sel = live[act]
-    rows = act[sel]
-    b = negs[rows]
-    cos = s_neg[rows][:, None]
-    nab = denom[rows][:, None]
-    nb = norms[rows][:, None]
-    g_a_neg[sel] = b / nab - cos * a / (na * na)
-    g_neg[sel] = a / nab - cos * b / (nb * nb)
-    # Row by row in negative order; np.add.reduce would sum pairwise when dim == 1.
-    for g_row in (g_a_neg - g_a_pos) / m:
-        g_a += g_row
-        g_dst -= g_dst_pos / m
-    g_negs[act] = g_neg / m
-    return float(loss), g_a.copy(), g_a, g_dst, g_negs
+    sc = edge_scores(a[None], dst[None], negs[None], margin)
+    loss, g_a, g_dst, g_negs = edge_step(a, dst, negs, sc.row(0))
+    return loss, g_a.copy(), g_a, g_dst, g_negs
 
 
 # ---------------------------------------------------------------------------

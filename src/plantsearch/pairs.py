@@ -247,19 +247,12 @@ def save_pairs(pairs: Sequence[QueryDocPair], path: str | Path) -> None:
 
 
 def load_pairs(path: str | Path, default_source: PairSource | None = None) -> list[QueryDocPair]:
-    out = []
-    for rec in read_json_lines(path):
+    """A pair file's rows; a record without ``source`` takes ``default_source``."""
+
+    def parse(rec: dict) -> QueryDocPair:
         source = rec.get("source")
-        if source is None:
-            if default_source is None:
-                raise ValueError(f"{path}: pair record without source")
-            source = default_source
-        out.append(
-            QueryDocPair(
-                str(rec["query"]),
-                str(rec["doc_id"]),
-                PairLabel(int(rec["label"])),
-                PairSource(source),
-            )
-        )
-    return out
+        return QueryDocPair(str(rec["query"]), str(rec["doc_id"]), PairLabel(int(rec["label"])),
+                            PairSource(default_source if source is None else source))
+
+    return read_json_lines(path, parse, "pair line is not a record with query, doc_id, "
+                                        "a 0/1 label and a known source")

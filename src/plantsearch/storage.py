@@ -15,7 +15,7 @@ import hashlib
 import json
 import struct
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,11 @@ VERSION = 1
 _HEADER = struct.Struct("<4sIII")
 
 
-class EmbeddingFileError(ValueError):
+class CorruptFileError(ValueError):
+    """A corrupt artifact; the message names the file."""
+
+
+class EmbeddingFileError(CorruptFileError):
     """Corrupt or truncated embedding file."""
 
 
@@ -36,7 +40,7 @@ def write_matrix(path: str | Path, matrix: np.ndarray) -> None:
         raise ValueError("matrix contains non-finite values")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, m.shape[0], m.shape[1]))
-        fh.write(m.tobytes())
+        fh.write(memoryview(m))  # the array's own bytes, no second copy
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
@@ -69,15 +73,12 @@ def write_ids(path: str | Path, ids: Sequence[str]) -> None:
 
 def read_ids(path: str | Path) -> list[str]:
     ids: dict[int, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            row = int(obj["row"])
-            if row in ids:
-                raise EmbeddingFileError(f"{path}: row {row} appears twice (line {line_no})")
-            ids[row] = str(obj["id"])
+    rows = read_json_lines(path, lambda rec: (int(rec["row"]), str(rec["id"])),
+                           "ids line is not a record with an integer row and an id")
+    for row, node_id in rows:
+        if row in ids:
+            raise EmbeddingFileError(f"{path}: row {row} appears twice")
+        ids[row] = node_id
     if sorted(ids) != list(range(len(ids))):
         raise EmbeddingFileError(f"{path}: non-contiguous row numbering")
     return [ids[i] for i in range(len(ids))]
@@ -89,12 +90,29 @@ def write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
             fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def read_json_lines(path: str | Path) -> list[dict]:
+def read_json_lines(
+    path: str | Path,
+    parse: Callable[[dict], Any] = dict,
+    what: str = "line is not a JSON object",
+) -> list:
+    """``parse`` of each non-blank line's JSON object, in file order.
+
+    A line that is not UTF-8, not a JSON object, or that ``parse`` rejects
+    with a KeyError, TypeError or ValueError raises CorruptFileError
+    ``"<path>:<line>: <what>"``.
+    """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(json.loads(line))
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line.decode("utf-8"))  # UnicodeDecodeError is a ValueError
+                if not isinstance(rec, dict):
+                    raise TypeError("not a JSON object")
+                out.append(parse(rec))
+            except (KeyError, TypeError, ValueError):
+                raise CorruptFileError(f"{path}:{line_no}: {what}") from None
     return out
 
 

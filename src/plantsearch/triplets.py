@@ -170,8 +170,8 @@ def save_triplets(tset: TripletSet, path: str | Path) -> None:
 def load_triplets(
     path: str | Path, params: SamplingParams | None = None, index_fingerprint: str = ""
 ) -> TripletSet:
-    triplets = [
-        Triplet(r["q"], r["pos"], r["neg"], NegKind(r["neg_kind"]))
-        for r in read_json_lines(path)
-    ]
+    triplets = read_json_lines(
+        path, lambda r: Triplet(r["q"], r["pos"], r["neg"], NegKind(r["neg_kind"])),
+        "triplet line is not a record with q, pos, neg and a known neg_kind",
+    )
     return TripletSet(triplets, params or SamplingParams(), index_fingerprint)

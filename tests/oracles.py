@@ -255,9 +255,9 @@ def oracle_filtered_random_sample(corpus, excluded, c, rng):
 
 
 def oracle_train_graph_embeddings(g, emb, cfg):
-    """The per-edge SGD loop: one rng.choice and one loss call per edge."""
+    """The per-edge SGD loop: one rng.choice and one per-negative loss loop per edge."""
     from plantsearch.kg import RELATION_SIGNATURES, NodeKind
-    from plantsearch.losses import NonFiniteError, edge_ranking_loss_grad
+    from plantsearch.losses import NonFiniteError
 
     cfg.validate()
     out = emb.copy()
@@ -283,7 +283,7 @@ def oracle_train_graph_embeddings(g, emb, cfg):
             neg_rows = rng.choice(allowed, size=cfg.negatives_per_edge, replace=True)
             src_row, dst_row = out.row(e.src), out.row(e.dst)
             rel_vec = out.relation_params[e.rel]
-            loss, g_src, g_rel, g_dst, g_negs = edge_ranking_loss_grad(
+            loss, g_src, g_rel, g_dst, g_negs = oracle_edge_ranking_loss_grad(
                 vec[src_row], rel_vec, vec[dst_row], vec[neg_rows], cfg.ranking_margin
             )
             epoch_loss += loss

@@ -426,6 +426,45 @@ def test_exit_3_on_drmm_corpus_record_without_text(pipeline_run, tmp_path, caplo
         f"{corpus_path}:2: DRMM corpus line is not a record with id and text")
 
 
+def _without(key):
+    return lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != key}).encode()
+
+
+def _with(key, value):
+    return lambda line: json.dumps({**json.loads(line), key: value}).encode()
+
+
+# case -> (stage, file, edit of the file's first line)
+MALFORMED_RECORDS = {
+    "triplet-without-pos": ("train-docsim", "triplets/triplets.jsonl", _without("pos")),
+    "unknown-neg-kind": ("train-docsim", "triplets/triplets.jsonl", _with("neg_kind", "medium")),
+    "pair-without-doc-id": ("train-biencoder", "pairs/sid.jsonl", _without("doc_id")),
+    "pair-label-7": ("train-biencoder", "pairs/sid.jsonl", _with("label", 7)),
+    "query-without-plant": ("evaluate", "plants/X/queries.jsonl", _without("plant")),
+    "qrels-grade-high": ("evaluate", "plants/X/qrels.txt",
+                         lambda line: line.rsplit(b" ", 1)[0] + b" high"),
+    "junk-ids-line": ("train-ge", "plants/X/vectors.ids", lambda line: b"junk"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_exit_3_on_malformed_record(trained_run, tmp_path, caplog, case):
+    stage, name, edit = MALFORMED_RECORDS[case]
+    cfg_path, trained = trained_run
+    out = tmp_path / "malformed"
+    shutil.copytree(trained, out)
+    path = out / name
+    first, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(edit(first) + b"\n" + rest)
+    with caplog.at_level("ERROR", logger="plantsearch.cli"):
+        rc = cli.main([stage, "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 3
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert message.startswith(f"{path}:1: ") and "\n" not in message
+
+
 @pytest.mark.parametrize("name", ["encoders/docsim.gemb", "encoders/docsim.json"])
 def test_train_biencoder_strict_hashes_docsim_encoder(pipeline_run, tmp_path, caplog, name):
     cfg_path, out1, *_ = pipeline_run

@@ -14,6 +14,8 @@ from plantsearch.losses import (
     NonFiniteError,
     cosine,
     edge_ranking_loss_grad,
+    edge_scores,
+    edge_step,
     finite_diff_check,
     mnr_loss,
     mnr_loss_grad,
@@ -273,6 +275,7 @@ def _edge_loss_case(rng, trial):
 def test_edge_ranking_bitwise_equals_per_negative_loop():
     rng = np.random.default_rng(31)
     seen = {"zero_a": 0, "zero_neg": 0, "inactive": 0, "term_zero": 0, "active": 0}
+    groups = {}
     for trial in range(700):
         src, rel, dst, negs, margin = _edge_loss_case(rng, trial)
         got = edge_ranking_loss_grad(src, rel, dst, negs, margin)
@@ -287,7 +290,25 @@ def test_edge_ranking_bitwise_equals_per_negative_loop():
         seen["inactive"] += got[0] == 0.0
         seen["active"] += got[0] > 0.0
         seen["term_zero"] += any(margin - s_pos + oracle_np_cosine(a, n) == 0.0 for n in negs)
+        groups.setdefault(negs.shape, []).append((a, dst, negs, margin, got))
     assert all(n > 0 for n in seen.values()), seen
+
+    # The same cases, grouped by (k, dim), scored in one multi-edge call:
+    # every row equals the one-edge scores and result bit for bit.
+    for shape, cases in groups.items():
+        a, dst, negs, margin = (np.array([c[i] for c in cases]) for i in range(4))
+        batch = edge_scores(a, dst, negs, margin)
+        assert batch.terms.shape == (len(cases), shape[0])
+        for i, (_, _, _, _, got) in enumerate(cases):
+            one = edge_scores(a[i][None], dst[i][None], negs[i][None], margin[i]).row(0)
+            row = batch.row(i)
+            for field, want in zip(row, one):
+                assert np.asarray(field).tobytes() == np.asarray(want).tobytes(), (shape, i)
+            step = edge_step(a[i], dst[i], negs[i], row)
+            assert step[0] == got[0], (shape, i)
+            for g, w in zip(step[1:], (got[2], got[3], got[4])):
+                assert g.tobytes() == w.tobytes(), (shape, i)
+    assert len(groups) > 1 and max(len(c) for c in groups.values()) > 10
 
 
 def test_edge_ranking_requires_negatives():
