@@ -44,7 +44,6 @@ from .ir_eval import (
 )
 from .kg import (
     Edge,
-    GraphFormatError,
     GraphInvariantError,
     KnowledgeGraph,
     LexicalMatcher,
@@ -107,7 +106,7 @@ __all__ = [
     "__version__",
     # kg
     "Node", "Edge", "NodeKind", "Relation", "KnowledgeGraph",
-    "GraphFormatError", "GraphInvariantError", "LexicalMatcher",
+    "GraphInvariantError", "LexicalMatcher",
     "load_graph", "save_graph", "build_graph", "predict_links", "expand_context",
     # encoder
     "EncoderParams", "featurize", "featurize_many", "init_encoder", "encode", "encode_batch",

@@ -17,7 +17,6 @@ class FlatIndex:
 
     ids: list[str]
     matrix: np.ndarray  # (n, dim) float64, rows normalized
-    degenerate: frozenset[str]  # ids whose vector had zero norm
 
     def __post_init__(self) -> None:
         self._row = {node_id: i for i, node_id in enumerate(self.ids)}
@@ -52,8 +51,8 @@ class FlatIndex:
 def build_index(emb: EmbeddingTable, eligible: Iterable[str]) -> FlatIndex:
     """Index the eligible subset of an embedding table, rows in sorted-id order.
 
-    Zero-norm vectors stay zero rows and are flagged degenerate; they score
-    0 against everything instead of poisoning the normalization.
+    Zero-norm vectors stay zero rows; they score 0 against everything
+    instead of poisoning the normalization.
     """
     ids = sorted(set(eligible))
     if not ids:
@@ -63,9 +62,8 @@ def build_index(emb: EmbeddingTable, eligible: Iterable[str]) -> FlatIndex:
         raise KeyError(f"ids not in embedding table: {missing[:5]!r}")
     matrix = np.stack([emb.vector(i) for i in ids]).astype(np.float64)
     norms = np.linalg.norm(matrix, axis=1)
-    degenerate = frozenset(ids[i] for i in np.nonzero(norms == 0.0)[0])
     safe = np.where(norms == 0.0, 1.0, norms)
-    return FlatIndex(ids, matrix / safe[:, None], degenerate)
+    return FlatIndex(ids, matrix / safe[:, None])
 
 
 def knn(

@@ -13,7 +13,7 @@ under --strict against its producer's manifest, runs the stage, and
 writes its manifest and timing.
 
 Exit codes: 0 success, 2 config or input validation error, 3 missing
-stage dependency or provenance mismatch, 4 numerical failure.
+or unparseable artifact or provenance mismatch, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ import numpy as np
 
 from . import ann, graph_embed, ir_eval, kg, pairs as pairs_mod, synth, train, triplets as triplets_mod
 from .encoder import EncoderParams, init_encoder, load_encoder, save_encoder
-from .losses import NonFiniteError
 from .storage import (
-    CorruptFileError, EmbeddingFileError, derive_seed, read_ids, read_json_lines, read_matrix,
-    sha256_file, write_ids, write_matrix,
+    CorruptFileError, EmbeddingFileError, derive_seed, read_json, read_json_lines, read_table,
+    sha256_file, write_table,
 )
 
 logger = logging.getLogger(__name__)
@@ -309,13 +308,10 @@ class Run:
     def _claims(self, producer: str) -> dict[str, str]:
         if producer not in self.claims:
             path = _manifest_path(self.out, producer)
-            try:
-                manifest = json.loads(path.read_text(encoding="utf-8"))
-                self.claims[producer] = dict(manifest["outputs"])
-            except FileNotFoundError:
-                raise _missing(path, producer) from None
-            except (ValueError, KeyError, TypeError):
-                raise MissingArtifactError(f"{path}: unreadable manifest") from None
+            if not path.exists():
+                raise _missing(path, producer)
+            self.claims[producer] = read_json(path, lambda manifest: dict(manifest["outputs"]),
+                                              "not a manifest with outputs")
         return self.claims[producer]
 
     def load(self, kind: str, names: Sequence[str], parse: Callable[[], Any]) -> Any:
@@ -326,9 +322,11 @@ class Run:
         return self.store[key]
 
     def plants(self) -> list[dict]:
+        """Each plant of ``benchmark.json`` as its ``plant_id`` and ``training`` flag."""
         path = self.read(*PLANT_LIST)
-        return self.load("plants", [path.name],
-                         lambda: json.loads(path.read_text(encoding="utf-8"))["plants"])
+        return self.load("plants", [path.name], lambda: read_json(path, lambda bench: [
+            {"plant_id": str(p["plant_id"]), "training": bool(p["training"])}
+            for p in bench["plants"]], "not a record of plants, each with plant_id and training"))
 
     def plant_ids(self, training: bool = False) -> list[str]:
         return [p["plant_id"] for p in self.plants() if p["training"] or not training]
@@ -408,8 +406,11 @@ class Stage:
 
 
 def _run(stage: Stage, r: Run) -> Any:
-    """Hash every read (checked under --strict), run, then write the manifest and the timing."""
+    """Parse timings.json, hash every read (checked under --strict), run, then write the
+    manifest and the timing; a corrupt timings.json stops the stage before it writes."""
     t0 = time.perf_counter()
+    timings = r.out / "timings.json"
+    data = read_json(timings) if timings.exists() else {}
     for name, producer in stage.reads(r):
         r.read(name, producer)
     r.sealed = True
@@ -417,8 +418,6 @@ def _run(stage: Stage, r: Run) -> Any:
     _dump(_manifest_path(r.out, r.id), {
         "stage": r.id.replace(":", "-"), "seed": r.cfg.seed, "config": config, "inputs": r.inputs,
         "outputs": {name: sha256_file(r.out / name) for name in stage.writes(r)}})
-    timings = r.out / "timings.json"
-    data = json.loads(timings.read_text(encoding="utf-8")) if timings.exists() else {}
     _dump(timings, {**data, r.id: round(time.perf_counter() - t0, 3)})
     return result
 
@@ -449,8 +448,7 @@ def _synth(r: Run) -> tuple[dict, None]:
         pdir.mkdir(parents=True, exist_ok=True)
         kg.save_graph(gp.graph, pdir / "nodes.jsonl", pdir / "edges.jsonl")
         node_ids = sorted(gp.text_vectors)
-        write_matrix(pdir / "vectors.gemb", np.stack([gp.text_vectors[i] for i in node_ids]))
-        write_ids(pdir / "vectors.ids", node_ids)
+        write_table(pdir / "vectors", node_ids, np.stack([gp.text_vectors[i] for i in node_ids]))
         ir_eval.save_queries({pcfg.plant_id: gp.bench.queries}, pdir / "queries.jsonl")
         ir_eval.save_qrels(gp.bench.qrels, pdir / "qrels.txt")
         sid_rows.extend(gp.sid_pairs)
@@ -501,12 +499,13 @@ def _train_ge(r: Run) -> tuple[dict, None]:
         plant_cfg = graph_embed.GETrainConfig(**{**asdict(ge_cfg), "init_mode": ge_cfg.init_mode,
                                                  "rng_seed": derive_seed(r.cfg.seed, f"ge:{pid}")})
         text_vectors = None
+        vectors = r.out / "plants" / pid / "vectors"
         if plant_cfg.init_mode is graph_embed.InitMode.TEXT_VECTORS:
-            pdir = r.out / "plants" / pid
-            matrix = read_matrix(pdir / "vectors.gemb")
-            text_vectors = {node_id: matrix[i]
-                            for i, node_id in enumerate(read_ids(pdir / "vectors.ids"))}
-        emb = graph_embed.init_embeddings(g, plant_cfg, text_vectors)
+            text_vectors = dict(zip(*read_table(vectors)))
+        try:
+            emb = graph_embed.init_embeddings(g, plant_cfg, text_vectors)
+        except KeyError as exc:  # the text vectors do not cover the graph's nodes
+            raise EmbeddingFileError(f"{vectors}.ids: {exc.args[0]}") from None
         train_edges, test_edges = graph_embed.split_edges(
             g, lp_fraction, derive_seed(r.cfg.seed, f"ge-split:{pid}")
         )
@@ -812,10 +811,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (MissingArtifactError, FileNotFoundError, CorruptFileError) as exc:
         logger.error("%s", exc)  # CorruptFileError is a ValueError, so it is caught first
         return 3
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError among them
         logger.error("%s", exc)
         return 2
-    except (NonFiniteError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # NonFiniteError among them
         logger.error("numerical failure: %s", exc)
         return 4
     return 0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .kg import Edge, KnowledgeGraph, NodeKind, Relation, RELATION_SIGNATURES
 from .losses import NonFiniteError, cosine, edge_scores, edge_step
-from .storage import EmbeddingFileError, read_ids, read_matrix, write_ids, write_matrix
+from .storage import EmbeddingFileError, read_json, read_table, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -419,28 +419,20 @@ def eval_link_prediction(
 
 
 def save_embeddings(emb: EmbeddingTable, stem: str | Path) -> None:
-    stem = Path(stem)
-    write_matrix(stem.with_suffix(".gemb"), emb.vectors)
-    write_ids(stem.with_suffix(".ids"), emb.node_ids)
+    write_table(stem, emb.node_ids, emb.vectors)
     rels = {rel.value: emb.relation_params[rel].tolist() for rel in Relation}
-    stem.with_suffix(".rels.json").write_text(
-        json.dumps(rels, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(f"{stem}.rels.json").write_text(json.dumps(rels, sort_keys=True) + "\n",
+                                         encoding="utf-8")
 
 
 def load_embeddings(stem: str | Path) -> EmbeddingTable:
-    """Read a saved table; any corrupt or inconsistent part is an EmbeddingFileError."""
-    stem = Path(stem)
-    vectors = read_matrix(stem.with_suffix(".gemb"))
+    """Read a saved table; any corrupt or inconsistent part is a CorruptFileError."""
+    node_ids, vectors = read_table(stem)
+    rels = read_json(f"{stem}.rels.json",
+                     lambda obj: {Relation(k): np.asarray(v, dtype=np.float64)
+                                  for k, v in obj.items()},
+                     "not a record of numeric translations by relation")
     try:
-        node_ids = read_ids(stem.with_suffix(".ids"))
-        rels_path = stem.with_suffix(".rels.json")
-        rels_raw = json.loads(rels_path.read_text(encoding="utf-8"))
-        if not isinstance(rels_raw, dict):
-            raise ValueError(f"{rels_path}: expected a JSON object")
-        rels = {Relation(k): np.asarray(v, dtype=np.float64) for k, v in rels_raw.items()}
         return EmbeddingTable(node_ids, vectors, rels)
-    except EmbeddingFileError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:  # JSON, UTF-8, relation or shape errors
+    except ValueError as exc:  # a missing or misshapen translation, a repeated id, dim < 2
         raise EmbeddingFileError(f"{stem}: corrupt embedding table ({exc})") from None

@@ -12,10 +12,12 @@ import json
 import logging
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Protocol, Sequence
+
+from .storage import CorruptFileError, read_json_lines
 
 logger = logging.getLogger(__name__)
 
@@ -37,18 +39,6 @@ RELATION_SIGNATURES: dict[Relation, tuple[NodeKind, NodeKind]] = {
     Relation.REPORTS_ABOUT: (NodeKind.TEXT_LOG, NodeKind.FUNCTIONAL_LOCATION),
     Relation.PART_OF: (NodeKind.FUNCTIONAL_LOCATION, NodeKind.FUNCTIONAL_LOCATION),
 }
-
-
-class GraphFormatError(ValueError):
-    """Malformed node or edge record; message carries file and line number."""
-
-    def __init__(self, message: str, path: Path | str | None = None, line_no: int | None = None):
-        where = ""
-        if path is not None:
-            where = f"{path}:" if line_no is None else f"{path}:{line_no}: "
-        super().__init__(f"{where}{message}")
-        self.path = str(path) if path is not None else None
-        self.line_no = line_no
 
 
 class GraphInvariantError(ValueError):
@@ -250,63 +240,34 @@ def _check_part_of_acyclic(edges: Sequence[Edge]) -> None:
 # File loading
 
 
-def _parse_node(obj: dict, path: Path, line_no: int) -> Node:
-    try:
-        kind = NodeKind(obj["kind"])
-    except KeyError:
-        raise GraphFormatError("node record missing 'kind'", path, line_no) from None
-    except ValueError:
-        raise GraphFormatError(f"unknown node kind {obj['kind']!r}", path, line_no) from None
-    if "id" not in obj:
-        raise GraphFormatError("node record missing 'id'", path, line_no)
-    ts = obj.get("ts")
+def _node(rec: dict) -> Node:
+    ts = rec.get("ts")
     if ts is not None and not isinstance(ts, int):
-        raise GraphFormatError(f"'ts' must be an integer, got {ts!r}", path, line_no)
-    return Node(
-        id=str(obj["id"]),
-        kind=kind,
-        text=str(obj.get("text", "")),
-        code=obj.get("code"),
-        ts=ts,
-    )
+        raise TypeError(f"'ts' must be an integer, got {ts!r}")
+    return Node(id=str(rec["id"]), kind=NodeKind(rec["kind"]), text=str(rec.get("text", "")),
+                code=rec.get("code"), ts=ts)
 
 
-def _parse_edge(obj: dict, path: Path, line_no: int) -> Edge:
-    for key in ("src", "dst", "rel"):
-        if key not in obj:
-            raise GraphFormatError(f"edge record missing {key!r}", path, line_no)
-    try:
-        rel = Relation(obj["rel"])
-    except ValueError:
-        raise GraphFormatError(f"unknown relation {obj['rel']!r}", path, line_no) from None
-    return Edge(src=str(obj["src"]), dst=str(obj["dst"]), rel=rel)
-
-
-def _iter_json_lines(path: Path) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GraphFormatError(f"invalid JSON ({exc.msg})", path, line_no) from None
-            if not isinstance(obj, dict):
-                raise GraphFormatError("record is not a JSON object", path, line_no)
-            yield line_no, obj
+def _edge(rec: dict) -> Edge:
+    return Edge(src=str(rec["src"]), dst=str(rec["dst"]), rel=Relation(rec["rel"]))
 
 
 def load_graph(nodes_path: str | Path, edges_path: str | Path) -> KnowledgeGraph:
     """Load and validate a graph from line-delimited JSON node/edge files.
 
-    Unknown record fields are ignored. Malformed lines raise
-    :class:`GraphFormatError` with the file and line number; structural
-    violations raise :class:`GraphInvariantError`.
+    Unknown record fields are ignored. A malformed line raises
+    CorruptFileError ``"<path>:<line>: ..."``; a graph that breaks a
+    structural invariant raises CorruptFileError naming both files.
     """
-    nodes_path, edges_path = Path(nodes_path), Path(edges_path)
-    nodes = [_parse_node(obj, nodes_path, ln) for ln, obj in _iter_json_lines(nodes_path)]
-    edges = [_parse_edge(obj, edges_path, ln) for ln, obj in _iter_json_lines(edges_path)]
-    return KnowledgeGraph.from_parts(nodes, edges)
+    nodes = read_json_lines(nodes_path, _node,
+                            "node line is not a record with an id, a known kind and an integer "
+                            "ts if any")
+    edges = read_json_lines(edges_path, _edge,
+                            "edge line is not a record with src, dst and a known rel")
+    try:
+        return KnowledgeGraph.from_parts(nodes, edges)
+    except GraphInvariantError as exc:
+        raise CorruptFileError(f"{nodes_path}, {edges_path}: {exc}") from None
 
 
 def save_graph(g: KnowledgeGraph, nodes_path: str | Path, edges_path: str | Path) -> None:
@@ -378,19 +339,19 @@ def _code_pattern(codes: Sequence[str]) -> re.Pattern | None:
     return re.compile(r"(?<![\w-])(?:" + alt + r")(?![\w-])", re.IGNORECASE)
 
 
-@dataclass
+RELATED_WINDOW_S = 259200  # 3 days
+
+
 class LexicalMatcher:
     """Default matcher: FL code mentions and a shared-FL time window.
 
     ReportsAbout: a log mentions an FL's code (case-insensitive whole
     phrase, longest code wins on overlap). RelatedTo: two logs report
-    about a common FL and their timestamps lie within ``time_window``
-    seconds; the edge runs earlier -> later (lexicographic id order on
-    equal timestamps). Logs without a timestamp never enter the
-    time-window heuristic.
+    about a common FL and their timestamps lie within
+    ``RELATED_WINDOW_S`` seconds; the edge runs earlier -> later
+    (lexicographic id order on equal timestamps). Logs without a
+    timestamp never enter the time-window heuristic.
     """
-
-    time_window: int = 259200  # 3 days
 
     def propose_reports_about(self, g: KnowledgeGraph) -> list[Edge]:
         fls = g.functional_locations()
@@ -421,7 +382,7 @@ class LexicalMatcher:
             for i, a in enumerate(logs):
                 for b in logs[i + 1 :]:
                     assert a.ts is not None and b.ts is not None
-                    if b.ts - a.ts > self.time_window:
+                    if b.ts - a.ts > RELATED_WINDOW_S:
                         break
                     key = (a.id, b.id)
                     if a.id != b.id and key not in seen:

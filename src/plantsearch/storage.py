@@ -2,11 +2,16 @@
 
 Embedding matrices use a small binary container: a 16-byte header
 (magic ``GEMB``, u32 version, u32 rows, u32 dim, little-endian)
-followed by rows x dim float32 values, with node ids in a line-JSON
-sidecar mapping row -> id. Tables live in float64 while they train and
-are rounded to float32 once when written: ``read_matrix`` returns those
-float32 values as float64, so a docsim encoder starts the bi-encoder
-stage rounded, and a table read back writes the same bytes again.
+followed by rows x dim float32 values. A table is the pair
+``<stem>.gemb`` + ``<stem>.ids``, the second a line-JSON sidecar mapping
+row -> id. Tables live in float64 while they train and are rounded to
+float32 once when written: ``read_matrix`` returns those float32 values
+as float64, so a docsim encoder starts the bi-encoder stage rounded, and
+a table read back writes the same bytes again.
+
+Every reader here reports a file it cannot parse as a CorruptFileError
+whose message starts with the file's path (and ``:<line>`` for line
+formats).
 """
 
 from __future__ import annotations
@@ -84,6 +89,21 @@ def read_ids(path: str | Path) -> list[str]:
     return [ids[i] for i in range(len(ids))]
 
 
+def write_table(stem: str | Path, ids: Sequence[str], matrix: np.ndarray) -> None:
+    """Write the table pair: the matrix to ``<stem>.gemb``, its row ids to ``<stem>.ids``."""
+    write_matrix(f"{stem}.gemb", matrix)
+    write_ids(f"{stem}.ids", ids)
+
+
+def read_table(stem: str | Path) -> tuple[list[str], np.ndarray]:
+    """The row ids and the matrix of the table pair at ``stem``, which must agree in length."""
+    matrix = read_matrix(f"{stem}.gemb")
+    ids = read_ids(f"{stem}.ids")
+    if len(ids) != matrix.shape[0]:
+        raise EmbeddingFileError(f"{stem}.ids: {len(ids)} ids for {matrix.shape[0]} matrix rows")
+    return ids, matrix
+
+
 def write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
@@ -107,13 +127,36 @@ def read_json_lines(
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line.decode("utf-8"))  # UnicodeDecodeError is a ValueError
-                if not isinstance(rec, dict):
-                    raise TypeError("not a JSON object")
-                out.append(parse(rec))
+                out.append(_parse_object(line, parse))
             except (KeyError, TypeError, ValueError):
                 raise CorruptFileError(f"{path}:{line_no}: {what}") from None
     return out
+
+
+def read_json(
+    path: str | Path,
+    parse: Callable[[dict], Any] = dict,
+    what: str = "file is not a JSON object",
+) -> Any:
+    """``parse`` of the file's JSON object.
+
+    A file that is not UTF-8, not a JSON object, or that ``parse`` rejects
+    with a KeyError, TypeError or ValueError raises CorruptFileError
+    ``"<path>: <what>"``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return _parse_object(data, parse)
+    except (KeyError, TypeError, ValueError):
+        raise CorruptFileError(f"{path}: {what}") from None
+
+
+def _parse_object(data: bytes, parse: Callable[[dict], Any]) -> Any:
+    obj = json.loads(data.decode("utf-8"))  # UnicodeDecodeError is a ValueError
+    if not isinstance(obj, dict):
+        raise TypeError("not a JSON object")
+    return parse(obj)
 
 
 def sha256_file(path: str | Path) -> str:

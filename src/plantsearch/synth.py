@@ -67,13 +67,6 @@ _BASE_TS = 1_700_000_000  # fixed epoch origin so outputs stay reproducible
 
 
 @dataclass
-class WordPools:
-    filler: list[str] = field(default_factory=lambda: list(FILLER_WORDS))
-    equipment: list[str] = field(default_factory=lambda: list(EQUIPMENT_TERMS))
-    issue: list[str] = field(default_factory=lambda: list(ISSUE_TERMS))
-
-
-@dataclass
 class PlantConfig:
     plant_id: str = "A"
     seed: int = 0
@@ -90,7 +83,6 @@ class PlantConfig:
     vec_dim: int = 64
     training: bool = False
     sid_pairs: int = 12
-    vocab: WordPools | None = None
 
     def validate(self) -> None:
         if not self.plant_id:
@@ -171,13 +163,12 @@ def generate_plant(cfg: PlantConfig) -> GeneratedPlant:
     grade every subtree log relevant, jargon-form logs included.
     """
     cfg.validate()
-    pools = cfg.vocab or WordPools()
     rng = np.random.default_rng(cfg.seed)
     pid = cfg.plant_id
 
     # Functional-location tree, breadth-first codes: FL 1, FL 1-1, FL 1-1-2, ...
-    term_as = _unique_terms(pools.equipment, cfg.n_fl)
-    term_bs = _unique_terms(pools.issue, cfg.n_fl)
+    term_as = _unique_terms(EQUIPMENT_TERMS, cfg.n_fl)
+    term_bs = _unique_terms(ISSUE_TERMS, cfg.n_fl)
     fls: list[_FlInfo] = []
     root = _FlInfo(f"{pid}:fl:1", "FL 1", None, 0, -1, term_as[0], term_bs[0])
     fls.append(root)
@@ -268,7 +259,7 @@ def generate_plant(cfg: PlantConfig) -> GeneratedPlant:
             rng.integers(14, 25)
         )
         while len(words) < target:
-            words.append(pools.filler[int(rng.integers(0, len(pools.filler)))])
+            words.append(FILLER_WORDS[int(rng.integers(0, len(FILLER_WORDS)))])
         words = [words[j] for j in rng.permutation(len(words))]
         if rng.random() < _OWN_CODE_RATE:
             words.insert(int(rng.integers(0, len(words) + 1)), fl.code)

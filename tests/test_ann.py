@@ -123,7 +123,6 @@ def test_build_index_sorted_and_validated():
 def test_zero_vector_rows_are_degenerate():
     vectors = {"z": [0.0, 0.0], "a": [1.0, 0.0], "b": [0.5, 0.5]}
     index = build_index(make_table(vectors), list(vectors))
-    assert index.degenerate == {"z"}
     scores = dict(knn(index, "a", 2))
     assert scores["z"] == 0.0  # scores 0 against everything
     ranked = [doc for doc, _ in knn(index, "b", 2)]

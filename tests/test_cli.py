@@ -29,6 +29,18 @@ MICRO_CONFIG = {
 }
 
 
+def fails(caplog, args, code=3):
+    """The one ERROR line of ``cli.main(args)``, which must exit ``code`` without a traceback."""
+    caplog.clear()
+    with caplog.at_level("ERROR", logger="plantsearch.cli"):
+        assert cli.main(args) == code
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert "\n" not in message
+    return message
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     """The tiny pipeline run twice into separate directories, the second time with --strict."""
@@ -127,13 +139,8 @@ def test_exit_3_on_triplet_naming_unknown_doc(pipeline_run, tmp_path, caplog, st
     row = {"q": "ghost-doc", "pos": "ghost-doc", "neg": "ghost-doc", "neg_kind": "easy"}
     tpath.write_text(tpath.read_text(encoding="utf-8") + json.dumps(row) + "\n",
                      encoding="utf-8")
-    with caplog.at_level("ERROR", logger="plantsearch.cli"):
-        rc = cli.main([stage, "--config", str(cfg_path), "--out", str(out)])
-    assert rc == 3
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
-    assert "no text for document 'ghost-doc'" in errors[0].getMessage()
-    assert "\n" not in errors[0].getMessage()
+    message = fails(caplog, [stage, "--config", str(cfg_path), "--out", str(out)])
+    assert "no text for document 'ghost-doc'" in message
 
 
 def _nan_payload(blob):
@@ -158,14 +165,10 @@ def test_exit_3_on_corrupt_ge_artifact(pipeline_run, tmp_path, caplog, suffix, d
     shutil.copytree(out1, out)
     path = (out / "ge" / "X").with_suffix(suffix)
     path.write_bytes(GE_DAMAGE[damage](path.read_bytes()))
-    with caplog.at_level("ERROR", logger="plantsearch.cli"):
-        rc = cli.main(["sample-triplets", "--config", str(cfg_path), "--out", str(out)])
-    assert rc == 3
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
-    assert "X" in errors[0].getMessage() and "\n" not in errors[0].getMessage()
+    message = fails(caplog, ["sample-triplets", "--config", str(cfg_path), "--out", str(out)])
+    assert "X" in message
     if damage == "nan":  # the message names the file that holds the bad value
-        assert errors[0].getMessage().startswith(f"{path}: ")
+        assert message.startswith(f"{path}: ")
 
 
 def test_exit_3_on_ge_table_missing_a_log(pipeline_run, tmp_path, caplog):
@@ -177,11 +180,8 @@ def test_exit_3_on_ge_table_missing_a_log(pipeline_run, tmp_path, caplog):
     log_row = next(i for i, line in enumerate(lines) if ":log:" in line)
     lines[log_row] = json.dumps({"id": "X:log:renamed", "row": log_row}) + "\n"
     ids.write_text("".join(lines), encoding="utf-8")
-    with caplog.at_level("ERROR", logger="plantsearch.cli"):
-        rc = cli.main(["sample-triplets", "--config", str(cfg_path), "--out", str(out)])
-    assert rc == 3
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and "ids not in embedding table" in errors[0].getMessage()
+    message = fails(caplog, ["sample-triplets", "--config", str(cfg_path), "--out", str(out)])
+    assert "ids not in embedding table" in message
 
 
 @pytest.fixture(scope="module")
@@ -206,12 +206,8 @@ def test_evaluate_strict_hashes_every_file_it_reads(trained_run, tmp_path, caplo
     path = out / name
     lines = path.read_bytes().splitlines(keepends=True)
     path.write_bytes(b"".join(lines) + lines[-1])  # append a copy of the last line
-    caplog.clear()
-    with caplog.at_level("ERROR", logger="plantsearch.cli"):
-        assert cli.main(args) == 3
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
-    assert f"provenance hash mismatch for {name}" in errors[0].getMessage()
+    message = fails(caplog, args)
+    assert f"provenance hash mismatch for {name}" in message
 
 
 HEADER_DAMAGE = {
@@ -245,13 +241,8 @@ def test_exit_3_on_corrupt_encoder_header(trained_run, tmp_path, caplog, stage, 
     shutil.copytree(trained, out)
     path = out / header
     path.write_bytes(HEADER_DAMAGE[damage](path.read_bytes()))
-    with caplog.at_level("ERROR", logger="plantsearch.cli"):
-        rc = cli.main([stage, "--config", str(cfg_path), "--out", str(out)])
-    assert rc == 3
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
-    message = errors[0].getMessage()
-    assert message.startswith(f"{path}: ") and "\n" not in message
+    message = fails(caplog, [stage, "--config", str(cfg_path), "--out", str(out)])
+    assert message.startswith(f"{path}: ")
 
 
 def test_exit_3_on_nan_encoder_payload(trained_run, tmp_path, caplog):
@@ -260,13 +251,8 @@ def test_exit_3_on_nan_encoder_payload(trained_run, tmp_path, caplog):
     shutil.copytree(trained, out)
     path = out / "encoders" / "biencoder.gemb"
     path.write_bytes(_nan_payload(path.read_bytes()))
-    with caplog.at_level("ERROR", logger="plantsearch.cli"):
-        rc = cli.main(["evaluate", "--config", str(cfg_path), "--out", str(out)])
-    assert rc == 3
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
-    message = errors[0].getMessage()
-    assert message.startswith(f"{path}: ") and "non-finite" in message and "\n" not in message
+    message = fails(caplog, ["evaluate", "--config", str(cfg_path), "--out", str(out)])
+    assert message.startswith(f"{path}: ") and "non-finite" in message
 
 
 @pytest.mark.parametrize("stage", ["sample-triplets", "train-docsim", "gen-pairs",
@@ -282,13 +268,8 @@ def test_strict_checks_built_graphs(pipeline_run, tmp_path, caplog, stage):
     edited = lines[0].replace(f'"text": "{word}', '"text": "edited', 1)
     assert edited != lines[0]
     nodes.write_text("".join([edited] + lines[1:]), encoding="utf-8")
-    caplog.clear()
-    with caplog.at_level("ERROR", logger="plantsearch.cli"):
-        rc = cli.main([stage, "--config", str(cfg_path), "--out", str(out), "--strict"])
-    assert rc == 3
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
-    assert "provenance hash mismatch for graphs/X/nodes.jsonl" in errors[0].getMessage()
+    message = fails(caplog, [stage, "--config", str(cfg_path), "--out", str(out), "--strict"])
+    assert "provenance hash mismatch for graphs/X/nodes.jsonl" in message
 
 
 def test_strict_needs_the_producer_manifest(pipeline_run, tmp_path, caplog):
@@ -296,12 +277,9 @@ def test_strict_needs_the_producer_manifest(pipeline_run, tmp_path, caplog):
     out = tmp_path / "unvouched"
     shutil.copytree(out1, out)
     (out / "manifest-synth.json").unlink()
-    with caplog.at_level("ERROR", logger="plantsearch.cli"):
-        rc = cli.main(["build-graph", "--config", str(cfg_path), "--out", str(out), "--strict"])
-    assert rc == 3
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
-    assert "manifest-synth.json not found" in errors[0].getMessage()
+    message = fails(caplog, ["build-graph", "--config", str(cfg_path), "--out", str(out),
+                             "--strict"])
+    assert "manifest-synth.json not found" in message
 
 
 def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch):
@@ -394,12 +372,8 @@ def test_exit_3_on_missing_drmm_pairs(pipeline_run, tmp_path, caplog):
     shutil.rmtree(out / "pairs")
     absent = tmp_path / "absent.jsonl"
     cfg_path, _ = _drmm_config(tmp_path, absent)
-    with caplog.at_level("ERROR", logger="plantsearch.cli"):
-        rc = cli.main(["gen-pairs", "--config", str(cfg_path), "--out", str(out)])
-    assert rc == 3
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
-    assert errors[0].getMessage() == f"{absent} not found: check the run config"
+    message = fails(caplog, ["gen-pairs", "--config", str(cfg_path), "--out", str(out)])
+    assert message == f"{absent} not found: check the run config"
     assert not (out / "pairs").exists()  # a missing input stops the stage before it writes
 
 
@@ -417,13 +391,8 @@ def test_exit_3_on_drmm_corpus_record_without_text(pipeline_run, tmp_path, caplo
     shutil.copyfile(pairs_path, out / "pairs" / "drmm.jsonl")
     cfg_path, corpus_path = _drmm_config(tmp_path, pairs_path)
     corpus_path.write_bytes(json.dumps(DRMM_CORPUS[0]).encode() + b"\n" + bad_line + b"\n")
-    with caplog.at_level("ERROR", logger="plantsearch.cli"):
-        rc = cli.main([command, "--config", str(cfg_path), "--out", str(out)])
-    assert rc == 3
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
-    assert errors[0].getMessage() == (
-        f"{corpus_path}:2: DRMM corpus line is not a record with id and text")
+    message = fails(caplog, [command, "--config", str(cfg_path), "--out", str(out)])
+    assert message == f"{corpus_path}:2: DRMM corpus line is not a record with id and text"
 
 
 def _without(key):
@@ -456,13 +425,107 @@ def test_exit_3_on_malformed_record(trained_run, tmp_path, caplog, case):
     path = out / name
     first, rest = path.read_bytes().split(b"\n", 1)
     path.write_bytes(edit(first) + b"\n" + rest)
-    with caplog.at_level("ERROR", logger="plantsearch.cli"):
-        rc = cli.main([stage, "--config", str(cfg_path), "--out", str(out)])
-    assert rc == 3
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
-    message = errors[0].getMessage()
-    assert message.startswith(f"{path}:1: ") and "\n" not in message
+    message = fails(caplog, [stage, "--config", str(cfg_path), "--out", str(out)])
+    assert message.startswith(f"{path}:1: ")
+
+
+def _one_more_id(blob):
+    """A vectors.ids with one contiguous row more than its matrix has."""
+    return blob + json.dumps({"id": "X:extra", "row": blob.count(b"\n")}).encode() + b"\n"
+
+
+def _repeated_id(blob):
+    """A vectors.ids whose second row repeats the first row's id, so a node has no vector."""
+    first, second, rest = blob.split(b"\n", 2)
+    second = json.dumps({**json.loads(second), "id": json.loads(first)["id"]}).encode()
+    return b"\n".join([first, second, rest])
+
+
+def _dangling_edge(blob):
+    edge = {"src": "X:log:ghost", "dst": "X:log:zz", "rel": "related_to"}
+    return blob + json.dumps(edge).encode() + b"\n"
+
+
+# case -> (stage, file, damage, the file the error line starts with, if not the damaged one)
+INCONSISTENT_ARTIFACTS = {
+    "ids-one-row-more": ("train-ge", "plants/X/vectors.ids", _one_more_id, None),
+    "ids-repeated-id": ("train-ge", "plants/X/vectors.ids", _repeated_id, None),
+    "benchmark-without-plants": ("build-graph", "benchmark.json",
+                                 lambda blob: b'{"plant_ids": ["X", "Y"]}\n', None),
+    "plant-without-training": ("build-graph", "benchmark.json",
+                               lambda blob: b'{"plants": [{"plant_id": "X"}]}\n', None),
+    "dangling-edge": ("train-ge", "graphs/X/edges.jsonl", _dangling_edge, "graphs/X/nodes.jsonl"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT_ARTIFACTS))
+def test_exit_3_on_inconsistent_artifact(trained_run, tmp_path, caplog, case):
+    stage, name, damage, named_first = INCONSISTENT_ARTIFACTS[case]
+    cfg_path, trained = trained_run
+    out = tmp_path / "inconsistent"
+    shutil.copytree(trained, out)
+    path = out / name
+    path.write_bytes(damage(path.read_bytes()))
+    message = fails(caplog, [stage, "--config", str(cfg_path), "--out", str(out)])
+    assert message.startswith(f"{out / named_first}, {path}: " if named_first else f"{path}: ")
+
+
+@pytest.fixture(scope="module")
+def damage_run(trained_run, tmp_path_factory):
+    """A copy of ``trained_run`` that the fault matrix damages and repairs in place."""
+    cfg_path, trained = trained_run
+    out = tmp_path_factory.mktemp("damage") / "run"
+    shutil.copytree(trained, out)
+    return cfg_path, out
+
+
+DAMAGE = {
+    "drop-last-2-bytes": lambda blob: blob[:-2],
+    "append-junk": lambda blob: blob + b"\xffjunk\n",
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("stage", [row.name for row in cli.TABLE])
+def test_fault_matrix(damage_run, caplog, stage, damage):
+    """Each read under --out that a stage row declares, damaged, exits 3 without --strict,
+    with one error line that starts with the file's path and no traceback."""
+    cfg_path, out = damage_run
+    row = next(row for row in cli.TABLE if row.name == stage)
+    run = cli.Run(stage, cli.load_run_config(str(cfg_path), None), out, False, {})
+    names = [name for name, producer in row.reads(run) if producer]
+    if stage == "gen-pairs":
+        # gen-pairs copies sid.jsonl without parsing it; train-biencoder parses the copy,
+        # pairs/sid.jsonl, and this matrix damages that file under train-biencoder.
+        names.remove("sid.jsonl")
+    failed = []
+    for name in names:
+        path = out / name
+        blob = path.read_bytes()
+        path.write_bytes(DAMAGE[damage](blob))
+        try:
+            if not fails(caplog, [stage, "--config", str(cfg_path), "--out", str(out)]
+                         ).startswith(f"{path}:"):
+                failed.append(name)
+        except AssertionError:
+            failed.append(name)
+        finally:
+            path.write_bytes(blob)
+    assert failed == []
+
+
+def test_corrupt_timings_stops_the_stage_before_it_writes(pipeline_run, tmp_path, caplog):
+    cfg_path, out1, *_ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    timings = out / "timings.json"
+    timings.write_bytes(timings.read_bytes()[:-2])
+    encoders = [out / "encoders" / "docsim.gemb", out / "encoders" / "docsim.json"]
+    for path in encoders:
+        path.write_bytes(b"stale")  # train-docsim overwrites both once it runs
+    message = fails(caplog, ["train-docsim", "--config", str(cfg_path), "--out", str(out)])
+    assert message.startswith(f"{timings}: ")
+    assert [path.read_bytes() for path in encoders] == [b"stale", b"stale"]
 
 
 @pytest.mark.parametrize("name", ["encoders/docsim.gemb", "encoders/docsim.json"])
@@ -474,12 +537,8 @@ def test_train_biencoder_strict_hashes_docsim_encoder(pipeline_run, tmp_path, ca
     assert cli.main(args) == 0
     path = out / name
     path.write_bytes(path.read_bytes() + b" ")  # still valid JSON for docsim.json
-    caplog.clear()
-    with caplog.at_level("ERROR", logger="plantsearch.cli"):
-        assert cli.main(args) == 3
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
-    assert f"provenance hash mismatch for {name}" in errors[0].getMessage()
+    message = fails(caplog, args)
+    assert f"provenance hash mismatch for {name}" in message
 
 
 def test_synth_failure_writes_nothing(tmp_path):

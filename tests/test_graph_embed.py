@@ -479,8 +479,10 @@ def test_save_load_round_trip(tmp_path):
     g = _chain_graph(3)
     cfg = GETrainConfig(dim=4, epochs=2, rng_seed=2)
     emb = train_graph_embeddings(g, init_embeddings(g, cfg), cfg)
-    save_embeddings(emb, tmp_path / "ge")
-    back = load_embeddings(tmp_path / "ge")
+    stem = tmp_path / "P.1"  # a plant id with a dot: every file keeps the whole stem
+    save_embeddings(emb, stem)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["P.1.gemb", "P.1.ids", "P.1.rels.json"]
+    back = load_embeddings(stem)
     assert back.node_ids == emb.node_ids
     np.testing.assert_array_equal(
         back.vectors, emb.vectors.astype(np.float32).astype(np.float64)

@@ -5,7 +5,6 @@ import pytest
 from conftest import make_graph
 from plantsearch.kg import (
     Edge,
-    GraphFormatError,
     GraphInvariantError,
     KnowledgeGraph,
     LexicalMatcher,
@@ -18,6 +17,7 @@ from plantsearch.kg import (
     predict_links,
     save_graph,
 )
+from plantsearch.storage import CorruptFileError
 
 
 def test_small_graph_accessors(small_graph):
@@ -119,38 +119,47 @@ def test_load_reports_file_and_line(tmp_path):
         '{"id": "l1", "kind": "text_log", "text": "ok"}\nnot json\n', encoding="utf-8"
     )
     edges_path.write_text("", encoding="utf-8")
-    with pytest.raises(GraphFormatError) as exc_info:
+    with pytest.raises(CorruptFileError) as exc_info:
         load_graph(nodes_path, edges_path)
-    assert exc_info.value.line_no == 2
-    assert "n.jsonl" in str(exc_info.value)
+    assert str(exc_info.value).startswith(f"{nodes_path}:2: ")
 
 
 def test_load_bad_records(tmp_path):
     nodes_path, edges_path = tmp_path / "n.jsonl", tmp_path / "e.jsonl"
     edges_path.write_text("", encoding="utf-8")
 
-    nodes_path.write_text('{"id": "l1", "text": "x"}\n', encoding="utf-8")
-    with pytest.raises(GraphFormatError, match="missing 'kind'"):
-        load_graph(nodes_path, edges_path)
+    def rejects(path):
+        with pytest.raises(CorruptFileError) as exc_info:
+            load_graph(nodes_path, edges_path)
+        assert str(exc_info.value).startswith(f"{path}:1: ")
+
+    nodes_path.write_text('{"id": "l1", "text": "x"}\n', encoding="utf-8")  # no kind
+    rejects(nodes_path)
 
     nodes_path.write_text('{"id": "l1", "kind": "widget"}\n', encoding="utf-8")
-    with pytest.raises(GraphFormatError, match="unknown node kind"):
-        load_graph(nodes_path, edges_path)
+    rejects(nodes_path)
 
     nodes_path.write_text(
         '{"id": "l1", "kind": "text_log", "text": "x", "ts": "noon"}\n', encoding="utf-8"
     )
-    with pytest.raises(GraphFormatError, match="'ts' must be an integer"):
-        load_graph(nodes_path, edges_path)
+    rejects(nodes_path)
 
     nodes_path.write_text('{"id": "l1", "kind": "text_log", "text": "x"}\n', encoding="utf-8")
-    edges_path.write_text('{"src": "l1", "dst": "l1"}\n', encoding="utf-8")
-    with pytest.raises(GraphFormatError, match="missing 'rel'"):
-        load_graph(nodes_path, edges_path)
+    edges_path.write_text('{"src": "l1", "dst": "l1"}\n', encoding="utf-8")  # no rel
+    rejects(edges_path)
 
     edges_path.write_text('{"src": "l1", "dst": "l1", "rel": "likes"}\n', encoding="utf-8")
-    with pytest.raises(GraphFormatError, match="unknown relation"):
+    rejects(edges_path)
+
+
+def test_load_names_both_files_on_invariant_error(tmp_path):
+    nodes_path, edges_path = tmp_path / "n.jsonl", tmp_path / "e.jsonl"
+    nodes_path.write_text('{"id": "l1", "kind": "text_log", "text": "x"}\n', encoding="utf-8")
+    edges_path.write_text('{"src": "l1", "dst": "ghost", "rel": "related_to"}\n',
+                          encoding="utf-8")
+    with pytest.raises(CorruptFileError) as exc_info:
         load_graph(nodes_path, edges_path)
+    assert str(exc_info.value).startswith(f"{nodes_path}, {edges_path}: dangling edge endpoint")
 
 
 def test_load_ignores_unknown_fields(tmp_path):

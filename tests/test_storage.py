@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from plantsearch.storage import (
+    CorruptFileError,
     EmbeddingFileError,
     derive_seed,
     read_ids,
+    read_json,
     read_json_lines,
     read_matrix,
+    read_table,
     sha256_file,
     write_ids,
     write_json_lines,
     write_matrix,
+    write_table,
 )
 
 
@@ -93,6 +97,31 @@ def test_json_lines_round_trip(tmp_path):
     # keys are sorted and unicode unescaped on disk
     first_line = path.read_text(encoding="utf-8").splitlines()[0]
     assert first_line == '{"a": "ä", "b": 2}'
+
+
+def test_table_round_trip_and_row_count(tmp_path):
+    stem = tmp_path / "t"
+    write_table(stem, ["a", "b"], np.eye(2))
+    ids, matrix = read_table(stem)
+    assert ids == ["a", "b"]
+    np.testing.assert_array_equal(matrix, np.eye(2))
+    with open(f"{stem}.ids", "a", encoding="utf-8") as fh:
+        fh.write('{"id": "c", "row": 2}\n')  # one contiguous row more than the matrix has
+    with pytest.raises(EmbeddingFileError) as exc_info:
+        read_table(stem)
+    assert str(exc_info.value) == f"{stem}.ids: 3 ids for 2 matrix rows"
+
+
+@pytest.mark.parametrize("blob", [b'{"a": 1', b"\xff{}", b"[1]", b'{"b": 1}', b'{"a": "x"}'],
+                         ids=["truncated", "not-utf8", "not-an-object", "no-a", "a-not-int"])
+def test_json_names_the_file(tmp_path, blob):
+    path = tmp_path / "x.json"
+    path.write_bytes(b'{"a": 1}\n')
+    assert read_json(path, lambda obj: int(obj["a"])) == 1
+    path.write_bytes(blob)
+    with pytest.raises(CorruptFileError) as exc_info:
+        read_json(path, lambda obj: int(obj["a"]), "not a record with an integer a")
+    assert str(exc_info.value) == f"{path}: not a record with an integer a"
 
 
 def test_sha256_file_known_value(tmp_path):
