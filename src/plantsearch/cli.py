@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import shutil
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -136,11 +135,11 @@ class RunConfig:
             self.plant_configs = [self._plant_config(p) for p in self.raw["plants"]]
         except TypeError as exc:
             raise ConfigError(f"bad plants entry: {exc}") from None
-        if len({p.plant_id for p in self.plant_configs}) != len(self.plant_configs):
-            raise ConfigError("duplicate plant ids in config")
+        _check_names([str(p.plant_id) for p in self.plant_configs], "plant id")
         for p in self.plant_configs:
             p.validate()
         self.ablations = [self._ablation(a) for a in self.raw["ablations"]]
+        _check_names([a["name"] for a in self.ablations], "ablation name")
 
     def with_seed(self, seed: int) -> "RunConfig":
         raw = dict(self.raw)
@@ -209,6 +208,15 @@ class RunConfig:
 
     def biencoder_config(self) -> train.BiEncoderConfig:
         return _valid(train.BiEncoderConfig(**self.raw["biencoder"]))
+
+
+def _check_names(names: Sequence[str], what: str) -> None:
+    """Each name becomes one path part under --out: not empty, . or .., no separator, unique."""
+    for i, name in enumerate(names):
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ConfigError(f"{what} {name!r} is not a file name")
+        if name in names[:i]:
+            raise ConfigError(f"duplicate {what} {name!r} in config")
 
 
 def _valid(stage_config: Any) -> Any:
@@ -587,12 +595,6 @@ def _train_docsim(r: Run) -> tuple[dict, None]:
             "epoch_losses": result.epoch_losses}, None
 
 
-def _drmm_pairs(cfg: RunConfig) -> str | None:
-    """The DRMM pair file that gen-pairs copies, if the composition uses one."""
-    comp = cfg.raw["composition"]
-    return comp["drmm_pairs"] if comp["use_drmm"] else None
-
-
 def _gen_pairs(r: Run) -> tuple[dict, None]:
     filtered = r.filtered_triplets()
     m = int(r.cfg.raw["quality"]["query_terms"])
@@ -613,9 +615,6 @@ def _gen_pairs(r: Run) -> tuple[dict, None]:
         }
         get_rows.extend(pairs_mod.triplets_to_pairs(subset, queries))
     pairs_mod.save_pairs(get_rows, pdir / "get.jsonl")
-    shutil.copyfile(r.out / "sid.jsonl", pdir / "sid.jsonl")
-    if _drmm_pairs(r.cfg):
-        shutil.copyfile(_drmm_pairs(r.cfg), pdir / "drmm.jsonl")
     logger.info("gen-pairs: %d GET rows from %d triplets", len(get_rows),
                 len(filtered.triplets))
     return {"query_terms": m, "quality": r.cfg.raw["quality"],
@@ -636,14 +635,25 @@ def _biencoder_job(r: Run) -> Mapping[str, Any]:
             "docsim": (r.out / "encoders" / "docsim.gemb").exists()}
 
 
-def _pair_files(job: Mapping[str, Any]) -> list[tuple[pairs_mod.PairSource, str]]:
-    return [(source, f"pairs/{source.value.lower()}.jsonl") for source in pairs_mod.PairSource
-            if job[f"use_{source.value.lower()}"]]
+def _pair_reads(r: Run, job: Mapping[str, Any]) -> list[tuple[pairs_mod.PairSource, Read]]:
+    """Each pair source a bi-encoder job uses, read from the stage or config file that makes it."""
+    drmm = r.cfg.raw["composition"]["drmm_pairs"]
+    if job["use_drmm"] and not drmm:
+        raise ConfigError(f"bi-encoder job {job['name']!r} uses DRMM pairs, but "
+                          "composition.drmm_pairs is not set")
+    made_by = {pairs_mod.PairSource.GET: ("pairs/get.jsonl", "gen-pairs"),
+               pairs_mod.PairSource.SID: ("sid.jsonl", "synth"),
+               pairs_mod.PairSource.DRMM: (drmm, None)}
+    reads = [(source, read) for source, read in made_by.items()
+             if job[f"use_{source.value.lower()}"]]
+    if not reads:
+        raise ConfigError(f"bi-encoder job {job['name']!r} selects no pair sources")
+    return reads
 
 
 def _biencoder_reads(r: Run) -> list[Read]:
     job = _biencoder_job(r)
-    reads = _from("gen-pairs", [name for _, name in _pair_files(job)])
+    reads = [read for _, read in _pair_reads(r, job)]
     if job["docsim"]:
         reads += _from("train-docsim", ["encoders/docsim.gemb", "encoders/docsim.json"])
     reads += [PLANT_LIST, *_from("build-graph", _graphs(r, "graphs"))]
@@ -659,14 +669,17 @@ def _drmm_texts(path: str) -> dict[str, str]:
 
 def _train_biencoder(r: Run) -> tuple[dict, dict]:
     job = _biencoder_job(r)
-    components = [(source, r.out / name) for source, name in _pair_files(job)]
-    if not components:
-        raise ConfigError("composition selects no pair sources")
+    components = [(source, r.read(*read)) for source, read in _pair_reads(r, job)]
     pair_rows, report = pairs_mod.compose_dataset(components)
     texts = r.log_texts()
     corpus = r.cfg.raw["composition"]["drmm_corpus"]
     if corpus:
         texts = {**texts, **_drmm_texts(corpus)}
+    unknown = next((pr.doc_id for pr in pair_rows if pr.doc_id not in texts), None)
+    if unknown is not None:  # name the first pair file that holds it
+        path = next(path for source, path in components
+                    if any(pr.doc_id == unknown for pr in pairs_mod.load_pairs(path, source)))
+        raise CorruptFileError(f"{path}: no text for document {unknown!r}")
     if job["docsim"]:
         start = load_encoder(r.out / "encoders" / "docsim.gemb", r.out / "encoders" / "docsim.json")
     else:
@@ -722,11 +735,7 @@ TABLE = [
           lambda r: ["triplets/triplets.jsonl", "triplets/meta.json"], _sample_triplets),
     Stage("train-docsim", _triplet_reads,
           lambda r: ["encoders/docsim.gemb", "encoders/docsim.json"], _train_docsim),
-    Stage("gen-pairs", lambda r: _triplet_reads(r) + _from("synth", ["sid.jsonl"])
-          + _from(None, [_drmm_pairs(r.cfg)] if _drmm_pairs(r.cfg) else []),
-          lambda r: ["pairs/get.jsonl", "pairs/sid.jsonl"]
-          + (["pairs/drmm.jsonl"] if _drmm_pairs(r.cfg) else []),
-          _gen_pairs),
+    Stage("gen-pairs", _triplet_reads, lambda r: ["pairs/get.jsonl"], _gen_pairs),
     Stage("train-biencoder", _biencoder_reads,
           lambda r: [f"{_encoder_dir(r.ablation)}/biencoder.{ext}" for ext in ("gemb", "json")],
           _train_biencoder),

@@ -8,6 +8,7 @@ heuristic link prediction, and abbreviation context expansion.
 
 from __future__ import annotations
 
+import graphlib
 import json
 import logging
 import re
@@ -15,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from .storage import CorruptFileError, read_json_lines
 
@@ -88,18 +89,11 @@ class KnowledgeGraph:
     def __init__(self, nodes: Mapping[str, Node], edges: Sequence[Edge]):
         self._nodes = dict(nodes)
         self._edges = tuple(edges)
-        self._out: dict[Relation, dict[str, tuple[str, ...]]] = {}
-        self._in: dict[Relation, dict[str, tuple[str, ...]]] = {}
-        for rel in Relation:
-            out: dict[str, list[str]] = defaultdict(list)
-            inc: dict[str, list[str]] = defaultdict(list)
-            for e in self._edges:
-                if e.rel is rel:
-                    out[e.src].append(e.dst)
-                    inc[e.dst].append(e.src)
-            self._out[rel] = {k: tuple(v) for k, v in out.items()}
-            self._in[rel] = {k: tuple(v) for k, v in inc.items()}
-        self._edge_set = frozenset(self._edges)
+        out: dict[Relation, dict[str, list[str]]] = {rel: defaultdict(list) for rel in Relation}
+        for e in self._edges:
+            out[e.rel][e.src].append(e.dst)
+        self._out = {rel: {src: tuple(dsts) for src, dsts in by_src.items()}
+                     for rel, by_src in out.items()}
 
     @property
     def nodes(self) -> Mapping[str, Node]:
@@ -113,13 +107,10 @@ class KnowledgeGraph:
         return node_id in self._nodes
 
     def has_edge(self, src: str, dst: str, rel: Relation) -> bool:
-        return Edge(src, dst, rel) in self._edge_set
+        return dst in self.out_neighbors(src, rel)
 
     def out_neighbors(self, src: str, rel: Relation) -> tuple[str, ...]:
         return self._out[rel].get(src, ())
-
-    def in_neighbors(self, dst: str, rel: Relation) -> tuple[str, ...]:
-        return self._in[rel].get(dst, ())
 
     def nodes_of_kind(self, kind: NodeKind) -> list[Node]:
         return [n for n in self._nodes.values() if n.kind is kind]
@@ -185,10 +176,6 @@ class KnowledgeGraph:
 
         return cls(node_map, kept)
 
-    def with_extra_edges(self, extra: Iterable[Edge]) -> "KnowledgeGraph":
-        """New graph with additional (already validated, deduplicated) edges."""
-        return KnowledgeGraph.from_parts(self._nodes.values(), list(self._edges) + list(extra))
-
 
 def _validate_edge(e: Edge, nodes: Mapping[str, Node]) -> None:
     if e.src not in nodes or e.dst not in nodes:
@@ -208,32 +195,14 @@ def _validate_edge(e: Edge, nodes: Mapping[str, Node]) -> None:
 
 
 def _check_part_of_acyclic(edges: Sequence[Edge]) -> None:
-    # Iterative DFS over the PartOf subgraph; cycle == invariant violation.
-    succ: dict[str, list[str]] = defaultdict(list)
+    sorter = graphlib.TopologicalSorter()  # each FL after the FLs it is part of
     for e in edges:
         if e.rel is Relation.PART_OF:
-            succ[e.src].append(e.dst)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[str, int] = defaultdict(int)
-    for start in succ:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, Iterator[str]]] = [(start, iter(succ[start]))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    raise GraphInvariantError(f"PartOf cycle through {nxt!r}")
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(succ.get(nxt, []))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+            sorter.add(e.src, e.dst)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as exc:  # args[1] lists the cycle's nodes
+        raise GraphInvariantError(f"PartOf cycle through {exc.args[1][0]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +387,7 @@ def predict_links(g: KnowledgeGraph, matcher: LinkMatcher) -> KnowledgeGraph:
             logger.warning("predict_links: %d proposal(s) rejected", rejected)
         if not fresh:
             return graph
-        return graph.with_extra_edges(fresh)
+        return KnowledgeGraph.from_parts(graph.nodes.values(), [*graph.edges, *fresh])
 
     enriched = _accept(g, matcher.propose_reports_about(g))
     enriched = _accept(enriched, matcher.propose_related_to(enriched))

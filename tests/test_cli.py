@@ -321,14 +321,22 @@ DRMM_CORPUS = [
 ]
 
 
-def _drmm_config(tmp_path, pairs_path):
+def _drmm_pairs(tmp_path):
+    pairs_path = tmp_path / "drmm-pairs.jsonl"
+    pairs_path.write_text("".join(json.dumps(r) + "\n" for r in DRMM_PAIRS), encoding="utf-8")
+    return pairs_path
+
+
+def _drmm_config(tmp_path, pairs_path, use_drmm=True, corpus=True):
+    """A config whose ablation uses DRMM pairs; ``use_drmm`` is the composition's (the
+    train-biencoder command's) choice, and ``corpus`` whether it names the DRMM corpus."""
     corpus_path = tmp_path / "drmm-corpus.jsonl"
     corpus_path.write_text("".join(json.dumps(r) + "\n" for r in DRMM_CORPUS), encoding="utf-8")
     config = dict(TINY_CONFIG,
-                  composition={"use_drmm": True, "drmm_pairs": str(pairs_path),
-                               "drmm_corpus": str(corpus_path)},
+                  composition={"use_drmm": use_drmm, "drmm_pairs": str(pairs_path),
+                               "drmm_corpus": str(corpus_path) if corpus else None},
                   ablations=[{"name": "drmm", "use_get": False, "use_sid": True,
-                              "docsim": False}])
+                              "use_drmm": True, "docsim": False}])
     cfg_path = tmp_path / "drmm.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     return cfg_path, corpus_path
@@ -336,19 +344,18 @@ def _drmm_config(tmp_path, pairs_path):
 
 @pytest.fixture(scope="module")
 def drmm_run(tmp_path_factory):
-    """The tiny pipeline with DRMM pairs from files the config names, and one DRMM ablation."""
+    """The tiny pipeline with DRMM pairs from files the config names, and one ablation that
+    uses them although the composition does not."""
     root = tmp_path_factory.mktemp("drmm")
-    pairs_path = root / "drmm-pairs.jsonl"
-    pairs_path.write_text("".join(json.dumps(r) + "\n" for r in DRMM_PAIRS), encoding="utf-8")
-    cfg_path, corpus_path = _drmm_config(root, pairs_path)
+    pairs_path = _drmm_pairs(root)
+    cfg_path, corpus_path = _drmm_config(root, pairs_path, use_drmm=False)
     out = root / "run"
     assert cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
     return out, pairs_path, corpus_path
 
 
 def test_drmm_pairs_reach_the_ablation(drmm_run):
-    out, pairs_path, _ = drmm_run
-    assert (out / "pairs" / "drmm.jsonl").read_bytes() == pairs_path.read_bytes()
+    out, *_ = drmm_run
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     (row,) = report["rows"]
     assert row["ablation"]["name"] == "drmm"
@@ -361,20 +368,20 @@ def test_drmm_files_are_manifest_inputs(drmm_run):
     def inputs(stage):
         return json.loads((out / f"manifest-{stage}.json").read_text(encoding="utf-8"))["inputs"]
 
-    assert str(pairs_path) in inputs("gen-pairs")
+    assert str(pairs_path) in inputs("train-biencoder-drmm")
     assert str(corpus_path) in inputs("train-biencoder-drmm")
+    assert not (out / "pairs" / "drmm.jsonl").exists()  # read where it is, not copied
 
 
 def test_exit_3_on_missing_drmm_pairs(pipeline_run, tmp_path, caplog):
     _, out1, *_ = pipeline_run
     out = tmp_path / "run"
     shutil.copytree(out1, out)
-    shutil.rmtree(out / "pairs")
     absent = tmp_path / "absent.jsonl"
     cfg_path, _ = _drmm_config(tmp_path, absent)
-    message = fails(caplog, ["gen-pairs", "--config", str(cfg_path), "--out", str(out)])
+    message = fails(caplog, ["train-biencoder", "--config", str(cfg_path), "--out", str(out)])
     assert message == f"{absent} not found: check the run config"
-    assert not (out / "pairs").exists()  # a missing input stops the stage before it writes
+    assert not (out / "encoders" / "biencoder.gemb").exists()  # it stops before it writes
 
 
 @pytest.mark.parametrize("bad_line", [json.dumps({"id": "drmm:2"}).encode(),
@@ -386,13 +393,39 @@ def test_exit_3_on_drmm_corpus_record_without_text(pipeline_run, tmp_path, caplo
     _, out1, *_ = pipeline_run
     out = tmp_path / "run"
     shutil.copytree(out1, out)
-    pairs_path = tmp_path / "drmm-pairs.jsonl"
-    pairs_path.write_text("".join(json.dumps(r) + "\n" for r in DRMM_PAIRS), encoding="utf-8")
-    shutil.copyfile(pairs_path, out / "pairs" / "drmm.jsonl")
-    cfg_path, corpus_path = _drmm_config(tmp_path, pairs_path)
+    cfg_path, corpus_path = _drmm_config(tmp_path, _drmm_pairs(tmp_path))
     corpus_path.write_bytes(json.dumps(DRMM_CORPUS[0]).encode() + b"\n" + bad_line + b"\n")
     message = fails(caplog, [command, "--config", str(cfg_path), "--out", str(out)])
     assert message == f"{corpus_path}:2: DRMM corpus line is not a record with id and text"
+
+
+@pytest.mark.parametrize("command", ["train-biencoder", "pipeline"])
+def test_exit_3_on_drmm_pairs_without_corpus(pipeline_run, tmp_path, caplog, command):
+    _, out1, *_ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    pairs_path = _drmm_pairs(tmp_path)
+    cfg_path, _ = _drmm_config(tmp_path, pairs_path, corpus=False)
+    message = fails(caplog, [command, "--config", str(cfg_path), "--out", str(out)])
+    assert message == f"{pairs_path}: no text for document 'drmm:1'"
+
+
+@pytest.mark.parametrize("command, job", [("train-biencoder", "default"), ("pipeline", "sid")])
+def test_exit_2_on_drmm_job_without_pairs(pipeline_run, tmp_path, caplog, command, job):
+    _, out1, *_ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    shutil.rmtree(out / "ablations")
+    for path in out.glob("manifest-train-biencoder-*"):
+        path.unlink()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, composition={"use_drmm": True})),
+                        encoding="utf-8")
+    message = fails(caplog, [command, "--config", str(cfg_path), "--out", str(out)], code=2)
+    assert f"job {job!r}" in message and "composition.drmm_pairs" in message
+    # the first bi-encoder run stops before it writes
+    assert not list(out.glob("manifest-train-biencoder*")) and not (out / "ablations").exists()
+    assert not (out / "encoders" / "biencoder.gemb").exists()
 
 
 def _without(key):
@@ -407,8 +440,8 @@ def _with(key, value):
 MALFORMED_RECORDS = {
     "triplet-without-pos": ("train-docsim", "triplets/triplets.jsonl", _without("pos")),
     "unknown-neg-kind": ("train-docsim", "triplets/triplets.jsonl", _with("neg_kind", "medium")),
-    "pair-without-doc-id": ("train-biencoder", "pairs/sid.jsonl", _without("doc_id")),
-    "pair-label-7": ("train-biencoder", "pairs/sid.jsonl", _with("label", 7)),
+    "pair-without-doc-id": ("train-biencoder", "sid.jsonl", _without("doc_id")),
+    "pair-label-7": ("train-biencoder", "sid.jsonl", _with("label", 7)),
     "query-without-plant": ("evaluate", "plants/X/queries.jsonl", _without("plant")),
     "qrels-grade-high": ("evaluate", "plants/X/qrels.txt",
                          lambda line: line.rsplit(b" ", 1)[0] + b" high"),
@@ -441,6 +474,12 @@ def _repeated_id(blob):
     return b"\n".join([first, second, rest])
 
 
+def _unknown_doc(blob):
+    """A pair file whose first row names a document that no built graph has."""
+    first, rest = blob.split(b"\n", 1)
+    return _with("doc_id", "nope")(first) + b"\n" + rest
+
+
 def _dangling_edge(blob):
     edge = {"src": "X:log:ghost", "dst": "X:log:zz", "rel": "related_to"}
     return blob + json.dumps(edge).encode() + b"\n"
@@ -455,6 +494,7 @@ INCONSISTENT_ARTIFACTS = {
     "plant-without-training": ("build-graph", "benchmark.json",
                                lambda blob: b'{"plants": [{"plant_id": "X"}]}\n', None),
     "dangling-edge": ("train-ge", "graphs/X/edges.jsonl", _dangling_edge, "graphs/X/nodes.jsonl"),
+    "pair-unknown-doc": ("train-biencoder", "sid.jsonl", _unknown_doc, None),
 }
 
 
@@ -479,10 +519,44 @@ def damage_run(trained_run, tmp_path_factory):
     return cfg_path, out
 
 
+def _flip_middle_bit(blob):
+    middle = len(blob) // 2
+    return blob[:middle] + bytes([blob[middle] ^ 1]) + blob[middle + 1:]
+
+
 DAMAGE = {
     "drop-last-2-bytes": lambda blob: blob[:-2],
     "append-junk": lambda blob: blob + b"\xffjunk\n",
 }
+# A flipped bit can leave a file that parses (a float in a .gemb), so only --strict catches it.
+STRICT_DAMAGE = {**DAMAGE, "flip-middle-bit": _flip_middle_bit}
+
+
+def _damage_each_read(damage_run, caplog, stage, damage, strict):
+    """Run ``stage`` once for each read under --out that its row declares, with that file
+    damaged in place and restored after; return the reads whose run did not exit 3 with one
+    error line, no traceback, and, under --strict, a provenance error and an unchanged manifest."""
+    cfg_path, out = damage_run
+    row = next(row for row in cli.TABLE if row.name == stage)
+    run = cli.Run(stage, cli.load_run_config(str(cfg_path), None), out, False, {})
+    manifest = cli._manifest_path(out, stage)
+    args = [stage, "--config", str(cfg_path), "--out", str(out)] + ["--strict"] * strict
+    failed = []
+    for name in [name for name, producer in row.reads(run) if producer]:
+        path = out / name
+        blob = path.read_bytes()
+        before = manifest.read_bytes() if manifest.exists() else None
+        path.write_bytes(STRICT_DAMAGE[damage](blob))
+        want = f"provenance hash mismatch for {name}: " if strict else f"{path}:"
+        try:
+            if not fails(caplog, args).startswith(want) or (
+                    strict and before != (manifest.read_bytes() if manifest.exists() else None)):
+                failed.append(name)
+        except AssertionError:
+            failed.append(name)
+        finally:
+            path.write_bytes(blob)
+    return failed
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
@@ -490,28 +564,15 @@ DAMAGE = {
 def test_fault_matrix(damage_run, caplog, stage, damage):
     """Each read under --out that a stage row declares, damaged, exits 3 without --strict,
     with one error line that starts with the file's path and no traceback."""
-    cfg_path, out = damage_run
-    row = next(row for row in cli.TABLE if row.name == stage)
-    run = cli.Run(stage, cli.load_run_config(str(cfg_path), None), out, False, {})
-    names = [name for name, producer in row.reads(run) if producer]
-    if stage == "gen-pairs":
-        # gen-pairs copies sid.jsonl without parsing it; train-biencoder parses the copy,
-        # pairs/sid.jsonl, and this matrix damages that file under train-biencoder.
-        names.remove("sid.jsonl")
-    failed = []
-    for name in names:
-        path = out / name
-        blob = path.read_bytes()
-        path.write_bytes(DAMAGE[damage](blob))
-        try:
-            if not fails(caplog, [stage, "--config", str(cfg_path), "--out", str(out)]
-                         ).startswith(f"{path}:"):
-                failed.append(name)
-        except AssertionError:
-            failed.append(name)
-        finally:
-            path.write_bytes(blob)
-    assert failed == []
+    assert _damage_each_read(damage_run, caplog, stage, damage, strict=False) == []
+
+
+@pytest.mark.parametrize("damage", sorted(STRICT_DAMAGE))
+@pytest.mark.parametrize("stage", [row.name for row in cli.TABLE])
+def test_strict_fault_matrix(damage_run, caplog, stage, damage):
+    """Each read under --out that a stage row declares, damaged, exits 3 under --strict with
+    one provenance error line, before the stage touches its manifest."""
+    assert _damage_each_read(damage_run, caplog, stage, damage, strict=True) == []
 
 
 def test_corrupt_timings_stops_the_stage_before_it_writes(pipeline_run, tmp_path, caplog):
@@ -561,6 +622,27 @@ def test_seed_override_changes_outputs(tmp_path):
     a = (out_a / "plants" / "M" / "nodes.jsonl").read_bytes()
     b = (out_b / "plants" / "M" / "nodes.jsonl").read_bytes()
     assert a != b
+
+
+UNSAFE_NAMES = {"empty": "", "dot": ".", "dotdot": "..", "slash": "X/1", "backslash": "X\\1",
+                "escape": "../../esc"}
+
+
+@pytest.mark.parametrize("config", [
+    *(dict(MICRO_CONFIG, plants=[dict(MICRO_CONFIG["plants"][0], plant_id=name)])
+      for name in UNSAFE_NAMES.values()),
+    dict(MICRO_CONFIG, plants=MICRO_CONFIG["plants"] * 2),
+    *(dict(MICRO_CONFIG, ablations=[{"name": name}]) for name in UNSAFE_NAMES.values()),
+    dict(MICRO_CONFIG, ablations=[{"name": "s"}, {"name": "s", "docsim": False}]),
+], ids=[*(f"plant-{case}" for case in UNSAFE_NAMES), "plant-repeated",
+        *(f"ablation-{case}" for case in UNSAFE_NAMES), "ablation-repeated"])
+def test_exit_2_on_unsafe_or_repeated_name(tmp_path, caplog, config):
+    """Plant ids and ablation names become path parts under --out, so each must be one."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "o"
+    fails(caplog, ["synth", "--config", str(cfg_path), "--out", str(out)], code=2)
+    assert list(tmp_path.iterdir()) == [cfg_path]  # --out, or a path beside it, never made
 
 
 def test_exit_2_on_unknown_config_key(tmp_path):

@@ -26,7 +26,6 @@ def test_small_graph_accessors(small_graph):
     assert len(g.functional_locations()) == 3
     assert g.reported_fls("log1") == ("fl1",)
     assert g.out_neighbors("log1", Relation.RELATED_TO) == ("log2",)
-    assert g.in_neighbors("log2", Relation.RELATED_TO) == ("log1",)
     assert g.has_edge("fl1", "fl-root", Relation.PART_OF)
     assert not g.has_edge("fl-root", "fl1", Relation.PART_OF)
     assert g.edge_counts()[Relation.REPORTS_ABOUT] == 3
