@@ -211,12 +211,18 @@ class RunConfig:
 
 
 def _check_names(names: Sequence[str], what: str) -> None:
-    """Each name becomes one path part under --out: not empty, . or .., no separator, unique."""
+    """Each name becomes one path part under --out: not empty, . or .., no separator, unique,
+    also once ``:`` is written as ``-``, as manifest file names write it."""
     for i, name in enumerate(names):
         if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ConfigError(f"{what} {name!r} is not a file name")
-        if name in names[:i]:
+        twin = next((other for other in names[:i]
+                     if other.replace(":", "-") == name.replace(":", "-")), None)
+        if twin == name:
             raise ConfigError(f"duplicate {what} {name!r} in config")
+        if twin is not None:
+            raise ConfigError(f"{what}s {twin!r} and {name!r} would share manifest files, "
+                              "whose names write ':' as '-'")
 
 
 def _valid(stage_config: Any) -> Any:
@@ -274,8 +280,9 @@ class Run:
 
     The store maps an artifact kind plus the names and sha256 digests of the files it is
     parsed from to the parsed artifact, so the stages of one ``pipeline`` parse each file
-    once. It serves one config, and nothing may mutate what it holds. Encoder tables stay
-    out of it: each is 32 MiB at the default size.
+    once. It serves one config, and nothing may mutate what it holds. Encoders stay out of
+    it: each stage reads a different one, and each is only an init seed plus its trained
+    rows, read again in milliseconds.
     """
 
     stage: str
@@ -575,6 +582,17 @@ def _fresh_encoder(cfg: RunConfig, label: str = "encoder-init") -> EncoderParams
     return init_encoder(int(enc["dim"]), int(enc["vocab_buckets"]), derive_seed(cfg.seed, label))
 
 
+def _saved_encoder(cfg: RunConfig, stem: Path) -> EncoderParams:
+    """The encoder saved at ``stem``, whose dim and bucket count must be the config's: the
+    header alone records the table size that the init draw allocates."""
+    p = load_encoder(stem.with_suffix(".gemb"), stem.with_suffix(".json"))
+    enc = cfg.raw["encoder"]
+    if (p.dim, p.vocab_buckets) != (int(enc["dim"]), int(enc["vocab_buckets"])):
+        raise CorruptFileError(f"{stem.with_suffix('.json')}: dim {p.dim} and vocab_buckets "
+                               f"{p.vocab_buckets} differ from the config's encoder section")
+    return p
+
+
 def _triplet_reads(r: Run) -> list[Read]:
     """The triplets and the built graphs whose log texts they name."""
     return [TRIPLETS, PLANT_LIST, *_from("build-graph", _graphs(r, "graphs"))]
@@ -681,13 +699,12 @@ def _train_biencoder(r: Run) -> tuple[dict, dict]:
                     if any(pr.doc_id == unknown for pr in pairs_mod.load_pairs(path, source)))
         raise CorruptFileError(f"{path}: no text for document {unknown!r}")
     if job["docsim"]:
-        start = load_encoder(r.out / "encoders" / "docsim.gemb", r.out / "encoders" / "docsim.json")
+        start = _saved_encoder(r.cfg, r.out / "encoders" / "docsim")
     else:
         start = _fresh_encoder(r.cfg)
     bcfg = r.cfg.biencoder_config()
     bcfg.rng_seed = derive_seed(r.cfg.seed, f"biencoder:{job['name']}")
     result = train.train_biencoder(start, pair_rows, texts, bcfg)
-    del start  # training copied it; free it before the trained table is written
     target = r.out / _encoder_dir(r.ablation)
     target.mkdir(parents=True, exist_ok=True)
     save_encoder(result.params, target / "biencoder.gemb", target / "biencoder.json")
@@ -711,8 +728,7 @@ def _evaluate_reads(r: Run) -> list[Read]:
 
 def _evaluate(r: Run) -> tuple[dict, dict]:
     edir = r.out / _encoder_dir(r.ablation)
-    report = ir_eval.evaluate_run(load_encoder(edir / "biencoder.gemb", edir / "biencoder.json"),
-                                  r.benchmark())
+    report = ir_eval.evaluate_run(_saved_encoder(r.cfg, edir / "biencoder"), r.benchmark())
     stem = _report_stem(r.ablation)
     _dump(r.out / f"{stem}.json", report.to_dict())
     (r.out / f"{stem}.txt").write_text(report.format_table() + "\n", encoding="utf-8")

@@ -4,20 +4,26 @@ Features are lowercased word unigrams plus character 3-grams of each
 word with boundary markers (the word "pumpe" contributes "<pumpe>" and
 the 3-grams of "<pumpe>"). Feature strings are hashed with FNV-1a-64
 into a fixed bucket table; a text's vector is the count-weighted mean
-of its bucket rows, so the encoder is linear in its parameters.
+of its bucket rows, so the encoder is linear in its parameters. The
+table is held as the seed of its init draw plus the rows training
+changed (:class:`EncoderParams`).
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import re
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .storage import EmbeddingFileError, read_matrix, write_matrix
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_DIM = 64
 DEFAULT_VOCAB_BUCKETS = 1 << 16
@@ -137,6 +143,17 @@ class FeatureMatrix:
             blocks.append((len(block), u, flat.astype(np.int32), weight))
         return Pooling(blocks, inverse)
 
+    def compact(self) -> tuple[FeatureMatrix, np.ndarray]:
+        """This matrix with each bucket id renumbered to its position among the sorted
+        distinct ids, and those ids.
+
+        The renumbering is monotone, so every row's ids stay sorted and
+        :meth:`pooling_weights` gives the same ``W`` over positions into a
+        table gathered at those buckets.
+        """
+        buckets, local = np.unique(self.bucket_ids, return_inverse=True)
+        return replace(self, bucket_ids=local), buckets
+
 
 @dataclass(frozen=True)
 class Pooling:
@@ -150,14 +167,14 @@ class Pooling:
     blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
     inverse: np.ndarray  # int64, text -> distinct row
 
-    def encode(self, table: np.ndarray) -> np.ndarray:
-        """Every text's mean-pooled vector: one gemm ``W @ table[u]`` per block."""
-        out = np.zeros((sum(n for n, *_ in self.blocks), table.shape[1]))
+    def encode(self, p: EncoderParams) -> np.ndarray:
+        """Every text's mean-pooled vector: one gemm ``W @ p.rows(u)`` per block."""
+        out = np.zeros((sum(n for n, *_ in self.blocks), p.dim))
         lo = 0
         for n, u, flat, weight in self.blocks:
             w = np.zeros((n, len(u)))
             w.ravel()[flat] = weight
-            out[lo : lo + n] = w @ table[u]
+            out[lo : lo + n] = w @ p.rows(u)
             lo += n
         return out[self.inverse]
 
@@ -190,32 +207,88 @@ def featurize_many(texts: Sequence[str],
     return FeatureMatrix(indptr, keys - row_of * vocab_buckets, counts, lengths)
 
 
-@dataclass
-class EncoderParams:
-    """Bucket embedding table plus the hashing configuration.
+# The last init table drawn: ((seed, dim, vocab_buckets), the read-only table,
+# seconds the draw took).
+_init_memo: tuple[tuple[int, int, int], np.ndarray, float] | None = None
 
+
+def _init_table(seed: int, dim: int, vocab_buckets: int) -> np.ndarray:
+    """The seeded Gaussian(0, 1/sqrt(dim)) table, read-only, from a one-table memo.
+
+    The memo drops the table it holds before it draws another, so at most one
+    init table is alive however many seeds a process reads.
+    """
+    global _init_memo
+    key = (seed, dim, vocab_buckets)
+    if _init_memo is not None and _init_memo[0] == key:
+        logger.debug("encoder init seed %d: memo hit, saves a %.3f s draw", seed, _init_memo[2])
+        return _init_memo[1]
+    _init_memo = None
+    t0 = time.perf_counter()
+    table = np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(dim), size=(vocab_buckets, dim))
+    table.flags.writeable = False
+    _init_memo = (key, table, time.perf_counter() - t0)
+    logger.debug("encoder init seed %d: drew %d x %d table in %.3f s", seed, vocab_buckets, dim,
+                 _init_memo[2])
+    return table
+
+
+@dataclass(frozen=True, eq=False)
+class EncoderParams:
+    """A bucket embedding table held as its init draw's seed plus the rows training changed.
+
+    Row b is ``trained[i]`` where ``bucket_ids[i] == b``. Every other row is
+    row b of the seeded Gaussian(0, 1/sqrt(dim)) init table, rounded to
+    float32 when ``rounded`` is set, as it is for every table read from disk.
     Pooling is always the mean; persisted headers record it as ``"pooling":
     "mean"`` so that they stay self-describing.
     """
 
-    embedding_table: np.ndarray  # (vocab_buckets, dim) float64
-    vocab_buckets: int = DEFAULT_VOCAB_BUCKETS
+    seed: int
+    dim: int
+    vocab_buckets: int
+    bucket_ids: np.ndarray  # int64, strictly increasing, below vocab_buckets
+    trained: np.ndarray  # (len(bucket_ids), dim) float64
+    rounded: bool = False
 
     def __post_init__(self) -> None:
-        if self.embedding_table.ndim != 2 or self.embedding_table.shape[0] != self.vocab_buckets:
-            raise ValueError(
-                f"embedding table shape {self.embedding_table.shape} does not match "
-                f"vocab_buckets={self.vocab_buckets}"
-            )
-        if not np.isfinite(self.embedding_table).all():
-            raise ValueError("embedding table contains non-finite values")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.dim < 2:
+            raise ValueError(f"dim must be >= 2, got {self.dim}")
+        if self.vocab_buckets < 1:
+            raise ValueError(f"vocab_buckets must be positive, got {self.vocab_buckets}")
+        ids = self.bucket_ids
+        if ids.ndim != 1 or (len(ids) and (ids[0] < 0 or ids[-1] >= self.vocab_buckets
+                                           or (np.diff(ids) <= 0).any())):
+            raise ValueError(f"bucket ids must increase strictly within [0, {self.vocab_buckets})")
+        if self.trained.shape != (len(ids), self.dim):
+            raise ValueError(f"trained rows of shape {self.trained.shape} do not match "
+                             f"{len(ids)} bucket ids of dim {self.dim}")
+        if not np.isfinite(self.trained).all():
+            raise ValueError("trained rows contain non-finite values")
 
-    @property
-    def dim(self) -> int:
-        return int(self.embedding_table.shape[1])
+    def rows(self, u: np.ndarray) -> np.ndarray:
+        """Rows ``u`` of the table, as a new float64 array: init rows from the memo, with the
+        trained rows laid over them."""
+        out = _init_table(self.seed, self.dim, self.vocab_buckets)[u]
+        if self.rounded:
+            out = out.astype(np.float32).astype(np.float64)
+        if len(self.bucket_ids):
+            pos = np.minimum(np.searchsorted(self.bucket_ids, u), len(self.bucket_ids) - 1)
+            held = self.bucket_ids[pos] == u
+            out[held] = self.trained[pos[held]]
+        return out
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(self.embedding_table.copy(), self.vocab_buckets)
+    def with_rows(self, ids: np.ndarray, rows: np.ndarray) -> EncoderParams:
+        """This table with rows ``ids`` (strictly increasing) set to ``rows``; of those, only
+        the rows that differ from this table's are held."""
+        changed = (rows != self.rows(ids)).any(axis=1)
+        kept = ~np.isin(self.bucket_ids, ids[changed])
+        merged = np.concatenate([self.bucket_ids[kept], ids[changed]])
+        order = np.argsort(merged, kind="stable")
+        return replace(self, bucket_ids=merged[order],
+                       trained=np.concatenate([self.trained[kept], rows[changed]])[order])
 
 
 def init_encoder(
@@ -223,21 +296,14 @@ def init_encoder(
     vocab_buckets: int = DEFAULT_VOCAB_BUCKETS,
     seed: int = 0,
 ) -> EncoderParams:
-    """Seeded Gaussian(0, 1/sqrt(dim)) bucket table."""
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    if vocab_buckets < 1:
-        raise ValueError(f"vocab_buckets must be positive, got {vocab_buckets}")
-    rng = np.random.default_rng(seed)
-    table = rng.normal(0.0, 1.0 / np.sqrt(dim), size=(vocab_buckets, dim))
-    return EncoderParams(table, vocab_buckets)
+    """Seeded Gaussian(0, 1/sqrt(dim)) bucket table, drawn when its rows are first read."""
+    return EncoderParams(seed, dim, vocab_buckets, np.empty(0, dtype=np.int64), np.empty((0, dim)))
 
 
 def encode_features(p: EncoderParams, feats: TokenFeatures) -> np.ndarray:
     if feats.total == 0:
         return np.zeros(p.dim, dtype=np.float64)
-    rows = p.embedding_table[feats.bucket_ids]
-    return (feats.counts.astype(np.float64) @ rows) / feats.total
+    return (feats.counts.astype(np.float64) @ p.rows(feats.bucket_ids)) / feats.total
 
 
 def encode(p: EncoderParams, text: str) -> np.ndarray:
@@ -251,35 +317,49 @@ def encode_batch(p: EncoderParams, texts: Sequence[str]) -> np.ndarray:
     Texts are featurized once together and pooled with one gemm per block of
     rows (:meth:`FeatureMatrix.pooling`); equal texts get bit-identical rows.
     """
-    return featurize_many(texts, p.vocab_buckets).pooling().encode(p.embedding_table)
+    return featurize_many(texts, p.vocab_buckets).pooling().encode(p)
 
 
 def save_encoder(p: EncoderParams, matrix_path: str | Path, header_path: str | Path) -> None:
-    write_matrix(matrix_path, p.embedding_table)
-    header = {"dim": p.dim, "vocab_buckets": p.vocab_buckets, "hash_algo": HASH_ALGO,
-              "pooling": "mean"}
+    """Write the held rows as float32 to ``matrix_path``, and their bucket ids with the
+    init seed, dim and bucket count to the JSON header."""
+    write_matrix(matrix_path, p.trained)
+    header = {"bucket_ids": p.bucket_ids.tolist(), "dim": p.dim, "hash_algo": HASH_ALGO,
+              "pooling": "mean", "seed": p.seed, "vocab_buckets": p.vocab_buckets}
     Path(header_path).write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8")
+    logger.debug("saved encoder %s: %d of %d rows held", matrix_path, len(p.bucket_ids),
+                 p.vocab_buckets)
 
 
 def load_encoder(matrix_path: str | Path, header_path: str | Path) -> EncoderParams:
-    """Read a saved encoder; a corrupt header or matrix raises EmbeddingFileError naming it."""
+    """Read a saved encoder; a corrupt header or matrix raises EmbeddingFileError naming it.
+
+    Rows the file does not hold are the float32-rounded init rows.
+    """
     try:
         header = json.loads(Path(header_path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise EmbeddingFileError(f"{header_path}: unreadable encoder header ({exc})") from None
     if not isinstance(header, dict) or any(type(header.get(key)) is not int
-                                           for key in ("dim", "vocab_buckets")):
-        raise EmbeddingFileError(f"{header_path}: encoder header needs integer dim and "
-                                 f"vocab_buckets")
+                                           for key in ("dim", "vocab_buckets", "seed")):
+        raise EmbeddingFileError(f"{header_path}: encoder header needs integer dim, "
+                                 f"vocab_buckets and seed")
     if header.get("hash_algo") != HASH_ALGO:
         raise EmbeddingFileError(
             f"{header_path}: unsupported hash algorithm {header.get('hash_algo')!r}")
     if header.get("pooling", "mean") != "mean":
         raise EmbeddingFileError(f"{header_path}: unsupported pooling {header['pooling']!r}")
-    table = read_matrix(matrix_path)
-    if table.shape != (header["vocab_buckets"], header["dim"]):
-        raise EmbeddingFileError(
-            f"{matrix_path}: matrix shape {table.shape} does not match header "
-            f"({header['vocab_buckets']}, {header['dim']})"
-        )
-    return EncoderParams(table, header["vocab_buckets"])
+    ids = header.get("bucket_ids")
+    if not isinstance(ids, list) or any(type(b) is not int or not 0 <= b < header["vocab_buckets"]
+                                        for b in ids):
+        raise EmbeddingFileError(f"{header_path}: bucket_ids must be a list of integers in "
+                                 f"[0, {header['vocab_buckets']})")
+    trained = read_matrix(matrix_path)
+    if trained.shape != (len(ids), header["dim"]):
+        raise EmbeddingFileError(f"{header_path}: {len(ids)} bucket ids of dim {header['dim']} "
+                                 f"for a matrix of shape {trained.shape} in {matrix_path}")
+    try:
+        return EncoderParams(header["seed"], header["dim"], header["vocab_buckets"],
+                             np.array(ids, dtype=np.int64), trained, rounded=True)
+    except ValueError as exc:
+        raise EmbeddingFileError(f"{header_path}: {exc}") from None

@@ -37,6 +37,17 @@ class BenchmarkPlant:
     queries: list[Query]
     qrels: dict[str, dict[str, int]]  # query id -> doc id -> grade
     training: bool = False
+    _poolings: dict[int, Pooling] = field(default_factory=dict, init=False, repr=False,
+                                          compare=False)
+
+    def corpus_pooling(self, vocab_buckets: int) -> tuple[list[str], Pooling]:
+        """The corpus's doc ids in ascending order and their texts' pooling weights, which
+        depend on no table and are computed once per bucket count."""
+        doc_ids = sorted(self.corpus)
+        if vocab_buckets not in self._poolings:
+            self._poolings[vocab_buckets] = featurize_many(
+                [self.corpus[d] for d in doc_ids], vocab_buckets).pooling()
+        return doc_ids, self._poolings[vocab_buckets]
 
 
 @dataclass
@@ -92,9 +103,9 @@ def _corpus_pooling(vocab_buckets: int, texts: tuple[str, ...]) -> tuple[Pooling
     """The texts' pooling weights and whether the memo held them.
 
     The memo holds the last corpus only, keyed by content, and no table data,
-    so a table changed in place between calls is still read afresh. It keeps
-    the weights once the same corpus comes twice in a row, so an evaluation
-    that ranks each plant once in turn leaves no weights alive.
+    so an encoder whose rows changed between calls is still read afresh. It
+    keeps the weights once the same corpus comes twice in a row, so ranking
+    many corpora once each in turn leaves no weights alive.
     """
     global _corpus_memo
     key = (vocab_buckets, texts)
@@ -118,12 +129,18 @@ def rank_queries(p: EncoderParams, query_texts: Sequence[str],
     documents in ascending id order.
     """
     doc_ids = sorted(corpus)
-    if not doc_ids:
-        raise ValueError("empty corpus")
     pooling, hit = _corpus_pooling(p.vocab_buckets, tuple(corpus[d] for d in doc_ids))
     logger.debug("rank_queries: corpus memo %s, texts featurized: %d", "hit" if hit else "miss",
                  len(query_texts) + (0 if hit else len(doc_ids)))
-    docs = pooling.encode(p.embedding_table)
+    return _rank(p, query_texts, doc_ids, pooling)
+
+
+def _rank(p: EncoderParams, query_texts: Sequence[str], doc_ids: list[str],
+          pooling: Pooling) -> list[list[str]]:
+    """Rank ``doc_ids``, pooled by ``pooling``, for each query by descending cosine."""
+    if not doc_ids:
+        raise ValueError("empty corpus")
+    docs = pooling.encode(p)
     queries = encode_batch(p, query_texts)
     dots = np.vecdot(docs[None, :, :], queries[:, None, :])
     norms = np.sqrt(np.vecdot(docs, docs))[None, :] * np.sqrt(np.vecdot(queries, queries))[:, None]
@@ -231,14 +248,16 @@ class EvalReport:
 def evaluate_run(p: EncoderParams, b: Benchmark, k: int = 10) -> EvalReport:
     """Macro-averaged retrieval metrics: per plant, then unweighted across plants.
 
-    Rankings come from :func:`rank_queries`, one batch per plant.
+    Each plant's queries are ranked in one batch as :func:`rank_queries` ranks them, over
+    the plant's own :meth:`BenchmarkPlant.corpus_pooling`.
     """
     b.validate()
     if not b.plants:
         raise ValueError("benchmark has no plants")
     per_plant: dict[str, PlantMetrics] = {}
     for plant in b.plants:
-        rankings = rank_queries(p, [q.text for q in plant.queries], plant.corpus)
+        doc_ids, pooling = plant.corpus_pooling(p.vocab_buckets)
+        rankings = _rank(p, [q.text for q in plant.queries], doc_ids, pooling)
         aps, rrs, ndcgs = [], [], []
         for q, ranking in zip(plant.queries, rankings):
             grades = plant.qrels.get(q.query_id, {})

@@ -7,7 +7,9 @@ update only the encoder's bucket table, and because the encoder is
 linear in that table, each SGD step is two gemms over the mini-batch's
 buckets: the texts' vectors are ``W @ table[u]`` and the table gradient
 is ``W.T @ G``, with W the batch's pooling weights
-(``FeatureMatrix.pooling_weights``).
+(``FeatureMatrix.pooling_weights``). ``table`` holds only the rows of the
+training texts' buckets, gathered once, and the texts' bucket ids are
+renumbered to positions in it (``FeatureMatrix.compact``).
 """
 
 from __future__ import annotations
@@ -97,9 +99,8 @@ def train_docsim(
     """
     cfg.validate()
     start = time.perf_counter()
-    out = p.copy()
     if cfg.epochs == 0 or not tset.triplets:
-        return TrainResult(out, [], 0, time.perf_counter() - start)
+        return TrainResult(p, [], 0, time.perf_counter() - start)
 
     doc_ids = list(dict.fromkeys(
         d for t in tset.triplets for d in (t.query, t.positive, t.negative)
@@ -107,13 +108,13 @@ def train_docsim(
     for doc_id in doc_ids:
         if doc_id not in texts:
             raise KeyError(f"no text for document {doc_id!r}")
-    fm = featurize_many([texts[d] for d in doc_ids], out.vocab_buckets)
+    fm, buckets = featurize_many([texts[d] for d in doc_ids], p.vocab_buckets).compact()
     row_of = {d: i for i, d in enumerate(doc_ids)}
     members = np.array([[row_of[t.query], row_of[t.positive], row_of[t.negative]]
                         for t in tset.triplets])
 
     rng = np.random.default_rng(cfg.rng_seed)
-    table = out.embedding_table
+    table = p.rows(buckets)
     n = len(tset.triplets)
     epoch_losses: list[float] = []
     steps = 0
@@ -143,7 +144,8 @@ def train_docsim(
                      epoch, epoch_losses[-1], active, n)
     if not np.isfinite(table).all():
         raise NonFiniteError("non-finite encoder table after docsim training")
-    return TrainResult(out, epoch_losses, steps, time.perf_counter() - start)
+    return TrainResult(p.with_rows(buckets, table), epoch_losses, steps,
+                       time.perf_counter() - start)
 
 
 def _pack_batches(
@@ -180,7 +182,6 @@ def train_biencoder(
     """
     cfg.validate()
     start = time.perf_counter()
-    out = p.copy()
     positives = [pr for pr in pairs if pr.label is PairLabel.POSITIVE]
     if not positives:
         raise ValueError("no positive pairs to train on")
@@ -194,15 +195,16 @@ def train_biencoder(
         if doc_id not in texts:
             raise KeyError(f"no text for document {doc_id!r}")
     queries = list(dict.fromkeys(pr.query_text for pr in pairs))
-    fm = featurize_many([texts[d] for d in doc_ids] + queries, out.vocab_buckets)
+    fm, buckets = featurize_many([texts[d] for d in doc_ids] + queries,
+                                 p.vocab_buckets).compact()
     doc_row = {d: i for i, d in enumerate(doc_ids)}
     query_row = {q: len(doc_ids) + i for i, q in enumerate(queries)}
 
     if cfg.epochs == 0:
-        return TrainResult(out, [], 0, time.perf_counter() - start)
+        return TrainResult(p, [], 0, time.perf_counter() - start)
 
     rng = np.random.default_rng(cfg.rng_seed)
-    table = out.embedding_table
+    table = p.rows(buckets)
     epoch_losses: list[float] = []
     step = 0
     for epoch in range(cfg.epochs):
@@ -238,4 +240,5 @@ def train_biencoder(
                      "%d buckets", epoch, epoch_losses[-1], len(batches), *widest)
     if not np.isfinite(table).all():
         raise NonFiniteError("non-finite encoder table after bi-encoder training")
-    return TrainResult(out, epoch_losses, step, time.perf_counter() - start)
+    return TrainResult(p.with_rows(buckets, table), epoch_losses, step,
+                       time.perf_counter() - start)

@@ -6,14 +6,16 @@ vectorization strategy with the package, so agreement is meaningful
 evidence rather than a tautology. The exception is the bit-exact
 section at the end: the former per-row numpy loops that the package's
 array code replaced, kept so that tests can demand equality to the bit
-or, for the training loops, whose batched gemms sum in another order, a
-stated tolerance.
+or, for the per-text training loops, whose batched gemms sum in another
+order, a stated tolerance. The whole-table training loops there are the
+former batched code, which training on gathered rows must equal bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -318,23 +320,55 @@ def oracle_sgd_step(table, texts, lr: float) -> None:
     table[rows] -= lr * grads
 
 
-def oracle_train_docsim(p, tset, texts, cfg):
-    """Per-text docsim SGD: three encodes and one per-row triplet loss per triplet."""
-    from plantsearch.encoder import encode_features, featurize_many
+def oracle_init_table(seed, dim, vocab_buckets):
+    """An encoder's init table drawn straight from its seed, as a new writable array."""
+    return np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(dim), size=(vocab_buckets, dim))
+
+
+def dense_table(p):
+    """Every row of an encoder's table, bucket by bucket."""
+    return p.rows(np.arange(p.vocab_buckets))
+
+
+def oracle_dense_round_trip(table, path):
+    """A whole table written to one .gemb and read back, as encoders were stored before they
+    kept only their trained rows: float64(float32(table))."""
+    from plantsearch.storage import read_matrix, write_matrix
+
+    write_matrix(path, table)
+    return read_matrix(path)
+
+
+class DenseRun(NamedTuple):
+    """What a whole-table training oracle returns."""
+
+    table: np.ndarray
+    epoch_losses: list[float]
+    steps: int
+
+
+def _encode_dense(table, f):
+    if f.total == 0:
+        return np.zeros(table.shape[1])
+    return (f.counts.astype(np.float64) @ table[f.bucket_ids]) / f.total
+
+
+def oracle_train_docsim(table, tset, texts, cfg):
+    """Per-text docsim SGD on a copy of a whole table: three encodes and one per-row triplet
+    loss per triplet."""
+    from plantsearch.encoder import featurize_many
     from plantsearch.losses import NonFiniteError
-    from plantsearch.train import TrainResult
 
     cfg.validate()
-    out = p.copy()
+    table = table.copy()
     if cfg.epochs == 0 or not tset.triplets:
-        return TrainResult(out, [], 0, 0.0)
+        return DenseRun(table, [], 0)
     doc_ids = list(dict.fromkeys(
         d for t in tset.triplets for d in (t.query, t.positive, t.negative)
     ))
-    fm = featurize_many([texts[d] for d in doc_ids], out.vocab_buckets)
+    fm = featurize_many([texts[d] for d in doc_ids], len(table))
     feats = {d: fm.row(i) for i, d in enumerate(doc_ids)}
     rng = np.random.default_rng(cfg.rng_seed)
-    table = out.embedding_table
     n = len(tset.triplets)
     epoch_losses = []
     steps = 0
@@ -347,8 +381,8 @@ def oracle_train_docsim(p, tset, texts, cfg):
             for t in batch:
                 fq, fp, fn = feats[t.query], feats[t.positive], feats[t.negative]
                 loss, gq, gp, gn = oracle_triplet_loss_grad(
-                    encode_features(out, fq), encode_features(out, fp),
-                    encode_features(out, fn), cfg.margin,
+                    _encode_dense(table, fq), _encode_dense(table, fp),
+                    _encode_dense(table, fn), cfg.margin,
                 )
                 total_loss += loss
                 if loss == 0.0:
@@ -360,20 +394,21 @@ def oracle_train_docsim(p, tset, texts, cfg):
         if not np.isfinite(total_loss):
             raise NonFiniteError(f"non-finite docsim loss in epoch {epoch}")
         epoch_losses.append(total_loss / n)
-    return TrainResult(out, epoch_losses, steps, 0.0)
+    return DenseRun(table, epoch_losses, steps)
 
 
-def oracle_train_biencoder(p, pairs, texts, cfg):
-    """Per-text bi-encoder MNR SGD: texts encoded one by one, gradients scattered per text."""
+def oracle_train_biencoder(table, pairs, texts, cfg):
+    """Per-text bi-encoder MNR SGD on a copy of a whole table: texts encoded one by one,
+    gradients scattered per text."""
     from collections import defaultdict
 
-    from plantsearch.encoder import encode_features, featurize_many
+    from plantsearch.encoder import featurize_many
     from plantsearch.losses import mnr_loss_grad
     from plantsearch.pairs import PairLabel
-    from plantsearch.train import TrainResult, _pack_batches, effective_lr
+    from plantsearch.train import _pack_batches, effective_lr
 
     cfg.validate()
-    out = p.copy()
+    table = table.copy()
     positives = [pr for pr in pairs if pr.label is PairLabel.POSITIVE]
     negatives = defaultdict(list)
     for pr in pairs:
@@ -381,13 +416,12 @@ def oracle_train_biencoder(p, pairs, texts, cfg):
             negatives[pr.query_text].append(pr.doc_id)
     doc_ids = list(dict.fromkeys(pr.doc_id for pr in pairs))
     queries = list(dict.fromkeys(pr.query_text for pr in pairs))
-    fm = featurize_many([texts[d] for d in doc_ids] + queries, out.vocab_buckets)
+    fm = featurize_many([texts[d] for d in doc_ids] + queries, len(table))
     doc_feats = {d: fm.row(i) for i, d in enumerate(doc_ids)}
     query_feats = {q: fm.row(len(doc_ids) + i) for i, q in enumerate(queries)}
     if cfg.epochs == 0:
-        return TrainResult(out, [], 0, 0.0)
+        return DenseRun(table, [], 0)
     rng = np.random.default_rng(cfg.rng_seed)
-    table = out.embedding_table
     epoch_losses = []
     step = 0
     for epoch in range(cfg.epochs):
@@ -403,8 +437,8 @@ def oracle_train_biencoder(p, pairs, texts, cfg):
                         extras.append(doc_id)
             q_feats = [query_feats[pr.query_text] for pr in batch]
             d_feats = [doc_feats[d] for d in batch_docs + extras]
-            q_mat = np.stack([encode_features(out, f) for f in q_feats])
-            d_mat = np.stack([encode_features(out, f) for f in d_feats])
+            q_mat = np.stack([_encode_dense(table, f) for f in q_feats])
+            d_mat = np.stack([_encode_dense(table, f) for f in d_feats])
             loss, g_q, g_d = mnr_loss_grad(q_mat, d_mat, cfg.similarity_scale)
             loss_sum += loss * len(batch)
             rows_seen += len(batch)
@@ -412,7 +446,98 @@ def oracle_train_biencoder(p, pairs, texts, cfg):
             lr = effective_lr(cfg.learning_rate, step, cfg.warmup_steps)
             oracle_sgd_step(table, list(zip(q_feats, g_q)) + list(zip(d_feats, g_d)), lr)
         epoch_losses.append(loss_sum / rows_seen)
-    return TrainResult(out, epoch_losses, step, 0.0)
+    return DenseRun(table, epoch_losses, step)
+
+
+def dense_train_docsim(table, tset, texts, cfg):
+    """The batched docsim SGD on a copy of a whole table, as it ran before training gathered
+    only its texts' rows: the same gemms over the table's own bucket ids."""
+    from plantsearch.encoder import featurize_many
+    from plantsearch.losses import triplet_loss_grad_batch
+
+    table = table.copy()
+    if cfg.epochs == 0 or not tset.triplets:
+        return DenseRun(table, [], 0)
+    doc_ids = list(dict.fromkeys(
+        d for t in tset.triplets for d in (t.query, t.positive, t.negative)
+    ))
+    fm = featurize_many([texts[d] for d in doc_ids], len(table))
+    row_of = {d: i for i, d in enumerate(doc_ids)}
+    members = np.array([[row_of[t.query], row_of[t.positive], row_of[t.negative]]
+                        for t in tset.triplets])
+    rng = np.random.default_rng(cfg.rng_seed)
+    n = len(tset.triplets)
+    epoch_losses = []
+    steps = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        total_loss = 0.0
+        for lo in range(0, n, cfg.batch_size):
+            batch = members[order[lo : lo + cfg.batch_size]]
+            m = len(batch)
+            u, w = fm.pooling_weights(batch.T.ravel())
+            x = w @ table[u]
+            losses, gq, gp, gn = triplet_loss_grad_batch(x[:m], x[m : 2 * m], x[2 * m :],
+                                                         cfg.margin)
+            for loss in losses.tolist():
+                total_loss += loss
+            if np.count_nonzero(losses):
+                table[u] -= cfg.learning_rate * (w.T @ ((1.0 / m) * np.concatenate([gq, gp, gn])))
+            steps += 1
+        epoch_losses.append(total_loss / n)
+    return DenseRun(table, epoch_losses, steps)
+
+
+def dense_train_biencoder(table, pairs, texts, cfg):
+    """The batched bi-encoder MNR SGD on a copy of a whole table, as it ran before training
+    gathered only its texts' rows."""
+    from collections import defaultdict
+
+    from plantsearch.encoder import featurize_many
+    from plantsearch.losses import mnr_loss_grad
+    from plantsearch.pairs import PairLabel
+    from plantsearch.train import _pack_batches, effective_lr
+
+    table = table.copy()
+    positives = [pr for pr in pairs if pr.label is PairLabel.POSITIVE]
+    negatives = defaultdict(list)
+    for pr in pairs:
+        if pr.label is PairLabel.NEGATIVE:
+            negatives[pr.query_text].append(pr.doc_id)
+    doc_ids = list(dict.fromkeys(pr.doc_id for pr in pairs))
+    queries = list(dict.fromkeys(pr.query_text for pr in pairs))
+    fm = featurize_many([texts[d] for d in doc_ids] + queries, len(table))
+    doc_row = {d: i for i, d in enumerate(doc_ids)}
+    query_row = {q: len(doc_ids) + i for i, q in enumerate(queries)}
+    if cfg.epochs == 0:
+        return DenseRun(table, [], 0)
+    rng = np.random.default_rng(cfg.rng_seed)
+    epoch_losses = []
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(positives))
+        loss_sum = 0.0
+        rows_seen = 0
+        for batch in _pack_batches(positives, order, cfg.batch_size):
+            all_docs = [pr.doc_id for pr in batch]
+            seen = set(all_docs)
+            for pr in batch:
+                for doc_id in negatives.get(pr.query_text, ()):
+                    if doc_id not in seen:
+                        seen.add(doc_id)
+                        all_docs.append(doc_id)
+            u, w = fm.pooling_weights(np.array([query_row[pr.query_text] for pr in batch]
+                                               + [doc_row[d] for d in all_docs]))
+            x = w @ table[u]
+            loss, g_q, g_d = mnr_loss_grad(x[: len(batch)], x[len(batch) :],
+                                           cfg.similarity_scale)
+            loss_sum += loss * len(batch)
+            rows_seen += len(batch)
+            step += 1
+            table[u] -= effective_lr(cfg.learning_rate, step, cfg.warmup_steps) * (
+                w.T @ np.concatenate([g_q, g_d]))
+        epoch_losses.append(loss_sum / rows_seen)
+    return DenseRun(table, epoch_losses, step)
 
 
 def oracle_rank_corpus(p, query_texts, corpus):

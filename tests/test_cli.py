@@ -4,8 +4,9 @@ import struct
 
 import pytest
 
-from plantsearch import cli, kg, pairs
+from plantsearch import cli, encoder, kg, pairs
 from plantsearch.losses import NonFiniteError
+from plantsearch.storage import derive_seed
 
 TINY_CONFIG = {
     "seed": 3,
@@ -219,6 +220,19 @@ HEADER_DAMAGE = {
     "string-dim": lambda blob: _edit_header(blob, dim="16"),
     "unknown-hash": lambda blob: _edit_header(blob, hash_algo="md5"),
     "max-pooling": lambda blob: _edit_header(blob, pooling="max"),
+    "no-seed": lambda blob: _edit_header(blob, seed=None),
+    "float-seed": lambda blob: _edit_header(blob, seed=3.0),
+    "negative-seed": lambda blob: _edit_header(blob, seed=-1),
+    "no-bucket-ids": lambda blob: _edit_header(blob, bucket_ids=None),
+    "bucket-ids-not-a-list": lambda blob: _edit_header(blob, bucket_ids="0 1 2"),
+    "float-bucket-id": lambda blob: _edit_ids(blob, lambda ids: [float(ids[0])] + ids[1:]),
+    "negative-bucket-id": lambda blob: _edit_ids(blob, lambda ids: [-1] + ids[1:]),
+    "bucket-id-past-the-table": lambda blob: _edit_ids(blob, lambda ids: ids[:-1] + [1 << 16]),
+    "bucket-ids-unsorted": lambda blob: _edit_ids(blob, lambda ids: [ids[1], ids[0]] + ids[2:]),
+    "bucket-id-repeated": lambda blob: _edit_ids(blob, lambda ids: [ids[0]] + ids[:-1]),
+    "one-bucket-id-fewer": lambda blob: _edit_ids(blob, lambda ids: ids[:-1]),
+    "one-bucket-id-more": lambda blob: _edit_ids(blob, lambda ids: ids + [ids[-1] + 1]),
+    "vocab-buckets-not-the-configs": lambda blob: _edit_header(blob, vocab_buckets=(1 << 16) + 1),
 }
 
 
@@ -230,6 +244,11 @@ def _edit_header(blob, **changes):
         else:
             header[key] = value
     return json.dumps(header).encode()
+
+
+def _edit_ids(blob, edit):
+    """A header whose held rows' bucket ids are ``edit`` of its own."""
+    return _edit_header(blob, bucket_ids=edit(json.loads(blob)["bucket_ids"]))
 
 
 @pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
@@ -282,7 +301,10 @@ def test_strict_needs_the_producer_manifest(pipeline_run, tmp_path, caplog):
     assert "manifest-synth.json not found" in message
 
 
-def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch):
+def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch, caplog):
+    """Each artifact is parsed once, and each encoder init table (the scorer's and the one
+    every encoder starts from) is drawn once."""
+    monkeypatch.setattr(encoder, "_init_memo", None)
     calls = {"load_graph": [], "quality_filter": 0}
     load_graph, quality_filter = kg.load_graph, pairs.quality_filter
 
@@ -299,10 +321,14 @@ def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
     out = tmp_path / "run"
-    assert cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
+    with caplog.at_level("DEBUG", logger="plantsearch.encoder"):
+        assert cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
     # plants/X, plants/Y, graphs/X and graphs/Y, each parsed once
     assert len(calls["load_graph"]) == 4 and len(set(calls["load_graph"])) == 4
     assert calls["quality_filter"] == 1
+    draws = [r.getMessage().split(":")[0] for r in caplog.records if "drew" in r.getMessage()]
+    assert draws == [f"encoder init seed {derive_seed(3, label)}"
+                     for label in ("scorer", "encoder-init")]
     timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
     for ablation in TINY_CONFIG["ablations"]:
         assert f"train-biencoder:{ablation['name']}" in timings
@@ -634,10 +660,13 @@ UNSAFE_NAMES = {"empty": "", "dot": ".", "dotdot": "..", "slash": "X/1", "backsl
     dict(MICRO_CONFIG, plants=MICRO_CONFIG["plants"] * 2),
     *(dict(MICRO_CONFIG, ablations=[{"name": name}]) for name in UNSAFE_NAMES.values()),
     dict(MICRO_CONFIG, ablations=[{"name": "s"}, {"name": "s", "docsim": False}]),
+    dict(MICRO_CONFIG, ablations=[{"name": "a:b"}, {"name": "a-b", "docsim": False}]),
 ], ids=[*(f"plant-{case}" for case in UNSAFE_NAMES), "plant-repeated",
-        *(f"ablation-{case}" for case in UNSAFE_NAMES), "ablation-repeated"])
+        *(f"ablation-{case}" for case in UNSAFE_NAMES), "ablation-repeated",
+        "ablation-same-manifest"])
 def test_exit_2_on_unsafe_or_repeated_name(tmp_path, caplog, config):
-    """Plant ids and ablation names become path parts under --out, so each must be one."""
+    """Plant ids and ablation names become path parts under --out, so each must be one, and
+    ``a:b`` and ``a-b`` would write the same manifest files."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     out = tmp_path / "o"

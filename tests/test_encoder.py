@@ -3,7 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import oracle_fnv1a_64
+from oracles import dense_table, oracle_dense_round_trip, oracle_fnv1a_64, oracle_init_table
+from plantsearch import encoder
 from plantsearch.encoder import (
     EncoderParams,
     encode,
@@ -103,8 +104,9 @@ def test_encode_is_mean_of_feature_rows():
     text = "ab cd ab"
     tf = featurize(text, 64)
     expected = np.zeros(4)
+    table = dense_table(p)
     for bucket, count in zip(tf.bucket_ids, tf.counts):
-        expected += count * p.embedding_table[bucket]
+        expected += count * table[bucket]
     expected /= tf.total
     np.testing.assert_allclose(encode(p, text), expected, rtol=0, atol=1e-15)
 
@@ -144,12 +146,12 @@ def test_encode_batch_equal_pooling_rows_are_bit_identical_across_blocks():
 def test_init_encoder_distribution_and_determinism():
     p1 = init_encoder(dim=16, vocab_buckets=4096, seed=5)
     p2 = init_encoder(dim=16, vocab_buckets=4096, seed=5)
-    np.testing.assert_array_equal(p1.embedding_table, p2.embedding_table)
-    std = p1.embedding_table.std()
+    np.testing.assert_array_equal(dense_table(p1), dense_table(p2))
+    std = dense_table(p1).std()
     assert abs(std - 1 / 4.0) < 0.01  # target sigma = 1/sqrt(16)
-    assert abs(p1.embedding_table.mean()) < 0.01
+    assert abs(dense_table(p1).mean()) < 0.01
     p3 = init_encoder(dim=16, vocab_buckets=4096, seed=6)
-    assert not np.array_equal(p1.embedding_table, p3.embedding_table)
+    assert not np.array_equal(dense_table(p1), dense_table(p3))
 
 
 def test_init_encoder_validation():
@@ -158,7 +160,7 @@ def test_init_encoder_validation():
     with pytest.raises(ValueError):
         init_encoder(dim=8, vocab_buckets=0)
     with pytest.raises(ValueError):
-        EncoderParams(np.zeros((4, 2)), vocab_buckets=8)
+        EncoderParams(0, 2, 8, np.array([1, 2]), np.zeros((4, 2)))  # 4 rows for 2 bucket ids
 
 
 def test_bucket_distribution_uniformity():
@@ -188,18 +190,70 @@ def test_save_load_round_trip(tmp_path):
     assert back.vocab_buckets == 128
     assert back.dim == 6
     # training runs in float64 and .gemb stores float32: one rounding, then a fixed point
-    assert back.embedding_table.dtype == np.float64
-    np.testing.assert_array_equal(back.embedding_table, p.embedding_table.astype("<f4"))
+    assert dense_table(back).dtype == np.float64
+    np.testing.assert_array_equal(dense_table(back), dense_table(p).astype("<f4"))
     save_encoder(back, tmp_path / "again.gemb", tmp_path / "again.json")
     assert (tmp_path / "again.gemb").read_bytes() == (tmp_path / "enc.gemb").read_bytes()
     assert (tmp_path / "again.json").read_bytes() == (tmp_path / "enc.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_saved_rows_load_as_the_whole_rounded_table(tmp_path, seed):
+    """A table saved as its seed plus its held rows loads as the whole table written to one
+    .gemb and read back, value for value, whether it starts fresh or read from disk."""
+    rng = np.random.default_rng(seed)
+    fresh = init_encoder(dim=8, vocab_buckets=300, seed=seed)
+    want = oracle_init_table(seed, 8, 300)
+    assert dense_table(fresh).tobytes() == want.tobytes()
+    ids = np.sort(rng.choice(300, size=40, replace=False))
+    rows = rng.normal(size=(40, 8))
+    rows[::5] = dense_table(fresh)[ids[::5]]  # set, but not changed: not held
+    trained = fresh.with_rows(ids, rows)
+    want[ids] = rows
+    assert trained.bucket_ids.tolist() == [b for i, b in enumerate(ids.tolist()) if i % 5]
+    assert dense_table(trained).tobytes() == want.tobytes()
+    save_encoder(trained, tmp_path / "enc.gemb", tmp_path / "enc.json")
+    back = load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json")
+    whole = oracle_dense_round_trip(want, tmp_path / "whole.gemb")
+    assert dense_table(back).tobytes() == whole.tobytes()
+    assert (tmp_path / "enc.gemb").stat().st_size == 16 + 4 * 8 * 32  # the 32 held rows only
+    # a loaded table trains on from its rounded rows and saves them rounded once
+    more = back.with_rows(ids[:3], rows[:3] + 1.0)
+    whole[ids[:3]] = rows[:3] + 1.0
+    save_encoder(more, tmp_path / "more.gemb", tmp_path / "more.json")
+    again = load_encoder(tmp_path / "more.gemb", tmp_path / "more.json")
+    assert dense_table(again).tobytes() == oracle_dense_round_trip(
+        whole, tmp_path / "whole2.gemb").tobytes()
+
+
+def test_init_memo_draws_each_table_once(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(encoder, "_init_memo", None)
+    p = init_encoder(dim=8, vocab_buckets=256, seed=11)
+    with caplog.at_level("DEBUG", logger="plantsearch.encoder"):
+        first = p.rows(np.array([3, 1, 3]))
+        save_encoder(p.with_rows(np.array([5]), np.ones((1, 8))),
+                     tmp_path / "enc.gemb", tmp_path / "enc.json")
+        for _ in range(2):  # loading the same seed again draws nothing
+            load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json").rows(np.arange(256))
+        init_encoder(dim=8, vocab_buckets=256, seed=12).rows(np.array([0]))
+    lines = [r.getMessage() for r in caplog.records]
+    draws = [line for line in lines if "drew" in line]
+    assert [line.split(" in ")[0] for line in draws] == [
+        "encoder init seed 11: drew 256 x 8 table", "encoder init seed 12: drew 256 x 8 table"]
+    assert sum("memo hit" in line for line in lines) == 3  # with_rows, then each load's rows
+    assert "saved encoder " + str(tmp_path / "enc.gemb") + ": 1 of 256 rows held" in lines
+    key, table, _ = encoder._init_memo  # one table only, the last seed's, and read-only
+    assert key == (12, 8, 256) and not table.flags.writeable
+    first[:] = 0.0  # rows come out as a copy
+    np.testing.assert_array_equal(p.rows(np.array([3, 1])), oracle_init_table(11, 8, 256)[[3, 1]])
 
 
 def test_encoder_header_pins_mean_pooling(tmp_path):
     p = init_encoder(dim=4, vocab_buckets=16, seed=0)
     save_encoder(p, tmp_path / "enc.gemb", tmp_path / "enc.json")
     header = (tmp_path / "enc.json").read_text(encoding="utf-8")
-    assert header == '{"dim": 4, "hash_algo": "fnv1a-64", "pooling": "mean", "vocab_buckets": 16}\n'
+    assert header == ('{"bucket_ids": [], "dim": 4, "hash_algo": "fnv1a-64", "pooling": "mean", '
+                      '"seed": 0, "vocab_buckets": 16}\n')
     load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json")
     (tmp_path / "enc.json").write_text(header.replace('"mean"', '"max"'), encoding="utf-8")
     with pytest.raises(ValueError, match="unsupported pooling 'max'"):

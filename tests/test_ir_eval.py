@@ -22,7 +22,7 @@ from plantsearch.ir_eval import (
     save_queries,
 )
 
-from oracles import oracle_ap, oracle_ndcg, oracle_rank_corpus, oracle_rr
+from oracles import dense_table, oracle_ap, oracle_ndcg, oracle_rank_corpus, oracle_rr
 
 
 def test_ap_hand_computed():
@@ -157,8 +157,8 @@ def test_corpus_memo_follows_the_table_and_the_texts(caplog, monkeypatch):
     with caplog.at_level("DEBUG", logger="plantsearch.ir_eval"):
         rank_corpus(p, query, corpus)
         before = rank_corpus(p, query, corpus)
-        # training changes the table in place; the memo holds no table data
-        p.embedding_table[:] = init_encoder(dim=16, vocab_buckets=512, seed=6).embedding_table
+        # training changes the table's rows; the memo holds no table data
+        p = p.with_rows(np.arange(512), dense_table(init_encoder(16, 512, seed=6)))
         after = rank_corpus(p, query, corpus)
         # the same texts under other ids, in the same id order
         renamed = {f"x{d}": text for d, text in corpus.items()}
@@ -274,6 +274,21 @@ def test_evaluate_run_matches_rank_corpus():
     assert report.mean == pytest.approx(
         np.mean([report.mean_map10, report.mean_mrr10, report.mean_ndcg10]), abs=1e-15
     )
+
+
+def test_evaluations_featurize_each_corpus_once(monkeypatch):
+    """Pooling weights depend on no table, so evaluations of one benchmark under several
+    encoders featurize each plant's corpus once per bucket count."""
+    corpus_sizes = []
+    featurize = ir_eval.featurize_many
+    monkeypatch.setattr(ir_eval, "featurize_many", lambda texts, vocab_buckets: (
+        corpus_sizes.append(len(texts)) or featurize(texts, vocab_buckets)))
+    b = _benchmark()
+    encoders = [init_encoder(dim=16, vocab_buckets=256, seed=seed) for seed in (1, 2, 3)]
+    encoders.append(init_encoder(dim=16, vocab_buckets=512, seed=1))
+    reports = [evaluate_run(p, b).to_dict() for p in encoders]
+    assert corpus_sizes == [3, 2, 3, 2]  # P1 and P2 at 256 buckets, then at 512
+    assert reports == [evaluate_run(p, _benchmark()).to_dict() for p in encoders]
 
 
 def test_evaluate_run_empty_benchmark():

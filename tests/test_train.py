@@ -3,8 +3,15 @@ import re
 import numpy as np
 import pytest
 
-from oracles import oracle_train_biencoder, oracle_train_docsim
-from plantsearch.encoder import encode, init_encoder
+from oracles import (
+    dense_table,
+    dense_train_biencoder,
+    dense_train_docsim,
+    oracle_dense_round_trip,
+    oracle_train_biencoder,
+    oracle_train_docsim,
+)
+from plantsearch.encoder import encode, init_encoder, load_encoder, save_encoder
 from plantsearch.losses import cosine
 from plantsearch.pairs import PairLabel, PairSource, QueryDocPair
 from plantsearch.train import (
@@ -94,7 +101,7 @@ def test_train_docsim_learns_and_reports():
     assert result.steps == 8 * 2  # 4 triplets / batch 2
     assert result.epoch_losses[-1] < result.epoch_losses[0]
     # the input params are untouched; the result carries the update
-    assert not np.array_equal(result.params.embedding_table, p.embedding_table)
+    assert not np.array_equal(dense_table(result.params), dense_table(p))
     assert result.wall_time >= 0.0
     # paired documents moved together relative to their negatives
     d_pos = np.linalg.norm(
@@ -109,7 +116,7 @@ def test_train_docsim_learns_and_reports():
 def test_train_docsim_epochs_zero_and_empty():
     p = init_encoder(dim=8, vocab_buckets=64, seed=1)
     r0 = train_docsim(p, _docsim_triplets(), _TEXTS, DocSimConfig(epochs=0))
-    np.testing.assert_array_equal(r0.params.embedding_table, p.embedding_table)
+    np.testing.assert_array_equal(dense_table(r0.params), dense_table(p))
     empty = TripletSet([], SamplingParams(), "")
     r1 = train_docsim(p, empty, _TEXTS, DocSimConfig(epochs=3))
     assert r1.steps == 0 and r1.epoch_losses == []
@@ -127,7 +134,7 @@ def test_train_docsim_deterministic():
     cfg = DocSimConfig(epochs=3, rng_seed=7)
     r1 = train_docsim(p, _docsim_triplets(), _TEXTS, cfg)
     r2 = train_docsim(p, _docsim_triplets(), _TEXTS, cfg)
-    np.testing.assert_array_equal(r1.params.embedding_table, r2.params.embedding_table)
+    np.testing.assert_array_equal(dense_table(r1.params), dense_table(r2.params))
     assert r1.epoch_losses == r2.epoch_losses
 
 
@@ -181,10 +188,10 @@ def test_train_biencoder_warmup_shrinks_early_updates():
     cold = BiEncoderConfig(epochs=1, batch_size=3, warmup_steps=10_000,
                            learning_rate=0.5, rng_seed=2)
     moved_hot = np.abs(
-        train_biencoder(p, pairs, _TEXTS, hot).params.embedding_table - p.embedding_table
+        dense_table(train_biencoder(p, pairs, _TEXTS, hot).params) - dense_table(p)
     ).sum()
     moved_cold = np.abs(
-        train_biencoder(p, pairs, _TEXTS, cold).params.embedding_table - p.embedding_table
+        dense_table(train_biencoder(p, pairs, _TEXTS, cold).params) - dense_table(p)
     ).sum()
     assert moved_cold < moved_hot / 100
 
@@ -194,19 +201,19 @@ def test_train_biencoder_deterministic():
     cfg = BiEncoderConfig(epochs=2, batch_size=2, warmup_steps=2, rng_seed=3)
     r1 = train_biencoder(p, _biencoder_pairs(), _TEXTS, cfg)
     r2 = train_biencoder(p, _biencoder_pairs(), _TEXTS, cfg)
-    np.testing.assert_array_equal(r1.params.embedding_table, r2.params.embedding_table)
+    np.testing.assert_array_equal(dense_table(r1.params), dense_table(r2.params))
 
 
 def test_train_biencoder_epochs_zero():
     p = init_encoder(dim=8, vocab_buckets=64, seed=1)
     result = train_biencoder(p, _biencoder_pairs(), _TEXTS, BiEncoderConfig(epochs=0))
-    np.testing.assert_array_equal(result.params.embedding_table, p.embedding_table)
+    np.testing.assert_array_equal(dense_table(result.params), dense_table(p))
     assert result.steps == 0
 
 
 def _assert_matches_oracle(got, want):
     """Batched gemms sum in another order than the per-text loops: a few float64 ulps."""
-    fast, slow = got.params.embedding_table, want.params.embedding_table
+    fast, slow = dense_table(got.params), want.table
     np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
     # .gemb stores float32, where that drift vanishes
     assert fast.astype("<f4").tobytes() == slow.astype("<f4").tobytes()
@@ -240,9 +247,9 @@ def test_docsim_matches_per_text_oracle(epochs):
         cfg = DocSimConfig(margin=margin, epochs=epochs, learning_rate=lr,
                            batch_size=batch_size, rng_seed=dim)
         got = train_docsim(p, tset, texts, cfg)
-        _assert_matches_oracle(got, oracle_train_docsim(p, tset, texts, cfg))
+        _assert_matches_oracle(got, oracle_train_docsim(dense_table(p), tset, texts, cfg))
         if epochs:
-            assert not np.array_equal(got.params.embedding_table, p.embedding_table)
+            assert not np.array_equal(dense_table(got.params), dense_table(p))
 
 
 @pytest.mark.parametrize("epochs", [0, 3])
@@ -262,9 +269,47 @@ def test_biencoder_matches_per_text_oracle(epochs):
         cfg = BiEncoderConfig(epochs=epochs, batch_size=batch_size, warmup_steps=2,
                               learning_rate=0.3, rng_seed=dim)
         got = train_biencoder(start, pairs, texts, cfg)
-        _assert_matches_oracle(got, oracle_train_biencoder(start, pairs, texts, cfg))
+        _assert_matches_oracle(got, oracle_train_biencoder(dense_table(start), pairs, texts, cfg))
         if epochs:
-            assert not np.array_equal(got.params.embedding_table, start.embedding_table)
+            assert not np.array_equal(dense_table(got.params), dense_table(start))
+
+
+@pytest.mark.parametrize("dim, buckets", [(8, 64), (5, 32), (64, 1 << 16)])
+def test_compact_training_equals_whole_table_training(tmp_path, dim, buckets):
+    """Training on the gathered rows of its texts' buckets equals training on the whole table
+    bit for bit, for docsim, for the bi-encoder, and for the bi-encoder from the docsim table
+    saved and read back (its float32-rounded start)."""
+    rng = np.random.default_rng(dim)
+    texts = dict(_TEXTS, **_random_corpus(rng, 30))
+    ids = sorted(texts)
+    tset = TripletSet(_docsim_triplets().triplets + [
+        Triplet(*rng.choice(ids, size=3), NegKind.EASY) for _ in range(60)], SamplingParams(), "")
+    docs = sorted(d for d in texts if d not in ("e1", "e2"))
+    queries = ["pumpe leckt", "filter verstopft", "ventil klemmt", "motor heiss"]
+    pairs = _biencoder_pairs() + [
+        _pair(str(rng.choice(queries)), str(rng.choice(docs)),
+              PairLabel.POSITIVE if rng.random() < 0.6 else PairLabel.NEGATIVE)
+        for _ in range(40)
+    ]
+    dcfg = DocSimConfig(margin=0.5, epochs=3, learning_rate=0.3, batch_size=4, rng_seed=dim)
+    bcfg = BiEncoderConfig(epochs=3, batch_size=8, warmup_steps=2, learning_rate=0.3,
+                           rng_seed=dim)
+    p = init_encoder(dim=dim, vocab_buckets=buckets, seed=dim)
+    start = dense_table(p)
+
+    def same(got, want):
+        assert dense_table(got.params).tobytes() == want.table.tobytes()
+        assert got.epoch_losses == want.epoch_losses and got.steps == want.steps
+
+    docsim = train_docsim(p, tset, texts, dcfg)
+    dense_docsim = dense_train_docsim(start, tset, texts, dcfg)
+    same(docsim, dense_docsim)
+    same(train_biencoder(p, pairs, texts, bcfg), dense_train_biencoder(start, pairs, texts, bcfg))
+    save_encoder(docsim.params, tmp_path / "docsim.gemb", tmp_path / "docsim.json")
+    rounded = oracle_dense_round_trip(dense_docsim.table, tmp_path / "whole.gemb")
+    same(train_biencoder(load_encoder(tmp_path / "docsim.gemb", tmp_path / "docsim.json"),
+                         pairs, texts, bcfg),
+         dense_train_biencoder(rounded, pairs, texts, bcfg))
 
 
 def test_training_logs_per_epoch_diagnostics(caplog):
