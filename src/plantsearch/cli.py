@@ -506,11 +506,22 @@ def _train_ge_reads(r: Run) -> list[Read]:
 
 def _train_ge(r: Run) -> tuple[dict, None]:
     ge_cfg, lp_fraction = r.cfg.ge_config()
+    splits = {}  # every plant's LP split is checked before the first plant trains
+    for pid in r.plant_ids(training=True):
+        g = r.graph("graphs", pid)
+        train_edges, test_edges = graph_embed.split_edges(
+            g, lp_fraction, derive_seed(r.cfg.seed, f"ge-split:{pid}")
+        )
+        if not train_edges or not test_edges:
+            raise ConfigError(
+                f"plant {pid!r} has {len(g.edges)} edges, and graph_embed.lp_test_fraction "
+                f"{lp_fraction} leaves {len(test_edges)} test and {len(train_edges)} "
+                "training edges; each needs at least one")
+        splits[pid] = g, train_edges, test_edges
     gedir = r.out / "ge"
     gedir.mkdir(parents=True, exist_ok=True)
     lp_summary = {}
-    for pid in r.plant_ids(training=True):
-        g = r.graph("graphs", pid)
+    for pid, (g, train_edges, test_edges) in splits.items():
         plant_cfg = graph_embed.GETrainConfig(**{**asdict(ge_cfg), "init_mode": ge_cfg.init_mode,
                                                  "rng_seed": derive_seed(r.cfg.seed, f"ge:{pid}")})
         text_vectors = None
@@ -521,9 +532,6 @@ def _train_ge(r: Run) -> tuple[dict, None]:
             emb = graph_embed.init_embeddings(g, plant_cfg, text_vectors)
         except KeyError as exc:  # the text vectors do not cover the graph's nodes
             raise EmbeddingFileError(f"{vectors}.ids: {exc.args[0]}") from None
-        train_edges, test_edges = graph_embed.split_edges(
-            g, lp_fraction, derive_seed(r.cfg.seed, f"ge-split:{pid}")
-        )
         g_train = kg.KnowledgeGraph.from_parts(g.nodes.values(), train_edges)
         trained = graph_embed.train_graph_embeddings(g_train, emb, plant_cfg)
         report = graph_embed.eval_link_prediction(

@@ -270,13 +270,18 @@ class EncoderParams:
 
     def rows(self, u: np.ndarray) -> np.ndarray:
         """Rows ``u`` of the table, as a new float64 array: init rows from the memo, with the
-        trained rows laid over them."""
-        out = _init_table(self.seed, self.dim, self.vocab_buckets)[u]
-        if self.rounded:
-            out = out.astype(np.float32).astype(np.float64)
+        trained rows laid over them. When every row of ``u`` is held, no init table is read,
+        so none is drawn."""
+        held = None
         if len(self.bucket_ids):
             pos = np.minimum(np.searchsorted(self.bucket_ids, u), len(self.bucket_ids) - 1)
             held = self.bucket_ids[pos] == u
+            if held.all():
+                return self.trained[pos]
+        out = _init_table(self.seed, self.dim, self.vocab_buckets)[u]
+        if self.rounded:
+            out = out.astype(np.float32).astype(np.float64)
+        if held is not None:
             out[held] = self.trained[pos[held]]
         return out
 

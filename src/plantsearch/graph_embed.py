@@ -1,9 +1,12 @@
 """Shallow graph embeddings with translated-cosine edge scoring.
 
 Each node gets a vector, each relation a translation vector; an edge
-(src, rel, dst) is scored by cos(src + rel, dst). Training is SGD on a
-margin ranking loss against corrupted-destination negatives, the usual
-shallow knowledge-graph embedding recipe scaled down to desk size.
+(src, rel, dst) is scored by cos(src + rel, dst). Training is mini-batch
+SGD on a margin ranking loss against corrupted-destination negatives, the
+usual shallow knowledge-graph embedding recipe scaled down to desk size.
+Each batch of ``BATCH`` edges is scored in one array pass and takes one
+update, as in PyTorch-BigGraph (Lerer et al. 2019, arXiv:1903.12287),
+but every edge keeps its own negatives.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .kg import Edge, KnowledgeGraph, NodeKind, Relation, RELATION_SIGNATURES
-from .losses import NonFiniteError, cosine, edge_scores, edge_step
+from .losses import NonFiniteError, cosine, edge_scores, edge_steps
 from .storage import EmbeddingFileError, read_json, read_table, write_table
 
 logger = logging.getLogger(__name__)
@@ -211,32 +214,30 @@ def _draw_negatives(
     return rows[starts[:, None] + picks]
 
 
-# Edges scored per array pass. At the default config about one edge in
-# eight has an active hinge, so a pass usually reaches the next active
-# edge, while the edges scored after it and scored again by the next pass
-# stay few.
-BLOCK = 16
+# Edges per mini-batch: one edge_scores pass and one update each.
+BATCH = 64
 
 
 def train_graph_embeddings(
     g: KnowledgeGraph, emb: EmbeddingTable, cfg: GETrainConfig
 ) -> EmbeddingTable:
-    """SGD margin-ranking training over the graph's edges.
+    """Mini-batch SGD margin-ranking training over the graph's edges.
 
     Per epoch the edges are visited in a seeded shuffled order; each
     edge draws ``negatives_per_edge`` destination corruptions uniformly
-    from same-kind nodes minus the true neighbors of (src, rel), and
-    takes one SGD step on the mean hinge loss. epochs == 0 returns an
-    untouched copy.
+    from same-kind nodes minus the true neighbors of (src, rel). Each
+    epoch's negatives are drawn in one call, the same stream as one
+    ``rng.choice`` per edge. epochs == 0 returns an untouched copy.
 
-    The epoch is an exact speculative scan: one ``edge_scores`` pass
-    scores the next ``BLOCK`` edges against the current table, the first
-    edge with an active hinge takes its step from its row of that pass
-    (``edge_step``), and the next pass starts right after it. The edges
-    before it leave the table untouched, so the result is bit for bit
-    that of a per-edge ``edge_ranking_loss_grad`` loop. Each epoch's
-    negatives are drawn in one call, the same stream as one
-    ``rng.choice`` per edge.
+    The shuffled edges that draw negatives run in consecutive batches of
+    ``BATCH``. One ``edge_scores`` pass scores a batch against the table
+    as it stands at the batch start, and ``edge_steps`` forms the mean
+    hinge gradients of its edges with an active hinge. Node rows then
+    take those steps through one ``np.subtract.at``, sources, then
+    destinations, then negatives, in batch order. Each relation row takes
+    the mean of its active edges' steps: every edge of a relation shares
+    its translation, so a sum would scale its step with their number.
+    At ``BATCH = 1`` this is the per-edge SGD loop, bit for bit.
     """
     cfg.validate()
     for node_id in g.nodes:
@@ -258,7 +259,7 @@ def train_graph_embeddings(
     rel_index = {rel: j for j, rel in enumerate(Relation)}
     rel_ids = np.array([rel_index[e.rel] for e in edges], dtype=np.int64)
     # The relation translations become row views of one matrix, so that a
-    # pass can gather them and a step updates them in place.
+    # batch can gather them and an update changes them in place.
     rel_mat = np.stack([out.relation_params[rel] for rel in Relation])
     out.relation_params = dict(zip(Relation, rel_mat))
 
@@ -270,33 +271,33 @@ def train_graph_embeddings(
         negs = _draw_negatives(rng, indptr, allowed, group[order], cfg.negatives_per_edge)
         src, dst, rel = src_rows[order], dst_rows[order], rel_ids[order]
         epoch_loss = 0.0
-        active = scanned = passes = pos = 0
-        while pos < order.size:
-            blk = slice(pos, pos + BLOCK)
+        active = batches = idle = 0
+        for lo in range(0, order.size, BATCH):
+            batches += 1
+            blk = slice(lo, lo + BATCH)
             a = vec[src[blk]] + rel_mat[rel[blk]]
             d, b = vec[dst[blk]], vec[negs[blk]]
             sc = edge_scores(a, d, b, margin)
-            hit = (sc.terms > 0.0).any(axis=1)
-            passes += 1
-            scanned += hit.size
-            if not hit.any():
-                pos += hit.size
+            act = (sc.terms > 0.0).any(axis=1).nonzero()[0]
+            if act.size == 0:
+                idle += 1
                 continue
-            j = int(hit.argmax())
-            i = pos + j
-            pos = i + 1
-            loss, g_a, g_dst, g_negs = edge_step(a[j], d[j], b[j], sc.row(j))
-            epoch_loss += loss
-            active += 1
-            vec[src[i]] -= lr * g_a
-            rel_mat[rel[i]] -= lr * g_a
-            vec[dst[i]] -= lr * g_dst
-            # negs[i] may repeat; accumulate before applying.
-            np.subtract.at(vec, negs[i], lr * g_negs)
+            loss, g_a, g_dst, g_negs = edge_steps(a[act], d[act], b[act], sc.take(act))
+            epoch_loss += float(loss.sum())
+            active += act.size
+            # Rows may repeat within a batch; np.subtract.at applies every step in this order.
+            rows = np.concatenate([src[blk][act], dst[blk][act], negs[blk][act].ravel()])
+            steps = np.concatenate([g_a, g_dst, g_negs.reshape(-1, g_a.shape[1])])
+            steps *= lr
+            np.subtract.at(vec, rows, steps)
+            r = rel[blk][act]
+            for j in np.flatnonzero(np.bincount(r)):  # the relations with active edges
+                mine = g_a[r == j]  # summed one by one in batch order
+                rel_mat[j] -= lr * (np.cumsum(mine, axis=0)[-1] / len(mine))
         if not np.isfinite(epoch_loss):
             raise NonFiniteError(f"non-finite training loss in epoch {epoch}")
-        logger.debug("ge epoch %d mean loss %.6f, %d active edges, %d edges scanned in %d passes",
-                     epoch, epoch_loss / len(edges), active, scanned, passes)
+        logger.debug("ge epoch %d mean loss %.6f, %d active edges in %d batches (%d with none)",
+                     epoch, epoch_loss / len(edges), active, batches, idle)
     if not np.isfinite(vec).all():
         raise NonFiniteError("non-finite node vectors after training")
     return out

@@ -154,9 +154,10 @@ class EdgeScores(NamedTuple):
     s_neg: np.ndarray  # (n, k) cos(a, negative)
     terms: np.ndarray  # (n, k) hinge terms (margin - s_pos) + s_neg
 
-    def row(self, i: int) -> "EdgeScores":
-        """Edge i's scores: scalars and (k,) rows."""
-        return EdgeScores(*(field[i] for field in self))
+    def take(self, idx) -> "EdgeScores":
+        """Rows ``idx`` of every field: an int gives one edge's scalars and (k,) rows, an
+        index array a smaller batch."""
+        return EdgeScores(*(field[idx] for field in self))
 
 
 def edge_scores(a: np.ndarray, dst: np.ndarray, negs: np.ndarray, margin) -> EdgeScores:
@@ -178,45 +179,57 @@ def edge_scores(a: np.ndarray, dst: np.ndarray, negs: np.ndarray, margin) -> Edg
     return EdgeScores(na, nd, s_pos, norms, s_neg, terms)
 
 
-def edge_step(
+def edge_steps(
     a: np.ndarray, dst: np.ndarray, negs: np.ndarray, sc: EdgeScores
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Mean hinge max(0, terms) of one edge and its gradients, from the edge's
-    ``edge_scores`` row ``sc`` and its vectors (``a`` and ``dst`` (dim,), ``negs`` (k, dim)).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean hinges max(0, terms) of n edges and their gradients, from the edges'
+    ``edge_scores`` rows ``sc`` and their vectors (``a`` and ``dst`` (n, dim),
+    ``negs`` (n, k, dim)).
 
-    Returns (loss, g_a, g_dst, g_negs), all zero when no term is positive.
-    A zero-norm operand has zero gradient. Products and quotients keep the
-    operand order of a per-negative cosine-gradient loop, and the loss and
-    the ``g_a``/``g_dst`` sums add the active negatives one by one in
-    order: ``cumsum`` after a leading zero row, which also keeps the sign
-    of ``0.0 + (-0.0)``. (``np.add.reduce`` would sum pairwise when dim == 1.)
+    Returns (loss (n,), g_a (n, dim), g_dst (n, dim), g_negs (n, k, dim)); an
+    edge with no positive term has loss and gradients zero. A zero-norm
+    operand has zero gradient. Each row equals a per-negative cosine-gradient
+    loop over that edge alone bit for bit: products and quotients keep the
+    loop's operand order, and the loss and the ``g_a``/``g_dst`` sums add the
+    active negatives one by one in order, as ``cumsum`` does. (``np.add.reduce``
+    would sum pairwise when dim == 1.) The loop's sums start at +0.0, so none
+    of its partial sums is -0.0 and an inactive negative's +0.0 changes none.
+    ``cumsum`` starts at the first term instead, which differs only in the
+    sign of a zero sum, and the final ``+ 0.0`` makes that +0.0. The
+    (n, k, dim) terms are formed in place in three arrays.
     """
-    g_negs = np.zeros(negs.shape)
-    act = (sc.terms > 0.0).nonzero()[0]
-    if act.size == 0:
-        return 0.0, np.zeros(a.shape), np.zeros(dst.shape), g_negs
-    m = sc.terms.size
-    loss = float(np.cumsum(sc.terms[act])[-1]) / m
-    if not np.isfinite(loss):
+    k = sc.terms.shape[1]
+    on = sc.terms > 0.0
+    loss = np.cumsum(np.where(on, sc.terms, 0.0), axis=1)[:, -1] / k
+    if not np.isfinite(loss).all():
         raise NonFiniteError("non-finite ranking loss")
 
-    na, nd, s_pos = sc.na, sc.nd, sc.s_pos
-    g_a_pos, g_dst_pos = np.zeros(a.shape), np.zeros(dst.shape)
-    if na != 0.0 and nd != 0.0:
-        g_a_pos = dst / (na * nd) - s_pos * a / (na * na)
-        g_dst_pos = a / (na * nd) - s_pos * dst / (nd * nd)
-    g_a_neg = np.zeros((act.size, a.size))
-    g_neg = np.zeros((act.size, a.size))
-    live = (sc.norms[act] != 0.0) & (na != 0.0)
-    rows = act[live]
-    b, cos, nb = negs[rows], sc.s_neg[rows][:, None], sc.norms[rows][:, None]
-    g_a_neg[live] = b / (na * nb) - cos * a / (na * na)
-    g_neg[live] = a / (na * nb) - cos * b / (nb * nb)
-    steps = np.zeros((act.size + 1, 2, a.size))
-    steps[1:, 0] = (g_a_neg - g_a_pos) / m
-    steps[1:, 1] = -(g_dst_pos / m)
-    g_a, g_dst = steps.cumsum(axis=0)[-1]
-    g_negs[act] = g_neg / m
+    na, nd, s_pos = sc.na[:, None], sc.nd[:, None], sc.s_pos[:, None]
+    nb, s_neg, a3 = sc.norms[..., None], sc.s_neg[..., None], a[:, None, :]
+    pos = ((sc.na != 0.0) & (sc.nd != 0.0))[:, None]
+    live = (on & (sc.norms != 0.0) & (sc.na != 0.0)[:, None])[..., None]
+    off = ~on[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero norms, masked out below
+        g_a_pos = np.where(pos, dst / (na * nd) - s_pos * a / (na * na), 0.0)
+        g_dst_pos = np.where(pos, a / (na * nd) - s_pos * dst / (nd * nd), 0.0)
+        step = negs / (na[:, None] * nb)  # the a-gradient of each cos(a, negative)
+        tmp = s_neg * a3
+        tmp /= (na * na)[:, None]
+        step -= tmp
+        g_negs = np.divide(a3, na[:, None] * nb, out=tmp)  # the negative's gradient
+        tmp = s_neg * negs
+        tmp /= nb * nb
+        g_negs -= tmp
+    np.copyto(step, 0.0, where=~live)
+    step -= g_a_pos[:, None]
+    step /= k
+    np.copyto(step, 0.0, where=off)
+    g_a = np.cumsum(step, axis=1, out=tmp)[:, -1] + 0.0
+    np.copyto(step, -(g_dst_pos / k)[:, None])
+    np.copyto(step, 0.0, where=off)
+    g_dst = np.cumsum(step, axis=1, out=tmp)[:, -1] + 0.0
+    np.copyto(g_negs, 0.0, where=~live)
+    g_negs /= k
     return loss, g_a, g_dst, g_negs
 
 
@@ -232,7 +245,7 @@ def edge_ranking_loss_grad(
     s(x) = cos(src + rel, x). Returns (loss, g_src, g_rel, g_dst,
     g_neg_dsts); the src and rel gradients coincide because the score
     depends on them only through their sum. The one-edge case of
-    ``edge_scores`` and ``edge_step``.
+    ``edge_scores`` and ``edge_steps``.
     """
     src = np.asarray(src, dtype=np.float64)
     rel = np.asarray(rel, dtype=np.float64)
@@ -242,8 +255,8 @@ def edge_ranking_loss_grad(
         raise ValueError("need at least one negative")
     a = src + rel
     sc = edge_scores(a[None], dst[None], negs[None], margin)
-    loss, g_a, g_dst, g_negs = edge_step(a, dst, negs, sc.row(0))
-    return loss, g_a.copy(), g_a, g_dst, g_negs
+    loss, g_a, g_dst, g_negs = edge_steps(a[None], dst[None], negs[None], sc)
+    return float(loss[0]), g_a[0].copy(), g_a[0], g_dst[0], g_negs[0]
 
 
 # ---------------------------------------------------------------------------

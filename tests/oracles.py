@@ -301,6 +301,62 @@ def oracle_train_graph_embeddings(g, emb, cfg):
     return out
 
 
+def oracle_minibatch_train_graph_embeddings(g, emb, cfg, batch):
+    """The per-edge loop of ``oracle_train_graph_embeddings`` in batches of ``batch`` edges
+    that draw negatives: every active edge of a batch takes its gradients from the table at
+    the batch start. Then the node rows take their steps, sources, then destinations, then
+    negatives, in batch order, and each relation row the mean of its active edges' steps,
+    added one by one in batch order."""
+    from plantsearch.kg import RELATION_SIGNATURES, NodeKind, Relation
+
+    cfg.validate()
+    out = emb.copy()
+    if cfg.epochs == 0:
+        return out
+    edges = list(g.edges)
+    rng = np.random.default_rng(cfg.rng_seed)
+    by_kind = {
+        kind: np.array([out.row(i) for i in sorted(n.id for n in g.nodes_of_kind(kind))],
+                       dtype=np.int64)
+        for kind in NodeKind
+    }
+    vec, lr = out.vectors, cfg.learning_rate
+    for _ in range(cfg.epochs):
+        drawn = []
+        for edge_idx in rng.permutation(len(edges)):
+            e = edges[edge_idx]
+            pool = by_kind[RELATION_SIGNATURES[e.rel][1]]
+            neighbor_rows = {out.row(d) for d in g.out_neighbors(e.src, e.rel)}
+            allowed = pool[~np.isin(pool, list(neighbor_rows))]
+            if allowed.size:
+                drawn.append((e, rng.choice(allowed, size=cfg.negatives_per_edge, replace=True)))
+        for lo in range(0, len(drawn), batch):
+            steps = []
+            for e, neg_rows in drawn[lo:lo + batch]:
+                src_row, dst_row = out.row(e.src), out.row(e.dst)
+                loss, g_src, g_rel, g_dst, g_negs = oracle_edge_ranking_loss_grad(
+                    vec[src_row], out.relation_params[e.rel], vec[dst_row], vec[neg_rows],
+                    cfg.ranking_margin,
+                )
+                if loss != 0.0:
+                    steps.append((e.rel, src_row, dst_row, neg_rows, g_src, g_rel, g_dst, g_negs))
+            for _, src_row, _, _, g_src, _, _, _ in steps:
+                vec[src_row] -= lr * g_src
+            for _, _, dst_row, _, _, _, g_dst, _ in steps:
+                vec[dst_row] -= lr * g_dst
+            for _, _, _, neg_rows, _, _, _, g_negs in steps:
+                for row, g_neg in zip(neg_rows, g_negs):
+                    vec[row] -= lr * g_neg
+            for rel in Relation:
+                mine = [g_rel for r, _, _, _, _, g_rel, _, _ in steps if r is rel]
+                if mine:
+                    total = mine[0].copy()
+                    for g_rel in mine[1:]:
+                        total += g_rel
+                    out.relation_params[rel] -= lr * (total / len(mine))
+    return out
+
+
 def oracle_sgd_step(table, texts, lr: float) -> None:
     """One SGD step from (TokenFeatures, vector gradient) pairs, one pair per text.
 

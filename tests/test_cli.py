@@ -454,6 +454,23 @@ def test_exit_2_on_drmm_job_without_pairs(pipeline_run, tmp_path, caplog, comman
     assert not (out / "encoders" / "biencoder.gemb").exists()
 
 
+@pytest.mark.parametrize("fraction", [0.01, 0.98], ids=["no-test", "no-train"])
+def test_exit_2_on_lp_split_without_edges(tmp_path, caplog, fraction):
+    """X (74 edges) splits at both fractions. S, a 12-log, 4-FL plant with 16 edges, keeps
+    no test edge at 0.01 and no training edge at 0.98. Every plant's split is checked
+    before X trains."""
+    small = {"plant_id": "S", "n_fl": 4, "n_logs": 12, "n_queries": 2, "training": True}
+    cfg = dict(TINY_CONFIG, plants=[TINY_CONFIG["plants"][0], small],
+               graph_embed=dict(TINY_CONFIG["graph_embed"], lp_test_fraction=fraction))
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    for stage in ("synth", "build-graph"):
+        assert cli.main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
+    message = fails(caplog, ["train-ge", "--config", str(cfg_path), "--out", str(out)], code=2)
+    assert "plant 'S' has 16 edges" in message and "graph_embed.lp_test_fraction" in message
+    assert not list(out.glob("ge/**/*")) and not list(out.glob("manifest-train-ge*"))
+
+
 def _without(key):
     return lambda line: json.dumps({k: v for k, v in json.loads(line).items() if k != key}).encode()
 

@@ -248,6 +248,22 @@ def test_init_memo_draws_each_table_once(tmp_path, monkeypatch, caplog):
     np.testing.assert_array_equal(p.rows(np.array([3, 1])), oracle_init_table(11, 8, 256)[[3, 1]])
 
 
+def test_held_rows_read_without_an_init_draw(tmp_path, monkeypatch):
+    ids, rows = np.array([2, 5, 9]), np.arange(24.0).reshape(3, 8)
+    trained = init_encoder(dim=8, vocab_buckets=256, seed=11).with_rows(ids, rows)
+    save_encoder(trained, tmp_path / "enc.gemb", tmp_path / "enc.json")
+    monkeypatch.setattr(encoder, "_init_memo", None)
+    loaded = load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json")
+    for p in (trained, loaded):
+        got = p.rows(np.array([9, 2, 9]))
+        assert got.dtype == np.float64 and got.tobytes() == rows[[2, 0, 2]].tobytes()
+        got[:] = 0.0  # rows come out as a copy
+        assert p.rows(ids).tobytes() == rows.tobytes()
+    assert encoder._init_memo is None
+    loaded.rows(np.array([2, 3]))  # row 3 is not held: its init row needs the draw
+    assert encoder._init_memo is not None
+
+
 def test_encoder_header_pins_mean_pooling(tmp_path):
     p = init_encoder(dim=4, vocab_buckets=16, seed=0)
     save_encoder(p, tmp_path / "enc.gemb", tmp_path / "enc.json")

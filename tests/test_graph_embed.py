@@ -7,6 +7,7 @@ from conftest import make_graph, make_table
 from oracles import (
     oracle_edge_score,
     oracle_link_prediction,
+    oracle_minibatch_train_graph_embeddings,
     oracle_np_cosine,
     oracle_np_link_prediction,
     oracle_train_graph_embeddings,
@@ -137,19 +138,50 @@ def test_train_deterministic():
         np.testing.assert_array_equal(a.relation_params[rel], b.relation_params[rel])
 
 
-def test_train_bitwise_equals_oracle_driven_run():
+# Batch sizes the training is held to its oracles at: 1 is the per-edge loop.
+BATCHES = (1, 3, 64)
+
+
+def _train_and_oracle(monkeypatch, batch, g, start, cfg):
+    """The run at ``graph_embed.BATCH = batch`` and the oracle it must equal bit for bit."""
+    monkeypatch.setattr(graph_embed, "BATCH", batch)
+    got = train_graph_embeddings(g, start, cfg)
+    if batch == 1:
+        return got, oracle_train_graph_embeddings(g, start, cfg)
+    return got, oracle_minibatch_train_graph_embeddings(g, start, cfg, batch)
+
+
+def _crossed_graph():
+    """Two reports_about and two related_to edges whose only corruptions are rows of
+    the others: (l0, f0)'s is f1, the destination of (l1, f1), and (l0, l1)'s is l0,
+    its own source. At margin 2.0 every edge is active, so a batch of 3 or more
+    holds a relation with several active edges and negatives that repeat its rows."""
+    return make_graph([("l0", "text 0"), ("l1", "text 1")],
+                      [("f0", "C0", "a"), ("f1", "C1", "b")],
+                      [("l0", "f0", Relation.REPORTS_ABOUT), ("l1", "f1", Relation.REPORTS_ABOUT),
+                       ("l0", "l1", Relation.RELATED_TO), ("l1", "l0", Relation.RELATED_TO)])
+
+
+def test_train_bitwise_equals_oracle_driven_run(monkeypatch):
     g = _chain_graph(10)
     ids = sorted(g.nodes)
     rng = np.random.default_rng(8)
     text_vectors = {node_id: rng.normal(size=8) for node_id in ids}
     text_vectors["l3"] = text_vectors["l2"].copy()  # duplicate rows tie exactly
     text_vectors["l5"] = np.zeros(8)  # a zero-norm row
-    for cfg in (GETrainConfig(dim=8, epochs=6, negatives_per_edge=7, rng_seed=3),
-                GETrainConfig(dim=8, epochs=4, ranking_margin=0.8, rng_seed=4,
-                              init_mode=InitMode.TEXT_VECTORS)):
-        start = init_embeddings(g, cfg, text_vectors)
-        got = train_graph_embeddings(g, start, cfg)
-        assert _table_bytes(got) == _table_bytes(oracle_train_graph_embeddings(g, start, cfg))
+    crossed = _crossed_graph()
+    crossed_vectors = {node_id: rng.normal(size=8) for node_id in sorted(crossed.nodes)}
+    text_cfg = dict(dim=8, init_mode=InitMode.TEXT_VECTORS)
+    cases = [(g, GETrainConfig(dim=8, epochs=6, negatives_per_edge=7, rng_seed=3), text_vectors),
+             (g, GETrainConfig(epochs=4, ranking_margin=0.8, rng_seed=4, **text_cfg),
+              text_vectors),
+             (crossed, GETrainConfig(epochs=3, ranking_margin=2.0, negatives_per_edge=3,
+                                     **text_cfg), crossed_vectors)]
+    for batch in BATCHES:
+        for graph, cfg, vectors in cases:
+            start = init_embeddings(graph, cfg, vectors)
+            got, want = _train_and_oracle(monkeypatch, batch, graph, start, cfg)
+            assert _table_bytes(got) == _table_bytes(want), (batch, cfg)
 
 
 def _table_bytes(emb):
@@ -185,12 +217,12 @@ def _idle_graph(dim, rng):
 
 def _active_edges(caplog):
     """Active edges summed over the per-epoch debug lines caplog holds."""
-    return sum(int(re.search(r", (\d+) active edges,", r.getMessage()).group(1))
+    return sum(int(re.search(r", (\d+) active edges in ", r.getMessage()).group(1))
                for r in caplog.records if r.name == "plantsearch.graph_embed")
 
 
 @pytest.mark.parametrize("dim", [2, 3, 16, 64])
-def test_train_scan_bitwise_equals_per_edge_oracle(dim, caplog):
+def test_train_scan_bitwise_equals_per_edge_oracle(dim, caplog, monkeypatch):
     rng = np.random.default_rng(dim)
     g = _scan_graph()
     text_vectors = {node_id: rng.normal(size=dim) for node_id in sorted(g.nodes)}
@@ -206,25 +238,25 @@ def test_train_scan_bitwise_equals_per_edge_oracle(dim, caplog):
     # of _scan_graph draw none. A margin of 2.0 makes every edge active.
     cases = [(g, random_start, 0.1, 22), (g, text_start, 0.5, 22), (g, text_start, 2.0, 22),
              (idle, init_embeddings(idle, text_cfg, idle_vectors), 0.5, 40)]
-    for k in (1, 10):
-        for graph, start, margin, drawable in cases:
-            for epochs in (0, 1, 3):
-                cfg = GETrainConfig(dim=dim, epochs=epochs, ranking_margin=margin,
-                                    negatives_per_edge=k, rng_seed=7)
-                caplog.clear()
-                with caplog.at_level("DEBUG", logger="plantsearch.graph_embed"):
-                    got = train_graph_embeddings(graph, start, cfg)
-                want = oracle_train_graph_embeddings(graph, start, cfg)
-                assert _table_bytes(got) == _table_bytes(want), (k, margin, epochs)
-                if margin == 2.0:
-                    assert _active_edges(caplog) == drawable * epochs
-                elif graph is idle:
-                    assert _active_edges(caplog) <= 0.1 * drawable * epochs
+    for batch in BATCHES:
+        for k in (1, 10):
+            for graph, start, margin, drawable in cases:
+                for epochs in (0, 1, 3):
+                    cfg = GETrainConfig(dim=dim, epochs=epochs, ranking_margin=margin,
+                                        negatives_per_edge=k, rng_seed=7)
+                    caplog.clear()
+                    with caplog.at_level("DEBUG", logger="plantsearch.graph_embed"):
+                        got, want = _train_and_oracle(monkeypatch, batch, graph, start, cfg)
+                    assert _table_bytes(got) == _table_bytes(want), (batch, k, margin, epochs)
+                    if margin == 2.0:
+                        assert _active_edges(caplog) == drawable * epochs
+                    elif graph is idle:
+                        assert _active_edges(caplog) <= 0.1 * drawable * epochs
 
 
-def test_train_scan_at_hinge_boundary_equals_oracle():
+def test_train_scan_at_hinge_boundary_equals_oracle(monkeypatch):
     """Margins within a few ulps of s_pos - s_neg, where rounding decides
-    the sign of the hinge term: the scan must step exactly where the loss
+    the sign of the hinge term: training must step exactly where the loss
     finds a positive term. With s_neg in (-0.5, -0.25) and s_pos in
     (0.5, 1), ``margin - (s_pos - s_neg)`` and ``(margin + s_neg) - s_pos``
     each round differently from the loss's ``(margin - s_pos) + s_neg`` on
@@ -242,29 +274,38 @@ def test_train_scan_at_hinge_boundary_equals_oracle():
                    - oracle_np_cosine(x, text_vectors["f1"])]
         for _ in range(4):
             margins = [np.nextafter(margins[0], 0.0)] + margins + [np.nextafter(margins[-1], 2.0)]
-        moved = []
-        for margin in margins:
-            cfg = GETrainConfig(dim=16, epochs=1, ranking_margin=float(margin),
-                                negatives_per_edge=1)
-            got = train_graph_embeddings(g, emb, cfg)
-            assert _table_bytes(got) == _table_bytes(oracle_train_graph_embeddings(g, emb, cfg))
-            moved.append(not np.array_equal(got.vectors, emb.vectors))
-        assert moved[0] is False and moved[-1] is True  # the sweep straddles the boundary
+        for batch in BATCHES:
+            moved = []
+            for margin in margins:
+                cfg = GETrainConfig(dim=16, epochs=1, ranking_margin=float(margin),
+                                    negatives_per_edge=1)
+                got, want = _train_and_oracle(monkeypatch, batch, g, emb, cfg)
+                assert _table_bytes(got) == _table_bytes(want)
+                moved.append(not np.array_equal(got.vectors, emb.vectors))
+            assert moved[0] is False and moved[-1] is True  # the sweep straddles the boundary
 
 
-def test_train_logs_scan_counts_per_epoch(caplog):
+def test_train_logs_scan_counts_per_epoch(caplog, monkeypatch):
     g = _scan_graph()
+    idle, idle_vectors = _idle_graph(4, np.random.default_rng(0))
+    idle_cfg = GETrainConfig(dim=4, epochs=1, ranking_margin=0.5, init_mode=InitMode.TEXT_VECTORS)
     cfg = GETrainConfig(dim=4, epochs=2, ranking_margin=2.0, rng_seed=2)
-    with caplog.at_level("DEBUG", logger="plantsearch.graph_embed"):
-        train_graph_embeddings(g, init_embeddings(g, cfg), cfg)
-    lines = [r.getMessage() for r in caplog.records if r.name == "plantsearch.graph_embed"]
-    assert len(lines) == 2
-    # Every one of the 22 drawable edges is active, so each pass ends at its
-    # first edge and scores min(16, edges left) of them.
-    scanned = sum(min(graph_embed.BLOCK, left) for left in range(1, 23))
-    for epoch, line in enumerate(lines):
-        assert line.startswith(f"ge epoch {epoch} mean loss ")
-        assert line.endswith(f", 22 active edges, {scanned} edges scanned in 22 passes")
+    # Every one of the 22 drawable edges of _scan_graph is active at margin 2.0; of the
+    # 40 idle edges only l00 is, so one batch of five has an active edge and seven none.
+    runs = [(64, g, init_embeddings(g, cfg), cfg, "22 active edges in 1 batches (0 with none)"),
+            (5, g, init_embeddings(g, cfg), cfg, "22 active edges in 5 batches (0 with none)"),
+            (5, idle, init_embeddings(idle, idle_cfg, idle_vectors), idle_cfg,
+             "1 active edges in 8 batches (7 with none)")]
+    for batch, graph, start, run_cfg, tail in runs:
+        monkeypatch.setattr(graph_embed, "BATCH", batch)
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="plantsearch.graph_embed"):
+            train_graph_embeddings(graph, start, run_cfg)
+        lines = [r.getMessage() for r in caplog.records if r.name == "plantsearch.graph_embed"]
+        assert len(lines) == run_cfg.epochs
+        for epoch, line in enumerate(lines):
+            assert line.startswith(f"ge epoch {epoch} mean loss ")
+            assert line.endswith(f", {tail}"), line
 
 
 def test_draw_negatives_equals_sequential_choice():

@@ -15,7 +15,7 @@ from plantsearch.losses import (
     cosine,
     edge_ranking_loss_grad,
     edge_scores,
-    edge_step,
+    edge_steps,
     finite_diff_check,
     mnr_loss,
     mnr_loss_grad,
@@ -290,23 +290,23 @@ def test_edge_ranking_bitwise_equals_per_negative_loop():
         seen["inactive"] += got[0] == 0.0
         seen["active"] += got[0] > 0.0
         seen["term_zero"] += any(margin - s_pos + oracle_np_cosine(a, n) == 0.0 for n in negs)
-        groups.setdefault(negs.shape, []).append((a, dst, negs, margin, got))
+        groups.setdefault(negs.shape, []).append((a, dst, negs, margin, want))
     assert all(n > 0 for n in seen.values()), seen
 
-    # The same cases, grouped by (k, dim), scored in one multi-edge call:
-    # every row equals the one-edge scores and result bit for bit.
+    # The same cases, grouped by (k, dim), scored in one multi-edge call and
+    # stepped in one edge_steps call: every row equals the one-edge scores and
+    # the per-negative loop bit for bit.
     for shape, cases in groups.items():
         a, dst, negs, margin = (np.array([c[i] for c in cases]) for i in range(4))
         batch = edge_scores(a, dst, negs, margin)
         assert batch.terms.shape == (len(cases), shape[0])
-        for i, (_, _, _, _, got) in enumerate(cases):
-            one = edge_scores(a[i][None], dst[i][None], negs[i][None], margin[i]).row(0)
-            row = batch.row(i)
-            for field, want in zip(row, one):
-                assert np.asarray(field).tobytes() == np.asarray(want).tobytes(), (shape, i)
-            step = edge_step(a[i], dst[i], negs[i], row)
-            assert step[0] == got[0], (shape, i)
-            for g, w in zip(step[1:], (got[2], got[3], got[4])):
+        loss, g_a, g_dst, g_negs = edge_steps(a, dst, negs, batch)
+        for i, (_, _, _, _, want) in enumerate(cases):
+            one = edge_scores(a[i][None], dst[i][None], negs[i][None], margin[i]).take(0)
+            for field, w in zip(batch.take(i), one):
+                assert np.asarray(field).tobytes() == np.asarray(w).tobytes(), (shape, i)
+            assert loss[i] == want[0], (shape, i)
+            for g, w in zip((g_a[i], g_dst[i], g_negs[i]), (want[2], want[3], want[4])):
                 assert g.tobytes() == w.tobytes(), (shape, i)
     assert len(groups) > 1 and max(len(c) for c in groups.values()) > 10
 
