@@ -6,6 +6,10 @@ hashes of inputs and outputs. Reruns with the same config and seed
 produce byte-identical artifacts and manifests (wall-clock timings go
 to a separate timings.json, which is the one non-deterministic file).
 
+The config is checked whole at load: each value against its default's JSON
+kind, and each stage config built and validated once in ``RunConfig``, so a
+bad value exits 2 before any stage runs. Stages set only their ``rng_seed``.
+
 Each stage is one row of ``TABLE``: the files it reads, each tied to the
 stage that produces it (or to the config that names it), the files it
 writes, and its run function. One runner hashes every read, checks it
@@ -21,9 +25,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -100,114 +105,105 @@ DEFAULT_RUN_CONFIG: dict[str, Any] = {
     ],
 }
 
+PLANT_DEFAULTS: dict[str, Any] = {
+    f.name: f.default_factory() if f.default is MISSING else f.default
+    for f in fields(synth.PlantConfig)
+}
+
+
 def _merged(defaults: Mapping[str, Any], override: Mapping[str, Any], where: str) -> dict:
+    """``defaults`` with ``override``'s values, each of its default's JSON kind (``_checked``)."""
     out = dict(defaults)
     for key, value in override.items():
         if key not in defaults:
             raise ConfigError(f"unknown key {key!r} in {where}")
-        if isinstance(defaults[key], Mapping) and isinstance(value, Mapping):
-            out[key] = _merged(defaults[key], value, f"{where}.{key}")
-        else:
-            out[key] = value
+        out[key] = _checked(defaults[key], value, f"{where}.{key}")
     return out
 
 
+def _checked(default: Any, value: Any, where: str) -> Any:
+    """``value`` if it has the JSON kind of ``default``, else a ConfigError naming ``where``.
+
+    An int passes where the default is a float, a float must be finite, a null default takes
+    a string or null, and a bool is never a number. An object merges into its default; a
+    list's items each match the default's first item, and a tuple default fixes the length
+    and each item's kind.
+    """
+    if isinstance(default, Mapping):
+        kind, ok = "an object", isinstance(value, Mapping)
+    elif isinstance(default, bool):
+        kind, ok = "a boolean", isinstance(value, bool)
+    elif isinstance(default, int):
+        kind, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    elif isinstance(default, float):  # NaN and Infinity, which json reads, are no JSON numbers
+        kind = "a finite number"
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and math.isfinite(value)
+    elif isinstance(default, str):
+        kind, ok = "a string", isinstance(value, str)
+    elif default is None:
+        kind, ok = "a string or null", value is None or isinstance(value, str)
+    elif isinstance(default, tuple):
+        kind = f"a list of {len(default)}"
+        ok = isinstance(value, list) and len(value) == len(default)
+    else:
+        kind, ok = "a list", isinstance(value, list)
+    if not ok:
+        raise ConfigError(f"{where} must be {kind}, got {json.dumps(value, default=repr)}")
+    if isinstance(default, Mapping):
+        return _merged(default, value, where)
+    if isinstance(default, (list, tuple)):
+        return type(default)(_checked(default[i if isinstance(default, tuple) else 0], v,
+                                      f"{where}[{i}]") for i, v in enumerate(value))
+    return value
+
+
 class RunConfig:
-    """Validated run config; stage configs come out as typed dataclasses."""
+    """The run config, checked whole and with every stage config built once; ``raw`` holds
+    every merged section, and ``plants`` and ``ablations`` as given."""
 
     def __init__(self, raw: Mapping[str, Any]):
-        for key in raw:
-            if key not in DEFAULT_RUN_CONFIG:
-                raise ConfigError(f"unknown config key {key!r}")
-        base = {k: v for k, v in DEFAULT_RUN_CONFIG.items() if k not in ("plants", "ablations")}
-        merged = _merged(
-            base,
-            {k: v for k, v in raw.items() if k not in ("plants", "ablations")},
-            "config",
-        )
-        self.seed = int(merged["seed"])
-        self.enrich = bool(merged["enrich"])
-        self.expand = bool(merged["expand_context"])
-        self.raw = dict(merged)
-        self.raw["plants"] = raw.get("plants", DEFAULT_RUN_CONFIG["plants"])
-        self.raw["ablations"] = raw.get("ablations", DEFAULT_RUN_CONFIG["ablations"])
-        try:
-            self.plant_configs = [self._plant_config(p) for p in self.raw["plants"]]
-        except TypeError as exc:
-            raise ConfigError(f"bad plants entry: {exc}") from None
-        _check_names([str(p.plant_id) for p in self.plant_configs], "plant id")
-        for p in self.plant_configs:
-            p.validate()
-        self.ablations = [self._ablation(a) for a in self.raw["ablations"]]
+        lists = {key: raw.get(key, DEFAULT_RUN_CONFIG[key]) for key in ("plants", "ablations")}
+        self.raw = _merged({k: v for k, v in DEFAULT_RUN_CONFIG.items() if k not in lists},
+                           {k: v for k, v in raw.items() if k not in lists}, "config")
+        self.seed = self.raw["seed"]
+        comp, dim = self.raw["composition"], self.raw["graph_embed"]["dim"]
+        entries = _merged({  # each entry over its defaults; a missing id or name exits 2 as empty
+            "plants": [{**PLANT_DEFAULTS, "plant_id": "", "vec_dim": dim}],
+            "ablations": [{"name": "", "use_get": comp["use_get"], "use_sid": comp["use_sid"],
+                           "use_drmm": comp["use_drmm"], "docsim": True}],
+        }, lists, "config")
+        self.raw.update(lists)
+        if not lists["plants"]:
+            raise ConfigError("config.plants is empty")
+        self.plant_configs = []
+        for i, (plant, entry) in enumerate(zip(entries["plants"], lists["plants"])):
+            if "seed" not in entry:
+                plant["seed"] = derive_seed(self.seed, f"synth:{plant['plant_id']}")
+            self.plant_configs.append(_valid(f"plants[{i}]", synth.PlantConfig(**plant)))
+        _check_names([p.plant_id for p in self.plant_configs], "plant id")
+        self.ablations = entries["ablations"]
         _check_names([a["name"] for a in self.ablations], "ablation name")
+        ge = dict(self.raw["graph_embed"])
+        self.lp_fraction, mode = ge.pop("lp_test_fraction"), ge.pop("init_mode")
+        modes = [m.value for m in graph_embed.InitMode]
+        if mode not in modes:
+            raise ConfigError(f"config.graph_embed.init_mode must be one of {modes}, got {mode!r}")
+        self.ge = _valid("graph_embed", graph_embed.GETrainConfig(
+            **ge, init_mode=graph_embed.InitMode(mode)))
+        if not (0.0 < self.lp_fraction < 1.0):
+            raise ConfigError(f"config.graph_embed.lp_test_fraction must be in (0, 1), "
+                              f"got {self.lp_fraction}")
+        self.sampling = _valid("sampling", triplets_mod.SamplingParams(**self.raw["sampling"]))
+        self.docsim = _valid("docsim", train.DocSimConfig(**self.raw["docsim"]))
+        self.biencoder = _valid("biencoder", train.BiEncoderConfig(**self.raw["biencoder"]))
+        try:  # the encoder size checks
+            init_encoder(self.raw["encoder"]["dim"], self.raw["encoder"]["vocab_buckets"])
+        except ValueError as exc:
+            raise ConfigError(f"config.encoder: {exc}") from None
 
     def with_seed(self, seed: int) -> "RunConfig":
-        raw = dict(self.raw)
-        raw["seed"] = seed
-        return RunConfig(raw)
-
-    def _plant_config(self, entry: Mapping[str, Any]) -> synth.PlantConfig:
-        allowed = {
-            "plant_id", "seed", "n_fl", "tree_branching", "n_logs", "n_queries",
-            "jargon_pairs", "abbreviation_rate", "related_rate", "short_log_rate",
-            "vec_dim", "training", "sid_pairs",
-        }
-        unknown = set(entry) - allowed
-        if unknown:
-            raise ConfigError(f"unknown plant config key(s): {sorted(unknown)}")
-        entry = dict(entry)
-        if "plant_id" not in entry:
-            raise ConfigError("plant config without plant_id")
-        entry.setdefault("seed", derive_seed(self.seed, f"synth:{entry['plant_id']}"))
-        if "jargon_pairs" in entry:
-            entry["jargon_pairs"] = [tuple(p) for p in entry["jargon_pairs"]]
-        entry.setdefault("vec_dim", int(self.raw["graph_embed"]["dim"]))
-        return synth.PlantConfig(**entry)
-
-    def _ablation(self, entry: Mapping[str, Any]) -> dict:
-        allowed = {"name", "use_get", "use_sid", "use_drmm", "docsim"}
-        unknown = set(entry) - allowed
-        if unknown:
-            raise ConfigError(f"unknown ablation key(s): {sorted(unknown)}")
-        if "name" not in entry:
-            raise ConfigError("ablation without name")
-        comp = self.raw["composition"]
-        return {
-            "name": str(entry["name"]),
-            "use_get": bool(entry.get("use_get", comp["use_get"])),
-            "use_sid": bool(entry.get("use_sid", comp["use_sid"])),
-            "use_drmm": bool(entry.get("use_drmm", comp["use_drmm"])),
-            "docsim": bool(entry.get("docsim", True)),
-        }
-
-    def ge_config(self) -> tuple[graph_embed.GETrainConfig, float]:
-        section = self.raw["graph_embed"]
-        try:
-            mode = graph_embed.InitMode(section["init_mode"])
-        except ValueError:
-            raise ConfigError(f"unknown init_mode {section['init_mode']!r}") from None
-        cfg = _valid(graph_embed.GETrainConfig(
-            dim=int(section["dim"]),
-            epochs=int(section["epochs"]),
-            learning_rate=float(section["learning_rate"]),
-            ranking_margin=float(section["ranking_margin"]),
-            negatives_per_edge=int(section["negatives_per_edge"]),
-            init_mode=mode,
-        ))
-        fraction = float(section["lp_test_fraction"])
-        if not (0.0 < fraction < 1.0):
-            raise ConfigError(f"lp_test_fraction must be in (0, 1), got {fraction}")
-        return cfg, fraction
-
-    def sampling_params(self) -> triplets_mod.SamplingParams:
-        return _valid(triplets_mod.SamplingParams(
-            **{k: int(v) for k, v in self.raw["sampling"].items()}))
-
-    def docsim_config(self) -> train.DocSimConfig:
-        return _valid(train.DocSimConfig(**self.raw["docsim"]))
-
-    def biencoder_config(self) -> train.BiEncoderConfig:
-        return _valid(train.BiEncoderConfig(**self.raw["biencoder"]))
+        return RunConfig({**self.raw, "seed": seed})
 
 
 def _check_names(names: Sequence[str], what: str) -> None:
@@ -225,28 +221,31 @@ def _check_names(names: Sequence[str], what: str) -> None:
                               "whose names write ':' as '-'")
 
 
-def _valid(stage_config: Any) -> Any:
-    """A stage config that passed its ``validate()``, whose ValueError exits 2."""
-    stage_config.validate()
+def _valid(where: str, stage_config: Any) -> Any:
+    """A stage config that passed its ``validate()``, whose ValueError exits 2 naming
+    ``config.<where>``."""
+    try:
+        stage_config.validate()
+    except ValueError as exc:
+        raise ConfigError(f"config.{where}: {exc}") from None
     return stage_config
 
 
 def load_run_config(path: str | None, seed_override: int | None) -> RunConfig:
     if path is None:
-        raw: Mapping[str, Any] = {}
+        raw: Any = {}
     else:
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise MissingArtifactError(f"config file not found: {path}") from None
+        except OSError as exc:  # missing, a directory, unreadable
+            raise MissingArtifactError(f"{path}: cannot read config: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-    try:
-        cfg = RunConfig(raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = RunConfig(raw)
     if seed_override is not None:
         cfg = cfg.with_seed(seed_override)
     return cfg
@@ -266,8 +265,11 @@ def _variant(stage: str, ablation: Mapping[str, Any] | None) -> str:
     return stage if ablation is None else f"{stage}:{ablation['name']}"
 
 
-def _missing(path: Path, producer: str) -> MissingArtifactError:
-    return MissingArtifactError(f"{path} not found: run {producer.split(':')[0]} first")
+def _missing(path: Path, producer: str | None) -> MissingArtifactError:
+    """A read that is absent or no regular file, which its producer (or the config) must make."""
+    found = "is not a file" if path.exists() else "not found"
+    return MissingArtifactError(f"{path} {found}: " + (
+        f"run {producer.split(':')[0]} first" if producer else "check the run config"))
 
 
 def _manifest_path(out_dir: Path, run_id: str) -> Path:
@@ -306,9 +308,8 @@ class Run:
             return path
         if self.sealed:
             raise RuntimeError(f"{self.id} reads {name}, which its stage row does not declare")
-        if not path.exists():
-            raise (_missing(path, producer) if producer else
-                   MissingArtifactError(f"{path} not found: check the run config"))
+        if not path.is_file():
+            raise _missing(path, producer)
         digest = sha256_file(path)
         if self.strict and producer:
             claimed = self._claims(producer).get(name)
@@ -323,7 +324,7 @@ class Run:
     def _claims(self, producer: str) -> dict[str, str]:
         if producer not in self.claims:
             path = _manifest_path(self.out, producer)
-            if not path.exists():
+            if not path.is_file():
                 raise _missing(path, producer)
             self.claims[producer] = read_json(path, lambda manifest: dict(manifest["outputs"]),
                                               "not a manifest with outputs")
@@ -363,13 +364,13 @@ class Run:
 
     def _filter(self) -> triplets_mod.TripletSet:
         tpath = self.out / TRIPLETS[0]
-        tset = triplets_mod.load_triplets(tpath, self.cfg.sampling_params())
+        tset = triplets_mod.load_triplets(tpath, self.cfg.sampling)
         quality = self.cfg.raw["quality"]
         try:
             return pairs_mod.quality_filter(
                 tset, self.log_texts(), pairs_mod.EncoderCosineScorer(
-                    _fresh_encoder(self.cfg, "scorer"), float(quality["scorer_scale"])),
-                t_pos=float(quality["t_pos"]), t_margin=float(quality["t_margin"]),
+                    _fresh_encoder(self.cfg, "scorer"), quality["scorer_scale"]),
+                t_pos=quality["t_pos"], t_margin=quality["t_margin"],
             )
         except KeyError as exc:  # a triplet names a document no built graph has
             raise MissingArtifactError(f"{tpath}: {exc.args[0]}") from None
@@ -451,8 +452,6 @@ GE_FILES = (".gemb", ".ids", ".rels.json")
 
 
 def _synth(r: Run) -> tuple[dict, None]:
-    if not r.cfg.plant_configs:
-        raise ConfigError("no plant configs")
     plants = [synth.generate_plant(pcfg) for pcfg in r.cfg.plant_configs]
     bench = ir_eval.Benchmark([gp.bench for gp in plants])
     bench.validate()  # id collisions fail here, before any file is written
@@ -479,9 +478,9 @@ def _build_graph(r: Run) -> tuple[dict, None]:
     matcher = kg.LexicalMatcher()
     for pid in r.plant_ids():
         g = kg.build_graph(r.graph("plants", pid))
-        if r.cfg.enrich:
+        if r.cfg.raw["enrich"]:
             g = kg.predict_links(g, matcher)
-        if r.cfg.expand:
+        if r.cfg.raw["expand_context"]:
             expanded = [
                 kg.Node(n.id, n.kind, kg.expand_context(g, n.id), n.code, n.ts)
                 if n.kind is kg.NodeKind.TEXT_LOG
@@ -492,38 +491,35 @@ def _build_graph(r: Run) -> tuple[dict, None]:
         gdir = r.out / "graphs" / pid
         gdir.mkdir(parents=True, exist_ok=True)
         kg.save_graph(g, gdir / "nodes.jsonl", gdir / "edges.jsonl")
-    return {"enrich": r.cfg.enrich, "expand_context": r.cfg.expand}, None
+    return {key: r.cfg.raw[key] for key in ("enrich", "expand_context")}, None
 
 
 def _train_ge_reads(r: Run) -> list[Read]:
-    ge_cfg, _ = r.cfg.ge_config()  # a bad config exits 2 before a missing artifact exits 3
     vectors = [f"plants/{pid}/vectors.{ext}" for pid in r.plant_ids(training=True)
                for ext in ("gemb", "ids")]
-    text_init = ge_cfg.init_mode is graph_embed.InitMode.TEXT_VECTORS
+    text_init = r.cfg.ge.init_mode is graph_embed.InitMode.TEXT_VECTORS
     return [PLANT_LIST, *_from("build-graph", _graphs(r, "graphs", training=True)),
             *_from("synth", vectors if text_init else [])]
 
 
 def _train_ge(r: Run) -> tuple[dict, None]:
-    ge_cfg, lp_fraction = r.cfg.ge_config()
     splits = {}  # every plant's LP split is checked before the first plant trains
     for pid in r.plant_ids(training=True):
         g = r.graph("graphs", pid)
         train_edges, test_edges = graph_embed.split_edges(
-            g, lp_fraction, derive_seed(r.cfg.seed, f"ge-split:{pid}")
+            g, r.cfg.lp_fraction, derive_seed(r.cfg.seed, f"ge-split:{pid}")
         )
         if not train_edges or not test_edges:
             raise ConfigError(
                 f"plant {pid!r} has {len(g.edges)} edges, and graph_embed.lp_test_fraction "
-                f"{lp_fraction} leaves {len(test_edges)} test and {len(train_edges)} "
+                f"{r.cfg.lp_fraction} leaves {len(test_edges)} test and {len(train_edges)} "
                 "training edges; each needs at least one")
         splits[pid] = g, train_edges, test_edges
     gedir = r.out / "ge"
     gedir.mkdir(parents=True, exist_ok=True)
     lp_summary = {}
     for pid, (g, train_edges, test_edges) in splits.items():
-        plant_cfg = graph_embed.GETrainConfig(**{**asdict(ge_cfg), "init_mode": ge_cfg.init_mode,
-                                                 "rng_seed": derive_seed(r.cfg.seed, f"ge:{pid}")})
+        plant_cfg = replace(r.cfg.ge, rng_seed=derive_seed(r.cfg.seed, f"ge:{pid}"))
         text_vectors = None
         vectors = r.out / "plants" / pid / "vectors"
         if plant_cfg.init_mode is graph_embed.InitMode.TEXT_VECTORS:
@@ -547,14 +543,13 @@ def _train_ge(r: Run) -> tuple[dict, None]:
 
 
 def _sample_triplets_reads(r: Run) -> list[Read]:
-    r.cfg.sampling_params()  # a bad config exits 2 before a missing artifact exits 3
     pids = r.plant_ids(training=True)
     return [PLANT_LIST, *_from("train-ge", [f"ge/{pid}{sfx}" for pid in pids for sfx in GE_FILES]),
             *_from("build-graph", _graphs(r, "graphs", training=True))]
 
 
 def _sample_triplets(r: Run) -> tuple[dict, None]:
-    params = r.cfg.sampling_params()
+    params = r.cfg.sampling
     all_triplets: list[triplets_mod.Triplet] = []
     meta = {}
     tdir = r.out / "triplets"
@@ -567,9 +562,7 @@ def _sample_triplets(r: Run) -> tuple[dict, None]:
             index = ann.build_index(emb, log_ids)
         except KeyError as exc:  # the saved table does not cover the graph's logs
             raise EmbeddingFileError(f"{r.out / 'ge' / pid}: {exc.args[0]}") from None
-        plant_params = triplets_mod.SamplingParams(
-            **{**asdict(params), "rng_seed": derive_seed(r.cfg.seed, f"triplets:{pid}")}
-        )
+        plant_params = replace(params, rng_seed=derive_seed(r.cfg.seed, f"triplets:{pid}"))
         tset = triplets_mod.sample_triplets(index, g, plant_params)
         all_triplets.extend(tset.triplets)
         meta[pid] = {
@@ -587,7 +580,7 @@ def _sample_triplets(r: Run) -> tuple[dict, None]:
 
 def _fresh_encoder(cfg: RunConfig, label: str = "encoder-init") -> EncoderParams:
     enc = cfg.raw["encoder"]
-    return init_encoder(int(enc["dim"]), int(enc["vocab_buckets"]), derive_seed(cfg.seed, label))
+    return init_encoder(enc["dim"], enc["vocab_buckets"], derive_seed(cfg.seed, label))
 
 
 def _saved_encoder(cfg: RunConfig, stem: Path) -> EncoderParams:
@@ -595,7 +588,7 @@ def _saved_encoder(cfg: RunConfig, stem: Path) -> EncoderParams:
     header alone records the table size that the init draw allocates."""
     p = load_encoder(stem.with_suffix(".gemb"), stem.with_suffix(".json"))
     enc = cfg.raw["encoder"]
-    if (p.dim, p.vocab_buckets) != (int(enc["dim"]), int(enc["vocab_buckets"])):
+    if (p.dim, p.vocab_buckets) != (enc["dim"], enc["vocab_buckets"]):
         raise CorruptFileError(f"{stem.with_suffix('.json')}: dim {p.dim} and vocab_buckets "
                                f"{p.vocab_buckets} differ from the config's encoder section")
     return p
@@ -609,8 +602,7 @@ def _triplet_reads(r: Run) -> list[Read]:
 def _train_docsim(r: Run) -> tuple[dict, None]:
     texts = r.log_texts()
     filtered = r.filtered_triplets()
-    dcfg = r.cfg.docsim_config()
-    dcfg.rng_seed = derive_seed(r.cfg.seed, "docsim")
+    dcfg = replace(r.cfg.docsim, rng_seed=derive_seed(r.cfg.seed, "docsim"))
     result = train.train_docsim(_fresh_encoder(r.cfg), filtered, texts, dcfg)
     edir = r.out / "encoders"
     edir.mkdir(parents=True, exist_ok=True)
@@ -623,7 +615,7 @@ def _train_docsim(r: Run) -> tuple[dict, None]:
 
 def _gen_pairs(r: Run) -> tuple[dict, None]:
     filtered = r.filtered_triplets()
-    m = int(r.cfg.raw["quality"]["query_terms"])
+    m = r.cfg.raw["quality"]["query_terms"]
     pdir = r.out / "pairs"
     pdir.mkdir(parents=True, exist_ok=True)
     get_rows: list[pairs_mod.QueryDocPair] = []
@@ -710,8 +702,7 @@ def _train_biencoder(r: Run) -> tuple[dict, dict]:
         start = _saved_encoder(r.cfg, r.out / "encoders" / "docsim")
     else:
         start = _fresh_encoder(r.cfg)
-    bcfg = r.cfg.biencoder_config()
-    bcfg.rng_seed = derive_seed(r.cfg.seed, f"biencoder:{job['name']}")
+    bcfg = replace(r.cfg.biencoder, rng_seed=derive_seed(r.cfg.seed, f"biencoder:{job['name']}"))
     result = train.train_biencoder(start, pair_rows, texts, bcfg)
     target = r.out / _encoder_dir(r.ablation)
     target.mkdir(parents=True, exist_ok=True)

@@ -94,27 +94,22 @@ def rank_corpus(p: EncoderParams, query_text: str, corpus: Mapping[str, str]) ->
     return rank_queries(p, [query_text], corpus)[0]
 
 
-# The last corpus ranked: ((vocab_buckets, texts in id order), its pooling
-# weights, or None after its first call in a row).
-_corpus_memo: tuple[tuple[int, tuple[str, ...]], Pooling | None] | None = None
+# The last corpus ranked: ((vocab_buckets, texts in id order), its pooling weights).
+_corpus_memo: tuple[tuple[int, tuple[str, ...]], Pooling] | None = None
 
 
 def _corpus_pooling(vocab_buckets: int, texts: tuple[str, ...]) -> tuple[Pooling, bool]:
     """The texts' pooling weights and whether the memo held them.
 
     The memo holds the last corpus only, keyed by content, and no table data,
-    so an encoder whose rows changed between calls is still read afresh. It
-    keeps the weights once the same corpus comes twice in a row, so ranking
-    many corpora once each in turn leaves no weights alive.
+    so an encoder whose rows changed between calls is still read afresh.
     """
     global _corpus_memo
     key = (vocab_buckets, texts)
-    repeat = _corpus_memo is not None and _corpus_memo[0] == key
-    if repeat and _corpus_memo[1] is not None:
+    if _corpus_memo is not None and _corpus_memo[0] == key:
         return _corpus_memo[1], True
-    pooling = featurize_many(texts, vocab_buckets).pooling()
-    _corpus_memo = (key, pooling if repeat else None)
-    return pooling, False
+    _corpus_memo = (key, featurize_many(texts, vocab_buckets).pooling())
+    return _corpus_memo[1], False
 
 
 def rank_queries(p: EncoderParams, query_texts: Sequence[str],

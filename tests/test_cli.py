@@ -410,6 +410,18 @@ def test_exit_3_on_missing_drmm_pairs(pipeline_run, tmp_path, caplog):
     assert not (out / "encoders" / "biencoder.gemb").exists()  # it stops before it writes
 
 
+def test_exit_3_on_drmm_pairs_directory(pipeline_run, tmp_path, caplog):
+    _, out1, *_ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    folder = tmp_path / "pairs"
+    folder.mkdir()
+    cfg_path, _ = _drmm_config(tmp_path, folder)
+    message = fails(caplog, ["train-biencoder", "--config", str(cfg_path), "--out", str(out)])
+    assert message == f"{folder} is not a file: check the run config"
+    assert not (out / "encoders" / "biencoder.gemb").exists()
+
+
 @pytest.mark.parametrize("bad_line", [json.dumps({"id": "drmm:2"}).encode(),
                                       b'{"id": "drmm:2", "text": "\xff"}'],
                          ids=["no-text", "not-utf8"])
@@ -703,18 +715,92 @@ def test_exit_2_on_invalid_json(tmp_path):
     assert cli.main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_exit_2_on_bad_stage_config(tmp_path):
+def test_exit_2_on_bad_stage_config(tmp_path, caplog):
+    """The whole config is checked at load, so a bad sampling section stops synth too."""
     cfg_path = tmp_path / "cfg.json"
     bad = dict(MICRO_CONFIG, sampling={"k_pos": 10, "k_hard": 10})
     cfg_path.write_text(json.dumps(bad), encoding="utf-8")
     out = tmp_path / "o"
-    assert cli.main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert cli.main(["sample-triplets", "--config", str(cfg_path), "--out", str(out)]) == 2
+    for stage in ("synth", "sample-triplets"):
+        message = fails(caplog, [stage, "--config", str(cfg_path), "--out", str(out)], code=2)
+        assert message == "config.sampling: positive band overlaps hard-negative band"
+    assert not out.exists()
+
+
+# case -> (the config over MICRO_CONFIG, the key path its error line names)
+MISTYPED = {
+    "docsim-epochs-float": ({"docsim": {"epochs": 3.0}}, "config.docsim.epochs"),
+    "docsim-batch-size-string": ({"docsim": {"batch_size": "16"}}, "config.docsim.batch_size"),
+    "biencoder-epochs-float": ({"biencoder": {"epochs": 5.0}}, "config.biencoder.epochs"),
+    "biencoder-epochs-bool": ({"biencoder": {"epochs": True}}, "config.biencoder.epochs"),
+    "encoder-dim-null": ({"encoder": {"dim": None}}, "config.encoder.dim"),
+    "quality-t-pos-null": ({"quality": {"t_pos": None}}, "config.quality.t_pos"),
+    "graph-embed-epochs-null": ({"graph_embed": {"epochs": None}}, "config.graph_embed.epochs"),
+    "graph-embed-not-an-object": ({"graph_embed": 5}, "config.graph_embed"),
+    "sampling-k-pos-null": ({"sampling": {"k_pos": None}}, "config.sampling.k_pos"),
+    "plant-n-fl-float": ({"plants": [dict(MICRO_CONFIG["plants"][0], n_fl=20.5)]},
+                         "config.plants[0].n_fl"),
+    "plant-jargon-pair-of-one": ({"plants": [dict(MICRO_CONFIG["plants"][0],
+                                                  jargon_pairs=[["lömi"]])]},
+                                 "config.plants[0].jargon_pairs[0]"),
+    "enrich-string": ({"enrich": "no"}, "config.enrich"),
+    "composition-use-get-string": ({"composition": {"use_get": "no"}},
+                                   "config.composition.use_get"),
+    "composition-drmm-corpus-number": ({"composition": {"drmm_corpus": 5}},
+                                       "config.composition.drmm_corpus"),
+    "ablation-docsim-string": ({"ablations": [{"name": "a", "docsim": "no"}]},
+                               "config.ablations[0].docsim"),
+    "seed-float": ({"seed": 7.9}, "config.seed"),
+    "quality-scorer-scale-nan": ({"quality": {"scorer_scale": float("nan")}},
+                                 "config.quality.scorer_scale"),
+    "graph-embed-learning-rate-infinity": ({"graph_embed": {"learning_rate": float("inf")}},
+                                           "config.graph_embed.learning_rate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED))
+def test_exit_2_on_mistyped_config_value(tmp_path, caplog, case):
+    """Every value must have the JSON kind of its default, checked before any stage runs."""
+    override, key_path = MISTYPED[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**MICRO_CONFIG, **override}), encoding="utf-8")
+    out = tmp_path / "o"
+    message = fails(caplog, ["pipeline", "--config", str(cfg_path), "--out", str(out)], code=2)
+    assert message.startswith(f"{key_path} must be ")
+    assert not out.exists()
+
+
+def test_integer_runs_where_the_default_is_a_float(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    docsim = dict(TINY_CONFIG["docsim"], learning_rate=1)
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, docsim=docsim)), encoding="utf-8")
+    out = tmp_path / "o"
+    for stage in ("synth", "build-graph", "train-ge", "sample-triplets", "train-docsim"):
+        assert cli.main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest-train-docsim.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["learning_rate"] == 1
 
 
 def test_exit_3_on_missing_config_file(tmp_path):
     assert cli.main(["synth", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "o")]) == 3
+
+
+def test_exit_3_on_config_directory(tmp_path, caplog):
+    config = tmp_path / "cfg"
+    config.mkdir()
+    out = tmp_path / "o"
+    message = fails(caplog, ["synth", "--config", str(config), "--out", str(out)])
+    assert message.startswith(f"{config}: ")
+    assert not out.exists()
+
+
+def test_exit_2_on_config_not_utf8(tmp_path, caplog):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"seed": "\xff"}')
+    message = fails(caplog, ["synth", "--config", str(cfg_path), "--out", str(tmp_path / "o")],
+                    code=2)
+    assert message.startswith(f"{cfg_path}: ")
 
 
 def test_exit_3_on_missing_dependency(tmp_path, caplog):
