@@ -197,6 +197,13 @@ class RunConfig:
         self.sampling = _valid("sampling", triplets_mod.SamplingParams(**self.raw["sampling"]))
         self.docsim = _valid("docsim", train.DocSimConfig(**self.raw["docsim"]))
         self.biencoder = _valid("biencoder", train.BiEncoderConfig(**self.raw["biencoder"]))
+        quality = self.raw["quality"]
+        if quality["query_terms"] < 1:
+            raise ConfigError(f"config.quality.query_terms must be >= 1, "
+                              f"got {quality['query_terms']}")
+        if quality["scorer_scale"] <= 0:
+            raise ConfigError(f"config.quality.scorer_scale must be > 0, "
+                              f"got {quality['scorer_scale']}")
         try:  # the encoder size checks
             init_encoder(self.raw["encoder"]["dim"], self.raw["encoder"]["vocab_buckets"])
         except ValueError as exc:
@@ -585,7 +592,8 @@ def _fresh_encoder(cfg: RunConfig, label: str = "encoder-init") -> EncoderParams
 
 def _saved_encoder(cfg: RunConfig, stem: Path) -> EncoderParams:
     """The encoder saved at ``stem``, whose dim and bucket count must be the config's: the
-    header alone records the table size that the init draw allocates."""
+    dim sets every init row's draw and the bucket count sets where each feature hashes, so a
+    table of another size reads as another encoder."""
     p = load_encoder(stem.with_suffix(".gemb"), stem.with_suffix(".json"))
     enc = cfg.raw["encoder"]
     if (p.dim, p.vocab_buckets) != (enc["dim"], enc["vocab_buckets"]):

@@ -7,6 +7,12 @@ into a fixed bucket table; a text's vector is the count-weighted mean
 of its bucket rows, so the encoder is linear in its parameters. The
 table is held as the seed of its init draw plus the rows training
 changed (:class:`EncoderParams`).
+
+The init rows come in blocks of ``_INIT_BLOCK`` buckets, each block from
+its own seeded stream: bucket j's row is row ``j % 16`` of
+``default_rng([seed, j // 16]).normal(0, 1/sqrt(dim), (16, dim))``. A
+read draws only the blocks of the buckets it names, once per seed, so no
+whole table is ever drawn and ``vocab_buckets`` sets no allocation size.
 """
 
 from __future__ import annotations
@@ -28,6 +34,10 @@ logger = logging.getLogger(__name__)
 DEFAULT_DIM = 64
 DEFAULT_VOCAB_BUCKETS = 1 << 16
 HASH_ALGO = "fnv1a-64"
+
+# Buckets per init block: each block's rows are one draw from its own stream.
+_INIT_BLOCK = 16
+INIT_SCHEME = f"gaussian-block{_INIT_BLOCK}"
 
 _WORD_RE = re.compile(r"\w+")
 
@@ -207,30 +217,63 @@ def featurize_many(texts: Sequence[str],
     return FeatureMatrix(indptr, keys - row_of * vocab_buckets, counts, lengths)
 
 
-# The last init table drawn: ((seed, dim, vocab_buckets), the read-only table,
-# seconds the draw took).
-_init_memo: tuple[tuple[int, int, int], np.ndarray, float] | None = None
+@dataclass(frozen=True)
+class _InitBlocks:
+    """The init blocks of one ``(seed, dim)`` drawn so far: block b's rows are
+    ``rows[start[b]:start[b] + _INIT_BLOCK]``. ``start`` is -1 for a block not drawn, and it
+    ends at the highest block drawn."""
+
+    key: tuple[int, int]
+    start: np.ndarray  # int64
+    rows: np.ndarray  # (drawn blocks * _INIT_BLOCK, dim) float64, read-only
 
 
-def _init_table(seed: int, dim: int, vocab_buckets: int) -> np.ndarray:
-    """The seeded Gaussian(0, 1/sqrt(dim)) table, read-only, from a one-table memo.
+# The init blocks of the last (seed, dim) read.
+_init_memo: _InitBlocks | None = None
 
-    The memo drops the table it holds before it draws another, so at most one
-    init table is alive however many seeds a process reads.
+
+def _init_rows(seed: int, dim: int, u: np.ndarray) -> np.ndarray:
+    """Init rows ``u`` of the seeded Gaussian(0, 1/sqrt(dim)) table, as a new array.
+
+    The one-entry memo draws each block once per ``(seed, dim)`` and drops the
+    blocks it holds before it draws for another key. When every block of ``u``
+    is held, the read is index arithmetic and one gather.
     """
     global _init_memo
-    key = (seed, dim, vocab_buckets)
-    if _init_memo is not None and _init_memo[0] == key:
-        logger.debug("encoder init seed %d: memo hit, saves a %.3f s draw", seed, _init_memo[2])
-        return _init_memo[1]
-    _init_memo = None
+    memo = _init_memo
+    if memo is None or memo.key != (seed, dim):
+        _init_memo = None
+        memo = _InitBlocks((seed, dim), np.empty(0, dtype=np.int64), np.empty((0, dim)))
+    block = u // _INIT_BLOCK
+    try:
+        start = memo.start[block]
+    except IndexError:  # a block past the highest drawn
+        start = None
+    if start is None or start.min(initial=0) < 0:
+        memo = _with_blocks(memo, block)
+        start = memo.start[block]
+    _init_memo = memo
+    return memo.rows[start + u % _INIT_BLOCK]
+
+
+def _with_blocks(memo: _InitBlocks, block: np.ndarray) -> _InitBlocks:
+    """``memo`` with the blocks ``block`` names, drawing each one it lacks."""
     t0 = time.perf_counter()
-    table = np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(dim), size=(vocab_buckets, dim))
-    table.flags.writeable = False
-    _init_memo = (key, table, time.perf_counter() - t0)
-    logger.debug("encoder init seed %d: drew %d x %d table in %.3f s", seed, vocab_buckets, dim,
-                 _init_memo[2])
-    return table
+    seed, dim = memo.key
+    start = np.full(max(len(memo.start), block.max() + 1), -1, dtype=np.int64)
+    start[: len(memo.start)] = memo.start
+    new = np.unique(block[start[block] < 0])
+    start[new] = len(memo.rows) + _INIT_BLOCK * np.arange(len(new))
+    rows = np.empty((len(memo.rows) + _INIT_BLOCK * len(new), dim))
+    rows[: len(memo.rows)] = memo.rows
+    scale = 1.0 / np.sqrt(dim)
+    for b, lo in zip(new.tolist(), start[new].tolist()):
+        rows[lo : lo + _INIT_BLOCK] = np.random.default_rng([seed, b]).normal(
+            0.0, scale, size=(_INIT_BLOCK, dim))
+    rows.flags.writeable = False
+    logger.debug("encoder init seed %d: drew %d blocks in %.4f s", seed, len(new),
+                 time.perf_counter() - t0)
+    return _InitBlocks(memo.key, start, rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,8 +281,8 @@ class EncoderParams:
     """A bucket embedding table held as its init draw's seed plus the rows training changed.
 
     Row b is ``trained[i]`` where ``bucket_ids[i] == b``. Every other row is
-    row b of the seeded Gaussian(0, 1/sqrt(dim)) init table, rounded to
-    float32 when ``rounded`` is set, as it is for every table read from disk.
+    bucket b's init row (see the module docstring), rounded to float32 when
+    ``rounded`` is set, as it is for every table read from disk.
     Pooling is always the mean; persisted headers record it as ``"pooling":
     "mean"`` so that they stay self-describing.
     """
@@ -270,15 +313,15 @@ class EncoderParams:
 
     def rows(self, u: np.ndarray) -> np.ndarray:
         """Rows ``u`` of the table, as a new float64 array: init rows from the memo, with the
-        trained rows laid over them. When every row of ``u`` is held, no init table is read,
-        so none is drawn."""
+        trained rows laid over them. When every row of ``u`` is held, no init row is read,
+        so no block is drawn."""
         held = None
         if len(self.bucket_ids):
             pos = np.minimum(np.searchsorted(self.bucket_ids, u), len(self.bucket_ids) - 1)
             held = self.bucket_ids[pos] == u
             if held.all():
                 return self.trained[pos]
-        out = _init_table(self.seed, self.dim, self.vocab_buckets)[u]
+        out = _init_rows(self.seed, self.dim, u)
         if self.rounded:
             out = out.astype(np.float32).astype(np.float64)
         if held is not None:
@@ -301,7 +344,8 @@ def init_encoder(
     vocab_buckets: int = DEFAULT_VOCAB_BUCKETS,
     seed: int = 0,
 ) -> EncoderParams:
-    """Seeded Gaussian(0, 1/sqrt(dim)) bucket table, drawn when its rows are first read."""
+    """Seeded Gaussian(0, 1/sqrt(dim)) bucket table, drawn block by block as its rows are
+    first read."""
     return EncoderParams(seed, dim, vocab_buckets, np.empty(0, dtype=np.int64), np.empty((0, dim)))
 
 
@@ -327,10 +371,11 @@ def encode_batch(p: EncoderParams, texts: Sequence[str]) -> np.ndarray:
 
 def save_encoder(p: EncoderParams, matrix_path: str | Path, header_path: str | Path) -> None:
     """Write the held rows as float32 to ``matrix_path``, and their bucket ids with the
-    init seed, dim and bucket count to the JSON header."""
+    init scheme and seed, dim and bucket count to the JSON header."""
     write_matrix(matrix_path, p.trained)
     header = {"bucket_ids": p.bucket_ids.tolist(), "dim": p.dim, "hash_algo": HASH_ALGO,
-              "pooling": "mean", "seed": p.seed, "vocab_buckets": p.vocab_buckets}
+              "init": INIT_SCHEME, "pooling": "mean", "seed": p.seed,
+              "vocab_buckets": p.vocab_buckets}
     Path(header_path).write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8")
     logger.debug("saved encoder %s: %d of %d rows held", matrix_path, len(p.bucket_ids),
                  p.vocab_buckets)
@@ -352,6 +397,8 @@ def load_encoder(matrix_path: str | Path, header_path: str | Path) -> EncoderPar
     if header.get("hash_algo") != HASH_ALGO:
         raise EmbeddingFileError(
             f"{header_path}: unsupported hash algorithm {header.get('hash_algo')!r}")
+    if header.get("init") != INIT_SCHEME:
+        raise EmbeddingFileError(f"{header_path}: unsupported init scheme {header.get('init')!r}")
     if header.get("pooling", "mean") != "mean":
         raise EmbeddingFileError(f"{header_path}: unsupported pooling {header['pooling']!r}")
     ids = header.get("bucket_ids")

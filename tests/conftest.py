@@ -6,8 +6,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 import numpy as np
 import pytest
 
+from plantsearch import encoder, ir_eval
 from plantsearch.graph_embed import EmbeddingTable
 from plantsearch.kg import Edge, KnowledgeGraph, Node, NodeKind, Relation
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Each test starts with no init blocks and no corpus memoized, so what it draws and
+    featurizes does not depend on the tests run before it."""
+    encoder._init_memo = None
+    ir_eval._corpus_memo = None
 
 
 def make_graph(logs, fls, edges):

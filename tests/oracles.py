@@ -377,8 +377,12 @@ def oracle_sgd_step(table, texts, lr: float) -> None:
 
 
 def oracle_init_table(seed, dim, vocab_buckets):
-    """An encoder's init table drawn straight from its seed, as a new writable array."""
-    return np.random.default_rng(seed).normal(0.0, 1.0 / np.sqrt(dim), size=(vocab_buckets, dim))
+    """An encoder's init table drawn block by block from its seed, as a new writable array:
+    bucket j's row is row j % 16 of the (16, dim) Gaussian(0, 1/sqrt(dim)) draw of the
+    stream seeded with [seed, j // 16]."""
+    blocks = [np.random.default_rng([seed, b]).normal(0.0, 1.0 / np.sqrt(dim), size=(16, dim))
+              for b in range((vocab_buckets + 15) // 16)]
+    return np.concatenate(blocks)[:vocab_buckets]
 
 
 def dense_table(p):

@@ -100,8 +100,12 @@ def test_pipeline_reruns_byte_identical(pipeline_run):
         for rel in files1
         if (out1 / rel).read_bytes() != (out2 / rel).read_bytes()
     ]
-    # wall-clock timings are quarantined in timings.json; nothing else may differ
-    assert differing == ["timings.json"]
+    # wall-clock timings are quarantined in timings.json; nothing else may differ (two fast
+    # runs may round their stage times to the same milliseconds)
+    assert set(differing) <= {"timings.json"}
+    keys1, keys2 = (json.loads((out / "timings.json").read_text(encoding="utf-8")).keys()
+                    for out in (out1, out2))
+    assert keys1 == keys2
 
 
 def test_strict_mode_catches_tampered_artifacts(pipeline_run, tmp_path):
@@ -219,6 +223,8 @@ HEADER_DAMAGE = {
     "float-dim": lambda blob: _edit_header(blob, dim=16.0),
     "string-dim": lambda blob: _edit_header(blob, dim="16"),
     "unknown-hash": lambda blob: _edit_header(blob, hash_algo="md5"),
+    "no-init-scheme": lambda blob: _edit_header(blob, init=None),  # written before block init
+    "whole-table-init": lambda blob: _edit_header(blob, init="gaussian"),
     "max-pooling": lambda blob: _edit_header(blob, pooling="max"),
     "no-seed": lambda blob: _edit_header(blob, seed=None),
     "float-seed": lambda blob: _edit_header(blob, seed=3.0),
@@ -302,9 +308,8 @@ def test_strict_needs_the_producer_manifest(pipeline_run, tmp_path, caplog):
 
 
 def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch, caplog):
-    """Each artifact is parsed once, and each encoder init table (the scorer's and the one
-    every encoder starts from) is drawn once."""
-    monkeypatch.setattr(encoder, "_init_memo", None)
+    """Each artifact is parsed once, and each init block of each encoder seed (the scorer's,
+    then the one every encoder starts from) is drawn once."""
     calls = {"load_graph": [], "quality_filter": 0}
     load_graph, quality_filter = kg.load_graph, pairs.quality_filter
 
@@ -326,9 +331,14 @@ def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch, caplog):
     # plants/X, plants/Y, graphs/X and graphs/Y, each parsed once
     assert len(calls["load_graph"]) == 4 and len(set(calls["load_graph"])) == 4
     assert calls["quality_filter"] == 1
-    draws = [r.getMessage().split(":")[0] for r in caplog.records if "drew" in r.getMessage()]
-    assert draws == [f"encoder init seed {derive_seed(3, label)}"
-                     for label in ("scorer", "encoder-init")]
+    draws = [r.getMessage().split(": drew ") for r in caplog.records
+             if "drew" in r.getMessage()]
+    seeds = [f"encoder init seed {derive_seed(3, label)}" for label in ("scorer", "encoder-init")]
+    names = [seed for seed, _ in draws]
+    assert names == sorted(names, key=seeds.index) and set(names) == set(seeds)
+    # the memo holds the last seed's blocks, each drawn once: as many as its lines drew
+    drawn = sum(int(line.split()[0]) for seed, line in draws if seed == seeds[1])
+    assert drawn == (encoder._init_memo.start >= 0).sum() > 0
     timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
     for ablation in TINY_CONFIG["ablations"]:
         assert f"train-biencoder:{ablation['name']}" in timings
@@ -767,6 +777,22 @@ def test_exit_2_on_mistyped_config_value(tmp_path, caplog, case):
     out = tmp_path / "o"
     message = fails(caplog, ["pipeline", "--config", str(cfg_path), "--out", str(out)], code=2)
     assert message.startswith(f"{key_path} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("quality, message", [
+    ({"query_terms": 0}, "config.quality.query_terms must be >= 1, got 0"),
+    ({"query_terms": -2}, "config.quality.query_terms must be >= 1, got -2"),
+    ({"scorer_scale": 0}, "config.quality.scorer_scale must be > 0, got 0"),
+    ({"scorer_scale": -1.0}, "config.quality.scorer_scale must be > 0, got -1.0"),
+])
+def test_exit_2_on_quality_out_of_range(tmp_path, caplog, quality, message):
+    """A query needs a term and the scorer a positive scale; both are checked at load."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**MICRO_CONFIG, "quality": quality}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert fails(caplog, ["pipeline", "--config", str(cfg_path), "--out", str(out)],
+                 code=2) == message
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -226,33 +228,68 @@ def test_saved_rows_load_as_the_whole_rounded_table(tmp_path, seed):
         whole, tmp_path / "whole2.gemb").tobytes()
 
 
-def test_init_memo_draws_each_table_once(tmp_path, monkeypatch, caplog):
-    monkeypatch.setattr(encoder, "_init_memo", None)
+def test_init_memo_draws_each_table_once(tmp_path, caplog):
+    """Each init block is drawn once per seed, whatever table size reads it; the memo holds the
+    last seed's blocks only, read-only."""
     p = init_encoder(dim=8, vocab_buckets=256, seed=11)
     with caplog.at_level("DEBUG", logger="plantsearch.encoder"):
-        first = p.rows(np.array([3, 1, 3]))
-        save_encoder(p.with_rows(np.array([5]), np.ones((1, 8))),
+        first = p.rows(np.array([3, 1, 3]))  # block 0
+        save_encoder(p.with_rows(np.array([5]), np.ones((1, 8))),  # row 5: block 0 again
                      tmp_path / "enc.gemb", tmp_path / "enc.json")
-        for _ in range(2):  # loading the same seed again draws nothing
+        for _ in range(2):  # loading the same seed again draws the other 15 blocks once
             load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json").rows(np.arange(256))
+        init_encoder(dim=8, vocab_buckets=4096, seed=11).rows(np.array([300, 40, 301]))
         init_encoder(dim=8, vocab_buckets=256, seed=12).rows(np.array([0]))
     lines = [r.getMessage() for r in caplog.records]
-    draws = [line for line in lines if "drew" in line]
-    assert [line.split(" in ")[0] for line in draws] == [
-        "encoder init seed 11: drew 256 x 8 table", "encoder init seed 12: drew 256 x 8 table"]
-    assert sum("memo hit" in line for line in lines) == 3  # with_rows, then each load's rows
+    draws = [line.split(" in ")[0] for line in lines if "drew" in line]
+    assert draws == ["encoder init seed 11: drew 1 blocks", "encoder init seed 11: drew 15 blocks",
+                     "encoder init seed 11: drew 1 blocks", "encoder init seed 12: drew 1 blocks"]
     assert "saved encoder " + str(tmp_path / "enc.gemb") + ": 1 of 256 rows held" in lines
-    key, table, _ = encoder._init_memo  # one table only, the last seed's, and read-only
-    assert key == (12, 8, 256) and not table.flags.writeable
+    memo = encoder._init_memo  # the last seed's one block, read-only
+    assert memo.key == (12, 8) and np.flatnonzero(memo.start >= 0).tolist() == [0]
+    assert memo.rows.shape == (16, 8) and not memo.rows.flags.writeable
     first[:] = 0.0  # rows come out as a copy
     np.testing.assert_array_equal(p.rows(np.array([3, 1])), oracle_init_table(11, 8, 256)[[3, 1]])
 
 
-def test_held_rows_read_without_an_init_draw(tmp_path, monkeypatch):
+@pytest.mark.parametrize("seed", range(6))
+def test_rows_equal_the_block_oracle_in_any_read_order(seed):
+    """Init rows equal the block oracle for any ids, repeated and unsorted, any table size above
+    them and any order of reads, also when reads of another seed or dim drop the memo between."""
+    rng = np.random.default_rng(seed)
+    dim, top = int(rng.integers(2, 9)), int(rng.integers(1, 700))
+    want = {key: oracle_init_table(*key, top) for key in ((seed, dim), (seed + 1, dim),
+                                                          (seed, dim + 1))}
+    for _ in range(12):
+        key = list(want)[0] if rng.random() < 0.6 else list(want)[int(rng.integers(1, 3))]
+        u = rng.integers(0, top, size=int(rng.integers(0, 60)))
+        p = init_encoder(key[1], int(rng.integers(u.max(initial=0) + 1, 2 * top + 2)), key[0])
+        got = p.rows(u)
+        assert got.shape == (len(u), key[1]) and got.tobytes() == want[key][u].tobytes()
+    assert dense_table(init_encoder(dim, top, seed)).tobytes() == want[seed, dim].tobytes()
+
+
+def test_scattered_rows_allocate_their_blocks_not_the_table():
+    """532 scattered rows of a 65,536 x 64 table (the trained-row count at seed 7) allocate
+    the 8 KiB blocks they fall in and their own copy, not the 32 MiB table."""
+    u = np.random.default_rng(7).choice(1 << 16, size=532, replace=False)
+    blocks = len(np.unique(u // 16))
+    p = init_encoder(dim=64, vocab_buckets=1 << 16, seed=7)
+    tracemalloc.start()
+    try:
+        got = p.rows(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == oracle_init_table(7, 64, 1 << 16)[u].tobytes()
+    assert peak < blocks * 16 * 64 * 8 + (1 << 19) and peak < 5 << 20
+
+
+def test_held_rows_read_without_an_init_draw(tmp_path):
     ids, rows = np.array([2, 5, 9]), np.arange(24.0).reshape(3, 8)
     trained = init_encoder(dim=8, vocab_buckets=256, seed=11).with_rows(ids, rows)
     save_encoder(trained, tmp_path / "enc.gemb", tmp_path / "enc.json")
-    monkeypatch.setattr(encoder, "_init_memo", None)
+    encoder._init_memo = None
     loaded = load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json")
     for p in (trained, loaded):
         got = p.rows(np.array([9, 2, 9]))
@@ -260,16 +297,17 @@ def test_held_rows_read_without_an_init_draw(tmp_path, monkeypatch):
         got[:] = 0.0  # rows come out as a copy
         assert p.rows(ids).tobytes() == rows.tobytes()
     assert encoder._init_memo is None
-    loaded.rows(np.array([2, 3]))  # row 3 is not held: its init row needs the draw
-    assert encoder._init_memo is not None
+    loaded.rows(np.array([2, 3]))  # row 3 is not held: its init row needs its block
+    assert np.flatnonzero(encoder._init_memo.start >= 0).tolist() == [0]
 
 
 def test_encoder_header_pins_mean_pooling(tmp_path):
     p = init_encoder(dim=4, vocab_buckets=16, seed=0)
     save_encoder(p, tmp_path / "enc.gemb", tmp_path / "enc.json")
     header = (tmp_path / "enc.json").read_text(encoding="utf-8")
-    assert header == ('{"bucket_ids": [], "dim": 4, "hash_algo": "fnv1a-64", "pooling": "mean", '
-                      '"seed": 0, "vocab_buckets": 16}\n')
+    assert header == ('{"bucket_ids": [], "dim": 4, "hash_algo": "fnv1a-64", '
+                      '"init": "gaussian-block16", "pooling": "mean", "seed": 0, '
+                      '"vocab_buckets": 16}\n')
     load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json")
     (tmp_path / "enc.json").write_text(header.replace('"mean"', '"max"'), encoding="utf-8")
     with pytest.raises(ValueError, match="unsupported pooling 'max'"):
@@ -282,4 +320,20 @@ def test_load_encoder_rejects_unknown_hash(tmp_path):
     header = (tmp_path / "enc.json").read_text().replace("fnv1a-64", "md5")
     (tmp_path / "enc.json").write_text(header)
     with pytest.raises(ValueError):
+        load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json")
+
+
+@pytest.mark.parametrize("init", [None, "gaussian", "gaussian-block32"])
+def test_load_encoder_rejects_another_init_scheme(tmp_path, init):
+    """A header without the block init scheme, as encoders were written before it, would read
+    as another table."""
+    p = init_encoder(dim=4, vocab_buckets=16, seed=0)
+    save_encoder(p, tmp_path / "enc.gemb", tmp_path / "enc.json")
+    header = json.loads((tmp_path / "enc.json").read_text(encoding="utf-8"))
+    if init is None:
+        del header["init"]
+    else:
+        header["init"] = init
+    (tmp_path / "enc.json").write_text(json.dumps(header), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"unsupported init scheme {init!r}"):
         load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json")

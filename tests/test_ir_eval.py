@@ -134,8 +134,7 @@ def _memo_lines(caplog):
     return [r.getMessage() for r in caplog.records if r.name == "plantsearch.ir_eval"]
 
 
-def test_rank_queries_logs_memo_hits_and_texts_featurized(caplog, monkeypatch):
-    monkeypatch.setattr(ir_eval, "_corpus_memo", None)
+def test_rank_queries_logs_memo_hits_and_texts_featurized(caplog):
     p = init_encoder(dim=8, vocab_buckets=64, seed=3)
     corpus = {"a": "pumpe leckt", "b": "kessel druck", "c": "ventil klemmt"}
     with caplog.at_level("DEBUG", logger="plantsearch.ir_eval"):
@@ -147,8 +146,7 @@ def test_rank_queries_logs_memo_hits_and_texts_featurized(caplog, monkeypatch):
                                    "rank_queries: corpus memo hit, texts featurized: 2"]
 
 
-def test_corpus_memo_follows_the_table_and_the_texts(caplog, monkeypatch):
-    monkeypatch.setattr(ir_eval, "_corpus_memo", None)
+def test_corpus_memo_follows_the_table_and_the_texts(caplog):
     rng = np.random.default_rng(9)
     words = [f"wort{i}" for i in range(40)]
     corpus = {f"d{i:02d}": " ".join(rng.choice(words, size=4)) for i in range(30)}
@@ -177,11 +175,13 @@ def test_corpus_memo_follows_the_table_and_the_texts(caplog, monkeypatch):
 def test_corpus_memo_holds_the_last_corpus_only():
     p = init_encoder(dim=8, vocab_buckets=64, seed=3)
     for i in range(20):
-        assert rank_corpus(p, "pumpe", {"a": f"pumpe {i}", "b": "kessel"})[0] == "a"
+        corpus = {"a": f"pumpe {i}", "b": "kessel"}
+        assert [rank_corpus(p, "pumpe", corpus)] == oracle_rank_corpus(p, ["pumpe"], corpus)
     key, pooling = ir_eval._corpus_memo
     assert key == (64, ("pumpe 19", "kessel")) and pooling is not None
     for i in range(3):
-        rank_corpus(p, "pumpe", {"a": f"kessel {i}"})
+        corpus = {"a": f"kessel {i}"}
+        assert [rank_corpus(p, "pumpe", corpus)] == oracle_rank_corpus(p, ["pumpe"], corpus)
     key, pooling = ir_eval._corpus_memo
     assert key == (64, ("kessel 2",)) and pooling is not None
 
