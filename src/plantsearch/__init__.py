@@ -56,16 +56,7 @@ from .kg import (
     predict_links,
     save_graph,
 )
-from .losses import (
-    NonFiniteError,
-    cosine,
-    edge_ranking_loss_grad,
-    finite_diff_check,
-    mnr_loss,
-    mnr_loss_grad,
-    triplet_loss,
-    triplet_loss_grad,
-)
+from .losses import NonFiniteError, cosine, mnr_loss_grad
 from .pairs import (
     CompositionReport,
     CorpusStats,
@@ -112,8 +103,7 @@ __all__ = [
     "EncoderParams", "featurize", "featurize_many", "init_encoder", "encode", "encode_batch",
     "save_encoder", "load_encoder",
     # losses
-    "NonFiniteError", "cosine", "triplet_loss", "triplet_loss_grad",
-    "mnr_loss", "mnr_loss_grad", "edge_ranking_loss_grad", "finite_diff_check",
+    "NonFiniteError", "cosine", "mnr_loss_grad",
     # graph_embed
     "InitMode", "GETrainConfig", "EmbeddingTable", "LPReport",
     "init_embeddings", "score_edge", "train_graph_embeddings",

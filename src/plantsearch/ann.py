@@ -67,15 +67,15 @@ def build_index(emb: EmbeddingTable, eligible: Iterable[str]) -> FlatIndex:
 
 
 def knn(
-    idx: FlatIndex, query_id: str, k: int, among: Iterable[str] | np.ndarray | None = None
+    idx: FlatIndex, query_id: str, k: int, among: np.ndarray | None = None
 ) -> list[tuple[str, float]]:
     """Top-k cosine neighbors of an indexed node, query excluded.
 
     Sorted by descending cosine, ties broken by ascending id, so the
-    result is a total order. ``among`` restricts candidates to a subset
-    of the indexed ids, given as ids or as a ``FlatIndex.row_mask``
-    (build the mask once when many queries share one subset). k must
-    not exceed the candidate count.
+    result is a total order. ``among``, a ``FlatIndex.row_mask``,
+    restricts candidates to a subset of the indexed ids (build the mask
+    once when many queries share one subset); ``None`` takes them all.
+    k must not exceed the candidate count.
     """
     if query_id not in idx:
         raise KeyError(f"query id {query_id!r} not in index")
@@ -83,12 +83,10 @@ def knn(
         raise ValueError(f"k must be >= 1, got {k}")
     if among is None:
         mask = np.ones(len(idx), dtype=bool)
-    elif isinstance(among, np.ndarray):
-        if among.dtype != bool or among.shape != (len(idx),):
-            raise ValueError(f"row mask must be bool of shape ({len(idx)},)")
-        mask = among.copy()
+    elif not isinstance(among, np.ndarray) or among.dtype != bool or among.shape != (len(idx),):
+        raise ValueError(f"row mask must be bool of shape ({len(idx)},)")
     else:
-        mask = idx.row_mask(among)
+        mask = among.copy()
     q = idx.row(query_id)
     mask[q] = False
     rows = np.flatnonzero(mask)

@@ -213,8 +213,11 @@ def _node(rec: dict) -> Node:
     ts = rec.get("ts")
     if ts is not None and not isinstance(ts, int):
         raise TypeError(f"'ts' must be an integer, got {ts!r}")
+    code = rec.get("code")
+    if code is not None and not isinstance(code, str):
+        raise TypeError(f"'code' must be a string, got {code!r}")
     return Node(id=str(rec["id"]), kind=NodeKind(rec["kind"]), text=str(rec.get("text", "")),
-                code=rec.get("code"), ts=ts)
+                code=code, ts=ts)
 
 
 def _edge(rec: dict) -> Edge:
@@ -229,8 +232,8 @@ def load_graph(nodes_path: str | Path, edges_path: str | Path) -> KnowledgeGraph
     structural invariant raises CorruptFileError naming both files.
     """
     nodes = read_json_lines(nodes_path, _node,
-                            "node line is not a record with an id, a known kind and an integer "
-                            "ts if any")
+                            "node line is not a record with an id, a known kind, a string code "
+                            "and an integer ts if any")
     edges = read_json_lines(edges_path, _edge,
                             "edge line is not a record with src, dst and a known rel")
     try:

@@ -11,7 +11,7 @@ test suite, so the conventions are pinned down precisely:
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,35 +31,17 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 # Triplet margin loss on euclidean distances
 
 
-def triplet_loss(dq: np.ndarray, dp: np.ndarray, dn: np.ndarray, margin: float = 1.0) -> float:
-    """max(||dq-dp|| - ||dq-dn|| + margin, 0) over equal-dimension vectors."""
-    return triplet_loss_grad(dq, dp, dn, margin)[0]
-
-
-def triplet_loss_grad(
-    dq: np.ndarray, dp: np.ndarray, dn: np.ndarray, margin: float = 1.0
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss and gradients w.r.t. the three input vectors.
-
-    At a zero distance the norm is not differentiable; that branch
-    contributes a zero (sub)gradient, as does an inactive hinge.
-    """
-    dq, dp, dn = (np.asarray(v, dtype=np.float64) for v in (dq, dp, dn))
-    if not (dq.shape == dp.shape == dn.shape):
-        raise ValueError(f"dimension mismatch: {dq.shape}, {dp.shape}, {dn.shape}")
-    loss, gq, gp, gn = triplet_loss_grad_batch(dq[None], dp[None], dn[None], margin)
-    return float(loss[0]), gq[0], gp[0], gn[0]
-
-
 def triplet_loss_grad_batch(
     dq: np.ndarray, dp: np.ndarray, dn: np.ndarray, margin: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Triplet losses and gradients of every row of three (n, dim) matrices in one pass.
 
-    Returns the (n,) losses and the three gradient matrices. Each row
-    rounds like a per-row ``np.linalg.norm`` loop: a norm is one BLAS
-    ddot per row (``np.vecdot``) and the gradients add their unit
-    vectors to zeros in that loop's order.
+    Returns the (n,) losses and the gradients w.r.t. the three inputs. At a
+    zero distance the norm is not differentiable; that branch contributes a
+    zero (sub)gradient, as does an inactive hinge. Each row rounds like a
+    per-row ``np.linalg.norm`` loop: a norm is one BLAS ddot per row
+    (``np.vecdot``) and the gradients add their unit vectors to zeros in
+    that loop's order.
     """
     for name, v in (("query", dq), ("positive", dp), ("negative", dn)):
         if not np.isfinite(v).all():
@@ -81,9 +63,16 @@ def triplet_loss_grad_batch(
 # Multiple negatives ranking loss (scaled-cosine softmax over in-batch docs)
 
 
-def _mnr_core(
-    queries: np.ndarray, docs: np.ndarray, scale: float
+def mnr_loss_grad(
+    queries: np.ndarray, docs: np.ndarray, scale: float = 20.0
 ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean over rows of -log softmax(scale * cos(q_i, d_j)) at j == i, plus the
+    gradients w.r.t. ``queries`` and ``docs``.
+
+    Row i of ``docs`` is query i's positive and every other row, including
+    any extra appended negative rows, serves as an in-batch negative.
+    Zero-norm rows are an error naming the row.
+    """
     q = np.asarray(queries, dtype=np.float64)
     d = np.asarray(docs, dtype=np.float64)
     if q.ndim != 2 or d.ndim != 2 or q.shape[1] != d.shape[1]:
@@ -116,28 +105,6 @@ def _mnr_core(
     col_dot = (g_z * cos).sum(axis=0)
     g_d = (g_z.T @ qu - col_dot[:, None] * du) / dn[:, None]
     return loss, g_q, g_d
-
-
-def mnr_loss(queries: np.ndarray, docs: np.ndarray, scale: float = 20.0) -> float:
-    """Mean over rows of -log softmax(scale * cos(q_i, d_j)) at j == i.
-
-    ``queries`` and ``docs`` are row-aligned (n, dim) matrices; row i of
-    ``docs`` is query i's positive and every other row serves as an
-    in-batch negative. Zero-norm rows are an error naming the row.
-    """
-    q = np.asarray(queries, dtype=np.float64)
-    d = np.asarray(docs, dtype=np.float64)
-    if q.shape != d.shape:
-        raise ValueError(f"shape mismatch: queries {q.shape}, docs {d.shape}")
-    loss, _, _ = _mnr_core(q, d, scale)
-    return loss
-
-
-def mnr_loss_grad(
-    queries: np.ndarray, docs: np.ndarray, scale: float = 20.0
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss plus gradients; ``docs`` may carry extra appended negative rows."""
-    return _mnr_core(queries, docs, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -231,73 +198,3 @@ def edge_steps(
     np.copyto(g_negs, 0.0, where=~live)
     g_negs /= k
     return loss, g_a, g_dst, g_negs
-
-
-def edge_ranking_loss_grad(
-    src: np.ndarray,
-    rel: np.ndarray,
-    dst: np.ndarray,
-    neg_dsts: np.ndarray,
-    margin: float,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mean hinge max(0, margin - s(pos) + s(neg)) over the negative rows.
-
-    s(x) = cos(src + rel, x). Returns (loss, g_src, g_rel, g_dst,
-    g_neg_dsts); the src and rel gradients coincide because the score
-    depends on them only through their sum. The one-edge case of
-    ``edge_scores`` and ``edge_steps``.
-    """
-    src = np.asarray(src, dtype=np.float64)
-    rel = np.asarray(rel, dtype=np.float64)
-    dst = np.asarray(dst, dtype=np.float64)
-    negs = np.atleast_2d(np.asarray(neg_dsts, dtype=np.float64))
-    if negs.shape[0] == 0:
-        raise ValueError("need at least one negative")
-    a = src + rel
-    sc = edge_scores(a[None], dst[None], negs[None], margin)
-    loss, g_a, g_dst, g_negs = edge_steps(a[None], dst[None], negs[None], sc)
-    return float(loss[0]), g_a[0].copy(), g_a[0], g_dst[0], g_negs[0]
-
-
-# ---------------------------------------------------------------------------
-# Gradient verification
-
-
-def finite_diff_check(
-    loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    params: np.ndarray,
-    probe_count: int = 32,
-    eps: float = 1e-5,
-    seed: int = 0,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Probes ``probe_count`` random coordinates of ``params`` (all of them
-    when the vector is small). Callers are responsible for keeping the
-    probes away from hinge boundaries, where the loss is not
-    differentiable.
-    """
-    params = np.asarray(params, dtype=np.float64)
-    flat = params.ravel()
-    _, grad = loss_and_grad(params)
-    grad = np.asarray(grad, dtype=np.float64).ravel()
-    if grad.shape != flat.shape:
-        raise ValueError(f"gradient shape {grad.shape} != params shape {flat.shape}")
-
-    rng = np.random.default_rng(seed)
-    if probe_count >= flat.size:
-        coords = np.arange(flat.size)
-    else:
-        coords = rng.choice(flat.size, size=probe_count, replace=False)
-
-    worst = 0.0
-    for c in coords:
-        bumped = flat.copy()
-        bumped[c] += eps
-        hi, _ = loss_and_grad(bumped.reshape(params.shape))
-        bumped[c] -= 2 * eps
-        lo, _ = loss_and_grad(bumped.reshape(params.shape))
-        numeric = (hi - lo) / (2 * eps)
-        denom = max(abs(grad[c]), abs(numeric), 1e-8)
-        worst = max(worst, abs(grad[c] - numeric) / denom)
-    return worst

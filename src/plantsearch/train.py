@@ -15,7 +15,6 @@ renumbered to positions in it (``FeatureMatrix.compact``).
 from __future__ import annotations
 
 import logging
-import time
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -82,7 +81,6 @@ class TrainResult:
     params: EncoderParams
     epoch_losses: list[float]
     steps: int
-    wall_time: float
 
 
 def train_docsim(
@@ -98,9 +96,8 @@ def train_docsim(
     each epoch and the mean epoch loss is recorded in the result.
     """
     cfg.validate()
-    start = time.perf_counter()
     if cfg.epochs == 0 or not tset.triplets:
-        return TrainResult(p, [], 0, time.perf_counter() - start)
+        return TrainResult(p, [], 0)
 
     doc_ids = list(dict.fromkeys(
         d for t in tset.triplets for d in (t.query, t.positive, t.negative)
@@ -144,8 +141,7 @@ def train_docsim(
                      epoch, epoch_losses[-1], active, n)
     if not np.isfinite(table).all():
         raise NonFiniteError("non-finite encoder table after docsim training")
-    return TrainResult(p.with_rows(buckets, table), epoch_losses, steps,
-                       time.perf_counter() - start)
+    return TrainResult(p.with_rows(buckets, table), epoch_losses, steps)
 
 
 def _pack_batches(
@@ -181,7 +177,6 @@ def train_biencoder(
     over ``warmup_steps`` optimizer steps, then stays at the base rate.
     """
     cfg.validate()
-    start = time.perf_counter()
     positives = [pr for pr in pairs if pr.label is PairLabel.POSITIVE]
     if not positives:
         raise ValueError("no positive pairs to train on")
@@ -201,7 +196,7 @@ def train_biencoder(
     query_row = {q: len(doc_ids) + i for i, q in enumerate(queries)}
 
     if cfg.epochs == 0:
-        return TrainResult(p, [], 0, time.perf_counter() - start)
+        return TrainResult(p, [], 0)
 
     rng = np.random.default_rng(cfg.rng_seed)
     table = p.rows(buckets)
@@ -240,5 +235,4 @@ def train_biencoder(
                      "%d buckets", epoch, epoch_losses[-1], len(batches), *widest)
     if not np.isfinite(table).all():
         raise NonFiniteError("non-finite encoder table after bi-encoder training")
-    return TrainResult(p.with_rows(buckets, table), epoch_losses, step,
-                       time.perf_counter() - start)
+    return TrainResult(p.with_rows(buckets, table), epoch_losses, step)

@@ -85,18 +85,16 @@ def band_sample(neighbors: Sequence[T], k: int, c: int) -> list[T]:
 
 
 def filtered_random_sample(
-    corpus: Sequence[str] | set[str],
+    corpus: Sequence[str],
     excluded: set[str],
     c: int,
     rng: np.random.Generator,
 ) -> list[str]:
     """c ids drawn uniformly without replacement from corpus minus excluded.
 
-    A sequence corpus must be sorted without repeats, so callers drawing
-    for many queries sort once; a set is sorted here.
+    ``corpus`` must be sorted without repeats, so callers drawing for many
+    queries sort once.
     """
-    if isinstance(corpus, (set, frozenset)):
-        corpus = sorted(corpus)
     candidates = [i for i in corpus if i not in excluded]
     if len(candidates) < c:
         raise ValueError(
@@ -167,11 +165,18 @@ def save_triplets(tset: TripletSet, path: str | Path) -> None:
     )
 
 
+def _triplet(rec: dict) -> Triplet:
+    ids = rec["q"], rec["pos"], rec["neg"]
+    if not all(isinstance(i, str) for i in ids):
+        raise TypeError(f"triplet ids must be strings, got {ids!r}")
+    return Triplet(*ids, NegKind(rec["neg_kind"]))
+
+
 def load_triplets(
     path: str | Path, params: SamplingParams | None = None, index_fingerprint: str = ""
 ) -> TripletSet:
     triplets = read_json_lines(
-        path, lambda r: Triplet(r["q"], r["pos"], r["neg"], NegKind(r["neg_kind"])),
-        "triplet line is not a record with q, pos, neg and a known neg_kind",
+        path, _triplet,
+        "triplet line is not a record with string q, pos and neg ids and a known neg_kind",
     )
     return TripletSet(triplets, params or SamplingParams(), index_fingerprint)

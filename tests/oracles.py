@@ -9,13 +9,14 @@ array code replaced, kept so that tests can demand equality to the bit
 or, for the per-text training loops, whose batched gemms sum in another
 order, a stated tolerance. The whole-table training loops there are the
 former batched code, which training on gathered rows must equal bit for
-bit.
+bit. Last comes ``finite_diff_check``, the central-difference gradient
+check that the loss tests and the acceptance gate run.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -611,3 +612,43 @@ def oracle_rank_corpus(p, query_texts, corpus):
         scores = {d: oracle_np_cosine(v, q) for d, v in docs.items()}
         rankings.append(sorted(corpus, key=lambda d: (-scores[d], d)))
     return rankings
+
+
+def finite_diff_check(
+    loss_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    params: np.ndarray,
+    probe_count: int = 32,
+    eps: float = 1e-5,
+    seed: int = 0,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Probes ``probe_count`` random coordinates of ``params`` (all of them
+    when the vector is small). Callers are responsible for keeping the
+    probes away from hinge boundaries, where the loss is not
+    differentiable.
+    """
+    params = np.asarray(params, dtype=np.float64)
+    flat = params.ravel()
+    _, grad = loss_and_grad(params)
+    grad = np.asarray(grad, dtype=np.float64).ravel()
+    if grad.shape != flat.shape:
+        raise ValueError(f"gradient shape {grad.shape} != params shape {flat.shape}")
+
+    rng = np.random.default_rng(seed)
+    if probe_count >= flat.size:
+        coords = np.arange(flat.size)
+    else:
+        coords = rng.choice(flat.size, size=probe_count, replace=False)
+
+    worst = 0.0
+    for c in coords:
+        bumped = flat.copy()
+        bumped[c] += eps
+        hi, _ = loss_and_grad(bumped.reshape(params.shape))
+        bumped[c] -= 2 * eps
+        lo, _ = loss_and_grad(bumped.reshape(params.shape))
+        numeric = (hi - lo) / (2 * eps)
+        denom = max(abs(grad[c]), abs(numeric), 1e-8)
+        worst = max(worst, abs(grad[c] - numeric) / denom)
+    return worst

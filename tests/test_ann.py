@@ -36,8 +36,8 @@ def test_knn_matches_oracle_on_random_instances():
 
 
 def test_knn_among_forms_match_oracle_with_ties():
-    """Sets, lists with duplicates and row masks select the same candidates;
-    duplicated vectors tie exactly at any dimension and break by id."""
+    """Row masks built from a set or from a list with duplicates select the same
+    candidates; duplicated vectors tie exactly at any dimension and break by id."""
     rng = np.random.default_rng(77)
     ties = 0
     for trial in range(150):
@@ -56,9 +56,10 @@ def test_knn_among_forms_match_oracle_with_ties():
         k = int(rng.integers(1, len(among)))
         want = oracle_knn(vectors, query, k, among)
         listed = sorted(among) + sorted(among)[:3]
-        for form in (among, listed, index.row_mask(listed)):
-            assert [doc for doc, _ in knn(index, query, k, among=form)] == want, trial
-        scores = [s for _, s in knn(index, query, len(among) - 1, among=among)]
+        for ids_form in (among, listed):
+            mask = index.row_mask(ids_form)
+            assert [doc for doc, _ in knn(index, query, k, among=mask)] == want, trial
+        scores = [s for _, s in knn(index, query, len(among) - 1, among=mask)]
         ties += len(set(scores)) < len(scores)
     assert ties > 20
 
@@ -68,10 +69,14 @@ def test_knn_row_mask_validation():
     index = build_index(make_table(vectors), list(vectors))
     with pytest.raises(KeyError):
         index.row_mask(["a", "ghost"])
+    with pytest.raises(KeyError):
+        index.row_mask({"a", "ghost"})
     with pytest.raises(ValueError):
         knn(index, "q", 1, among=np.ones(2, dtype=bool))
     with pytest.raises(ValueError):
         knn(index, "q", 1, among=np.ones(3))
+    with pytest.raises(ValueError):
+        knn(index, "q", 1, among={"a", "q"})  # ids, not a row mask
     mask = index.row_mask(["a", "q"])
     assert [doc for doc, _ in knn(index, "q", 1, among=mask)] == ["a"]
     assert mask.tolist() == [True, False, True]  # the caller's mask is not modified
@@ -93,7 +98,7 @@ def test_knn_excludes_query():
 def test_knn_among_subset():
     vectors = {"q": [1.0, 0.0], "a": [1.0, 0.0], "b": [0.9, 0.1], "c": [0.0, 1.0]}
     index = build_index(make_table(vectors), list(vectors))
-    got = [doc for doc, _ in knn(index, "q", 2, among={"b", "c", "q"})]
+    got = [doc for doc, _ in knn(index, "q", 2, among=index.row_mask({"b", "c", "q"}))]
     assert got == ["b", "c"]
 
 
@@ -106,8 +111,6 @@ def test_knn_argument_errors():
         knn(index, "q", 0)
     with pytest.raises(ValueError):
         knn(index, "q", 2)  # only one candidate besides the query
-    with pytest.raises(KeyError):
-        knn(index, "q", 1, among={"a", "ghost"})
 
 
 def test_build_index_sorted_and_validated():

@@ -511,6 +511,8 @@ MALFORMED_RECORDS = {
     "qrels-grade-high": ("evaluate", "plants/X/qrels.txt",
                          lambda line: line.rsplit(b" ", 1)[0] + b" high"),
     "junk-ids-line": ("train-ge", "plants/X/vectors.ids", lambda line: b"junk"),
+    "fl-code-not-a-string": ("build-graph", "plants/X/nodes.jsonl", _with("code", 5)),
+    "triplet-query-not-a-string": ("train-docsim", "triplets/triplets.jsonl", _with("q", ["x"])),
 }
 
 

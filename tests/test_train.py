@@ -102,7 +102,6 @@ def test_train_docsim_learns_and_reports():
     assert result.epoch_losses[-1] < result.epoch_losses[0]
     # the input params are untouched; the result carries the update
     assert not np.array_equal(dense_table(result.params), dense_table(p))
-    assert result.wall_time >= 0.0
     # paired documents moved together relative to their negatives
     d_pos = np.linalg.norm(
         encode(result.params, _TEXTS["a1"]) - encode(result.params, _TEXTS["a2"])

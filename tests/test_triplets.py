@@ -85,9 +85,8 @@ def test_filtered_random_sample_matches_sorted_set_oracle():
         c = int(rng.integers(1, len(corpus) - len(excluded) + 1))
         seed = int(rng.integers(0, 2**32))
         want = oracle_filtered_random_sample(corpus, excluded, c, np.random.default_rng(seed))
-        for form in (corpus, set(corpus)):
-            got = filtered_random_sample(form, excluded, c, np.random.default_rng(seed))
-            assert got == want, trial
+        got = filtered_random_sample(corpus, excluded, c, np.random.default_rng(seed))
+        assert got == want, trial
 
 
 def test_filtered_random_sample_exhausted():
