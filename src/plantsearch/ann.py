@@ -10,6 +10,9 @@ import numpy as np
 
 from .graph_embed import EmbeddingTable
 
+# Queries scored per block: the (64, n) score block is 400 KB at n = 800.
+KNN_BLOCK = 64
+
 
 @dataclass
 class FlatIndex:
@@ -73,29 +76,57 @@ def knn(
 
     Sorted by descending cosine, ties broken by ascending id, so the
     result is a total order. ``among``, a ``FlatIndex.row_mask``,
-    restricts candidates to a subset of the indexed ids (build the mask
-    once when many queries share one subset); ``None`` takes them all.
-    k must not exceed the candidate count.
+    restricts candidates to a subset of the indexed ids; ``None`` takes
+    them all. k must not exceed the candidate count. This is the
+    one-query call of :func:`knn_rows`.
     """
     if query_id not in idx:
         raise KeyError(f"query id {query_id!r} not in index")
+    cols, scores = knn_rows(idx, np.array([idx.row(query_id)]), k, among)
+    return [(idx.ids[c], s) for c, s in zip(cols[0].tolist(), scores[0].tolist())]
+
+
+def knn_rows(
+    idx: FlatIndex, rows: np.ndarray, k: int, among: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k neighbor rows and cosines of the query rows ``rows``, each query excluded:
+    two (len(rows), k) arrays in :func:`knn` order.
+
+    Queries are scored ``KNN_BLOCK`` at a time, one ddot per pair
+    (``np.vecdot``): a pair's score does not depend on which other rows
+    are scored, so equal rows tie exactly. A gemm or gemv rounds by row
+    position and can split such ties. Each query's top k are the
+    candidates scoring above its k-th best score, then those at that
+    score in ascending row order, sorted stably by descending score;
+    rows ascend in id order, so ties break by ascending id.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if among is None:
-        mask = np.ones(len(idx), dtype=bool)
+        among = np.ones(len(idx), dtype=bool)
     elif not isinstance(among, np.ndarray) or among.dtype != bool or among.shape != (len(idx),):
         raise ValueError(f"row mask must be bool of shape ({len(idx)},)")
-    else:
-        mask = among.copy()
-    q = idx.row(query_id)
-    mask[q] = False
-    rows = np.flatnonzero(mask)
-    if k > rows.size:
-        raise ValueError(f"k={k} exceeds {rows.size} available candidates")
-    # One ddot per row (np.vecdot): a row's score does not depend on which
-    # other rows are scored, so equal rows tie exactly. A gemv (matrix @ q)
-    # rounds by row position and can split such ties.
-    scores = np.vecdot(idx.matrix, idx.matrix[q])[rows]
-    # Rows ascend in id order, so a stable sort breaks ties by ascending id.
-    top = np.argsort(-scores, kind="stable")[:k]
-    return [(idx.ids[r], s) for r, s in zip(rows[top].tolist(), scores[top].tolist())]
+    rows = np.asarray(rows, dtype=np.int64)
+    available = np.count_nonzero(among) - among[rows]
+    if rows.size and k > available.min():
+        raise ValueError(f"k={k} exceeds {int(available.min())} available candidates")
+    outside = np.flatnonzero(~among)
+    cols = np.empty((rows.size, k), dtype=np.int64)
+    scores = np.empty((rows.size, k))
+    for lo in range(0, rows.size, KNN_BLOCK):
+        block = rows[lo : lo + KNN_BLOCK]
+        b = np.arange(block.size)
+        sims = np.vecdot(idx.matrix, idx.matrix[block][:, None, :])  # (block, n)
+        neg = -sims
+        neg[:, outside] = np.inf
+        neg[b, block] = np.inf
+        kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+        above, at_kth = neg < kth, neg == kth
+        room = k - np.count_nonzero(above, axis=1)[:, None]
+        take = above | (at_kth & (np.cumsum(at_kth, axis=1) <= room))
+        top = np.nonzero(take)[1].reshape(block.size, k)  # ascending rows per query
+        top = np.take_along_axis(top, np.argsort(neg[b[:, None], top], axis=1, kind="stable"),
+                                 axis=1)
+        cols[lo : lo + block.size] = top
+        scores[lo : lo + block.size] = sims[b[:, None], top]
+    return cols, scores

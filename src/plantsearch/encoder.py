@@ -115,21 +115,28 @@ class FeatureMatrix:
         ``W[i, j]`` is count / total of bucket ``u[j]`` in text ``rows[i]``
         (an empty text is a zero row), so ``W @ table[u]`` mean-pools the
         texts and ``W.T @ G`` is the table gradient of vector gradients G.
+        ``u`` and the columns come from a presence mask over ids 0 .. max,
+        not a sort, so this is meant for a :meth:`compact` matrix, whose ids
+        are dense. :meth:`pooling` sorts instead: its ids span every bucket.
         """
-        u, flat, weight = self._pooling_entries(rows)
+        text, entry = self._entries(rows)
+        ids = self.bucket_ids[entry]
+        present = np.zeros(int(ids.max()) + 1 if ids.size else 0, dtype=bool)
+        present[ids] = True
+        u = np.flatnonzero(present)
+        col = (np.cumsum(present) - 1)[ids]
         w = np.zeros((len(rows), len(u)))
-        w.ravel()[flat] = weight
+        w.ravel()[text * len(u) + col] = self.counts[entry] / self.totals[rows][text]
         return u, w
 
-    def _pooling_entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``u`` of :meth:`pooling_weights` and the nonzero weights of ``W`` at flat positions."""
+    def _entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The position among ``rows`` and the CSR entry of every bucket of those texts."""
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
         text = np.repeat(np.arange(len(rows)), lengths)
         entry = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths,
                                                      lengths)
-        u, col = np.unique(self.bucket_ids[entry], return_inverse=True)
-        return u, text * len(u) + col, self.counts[entry] / self.totals[rows][text]
+        return text, entry
 
     def pooling(self) -> Pooling:
         """Every text's pooling weights in compact form, in blocks of bounded dense size.
@@ -149,8 +156,10 @@ class FeatureMatrix:
         blocks = []
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
-            u, flat, weight = self._pooling_entries(block)
-            blocks.append((len(block), u, flat.astype(np.int32), weight))
+            text, entry = self._entries(block)
+            u, col = np.unique(self.bucket_ids[entry], return_inverse=True)
+            blocks.append((len(block), u, (text * len(u) + col).astype(np.int32),
+                           self.counts[entry] / self.totals[block][text]))
         return Pooling(blocks, inverse)
 
     def compact(self) -> tuple[FeatureMatrix, np.ndarray]:
@@ -159,7 +168,9 @@ class FeatureMatrix:
 
         The renumbering is monotone, so every row's ids stay sorted and
         :meth:`pooling_weights` gives the same ``W`` over positions into a
-        table gathered at those buckets.
+        table gathered at those buckets. The new ids are dense in
+        ``[0, len(buckets))``, so the presence mask of a
+        :meth:`pooling_weights` call has at most that many flags.
         """
         buckets, local = np.unique(self.bucket_ids, return_inverse=True)
         return replace(self, bucket_ids=local), buckets

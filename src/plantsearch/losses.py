@@ -158,12 +158,14 @@ def edge_steps(
     operand has zero gradient. Each row equals a per-negative cosine-gradient
     loop over that edge alone bit for bit: products and quotients keep the
     loop's operand order, and the loss and the ``g_a``/``g_dst`` sums add the
-    active negatives one by one in order, as ``cumsum`` does. (``np.add.reduce``
+    negatives one by one in order, the loss by ``cumsum`` over the (n, k)
+    terms and the gradients by k adds of (n, dim) slices. (``np.add.reduce``
     would sum pairwise when dim == 1.) The loop's sums start at +0.0, so none
-    of its partial sums is -0.0 and an inactive negative's +0.0 changes none.
-    ``cumsum`` starts at the first term instead, which differs only in the
-    sign of a zero sum, and the final ``+ 0.0`` makes that +0.0. The
-    (n, k, dim) terms are formed in place in three arrays.
+    of its partial sums is -0.0 and an inactive negative's +0.0 changes none;
+    ``g_dst`` skips those adds (``where``). These sums start at the first
+    term instead, which differs only in the sign of a zero sum, and the
+    final ``+ 0.0`` makes that +0.0. The (n, k, dim) terms are formed in
+    place in three arrays.
     """
     k = sc.terms.shape[1]
     on = sc.terms > 0.0
@@ -191,10 +193,15 @@ def edge_steps(
     step -= g_a_pos[:, None]
     step /= k
     np.copyto(step, 0.0, where=off)
-    g_a = np.cumsum(step, axis=1, out=tmp)[:, -1] + 0.0
-    np.copyto(step, -(g_dst_pos / k)[:, None])
-    np.copyto(step, 0.0, where=off)
-    g_dst = np.cumsum(step, axis=1, out=tmp)[:, -1] + 0.0
+    g_a = step[:, 0].copy()
+    for j in range(1, k):
+        g_a += step[:, j]
+    g_a += 0.0
+    term = -(g_dst_pos / k)
+    g_dst = np.where(on[:, :1], term, 0.0)
+    for j in range(1, k):
+        np.add(g_dst, term, out=g_dst, where=on[:, j, None])
+    g_dst += 0.0
     np.copyto(g_negs, 0.0, where=~live)
     g_negs /= k
     return loss, g_a, g_dst, g_negs

@@ -13,11 +13,11 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 import numpy as np
 
-from .ann import FlatIndex, knn
+from .ann import FlatIndex, knn_rows
 from .kg import KnowledgeGraph, NodeKind
 from .storage import read_json_lines, write_json_lines
 
@@ -84,24 +84,22 @@ def band_sample(neighbors: Sequence[T], k: int, c: int) -> list[T]:
     return list(neighbors[k - c : k])
 
 
-def filtered_random_sample(
-    corpus: Sequence[str],
-    excluded: set[str],
-    c: int,
-    rng: np.random.Generator,
-) -> list[str]:
-    """c ids drawn uniformly without replacement from corpus minus excluded.
+def positional_sample(
+    n: int, excluded: np.ndarray, c: int, rng: np.random.Generator
+) -> np.ndarray:
+    """c of the positions 0 .. n-1 outside the sorted distinct ``excluded``, uniformly
+    without replacement.
 
-    ``corpus`` must be sorted without repeats, so callers drawing for many
-    queries sort once.
+    One ``rng.choice`` over the free count draws picks, and pick p maps
+    to the p-th free position by ``searchsorted``: ``excluded[j] - j``
+    free positions precede ``excluded[j]``. So the draw equals picking
+    from the filtered list of free positions, without building it.
     """
-    candidates = [i for i in corpus if i not in excluded]
-    if len(candidates) < c:
-        raise ValueError(
-            f"cannot draw {c} ids from {len(candidates)} remaining candidates"
-        )
-    picks = rng.choice(len(candidates), size=c, replace=False)
-    return [candidates[i] for i in picks]
+    free = n - len(excluded)
+    if free < c:
+        raise ValueError(f"cannot draw {c} ids from {free} remaining candidates")
+    picks = rng.choice(free, size=c, replace=False)
+    return picks + np.searchsorted(excluded - np.arange(len(excluded)), picks, side="right")
 
 
 def sample_triplets(index: FlatIndex, g: KnowledgeGraph, p: SamplingParams) -> TripletSet:
@@ -113,6 +111,12 @@ def sample_triplets(index: FlatIndex, g: KnowledgeGraph, p: SamplingParams) -> T
     deterministic. A query is skipped (and counted) when it is too
     short or when the eligible corpus cannot fill the hard band plus an
     easy draw.
+
+    The neighbor lists of all queries come from one :func:`knn_rows`
+    call, in blocks of queries. A query's easy negatives are positions
+    in the sorted eligible ids outside its neighbors and itself, drawn
+    by :func:`positional_sample`: one ``rng.choice`` per query, as over
+    the filtered id list.
     """
     p.validate()
     for node_id in index.ids:
@@ -122,34 +126,30 @@ def sample_triplets(index: FlatIndex, g: KnowledgeGraph, p: SamplingParams) -> T
             raise ValueError(f"indexed id {node_id!r} is not a text log")
 
     corpus = sorted(index.ids)
-    eligible_ids = [i for i in corpus if len(g.nodes[i].text) >= p.min_text_chars]
-    eligible = set(eligible_ids)
-    eligible_rows = index.row_mask(eligible_ids)
+    eligible = [i for i in corpus if len(g.nodes[i].text) >= p.min_text_chars]
     rng = np.random.default_rng(p.rng_seed)
     triplets: list[Triplet] = []
-    skipped = 0
-    for query in corpus:
-        if query not in eligible:
-            skipped += 1
-            continue
-        # Hard band needs k_hard neighbors and the easy draw needs c_easy
-        # ids beyond them; skip rather than clamp when the corpus is small.
-        if len(eligible) - 1 < p.k_hard + p.c_easy:
-            skipped += 1
-            continue
-        neighbors = [n for n, _ in knn(index, query, p.k_hard, among=eligible_rows)]
-        positives = band_sample(neighbors, p.k_pos, p.c_pos)
-        hard = band_sample(neighbors, p.k_hard, p.c_hard)
-        easy = filtered_random_sample(
-            eligible_ids, excluded=set(neighbors) | {query}, c=p.c_easy, rng=rng
-        )
-        emitted = 0
-        for neg in easy:
-            triplets.append(Triplet(query, positives[emitted % len(positives)], neg, NegKind.EASY))
-            emitted += 1
-        for neg in hard:
-            triplets.append(Triplet(query, positives[emitted % len(positives)], neg, NegKind.HARD))
-            emitted += 1
+    # Hard band needs k_hard neighbors and the easy draw needs c_easy ids
+    # beyond them; skip rather than clamp when the corpus is small.
+    if len(eligible) - 1 < p.k_hard + p.c_easy:
+        eligible = []
+    skipped = len(corpus) - len(eligible)
+    if eligible:
+        rows = np.array([index.row(i) for i in eligible])
+        neighbors, _ = knn_rows(index, rows, p.k_hard, among=index.row_mask(eligible))
+        position = np.empty(len(index), dtype=np.int64)  # index row -> place in eligible
+        position[rows] = np.arange(len(eligible))
+        excluded = np.sort(np.column_stack([position[neighbors], np.arange(len(eligible))]),
+                           axis=1)
+        for j, query in enumerate(eligible):
+            ranked = neighbors[j].tolist()
+            positives = [index.ids[r] for r in band_sample(ranked, p.k_pos, p.c_pos)]
+            hard = [index.ids[r] for r in band_sample(ranked, p.k_hard, p.c_hard)]
+            easy = positional_sample(len(eligible), excluded[j], p.c_easy, rng)
+            negatives = ([(eligible[e], NegKind.EASY) for e in easy.tolist()]
+                         + [(neg, NegKind.HARD) for neg in hard])
+            for emitted, (neg, kind) in enumerate(negatives):
+                triplets.append(Triplet(query, positives[emitted % len(positives)], neg, kind))
     if skipped:
         logger.info("sample_triplets: skipped %d of %d queries", skipped, len(corpus))
     return TripletSet(triplets, p, index.fingerprint(), skipped)

@@ -253,8 +253,65 @@ def oracle_np_link_prediction(emb, test_edges, candidate_pool, kinds, dst_kind_o
 def oracle_filtered_random_sample(corpus, excluded, c, rng):
     """c ids drawn without replacement from sorted(set(corpus) - excluded)."""
     candidates = sorted(set(corpus) - excluded)
+    if len(candidates) < c:
+        raise ValueError(f"cannot draw {c} ids from {len(candidates)} remaining candidates")
     picks = rng.choice(len(candidates), size=c, replace=False)
     return [candidates[i] for i in picks]
+
+
+def oracle_np_knn(index, query_id, k, among=None):
+    """One query's top-k (id, cosine): the whole index scored by one ``np.vecdot`` per
+    query, the candidates masked, and a stable argsort over ascending rows."""
+    mask = np.ones(len(index), dtype=bool) if among is None else among.copy()
+    q = index.row(query_id)
+    mask[q] = False
+    rows = np.flatnonzero(mask)
+    if k > rows.size:
+        raise ValueError(f"k={k} exceeds {rows.size} available candidates")
+    scores = np.vecdot(index.matrix, index.matrix[q])[rows]
+    top = np.argsort(-scores, kind="stable")[:k]
+    return [(index.ids[r], s) for r, s in zip(rows[top].tolist(), scores[top].tolist())]
+
+
+def oracle_sample_triplets(index, g, p):
+    """(triplets, skipped) of the per-query loop: one ``oracle_np_knn`` call and one
+    ``oracle_filtered_random_sample`` over the eligible ids for each query."""
+    from plantsearch.triplets import NegKind, Triplet
+
+    corpus = sorted(index.ids)
+    eligible_ids = [i for i in corpus if len(g.nodes[i].text) >= p.min_text_chars]
+    eligible = set(eligible_ids)
+    eligible_rows = index.row_mask(eligible_ids)
+    rng = np.random.default_rng(p.rng_seed)
+    triplets = []
+    skipped = 0
+    for query in corpus:
+        if query not in eligible or len(eligible) - 1 < p.k_hard + p.c_easy:
+            skipped += 1
+            continue
+        neighbors = [n for n, _ in oracle_np_knn(index, query, p.k_hard, eligible_rows)]
+        positives = neighbors[p.k_pos - p.c_pos : p.k_pos]
+        hard = neighbors[p.k_hard - p.c_hard : p.k_hard]
+        easy = oracle_filtered_random_sample(eligible_ids, set(neighbors) | {query},
+                                             p.c_easy, rng)
+        emitted = 0
+        for kind, negs in ((NegKind.EASY, easy), (NegKind.HARD, hard)):
+            for neg in negs:
+                triplets.append(Triplet(query, positives[emitted % len(positives)], neg, kind))
+                emitted += 1
+    return triplets, skipped
+
+
+def oracle_unique_pooling_weights(fm, rows):
+    """``FeatureMatrix.pooling_weights`` with ``u`` and the columns from ``np.unique``."""
+    starts = fm.indptr[rows]
+    lengths = fm.indptr[rows + 1] - starts
+    text = np.repeat(np.arange(len(rows)), lengths)
+    entry = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    u, col = np.unique(fm.bucket_ids[entry], return_inverse=True)
+    w = np.zeros((len(rows), len(u)))
+    w.ravel()[text * len(u) + col] = fm.counts[entry] / fm.totals[rows][text]
+    return u, w
 
 
 def oracle_train_graph_embeddings(g, emb, cfg):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_table
 from oracles import oracle_knn
-from plantsearch.ann import build_index, knn
+from plantsearch.ann import KNN_BLOCK, build_index, knn, knn_rows
 
 
 def _random_instance(rng):
@@ -142,3 +142,52 @@ def test_fingerprint_tracks_content():
     assert i1.fingerprint() != i3.fingerprint()
     i4 = build_index(make_table({"a": vectors["a"], "c": vectors["b"]}), ["a", "c"])
     assert i1.fingerprint() != i4.fingerprint()
+
+
+def test_knn_rows_equals_oracle_for_every_query():
+    """Every query of indexes larger than one block, with duplicated rows (exact ties),
+    zero rows and row masks, gets the oracle's neighbors; knn is its one-query call."""
+    rng = np.random.default_rng(31)
+    ties = 0
+    for trial in range(6):
+        dim = int(rng.choice([3, 16, 64]))
+        n = int(rng.integers(KNN_BLOCK + 5, 2 * KNN_BLOCK + 40))
+        vectors = {}
+        for i in range(n):
+            roll = rng.random()
+            if i >= 2 and roll < 0.25:
+                vec = list(vectors[f"d{int(rng.integers(0, i)):03d}"])
+            elif roll < 0.3:
+                vec = [0.0] * dim
+            else:
+                vec = rng.normal(size=dim).tolist()
+            vectors[f"d{i:03d}"] = vec
+        index = build_index(make_table(vectors), list(vectors))
+        ids = sorted(vectors)
+        among = None if trial % 2 == 0 else {i for i in ids if rng.random() < 0.8}
+        mask = None if among is None else index.row_mask(among)
+        queries = ids if among is None else sorted(among)
+        k = int(rng.integers(1, len(queries) - 1))
+        cols, scores = knn_rows(index, np.array([index.row(q) for q in queries]), k, mask)
+        assert cols.shape == scores.shape == (len(queries), k)
+        for q, row, row_scores in zip(queries, cols.tolist(), scores.tolist()):
+            got = [index.ids[c] for c in row]
+            assert got == oracle_knn(vectors, q, k, among), (trial, q)
+            assert knn(index, q, k, among=mask) == list(zip(got, row_scores))
+            ties += len(set(row_scores)) < len(row_scores)
+    assert ties > 50
+
+
+def test_knn_rows_validation():
+    vectors = {"q": [1.0, 0.0], "a": [0.5, 0.0], "b": [0.0, 1.0]}
+    index = build_index(make_table(vectors), list(vectors))
+    rows = np.array([0, 1, 2])
+    assert knn_rows(index, rows, 2)[0].tolist() == [[2, 1], [0, 2], [0, 1]]
+    with pytest.raises(ValueError):
+        knn_rows(index, rows, 3)
+    with pytest.raises(ValueError):
+        knn_rows(index, rows, 0)
+    mask = index.row_mask(["a", "b"])
+    with pytest.raises(ValueError, match="exceeds 1"):
+        knn_rows(index, rows, 2, among=mask)  # "a" and "b" each have one other candidate
+    assert knn_rows(index, np.array([2]), 2, among=mask)[0].tolist() == [[0, 1]]  # q outside

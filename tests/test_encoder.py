@@ -5,7 +5,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import dense_table, oracle_dense_round_trip, oracle_fnv1a_64, oracle_init_table
+from oracles import (
+    dense_table,
+    oracle_dense_round_trip,
+    oracle_fnv1a_64,
+    oracle_init_table,
+    oracle_unique_pooling_weights,
+)
 from plantsearch import encoder
 from plantsearch.encoder import (
     EncoderParams,
@@ -337,3 +343,28 @@ def test_load_encoder_rejects_another_init_scheme(tmp_path, init):
     (tmp_path / "enc.json").write_text(json.dumps(header), encoding="utf-8")
     with pytest.raises(ValueError, match=f"unsupported init scheme {init!r}"):
         load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json")
+
+
+def test_pooling_weights_mask_equals_unique_form():
+    """The presence-mask ``u`` and ``W`` equal the ``np.unique`` form's, byte for byte, on
+    compacted matrices with empty, one-bucket and repeated texts."""
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        n = int(rng.integers(1, 30))
+        ids, counts, indptr, totals = [], [], [0], []
+        for _ in range(n):
+            width = int(rng.choice([0, 1, int(rng.integers(2, 40))]))
+            ids.extend(np.sort(rng.choice(2**16, size=width, replace=False)).tolist())
+            text_counts = rng.integers(1, 5, size=width).tolist()
+            counts.extend(text_counts)
+            totals.append(sum(text_counts))
+            indptr.append(len(ids))
+        fm = encoder.FeatureMatrix(*(np.array(a, dtype=np.int64)
+                                     for a in (indptr, ids, counts, totals)))
+        compact, _ = fm.compact()
+        rows = rng.integers(0, n, size=int(rng.integers(0, 3 * n)))  # repeats allowed
+        for m in (fm, compact):
+            u, w = m.pooling_weights(rows)
+            want_u, want_w = oracle_unique_pooling_weights(m, rows)
+            assert u.dtype == want_u.dtype and u.tobytes() == want_u.tobytes(), trial
+            assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes(), trial

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_graph, make_table
-from oracles import oracle_filtered_random_sample
+from oracles import oracle_filtered_random_sample, oracle_sample_triplets
 from plantsearch.ann import build_index, knn
 from plantsearch.triplets import (
     NegKind,
@@ -10,8 +10,8 @@ from plantsearch.triplets import (
     Triplet,
     TripletSet,
     band_sample,
-    filtered_random_sample,
     load_triplets,
+    positional_sample,
     sample_triplets,
     save_triplets,
 )
@@ -60,13 +60,19 @@ def test_params_validation():
     SamplingParams(k_pos=2, c_pos=2, k_hard=3, c_hard=1).validate()
 
 
+def _positional_ids(corpus, excluded, c, rng):
+    """The positional draw over sorted ``corpus`` as ids, excluding the ids ``excluded``."""
+    positions = np.array([i for i, d in enumerate(corpus) if d in excluded], dtype=np.int64)
+    return [corpus[i] for i in positional_sample(len(corpus), positions, c, rng).tolist()]
+
+
 def test_filtered_random_sample_excludes_and_is_uniform():
     rng = np.random.default_rng(0)
     corpus = [f"d{i}" for i in range(10)]
-    excluded = {"d0", "d1", "d2"}
+    excluded = {"d0", "d4", "d9"}
     counts = {c: 0 for c in corpus}
     for _ in range(2000):
-        picks = filtered_random_sample(corpus, excluded, 2, rng)
+        picks = _positional_ids(corpus, excluded, 2, rng)
         assert len(picks) == len(set(picks)) == 2
         for pick in picks:
             assert pick not in excluded
@@ -78,6 +84,7 @@ def test_filtered_random_sample_excludes_and_is_uniform():
 
 
 def test_filtered_random_sample_matches_sorted_set_oracle():
+    """The positional draw picks what one rng.choice over the filtered id list picks."""
     rng = np.random.default_rng(12)
     for trial in range(200):
         corpus = sorted({f"d{int(i):03d}" for i in rng.integers(0, 60, size=40)})
@@ -85,14 +92,14 @@ def test_filtered_random_sample_matches_sorted_set_oracle():
         c = int(rng.integers(1, len(corpus) - len(excluded) + 1))
         seed = int(rng.integers(0, 2**32))
         want = oracle_filtered_random_sample(corpus, excluded, c, np.random.default_rng(seed))
-        got = filtered_random_sample(corpus, excluded, c, np.random.default_rng(seed))
+        got = _positional_ids(corpus, excluded, c, np.random.default_rng(seed))
         assert got == want, trial
 
 
 def test_filtered_random_sample_exhausted():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="cannot draw"):
-        filtered_random_sample(["a", "b"], {"a"}, 2, rng)
+        positional_sample(2, np.array([0]), 2, rng)
 
 
 def _corpus_fixture(n=12, dim=4, seed=0, short_ids=()):
@@ -203,3 +210,55 @@ def test_save_load_round_trip(tmp_path):
     back = load_triplets(tmp_path / "t.jsonl", SamplingParams(), "fp")
     assert back.triplets == triplets
     assert back.index_fingerprint == "fp"
+
+
+@pytest.mark.parametrize("seed", [7, 11, 301])
+def test_sample_triplets_equals_per_query_oracle_on_a_plant(seed):
+    """Block kNN and positional easy draws give the per-query loop's triplets and skip count
+    exactly, on a synthetic plant whose short logs take the skip branch."""
+    from plantsearch.graph_embed import GETrainConfig, InitMode, init_embeddings
+    from plantsearch.synth import PlantConfig, generate_plant
+
+    plant = generate_plant(PlantConfig(plant_id="P", seed=seed, n_fl=12, n_logs=160,
+                                       n_queries=4))
+    g = plant.graph
+    cfg = GETrainConfig(dim=64, init_mode=InitMode.TEXT_VECTORS, rng_seed=seed)
+    index = build_index(init_embeddings(g, cfg, plant.text_vectors),
+                        [n.id for n in g.text_logs()])
+    for params in (SamplingParams(rng_seed=seed),
+                   SamplingParams(k_pos=3, c_pos=2, k_hard=20, c_hard=3, c_easy=4,
+                                  rng_seed=seed + 1)):
+        tset = sample_triplets(index, g, params)
+        want, skipped = oracle_sample_triplets(index, g, params)
+        assert skipped > 0 and want
+        assert tset.skipped == skipped
+        assert tset.triplets == want
+
+
+def test_sample_triplets_equals_oracle_with_ties_and_small_corpus():
+    """Duplicated and zero vectors tie exactly; a corpus too small for the bands skips
+    every query, as the per-query loop does."""
+    from plantsearch.kg import Relation
+
+    rng = np.random.default_rng(5)
+    logs = [(f"d{i:03d}", "y" * 40 if rng.random() < 0.2 else "x" * 120) for i in range(90)]
+    vectors = {}
+    for i, (log_id, _) in enumerate(logs):
+        roll = rng.random()
+        if i >= 2 and roll < 0.25:
+            vectors[log_id] = list(vectors[logs[int(rng.integers(0, i))][0]])
+        elif roll < 0.3:
+            vectors[log_id] = [0.0] * 8
+        else:
+            vectors[log_id] = rng.normal(size=8).tolist()
+    vectors["f0"] = rng.normal(size=8).tolist()
+    g = make_graph(logs, [("f0", "C0", "fl")],
+                   [(log_id, "f0", Relation("reports_about")) for log_id, _ in logs])
+    index = build_index(make_table(vectors), [log_id for log_id, _ in logs])
+    for params in (SamplingParams(k_hard=30, c_hard=2, c_easy=3, rng_seed=1),
+                   SamplingParams(k_hard=30, c_hard=2, c_easy=3, rng_seed=2),
+                   SamplingParams(k_hard=80, rng_seed=3)):
+        tset = sample_triplets(index, g, params)
+        want, skipped = oracle_sample_triplets(index, g, params)
+        assert (tset.triplets, tset.skipped) == (want, skipped)
+    assert tset.triplets == [] and tset.skipped == len(logs)
