@@ -30,6 +30,7 @@ from .graph_embed import (
     score_edge,
     split_edges,
     train_graph_embeddings,
+    train_plant_embeddings,
 )
 from .ir_eval import (
     Benchmark,
@@ -106,7 +107,7 @@ __all__ = [
     "NonFiniteError", "cosine", "mnr_loss_grad",
     # graph_embed
     "InitMode", "GETrainConfig", "EmbeddingTable", "LPReport",
-    "init_embeddings", "score_edge", "train_graph_embeddings",
+    "init_embeddings", "score_edge", "train_graph_embeddings", "train_plant_embeddings",
     "split_edges", "eval_link_prediction", "save_embeddings", "load_embeddings",
     # ann
     "FlatIndex", "build_index", "knn",

@@ -36,6 +36,7 @@ import numpy as np
 
 from . import ann, graph_embed, ir_eval, kg, pairs as pairs_mod, synth, train, triplets as triplets_mod
 from .encoder import EncoderParams, init_encoder, load_encoder, save_encoder
+from .losses import NonFiniteError
 from .storage import (
     CorruptFileError, EmbeddingFileError, derive_seed, read_json, read_json_lines, read_table,
     sha256_file, write_table,
@@ -522,10 +523,8 @@ def _train_ge(r: Run) -> tuple[dict, None]:
                 f"{r.cfg.lp_fraction} leaves {len(test_edges)} test and {len(train_edges)} "
                 "training edges; each needs at least one")
         splits[pid] = g, train_edges, test_edges
-    gedir = r.out / "ge"
-    gedir.mkdir(parents=True, exist_ok=True)
-    lp_summary = {}
-    for pid, (g, train_edges, test_edges) in splits.items():
+    plants = {}  # every plant is initialised and trained before the first file is written
+    for pid, (g, train_edges, _) in splits.items():
         plant_cfg = replace(r.cfg.ge, rng_seed=derive_seed(r.cfg.seed, f"ge:{pid}"))
         text_vectors = None
         vectors = r.out / "plants" / pid / "vectors"
@@ -535,14 +534,22 @@ def _train_ge(r: Run) -> tuple[dict, None]:
             emb = graph_embed.init_embeddings(g, plant_cfg, text_vectors)
         except KeyError as exc:  # the text vectors do not cover the graph's nodes
             raise EmbeddingFileError(f"{vectors}.ids: {exc.args[0]}") from None
-        g_train = kg.KnowledgeGraph.from_parts(g.nodes.values(), train_edges)
-        trained = graph_embed.train_graph_embeddings(g_train, emb, plant_cfg)
-        report = graph_embed.eval_link_prediction(
-            trained, test_edges, list(g.nodes), {i: n.kind for i, n in g.nodes.items()},
-            train_edges=train_edges,
-        )
+        plants[pid] = kg.KnowledgeGraph.from_parts(g.nodes.values(), train_edges), emb, plant_cfg
+    trained = graph_embed.train_plant_embeddings(plants)
+    for pid, emb in trained.items():  # the tables are stored as float32
+        with np.errstate(over="ignore"):
+            if not np.isfinite(emb.vectors.astype(np.float32)).all():
+                raise NonFiniteError(f"plant {pid!r}: trained node vectors overflow float32")
+    reports = {pid: graph_embed.eval_link_prediction(
+        trained[pid], test_edges, list(g.nodes), {i: n.kind for i, n in g.nodes.items()},
+        train_edges=train_edges,
+    ) for pid, (g, train_edges, test_edges) in splits.items()}
+    gedir = r.out / "ge"
+    gedir.mkdir(parents=True, exist_ok=True)
+    lp_summary = {}
+    for pid, report in reports.items():
         lp_summary[pid] = report.scaled()
-        graph_embed.save_embeddings(trained, gedir / pid)
+        graph_embed.save_embeddings(trained[pid], gedir / pid)
         _dump(gedir / f"{pid}.lp.json", report.to_dict())
         logger.info("train-ge %s: MRR %.2f, AUC %.2f", pid, report.scaled()["mrr"],
                     report.scaled()["auc"])

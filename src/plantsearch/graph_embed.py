@@ -6,22 +6,26 @@ SGD on a margin ranking loss against corrupted-destination negatives, the
 usual shallow knowledge-graph embedding recipe scaled down to desk size.
 Each batch of ``BATCH`` edges is scored in one array pass and takes one
 update, as in PyTorch-BigGraph (Lerer et al. 2019, arXiv:1903.12287),
-but every edge keeps its own negatives.
+but every edge keeps its own negatives, drawn by position among its
+kind's nodes that are not true neighbours, and only the live (edge,
+negative) pairs, those with a positive hinge term, take steps. Several
+plants train in one lockstep loop over a stacked table, each exactly as
+it trains alone.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .kg import Edge, KnowledgeGraph, NodeKind, Relation, RELATION_SIGNATURES
-from .losses import NonFiniteError, cosine, edge_scores, edge_steps
+from .losses import NonFiniteError, cosine, edge_scores, edge_steps, rows_at
 from .storage import EmbeddingFileError, read_json, read_table, write_table
 
 logger = logging.getLogger(__name__)
@@ -152,66 +156,90 @@ def score_edge(emb: EmbeddingTable, src: str, rel: Relation, dst: str) -> float:
     return cosine(emb.vector(src) + emb.relation_params[rel], emb.vector(dst))
 
 
-def _corruption_candidates(
-    g: KnowledgeGraph, emb: EmbeddingTable
-) -> dict[NodeKind, np.ndarray]:
-    by_kind: dict[NodeKind, np.ndarray] = {}
-    for kind in NodeKind:
-        ids = sorted(n.id for n in g.nodes_of_kind(kind))
-        by_kind[kind] = np.array([emb.row(i) for i in ids], dtype=np.int64)
-    return by_kind
+class _Corruptions(NamedTuple):
+    """The allowed destination corruptions of each distinct (src, rel) group of edges.
 
-
-def _allowed_corruptions(
-    g: KnowledgeGraph, emb: EmbeddingTable, edges: Sequence[Edge]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Allowed corruption rows per distinct (src, rel), as one CSR table.
-
-    Returns ``(indptr, rows, group)``: edge i belongs to group
-    ``group[i]``, and group j's allowed rows, the same-kind rows minus the
-    true neighbors of its (src, rel), are ``rows[indptr[j]:indptr[j + 1]]``.
+    Group j draws from its kind's pool, the rows ``pool[base[j]:base[j] +
+    size]`` in id order, at the ``free[j]`` positions that hold no true
+    neighbour of its (src, rel). Its neighbours' sorted distinct positions,
+    each less its rank, are ``key[start[j]:start[j + 1]] - j * width``: the
+    groups lie ``width`` apart, so ``key`` is sorted whole and one
+    ``searchsorted`` maps the picks of every group. No (groups x pool)
+    table is built.
     """
-    by_kind = _corruption_candidates(g, emb)
+
+    free: np.ndarray  # (groups,)
+    base: np.ndarray  # (groups,)
+    start: np.ndarray  # (groups + 1,)
+    key: np.ndarray
+    width: int
+    pool: np.ndarray
+
+    @classmethod
+    def build(cls, pool: np.ndarray, bases: Sequence[int], sizes: Sequence[int],
+              owner: np.ndarray, taken: np.ndarray) -> "_Corruptions":
+        """Groups with the pool ranges ``bases``/``sizes``, where ``taken`` lists the
+        positions of true neighbours in their group's range, distinct within a group and
+        in any order, and ``owner`` the group of each."""
+        width = max(sizes, default=0) + 1
+        key = np.sort(owner * width + taken)
+        count = np.bincount(key // width, minlength=len(sizes))
+        start = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(count, out=start[1:])
+        key -= np.arange(key.size) - np.repeat(start[:-1], count)  # less the rank in the group
+        free = np.array(sizes, dtype=np.int64) - count
+        return cls(free, np.array(bases, dtype=np.int64), start, key, width, pool)
+
+
+def _corruptions(
+    g: KnowledgeGraph, emb: EmbeddingTable, edges: Sequence[Edge]
+) -> tuple[_Corruptions, np.ndarray]:
+    """The allowed corruptions of the edges' (src, rel) groups, and each edge's group."""
+    bases: dict[NodeKind, int] = {}
+    pools: list[np.ndarray] = []
+    for kind in NodeKind:
+        bases[kind] = sum(p.size for p in pools)
+        pools.append(np.array([emb.row(i) for i in sorted(n.id for n in g.nodes_of_kind(kind))],
+                              dtype=np.int64))
     pool_pos = np.empty(len(emb.node_ids), dtype=np.int64)  # row -> position in its kind's pool
-    for pool in by_kind.values():
-        pool_pos[pool] = np.arange(pool.size)
+    for rows in pools:
+        pool_pos[rows] = np.arange(rows.size)
     groups: dict[tuple[str, Relation], int] = {}
     group = np.empty(len(edges), dtype=np.int64)
-    pools: list[np.ndarray] = []
-    keeps: list[np.ndarray] = []
+    kinds: list[NodeKind] = []
+    owner: list[int] = []  # the group of each true neighbour below
+    neighbors: list[int] = []
     for i, e in enumerate(edges):
         j = groups.get((e.src, e.rel))
         if j is None:
-            j = groups[(e.src, e.rel)] = len(pools)
-            pool = by_kind[RELATION_SIGNATURES[e.rel][1]]
-            keep = np.ones(pool.size, dtype=bool)
-            keep[pool_pos[[emb.row(d) for d in g.out_neighbors(e.src, e.rel)]]] = False
-            pools.append(pool)
-            keeps.append(keep)
+            j = groups[(e.src, e.rel)] = len(kinds)
+            kinds.append(RELATION_SIGNATURES[e.rel][1])
+            rows = [emb.row(d) for d in g.out_neighbors(e.src, e.rel)]
+            owner += [j] * len(rows)
+            neighbors += rows
         group[i] = j
-    indptr = np.zeros(len(pools) + 1, dtype=np.int64)
-    np.cumsum([keep.sum() for keep in keeps], out=indptr[1:])
-    # Filled in place: the table is the largest array of training, and a
-    # concatenation would hold it twice.
-    rows = np.empty(indptr[-1], dtype=np.int64)
-    for j, (pool, keep) in enumerate(zip(pools, keeps)):
-        rows[indptr[j]:indptr[j + 1]] = pool[keep]
-    return indptr, rows, group
+    sizes = {kind: rows.size for kind, rows in zip(NodeKind, pools)}
+    return _Corruptions.build(np.concatenate(pools), [bases[k] for k in kinds],
+                              [sizes[k] for k in kinds], np.array(owner, dtype=np.int64),
+                              pool_pos[np.array(neighbors, dtype=np.int64)]), group
 
 
 def _draw_negatives(
-    rng: np.random.Generator, indptr: np.ndarray, rows: np.ndarray, groups: np.ndarray, k: int
+    rng: np.random.Generator, c: _Corruptions, groups: np.ndarray, k: int
 ) -> np.ndarray:
     """(len(groups), k) rows drawn with replacement from each group's allowed rows.
 
     One ``rng.integers`` call with per-row bounds draws exactly the stream
-    of one ``rng.choice(rows[indptr[j]:indptr[j + 1]], size=k,
-    replace=True)`` call per group j of ``groups``, in order. Every listed
-    group must be non-empty.
+    of one ``rng.choice(allowed_j, size=k, replace=True)`` call per group j
+    of ``groups``, in order, where ``allowed_j`` is the group's pool without
+    its true neighbours. Pick p maps to the p-th free position by
+    ``searchsorted``, the map of ``triplets.positional_sample``: ``e - r``
+    free positions precede the neighbour at position e of rank r. Every
+    listed group must have a free position.
     """
-    starts = indptr[groups]
-    picks = rng.integers(0, (indptr[groups + 1] - starts)[:, None], size=(groups.size, k))
-    return rows[starts[:, None] + picks]
+    picks = rng.integers(0, c.free[groups][:, None], size=(groups.size, k))
+    taken = np.searchsorted(c.key, picks + (groups * c.width)[:, None], side="right")
+    return c.pool[c.base[groups][:, None] + picks + taken - c.start[groups][:, None]]
 
 
 # Edges per mini-batch: one edge_scores pass and one update each.
@@ -233,74 +261,161 @@ def train_graph_embeddings(
     ``BATCH``. One ``edge_scores`` pass scores a batch against the table
     as it stands at the batch start, and ``edge_steps`` forms the mean
     hinge gradients of its edges with an active hinge. Node rows then
-    take those steps through one ``np.subtract.at``, sources, then
-    destinations, then negatives, in batch order. Each relation row takes
-    the mean of its active edges' steps: every edge of a relation shares
-    its translation, so a sum would scale its step with their number.
+    take those steps through one ordered scatter (``rows_at``), sources,
+    then destinations, then negatives, in batch order. Each relation row
+    takes the mean of its active edges' steps: every edge of a relation
+    shares its translation, so a sum would scale its step with their number.
     At ``BATCH = 1`` this is the per-edge SGD loop, bit for bit.
+
+    This is the one-plant call of :func:`train_plant_embeddings`.
     """
-    cfg.validate()
-    for node_id in g.nodes:
-        if node_id not in emb:
-            raise ValueError(f"embedding table does not cover node {node_id!r}")
-    out = emb.copy()
+    return _train_lockstep([("", g, emb, cfg)])[0]
+
+
+def train_plant_embeddings(
+    plants: Mapping[str, tuple[KnowledgeGraph, EmbeddingTable, GETrainConfig]],
+) -> dict[str, EmbeddingTable]:
+    """Every plant's (graph, table, config) trained in one lockstep loop, by plant id.
+
+    Each plant's table comes out exactly as ``train_graph_embeddings``
+    trains it alone. The plants' node rows are stacked into one table and
+    their relation rows into one matrix, and step b of an epoch runs batch
+    b of every plant that has one through one ``edge_scores``/
+    ``edge_steps``/scatter pass. That is exact: the plants
+    share no row, every operation is per row, and each plant keeps its
+    own generator, edge order and negatives, and the order of its
+    scatter. The configs may differ only in ``rng_seed``.
+    """
+    tables = _train_lockstep([(f" plant {pid}", *plant) for pid, plant in plants.items()])
+    return dict(zip(plants, tables))
+
+
+class _Plant(NamedTuple):
+    """One plant's generator, its edges' (src, dst, rel) rows in the stacked tables, and
+    the (src, rel) groups' corruptions."""
+
+    tag: str  # "" for a one-plant call, else " plant <id>" for messages
+    rng: np.random.Generator
+    ends: np.ndarray  # (edges, 3)
+    group: np.ndarray
+    corruptions: _Corruptions
+
+
+def _train_lockstep(
+    plants: Sequence[tuple[str, KnowledgeGraph, EmbeddingTable, GETrainConfig]],
+) -> list[EmbeddingTable]:
+    if not plants:  # a run config may name no training plant
+        return []
+    cfg = plants[0][3]
+    dim = plants[0][2].dim
+    for tag, g, emb, plant_cfg in plants:
+        plant_cfg.validate()
+        if replace(plant_cfg, rng_seed=cfg.rng_seed) != cfg or emb.dim != dim:
+            raise ValueError("plants trained together must share their config but rng_seed, "
+                             "and their table dim")
+        for node_id in g.nodes:
+            if node_id not in emb:
+                raise ValueError(f"embedding table{tag} does not cover node {node_id!r}")
     if cfg.epochs == 0:
-        return out
-    edges = list(g.edges)
-    if not edges:
-        raise ValueError("graph has no edges")
+        return [emb.copy() for _, _, emb, _ in plants]
 
-    rng = np.random.default_rng(cfg.rng_seed)
-    indptr, allowed, group = _allowed_corruptions(g, out, edges)
-    # An edge whose same-kind nodes are all true neighbors draws nothing and is skipped.
-    drawable = indptr[group + 1] > indptr[group]
-    src_rows = np.array([out.row(e.src) for e in edges], dtype=np.int64)
-    dst_rows = np.array([out.row(e.dst) for e in edges], dtype=np.int64)
+    # One stacked node table and relation matrix; each plant's table is a view of its rows.
+    sizes = [len(emb.node_ids) for _, _, emb, _ in plants]
+    vec = np.concatenate([emb.vectors for _, _, emb, _ in plants])
+    rel_mat = np.stack([emb.relation_params[rel] for _, _, emb, _ in plants for rel in Relation])
     rel_index = {rel: j for j, rel in enumerate(Relation)}
-    rel_ids = np.array([rel_index[e.rel] for e in edges], dtype=np.int64)
-    # The relation translations become row views of one matrix, so that a
-    # batch can gather them and an update changes them in place.
-    rel_mat = np.stack([out.relation_params[rel] for rel in Relation])
-    out.relation_params = dict(zip(Relation, rel_mat))
+    outs, state = [], []
+    for p, (tag, g, emb, plant_cfg) in enumerate(plants):
+        o, r = sum(sizes[:p]), p * len(Relation)
+        out = EmbeddingTable(emb.node_ids, vec[o:o + sizes[p]],
+                             dict(zip(Relation, rel_mat[r:r + len(Relation)])))
+        edges = list(g.edges)
+        if not edges:
+            raise ValueError(f"graph{tag} has no edges")
+        c, group = _corruptions(g, out, edges)
+        ends = np.array([(out.row(e.src) + o, out.row(e.dst) + o, rel_index[e.rel] + r)
+                         for e in edges], dtype=np.int64)
+        state.append(_Plant(tag, np.random.default_rng(plant_cfg.rng_seed), ends, group,
+                            c._replace(pool=c.pool + o)))
+        outs.append(out)
 
-    vec = out.vectors
-    lr, margin = cfg.learning_rate, cfg.ranking_margin
+    lr, margin, k = cfg.learning_rate, cfg.ranking_margin, cfg.negatives_per_edge
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(edges))
-        order = order[drawable[order]]
-        negs = _draw_negatives(rng, indptr, allowed, group[order], cfg.negatives_per_edge)
-        src, dst, rel = src_rows[order], dst_rows[order], rel_ids[order]
-        epoch_loss = 0.0
-        active = batches = idle = 0
-        for lo in range(0, order.size, BATCH):
-            batches += 1
-            blk = slice(lo, lo + BATCH)
-            a = vec[src[blk]] + rel_mat[rel[blk]]
-            d, b = vec[dst[blk]], vec[negs[blk]]
+        orders = [pl.rng.permutation(len(pl.ends)) for pl in state]
+        # An edge whose same-kind nodes are all true neighbors draws nothing and is skipped.
+        orders = [o[pl.corruptions.free[pl.group[o]] > 0] for pl, o in zip(state, orders)]
+        # Step b holds batch b of every plant that has one, in plant order.
+        counts = [o.size for o in orders]
+        batch = np.concatenate([np.arange(n) // BATCH for n in counts])
+        by_step = np.argsort(batch, kind="stable")
+        step, plant = batch[by_step], np.repeat(np.arange(len(state)), counts)[by_step]
+        src, dst, rel = np.concatenate([pl.ends[o] for pl, o in zip(state, orders)])[by_step].T
+        place = np.empty_like(by_step)
+        place[by_step] = np.arange(by_step.size)
+        negs = np.empty((by_step.size, k), dtype=np.int64)
+        first = 0
+        for pl, o in zip(state, orders):
+            negs[place[first:first + o.size]] = _draw_negatives(pl.rng, pl.corruptions,
+                                                                pl.group[o], k)
+            first += o.size
+        n_on = np.zeros(by_step.size, dtype=np.int64)  # live pairs per edge
+        edge_loss = np.zeros(by_step.size)
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(step))]).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            a = vec[src[lo:hi]] + rel_mat[rel[lo:hi]]
+            d, b = vec[dst[lo:hi]], vec[negs[lo:hi]]
             sc = edge_scores(a, d, b, margin)
-            act = (sc.terms > 0.0).any(axis=1).nonzero()[0]
+            on = sc.terms > 0.0
+            n_on[lo:hi] = on.sum(axis=1)
+            act = n_on[lo:hi].nonzero()[0]
             if act.size == 0:
-                idle += 1
                 continue
             loss, g_a, g_dst, g_negs = edge_steps(a[act], d[act], b[act], sc.take(act))
-            epoch_loss += float(loss.sum())
-            active += act.size
-            # Rows may repeat within a batch; np.subtract.at applies every step in this order.
-            rows = np.concatenate([src[blk][act], dst[blk][act], negs[blk][act].ravel()])
-            steps = np.concatenate([g_a, g_dst, g_negs.reshape(-1, g_a.shape[1])])
+            edge_loss[lo + act] = loss
+            # Rows may repeat within a plant's batch; the scatter applies every step in this
+            # order, which keeps each plant's sources, then destinations, then negatives.
+            rows = np.concatenate([src[lo:hi][act], dst[lo:hi][act], negs[lo:hi][on]])
+            steps = np.concatenate([g_a, g_dst, g_negs])
             steps *= lr
-            np.subtract.at(vec, rows, steps)
-            r = rel[blk][act]
-            for j in np.flatnonzero(np.bincount(r)):  # the relations with active edges
-                mine = g_a[r == j]  # summed one by one in batch order
-                rel_mat[j] -= lr * (np.cumsum(mine, axis=0)[-1] / len(mine))
-        if not np.isfinite(epoch_loss):
-            raise NonFiniteError(f"non-finite training loss in epoch {epoch}")
-        logger.debug("ge epoch %d mean loss %.6f, %d active edges in %d batches (%d with none)",
-                     epoch, epoch_loss / len(edges), active, batches, idle)
-    if not np.isfinite(vec).all():
-        raise NonFiniteError("non-finite node vectors after training")
-    return out
+            rows_at(np.subtract, vec, rows, steps)
+            # Each relation's steps, summed one by one in batch order from +0.0 (g_a holds
+            # no -0.0, so the first add returns the first step itself).
+            r = rel[lo:hi][act]
+            total = np.zeros(rel_mat.shape)
+            rows_at(np.add, total, r, g_a)
+            count = np.bincount(r, minlength=len(rel_mat))
+            j = count.nonzero()[0]
+            rel_mat[j] -= lr * (total[j] / count[j][:, None])
+        _log_epoch(epoch, state, counts, plant, step, n_on, edge_loss)
+    for pl, out in zip(state, outs):
+        if not np.isfinite(out.vectors).all():
+            raise NonFiniteError(f"non-finite node vectors{pl.tag} after training")
+    return outs
+
+
+def _log_epoch(epoch: int, state: Sequence[_Plant], counts: Sequence[int], plant: np.ndarray,
+               step: np.ndarray, n_on: np.ndarray, edge_loss: np.ndarray) -> None:
+    """Check each plant's epoch loss and log its counts, from the epoch's per-edge live
+    pairs and losses in step order. A plant's loss adds the sum of each of its batches
+    in order, as one batch's ``loss.sum()`` after the other."""
+    active = n_on > 0
+    seg = (step * len(state) + plant)[active]  # (step, plant) of each active edge
+    cuts = np.flatnonzero(np.diff(seg, prepend=-1))  # where each busy batch starts
+    busy = seg[cuts] % len(state)  # the plant of each busy batch
+    losses = edge_loss[active]
+    epoch_loss = [0.0] * len(state)
+    for p, lo, hi in zip(busy.tolist(), cuts.tolist(), np.append(cuts[1:], seg.size).tolist()):
+        epoch_loss[p] += float(losses[lo:hi].sum())
+    live = np.bincount(plant, weights=n_on, minlength=len(state))
+    edges = np.bincount(plant[active], minlength=len(state))
+    busy_batches = np.bincount(busy, minlength=len(state))
+    for p, pl in enumerate(state):
+        if not np.isfinite(epoch_loss[p]):
+            raise NonFiniteError(f"non-finite training loss in epoch {epoch}{pl.tag}")
+        batches = -(-counts[p] // BATCH)
+        logger.debug("ge epoch %d%s mean loss %.6f, %d live pairs, %d active edges in "
+                     "%d batches (%d with none)", epoch, pl.tag, epoch_loss[p] / len(pl.ends),
+                     live[p], edges[p], batches, batches - busy_batches[p])
 
 
 def split_edges(

@@ -153,19 +153,20 @@ def edge_steps(
     ``edge_scores`` rows ``sc`` and their vectors (``a`` and ``dst`` (n, dim),
     ``negs`` (n, k, dim)).
 
-    Returns (loss (n,), g_a (n, dim), g_dst (n, dim), g_negs (n, k, dim)); an
-    edge with no positive term has loss and gradients zero. A zero-norm
-    operand has zero gradient. Each row equals a per-negative cosine-gradient
-    loop over that edge alone bit for bit: products and quotients keep the
-    loop's operand order, and the loss and the ``g_a``/``g_dst`` sums add the
-    negatives one by one in order, the loss by ``cumsum`` over the (n, k)
-    terms and the gradients by k adds of (n, dim) slices. (``np.add.reduce``
-    would sum pairwise when dim == 1.) The loop's sums start at +0.0, so none
-    of its partial sums is -0.0 and an inactive negative's +0.0 changes none;
-    ``g_dst`` skips those adds (``where``). These sums start at the first
-    term instead, which differs only in the sign of a zero sum, and the
-    final ``+ 0.0`` makes that +0.0. The (n, k, dim) terms are formed in
-    place in three arrays.
+    Returns (loss (n,), g_a (n, dim), g_dst (n, dim), g_negs (m, dim)). Only
+    the m live pairs, the (edge, negative) pairs whose term is positive
+    (``sc.terms > 0``), have a gradient: g_negs holds their negatives'
+    gradients in row-major (edge, negative) order, and every other
+    negative's gradient is zero and not formed. An edge with no live pair
+    has loss and gradients zero. A zero-norm operand has zero gradient.
+    Each row equals a per-negative cosine-gradient loop over that edge
+    alone bit for bit: products and quotients keep the loop's operand
+    order, the loss adds the terms one by one by ``cumsum`` over the (n, k)
+    terms, and ``g_a`` and ``g_dst`` add the live pairs' steps in order by
+    ``rows_at`` (``np.add.reduce`` would sum pairwise when dim == 1). The
+    loop adds a +0.0 for every other negative too, and such an add changes
+    at most the sign of a zero partial sum; the final ``+ 0.0`` makes every
+    zero sum +0.0, as the loop's are.
     """
     k = sc.terms.shape[1]
     on = sc.terms > 0.0
@@ -173,35 +174,35 @@ def edge_steps(
     if not np.isfinite(loss).all():
         raise NonFiniteError("non-finite ranking loss")
 
+    edge, neg = on.nonzero()  # the live pairs
     na, nd, s_pos = sc.na[:, None], sc.nd[:, None], sc.s_pos[:, None]
-    nb, s_neg, a3 = sc.norms[..., None], sc.s_neg[..., None], a[:, None, :]
     pos = ((sc.na != 0.0) & (sc.nd != 0.0))[:, None]
-    live = (on & (sc.norms != 0.0) & (sc.na != 0.0)[:, None])[..., None]
-    off = ~on[..., None]
+    a_e, na_e, b = a[edge], sc.na[edge][:, None], negs[edge, neg]
+    nb, s_neg = sc.norms[edge, neg][:, None], sc.s_neg[edge, neg][:, None]
+    zero = (nb == 0.0) | (na_e == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero norms, masked out below
         g_a_pos = np.where(pos, dst / (na * nd) - s_pos * a / (na * na), 0.0)
         g_dst_pos = np.where(pos, a / (na * nd) - s_pos * dst / (nd * nd), 0.0)
-        step = negs / (na[:, None] * nb)  # the a-gradient of each cos(a, negative)
-        tmp = s_neg * a3
-        tmp /= (na * na)[:, None]
-        step -= tmp
-        g_negs = np.divide(a3, na[:, None] * nb, out=tmp)  # the negative's gradient
-        tmp = s_neg * negs
-        tmp /= nb * nb
-        g_negs -= tmp
-    np.copyto(step, 0.0, where=~live)
-    step -= g_a_pos[:, None]
+        step = b / (na_e * nb) - s_neg * a_e / (na_e * na_e)  # the a-gradient of cos(a, b)
+        g_negs = a_e / (na_e * nb) - s_neg * b / (nb * nb)  # the negative's gradient
+    np.copyto(step, 0.0, where=zero)
+    step -= g_a_pos[edge]
     step /= k
-    np.copyto(step, 0.0, where=off)
-    g_a = step[:, 0].copy()
-    for j in range(1, k):
-        g_a += step[:, j]
+    g_a = np.zeros(a.shape)
+    rows_at(np.add, g_a, edge, step)
     g_a += 0.0
-    term = -(g_dst_pos / k)
-    g_dst = np.where(on[:, :1], term, 0.0)
-    for j in range(1, k):
-        np.add(g_dst, term, out=g_dst, where=on[:, j, None])
+    g_dst = np.zeros(dst.shape)
+    rows_at(np.add, g_dst, edge, -(g_dst_pos / k)[edge])
     g_dst += 0.0
-    np.copyto(g_negs, 0.0, where=~live)
+    np.copyto(g_negs, 0.0, where=zero)
     g_negs /= k
     return loss, g_a, g_dst, g_negs
+
+
+def rows_at(ufunc: np.ufunc, table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``ufunc.at(table, rows, values)`` for a C-contiguous (r, dim) ``table`` and
+    (len(rows), dim) ``values``: the same updates in the same order, each row's in
+    the order of ``rows``, through ``ufunc.at``'s faster path over the flat table."""
+    dim = table.shape[1]
+    ufunc.at(np.reshape(table, -1, copy=False), (rows[:, None] * dim + np.arange(dim)).ravel(),
+             values.ravel())

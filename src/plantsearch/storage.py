@@ -70,6 +70,21 @@ def read_matrix(path: str | Path) -> np.ndarray:
     return matrix
 
 
+_REQUIRED = object()
+
+
+def field(rec: dict, key: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """``rec[key]``, or ``default`` when the key is absent and a default is given, which
+    must be exactly a ``kind``: a string field a ``str``, an integer field an ``int``
+    that is not a ``bool``. Record parsers check their fields with it instead of
+    casting, so a wrong type raises TypeError (a missing key KeyError), which
+    ``read_json_lines`` reports as ``<path>:<line>: ...``."""
+    value = rec[key] if default is _REQUIRED else rec.get(key, default)
+    if type(value) is not kind:
+        raise TypeError(f"{key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def write_ids(path: str | Path, ids: Sequence[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row, node_id in enumerate(ids):
@@ -78,8 +93,8 @@ def write_ids(path: str | Path, ids: Sequence[str]) -> None:
 
 def read_ids(path: str | Path) -> list[str]:
     ids: dict[int, str] = {}
-    rows = read_json_lines(path, lambda rec: (int(rec["row"]), str(rec["id"])),
-                           "ids line is not a record with an integer row and an id")
+    rows = read_json_lines(path, lambda rec: (field(rec, "row", int), field(rec, "id", str)),
+                           "ids line is not a record with an integer row and a string id")
     for row, node_id in rows:
         if row in ids:
             raise EmbeddingFileError(f"{path}: row {row} appears twice")

@@ -6,7 +6,7 @@ import pytest
 
 from plantsearch import cli, encoder, kg, pairs
 from plantsearch.losses import NonFiniteError
-from plantsearch.storage import derive_seed
+from plantsearch.storage import derive_seed, read_matrix, write_matrix
 
 TINY_CONFIG = {
     "seed": 3,
@@ -513,6 +513,12 @@ MALFORMED_RECORDS = {
     "junk-ids-line": ("train-ge", "plants/X/vectors.ids", lambda line: b"junk"),
     "fl-code-not-a-string": ("build-graph", "plants/X/nodes.jsonl", _with("code", 5)),
     "triplet-query-not-a-string": ("train-docsim", "triplets/triplets.jsonl", _with("q", ["x"])),
+    "node-text-a-list": ("build-graph", "plants/X/nodes.jsonl", _with("text", ["x"])),
+    "node-id-a-number": ("build-graph", "plants/X/nodes.jsonl", _with("id", 5)),
+    "edge-src-a-number": ("build-graph", "plants/X/edges.jsonl", _with("src", 5)),
+    "ids-row-a-float": ("train-ge", "plants/X/vectors.ids", _with("row", 0.9)),
+    "ids-row-a-bool": ("train-ge", "plants/X/vectors.ids", _with("row", True)),
+    "node-ts-a-bool": ("build-graph", "plants/X/nodes.jsonl", _with("ts", True)),
 }
 
 
@@ -678,6 +684,65 @@ def test_synth_failure_writes_nothing(tmp_path):
     out = tmp_path / "o"
     assert cli.main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+TWO_PLANTS = {"seed": 3, "plants": [MICRO_CONFIG["plants"][0],
+                                    {**MICRO_CONFIG["plants"][0], "plant_id": "N"}],
+              "graph_embed": {"epochs": 2, "lp_test_fraction": 0.1}}
+
+
+@pytest.fixture(scope="module")
+def two_plant_graphs(tmp_path_factory):
+    """TWO_PLANTS, two training plants, through build-graph."""
+    root = tmp_path_factory.mktemp("two")
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(TWO_PLANTS), encoding="utf-8")
+    for stage in ("synth", "build-graph"):
+        assert cli.main([stage, "--config", str(cfg_path), "--out", str(root / "run")]) == 0
+    return root / "run"
+
+
+def _scaled(path, factor):
+    write_matrix(path, read_matrix(path) * factor)
+
+
+# case -> (damage to the last plant's text vectors, learning rate, exit code, error line start)
+GE_FAILURES = {
+    # a node without a text vector
+    "text-vector-gap": (lambda p: p.with_suffix(".ids").write_bytes(
+        _repeated_id(p.with_suffix(".ids").read_bytes())), 0.1, 3, "{out}/plants/N/vectors.ids: "),
+    # vectors near 1e-30 take steps near 1e330 = inf
+    "non-finite": (lambda p: _scaled(p, 1e-30), 1e300, 4,
+                   "numerical failure: non-finite node vectors plant N "),
+    # steps near 1e300 overflow the float32 that tables are stored in
+    "float32-overflow": (lambda p: None, 1e300, 4,
+                         "numerical failure: plant 'M': trained node vectors overflow float32"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the overflow provoked here
+@pytest.mark.parametrize("case", sorted(GE_FAILURES))
+def test_train_ge_failure_writes_nothing(two_plant_graphs, tmp_path, caplog, case):
+    """Every plant is trained and checked before the first ge/ file is written."""
+    damage, lr, code, start = GE_FAILURES[case]
+    out = tmp_path / "run"
+    shutil.copytree(two_plant_graphs, out)
+    damage(out / "plants" / "N" / "vectors.gemb")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TWO_PLANTS, "graph_embed": {
+        **TWO_PLANTS["graph_embed"], "learning_rate": lr}}), encoding="utf-8")
+    message = fails(caplog, ["train-ge", "--config", str(cfg_path), "--out", str(out)], code)
+    assert message.startswith(start.format(out=out)), message
+    assert not (out / "ge").exists()
+
+
+def test_train_ge_without_a_training_plant(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"plants": [{**MICRO_CONFIG["plants"][0], "training": False}]}),
+                        encoding="utf-8")
+    for stage in ("synth", "build-graph", "train-ge"):
+        assert cli.main([stage, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    assert list((tmp_path / "o" / "ge").iterdir()) == []
 
 
 def test_seed_override_changes_outputs(tmp_path):

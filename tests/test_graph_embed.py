@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,6 +286,66 @@ def test_train_scan_at_hinge_boundary_equals_oracle(monkeypatch):
             assert moved[0] is False and moved[-1] is True  # the sweep straddles the boundary
 
 
+def _ge_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "plantsearch.graph_embed"]
+
+
+def test_many_plants_bitwise_equal_each_plant_alone(caplog, monkeypatch):
+    """Plants of 27, 21, 40 and 40 edges: their batch counts per epoch differ at BATCH 1
+    and 3. _scan_graph has the undrawable (l9, reports_about) group and duplicate and
+    zero-norm rows; at margin 0.5 the "calm" plant has no active edge in any epoch."""
+    dim = 8
+    rng = np.random.default_rng(5)
+    scan = _scan_graph()
+    scan_vectors = {node_id: rng.normal(size=dim) for node_id in sorted(scan.nodes)}
+    scan_vectors["l3"] = scan_vectors["l2"].copy()
+    scan_vectors["l5"] = np.zeros(dim)
+    scan_vectors["f2"] = np.zeros(dim)
+    chain = _chain_graph(10)
+    chain_vectors = {node_id: rng.normal(size=dim) for node_id in sorted(chain.nodes)}
+    idle, idle_vectors = _idle_graph(dim, rng)
+    calm_vectors = {**idle_vectors, "l00": idle_vectors["l02"] + 0.01}
+    text_cfg = GETrainConfig(dim=dim, epochs=3, ranking_margin=0.5, negatives_per_edge=4,
+                             init_mode=InitMode.TEXT_VECTORS)
+    plants = {pid: (graph, init_embeddings(graph, text_cfg, vectors),
+                    replace(text_cfg, rng_seed=seed))
+              for pid, graph, vectors, seed in (("scan", scan, scan_vectors, 1),
+                                                ("chain", chain, chain_vectors, 2),
+                                                ("idle", idle, idle_vectors, 3),
+                                                ("calm", idle, calm_vectors, 4))}
+    for batch in BATCHES:
+        monkeypatch.setattr(graph_embed, "BATCH", batch)
+        for some in (["scan", "chain"], ["chain", "idle", "calm"], list(plants)):
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="plantsearch.graph_embed"):
+                together = graph_embed.train_plant_embeddings({pid: plants[pid] for pid in some})
+            lines = _ge_lines(caplog)
+            assert list(together) == some
+            for pid in some:
+                caplog.clear()
+                with caplog.at_level("DEBUG", logger="plantsearch.graph_embed"):
+                    alone = train_graph_embeddings(*plants[pid])
+                assert _table_bytes(together[pid]) == _table_bytes(alone), (batch, pid)
+                # The plant's lines are its one-plant lines with the plant named.
+                mine = [line for line in lines if line.split(" mean loss ")[0].endswith(
+                    f" plant {pid}")]
+                assert [line.replace(f" plant {pid}", "") for line in mine] == _ge_lines(caplog)
+            assert len(lines) == 3 * len(some)
+            if "calm" in some:
+                assert all(", 0 live pairs, 0 active edges in " in line
+                           for line in lines if " plant calm " in line)
+
+
+def test_many_plants_share_one_config_but_the_seed():
+    assert graph_embed.train_plant_embeddings({}) == {}
+    g = _chain_graph()
+    cfg = GETrainConfig(dim=4)
+    emb = init_embeddings(g, cfg)
+    with pytest.raises(ValueError, match="share their config"):
+        graph_embed.train_plant_embeddings({"a": (g, emb, cfg),
+                                            "b": (g, emb, GETrainConfig(dim=4, epochs=2))})
+
+
 def test_train_logs_scan_counts_per_epoch(caplog, monkeypatch):
     g = _scan_graph()
     idle, idle_vectors = _idle_graph(4, np.random.default_rng(0))
@@ -309,18 +370,29 @@ def test_train_logs_scan_counts_per_epoch(caplog, monkeypatch):
 
 
 def test_draw_negatives_equals_sequential_choice():
-    sizes = [1, 3, 1, 7, 2, 1, 50, 4096]
-    indptr = np.concatenate([[0], np.cumsum(sizes)])
-    rows = np.random.default_rng(0).permutation(int(indptr[-1])) * 3
+    sizes = [1, 3, 1, 7, 2, 1, 50, 4096]  # allowed rows per group
+    # Two kind pools, rows in id order: groups with fewer than 60 allowed rows share the
+    # first, of 60 positions, and the last group has the second, of 4,100.
+    pool = np.random.default_rng(0).permutation(60 + 4100) * 3
+    layout = np.random.default_rng(1)
+    bases = [0 if size < 60 else 60 for size in sizes]
+    widths = [60 if size < 60 else 4100 for size in sizes]
+    taken = [layout.choice(w, w - size, replace=False) for w, size in zip(widths, sizes)]
+    owner = np.repeat(np.arange(len(sizes)), [t.size for t in taken])
+    listed = layout.permutation(owner.size)  # the neighbour positions in any order
+    c = graph_embed._Corruptions.build(pool, bases, widths, owner[listed],
+                                       np.concatenate(taken)[listed])
+    allowed = [pool[base + np.setdiff1d(np.arange(w), t)]
+               for base, w, t in zip(bases, widths, taken)]
+    assert [a.size for a in allowed] == sizes and c.free.tolist() == sizes
     for seed in range(20):
         case = np.random.default_rng(100 + seed)
         for n in (0, 1, 37):
             groups = case.integers(0, len(sizes), size=n)
             for k in (1, 10):
                 one, seq = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = graph_embed._draw_negatives(one, indptr, rows, groups, k)
-                want = [seq.choice(rows[indptr[j]:indptr[j + 1]], size=k, replace=True)
-                        for j in groups]
+                got = graph_embed._draw_negatives(one, c, groups, k)
+                want = [seq.choice(allowed[j], size=k, replace=True) for j in groups]
                 assert got.shape == (n, k)
                 assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(n, k))
                 assert one.bit_generator.state == seq.bit_generator.state

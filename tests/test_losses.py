@@ -27,8 +27,17 @@ def one_triplet(dq, dp, dn, margin):
     return float(loss[0]), gq[0], gp[0], gn[0]
 
 
+def dense_negs(g_negs, terms):
+    """``edge_steps``'s live-pair rows spread into (n, k, dim) zeros: one row per
+    (edge, negative), +0.0 where the term is not positive."""
+    out = np.zeros(terms.shape + g_negs.shape[1:])
+    out[terms > 0.0] = g_negs
+    return out
+
+
 def one_edge(src, rel, dst, negs, margin):
-    """``edge_scores`` then ``edge_steps`` on one edge: (loss, g_a, g_dst, g_negs).
+    """``edge_scores`` then ``edge_steps`` on one edge: (loss, g_a, g_dst, g_negs), the
+    last (k, dim) with zero rows for the negatives that are not live.
 
     The score sees src and rel only through a = src + rel, so g_a is the
     gradient w.r.t. each of them.
@@ -36,7 +45,7 @@ def one_edge(src, rel, dst, negs, margin):
     a = src + rel
     sc = edge_scores(a[None], dst[None], negs[None], margin)
     loss, g_a, g_dst, g_negs = edge_steps(a[None], dst[None], negs[None], sc)
-    return float(loss[0]), g_a[0], g_dst[0], g_negs[0]
+    return float(loss[0]), g_a[0], g_dst[0], dense_negs(g_negs, sc.terms)[0]
 
 # Hand-computed: (query, positive, negative, margin, expected loss).
 # Distances use 3-4-5 style vectors so every expectation is exact.
@@ -307,6 +316,8 @@ def test_edge_ranking_bitwise_equals_per_negative_loop():
         batch = edge_scores(a, dst, negs, margin)
         assert batch.terms.shape == (len(cases), shape[0])
         loss, g_a, g_dst, g_negs = edge_steps(a, dst, negs, batch)
+        assert g_negs.shape == ((batch.terms > 0.0).sum(), shape[1])
+        g_negs = dense_negs(g_negs, batch.terms)
         for i, (_, _, _, _, want) in enumerate(cases):
             one = edge_scores(a[i][None], dst[i][None], negs[i][None], margin[i]).take(0)
             for field, w in zip(batch.take(i), one):
