@@ -7,7 +7,7 @@ hashed bag-of-features text encoder in two stages for plant-scale
 semantic search.
 """
 
-from .ann import FlatIndex, build_index, knn
+from .ann import FlatIndex, build_index
 from .encoder import (
     EncoderParams,
     encode,
@@ -29,7 +29,6 @@ from .graph_embed import (
     save_embeddings,
     score_edge,
     split_edges,
-    train_graph_embeddings,
     train_plant_embeddings,
 )
 from .ir_eval import (
@@ -72,7 +71,7 @@ from .pairs import (
     save_pairs,
     triplets_to_pairs,
 )
-from .synth import GeneratedPlant, PlantConfig, generate_multi_plant, generate_plant
+from .synth import GeneratedPlant, PlantConfig, generate_plant
 from .train import (
     BiEncoderConfig,
     DocSimConfig,
@@ -107,10 +106,10 @@ __all__ = [
     "NonFiniteError", "cosine", "mnr_loss_grad",
     # graph_embed
     "InitMode", "GETrainConfig", "EmbeddingTable", "LPReport",
-    "init_embeddings", "score_edge", "train_graph_embeddings", "train_plant_embeddings",
+    "init_embeddings", "score_edge", "train_plant_embeddings",
     "split_edges", "eval_link_prediction", "save_embeddings", "load_embeddings",
     # ann
-    "FlatIndex", "build_index", "knn",
+    "FlatIndex", "build_index",
     # triplets
     "NegKind", "SamplingParams", "Triplet", "TripletSet",
     "band_sample", "sample_triplets", "save_triplets", "load_triplets",
@@ -125,5 +124,5 @@ __all__ = [
     "Query", "BenchmarkPlant", "Benchmark", "EvalReport",
     "ap_at_k", "rr_at_k", "ndcg_at_k", "rank_corpus", "evaluate_run",
     # synth
-    "PlantConfig", "GeneratedPlant", "generate_plant", "generate_multi_plant",
+    "PlantConfig", "GeneratedPlant", "generate_plant",
 ]

@@ -27,9 +27,6 @@ class FlatIndex:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self._row
-
     def row(self, node_id: str) -> int:
         return self._row[node_id]
 
@@ -69,28 +66,14 @@ def build_index(emb: EmbeddingTable, eligible: Iterable[str]) -> FlatIndex:
     return FlatIndex(ids, matrix / safe[:, None])
 
 
-def knn(
-    idx: FlatIndex, query_id: str, k: int, among: np.ndarray | None = None
-) -> list[tuple[str, float]]:
-    """Top-k cosine neighbors of an indexed node, query excluded.
-
-    Sorted by descending cosine, ties broken by ascending id, so the
-    result is a total order. ``among``, a ``FlatIndex.row_mask``,
-    restricts candidates to a subset of the indexed ids; ``None`` takes
-    them all. k must not exceed the candidate count. This is the
-    one-query call of :func:`knn_rows`.
-    """
-    if query_id not in idx:
-        raise KeyError(f"query id {query_id!r} not in index")
-    cols, scores = knn_rows(idx, np.array([idx.row(query_id)]), k, among)
-    return [(idx.ids[c], s) for c, s in zip(cols[0].tolist(), scores[0].tolist())]
-
-
 def knn_rows(
     idx: FlatIndex, rows: np.ndarray, k: int, among: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k neighbor rows and cosines of the query rows ``rows``, each query excluded:
-    two (len(rows), k) arrays in :func:`knn` order.
+    two (len(rows), k) arrays, each row by descending cosine with ties broken by
+    ascending id. ``among``, a ``FlatIndex.row_mask``, restricts the candidates to a
+    subset of the indexed ids; ``None`` takes them all. k must not exceed any query's
+    candidate count.
 
     Queries are scored ``KNN_BLOCK`` at a time, one ddot per pair
     (``np.vecdot``): a pair's score does not depend on which other rows

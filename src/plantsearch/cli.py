@@ -34,7 +34,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import ann, graph_embed, ir_eval, kg, pairs as pairs_mod, synth, train, triplets as triplets_mod
+from . import ann, graph_embed, ir_eval, kg, pairs as pairs_mod, storage, synth, train
+from . import triplets as triplets_mod
 from .encoder import EncoderParams, init_encoder, load_encoder, save_encoder
 from .losses import NonFiniteError
 from .storage import (
@@ -55,6 +56,14 @@ class MissingArtifactError(RuntimeError):
 
 DEFAULT_PLANT_IDS = ["A", "B", "C", "D", "E", "F", "G"]
 DEFAULT_TRAINING_PLANTS = ["A", "C", "D", "G"]
+
+
+def _defaults(stage_config: type) -> dict[str, Any]:
+    """A stage config's field defaults by name, less ``rng_seed``, which each stage derives
+    from the run seed."""
+    return {f.name: f.default_factory() if f.default is MISSING else f.default
+            for f in fields(stage_config) if f.name != "rng_seed"}
+
 
 DEFAULT_RUN_CONFIG: dict[str, Any] = {
     "seed": 7,
@@ -79,24 +88,11 @@ DEFAULT_RUN_CONFIG: dict[str, Any] = {
         "init_mode": "text_vectors",
         "lp_test_fraction": 0.01,
     },
-    "sampling": {
-        "k_pos": 2,
-        "c_pos": 2,
-        "k_hard": 50,
-        "c_hard": 1,
-        "c_easy": 1,
-        "min_text_chars": 100,
-    },
+    "sampling": _defaults(triplets_mod.SamplingParams),
     "quality": {"t_pos": 1.0, "t_margin": 0.2, "scorer_scale": 10.0, "query_terms": 3},
     "encoder": {"dim": 64, "vocab_buckets": 65536},
-    "docsim": {"margin": 1.0, "epochs": 3, "learning_rate": 0.1, "batch_size": 16},
-    "biencoder": {
-        "epochs": 5,
-        "batch_size": 64,
-        "warmup_steps": 20,
-        "similarity_scale": 20.0,
-        "learning_rate": 0.1,
-    },
+    "docsim": _defaults(train.DocSimConfig),
+    "biencoder": _defaults(train.BiEncoderConfig),
     "composition": {"use_get": True, "use_sid": True, "use_drmm": False,
                     "drmm_pairs": None, "drmm_corpus": None},
     "ablations": [
@@ -106,10 +102,7 @@ DEFAULT_RUN_CONFIG: dict[str, Any] = {
     ],
 }
 
-PLANT_DEFAULTS: dict[str, Any] = {
-    f.name: f.default_factory() if f.default is MISSING else f.default
-    for f in fields(synth.PlantConfig)
-}
+PLANT_DEFAULTS = _defaults(synth.PlantConfig)
 
 
 def _merged(defaults: Mapping[str, Any], override: Mapping[str, Any], where: str) -> dict:
@@ -349,8 +342,10 @@ class Run:
         """Each plant of ``benchmark.json`` as its ``plant_id`` and ``training`` flag."""
         path = self.read(*PLANT_LIST)
         return self.load("plants", [path.name], lambda: read_json(path, lambda bench: [
-            {"plant_id": str(p["plant_id"]), "training": bool(p["training"])}
-            for p in bench["plants"]], "not a record of plants, each with plant_id and training"))
+            {"plant_id": storage.field(p, "plant_id", str),
+             "training": storage.field(p, "training", bool)}
+            for p in bench["plants"]],
+            "not a record of plants, each with a string plant_id and a boolean training"))
 
     def plant_ids(self, training: bool = False) -> list[str]:
         return [p["plant_id"] for p in self.plants() if p["training"] or not training]
@@ -366,20 +361,20 @@ class Run:
             n.id: n.text for pid in self.plant_ids() for n in self.graph("graphs", pid).text_logs()
         })
 
-    def filtered_triplets(self) -> triplets_mod.TripletSet:
+    def filtered_triplets(self) -> list[triplets_mod.Triplet]:
         """The sampled triplets that pass the quality filter."""
         return self.load("filtered", [TRIPLETS[0], *_graphs(self, "graphs")], self._filter)
 
-    def _filter(self) -> triplets_mod.TripletSet:
+    def _filter(self) -> list[triplets_mod.Triplet]:
         tpath = self.out / TRIPLETS[0]
-        tset = triplets_mod.load_triplets(tpath, self.cfg.sampling)
+        tset = triplets_mod.TripletSet(triplets_mod.load_triplets(tpath))
         quality = self.cfg.raw["quality"]
         try:
             return pairs_mod.quality_filter(
                 tset, self.log_texts(), pairs_mod.EncoderCosineScorer(
                     _fresh_encoder(self.cfg, "scorer"), quality["scorer_scale"]),
                 t_pos=quality["t_pos"], t_margin=quality["t_margin"],
-            )
+            ).triplets
         except KeyError as exc:  # a triplet names a document no built graph has
             raise MissingArtifactError(f"{tpath}: {exc.args[0]}") from None
 
@@ -586,8 +581,7 @@ def _sample_triplets(r: Run) -> tuple[dict, None]:
         }
         logger.info("sample-triplets %s: %d triplets, %d skipped",
                     pid, len(tset.triplets), tset.skipped)
-    merged = triplets_mod.TripletSet(all_triplets, params, "", 0)
-    triplets_mod.save_triplets(merged, tdir / "triplets.jsonl")
+    triplets_mod.save_triplets(all_triplets, tdir / "triplets.jsonl")
     _dump(tdir / "meta.json", {"params": asdict(params), "plants": meta})
     return asdict(params), None
 
@@ -623,8 +617,8 @@ def _train_docsim(r: Run) -> tuple[dict, None]:
     edir.mkdir(parents=True, exist_ok=True)
     save_encoder(result.params, edir / "docsim.gemb", edir / "docsim.json")
     logger.info("train-docsim: %d triplets kept, losses %s",
-                len(filtered.triplets), [round(x, 4) for x in result.epoch_losses])
-    return {**r.cfg.raw["docsim"], "kept_triplets": len(filtered.triplets),
+                len(filtered), [round(x, 4) for x in result.epoch_losses])
+    return {**r.cfg.raw["docsim"], "kept_triplets": len(filtered),
             "epoch_losses": result.epoch_losses}, None
 
 
@@ -636,22 +630,19 @@ def _gen_pairs(r: Run) -> tuple[dict, None]:
     get_rows: list[pairs_mod.QueryDocPair] = []
     for pid in r.plant_ids(training=True):
         corpus = {n.id: n.text for n in r.graph("graphs", pid).text_logs()}
-        plant_triplets = [t for t in filtered.triplets if t.query in corpus]
+        plant_triplets = [t for t in filtered if t.query in corpus]
         if not plant_triplets:
             continue
         stats = pairs_mod.CorpusStats.from_texts(corpus.values())
-        subset = triplets_mod.TripletSet(plant_triplets, filtered.params,
-                                         filtered.index_fingerprint)
         queries = {
             q: pairs_mod.generate_query(corpus[q], m, stats)
             for q in sorted({t.query for t in plant_triplets})
         }
-        get_rows.extend(pairs_mod.triplets_to_pairs(subset, queries))
+        get_rows.extend(pairs_mod.triplets_to_pairs(plant_triplets, queries))
     pairs_mod.save_pairs(get_rows, pdir / "get.jsonl")
-    logger.info("gen-pairs: %d GET rows from %d triplets", len(get_rows),
-                len(filtered.triplets))
+    logger.info("gen-pairs: %d GET rows from %d triplets", len(get_rows), len(filtered))
     return {"query_terms": m, "quality": r.cfg.raw["quality"],
-            "kept_triplets": len(filtered.triplets)}, None
+            "kept_triplets": len(filtered)}, None
 
 
 def _encoder_dir(ablation: Mapping[str, Any] | None) -> str:
@@ -696,8 +687,9 @@ def _biencoder_reads(r: Run) -> list[Read]:
 
 def _drmm_texts(path: str) -> dict[str, str]:
     """Doc id -> text of the DRMM corpus file; a line that is no record with both exits 3."""
-    return dict(read_json_lines(path, lambda rec: (str(rec["id"]), str(rec["text"])),
-                                "DRMM corpus line is not a record with id and text"))
+    return dict(read_json_lines(
+        path, lambda rec: (storage.field(rec, "id", str), storage.field(rec, "text", str)),
+        "DRMM corpus line is not a record with id and text"))
 
 
 def _train_biencoder(r: Run) -> tuple[dict, dict]:

@@ -105,10 +105,6 @@ class FeatureMatrix:
     counts: np.ndarray  # int64, parallel to bucket_ids
     totals: np.ndarray  # int64, feature count of each text
 
-    def row(self, i: int) -> TokenFeatures:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return TokenFeatures(self.bucket_ids[lo:hi], self.counts[lo:hi], int(self.totals[i]))
-
     def pooling_weights(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(u, W) for texts ``rows``: sorted distinct bucket ids and dense pooling weights.
 

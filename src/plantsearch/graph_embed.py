@@ -246,16 +246,28 @@ def _draw_negatives(
 BATCH = 64
 
 
-def train_graph_embeddings(
-    g: KnowledgeGraph, emb: EmbeddingTable, cfg: GETrainConfig
-) -> EmbeddingTable:
-    """Mini-batch SGD margin-ranking training over the graph's edges.
+class _Plant(NamedTuple):
+    """One plant's id, its generator, its edges' (src, dst, rel) rows in the stacked tables,
+    and the (src, rel) groups' corruptions."""
 
-    Per epoch the edges are visited in a seeded shuffled order; each
-    edge draws ``negatives_per_edge`` destination corruptions uniformly
+    pid: str
+    rng: np.random.Generator
+    ends: np.ndarray  # (edges, 3)
+    group: np.ndarray
+    corruptions: _Corruptions
+
+
+def train_plant_embeddings(
+    plants: Mapping[str, tuple[KnowledgeGraph, EmbeddingTable, GETrainConfig]],
+) -> dict[str, EmbeddingTable]:
+    """Mini-batch SGD margin-ranking training of every plant's (graph, table, config), by
+    plant id, in one lockstep loop.
+
+    Per epoch each plant's edges are visited in a seeded shuffled order;
+    each edge draws ``negatives_per_edge`` destination corruptions uniformly
     from same-kind nodes minus the true neighbors of (src, rel). Each
-    epoch's negatives are drawn in one call, the same stream as one
-    ``rng.choice`` per edge. epochs == 0 returns an untouched copy.
+    epoch's negatives are drawn in one call per plant, the same stream as
+    one ``rng.choice`` per edge. epochs == 0 returns untouched copies.
 
     The shuffled edges that draw negatives run in consecutive batches of
     ``BATCH``. One ``edge_scores`` pass scores a batch against the table
@@ -267,77 +279,50 @@ def train_graph_embeddings(
     shares its translation, so a sum would scale its step with their number.
     At ``BATCH = 1`` this is the per-edge SGD loop, bit for bit.
 
-    This is the one-plant call of :func:`train_plant_embeddings`.
+    The plants' node rows are stacked into one table and their relation
+    rows into one matrix, and step b of an epoch runs batch b of every
+    plant that has one through one ``edge_scores``/``edge_steps``/scatter
+    pass. Each plant's table comes out exactly as it trains alone: the
+    plants share no row, every operation is per row, and each plant keeps
+    its own generator, edge order and negatives, and the order of its
+    scatter. The configs may differ only in ``rng_seed``. A non-finite
+    edge score, loss or trained row raises NonFiniteError naming its plant.
     """
-    return _train_lockstep([("", g, emb, cfg)])[0]
-
-
-def train_plant_embeddings(
-    plants: Mapping[str, tuple[KnowledgeGraph, EmbeddingTable, GETrainConfig]],
-) -> dict[str, EmbeddingTable]:
-    """Every plant's (graph, table, config) trained in one lockstep loop, by plant id.
-
-    Each plant's table comes out exactly as ``train_graph_embeddings``
-    trains it alone. The plants' node rows are stacked into one table and
-    their relation rows into one matrix, and step b of an epoch runs batch
-    b of every plant that has one through one ``edge_scores``/
-    ``edge_steps``/scatter pass. That is exact: the plants
-    share no row, every operation is per row, and each plant keeps its
-    own generator, edge order and negatives, and the order of its
-    scatter. The configs may differ only in ``rng_seed``.
-    """
-    tables = _train_lockstep([(f" plant {pid}", *plant) for pid, plant in plants.items()])
-    return dict(zip(plants, tables))
-
-
-class _Plant(NamedTuple):
-    """One plant's generator, its edges' (src, dst, rel) rows in the stacked tables, and
-    the (src, rel) groups' corruptions."""
-
-    tag: str  # "" for a one-plant call, else " plant <id>" for messages
-    rng: np.random.Generator
-    ends: np.ndarray  # (edges, 3)
-    group: np.ndarray
-    corruptions: _Corruptions
-
-
-def _train_lockstep(
-    plants: Sequence[tuple[str, KnowledgeGraph, EmbeddingTable, GETrainConfig]],
-) -> list[EmbeddingTable]:
     if not plants:  # a run config may name no training plant
-        return []
-    cfg = plants[0][3]
-    dim = plants[0][2].dim
-    for tag, g, emb, plant_cfg in plants:
+        return {}
+    _, head, cfg = next(iter(plants.values()))
+    for pid, (g, emb, plant_cfg) in plants.items():
         plant_cfg.validate()
-        if replace(plant_cfg, rng_seed=cfg.rng_seed) != cfg or emb.dim != dim:
+        if replace(plant_cfg, rng_seed=cfg.rng_seed) != cfg or emb.dim != head.dim:
             raise ValueError("plants trained together must share their config but rng_seed, "
                              "and their table dim")
         for node_id in g.nodes:
             if node_id not in emb:
-                raise ValueError(f"embedding table{tag} does not cover node {node_id!r}")
+                raise ValueError(f"plant {pid!r}: embedding table does not cover node "
+                                 f"{node_id!r}")
     if cfg.epochs == 0:
-        return [emb.copy() for _, _, emb, _ in plants]
+        return {pid: emb.copy() for pid, (_, emb, _) in plants.items()}
 
     # One stacked node table and relation matrix; each plant's table is a view of its rows.
-    sizes = [len(emb.node_ids) for _, _, emb, _ in plants]
-    vec = np.concatenate([emb.vectors for _, _, emb, _ in plants])
-    rel_mat = np.stack([emb.relation_params[rel] for _, _, emb, _ in plants for rel in Relation])
+    sizes = [len(emb.node_ids) for _, emb, _ in plants.values()]
+    vec = np.concatenate([emb.vectors for _, emb, _ in plants.values()])
+    rel_mat = np.stack([emb.relation_params[rel] for _, emb, _ in plants.values()
+                        for rel in Relation])
     rel_index = {rel: j for j, rel in enumerate(Relation)}
-    outs, state = [], []
-    for p, (tag, g, emb, plant_cfg) in enumerate(plants):
+    outs, state = {}, []
+    for p, (pid, (g, emb, plant_cfg)) in enumerate(plants.items()):
         o, r = sum(sizes[:p]), p * len(Relation)
         out = EmbeddingTable(emb.node_ids, vec[o:o + sizes[p]],
                              dict(zip(Relation, rel_mat[r:r + len(Relation)])))
         edges = list(g.edges)
         if not edges:
-            raise ValueError(f"graph{tag} has no edges")
+            raise ValueError(f"plant {pid!r}: graph has no edges")
         c, group = _corruptions(g, out, edges)
         ends = np.array([(out.row(e.src) + o, out.row(e.dst) + o, rel_index[e.rel] + r)
                          for e in edges], dtype=np.int64)
-        state.append(_Plant(tag, np.random.default_rng(plant_cfg.rng_seed), ends, group,
+        state.append(_Plant(pid, np.random.default_rng(plant_cfg.rng_seed), ends, group,
                             c._replace(pool=c.pool + o)))
-        outs.append(out)
+        outs[pid] = out
 
     lr, margin, k = cfg.learning_rate, cfg.ranking_margin, cfg.negatives_per_edge
     for epoch in range(cfg.epochs):
@@ -365,6 +350,9 @@ def _train_lockstep(
             a = vec[src[lo:hi]] + rel_mat[rel[lo:hi]]
             d, b = vec[dst[lo:hi]], vec[negs[lo:hi]]
             sc = edge_scores(a, d, b, margin)
+            if not np.isfinite(sc.terms).all():  # a NaN term would read as inactive below
+                bad = state[plant[lo + np.isfinite(sc.terms).all(axis=1).argmin()]]
+                raise NonFiniteError(f"plant {bad.pid!r}: non-finite edge scores in epoch {epoch}")
             on = sc.terms > 0.0
             n_on[lo:hi] = on.sum(axis=1)
             act = n_on[lo:hi].nonzero()[0]
@@ -387,9 +375,9 @@ def _train_lockstep(
             j = count.nonzero()[0]
             rel_mat[j] -= lr * (total[j] / count[j][:, None])
         _log_epoch(epoch, state, counts, plant, step, n_on, edge_loss)
-    for pl, out in zip(state, outs):
+    for pid, out in outs.items():
         if not np.isfinite(out.vectors).all():
-            raise NonFiniteError(f"non-finite node vectors{pl.tag} after training")
+            raise NonFiniteError(f"plant {pid!r}: non-finite node vectors after training")
     return outs
 
 
@@ -411,10 +399,10 @@ def _log_epoch(epoch: int, state: Sequence[_Plant], counts: Sequence[int], plant
     busy_batches = np.bincount(busy, minlength=len(state))
     for p, pl in enumerate(state):
         if not np.isfinite(epoch_loss[p]):
-            raise NonFiniteError(f"non-finite training loss in epoch {epoch}{pl.tag}")
+            raise NonFiniteError(f"plant {pl.pid!r}: non-finite training loss in epoch {epoch}")
         batches = -(-counts[p] // BATCH)
-        logger.debug("ge epoch %d%s mean loss %.6f, %d live pairs, %d active edges in "
-                     "%d batches (%d with none)", epoch, pl.tag, epoch_loss[p] / len(pl.ends),
+        logger.debug("ge epoch %d plant %s mean loss %.6f, %d live pairs, %d active edges in "
+                     "%d batches (%d with none)", epoch, pl.pid, epoch_loss[p] / len(pl.ends),
                      live[p], edges[p], batches, batches - busy_batches[p])
 
 

@@ -16,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import storage
 from .encoder import EncoderParams, Pooling, encode_batch, featurize_many
 from .storage import CorruptFileError, read_json_lines, write_json_lines
 
@@ -314,8 +315,9 @@ def save_queries(queries: Mapping[str, list[Query]], path: str | Path) -> None:
 def load_queries(path: str | Path) -> dict[str, list[Query]]:
     out: dict[str, list[Query]] = {}
     for plant, query in read_json_lines(
-        path, lambda rec: (str(rec["plant"]), Query(str(rec["query_id"]), str(rec["text"]))),
-        "query line is not a record with query_id, text and plant",
+        path, lambda rec: (storage.field(rec, "plant", str), Query(
+            storage.field(rec, "query_id", str), storage.field(rec, "text", str))),
+        "query line is not a record with a string query_id, text and plant",
     ):
         out.setdefault(plant, []).append(query)
     return out

@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .storage import CorruptFileError, field, read_json_lines
 
@@ -287,18 +287,6 @@ def build_graph(raw: KnowledgeGraph) -> KnowledgeGraph:
     return KnowledgeGraph.from_parts(keep_nodes, keep_edges, require_linked_logs=True)
 
 
-class LinkMatcher(Protocol):
-    """Pluggable producer of candidate edges for :func:`predict_links`.
-
-    ``propose_related_to`` is called on the graph already enriched with
-    the accepted ReportsAbout proposals.
-    """
-
-    def propose_reports_about(self, g: KnowledgeGraph) -> Iterable[Edge]: ...
-
-    def propose_related_to(self, g: KnowledgeGraph) -> Iterable[Edge]: ...
-
-
 def _code_pattern(codes: Sequence[str]) -> re.Pattern | None:
     """Case-insensitive whole-phrase pattern over FL codes, longest first.
 
@@ -365,8 +353,9 @@ class LexicalMatcher:
         return proposals
 
 
-def predict_links(g: KnowledgeGraph, matcher: LinkMatcher) -> KnowledgeGraph:
-    """Enrich a graph with matcher-proposed edges.
+def predict_links(g: KnowledgeGraph, matcher: LexicalMatcher) -> KnowledgeGraph:
+    """Enrich a graph with matcher-proposed edges: ``matcher.propose_reports_about(g)``,
+    then ``matcher.propose_related_to`` on the graph those enriched.
 
     Type-invalid, dangling, self-loop or duplicate proposals are
     rejected with a warning instead of inserted; per-relation edge

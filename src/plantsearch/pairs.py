@@ -14,14 +14,12 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 from .encoder import EncoderParams, encode_batch, word_tokens
 from .losses import cosine
-from .storage import read_json_lines, write_json_lines
-from .triplets import TripletSet
+from .storage import field, read_json_lines, write_json_lines
+from .triplets import Triplet, TripletSet
 
 logger = logging.getLogger(__name__)
 
@@ -85,12 +83,6 @@ def generate_query(doc_text: str, m: int, corpus_stats: CorpusStats) -> str:
     return " ".join(ranked[:m])
 
 
-class PairScorer(Protocol):
-    """Scores (query-doc text, doc text) pairs; higher means more related."""
-
-    def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]: ...
-
-
 @dataclass
 class EncoderCosineScorer:
     """Frozen-encoder cosine, scaled into roughly the 0..10 band.
@@ -112,14 +104,16 @@ class EncoderCosineScorer:
 def quality_filter(
     tset: TripletSet,
     texts: Mapping[str, str],
-    scorer: PairScorer,
-    t_pos: float = 5.0,
-    t_margin: float = 3.0,
+    scorer: EncoderCosineScorer,
+    t_pos: float,
+    t_margin: float,
 ) -> TripletSet:
     """Keep triplets whose positive scores high and clearly above the negative.
 
     A triplet survives iff score(q, pos) >= t_pos and score(q, pos) -
-    score(q, neg) >= t_margin. Filtering is idempotent for a
+    score(q, neg) >= t_margin; the result keeps ``tset``'s fingerprint
+    and skip count. ``scorer.score_pairs`` scores (query-doc text, doc
+    text) pairs, higher for more related. Filtering is idempotent for a
     deterministic scorer.
     """
     for t in tset.triplets:
@@ -134,11 +128,11 @@ def quality_filter(
         if s_pos >= t_pos and s_pos - s_neg >= t_margin
     ]
     logger.info("quality_filter: kept %d of %d triplets", len(kept), len(tset.triplets))
-    return TripletSet(kept, tset.params, tset.index_fingerprint, tset.skipped)
+    return TripletSet(kept, tset.index_fingerprint, tset.skipped)
 
 
 def triplets_to_pairs(
-    tset: TripletSet, queries: Mapping[str, str]
+    triplets: Sequence[Triplet], queries: Mapping[str, str]
 ) -> list[QueryDocPair]:
     """GET pairs: each query doc positive for its own query, triplet docs negative.
 
@@ -150,14 +144,14 @@ def triplets_to_pairs(
     """
     out: list[QueryDocPair] = []
     seen: set[tuple[str, str]] = set()
-    query_ids = sorted({t.query for t in tset.triplets})
+    query_ids = sorted({t.query for t in triplets})
     for q in query_ids:
         if q not in queries:
             raise KeyError(f"no generated query for document {q!r}")
     rows: list[tuple[str, str, PairLabel]] = []
     for q in query_ids:
         rows.append((q, q, PairLabel.POSITIVE))
-    for t in tset.triplets:
+    for t in triplets:
         rows.append((t.query, t.positive, PairLabel.NEGATIVE))
         rows.append((t.query, t.negative, PairLabel.NEGATIVE))
     for q, doc_id, label in sorted(rows, key=lambda r: (r[0], r[1])):
@@ -251,8 +245,9 @@ def load_pairs(path: str | Path, default_source: PairSource | None = None) -> li
 
     def parse(rec: dict) -> QueryDocPair:
         source = rec.get("source")
-        return QueryDocPair(str(rec["query"]), str(rec["doc_id"]), PairLabel(int(rec["label"])),
+        return QueryDocPair(field(rec, "query", str), field(rec, "doc_id", str),
+                            PairLabel(field(rec, "label", int)),
                             PairSource(default_source if source is None else source))
 
-    return read_json_lines(path, parse, "pair line is not a record with query, doc_id, "
-                                        "a 0/1 label and a known source")
+    return read_json_lines(path, parse, "pair line is not a record with a string query and "
+                                        "doc_id, an integer 0/1 label and a known source")

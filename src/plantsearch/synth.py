@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ir_eval import Benchmark, BenchmarkPlant, Query
+from .ir_eval import BenchmarkPlant, Query
 from .kg import Edge, KnowledgeGraph, Node, NodeKind, Relation
 from .pairs import CorpusStats, PairLabel, PairSource, QueryDocPair, generate_query
 
@@ -352,17 +352,3 @@ def _sid_pairs(
                 out.append(QueryDocPair(query, neg, PairLabel.NEGATIVE, PairSource.SID))
     return out
 
-
-def generate_multi_plant(cfgs: Sequence[PlantConfig]) -> Benchmark:
-    """Benchmark over several plants with disjoint id namespaces.
-
-    Plants flagged ``training`` in their config are the triplet/pair
-    sources downstream; the rest are held out. Id collisions (reused
-    plant ids) are an error.
-    """
-    if not cfgs:
-        raise ValueError("no plant configs")
-    plants = [generate_plant(cfg).bench for cfg in cfgs]
-    bench = Benchmark(plants)
-    bench.validate()
-    return bench

@@ -24,7 +24,7 @@ import numpy as np
 from .encoder import EncoderParams, featurize_many
 from .losses import NonFiniteError, mnr_loss_grad, triplet_loss_grad_batch
 from .pairs import PairLabel, QueryDocPair
-from .triplets import TripletSet
+from .triplets import Triplet
 
 logger = logging.getLogger(__name__)
 
@@ -47,9 +47,9 @@ class DocSimConfig:
 class BiEncoderConfig:
     epochs: int = 5
     batch_size: int = 64
-    warmup_steps: int = 1000
+    warmup_steps: int = 20
     similarity_scale: float = 20.0
-    learning_rate: float = 0.05
+    learning_rate: float = 0.1
     rng_seed: int = 0
 
     def validate(self) -> None:
@@ -85,7 +85,7 @@ class TrainResult:
 
 def train_docsim(
     p: EncoderParams,
-    tset: TripletSet,
+    triplets: Sequence[Triplet],
     texts: Mapping[str, str],
     cfg: DocSimConfig,
 ) -> TrainResult:
@@ -96,11 +96,11 @@ def train_docsim(
     each epoch and the mean epoch loss is recorded in the result.
     """
     cfg.validate()
-    if cfg.epochs == 0 or not tset.triplets:
+    if cfg.epochs == 0 or not triplets:
         return TrainResult(p, [], 0)
 
     doc_ids = list(dict.fromkeys(
-        d for t in tset.triplets for d in (t.query, t.positive, t.negative)
+        d for t in triplets for d in (t.query, t.positive, t.negative)
     ))
     for doc_id in doc_ids:
         if doc_id not in texts:
@@ -108,11 +108,11 @@ def train_docsim(
     fm, buckets = featurize_many([texts[d] for d in doc_ids], p.vocab_buckets).compact()
     row_of = {d: i for i, d in enumerate(doc_ids)}
     members = np.array([[row_of[t.query], row_of[t.positive], row_of[t.negative]]
-                        for t in tset.triplets])
+                        for t in triplets])
 
     rng = np.random.default_rng(cfg.rng_seed)
     table = p.rows(buckets)
-    n = len(tset.triplets)
+    n = len(triplets)
     epoch_losses: list[float] = []
     steps = 0
     for epoch in range(cfg.epochs):

@@ -10,16 +10,16 @@ the half-open interval (k - c, k]: with c=3 and k=10 that is the 8th,
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .ann import FlatIndex, knn_rows
 from .kg import KnowledgeGraph, NodeKind
-from .storage import read_json_lines, write_json_lines
+from .storage import field, read_json_lines, write_json_lines
 
 logger = logging.getLogger(__name__)
 
@@ -66,13 +66,12 @@ class Triplet:
 
 @dataclass
 class TripletSet:
-    triplets: list[Triplet]
-    params: SamplingParams
-    index_fingerprint: str
-    skipped: int = 0
+    """Sampled triplets, the fingerprint of the index they were mined from, and the number
+    of queries skipped."""
 
-    def __len__(self) -> int:
-        return len(self.triplets)
+    triplets: list[Triplet]
+    index_fingerprint: str = ""
+    skipped: int = 0
 
 
 def band_sample(neighbors: Sequence[T], k: int, c: int) -> list[T]:
@@ -152,31 +151,26 @@ def sample_triplets(index: FlatIndex, g: KnowledgeGraph, p: SamplingParams) -> T
                 triplets.append(Triplet(query, positives[emitted % len(positives)], neg, kind))
     if skipped:
         logger.info("sample_triplets: skipped %d of %d queries", skipped, len(corpus))
-    return TripletSet(triplets, p, index.fingerprint(), skipped)
+    return TripletSet(triplets, index.fingerprint(), skipped)
 
 
-def save_triplets(tset: TripletSet, path: str | Path) -> None:
+def save_triplets(triplets: Iterable[Triplet], path: str | Path) -> None:
     write_json_lines(
         path,
         (
             {"q": t.query, "pos": t.positive, "neg": t.negative, "neg_kind": t.neg_kind.value}
-            for t in tset.triplets
+            for t in triplets
         ),
     )
 
 
 def _triplet(rec: dict) -> Triplet:
-    ids = rec["q"], rec["pos"], rec["neg"]
-    if not all(isinstance(i, str) for i in ids):
-        raise TypeError(f"triplet ids must be strings, got {ids!r}")
-    return Triplet(*ids, NegKind(rec["neg_kind"]))
+    return Triplet(field(rec, "q", str), field(rec, "pos", str), field(rec, "neg", str),
+                   NegKind(rec["neg_kind"]))
 
 
-def load_triplets(
-    path: str | Path, params: SamplingParams | None = None, index_fingerprint: str = ""
-) -> TripletSet:
-    triplets = read_json_lines(
+def load_triplets(path: str | Path) -> list[Triplet]:
+    return read_json_lines(
         path, _triplet,
         "triplet line is not a record with string q, pos and neg ids and a known neg_kind",
     )
-    return TripletSet(triplets, params or SamplingParams(), index_fingerprint)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from plantsearch import encoder, ir_eval
-from plantsearch.graph_embed import EmbeddingTable
+from plantsearch.ann import knn_rows
+from plantsearch.graph_embed import EmbeddingTable, train_plant_embeddings
 from plantsearch.kg import Edge, KnowledgeGraph, Node, NodeKind, Relation
 
 
@@ -70,3 +71,14 @@ def make_table(vectors: dict[str, list[float]], rel_params=None) -> EmbeddingTab
         for rel in Relation
     }
     return EmbeddingTable(ids, matrix, rels)
+
+
+def knn_one(index, query_id, k, among=None):
+    """One indexed query's ``knn_rows`` neighbors as (id, cosine) pairs."""
+    cols, scores = knn_rows(index, np.array([index.row(query_id)]), k, among)
+    return [(index.ids[c], s) for c, s in zip(cols[0].tolist(), scores[0].tolist())]
+
+
+def train_one(g, emb, cfg, pid="P"):
+    """One plant's table, trained alone by ``train_plant_embeddings``."""
+    return train_plant_embeddings({pid: (g, emb, cfg)})[pid]

@@ -465,13 +465,21 @@ class DenseRun(NamedTuple):
     steps: int
 
 
+def feature_row(fm, i):
+    """Text i of a ``FeatureMatrix`` as the ``TokenFeatures`` that ``featurize`` gives it."""
+    from plantsearch.encoder import TokenFeatures
+
+    lo, hi = fm.indptr[i], fm.indptr[i + 1]
+    return TokenFeatures(fm.bucket_ids[lo:hi], fm.counts[lo:hi], int(fm.totals[i]))
+
+
 def _encode_dense(table, f):
     if f.total == 0:
         return np.zeros(table.shape[1])
     return (f.counts.astype(np.float64) @ table[f.bucket_ids]) / f.total
 
 
-def oracle_train_docsim(table, tset, texts, cfg):
+def oracle_train_docsim(table, triplets, texts, cfg):
     """Per-text docsim SGD on a copy of a whole table: three encodes and one per-row triplet
     loss per triplet."""
     from plantsearch.encoder import featurize_many
@@ -479,22 +487,22 @@ def oracle_train_docsim(table, tset, texts, cfg):
 
     cfg.validate()
     table = table.copy()
-    if cfg.epochs == 0 or not tset.triplets:
+    if cfg.epochs == 0 or not triplets:
         return DenseRun(table, [], 0)
     doc_ids = list(dict.fromkeys(
-        d for t in tset.triplets for d in (t.query, t.positive, t.negative)
+        d for t in triplets for d in (t.query, t.positive, t.negative)
     ))
     fm = featurize_many([texts[d] for d in doc_ids], len(table))
-    feats = {d: fm.row(i) for i, d in enumerate(doc_ids)}
+    feats = {d: feature_row(fm, i) for i, d in enumerate(doc_ids)}
     rng = np.random.default_rng(cfg.rng_seed)
-    n = len(tset.triplets)
+    n = len(triplets)
     epoch_losses = []
     steps = 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         total_loss = 0.0
         for lo in range(0, n, cfg.batch_size):
-            batch = [tset.triplets[i] for i in order[lo : lo + cfg.batch_size]]
+            batch = [triplets[i] for i in order[lo : lo + cfg.batch_size]]
             grads = []
             for t in batch:
                 fq, fp, fn = feats[t.query], feats[t.positive], feats[t.negative]
@@ -535,8 +543,8 @@ def oracle_train_biencoder(table, pairs, texts, cfg):
     doc_ids = list(dict.fromkeys(pr.doc_id for pr in pairs))
     queries = list(dict.fromkeys(pr.query_text for pr in pairs))
     fm = featurize_many([texts[d] for d in doc_ids] + queries, len(table))
-    doc_feats = {d: fm.row(i) for i, d in enumerate(doc_ids)}
-    query_feats = {q: fm.row(len(doc_ids) + i) for i, q in enumerate(queries)}
+    doc_feats = {d: feature_row(fm, i) for i, d in enumerate(doc_ids)}
+    query_feats = {q: feature_row(fm, len(doc_ids) + i) for i, q in enumerate(queries)}
     if cfg.epochs == 0:
         return DenseRun(table, [], 0)
     rng = np.random.default_rng(cfg.rng_seed)
@@ -567,24 +575,24 @@ def oracle_train_biencoder(table, pairs, texts, cfg):
     return DenseRun(table, epoch_losses, step)
 
 
-def dense_train_docsim(table, tset, texts, cfg):
+def dense_train_docsim(table, triplets, texts, cfg):
     """The batched docsim SGD on a copy of a whole table, as it ran before training gathered
     only its texts' rows: the same gemms over the table's own bucket ids."""
     from plantsearch.encoder import featurize_many
     from plantsearch.losses import triplet_loss_grad_batch
 
     table = table.copy()
-    if cfg.epochs == 0 or not tset.triplets:
+    if cfg.epochs == 0 or not triplets:
         return DenseRun(table, [], 0)
     doc_ids = list(dict.fromkeys(
-        d for t in tset.triplets for d in (t.query, t.positive, t.negative)
+        d for t in triplets for d in (t.query, t.positive, t.negative)
     ))
     fm = featurize_many([texts[d] for d in doc_ids], len(table))
     row_of = {d: i for i, d in enumerate(doc_ids)}
     members = np.array([[row_of[t.query], row_of[t.positive], row_of[t.negative]]
-                        for t in tset.triplets])
+                        for t in triplets])
     rng = np.random.default_rng(cfg.rng_seed)
-    n = len(tset.triplets)
+    n = len(triplets)
     epoch_losses = []
     steps = 0
     for _ in range(cfg.epochs):

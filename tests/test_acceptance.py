@@ -28,7 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import knn_one, make_table, train_one
 from oracles import (
     finite_diff_check,
     oracle_ap,
@@ -40,7 +40,7 @@ from oracles import (
 from test_losses import TRIPLET_FIXTURES, one_edge, one_triplet
 
 from plantsearch import cli
-from plantsearch.ann import build_index, knn
+from plantsearch.ann import build_index
 from plantsearch.encoder import encode, init_encoder
 from plantsearch.graph_embed import (
     GETrainConfig,
@@ -48,7 +48,6 @@ from plantsearch.graph_embed import (
     eval_link_prediction,
     init_embeddings,
     split_edges,
-    train_graph_embeddings,
 )
 from plantsearch.ir_eval import ap_at_k, ndcg_at_k, rr_at_k
 from plantsearch.kg import (
@@ -134,7 +133,7 @@ def test_band_sampling():
         vectors = {d: rng.normal(size=8).tolist() for d in ids}
         index = build_index(make_table(vectors), ids)
         query = ids[int(rng.integers(0, n))]
-        ranked = [d for d, _ in knn(index, query, p.k_hard)]
+        ranked = [d for d, _ in knn_one(index, query, p.k_hard)]
         pos = set(band_sample(ranked, p.k_pos, p.c_pos))
         hard = set(band_sample(ranked, p.k_hard, p.c_hard))
         overlaps += bool(pos & hard)
@@ -185,7 +184,7 @@ def test_oracle_equivalence():
         index = build_index(make_table(vectors), ids)
         query = ids[int(rng.integers(0, nv))]
         kk = int(rng.integers(1, nv))
-        exact["knn"] += [d for d, _ in knn(index, query, kk)] == oracle_knn(
+        exact["knn"] += [d for d, _ in knn_one(index, query, kk)] == oracle_knn(
             vectors, query, kk
         )
 
@@ -324,7 +323,7 @@ def test_gradient_checks():
 def _lp_mrr(nodes, train_edges, test_edges, cfg, text_vectors):
     g_train = KnowledgeGraph.from_parts(nodes, train_edges)
     emb = init_embeddings(g_train, cfg, text_vectors)
-    trained = train_graph_embeddings(g_train, emb, cfg)
+    trained = train_one(g_train, emb, cfg)
     kinds = {n.id: n.kind for n in nodes}
     report = eval_link_prediction(
         trained, test_edges, [n.id for n in nodes], kinds, train_edges=train_edges
@@ -509,7 +508,7 @@ def test_jargon_bridging():
             init_mode=InitMode.TEXT_VECTORS,
             rng_seed=derive_seed(seed, "ge"),
         )
-        trained = train_graph_embeddings(g, init_embeddings(g, gcfg, plant.text_vectors), gcfg)
+        trained = train_one(g, init_embeddings(g, gcfg, plant.text_vectors), gcfg)
         index = build_index(trained, [n.id for n in g.text_logs()])
         params = SamplingParams(
             k_pos=2,
@@ -534,7 +533,7 @@ def test_jargon_bridging():
             batch_size=16,
             rng_seed=derive_seed(seed, "docsim"),
         )
-        result = train_docsim(fresh, filtered, texts, dcfg)
+        result = train_docsim(fresh, filtered.triplets, texts, dcfg)
         before = _paired_context_cosine(fresh, plant)
         after = _paired_context_cosine(result.params, plant)
         deltas.append(after - before)

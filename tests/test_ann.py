@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import make_table
+from conftest import knn_one, make_table
 from oracles import oracle_knn
-from plantsearch.ann import KNN_BLOCK, build_index, knn, knn_rows
+from plantsearch.ann import KNN_BLOCK, build_index, knn_rows
 
 
 def _random_instance(rng):
@@ -30,7 +30,7 @@ def test_knn_matches_oracle_on_random_instances():
         index = build_index(table, list(vectors))
         query = sorted(vectors)[int(rng.integers(0, len(vectors)))]
         k = int(rng.integers(1, len(vectors)))
-        got = [doc for doc, _ in knn(index, query, k)]
+        got = [doc for doc, _ in knn_one(index, query, k)]
         want = oracle_knn(vectors, query, k)
         assert got == want, f"trial {trial}: {got} != {want}"
 
@@ -58,8 +58,8 @@ def test_knn_among_forms_match_oracle_with_ties():
         listed = sorted(among) + sorted(among)[:3]
         for ids_form in (among, listed):
             mask = index.row_mask(ids_form)
-            assert [doc for doc, _ in knn(index, query, k, among=mask)] == want, trial
-        scores = [s for _, s in knn(index, query, len(among) - 1, among=mask)]
+            assert [doc for doc, _ in knn_one(index, query, k, among=mask)] == want, trial
+        scores = [s for _, s in knn_one(index, query, len(among) - 1, among=mask)]
         ties += len(set(scores)) < len(scores)
     assert ties > 20
 
@@ -72,33 +72,33 @@ def test_knn_row_mask_validation():
     with pytest.raises(KeyError):
         index.row_mask({"a", "ghost"})
     with pytest.raises(ValueError):
-        knn(index, "q", 1, among=np.ones(2, dtype=bool))
+        knn_one(index, "q", 1, among=np.ones(2, dtype=bool))
     with pytest.raises(ValueError):
-        knn(index, "q", 1, among=np.ones(3))
+        knn_one(index, "q", 1, among=np.ones(3))
     with pytest.raises(ValueError):
-        knn(index, "q", 1, among={"a", "q"})  # ids, not a row mask
+        knn_one(index, "q", 1, among={"a", "q"})  # ids, not a row mask
     mask = index.row_mask(["a", "q"])
-    assert [doc for doc, _ in knn(index, "q", 1, among=mask)] == ["a"]
+    assert [doc for doc, _ in knn_one(index, "q", 1, among=mask)] == ["a"]
     assert mask.tolist() == [True, False, True]  # the caller's mask is not modified
 
 
 def test_knn_tie_break_ascending_id():
     vectors = {"q": [1.0, 0.0], "b": [2.0, 0.0], "a": [4.0, 0.0], "c": [0.0, 1.0]}
     index = build_index(make_table(vectors), list(vectors))
-    ranked = [doc for doc, _ in knn(index, "q", 3)]
+    ranked = [doc for doc, _ in knn_one(index, "q", 3)]
     assert ranked == ["a", "b", "c"]  # a and b tie at cos=1, id order breaks it
 
 
 def test_knn_excludes_query():
     vectors = {"q": [1.0, 0.0], "a": [1.0, 0.0]}
     index = build_index(make_table(vectors), list(vectors))
-    assert [doc for doc, _ in knn(index, "q", 1)] == ["a"]
+    assert [doc for doc, _ in knn_one(index, "q", 1)] == ["a"]
 
 
 def test_knn_among_subset():
     vectors = {"q": [1.0, 0.0], "a": [1.0, 0.0], "b": [0.9, 0.1], "c": [0.0, 1.0]}
     index = build_index(make_table(vectors), list(vectors))
-    got = [doc for doc, _ in knn(index, "q", 2, among=index.row_mask({"b", "c", "q"}))]
+    got = [doc for doc, _ in knn_one(index, "q", 2, among=index.row_mask({"b", "c", "q"}))]
     assert got == ["b", "c"]
 
 
@@ -106,11 +106,11 @@ def test_knn_argument_errors():
     vectors = {"q": [1.0, 0.0], "a": [0.5, 0.0]}
     index = build_index(make_table(vectors), list(vectors))
     with pytest.raises(KeyError):
-        knn(index, "ghost", 1)
+        knn_one(index, "ghost", 1)
     with pytest.raises(ValueError):
-        knn(index, "q", 0)
+        knn_one(index, "q", 0)
     with pytest.raises(ValueError):
-        knn(index, "q", 2)  # only one candidate besides the query
+        knn_one(index, "q", 2)  # only one candidate besides the query
 
 
 def test_build_index_sorted_and_validated():
@@ -126,9 +126,9 @@ def test_build_index_sorted_and_validated():
 def test_zero_vector_rows_are_degenerate():
     vectors = {"z": [0.0, 0.0], "a": [1.0, 0.0], "b": [0.5, 0.5]}
     index = build_index(make_table(vectors), list(vectors))
-    scores = dict(knn(index, "a", 2))
+    scores = dict(knn_one(index, "a", 2))
     assert scores["z"] == 0.0  # scores 0 against everything
-    ranked = [doc for doc, _ in knn(index, "b", 2)]
+    ranked = [doc for doc, _ in knn_one(index, "b", 2)]
     assert ranked[-1] == "z"
 
 
@@ -146,7 +146,7 @@ def test_fingerprint_tracks_content():
 
 def test_knn_rows_equals_oracle_for_every_query():
     """Every query of indexes larger than one block, with duplicated rows (exact ties),
-    zero rows and row masks, gets the oracle's neighbors; knn is its one-query call."""
+    zero rows and row masks, gets the oracle's neighbors."""
     rng = np.random.default_rng(31)
     ties = 0
     for trial in range(6):
@@ -173,7 +173,6 @@ def test_knn_rows_equals_oracle_for_every_query():
         for q, row, row_scores in zip(queries, cols.tolist(), scores.tolist()):
             got = [index.ids[c] for c in row]
             assert got == oracle_knn(vectors, q, k, among), (trial, q)
-            assert knn(index, q, k, among=mask) == list(zip(got, row_scores))
             ties += len(set(row_scores)) < len(row_scores)
     assert ties > 50
 

@@ -433,8 +433,10 @@ def test_exit_3_on_drmm_pairs_directory(pipeline_run, tmp_path, caplog):
 
 
 @pytest.mark.parametrize("bad_line", [json.dumps({"id": "drmm:2"}).encode(),
-                                      b'{"id": "drmm:2", "text": "\xff"}'],
-                         ids=["no-text", "not-utf8"])
+                                      b'{"id": "drmm:2", "text": "\xff"}',
+                                      json.dumps({"id": 5, "text": "Motor heiss"}).encode(),
+                                      json.dumps({"id": "drmm:2", "text": ["x"]}).encode()],
+                         ids=["no-text", "not-utf8", "id-a-number", "text-a-list"])
 @pytest.mark.parametrize("command", ["train-biencoder", "pipeline"])
 def test_exit_3_on_drmm_corpus_record_without_text(pipeline_run, tmp_path, caplog, command,
                                                    bad_line):
@@ -519,6 +521,13 @@ MALFORMED_RECORDS = {
     "ids-row-a-float": ("train-ge", "plants/X/vectors.ids", _with("row", 0.9)),
     "ids-row-a-bool": ("train-ge", "plants/X/vectors.ids", _with("row", True)),
     "node-ts-a-bool": ("build-graph", "plants/X/nodes.jsonl", _with("ts", True)),
+    "pair-query-a-number": ("train-biencoder", "sid.jsonl", _with("query", 5)),
+    "pair-doc-id-a-number": ("train-biencoder", "sid.jsonl", _with("doc_id", 5)),
+    "pair-label-a-float": ("train-biencoder", "sid.jsonl", _with("label", 1.7)),
+    "pair-label-a-bool": ("train-biencoder", "sid.jsonl", _with("label", True)),
+    "query-plant-a-number": ("evaluate", "plants/X/queries.jsonl", _with("plant", 5)),
+    "query-id-a-list": ("evaluate", "plants/X/queries.jsonl", _with("query_id", ["x"])),
+    "query-text-a-number": ("evaluate", "plants/X/queries.jsonl", _with("text", 5)),
 }
 
 
@@ -566,6 +575,11 @@ INCONSISTENT_ARTIFACTS = {
                                  lambda blob: b'{"plant_ids": ["X", "Y"]}\n', None),
     "plant-without-training": ("build-graph", "benchmark.json",
                                lambda blob: b'{"plants": [{"plant_id": "X"}]}\n', None),
+    "plant-id-a-number": ("build-graph", "benchmark.json",
+                          lambda blob: b'{"plants": [{"plant_id": 5, "training": true}]}\n', None),
+    "plant-training-a-string": ("build-graph", "benchmark.json", lambda blob: (
+        b'{"plants": [{"plant_id": "X", "training": "no"}, '
+        b'{"plant_id": "Y", "training": false}]}\n'), None),
     "dangling-edge": ("train-ge", "graphs/X/edges.jsonl", _dangling_edge, "graphs/X/nodes.jsonl"),
     "pair-unknown-doc": ("train-biencoder", "sid.jsonl", _unknown_doc, None),
 }
@@ -706,16 +720,21 @@ def _scaled(path, factor):
     write_matrix(path, read_matrix(path) * factor)
 
 
-# case -> (damage to the last plant's text vectors, learning rate, exit code, error line start)
+# case -> (damage to the last plant's text vectors, graph_embed settings, exit code, error
+# line start)
 GE_FAILURES = {
     # a node without a text vector
     "text-vector-gap": (lambda p: p.with_suffix(".ids").write_bytes(
-        _repeated_id(p.with_suffix(".ids").read_bytes())), 0.1, 3, "{out}/plants/N/vectors.ids: "),
-    # vectors near 1e-30 take steps near 1e330 = inf
-    "non-finite": (lambda p: _scaled(p, 1e-30), 1e300, 4,
-                   "numerical failure: non-finite node vectors plant N "),
-    # steps near 1e300 overflow the float32 that tables are stored in
-    "float32-overflow": (lambda p: None, 1e300, 4,
+        _repeated_id(p.with_suffix(".ids").read_bytes())), {}, 3,
+        "{out}/plants/N/vectors.ids: "),
+    # vectors near 1e-30 take steps near 1e330 = inf, in the one epoch's last step
+    "non-finite": (lambda p: _scaled(p, 1e-30), {"learning_rate": 1e300, "epochs": 1}, 4,
+                   "numerical failure: plant 'N': non-finite node vectors after training"),
+    # steps near 1e300 leave finite rows whose norms overflow, so the next epoch scores NaN
+    "non-finite-scores": (lambda p: None, {"learning_rate": 1e300}, 4,
+                          "numerical failure: plant 'M': non-finite edge scores in epoch 1"),
+    # steps near 1e50 overflow the float32 that tables are stored in
+    "float32-overflow": (lambda p: None, {"learning_rate": 1e50}, 4,
                          "numerical failure: plant 'M': trained node vectors overflow float32"),
 }
 
@@ -724,13 +743,13 @@ GE_FAILURES = {
 @pytest.mark.parametrize("case", sorted(GE_FAILURES))
 def test_train_ge_failure_writes_nothing(two_plant_graphs, tmp_path, caplog, case):
     """Every plant is trained and checked before the first ge/ file is written."""
-    damage, lr, code, start = GE_FAILURES[case]
+    damage, settings, code, start = GE_FAILURES[case]
     out = tmp_path / "run"
     shutil.copytree(two_plant_graphs, out)
     damage(out / "plants" / "N" / "vectors.gemb")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**TWO_PLANTS, "graph_embed": {
-        **TWO_PLANTS["graph_embed"], "learning_rate": lr}}), encoding="utf-8")
+        **TWO_PLANTS["graph_embed"], **settings}}), encoding="utf-8")
     message = fails(caplog, ["train-ge", "--config", str(cfg_path), "--out", str(out)], code)
     assert message.startswith(start.format(out=out)), message
     assert not (out / "ge").exists()

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     dense_table,
+    feature_row,
     oracle_dense_round_trip,
     oracle_fnv1a_64,
     oracle_init_table,
@@ -93,7 +94,7 @@ def test_featurize_many_rows_equal_featurize(vocab_buckets):
         assert arr.dtype == np.int64
     for i, text in enumerate(texts):
         want = featurize(text, vocab_buckets)
-        got = fm.row(i)
+        got = feature_row(fm, i)
         np.testing.assert_array_equal(got.bucket_ids, want.bucket_ids)
         np.testing.assert_array_equal(got.counts, want.counts)
         assert got.total == want.total
@@ -103,7 +104,7 @@ def test_featurize_many_rows_equal_featurize(vocab_buckets):
         )
         assert dict(zip(got.bucket_ids.tolist(), got.counts.tolist())) == expected
         assert got.total == sum(expected.values())
-    assert fm.row(1).total == 0 and fm.row(2).total == 0
+    assert feature_row(fm, 1).total == 0 and feature_row(fm, 2).total == 0
     assert len(featurize_many([], vocab_buckets).totals) == 0
 
 

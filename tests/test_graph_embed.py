@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_graph, make_table
+from conftest import make_graph, make_table, train_one
 from oracles import (
     oracle_edge_score,
     oracle_link_prediction,
@@ -24,9 +24,11 @@ from plantsearch.graph_embed import (
     save_embeddings,
     score_edge,
     split_edges,
-    train_graph_embeddings,
+    train_plant_embeddings,
 )
 from plantsearch.kg import RELATION_SIGNATURES, Edge, NodeKind, Relation
+from plantsearch.losses import NonFiniteError
+from plantsearch.synth import PlantConfig, generate_plant
 
 
 def _chain_graph(n_logs=6):
@@ -98,7 +100,7 @@ def test_train_improves_true_edge_scores():
     g = _chain_graph(8)
     cfg = GETrainConfig(dim=16, epochs=40, learning_rate=0.05, rng_seed=1)
     emb0 = init_embeddings(g, cfg)
-    emb = train_graph_embeddings(g, emb0, cfg)
+    emb = train_one(g, emb0, cfg)
     # input table untouched
     assert not np.array_equal(emb.vectors, emb0.vectors)
     before = np.mean([score_edge(emb0, e.src, e.rel, e.dst) for e in g.edges])
@@ -110,7 +112,7 @@ def test_train_epochs_zero_is_identity():
     g = _chain_graph()
     cfg = GETrainConfig(dim=4, epochs=0)
     emb0 = init_embeddings(g, cfg)
-    emb = train_graph_embeddings(g, emb0, cfg)
+    emb = train_one(g, emb0, cfg)
     assert emb is not emb0
     np.testing.assert_array_equal(emb.vectors, emb0.vectors)
 
@@ -123,7 +125,7 @@ def test_train_single_edge_dominates_corruptions():
     g = make_graph(logs, fls, [("l0", "f0", Relation.REPORTS_ABOUT),
                                ("l1", "l2", Relation.RELATED_TO)])
     cfg = GETrainConfig(dim=8, epochs=200, learning_rate=0.1, rng_seed=3)
-    emb = train_graph_embeddings(g, init_embeddings(g, cfg), cfg)
+    emb = train_one(g, init_embeddings(g, cfg), cfg)
     true = score_edge(emb, "l1", Relation.RELATED_TO, "l2")
     for other in ("l0", "l3", "l4", "l5"):
         assert true > score_edge(emb, "l1", Relation.RELATED_TO, other)
@@ -132,8 +134,8 @@ def test_train_single_edge_dominates_corruptions():
 def test_train_deterministic():
     g = _chain_graph()
     cfg = GETrainConfig(dim=8, epochs=5, rng_seed=11)
-    a = train_graph_embeddings(g, init_embeddings(g, cfg), cfg)
-    b = train_graph_embeddings(g, init_embeddings(g, cfg), cfg)
+    a = train_one(g, init_embeddings(g, cfg), cfg)
+    b = train_one(g, init_embeddings(g, cfg), cfg)
     np.testing.assert_array_equal(a.vectors, b.vectors)
     for rel in Relation:
         np.testing.assert_array_equal(a.relation_params[rel], b.relation_params[rel])
@@ -146,7 +148,7 @@ BATCHES = (1, 3, 64)
 def _train_and_oracle(monkeypatch, batch, g, start, cfg):
     """The run at ``graph_embed.BATCH = batch`` and the oracle it must equal bit for bit."""
     monkeypatch.setattr(graph_embed, "BATCH", batch)
-    got = train_graph_embeddings(g, start, cfg)
+    got = train_one(g, start, cfg)
     if batch == 1:
         return got, oracle_train_graph_embeddings(g, start, cfg)
     return got, oracle_minibatch_train_graph_embeddings(g, start, cfg, batch)
@@ -318,18 +320,18 @@ def test_many_plants_bitwise_equal_each_plant_alone(caplog, monkeypatch):
         for some in (["scan", "chain"], ["chain", "idle", "calm"], list(plants)):
             caplog.clear()
             with caplog.at_level("DEBUG", logger="plantsearch.graph_embed"):
-                together = graph_embed.train_plant_embeddings({pid: plants[pid] for pid in some})
+                together = train_plant_embeddings({pid: plants[pid] for pid in some})
             lines = _ge_lines(caplog)
             assert list(together) == some
             for pid in some:
                 caplog.clear()
                 with caplog.at_level("DEBUG", logger="plantsearch.graph_embed"):
-                    alone = train_graph_embeddings(*plants[pid])
+                    alone = train_plant_embeddings({pid: plants[pid]})[pid]
                 assert _table_bytes(together[pid]) == _table_bytes(alone), (batch, pid)
-                # The plant's lines are its one-plant lines with the plant named.
+                # The plant's lines are the lines it logs alone.
                 mine = [line for line in lines if line.split(" mean loss ")[0].endswith(
                     f" plant {pid}")]
-                assert [line.replace(f" plant {pid}", "") for line in mine] == _ge_lines(caplog)
+                assert mine == _ge_lines(caplog)
             assert len(lines) == 3 * len(some)
             if "calm" in some:
                 assert all(", 0 live pairs, 0 active edges in " in line
@@ -337,13 +339,12 @@ def test_many_plants_bitwise_equal_each_plant_alone(caplog, monkeypatch):
 
 
 def test_many_plants_share_one_config_but_the_seed():
-    assert graph_embed.train_plant_embeddings({}) == {}
+    assert train_plant_embeddings({}) == {}
     g = _chain_graph()
     cfg = GETrainConfig(dim=4)
     emb = init_embeddings(g, cfg)
     with pytest.raises(ValueError, match="share their config"):
-        graph_embed.train_plant_embeddings({"a": (g, emb, cfg),
-                                            "b": (g, emb, GETrainConfig(dim=4, epochs=2))})
+        train_plant_embeddings({"a": (g, emb, cfg), "b": (g, emb, GETrainConfig(dim=4, epochs=2))})
 
 
 def test_train_logs_scan_counts_per_epoch(caplog, monkeypatch):
@@ -361,11 +362,11 @@ def test_train_logs_scan_counts_per_epoch(caplog, monkeypatch):
         monkeypatch.setattr(graph_embed, "BATCH", batch)
         caplog.clear()
         with caplog.at_level("DEBUG", logger="plantsearch.graph_embed"):
-            train_graph_embeddings(graph, start, run_cfg)
+            train_one(graph, start, run_cfg)
         lines = [r.getMessage() for r in caplog.records if r.name == "plantsearch.graph_embed"]
         assert len(lines) == run_cfg.epochs
         for epoch, line in enumerate(lines):
-            assert line.startswith(f"ge epoch {epoch} mean loss ")
+            assert line.startswith(f"ge epoch {epoch} plant P mean loss ")
             assert line.endswith(f", {tail}"), line
 
 
@@ -403,10 +404,22 @@ def test_train_requires_coverage_and_edges():
     cfg = GETrainConfig(dim=4)
     small = make_graph([("only", "text")], [], [])
     emb = init_embeddings(small, cfg)
-    with pytest.raises(ValueError, match="does not cover"):
-        train_graph_embeddings(g, emb, cfg)
-    with pytest.raises(ValueError, match="no edges"):
-        train_graph_embeddings(small, emb, cfg)
+    with pytest.raises(ValueError, match="plant 'P': embedding table does not cover"):
+        train_one(g, emb, cfg)
+    with pytest.raises(ValueError, match="plant 'P': graph has no edges"):
+        train_one(small, emb, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the overflow provoked here
+def test_train_raises_on_non_finite_edge_scores():
+    """At learning rate 1e300 a 20-log plant's first epoch leaves rows near 1e299: finite,
+    but their norms overflow, so the next epoch scores NaN. Training stops there, naming the
+    epoch and the plant, rather than reading the NaN hinge terms as inactive."""
+    plant = generate_plant(PlantConfig(plant_id="M", seed=3, n_fl=6, n_logs=20, n_queries=2))
+    g = plant.graph
+    cfg = GETrainConfig(dim=64, learning_rate=1e300, init_mode=InitMode.TEXT_VECTORS)
+    with pytest.raises(NonFiniteError, match="^plant 'M': non-finite edge scores in epoch 1$"):
+        train_one(g, init_embeddings(g, cfg, plant.text_vectors), cfg, pid="M")
 
 
 def test_split_edges_sizes():
@@ -591,7 +604,7 @@ def test_lp_report_scaled():
 def test_save_load_round_trip(tmp_path):
     g = _chain_graph(3)
     cfg = GETrainConfig(dim=4, epochs=2, rng_seed=2)
-    emb = train_graph_embeddings(g, init_embeddings(g, cfg), cfg)
+    emb = train_one(g, init_embeddings(g, cfg), cfg)
     stem = tmp_path / "P.1"  # a plant id with a dot: every file keeps the whole stem
     save_embeddings(emb, stem)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["P.1.gemb", "P.1.ids", "P.1.rels.json"]

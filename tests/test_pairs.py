@@ -17,7 +17,7 @@ from plantsearch.pairs import (
 )
 from plantsearch.encoder import encode, init_encoder
 from plantsearch.losses import cosine
-from plantsearch.triplets import NegKind, SamplingParams, Triplet, TripletSet
+from plantsearch.triplets import NegKind, Triplet, TripletSet
 
 CORPUS = [
     "pumpe leckt flansch",          # doc 0
@@ -80,7 +80,7 @@ def test_generate_query_errors():
 
 
 def _tset(rows):
-    return TripletSet(rows, SamplingParams(k_pos=1, c_pos=1, k_hard=3, c_hard=1), "fp")
+    return TripletSet(rows, "fp")
 
 
 class StubScorer:
@@ -118,7 +118,7 @@ def test_quality_filter_missing_text():
     scorer = StubScorer({})
     with pytest.raises(KeyError, match="ghost"):
         quality_filter(_tset([Triplet("ghost", "p", "n", NegKind.EASY)]),
-                       {"p": "P", "n": "N"}, scorer)
+                       {"p": "P", "n": "N"}, scorer, t_pos=5.0, t_margin=3.0)
 
 
 def test_quality_filter_idempotent_with_encoder_scorer():
@@ -155,7 +155,7 @@ def test_triplets_to_pairs_structure():
         Triplet("d5", "d1", "d3", NegKind.HARD),
     ]
     queries = {"d1": "query one", "d5": "query five"}
-    pairs = triplets_to_pairs(_tset(rows), queries)
+    pairs = triplets_to_pairs(rows, queries)
     assert all(p.source is PairSource.GET for p in pairs)
     got = {(p.query_text, p.doc_id, p.label) for p in pairs}
     want = {
@@ -178,11 +178,11 @@ def test_triplets_to_pairs_structure():
 def test_triplets_to_pairs_missing_query():
     rows = [Triplet("d1", "d2", "d3", NegKind.HARD)]
     with pytest.raises(KeyError, match="d1"):
-        triplets_to_pairs(_tset(rows), {})
+        triplets_to_pairs(rows, {})
 
 
 def test_triplets_to_pairs_empty():
-    assert triplets_to_pairs(_tset([]), {}) == []
+    assert triplets_to_pairs([], {}) == []
 
 
 def test_save_load_round_trip(tmp_path):

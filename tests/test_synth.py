@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from plantsearch.encoder import init_encoder
-from plantsearch.ir_eval import evaluate_run
-from plantsearch.kg import NodeKind, Relation, build_graph, save_graph
+from plantsearch.ir_eval import Benchmark, evaluate_run
+from plantsearch.kg import Relation, build_graph, save_graph
 from plantsearch.pairs import PairLabel, PairSource
 from plantsearch.synth import (
     DEFAULT_JARGON_PAIRS,
     GeneratedPlant,
     PlantConfig,
-    generate_multi_plant,
     generate_plant,
 )
 
@@ -125,9 +124,7 @@ def test_jargon_forms_recorded(plant):
 def test_untrained_retrieval_leaves_headroom(plant):
     """An untrained hashed encoder must not already solve the benchmark."""
     p = init_encoder(dim=64, vocab_buckets=4096, seed=0)
-    report = evaluate_run(
-        p, generate_multi_plant([_cfg()]), k=10
-    )
+    report = evaluate_run(p, Benchmark([generate_plant(_cfg()).bench]), k=10)
     assert 0.0 < report.mean_ndcg10 < 0.9
 
 
@@ -182,18 +179,17 @@ def test_config_validation():
 
 
 def test_multi_plant_namespaces_and_collisions():
-    bench = generate_multi_plant(
-        [_cfg(plant_id="A", training=True), _cfg(plant_id="B", seed=12)]
-    )
-    assert [p.plant_id for p in bench.plants] == ["A", "B"]
-    assert [p.training for p in bench.plants] == [True, False]
-    a_docs = set(bench.plants[0].corpus)
-    b_docs = set(bench.plants[1].corpus)
-    assert not a_docs & b_docs
+    def bench(*cfgs):
+        out = Benchmark([generate_plant(cfg).bench for cfg in cfgs])
+        out.validate()
+        return out
+
+    plants = bench(_cfg(plant_id="A", training=True), _cfg(plant_id="B", seed=12)).plants
+    assert [p.plant_id for p in plants] == ["A", "B"]
+    assert [p.training for p in plants] == [True, False]
+    assert not set(plants[0].corpus) & set(plants[1].corpus)
     with pytest.raises(ValueError, match="duplicate plant id"):
-        generate_multi_plant([_cfg(plant_id="A"), _cfg(plant_id="A", seed=9)])
-    with pytest.raises(ValueError, match="no plant configs"):
-        generate_multi_plant([])
+        bench(_cfg(plant_id="A"), _cfg(plant_id="A", seed=9))
 
 
 def test_code_mentions_without_edges_exist(plant):

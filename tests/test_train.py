@@ -23,7 +23,7 @@ from plantsearch.train import (
     train_biencoder,
     train_docsim,
 )
-from plantsearch.triplets import NegKind, SamplingParams, Triplet, TripletSet
+from plantsearch.triplets import NegKind, Triplet
 
 
 def test_effective_lr_schedule():
@@ -83,13 +83,12 @@ _TEXTS = {
 
 
 def _docsim_triplets():
-    rows = [
+    return [
         Triplet("a1", "a2", "b1", NegKind.HARD),
         Triplet("a2", "a1", "b2", NegKind.EASY),
         Triplet("b1", "b2", "a1", NegKind.HARD),
         Triplet("b2", "b1", "c1", NegKind.EASY),
     ]
-    return TripletSet(rows, SamplingParams(k_pos=1, c_pos=1, k_hard=2, c_hard=1), "fp")
 
 
 def test_train_docsim_learns_and_reports():
@@ -116,16 +115,14 @@ def test_train_docsim_epochs_zero_and_empty():
     p = init_encoder(dim=8, vocab_buckets=64, seed=1)
     r0 = train_docsim(p, _docsim_triplets(), _TEXTS, DocSimConfig(epochs=0))
     np.testing.assert_array_equal(dense_table(r0.params), dense_table(p))
-    empty = TripletSet([], SamplingParams(), "")
-    r1 = train_docsim(p, empty, _TEXTS, DocSimConfig(epochs=3))
+    r1 = train_docsim(p, [], _TEXTS, DocSimConfig(epochs=3))
     assert r1.steps == 0 and r1.epoch_losses == []
 
 
 def test_train_docsim_missing_text():
     p = init_encoder(dim=8, vocab_buckets=64, seed=1)
-    tset = TripletSet([Triplet("a1", "ghost", "b1", NegKind.EASY)], SamplingParams(), "")
     with pytest.raises(KeyError, match="ghost"):
-        train_docsim(p, tset, _TEXTS, DocSimConfig())
+        train_docsim(p, [Triplet("a1", "ghost", "b1", NegKind.EASY)], _TEXTS, DocSimConfig())
 
 
 def test_train_docsim_deterministic():
@@ -236,17 +233,17 @@ def test_docsim_matches_per_text_oracle(epochs):
     texts = dict(_TEXTS, **_random_corpus(rng, 30))
     ids = sorted(texts)
     # a1 repeats across triplets and as its own positive (a zero distance); e1/e2 are empty
-    fixed = _docsim_triplets().triplets + [Triplet("e1", "a1", "e2", NegKind.EASY),
+    fixed = _docsim_triplets() + [Triplet("e1", "a1", "e2", NegKind.EASY),
                                            Triplet("a1", "a1", "b1", NegKind.HARD)]
     drawn = [Triplet(*rng.choice(ids, size=3), NegKind.EASY) for _ in range(60)]
     for dim, buckets, batch_size, lr, margin in [(8, 64, 2, 0.5, 1.0), (16, 256, 16, 0.3, 0.5),
                                                  (5, 32, 1, 0.2, 2.0)]:
         p = init_encoder(dim=dim, vocab_buckets=buckets, seed=dim)  # few buckets: shared rows
-        tset = TripletSet(fixed + drawn, SamplingParams(), "")
+        triplets = fixed + drawn
         cfg = DocSimConfig(margin=margin, epochs=epochs, learning_rate=lr,
                            batch_size=batch_size, rng_seed=dim)
-        got = train_docsim(p, tset, texts, cfg)
-        _assert_matches_oracle(got, oracle_train_docsim(dense_table(p), tset, texts, cfg))
+        got = train_docsim(p, triplets, texts, cfg)
+        _assert_matches_oracle(got, oracle_train_docsim(dense_table(p), triplets, texts, cfg))
         if epochs:
             assert not np.array_equal(dense_table(got.params), dense_table(p))
 
@@ -281,8 +278,8 @@ def test_compact_training_equals_whole_table_training(tmp_path, dim, buckets):
     rng = np.random.default_rng(dim)
     texts = dict(_TEXTS, **_random_corpus(rng, 30))
     ids = sorted(texts)
-    tset = TripletSet(_docsim_triplets().triplets + [
-        Triplet(*rng.choice(ids, size=3), NegKind.EASY) for _ in range(60)], SamplingParams(), "")
+    triplets = _docsim_triplets() + [
+        Triplet(*rng.choice(ids, size=3), NegKind.EASY) for _ in range(60)]
     docs = sorted(d for d in texts if d not in ("e1", "e2"))
     queries = ["pumpe leckt", "filter verstopft", "ventil klemmt", "motor heiss"]
     pairs = _biencoder_pairs() + [
@@ -300,8 +297,8 @@ def test_compact_training_equals_whole_table_training(tmp_path, dim, buckets):
         assert dense_table(got.params).tobytes() == want.table.tobytes()
         assert got.epoch_losses == want.epoch_losses and got.steps == want.steps
 
-    docsim = train_docsim(p, tset, texts, dcfg)
-    dense_docsim = dense_train_docsim(start, tset, texts, dcfg)
+    docsim = train_docsim(p, triplets, texts, dcfg)
+    dense_docsim = dense_train_docsim(start, triplets, texts, dcfg)
     same(docsim, dense_docsim)
     same(train_biencoder(p, pairs, texts, bcfg), dense_train_biencoder(start, pairs, texts, bcfg))
     save_encoder(docsim.params, tmp_path / "docsim.gemb", tmp_path / "docsim.json")
@@ -314,10 +311,9 @@ def test_compact_training_equals_whole_table_training(tmp_path, dim, buckets):
 def test_training_logs_per_epoch_diagnostics(caplog):
     p = init_encoder(dim=8, vocab_buckets=64, seed=4)
     # margin 0.15 keeps the four fixture hinges active and a1 -> a1 -> b1 inactive
-    tset = TripletSet(_docsim_triplets().triplets + [Triplet("a1", "a1", "b1", NegKind.HARD)],
-                      SamplingParams(), "")
+    triplets = _docsim_triplets() + [Triplet("a1", "a1", "b1", NegKind.HARD)]
     with caplog.at_level("DEBUG", logger="plantsearch.train"):
-        train_docsim(p, tset, _TEXTS, DocSimConfig(margin=0.15, epochs=2, batch_size=3))
+        train_docsim(p, triplets, _TEXTS, DocSimConfig(margin=0.15, epochs=2, batch_size=3))
         train_biencoder(p, _biencoder_pairs(), _TEXTS,
                         BiEncoderConfig(epochs=1, batch_size=2, rng_seed=1))
     lines = [r.getMessage() for r in caplog.records]

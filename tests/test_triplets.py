@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import make_graph, make_table
+from conftest import knn_one, make_graph, make_table
 from oracles import oracle_filtered_random_sample, oracle_sample_triplets
-from plantsearch.ann import build_index, knn
+from plantsearch.ann import build_index
 from plantsearch.triplets import (
     NegKind,
     SamplingParams,
     Triplet,
-    TripletSet,
     band_sample,
     load_triplets,
     positional_sample,
@@ -136,7 +135,7 @@ def test_sample_triplets_structure():
     for query, ts in by_query.items():
         # c_easy easy rows then c_hard hard rows
         assert [t.neg_kind for t in ts] == [NegKind.EASY] * 2 + [NegKind.HARD] * 2
-        neighbors = [n for n, _ in knn(index, query, p.k_hard)]
+        neighbors = [n for n, _ in knn_one(index, query, p.k_hard)]
         pos_band = set(neighbors[: p.k_pos])
         hard_band = set(neighbors[p.k_hard - p.c_hard : p.k_hard])
         for t in ts:
@@ -205,11 +204,8 @@ def test_save_load_round_trip(tmp_path):
         Triplet("q1", "p1", "n2", NegKind.HARD),
         Triplet("q2", "p2", "n3", NegKind.HARD),
     ]
-    tset = TripletSet(triplets, SamplingParams(), "fp", skipped=1)
-    save_triplets(tset, tmp_path / "t.jsonl")
-    back = load_triplets(tmp_path / "t.jsonl", SamplingParams(), "fp")
-    assert back.triplets == triplets
-    assert back.index_fingerprint == "fp"
+    save_triplets(triplets, tmp_path / "t.jsonl")
+    assert load_triplets(tmp_path / "t.jsonl") == triplets
 
 
 @pytest.mark.parametrize("seed", [7, 11, 301])
