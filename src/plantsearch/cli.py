@@ -79,15 +79,8 @@ DEFAULT_RUN_CONFIG: dict[str, Any] = {
     ],
     "enrich": True,
     "expand_context": True,
-    "graph_embed": {
-        "dim": 64,
-        "epochs": 30,
-        "learning_rate": 0.1,
-        "ranking_margin": 0.1,
-        "negatives_per_edge": 10,
-        "init_mode": "text_vectors",
-        "lp_test_fraction": 0.01,
-    },
+    "graph_embed": {**_defaults(graph_embed.GETrainConfig), "init_mode": "text_vectors",
+                    "lp_test_fraction": 0.01},
     "sampling": _defaults(triplets_mod.SamplingParams),
     "quality": {"t_pos": 1.0, "t_margin": 0.2, "scorer_scale": 10.0, "query_terms": 3},
     "encoder": {"dim": 64, "vocab_buckets": 65536},
@@ -382,17 +375,22 @@ class Run:
         return self.load("benchmark", [PLANT_LIST[0], *_benchmark_files(self)], self._benchmark)
 
     def _benchmark(self) -> ir_eval.Benchmark:
-        plants = []
+        """The benchmark, checked as each plant joins, so an inconsistency names the files of
+        the first plant that brings it."""
+        bench = ir_eval.Benchmark([])
         for meta in self.plants():
             pid = meta["plant_id"]
             pdir = self.out / "plants" / pid
             corpus = {n.id: n.text for n in self.graph("plants", pid).text_logs()}
             queries = ir_eval.load_queries(pdir / "queries.jsonl").get(pid, [])
             qrels = ir_eval.load_qrels(pdir / "qrels.txt")
-            plants.append(ir_eval.BenchmarkPlant(pid, corpus, queries, qrels,
-                                                 training=meta["training"]))
-        bench = ir_eval.Benchmark(plants)
-        bench.validate()
+            bench.plants.append(ir_eval.BenchmarkPlant(pid, corpus, queries, qrels,
+                                                       training=meta["training"]))
+            try:
+                bench.validate()
+            except ValueError as exc:
+                raise CorruptFileError(
+                    f"{pdir / 'queries.jsonl'}, {pdir / 'qrels.txt'}: {exc}") from None
         return bench
 
 
@@ -545,7 +543,7 @@ def _train_ge(r: Run) -> tuple[dict, None]:
     for pid, report in reports.items():
         lp_summary[pid] = report.scaled()
         graph_embed.save_embeddings(trained[pid], gedir / pid)
-        _dump(gedir / f"{pid}.lp.json", report.to_dict())
+        _dump(gedir / f"{pid}.lp.json", asdict(report))
         logger.info("train-ge %s: MRR %.2f, AUC %.2f", pid, report.scaled()["mrr"],
                     report.scaled()["auc"])
     return {**r.cfg.raw["graph_embed"], "lp": lp_summary}, None
@@ -694,16 +692,20 @@ def _drmm_texts(path: str) -> dict[str, str]:
 
 def _train_biencoder(r: Run) -> tuple[dict, dict]:
     job = _biencoder_job(r)
-    components = [(source, r.read(*read)) for source, read in _pair_reads(r, job)]
-    pair_rows, report = pairs_mod.compose_dataset(components)
+    components = []  # each pair file and its rows, parsed once per store
+    for source, (name, producer) in _pair_reads(r, job):
+        path = r.read(name, producer)
+        components.append((path, r.load(f"pairs:{source.value}", [name],
+                                        lambda: pairs_mod.load_pairs(path, source))))
+    pair_rows, report = pairs_mod.compose_dataset([rows for _, rows in components])
     texts = r.log_texts()
     corpus = r.cfg.raw["composition"]["drmm_corpus"]
     if corpus:
         texts = {**texts, **_drmm_texts(corpus)}
     unknown = next((pr.doc_id for pr in pair_rows if pr.doc_id not in texts), None)
     if unknown is not None:  # name the first pair file that holds it
-        path = next(path for source, path in components
-                    if any(pr.doc_id == unknown for pr in pairs_mod.load_pairs(path, source)))
+        path = next(path for path, rows in components
+                    if any(pr.doc_id == unknown for pr in rows))
         raise CorruptFileError(f"{path}: no text for document {unknown!r}")
     if job["docsim"]:
         start = _saved_encoder(r.cfg, r.out / "encoders" / "docsim")
@@ -714,7 +716,7 @@ def _train_biencoder(r: Run) -> tuple[dict, dict]:
     target = r.out / _encoder_dir(r.ablation)
     target.mkdir(parents=True, exist_ok=True)
     save_encoder(result.params, target / "biencoder.gemb", target / "biencoder.json")
-    info = {"name": job["name"], "composition": report.to_dict(), "docsim": job["docsim"],
+    info = {"name": job["name"], "composition": asdict(report), "docsim": job["docsim"],
             "epoch_losses": result.epoch_losses, "steps": result.steps}
     logger.info("%s: %d steps, losses %s", r.id, result.steps,
                 [round(x, 4) for x in result.epoch_losses])
@@ -735,11 +737,11 @@ def _evaluate_reads(r: Run) -> list[Read]:
 def _evaluate(r: Run) -> tuple[dict, dict]:
     edir = r.out / _encoder_dir(r.ablation)
     report = ir_eval.evaluate_run(_saved_encoder(r.cfg, edir / "biencoder"), r.benchmark())
-    stem = _report_stem(r.ablation)
-    _dump(r.out / f"{stem}.json", report.to_dict())
+    stem, metrics = _report_stem(r.ablation), asdict(report)
+    _dump(r.out / f"{stem}.json", metrics)
     (r.out / f"{stem}.txt").write_text(report.format_table() + "\n", encoding="utf-8")
     logger.info("evaluate %s:\n%s", stem, report.format_table())
-    return {"k": 10}, report.to_dict()
+    return {"k": 10}, metrics
 
 
 TABLE = [

@@ -445,11 +445,6 @@ class LPReport:
             "auc": 100.0 * self.auc,
         }
 
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in ("mrr", "hits_at_1", "hits_at_10", "auc")}
-        d["n_edges"] = self.n_edges
-        return d
-
 
 def eval_link_prediction(
     emb: EmbeddingTable,

@@ -8,9 +8,10 @@ relevant set; the report header states this.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -38,17 +39,6 @@ class BenchmarkPlant:
     queries: list[Query]
     qrels: dict[str, dict[str, int]]  # query id -> doc id -> grade
     training: bool = False
-    _poolings: dict[int, Pooling] = field(default_factory=dict, init=False, repr=False,
-                                          compare=False)
-
-    def corpus_pooling(self, vocab_buckets: int) -> tuple[list[str], Pooling]:
-        """The corpus's doc ids in ascending order and their texts' pooling weights, which
-        depend on no table and are computed once per bucket count."""
-        doc_ids = sorted(self.corpus)
-        if vocab_buckets not in self._poolings:
-            self._poolings[vocab_buckets] = featurize_many(
-                [self.corpus[d] for d in doc_ids], vocab_buckets).pooling()
-        return doc_ids, self._poolings[vocab_buckets]
 
 
 @dataclass
@@ -95,47 +85,35 @@ def rank_corpus(p: EncoderParams, query_text: str, corpus: Mapping[str, str]) ->
     return rank_queries(p, [query_text], corpus)[0]
 
 
-# The last corpus ranked: ((vocab_buckets, texts in id order), its pooling weights).
-_corpus_memo: tuple[tuple[int, tuple[str, ...]], Pooling] | None = None
+@functools.lru_cache
+def _corpus_pooling(vocab_buckets: int, texts: tuple[str, ...]) -> Pooling:
+    """The texts' pooling weights, memoized by content.
 
-
-def _corpus_pooling(vocab_buckets: int, texts: tuple[str, ...]) -> tuple[Pooling, bool]:
-    """The texts' pooling weights and whether the memo held them.
-
-    The memo holds the last corpus only, keyed by content, and no table data,
-    so an encoder whose rows changed between calls is still read afresh.
+    They hold no table data, so an encoder whose rows changed between calls
+    is still read afresh.
     """
-    global _corpus_memo
-    key = (vocab_buckets, texts)
-    if _corpus_memo is not None and _corpus_memo[0] == key:
-        return _corpus_memo[1], True
-    _corpus_memo = (key, featurize_many(texts, vocab_buckets).pooling())
-    return _corpus_memo[1], False
+    return featurize_many(texts, vocab_buckets).pooling()
 
 
 def rank_queries(p: EncoderParams, query_texts: Sequence[str],
                  corpus: Mapping[str, str]) -> list[list[str]]:
     """:func:`rank_corpus` for each query.
 
-    The corpus's pooling weights come from a one-corpus memo keyed by its
-    texts in id order, so on a memo hit only the queries are featurized. Each
+    The corpus's pooling weights come from an LRU memo keyed by its texts
+    in id order, so on a memo hit only the queries are featurized. Each
     call encodes the corpus with one gemm per block against the current
     table. Each score is one ddot (``np.vecdot``), so documents with equal
     vectors tie exactly, and the stable sort over id-sorted rows puts tied
     documents in ascending id order.
     """
     doc_ids = sorted(corpus)
-    pooling, hit = _corpus_pooling(p.vocab_buckets, tuple(corpus[d] for d in doc_ids))
-    logger.debug("rank_queries: corpus memo %s, texts featurized: %d", "hit" if hit else "miss",
-                 len(query_texts) + (0 if hit else len(doc_ids)))
-    return _rank(p, query_texts, doc_ids, pooling)
-
-
-def _rank(p: EncoderParams, query_texts: Sequence[str], doc_ids: list[str],
-          pooling: Pooling) -> list[list[str]]:
-    """Rank ``doc_ids``, pooled by ``pooling``, for each query by descending cosine."""
     if not doc_ids:
         raise ValueError("empty corpus")
+    hits = _corpus_pooling.cache_info().hits
+    pooling = _corpus_pooling(p.vocab_buckets, tuple(corpus[d] for d in doc_ids))
+    hit = _corpus_pooling.cache_info().hits > hits
+    logger.debug("rank_queries: corpus memo %s, texts featurized: %d", "hit" if hit else "miss",
+                 len(query_texts) + (0 if hit else len(doc_ids)))
     docs = pooling.encode(p)
     queries = encode_batch(p, query_texts)
     dots = np.vecdot(docs[None, :, :], queries[:, None, :])
@@ -208,19 +186,6 @@ class EvalReport:
     mean: float  # mean of the three cross-plant means
     note: str = AP_NORMALIZER_NOTE
 
-    def to_dict(self) -> dict:
-        return {
-            "note": self.note,
-            "per_plant": {
-                pid: {"map10": m.map10, "mrr10": m.mrr10, "ndcg10": m.ndcg10}
-                for pid, m in sorted(self.per_plant.items())
-            },
-            "mean_map10": self.mean_map10,
-            "mean_mrr10": self.mean_mrr10,
-            "mean_ndcg10": self.mean_ndcg10,
-            "mean": self.mean,
-        }
-
     def format_table(self) -> str:
         """Aligned text table, metrics scaled by 100."""
         lines = [f"# {self.note}"]
@@ -244,16 +209,15 @@ class EvalReport:
 def evaluate_run(p: EncoderParams, b: Benchmark, k: int = 10) -> EvalReport:
     """Macro-averaged retrieval metrics: per plant, then unweighted across plants.
 
-    Each plant's queries are ranked in one batch as :func:`rank_queries` ranks them, over
-    the plant's own :meth:`BenchmarkPlant.corpus_pooling`.
+    Each plant's queries are ranked in one batch by :func:`rank_queries`, whose memo holds
+    each plant corpus's pooling weights across evaluations.
     """
     b.validate()
     if not b.plants:
         raise ValueError("benchmark has no plants")
     per_plant: dict[str, PlantMetrics] = {}
     for plant in b.plants:
-        doc_ids, pooling = plant.corpus_pooling(p.vocab_buckets)
-        rankings = _rank(p, [q.text for q in plant.queries], doc_ids, pooling)
+        rankings = rank_queries(p, [q.text for q in plant.queries], plant.corpus)
         aps, rrs, ndcgs = [], [], []
         for q, ranking in zip(plant.queries, rankings):
             grades = plant.qrels.get(q.query_id, {})

@@ -178,49 +178,32 @@ class CompositionReport:
     negatives: int
     overlap: int  # duplicate (query, doc) combinations across components
 
-    def to_dict(self) -> dict:
-        return {
-            "per_source": {
-                k: {"total": v.total, "positives": v.positives, "negatives": v.negatives}
-                for k, v in sorted(self.per_source.items())
-            },
-            "total": self.total,
-            "positives": self.positives,
-            "negatives": self.negatives,
-            "overlap": self.overlap,
-        }
-
 
 def compose_dataset(
-    components: Sequence[tuple[PairSource | str, str | Path]],
+    components: Sequence[Sequence[QueryDocPair]],
 ) -> tuple[list[QueryDocPair], CompositionReport]:
-    """Concatenate pair files, preserving source tags, and count the mix.
+    """Concatenate loaded pair components in order and count the mix.
 
-    Component order is preserved; rows missing a source field inherit
-    the component's declared source. Overlapping (query, doc) rows
-    across components are kept, but counted in the report.
+    Each row keeps its source tag (``load_pairs`` gives untagged rows their
+    file's source). Overlapping (query, doc) rows across components are
+    kept, but counted in the report.
     """
-    pairs: list[QueryDocPair] = []
+    pairs = [pr for rows in components for pr in rows]
     per_source: dict[str, SourceCount] = {}
-    seen: Counter[tuple[str, str]] = Counter()
-    for declared, path in components:
-        declared = PairSource(declared)
-        for pr in load_pairs(path, default_source=declared):
-            pairs.append(pr)
-            sc = per_source.setdefault(pr.source.value, SourceCount())
-            sc.total += 1
-            if pr.label is PairLabel.POSITIVE:
-                sc.positives += 1
-            else:
-                sc.negatives += 1
-            seen[(pr.query_text, pr.doc_id)] += 1
-    overlap = sum(c - 1 for c in seen.values() if c > 1)
+    seen = Counter((pr.query_text, pr.doc_id) for pr in pairs)
+    for pr in pairs:
+        sc = per_source.setdefault(pr.source.value, SourceCount())
+        sc.total += 1
+        if pr.label is PairLabel.POSITIVE:
+            sc.positives += 1
+        else:
+            sc.negatives += 1
     report = CompositionReport(
         per_source=per_source,
         total=len(pairs),
         positives=sum(sc.positives for sc in per_source.values()),
         negatives=sum(sc.negatives for sc in per_source.values()),
-        overlap=overlap,
+        overlap=sum(c - 1 for c in seen.values()),
     )
     return pairs, report
 

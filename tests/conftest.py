@@ -17,7 +17,7 @@ def fresh_memos():
     """Each test starts with no init blocks and no corpus memoized, so what it draws and
     featurizes does not depend on the tests run before it."""
     encoder._init_memo = None
-    ir_eval._corpus_memo = None
+    ir_eval._corpus_pooling.cache_clear()
 
 
 def make_graph(logs, fls, edges):

@@ -310,8 +310,8 @@ def test_strict_needs_the_producer_manifest(pipeline_run, tmp_path, caplog):
 def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch, caplog):
     """Each artifact is parsed once, and each init block of each encoder seed (the scorer's,
     then the one every encoder starts from) is drawn once."""
-    calls = {"load_graph": [], "quality_filter": 0}
-    load_graph, quality_filter = kg.load_graph, pairs.quality_filter
+    calls = {"load_graph": [], "quality_filter": 0, "load_pairs": []}
+    load_graph, quality_filter, load_pairs = kg.load_graph, pairs.quality_filter, pairs.load_pairs
 
     def counted_load_graph(nodes_path, edges_path):
         calls["load_graph"].append((str(nodes_path), str(edges_path)))
@@ -321,8 +321,13 @@ def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch, caplog):
         calls["quality_filter"] += 1
         return quality_filter(*args, **kwargs)
 
+    def counted_load_pairs(path, default_source=None):
+        calls["load_pairs"].append(str(path))
+        return load_pairs(path, default_source)
+
     monkeypatch.setattr(kg, "load_graph", counted_load_graph)
     monkeypatch.setattr(pairs, "quality_filter", counted_quality_filter)
+    monkeypatch.setattr(pairs, "load_pairs", counted_load_pairs)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
     out = tmp_path / "run"
@@ -331,6 +336,8 @@ def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch, caplog):
     # plants/X, plants/Y, graphs/X and graphs/Y, each parsed once
     assert len(calls["load_graph"]) == 4 and len(set(calls["load_graph"])) == 4
     assert calls["quality_filter"] == 1
+    # sid.jsonl and pairs/get.jsonl, each parsed once for both ablations
+    assert sorted(calls["load_pairs"]) == [str(out / "pairs" / "get.jsonl"), str(out / "sid.jsonl")]
     draws = [r.getMessage().split(": drew ") for r in caplog.records
              if "drew" in r.getMessage()]
     seeds = [f"encoder init seed {derive_seed(3, label)}" for label in ("scorer", "encoder-init")]
@@ -562,6 +569,20 @@ def _unknown_doc(blob):
     return _with("doc_id", "nope")(first) + b"\n" + rest
 
 
+def _qrels_unknown_doc(blob):
+    """A qrels file whose first line grades a document that the plant's corpus lacks."""
+    first, rest = blob.split(b"\n", 1)
+    query_id, iteration, _, grade = first.split()
+    return b" ".join([query_id, iteration, b"X:log:nope", grade]) + b"\n" + rest
+
+
+def _qrels_without_first_query(blob):
+    """A qrels file with every line of its first query removed."""
+    lines = blob.splitlines(keepends=True)
+    first = lines[0].split()[0]
+    return b"".join(line for line in lines if line.split()[0] != first)
+
+
 def _dangling_edge(blob):
     edge = {"src": "X:log:ghost", "dst": "X:log:zz", "rel": "related_to"}
     return blob + json.dumps(edge).encode() + b"\n"
@@ -582,6 +603,10 @@ INCONSISTENT_ARTIFACTS = {
         b'{"plant_id": "Y", "training": false}]}\n'), None),
     "dangling-edge": ("train-ge", "graphs/X/edges.jsonl", _dangling_edge, "graphs/X/nodes.jsonl"),
     "pair-unknown-doc": ("train-biencoder", "sid.jsonl", _unknown_doc, None),
+    "qrels-unknown-doc": ("evaluate", "plants/X/qrels.txt", _qrels_unknown_doc,
+                          "plants/X/queries.jsonl"),
+    "query-without-qrels": ("evaluate", "plants/X/qrels.txt", _qrels_without_first_query,
+                            "plants/X/queries.jsonl"),
 }
 
 

@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -524,7 +524,7 @@ def test_eval_link_prediction_bitwise_equals_cosine_loop():
         pool = list(vectors)[: len(vectors) - int(rng.integers(0, 3))]
         report = eval_link_prediction(table, test_edges, pool, node_kinds)
         want = oracle_np_link_prediction(table, test_edges, pool, node_kinds, dst_kind)
-        assert report.to_dict() == dict(want, n_edges=len(test_edges)), trial
+        assert asdict(report) == dict(want, n_edges=len(test_edges)), trial
         tied += any(
             f"{e.dst}-twin" in pool and score_edge(table, e.src, e.rel, e.dst) == score_edge(
                 table, e.src, e.rel, f"{e.dst}-twin") for e in test_edges)
@@ -598,7 +598,7 @@ def test_eval_lp_errors():
 def test_lp_report_scaled():
     report = LPReport(mrr=0.25, hits_at_1=0.1, hits_at_10=0.75, auc=0.9, n_edges=4)
     assert report.scaled() == {"mrr": 25.0, "hits_at_1": 10.0, "hits_at_10": 75.0, "auc": 90.0}
-    assert report.to_dict()["n_edges"] == 4
+    assert asdict(report)["n_edges"] == 4
 
 
 def test_save_load_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -137,12 +138,15 @@ def _memo_lines(caplog):
 def test_rank_queries_logs_memo_hits_and_texts_featurized(caplog):
     p = init_encoder(dim=8, vocab_buckets=64, seed=3)
     corpus = {"a": "pumpe leckt", "b": "kessel druck", "c": "ventil klemmt"}
+    other = {"x": "filter verstopft"}
     with caplog.at_level("DEBUG", logger="plantsearch.ir_eval"):
         rank_queries(p, ["pumpe", "kessel"], corpus)
         rank_queries(p, ["ventil"], corpus)  # kept from the first call
-        rank_queries(p, ["ventil", "druck"], corpus)
+        rank_queries(p, ["filter"], other)
+        rank_queries(p, ["ventil", "druck"], corpus)  # still kept after another corpus
     assert _memo_lines(caplog) == ["rank_queries: corpus memo miss, texts featurized: 5",
                                    "rank_queries: corpus memo hit, texts featurized: 1",
+                                   "rank_queries: corpus memo miss, texts featurized: 2",
                                    "rank_queries: corpus memo hit, texts featurized: 2"]
 
 
@@ -172,18 +176,48 @@ def test_corpus_memo_follows_the_table_and_the_texts(caplog):
         f"rank_queries: corpus memo {event}" for event in ("miss", "hit", "hit", "hit", "miss")]
 
 
-def test_corpus_memo_holds_the_last_corpus_only():
+def test_corpus_memo_holds_the_recent_corpora(caplog):
+    """The memo keeps the most recently ranked corpora, as many as its LRU size, by content."""
     p = init_encoder(dim=8, vocab_buckets=64, seed=3)
-    for i in range(20):
-        corpus = {"a": f"pumpe {i}", "b": "kessel"}
-        assert [rank_corpus(p, "pumpe", corpus)] == oracle_rank_corpus(p, ["pumpe"], corpus)
-    key, pooling = ir_eval._corpus_memo
-    assert key == (64, ("pumpe 19", "kessel")) and pooling is not None
-    for i in range(3):
-        corpus = {"a": f"kessel {i}"}
-        assert [rank_corpus(p, "pumpe", corpus)] == oracle_rank_corpus(p, ["pumpe"], corpus)
-    key, pooling = ir_eval._corpus_memo
-    assert key == (64, ("kessel 2",)) and pooling is not None
+    size = ir_eval._corpus_pooling.cache_info().maxsize
+    corpora = [{"a": f"pumpe {i}", "b": "kessel"} for i in range(size + 1)]
+    with caplog.at_level("DEBUG", logger="plantsearch.ir_eval"):
+        for corpus in corpora[1:]:
+            rank_corpus(p, "pumpe", corpus)
+        # the oldest of them and a fresh copy of the newest are kept
+        for corpus in (corpora[1], dict(corpora[-1])):
+            assert [rank_corpus(p, "pumpe", corpus)] == oracle_rank_corpus(p, ["pumpe"], corpus)
+        rank_corpus(p, "pumpe", corpora[0])  # one more corpus evicts the least recent, corpora[2]
+        rank_corpus(p, "pumpe", corpora[2])
+    events = [line.split(",")[0].split()[-1] for line in _memo_lines(caplog)]
+    assert events == ["miss"] * size + ["hit", "hit", "miss", "miss"]
+    assert ir_eval._corpus_pooling.cache_info().currsize == size
+
+
+def test_evaluations_share_the_rank_queries_memo(caplog):
+    """Three evaluations of a 7-plant benchmark featurize each corpus once, and each plant
+    ranks as ``rank_queries`` and the per-text oracle do."""
+    bench = Benchmark([
+        BenchmarkPlant(f"P{i}", {f"p{i}d{j}": f"teil{i} pumpe {j} {'leckt' * (j % 2)}"
+                                 for j in range(5)},
+                       [Query(f"p{i}q1", "pumpe leckt"), Query(f"p{i}q2", f"teil{i} 3")],
+                       {f"p{i}q1": {f"p{i}d1": 1}, f"p{i}q2": {f"p{i}d3": 2, f"p{i}d0": 0}})
+        for i in range(7)])
+    encoders = [init_encoder(dim=16, vocab_buckets=256, seed=seed) for seed in (1, 2, 3)]
+    with caplog.at_level("DEBUG", logger="plantsearch.ir_eval"):
+        reports = [evaluate_run(p, bench) for p in encoders]
+    events = [line.split(",")[0].split()[-1] for line in _memo_lines(caplog)]
+    assert events.count("miss") == 7 and events.count("hit") == 14
+    for p, report in zip(encoders, reports):
+        for plant in bench.plants:
+            texts = [q.text for q in plant.queries]
+            rankings = rank_queries(p, texts, plant.corpus)
+            assert rankings == oracle_rank_corpus(p, texts, plant.corpus)
+            metrics = [(ap_at_k(r, {d for d, g in plant.qrels[q.query_id].items() if g > 0}, 10),
+                        ndcg_at_k(r, plant.qrels[q.query_id], 10))
+                       for q, r in zip(plant.queries, rankings)]
+            assert report.per_plant[plant.plant_id].map10 == np.mean([m[0] for m in metrics])
+            assert report.per_plant[plant.plant_id].ndcg10 == np.mean([m[1] for m in metrics])
 
 
 def _benchmark():
@@ -285,9 +319,9 @@ def test_evaluations_featurize_each_corpus_once(monkeypatch):
     b = _benchmark()
     encoders = [init_encoder(dim=16, vocab_buckets=256, seed=seed) for seed in (1, 2, 3)]
     encoders.append(init_encoder(dim=16, vocab_buckets=512, seed=1))
-    reports = [evaluate_run(p, b).to_dict() for p in encoders]
+    reports = [asdict(evaluate_run(p, b)) for p in encoders]
     assert corpus_sizes == [3, 2, 3, 2]  # P1 and P2 at 256 buckets, then at 512
-    assert reports == [evaluate_run(p, _benchmark()).to_dict() for p in encoders]
+    assert reports == [asdict(evaluate_run(p, _benchmark())) for p in encoders]
 
 
 def test_evaluate_run_empty_benchmark():
@@ -299,9 +333,9 @@ def test_evaluate_run_empty_benchmark():
 def test_report_serialization_and_table():
     p = init_encoder(dim=16, vocab_buckets=256, seed=5)
     report = evaluate_run(p, _benchmark())
-    d = report.to_dict()
+    d = asdict(report)
     assert d["note"] == AP_NORMALIZER_NOTE
-    assert list(d["per_plant"]) == ["P1", "P2"]  # sorted
+    assert list(d["per_plant"]) == ["P1", "P2"]  # benchmark order; dumps sort the keys
     table = report.format_table()
     lines = table.splitlines()
     assert lines[0] == f"# {AP_NORMALIZER_NOTE}"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -204,7 +205,7 @@ def test_load_pairs_default_source(tmp_path):
         load_pairs(tmp_path / "p.jsonl")  # no source column and no default
 
 
-def test_compose_dataset_counts_and_overlap(tmp_path):
+def test_compose_dataset_counts_and_overlap():
     get_rows = [
         QueryDocPair("q1", "d1", PairLabel.POSITIVE, PairSource.GET),
         QueryDocPair("q1", "d2", PairLabel.NEGATIVE, PairSource.GET),
@@ -214,14 +215,9 @@ def test_compose_dataset_counts_and_overlap(tmp_path):
         QueryDocPair("q2", "d3", PairLabel.POSITIVE, PairSource.SID),
         QueryDocPair("q2", "d1", PairLabel.NEGATIVE, PairSource.SID),
     ]
-    save_pairs(get_rows, tmp_path / "get.jsonl")
-    save_pairs(sid_rows, tmp_path / "sid.jsonl")
-    rows, report = compose_dataset(
-        [(PairSource.GET, tmp_path / "get.jsonl"), ("SID", tmp_path / "sid.jsonl")]
-    )
-    assert len(rows) == 5
-    assert rows[:2] == get_rows  # component order preserved
-    d = report.to_dict()
+    rows, report = compose_dataset([get_rows, sid_rows])
+    assert rows == get_rows + sid_rows  # component order preserved
+    d = asdict(report)
     assert d["per_source"]["GET"] == {"total": 2, "positives": 1, "negatives": 1}
     assert d["per_source"]["SID"] == {"total": 3, "positives": 2, "negatives": 1}
     assert d["total"] == 5 and d["positives"] == 3 and d["negatives"] == 2
