@@ -376,12 +376,20 @@ class Run:
 
     def _benchmark(self) -> ir_eval.Benchmark:
         """The benchmark, checked as each plant joins, so an inconsistency names the files of
-        the first plant that brings it."""
+        the first plant that brings it: both plants' nodes files for a doc id that two plants
+        hold, and the plant's queries and qrels files for anything else."""
         bench = ir_eval.Benchmark([])
+        holder: dict[str, str] = {}  # doc id -> the first plant that holds it
         for meta in self.plants():
             pid = meta["plant_id"]
             pdir = self.out / "plants" / pid
             corpus = {n.id: n.text for n in self.graph("plants", pid).text_logs()}
+            for doc_id in corpus:
+                first = holder.setdefault(doc_id, pid)
+                if first != pid:  # a repeated plant id is Benchmark.validate's to report
+                    raise CorruptFileError(
+                        f"{self.out / 'plants' / first / 'nodes.jsonl'}, {pdir / 'nodes.jsonl'}: "
+                        f"doc id {doc_id!r} appears in two plants")
             queries = ir_eval.load_queries(pdir / "queries.jsonl").get(pid, [])
             qrels = ir_eval.load_qrels(pdir / "qrels.txt")
             bench.plants.append(ir_eval.BenchmarkPlant(pid, corpus, queries, qrels,
@@ -481,14 +489,12 @@ def _build_graph(r: Run) -> tuple[dict, None]:
         g = kg.build_graph(r.graph("plants", pid))
         if r.cfg.raw["enrich"]:
             g = kg.predict_links(g, matcher)
-        if r.cfg.raw["expand_context"]:
-            expanded = [
-                kg.Node(n.id, n.kind, kg.expand_context(g, n.id), n.code, n.ts)
-                if n.kind is kg.NodeKind.TEXT_LOG
-                else n
-                for n in g.nodes.values()
-            ]
-            g = kg.KnowledgeGraph.from_parts(expanded, g.edges)
+        if r.cfg.raw["expand_context"]:  # a longer text keeps the checked graph valid
+            g = kg.KnowledgeGraph({
+                node_id: kg.Node(node_id, n.kind, kg.expand_context(g, node_id), n.code, n.ts)
+                if n.kind is kg.NodeKind.TEXT_LOG else n
+                for node_id, n in g.nodes.items()
+            }, g.edges)
         gdir = r.out / "graphs" / pid
         gdir.mkdir(parents=True, exist_ok=True)
         kg.save_graph(g, gdir / "nodes.jsonl", gdir / "edges.jsonl")
@@ -527,7 +533,7 @@ def _train_ge(r: Run) -> tuple[dict, None]:
             emb = graph_embed.init_embeddings(g, plant_cfg, text_vectors)
         except KeyError as exc:  # the text vectors do not cover the graph's nodes
             raise EmbeddingFileError(f"{vectors}.ids: {exc.args[0]}") from None
-        plants[pid] = kg.KnowledgeGraph.from_parts(g.nodes.values(), train_edges), emb, plant_cfg
+        plants[pid] = kg.KnowledgeGraph(g.nodes, train_edges), emb, plant_cfg  # an edge subset
     trained = graph_embed.train_plant_embeddings(plants)
     for pid, emb in trained.items():  # the tables are stored as float32
         with np.errstate(over="ignore"):

@@ -8,8 +8,8 @@ heuristic link prediction, and abbreviation context expansion.
 
 from __future__ import annotations
 
+import functools
 import graphlib
-import json
 import logging
 import re
 from collections import defaultdict
@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .storage import CorruptFileError, field, read_json_lines
+from .storage import CorruptFileError, read_json_lines, write_json_lines
 
 logger = logging.getLogger(__name__)
 
@@ -81,9 +81,13 @@ class Edge:
 class KnowledgeGraph:
     """Validated, effectively immutable node/edge container.
 
-    Construct via :meth:`from_parts` or :func:`load_graph`; both enforce
-    the structural invariants (valid endpoints, relation/kind signatures,
-    no self-loops, no duplicate edges, acyclic PartOf hierarchy).
+    :meth:`from_parts` is the one constructor that checks the structural
+    invariants (valid nodes and endpoints, relation/kind signatures, no
+    self-loops, no duplicate edges, acyclic PartOf hierarchy); every graph
+    read from a file (:func:`load_graph`) or generated by ``synth`` goes
+    through it. The plain constructor checks nothing: it builds graphs
+    derived from a checked one whose invariants hold by construction, such
+    as a subset of its edges or its nodes with expanded texts.
     """
 
     def __init__(self, nodes: Mapping[str, Node], edges: Sequence[Edge]):
@@ -215,15 +219,22 @@ _KINDS = {kind.value: kind for kind in NodeKind}
 _RELATIONS = {rel.value: rel for rel in Relation}
 
 
+# The two record parsers check their fields as ``storage.field`` does, inline: they run
+# once per line of every graph file, and a call per field costs more than the check.
 def _node(rec: dict) -> Node:
-    return Node(id=field(rec, "id", str), kind=_KINDS[rec["kind"]],
-                text=field(rec, "text", str, ""),
-                code=None if rec.get("code") is None else field(rec, "code", str),
-                ts=None if rec.get("ts") is None else field(rec, "ts", int))
+    node_id, text, code, ts = rec["id"], rec.get("text", ""), rec.get("code"), rec.get("ts")
+    if (type(node_id) is not str or type(text) is not str
+            or code is not None and type(code) is not str
+            or ts is not None and type(ts) is not int):
+        raise TypeError("a node's id, text and code must be str and its ts int")
+    return Node(node_id, _KINDS[rec["kind"]], text, code, ts)
 
 
 def _edge(rec: dict) -> Edge:
-    return Edge(src=field(rec, "src", str), dst=field(rec, "dst", str), rel=_RELATIONS[rec["rel"]])
+    src, dst = rec["src"], rec["dst"]
+    if type(src) is not str or type(dst) is not str:
+        raise TypeError("an edge's src and dst must be str")
+    return Edge(src, dst, _RELATIONS[rec["rel"]])
 
 
 def load_graph(nodes_path: str | Path, edges_path: str | Path) -> KnowledgeGraph:
@@ -244,23 +255,22 @@ def load_graph(nodes_path: str | Path, edges_path: str | Path) -> KnowledgeGraph
         raise CorruptFileError(f"{nodes_path}, {edges_path}: {exc}") from None
 
 
+def _node_record(n: Node) -> dict:
+    rec: dict = {"id": n.id, "kind": n.kind.value, "text": n.text}
+    if n.code is not None:
+        rec["code"] = n.code
+    if n.ts is not None:
+        rec["ts"] = n.ts
+    return rec
+
+
 def save_graph(g: KnowledgeGraph, nodes_path: str | Path, edges_path: str | Path) -> None:
-    """Write a graph back out in the line-delimited JSON interchange format."""
-    with open(nodes_path, "w", encoding="utf-8") as fh:
-        for node_id in sorted(g.nodes):
-            n = g.nodes[node_id]
-            rec: dict = {"id": n.id, "kind": n.kind.value, "text": n.text}
-            if n.code is not None:
-                rec["code"] = n.code
-            if n.ts is not None:
-                rec["ts"] = n.ts
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-    with open(edges_path, "w", encoding="utf-8") as fh:
-        for e in sorted(g.edges, key=lambda e: (e.rel.value, e.src, e.dst)):
-            fh.write(
-                json.dumps({"src": e.src, "dst": e.dst, "rel": e.rel.value}, sort_keys=True)
-                + "\n"
-            )
+    """Write a graph back out in the line-delimited JSON interchange format: nodes by id
+    with text as it is, edges by (rel, src, dst) with non-ASCII characters escaped."""
+    write_json_lines(nodes_path, [_node_record(g.nodes[i]) for i in sorted(g.nodes)])
+    edges = sorted((e.rel.value, e.src, e.dst) for e in g.edges)
+    write_json_lines(edges_path, [{"src": src, "dst": dst, "rel": rel} for rel, src, dst in edges],
+                     ensure_ascii=True)
 
 
 # ---------------------------------------------------------------------------
@@ -271,24 +281,27 @@ def build_graph(raw: KnowledgeGraph) -> KnowledgeGraph:
     """Drop text logs without any outgoing ReportsAbout edge.
 
     Functional locations are always kept. Edges incident to a dropped
-    log (in either direction) are removed with it.
+    log (in either direction) are removed with it. Every kept log keeps
+    its ReportsAbout edges, whose FL ends are kept, so the result needs
+    no second check.
     """
     linked = {e.src for e in raw.edges if e.rel is Relation.REPORTS_ABOUT}
-    keep_nodes = [
-        n
+    keep_nodes = {
+        n.id: n
         for n in raw.nodes.values()
         if n.kind is NodeKind.FUNCTIONAL_LOCATION or n.id in linked
-    ]
-    keep_ids = {n.id for n in keep_nodes}
-    keep_edges = [e for e in raw.edges if e.src in keep_ids and e.dst in keep_ids]
+    }
+    keep_edges = [e for e in raw.edges if e.src in keep_nodes and e.dst in keep_nodes]
     dropped = len(raw.nodes) - len(keep_nodes)
     if dropped:
         logger.info("build_graph: dropped %d unlinked text log(s)", dropped)
-    return KnowledgeGraph.from_parts(keep_nodes, keep_edges, require_linked_logs=True)
+    return KnowledgeGraph(keep_nodes, keep_edges)
 
 
-def _code_pattern(codes: Sequence[str]) -> re.Pattern | None:
-    """Case-insensitive whole-phrase pattern over FL codes, longest first.
+@functools.lru_cache(maxsize=1024)
+def _code_pattern(codes: tuple[str, ...]) -> re.Pattern | None:
+    """Case-insensitive whole-phrase pattern over FL codes, longest first, memoized by
+    the code tuple.
 
     Longest-first alternation makes an ambiguous mention resolve to the
     longest matching code. Word characters and dashes are excluded at
@@ -317,7 +330,7 @@ class LexicalMatcher:
 
     def propose_reports_about(self, g: KnowledgeGraph) -> list[Edge]:
         fls = g.functional_locations()
-        pattern = _code_pattern([fl.code or "" for fl in fls])
+        pattern = _code_pattern(tuple(fl.code or "" for fl in fls))
         if pattern is None:
             return []
         by_code = {}
@@ -359,7 +372,9 @@ def predict_links(g: KnowledgeGraph, matcher: LexicalMatcher) -> KnowledgeGraph:
 
     Type-invalid, dangling, self-loop or duplicate proposals are
     rejected with a warning instead of inserted; per-relation edge
-    counts therefore never decrease.
+    counts therefore never decrease. The accepted edges are checked one
+    by one, so the enriched graph is built without a second full check;
+    a PartOf proposal that closes a cycle raises GraphInvariantError.
     """
 
     def _accept(graph: KnowledgeGraph, proposals: Iterable[Edge]) -> KnowledgeGraph:
@@ -381,7 +396,10 @@ def predict_links(g: KnowledgeGraph, matcher: LexicalMatcher) -> KnowledgeGraph:
             logger.warning("predict_links: %d proposal(s) rejected", rejected)
         if not fresh:
             return graph
-        return KnowledgeGraph.from_parts(graph.nodes.values(), [*graph.edges, *fresh])
+        edges = [*graph.edges, *fresh]
+        if any(e.rel is Relation.PART_OF for e in fresh):
+            _check_part_of_acyclic(edges)
+        return KnowledgeGraph(graph.nodes, edges)
 
     enriched = _accept(g, matcher.propose_reports_about(g))
     enriched = _accept(enriched, matcher.propose_related_to(enriched))
@@ -411,7 +429,7 @@ def expand_context(g: KnowledgeGraph, log_id: str) -> str:
     for fl in sorted(linked, key=lambda n: n.id):
         if fl.code:
             by_code.setdefault(fl.code.lower(), fl)
-    pattern = _code_pattern(list(by_code))
+    pattern = _code_pattern(tuple(by_code))
     if pattern is None:
         return log.text
 

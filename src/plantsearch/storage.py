@@ -86,9 +86,8 @@ def field(rec: dict, key: str, kind: type, default: Any = _REQUIRED) -> Any:
 
 
 def write_ids(path: str | Path, ids: Sequence[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row, node_id in enumerate(ids):
-            fh.write(json.dumps({"row": row, "id": node_id}, sort_keys=True) + "\n")
+    write_json_lines(path, ({"row": row, "id": node_id} for row, node_id in enumerate(ids)),
+                     ensure_ascii=True)
 
 
 def read_ids(path: str | Path) -> list[str]:
@@ -119,10 +118,19 @@ def read_table(stem: str | Path) -> tuple[list[str], np.ndarray]:
     return ids, matrix
 
 
-def write_json_lines(path: str | Path, records: Iterable[dict]) -> None:
+# One encoder per escaping rule: json.dumps(rec, sort_keys=True) builds a new encoder per call.
+_ENCODERS = {ensure_ascii: json.JSONEncoder(ensure_ascii=ensure_ascii, sort_keys=True)
+             for ensure_ascii in (False, True)}
+_DECODER = json.JSONDecoder()
+_JSON_SPACE = " \t\n\r"  # the whitespace json.loads skips around a document
+
+
+def write_json_lines(path: str | Path, records: Iterable[dict], ensure_ascii: bool = False) -> None:
+    """One line of sorted-key JSON per record, written at once. Non-ASCII characters are
+    written as they are, or as ``\\uXXXX`` escapes under ``ensure_ascii``."""
+    encode = _ENCODERS[ensure_ascii].encode
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+        fh.write("".join([f"{encode(rec)}\n" for rec in records]))
 
 
 def read_json_lines(
@@ -132,19 +140,21 @@ def read_json_lines(
 ) -> list:
     """``parse`` of each non-blank line's JSON object, in file order.
 
-    A line that is not UTF-8, not a JSON object, or that ``parse`` rejects
-    with a KeyError, TypeError or ValueError raises CorruptFileError
-    ``"<path>:<line>: <what>"``.
+    Lines end at ``\\n``; a line of ASCII whitespace only is blank. A line
+    that is not UTF-8, not a JSON object, or that ``parse`` rejects with a
+    KeyError, TypeError or ValueError raises CorruptFileError
+    ``"<path>:<line>: <what>"`` for the first such line.
     """
-    out = []
     with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(_parse_object(line, parse))
-            except (KeyError, TypeError, ValueError):
-                raise CorruptFileError(f"{path}:{line_no}: {what}") from None
+        data = fh.read()
+    out = []
+    for line_no, line in enumerate(data.split(b"\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append(_parse_object(line, parse))
+        except (KeyError, TypeError, ValueError):
+            raise CorruptFileError(f"{path}:{line_no}: {what}") from None
     return out
 
 
@@ -168,7 +178,12 @@ def read_json(
 
 
 def _parse_object(data: bytes, parse: Callable[[dict], Any]) -> Any:
-    obj = json.loads(data.decode("utf-8"))  # UnicodeDecodeError is a ValueError
+    """``parse`` of the one JSON object in ``data``: what ``json.loads`` accepts, decoded in
+    one ``raw_decode`` call."""
+    text = data.decode("utf-8").strip(_JSON_SPACE)  # UnicodeDecodeError is a ValueError
+    obj, end = _DECODER.raw_decode(text)
+    if end != len(text):
+        raise ValueError("extra data after the JSON value")
     if not isinstance(obj, dict):
         raise TypeError("not a JSON object")
     return parse(obj)

@@ -36,6 +36,18 @@ def make_graph(logs, fls, edges):
     return KnowledgeGraph.from_parts(nodes, [Edge(s, d, r) for s, d, r in edges])
 
 
+def assert_checked(g, require_linked_logs=False):
+    """``g`` passes every check of ``from_parts`` and equals the graph that ``from_parts``
+    builds from g's parts: the same nodes and edges in the same order, and the same
+    out-neighbors."""
+    checked = KnowledgeGraph.from_parts(g.nodes.values(), g.edges, require_linked_logs)
+    assert list(checked.nodes.items()) == list(g.nodes.items())
+    assert checked.edges == g.edges
+    for node_id in g.nodes:
+        for rel in Relation:
+            assert checked.out_neighbors(node_id, rel) == g.out_neighbors(node_id, rel)
+
+
 @pytest.fixture
 def small_graph():
     return make_graph(

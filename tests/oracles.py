@@ -9,12 +9,15 @@ array code replaced, kept so that tests can demand equality to the bit
 or, for the per-text training loops, whose batched gemms sum in another
 order, a stated tolerance. The whole-table training loops there are the
 former batched code, which training on gathered rows must equal bit for
-bit. Last comes ``finite_diff_check``, the central-difference gradient
-check that the loss tests and the acceptance gate run.
+bit. Then comes the former per-line JSON-lines reader, which
+``storage.read_json_lines`` must equal in what it accepts and in the
+error it raises. Last comes ``finite_diff_check``, the central-difference
+gradient check that the loss tests and the acceptance gate run.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -677,6 +680,26 @@ def oracle_rank_corpus(p, query_texts, corpus):
         scores = {d: oracle_np_cosine(v, q) for d, v in docs.items()}
         rankings.append(sorted(corpus, key=lambda d: (-scores[d], d)))
     return rankings
+
+
+def oracle_read_json_lines(path, parse=dict, what="line is not a JSON object") -> list:
+    """The former ``storage.read_json_lines``: ``json.loads`` of each line the binary file
+    object yields, one line at a time."""
+    from plantsearch.storage import CorruptFileError
+
+    out = []
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line.decode("utf-8"))
+                if not isinstance(obj, dict):
+                    raise TypeError("not a JSON object")
+                out.append(parse(obj))
+            except (KeyError, TypeError, ValueError):
+                raise CorruptFileError(f"{path}:{line_no}: {what}") from None
+    return out
 
 
 def finite_diff_check(

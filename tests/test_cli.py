@@ -1,9 +1,11 @@
 import json
 import shutil
 import struct
+from collections import Counter
 
 import pytest
 
+from conftest import assert_checked
 from plantsearch import cli, encoder, kg, pairs
 from plantsearch.losses import NonFiniteError
 from plantsearch.storage import derive_seed, read_matrix, write_matrix
@@ -583,6 +585,12 @@ def _qrels_without_first_query(blob):
     return b"".join(line for line in lines if line.split()[0] != first)
 
 
+def _doc_of_plant_x(blob):
+    """A nodes file with one more text log, whose id is the first log of plant X."""
+    node = {"id": "X:log:00000", "kind": "text_log", "text": "Pumpe undicht"}
+    return blob + json.dumps(node).encode() + b"\n"
+
+
 def _dangling_edge(blob):
     edge = {"src": "X:log:ghost", "dst": "X:log:zz", "rel": "related_to"}
     return blob + json.dumps(edge).encode() + b"\n"
@@ -607,6 +615,8 @@ INCONSISTENT_ARTIFACTS = {
                           "plants/X/queries.jsonl"),
     "query-without-qrels": ("evaluate", "plants/X/qrels.txt", _qrels_without_first_query,
                             "plants/X/queries.jsonl"),
+    "doc-in-two-plants": ("evaluate", "plants/Y/nodes.jsonl", _doc_of_plant_x,
+                          "plants/X/nodes.jsonl"),
 }
 
 
@@ -739,6 +749,60 @@ def two_plant_graphs(tmp_path_factory):
     for stage in ("synth", "build-graph"):
         assert cli.main([stage, "--config", str(cfg_path), "--out", str(root / "run")]) == 0
     return root / "run"
+
+
+@pytest.fixture(scope="module")
+def hooked_graph_chain(tmp_path_factory):
+    """TWO_PLANTS from synth through sample-triplets, one ``cli.main`` call per stage, with the
+    kg functions that the benchmark's tracer wraps by name replaced by counting wrappers, and
+    every KnowledgeGraph recorded with its stage as it is built; returns the run directory,
+    the calls per stage and function, and the graphs."""
+    root = tmp_path_factory.mktemp("hooked")
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(TWO_PLANTS), encoding="utf-8")
+    args = ["--config", str(cfg_path), "--out", str(root / "run")]
+    assert cli.main(["synth", *args]) == 0
+    calls, graphs = Counter(), []
+    init = kg.KnowledgeGraph.__init__
+
+    def recording_init(self, nodes, edges):
+        init(self, nodes, edges)
+        graphs.append((stage, self))
+
+    def counting(name, fn):
+        def wrapper(*a, **kw):
+            calls[stage, name] += 1
+            return fn(*a, **kw)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kg.KnowledgeGraph, "__init__", recording_init)
+        for name in ("load_graph", "predict_links", "expand_context"):
+            mp.setattr(kg, name, counting(name, getattr(kg, name)))
+        for stage in ("build-graph", "train-ge", "sample-triplets"):
+            assert cli.main([stage, *args]) == 0
+    return root / "run", calls, graphs
+
+
+def test_graph_stages_call_the_traced_kg_functions(hooked_graph_chain):
+    out, calls, _ = hooked_graph_chain
+    logs = sum(len(kg.load_graph(out / "graphs" / pid / "nodes.jsonl",
+                                 out / "graphs" / pid / "edges.jsonl").text_logs())
+               for pid in ("M", "N"))
+    assert calls == {("build-graph", "load_graph"): 2, ("build-graph", "predict_links"): 2,
+                     ("build-graph", "expand_context"): logs,
+                     ("train-ge", "load_graph"): 2, ("sample-triplets", "load_graph"): 2}
+
+
+def test_graph_stages_build_only_graphs_that_pass_the_checks(hooked_graph_chain):
+    _, _, graphs = hooked_graph_chain
+    # per plant, besides the graph it loads, build-graph builds the filtered, the enriched
+    # (one of the two link-prediction steps adds edges on these plants) and the expanded
+    # graph, and train-ge builds the training subgraph
+    assert Counter(stage for stage, _ in graphs) == {
+        "build-graph": 2 * 4, "train-ge": 2 * 2, "sample-triplets": 2}
+    for _, g in graphs:
+        assert_checked(g)
 
 
 def _scaled(path, factor):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import make_graph
+from conftest import assert_checked, make_graph
 from plantsearch.kg import (
     Edge,
     GraphInvariantError,
@@ -18,6 +18,7 @@ from plantsearch.kg import (
     save_graph,
 )
 from plantsearch.storage import CorruptFileError
+from plantsearch.synth import PlantConfig, generate_plant
 
 
 def test_small_graph_accessors(small_graph):
@@ -196,6 +197,47 @@ def test_build_graph_keeps_all_fls():
     )
     g = build_graph(raw)
     assert set(g.nodes) == {"f1", "f2"}
+
+
+@pytest.mark.parametrize("source", ["small", "synth"])
+def test_graphs_built_without_checks_equal_checked_graphs(small_graph, source):
+    base = small_graph if source == "small" else generate_plant(
+        PlantConfig(plant_id="S", seed=5, n_fl=10, n_logs=60, n_queries=2)).graph
+    fl_id, other_id = sorted(n.id for n in base.functional_locations())[:2]
+    log_id = base.text_logs()[0].id
+    # a log that build_graph drops with its edge, and one whose mention of fl_id's code
+    # (fl_id comes first of the FLs that may share it) predict_links links
+    extra = [Node("orphan", NodeKind.TEXT_LOG, "kein Bezug"),
+             Node("mention", NodeKind.TEXT_LOG, f"{base.nodes[fl_id].code} undicht", ts=0)]
+    raw = KnowledgeGraph.from_parts(
+        [*base.nodes.values(), *extra],
+        [*base.edges, Edge("orphan", log_id, Relation.RELATED_TO),
+         Edge("mention", other_id, Relation.REPORTS_ABOUT)])
+    built = build_graph(raw)
+    assert "orphan" not in built and "mention" in built
+    assert_checked(built, require_linked_logs=True)
+    enriched = predict_links(built, LexicalMatcher())
+    assert enriched.has_edge("mention", fl_id, Relation.REPORTS_ABOUT)
+    assert not built.has_edge("mention", fl_id, Relation.REPORTS_ABOUT)
+    assert_checked(enriched, require_linked_logs=True)
+
+
+def test_predict_links_rejects_a_part_of_cycle(small_graph):
+    class PartOfMatcher:
+        def __init__(self, proposal):
+            self.proposal = proposal
+
+        def propose_reports_about(self, g):
+            return [self.proposal]
+
+        def propose_related_to(self, g):
+            return []
+
+    out = predict_links(small_graph, PartOfMatcher(Edge("fl2", "fl1", Relation.PART_OF)))
+    assert out.has_edge("fl2", "fl1", Relation.PART_OF)
+    assert_checked(out)
+    with pytest.raises(GraphInvariantError, match="PartOf cycle"):
+        predict_links(small_graph, PartOfMatcher(Edge("fl-root", "fl1", Relation.PART_OF)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import oracle_read_json_lines
+from plantsearch.kg import Edge, KnowledgeGraph, Node, NodeKind, Relation, save_graph
 from plantsearch.storage import (
     CorruptFileError,
     EmbeddingFileError,
     derive_seed,
+    field,
     read_ids,
     read_json,
     read_json_lines,
@@ -97,6 +100,76 @@ def test_json_lines_round_trip(tmp_path):
     # keys are sorted and unicode unescaped on disk
     first_line = path.read_text(encoding="utf-8").splitlines()[0]
     assert first_line == '{"a": "ä", "b": 2}'
+
+
+def test_writers_golden_bytes(tmp_path):
+    g = KnowledgeGraph.from_parts(
+        [Node("log:ä", NodeKind.TEXT_LOG, "Lager β läuft heiß", ts=7),
+         Node("fl:β", NodeKind.FUNCTIONAL_LOCATION, "Kühlerstraße", code="KÄ-1")],
+        [Edge("log:ä", "fl:β", Relation.REPORTS_ABOUT)])
+    save_graph(g, tmp_path / "nodes.jsonl", tmp_path / "edges.jsonl")
+    write_ids(tmp_path / "t.ids", ["log:ä", "fl:β"])
+    write_json_lines(tmp_path / "x.jsonl", [{"q": "ä", "pos": "β"}, {"q": "β"}])
+    write_json_lines(tmp_path / "empty.jsonl", [])
+    # nodes and plain records keep their text as UTF-8; edges and ids escape it
+    assert (tmp_path / "nodes.jsonl").read_bytes() == (
+        '{"code": "KÄ-1", "id": "fl:β", "kind": "functional_location", "text": "Kühlerstraße"}\n'
+        '{"id": "log:ä", "kind": "text_log", "text": "Lager β läuft heiß", "ts": 7}\n'
+    ).encode("utf-8")
+    assert (tmp_path / "edges.jsonl").read_bytes() == (
+        b'{"dst": "fl:\\u03b2", "rel": "reports_about", "src": "log:\\u00e4"}\n')
+    assert (tmp_path / "t.ids").read_bytes() == (
+        b'{"id": "log:\\u00e4", "row": 0}\n{"id": "fl:\\u03b2", "row": 1}\n')
+    assert (tmp_path / "x.jsonl").read_bytes() == '{"pos": "β", "q": "ä"}\n{"q": "β"}\n'.encode()
+    assert (tmp_path / "empty.jsonl").read_bytes() == b""
+
+
+# name -> file bytes that the reader and its per-line oracle must treat alike
+READER_INPUTS = {
+    "crlf": b'{"a": 1}\r\n{"a": 2}\r\n',
+    "blank-and-whitespace-lines": b'\n{"a": 1}\n\n  \t\r\n\x0b\n\x0c\n \x0b\x0c \n{"a": 2}\n',
+    "json-whitespace-around": b' \t{"a": 1}\t \r\n\r{"a": 2} \n',
+    "vt-before-object": b'{"a": 1}\n\x0b{"a": 2}\n',
+    "ff-after-object": b'{"a": 1}\x0c\n',
+    "nbsp-after-object": '{"a": 1}\u00a0\n'.encode(),
+    "utf8-bom": b'\xef\xbb\xbf{"a": 1}\n',
+    "bom-after-space": b' \xef\xbb\xbf{"a": 1}\n',
+    "two-objects-on-one-line": b'{"a": 1}\n{"a": 2}{"a": 3}\n',
+    "two-objects-spaced": b'{"a": 1} {"a": 2}\n',
+    "array": b'{"a": 1}\n[{"a": 2}]\n',
+    "string": b'"a"\n',
+    "number": b'{"a": 1}\n7\n',
+    "bad-utf8-after-bad-json": b'{"a": 1}\n{"a": \n\xff{"a": 2}\n',
+    "bad-utf8-inside-string": b'{"a": 1, "t": "\xc3"}\n',
+    "no-final-newline": b'{"a": 1}\n{"a": 2}',
+    "only-newlines": b"\n\n",
+    "empty-file": b"",
+    "non-ascii": '{"a": 1, "t": "ä β"}\n{"t": "\\u00e4", "a": 2}\n'.encode(),
+    "parse-rejects-third-line": b'{"a": 1}\n{"a": 2}\n{"a": "3"}\n{"b": 4}\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_INPUTS))
+@pytest.mark.parametrize("parse", [dict, lambda rec: field(rec, "a", int)], ids=["dict", "int-a"])
+def test_read_json_lines_matches_the_per_line_oracle(tmp_path, name, parse):
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(READER_INPUTS[name])
+
+    def outcome(read):
+        try:
+            return read(path, parse, "bad line")
+        except CorruptFileError as exc:
+            return str(exc)
+
+    assert outcome(read_json_lines) == outcome(oracle_read_json_lines)
+
+
+def test_read_json_lines_reports_the_first_bad_line(tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(READER_INPUTS["bad-utf8-after-bad-json"])
+    with pytest.raises(CorruptFileError) as exc_info:
+        read_json_lines(path, what="bad line")
+    assert str(exc_info.value) == f"{path}:2: bad line"
 
 
 def test_table_round_trip_and_row_count(tmp_path):
