@@ -12,9 +12,10 @@ bad value exits 2 before any stage runs. Stages set only their ``rng_seed``.
 
 Each stage is one row of ``TABLE``: the files it reads, each tied to the
 stage that produces it (or to the config that names it), the files it
-writes, and its run function. One runner hashes every read, checks it
-under --strict against its producer's manifest, runs the stage, and
-writes its manifest and timing.
+writes, and its run function. ``train-biencoder`` and ``evaluate`` run
+once per ablation of the config, every other stage once. One runner
+hashes every run's reads, checks them under --strict against their
+producers' manifests, then runs each and writes its manifest and timing.
 
 Exit codes: 0 success, 2 config or input validation error, 3 missing
 or unparseable artifact or provenance mismatch, 4 numerical failure.
@@ -254,11 +255,6 @@ PLANT_LIST: Read = ("benchmark.json", "synth")
 TRIPLETS: Read = ("triplets/triplets.jsonl", "sample-triplets")
 
 
-def _variant(stage: str, ablation: Mapping[str, Any] | None) -> str:
-    """A stage run's id: the stage name, or ``<stage>:<ablation>`` inside ``pipeline``."""
-    return stage if ablation is None else f"{stage}:{ablation['name']}"
-
-
 def _missing(path: Path, producer: str | None) -> MissingArtifactError:
     """A read that is absent or no regular file, which its producer (or the config) must make."""
     found = "is not a file" if path.exists() else "not found"
@@ -286,14 +282,15 @@ class Run:
     out: Path
     strict: bool
     store: dict[tuple, Any]
-    ablation: Mapping[str, Any] | None = None  # set for train-biencoder and evaluate in pipeline
+    ablation: Mapping[str, Any] | None = None  # set for each run of a per-ablation stage
     inputs: dict[str, str] = field(default_factory=dict)  # read name -> sha256
     claims: dict[str, dict] = field(default_factory=dict)  # producer -> its manifest's outputs
     sealed: bool = False  # set once the declared reads are hashed
 
     @property
     def id(self) -> str:
-        return _variant(self.stage, self.ablation)
+        """The stage name, or ``<stage>:<ablation>`` for a per-ablation stage."""
+        return self.stage if self.ablation is None else f"{self.stage}:{self.ablation['name']}"
 
     def read(self, name: str, producer: str | None) -> Path:
         """Require and hash one read; under --strict its producer's manifest must claim it."""
@@ -428,23 +425,36 @@ class Stage:
     reads: Callable[[Run], list[Read]]
     writes: Callable[[Run], list[str]]  # names under --out
     run: Callable[[Run], tuple[Any, Any]]  # -> (manifest config, value for the caller)
+    per_ablation: bool = False  # one run per entry of the config's ablations
 
 
-def _run(stage: Stage, r: Run) -> Any:
-    """Parse timings.json, hash every read (checked under --strict), run, then write the
-    manifest and the timing; a corrupt timings.json stops the stage before it writes."""
+def _runs(stage: Stage, cfg: RunConfig, out: Path, strict: bool, store: dict) -> list[Run]:
+    return [Run(stage.name, cfg, out, strict, store, ablation)
+            for ablation in (cfg.ablations if stage.per_ablation else [None])]
+
+
+def _run(stage: Stage, runs: Sequence[Run]) -> list[Any]:
+    """Parse timings.json and hash every run's reads (checked under --strict), then run each
+    and write its manifest and timing; a corrupt timings.json or a failed read stops the
+    stage before it writes. The first run's time includes the hashing of every run's reads."""
     t0 = time.perf_counter()
-    timings = r.out / "timings.json"
+    timings = runs[0].out / "timings.json"
     data = read_json(timings) if timings.exists() else {}
-    for name, producer in stage.reads(r):
-        r.read(name, producer)
-    r.sealed = True
-    config, result = stage.run(r)
-    _dump(_manifest_path(r.out, r.id), {
-        "stage": r.id.replace(":", "-"), "seed": r.cfg.seed, "config": config, "inputs": r.inputs,
-        "outputs": {name: sha256_file(r.out / name) for name in stage.writes(r)}})
-    _dump(timings, {**data, r.id: round(time.perf_counter() - t0, 3)})
-    return result
+    for r in runs:
+        for name, producer in stage.reads(r):
+            r.read(name, producer)
+        r.sealed = True
+    results = []
+    for r in runs:
+        config, result = stage.run(r)
+        _dump(_manifest_path(r.out, r.id), {
+            "stage": r.id.replace(":", "-"), "seed": r.cfg.seed, "config": config,
+            "inputs": r.inputs, "outputs": {n: sha256_file(r.out / n) for n in stage.writes(r)}})
+        t1 = time.perf_counter()
+        data[r.id], t0 = round(t1 - t0, 3), t1
+        _dump(timings, data)
+        results.append(result)
+    return results
 
 
 def _dump(path: Path, obj: Any) -> None:
@@ -455,8 +465,8 @@ def _dump(path: Path, obj: Any) -> None:
 # Stages
 
 
-PLANT_FILES = ("nodes.jsonl", "edges.jsonl", "vectors.gemb", "vectors.ids", "queries.jsonl",
-               "qrels.txt")
+PLANT_FILES = ("nodes.jsonl", "edges.jsonl", "queries.jsonl", "qrels.txt")
+VECTOR_FILES = ("vectors.gemb", "vectors.ids")  # only train-ge reads them, of training plants
 GE_FILES = (".gemb", ".ids", ".rels.json")
 
 
@@ -470,8 +480,9 @@ def _synth(r: Run) -> tuple[dict, None]:
         pdir = r.out / "plants" / pcfg.plant_id
         pdir.mkdir(parents=True, exist_ok=True)
         kg.save_graph(gp.graph, pdir / "nodes.jsonl", pdir / "edges.jsonl")
-        node_ids = sorted(gp.text_vectors)
-        write_table(pdir / "vectors", node_ids, np.stack([gp.text_vectors[i] for i in node_ids]))
+        if pcfg.training:
+            ids = sorted(gp.text_vectors)
+            write_table(pdir / "vectors", ids, np.stack([gp.text_vectors[i] for i in ids]))
         ir_eval.save_queries({pcfg.plant_id: gp.bench.queries}, pdir / "queries.jsonl")
         ir_eval.save_qrels(gp.bench.qrels, pdir / "qrels.txt")
         sid_rows.extend(gp.sid_pairs)
@@ -502,8 +513,8 @@ def _build_graph(r: Run) -> tuple[dict, None]:
 
 
 def _train_ge_reads(r: Run) -> list[Read]:
-    vectors = [f"plants/{pid}/vectors.{ext}" for pid in r.plant_ids(training=True)
-               for ext in ("gemb", "ids")]
+    vectors = [f"plants/{pid}/{name}" for pid in r.plant_ids(training=True)
+               for name in VECTOR_FILES]
     text_init = r.cfg.ge.init_mode is graph_embed.InitMode.TEXT_VECTORS
     return [PLANT_LIST, *_from("build-graph", _graphs(r, "graphs", training=True)),
             *_from("synth", vectors if text_init else [])]
@@ -515,7 +526,7 @@ def _train_ge(r: Run) -> tuple[dict, None]:
         g = r.graph("graphs", pid)
         train_edges, test_edges = graph_embed.split_edges(
             g, r.cfg.lp_fraction, derive_seed(r.cfg.seed, f"ge-split:{pid}")
-        )
+        ) if g.edges else ([], [])
         if not train_edges or not test_edges:
             raise ConfigError(
                 f"plant {pid!r} has {len(g.edges)} edges, and graph_embed.lp_test_fraction "
@@ -649,25 +660,15 @@ def _gen_pairs(r: Run) -> tuple[dict, None]:
             "kept_triplets": len(filtered)}, None
 
 
-def _encoder_dir(ablation: Mapping[str, Any] | None) -> str:
-    return "encoders" if ablation is None else f"ablations/{ablation['name']}"
+def _encoder_dir(r: Run) -> str:
+    return f"ablations/{r.ablation['name']}"
 
 
-def _biencoder_job(r: Run) -> Mapping[str, Any]:
-    """A pipeline ablation, or for the command the composition, from docsim.gemb if present."""
-    if r.ablation is not None:
-        return r.ablation
-    comp = r.cfg.raw["composition"]
-    return {"name": "default", "use_get": comp["use_get"], "use_sid": comp["use_sid"],
-            "use_drmm": comp["use_drmm"],
-            "docsim": (r.out / "encoders" / "docsim.gemb").exists()}
-
-
-def _pair_reads(r: Run, job: Mapping[str, Any]) -> list[tuple[pairs_mod.PairSource, Read]]:
-    """Each pair source a bi-encoder job uses, read from the stage or config file that makes it."""
-    drmm = r.cfg.raw["composition"]["drmm_pairs"]
+def _pair_reads(r: Run) -> list[tuple[pairs_mod.PairSource, Read]]:
+    """Each pair source an ablation uses, read from the stage or config file that makes it."""
+    job, drmm = r.ablation, r.cfg.raw["composition"]["drmm_pairs"]
     if job["use_drmm"] and not drmm:
-        raise ConfigError(f"bi-encoder job {job['name']!r} uses DRMM pairs, but "
+        raise ConfigError(f"ablation {job['name']!r} uses DRMM pairs, but "
                           "composition.drmm_pairs is not set")
     made_by = {pairs_mod.PairSource.GET: ("pairs/get.jsonl", "gen-pairs"),
                pairs_mod.PairSource.SID: ("sid.jsonl", "synth"),
@@ -675,14 +676,13 @@ def _pair_reads(r: Run, job: Mapping[str, Any]) -> list[tuple[pairs_mod.PairSour
     reads = [(source, read) for source, read in made_by.items()
              if job[f"use_{source.value.lower()}"]]
     if not reads:
-        raise ConfigError(f"bi-encoder job {job['name']!r} selects no pair sources")
+        raise ConfigError(f"ablation {job['name']!r} selects no pair sources")
     return reads
 
 
 def _biencoder_reads(r: Run) -> list[Read]:
-    job = _biencoder_job(r)
-    reads = [read for _, read in _pair_reads(r, job)]
-    if job["docsim"]:
+    reads = [read for _, read in _pair_reads(r)]
+    if r.ablation["docsim"]:
         reads += _from("train-docsim", ["encoders/docsim.gemb", "encoders/docsim.json"])
     reads += [PLANT_LIST, *_from("build-graph", _graphs(r, "graphs"))]
     corpus = r.cfg.raw["composition"]["drmm_corpus"]
@@ -697,13 +697,16 @@ def _drmm_texts(path: str) -> dict[str, str]:
 
 
 def _train_biencoder(r: Run) -> tuple[dict, dict]:
-    job = _biencoder_job(r)
+    job = r.ablation
     components = []  # each pair file and its rows, parsed once per store
-    for source, (name, producer) in _pair_reads(r, job):
+    for source, (name, producer) in _pair_reads(r):
         path = r.read(name, producer)
         components.append((path, r.load(f"pairs:{source.value}", [name],
                                         lambda: pairs_mod.load_pairs(path, source))))
     pair_rows, report = pairs_mod.compose_dataset([rows for _, rows in components])
+    if not report.positives:
+        raise ConfigError(f"ablation {job['name']!r} has no positive pairs to train on in "
+                          + ", ".join(str(path) for path, _ in components))
     texts = r.log_texts()
     corpus = r.cfg.raw["composition"]["drmm_corpus"]
     if corpus:
@@ -719,7 +722,7 @@ def _train_biencoder(r: Run) -> tuple[dict, dict]:
         start = _fresh_encoder(r.cfg)
     bcfg = replace(r.cfg.biencoder, rng_seed=derive_seed(r.cfg.seed, f"biencoder:{job['name']}"))
     result = train.train_biencoder(start, pair_rows, texts, bcfg)
-    target = r.out / _encoder_dir(r.ablation)
+    target = r.out / _encoder_dir(r)
     target.mkdir(parents=True, exist_ok=True)
     save_encoder(result.params, target / "biencoder.gemb", target / "biencoder.json")
     info = {"name": job["name"], "composition": asdict(report), "docsim": job["docsim"],
@@ -729,21 +732,17 @@ def _train_biencoder(r: Run) -> tuple[dict, dict]:
     return {**r.cfg.raw["biencoder"], **info}, info
 
 
-def _report_stem(ablation: Mapping[str, Any] | None) -> str:
-    return "report" if ablation is None else f"report-{ablation['name']}"
-
-
 def _evaluate_reads(r: Run) -> list[Read]:
-    edir = _encoder_dir(r.ablation)
-    return [*_from(_variant("train-biencoder", r.ablation),
+    edir = _encoder_dir(r)
+    return [*_from(f"train-biencoder:{r.ablation['name']}",
                    [f"{edir}/biencoder.gemb", f"{edir}/biencoder.json"]),
             PLANT_LIST, *_from("synth", _benchmark_files(r))]
 
 
 def _evaluate(r: Run) -> tuple[dict, dict]:
-    edir = r.out / _encoder_dir(r.ablation)
+    edir = r.out / _encoder_dir(r)
     report = ir_eval.evaluate_run(_saved_encoder(r.cfg, edir / "biencoder"), r.benchmark())
-    stem, metrics = _report_stem(r.ablation), asdict(report)
+    stem, metrics = f"report-{r.ablation['name']}", asdict(report)
     _dump(r.out / f"{stem}.json", metrics)
     (r.out / f"{stem}.txt").write_text(report.format_table() + "\n", encoding="utf-8")
     logger.info("evaluate %s:\n%s", stem, report.format_table())
@@ -753,7 +752,8 @@ def _evaluate(r: Run) -> tuple[dict, dict]:
 TABLE = [
     Stage("synth", lambda r: [],
           lambda r: [f"plants/{p.plant_id}/{name}" for p in r.cfg.plant_configs
-                     for name in PLANT_FILES] + ["sid.jsonl", "benchmark.json"],
+                     for name in PLANT_FILES + VECTOR_FILES * p.training]
+          + ["sid.jsonl", "benchmark.json"],
           _synth),
     Stage("build-graph", lambda r: [PLANT_LIST, *_from("synth", _graphs(r, "plants"))],
           lambda r: _graphs(r, "graphs"), _build_graph),
@@ -767,19 +767,19 @@ TABLE = [
           lambda r: ["encoders/docsim.gemb", "encoders/docsim.json"], _train_docsim),
     Stage("gen-pairs", _triplet_reads, lambda r: ["pairs/get.jsonl"], _gen_pairs),
     Stage("train-biencoder", _biencoder_reads,
-          lambda r: [f"{_encoder_dir(r.ablation)}/biencoder.{ext}" for ext in ("gemb", "json")],
-          _train_biencoder),
+          lambda r: [f"{_encoder_dir(r)}/biencoder.{ext}" for ext in ("gemb", "json")],
+          _train_biencoder, per_ablation=True),
     Stage("evaluate", _evaluate_reads,
-          lambda r: [f"{_report_stem(r.ablation)}.{ext}" for ext in ("json", "txt")], _evaluate),
+          lambda r: [f"report-{r.ablation['name']}.{ext}" for ext in ("json", "txt")], _evaluate,
+          per_ablation=True),
 ]
 
 
-def _command(stage: Stage) -> Callable[..., Any]:
+def _command(stage: Stage) -> Callable[..., list]:
     def command(cfg: RunConfig, out_dir: Path, strict: bool = False,
-                store: dict[tuple, Any] | None = None,
-                ablation: Mapping[str, Any] | None = None) -> Any:
-        run = Run(stage.name, cfg, Path(out_dir), strict, {} if store is None else store, ablation)
-        return _run(stage, run)
+                store: dict[tuple, Any] | None = None) -> list:
+        """The value of each run of the stage, in the config's ablation order."""
+        return _run(stage, _runs(stage, cfg, Path(out_dir), strict, {} if store is None else store))
 
     return command
 
@@ -796,22 +796,14 @@ stage_evaluate = STAGES["evaluate"]
 
 
 def stage_pipeline(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
-    """Every stage through ``STAGES`` with one shared store, then one encoder per ablation.
-
-    Each ablation trains into ``ablations/<name>/`` and is evaluated into
-    ``report-<name>.*``; ``encoders/biencoder.*`` is left to ``train-biencoder``.
-    """
+    """Every stage of ``TABLE`` through ``STAGES`` with one shared store, skipping
+    ``train-docsim`` when no ablation starts from it, then the ablations' combined report."""
     out_dir = Path(out_dir)
     store: dict[tuple, Any] = {}
-    for name in ("synth", "build-graph", "train-ge", "sample-triplets", "train-docsim",
-                 "gen-pairs"):
-        if name != "train-docsim" or any(a["docsim"] for a in cfg.ablations):
-            STAGES[name](cfg, out_dir, strict, store)
-    rows = []
-    for ablation in cfg.ablations:
-        info = STAGES["train-biencoder"](cfg, out_dir, strict, store, ablation)
-        metrics = STAGES["evaluate"](cfg, out_dir, strict, store, ablation)
-        rows.append({"ablation": info, "metrics": metrics})
+    results = {stage.name: STAGES[stage.name](cfg, out_dir, strict, store) for stage in TABLE
+               if stage.name != "train-docsim" or any(a["docsim"] for a in cfg.ablations)}
+    rows = [{"ablation": info, "metrics": metrics}
+            for info, metrics in zip(results["train-biencoder"], results["evaluate"])]
     _dump(out_dir / "report.json", {"seed": cfg.seed, "rows": rows})
     table = [f"{row['ablation']['name']:<18}" + "".join(
         f"{100 * row['metrics'][key]:>10.2f}"

@@ -16,8 +16,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .encoder import EncoderParams, encode_batch, word_tokens
-from .losses import cosine
 from .storage import field, read_json_lines, write_json_lines
 from .triplets import Triplet, TripletSet
 
@@ -89,16 +90,22 @@ class EncoderCosineScorer:
 
     Stand-in for an externally trained relevance scorer: deterministic
     given its params, with scores in [-scale, scale]. Zero-vector texts
-    score 0. Each distinct text is encoded once per call.
+    score 0. Each distinct text is encoded once per call, and all pairs
+    are scored in one row-wise pass whose ddots (``np.vecdot``) round as
+    ``losses.cosine`` does, bit for bit.
     """
 
     params: EncoderParams
     scale: float = 10.0
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        texts = list(dict.fromkeys(t for pair in pairs for t in pair))
-        vecs = dict(zip(texts, encode_batch(self.params, texts)))
-        return [self.scale * cosine(vecs[a], vecs[b]) for a, b in pairs]
+        row = {t: i for i, t in enumerate(dict.fromkeys(t for pair in pairs for t in pair))}
+        vecs = encode_batch(self.params, list(row))
+        a, b = (vecs[[row[pair[side]] for pair in pairs]] for side in (0, 1))
+        na, nb = np.sqrt(np.vecdot(a, a)), np.sqrt(np.vecdot(b, b))
+        zero = (na == 0.0) | (nb == 0.0)
+        cos = np.where(zero, 0.0, np.vecdot(a, b) / np.where(zero, 1.0, na * nb))
+        return (self.scale * cos).tolist()
 
 
 def quality_filter(

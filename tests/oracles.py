@@ -682,6 +682,17 @@ def oracle_rank_corpus(p, query_texts, corpus):
     return rankings
 
 
+def oracle_score_pairs(scorer, pairs):
+    """The former ``EncoderCosineScorer.score_pairs``: each distinct text encoded once in one
+    batch, then one ``losses.cosine`` call per pair."""
+    from plantsearch.encoder import encode_batch
+    from plantsearch.losses import cosine
+
+    texts = list(dict.fromkeys(t for pair in pairs for t in pair))
+    vecs = dict(zip(texts, encode_batch(scorer.params, texts)))
+    return [scorer.scale * cosine(vecs[a], vecs[b]) for a, b in pairs]
+
+
 def oracle_read_json_lines(path, parse=dict, what="line is not a JSON object") -> list:
     """The former ``storage.read_json_lines``: ``json.loads`` of each line the binary file
     object yields, one line at a time."""

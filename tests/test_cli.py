@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import struct
 from collections import Counter
@@ -191,21 +192,18 @@ def test_exit_3_on_ge_table_missing_a_log(pipeline_run, tmp_path, caplog):
     assert "ids not in embedding table" in message
 
 
-@pytest.fixture(scope="module")
-def trained_run(pipeline_run, tmp_path_factory):
-    """The tiny pipeline run plus a train-biencoder run, ready for evaluate."""
-    cfg_path, out1, *_ = pipeline_run
-    out = tmp_path_factory.mktemp("trained") / "run"
-    shutil.copytree(out1, out)
-    assert cli.main(["train-biencoder", "--config", str(cfg_path), "--out", str(out)]) == 0
-    return cfg_path, out
+# The encoder that evaluate reads first. Its cases keep the ids "encoders/biencoder.json",
+# the one encoder a train-biencoder command once wrote, so that the suite's names stay stable.
+FIRST_ENCODER = "ablations/sid/biencoder"
 
 
 @pytest.mark.parametrize("name", ["plants/X/qrels.txt", "plants/X/queries.jsonl",
                                   "plants/Y/nodes.jsonl", "plants/Y/edges.jsonl",
-                                  "encoders/biencoder.json", "benchmark.json"])
-def test_evaluate_strict_hashes_every_file_it_reads(trained_run, tmp_path, caplog, name):
-    cfg_path, trained = trained_run
+                                  pytest.param(f"{FIRST_ENCODER}.json",
+                                               id="encoders/biencoder.json"),
+                                  "benchmark.json"])
+def test_evaluate_strict_hashes_every_file_it_reads(pipeline_run, tmp_path, caplog, name):
+    cfg_path, trained, *_ = pipeline_run
     out = tmp_path / "tampered"
     shutil.copytree(trained, out)
     args = ["evaluate", "--config", str(cfg_path), "--out", str(out), "--strict"]
@@ -260,10 +258,11 @@ def _edit_ids(blob, edit):
 
 
 @pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
-@pytest.mark.parametrize("stage, header", [("evaluate", "encoders/biencoder.json"),
-                                           ("train-biencoder", "encoders/docsim.json")])
-def test_exit_3_on_corrupt_encoder_header(trained_run, tmp_path, caplog, stage, header, damage):
-    cfg_path, trained = trained_run
+@pytest.mark.parametrize("stage, header", [
+    pytest.param("evaluate", f"{FIRST_ENCODER}.json", id="evaluate-encoders/biencoder.json"),
+    ("train-biencoder", "encoders/docsim.json")])
+def test_exit_3_on_corrupt_encoder_header(pipeline_run, tmp_path, caplog, stage, header, damage):
+    cfg_path, trained, *_ = pipeline_run
     out = tmp_path / "corrupt"
     shutil.copytree(trained, out)
     path = out / header
@@ -272,11 +271,11 @@ def test_exit_3_on_corrupt_encoder_header(trained_run, tmp_path, caplog, stage, 
     assert message.startswith(f"{path}: ")
 
 
-def test_exit_3_on_nan_encoder_payload(trained_run, tmp_path, caplog):
-    cfg_path, trained = trained_run
+def test_exit_3_on_nan_encoder_payload(pipeline_run, tmp_path, caplog):
+    cfg_path, trained, *_ = pipeline_run
     out = tmp_path / "nan"
     shutil.copytree(trained, out)
-    path = out / "encoders" / "biencoder.gemb"
+    path = out / f"{FIRST_ENCODER}.gemb"
     path.write_bytes(_nan_payload(path.read_bytes()))
     message = fails(caplog, ["evaluate", "--config", str(cfg_path), "--out", str(out)])
     assert message.startswith(f"{path}: ") and "non-finite" in message
@@ -373,8 +372,8 @@ def _drmm_pairs(tmp_path):
 
 
 def _drmm_config(tmp_path, pairs_path, use_drmm=True, corpus=True):
-    """A config whose ablation uses DRMM pairs; ``use_drmm`` is the composition's (the
-    train-biencoder command's) choice, and ``corpus`` whether it names the DRMM corpus."""
+    """A config whose one ablation, ``drmm``, uses DRMM pairs; ``use_drmm`` is the
+    composition's default for ablations, and ``corpus`` whether it names the DRMM corpus."""
     corpus_path = tmp_path / "drmm-corpus.jsonl"
     corpus_path.write_text("".join(json.dumps(r) + "\n" for r in DRMM_CORPUS), encoding="utf-8")
     config = dict(TINY_CONFIG,
@@ -426,7 +425,9 @@ def test_exit_3_on_missing_drmm_pairs(pipeline_run, tmp_path, caplog):
     cfg_path, _ = _drmm_config(tmp_path, absent)
     message = fails(caplog, ["train-biencoder", "--config", str(cfg_path), "--out", str(out)])
     assert message == f"{absent} not found: check the run config"
-    assert not (out / "encoders" / "biencoder.gemb").exists()  # it stops before it writes
+    # it stops before it writes
+    assert not (out / "ablations" / "drmm").exists()
+    assert not (out / "manifest-train-biencoder-drmm.json").exists()
 
 
 def test_exit_3_on_drmm_pairs_directory(pipeline_run, tmp_path, caplog):
@@ -438,7 +439,8 @@ def test_exit_3_on_drmm_pairs_directory(pipeline_run, tmp_path, caplog):
     cfg_path, _ = _drmm_config(tmp_path, folder)
     message = fails(caplog, ["train-biencoder", "--config", str(cfg_path), "--out", str(out)])
     assert message == f"{folder} is not a file: check the run config"
-    assert not (out / "encoders" / "biencoder.gemb").exists()
+    assert not (out / "ablations" / "drmm").exists()
+    assert not (out / "manifest-train-biencoder-drmm.json").exists()
 
 
 @pytest.mark.parametrize("bad_line", [json.dumps({"id": "drmm:2"}).encode(),
@@ -469,8 +471,12 @@ def test_exit_3_on_drmm_pairs_without_corpus(pipeline_run, tmp_path, caplog, com
     assert message == f"{pairs_path}: no text for document 'drmm:1'"
 
 
-@pytest.mark.parametrize("command, job", [("train-biencoder", "default"), ("pipeline", "sid")])
-def test_exit_2_on_drmm_job_without_pairs(pipeline_run, tmp_path, caplog, command, job):
+@pytest.mark.parametrize("command, ablations", [
+    ("train-biencoder", [{"name": "default"}]),  # every flag from the composition
+    ("pipeline", TINY_CONFIG["ablations"])], ids=["train-biencoder-default", "pipeline-sid"])
+def test_exit_2_on_drmm_job_without_pairs(pipeline_run, tmp_path, caplog, command, ablations):
+    """An ablation that omits ``use_drmm`` takes the composition's, here true without
+    ``composition.drmm_pairs``."""
     _, out1, *_ = pipeline_run
     out = tmp_path / "run"
     shutil.copytree(out1, out)
@@ -478,13 +484,13 @@ def test_exit_2_on_drmm_job_without_pairs(pipeline_run, tmp_path, caplog, comman
     for path in out.glob("manifest-train-biencoder-*"):
         path.unlink()
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, composition={"use_drmm": True})),
-                        encoding="utf-8")
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, composition={"use_drmm": True},
+                                        ablations=ablations)), encoding="utf-8")
     message = fails(caplog, [command, "--config", str(cfg_path), "--out", str(out)], code=2)
-    assert f"job {job!r}" in message and "composition.drmm_pairs" in message
+    assert f"ablation {ablations[0]['name']!r}" in message
+    assert "composition.drmm_pairs" in message
     # the first bi-encoder run stops before it writes
     assert not list(out.glob("manifest-train-biencoder*")) and not (out / "ablations").exists()
-    assert not (out / "encoders" / "biencoder.gemb").exists()
 
 
 @pytest.mark.parametrize("fraction", [0.01, 0.98], ids=["no-test", "no-train"])
@@ -541,9 +547,9 @@ MALFORMED_RECORDS = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
-def test_exit_3_on_malformed_record(trained_run, tmp_path, caplog, case):
+def test_exit_3_on_malformed_record(pipeline_run, tmp_path, caplog, case):
     stage, name, edit = MALFORMED_RECORDS[case]
-    cfg_path, trained = trained_run
+    cfg_path, trained, *_ = pipeline_run
     out = tmp_path / "malformed"
     shutil.copytree(trained, out)
     path = out / name
@@ -621,9 +627,9 @@ INCONSISTENT_ARTIFACTS = {
 
 
 @pytest.mark.parametrize("case", sorted(INCONSISTENT_ARTIFACTS))
-def test_exit_3_on_inconsistent_artifact(trained_run, tmp_path, caplog, case):
+def test_exit_3_on_inconsistent_artifact(pipeline_run, tmp_path, caplog, case):
     stage, name, damage, named_first = INCONSISTENT_ARTIFACTS[case]
-    cfg_path, trained = trained_run
+    cfg_path, trained, *_ = pipeline_run
     out = tmp_path / "inconsistent"
     shutil.copytree(trained, out)
     path = out / name
@@ -633,67 +639,108 @@ def test_exit_3_on_inconsistent_artifact(trained_run, tmp_path, caplog, case):
 
 
 @pytest.fixture(scope="module")
-def damage_run(trained_run, tmp_path_factory):
-    """A copy of ``trained_run`` that the fault matrix damages and repairs in place."""
-    cfg_path, trained = trained_run
+def damage_run(pipeline_run, tmp_path_factory):
+    """A copy of the tiny pipeline run that the fault matrix damages and repairs in place."""
+    cfg_path, out1, *_ = pipeline_run
     out = tmp_path_factory.mktemp("damage") / "run"
-    shutil.copytree(trained, out)
+    shutil.copytree(out1, out)
     return cfg_path, out
 
 
 def _flip_middle_bit(blob):
+    if not blob:
+        return blob
     middle = len(blob) // 2
     return blob[:middle] + bytes([blob[middle] ^ 1]) + blob[middle + 1:]
 
 
-DAMAGE = {
+# Each corruption of a read's bytes; None deletes the read.
+CORRUPTIONS = {
     "drop-last-2-bytes": lambda blob: blob[:-2],
     "append-junk": lambda blob: blob + b"\xffjunk\n",
+    "flip-middle-bit": _flip_middle_bit,
+    "half": lambda blob: blob[: len(blob) // 2],
+    "empty": lambda blob: b"",
+    "delete": None,
 }
-# A flipped bit can leave a file that parses (a float in a .gemb), so only --strict catches it.
-STRICT_DAMAGE = {**DAMAGE, "flip-middle-bit": _flip_middle_bit}
+# Without --strict these leave a file that no reader accepts. The others can leave one that
+# parses (a flipped float in a .gemb, a cut on a line boundary, an empty list of lines).
+UNPARSEABLE = ("drop-last-2-bytes", "append-junk")
 
 
 def _damage_each_read(damage_run, caplog, stage, damage, strict):
-    """Run ``stage`` once for each read under --out that its row declares, with that file
-    damaged in place and restored after; return the reads whose run did not exit 3 with one
-    error line, no traceback, and, under --strict, a provenance error and an unchanged manifest."""
+    """Run ``stage`` once for each read under --out that a run of its row declares (every
+    ablation's reads, for a per-ablation stage), with that file damaged in place, skipping a
+    damage that leaves the bytes as they were. The read and every file the stage writes are
+    restored after each run. Return each read whose run broke the contract, with what it did.
+
+    Every run that fails logs one error line and no traceback. Under --strict each run exits
+    3, leaves the stage's manifests as they were, and logs a provenance error, or, for a deleted
+    read, ``<path> not found: run <producer> first``. Without --strict a deleted read gives
+    that line too, an UNPARSEABLE damage exits 3 with a line that starts with the file's path,
+    and any other damage exits 0, 2 or 3.
+    """
     cfg_path, out = damage_run
     row = next(row for row in cli.TABLE if row.name == stage)
-    run = cli.Run(stage, cli.load_run_config(str(cfg_path), None), out, False, {})
-    manifest = cli._manifest_path(out, stage)
+    runs = cli._runs(row, cli.load_run_config(str(cfg_path), None), out, False, {})
+    reads = dict.fromkeys(read for run in runs for read in row.reads(run) if read[1])
+    manifests = [cli._manifest_path(out, run.id) for run in runs]
+    written = [out / "timings.json", *manifests,
+               *(out / name for run in runs for name in row.writes(run))]
     args = [stage, "--config", str(cfg_path), "--out", str(out)] + ["--strict"] * strict
+    corrupt = CORRUPTIONS[damage]
     failed = []
-    for name in [name for name, producer in row.reads(run) if producer]:
+    for name, producer in reads:
         path = out / name
         blob = path.read_bytes()
-        before = manifest.read_bytes() if manifest.exists() else None
-        path.write_bytes(STRICT_DAMAGE[damage](blob))
-        want = f"provenance hash mismatch for {name}: " if strict else f"{path}:"
+        if corrupt is not None and corrupt(blob) == blob:
+            continue
+        kept = {p: p.read_bytes() for p in written if p.exists()}
+        for p in manifests * strict:
+            p.write_bytes(b"stale")  # a run would overwrite it, though with the same bytes
+        if corrupt is None:
+            path.unlink()
+        else:
+            path.write_bytes(corrupt(blob))
+        caplog.clear()
         try:
-            if not fails(caplog, args).startswith(want) or (
-                    strict and before != (manifest.read_bytes() if manifest.exists() else None)):
-                failed.append(name)
-        except AssertionError:
-            failed.append(name)
+            with caplog.at_level("ERROR", logger="plantsearch.cli"):
+                rc = cli.main(args)
+            errors = [r for r in caplog.records if r.levelname == "ERROR"]
+            line = errors[0].getMessage() if errors else ""
+            if corrupt is None:
+                ok = rc == 3 and line == f"{path} not found: run {producer.split(':')[0]} first"
+            elif strict:
+                ok = rc == 3 and line.startswith(f"provenance hash mismatch for {name}: ")
+            elif damage in UNPARSEABLE:
+                ok = rc == 3 and line.startswith(f"{path}:")
+            else:
+                ok = rc in (0, 2, 3)
+            ok = ok and len(errors) == (rc != 0) and not any(r.exc_info for r in errors)
+            ok = ok and all(p.read_bytes() == b"stale" for p in manifests * strict)
+            if not ok:
+                failed.append((name, rc, line))
         finally:
             path.write_bytes(blob)
+            for p, data in kept.items():
+                p.write_bytes(data)
     return failed
 
 
-@pytest.mark.parametrize("damage", sorted(DAMAGE))
+@pytest.mark.parametrize("damage", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("stage", [row.name for row in cli.TABLE])
 def test_fault_matrix(damage_run, caplog, stage, damage):
-    """Each read under --out that a stage row declares, damaged, exits 3 without --strict,
-    with one error line that starts with the file's path and no traceback."""
+    """Each read under --out that a stage row declares, damaged, exits 0 or a documented
+    code without --strict, with one error line and no traceback; an unparseable or deleted
+    read exits 3 with a line that starts with the file's path."""
     assert _damage_each_read(damage_run, caplog, stage, damage, strict=False) == []
 
 
-@pytest.mark.parametrize("damage", sorted(STRICT_DAMAGE))
+@pytest.mark.parametrize("damage", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("stage", [row.name for row in cli.TABLE])
 def test_strict_fault_matrix(damage_run, caplog, stage, damage):
     """Each read under --out that a stage row declares, damaged, exits 3 under --strict with
-    one provenance error line, before the stage touches its manifest."""
+    one provenance or not-found error line, before the stage touches its manifests."""
     assert _damage_each_read(damage_run, caplog, stage, damage, strict=True) == []
 
 
@@ -722,6 +769,85 @@ def test_train_biencoder_strict_hashes_docsim_encoder(pipeline_run, tmp_path, ca
     path.write_bytes(path.read_bytes() + b" ")  # still valid JSON for docsim.json
     message = fails(caplog, args)
     assert f"provenance hash mismatch for {name}" in message
+
+
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "loose"])
+def test_train_biencoder_exits_3_on_missing_docsim_encoder(pipeline_run, tmp_path, caplog,
+                                                            strict):
+    """An ablation with ``"docsim": true`` declares the docsim encoder as a read, so a deleted
+    one exits 3, and every ablation's reads are checked before the first writes."""
+    cfg_path, out1, *_ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    path = out / "encoders" / "docsim.gemb"
+    path.unlink()
+    written = [*out.glob("ablations/**/*.*"), *out.glob("manifest-train-biencoder-*")]
+    for p in written:
+        p.write_bytes(b"stale")  # a run of any ablation would overwrite it
+    args = ["train-biencoder", "--config", str(cfg_path), "--out", str(out)] + ["--strict"] * strict
+    assert fails(caplog, args) == f"{path} not found: run train-docsim first"
+    assert len(written) == 6 and all(p.read_bytes() == b"stale" for p in written)
+
+
+def test_exit_2_on_ablation_without_positive_pairs(pipeline_run, tmp_path, caplog):
+    cfg_path, out1, *_ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    (out / "sid.jsonl").write_bytes(b"")
+    message = fails(caplog, ["train-biencoder", "--config", str(cfg_path), "--out", str(out)],
+                    code=2)
+    assert message == f"ablation 'sid' has no positive pairs to train on in {out / 'sid.jsonl'}"
+
+
+def test_exit_2_on_training_plant_without_edges(pipeline_run, tmp_path, caplog):
+    cfg_path, out1, *_ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    (out / "graphs" / "X" / "edges.jsonl").write_bytes(b"")
+    message = fails(caplog, ["train-ge", "--config", str(cfg_path), "--out", str(out)], code=2)
+    assert message == ("plant 'X' has 0 edges, and graph_embed.lp_test_fraction 0.05 leaves 0 "
+                       "test and 0 training edges; each needs at least one")
+
+
+@pytest.fixture(scope="module")
+def staged_run(tmp_path_factory):
+    """TINY_CONFIG through one ``cli.main`` call per stage; returns the run directory and, per
+    stage, the files it created or rewrote (every file's mtime is zeroed before each stage)
+    and the outputs its manifests list, both without manifests and timings.json."""
+    root = tmp_path_factory.mktemp("staged")
+    cfg_path, out = root / "cfg.json", root / "run"
+    cfg_path.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    cfg = cli.load_run_config(str(cfg_path), None)
+    wrote, listed = {}, {}
+    for row in cli.TABLE:
+        for path in out.rglob("*"):
+            os.utime(path, ns=(0, 0))
+        assert cli.main([row.name, "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifests = [cli._manifest_path(out, run.id) for run in cli._runs(row, cfg, out, False, {})]
+        wrote[row.name] = {str(p.relative_to(out)) for p in out.rglob("*")
+                           if p.is_file() and p.stat().st_mtime_ns
+                           and p not in manifests and p.name != "timings.json"}
+        listed[row.name] = {name for m in manifests
+                            for name in json.loads(m.read_text(encoding="utf-8"))["outputs"]}
+    return out, wrote, listed
+
+
+def test_manifests_list_exactly_what_each_stage_wrote(staged_run):
+    _, wrote, listed = staged_run
+    assert all(wrote.values())
+    assert wrote == listed
+
+
+def test_stages_one_by_one_write_what_pipeline_writes(staged_run, pipeline_run):
+    """The stage commands and ``pipeline`` share one kind of job per stage, so they write the
+    same files with the same bytes; only ``pipeline`` combines the ablations' reports."""
+    out, *_ = staged_run
+    _, out1, *_ = pipeline_run
+    files = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    files1 = {str(p.relative_to(out1)) for p in out1.rglob("*") if p.is_file()}
+    assert files == files1 - {"report.json", "report.txt"}
+    assert [name for name in sorted(files) if name != "timings.json"
+            and (out / name).read_bytes() != (out1 / name).read_bytes()] == []
 
 
 def test_synth_failure_writes_nothing(tmp_path):

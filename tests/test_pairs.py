@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import asdict
 
 import pytest
@@ -18,7 +19,10 @@ from plantsearch.pairs import (
 )
 from plantsearch.encoder import encode, init_encoder
 from plantsearch.losses import cosine
+from plantsearch.synth import PlantConfig, generate_plant
 from plantsearch.triplets import NegKind, Triplet, TripletSet
+
+from oracles import oracle_score_pairs
 
 CORPUS = [
     "pumpe leckt flansch",          # doc 0
@@ -147,6 +151,21 @@ def test_encoder_cosine_scorer_range():
     assert other == pytest.approx(10.0 * cosine(encode(p, "pumpe"), encode(p, "kessel")),
                                   rel=0, abs=1e-12)
     assert empty == 0.0  # zero vector scores 0
+
+
+def test_encoder_cosine_scorer_matches_the_per_pair_cosine_loop():
+    """The row-wise pass equals one ``cosine`` call per pair bit for bit, zero vectors and
+    repeated texts included."""
+    plant = generate_plant(PlantConfig(plant_id="S", n_fl=6, n_logs=40, n_queries=2, seed=5))
+    logs = [n.text for n in plant.graph.text_logs()]
+    rng = random.Random(5)
+    pairs = [(rng.choice(logs), rng.choice(logs)) for _ in range(300)]
+    pairs += [("", logs[0]), (logs[1], ""), ("", ""), (logs[2], logs[2]), ("!!", "pumpe")]
+    scorer = EncoderCosineScorer(init_encoder(dim=16, vocab_buckets=4096, seed=2), scale=10.0)
+    scores = scorer.score_pairs(pairs)
+    assert scores == oracle_score_pairs(scorer, pairs)
+    assert all(type(s) is float for s in scores)
+    assert scores[-5:-2] == [0.0, 0.0, 0.0]
 
 
 def test_triplets_to_pairs_structure():
