@@ -10,12 +10,15 @@ The config is checked whole at load: each value against its default's JSON
 kind, and each stage config built and validated once in ``RunConfig``, so a
 bad value exits 2 before any stage runs. Stages set only their ``rng_seed``.
 
-Each stage is one row of ``TABLE``: the files it reads, each tied to the
-stage that produces it (or to the config that names it), the files it
-writes, and its run function. ``train-biencoder`` and ``evaluate`` run
-once per ablation of the config, every other stage once. One runner
-hashes every run's reads, checks them under --strict against their
-producers' manifests, then runs each and writes its manifest and timing.
+Each stage is one row of ``TABLE``: a load function, which reads and
+parses what one run needs, each file tied to the stage that produces it
+(or to the config that names it); a run function, which computes and
+writes; and the files it writes. ``train-biencoder`` and ``evaluate`` run
+once per ablation of the config, every other stage once. One runner loads
+every run (each read hashed, checked under --strict against its
+producer's manifest, and parsed) before any run writes, then runs each
+and writes its manifest and timing. A manifest's inputs are the files its
+run's load read.
 
 Exit codes: 0 success, 2 config or input validation error, 3 missing
 or unparseable artifact or provenance mismatch, 4 numerical failure.
@@ -253,6 +256,8 @@ def load_run_config(path: str | None, seed_override: int | None) -> RunConfig:
 Read = tuple[str, str | None]  # a name under --out and its producer, or a config path and None
 PLANT_LIST: Read = ("benchmark.json", "synth")
 TRIPLETS: Read = ("triplets/triplets.jsonl", "sample-triplets")
+PLANT_FILES = ("nodes.jsonl", "edges.jsonl", "queries.jsonl", "qrels.txt")
+GRAPH_ROOTS = {"plants": "synth", "graphs": "build-graph"}  # each graph directory's producer
 
 
 def _missing(path: Path, producer: str | None) -> MissingArtifactError:
@@ -285,7 +290,7 @@ class Run:
     ablation: Mapping[str, Any] | None = None  # set for each run of a per-ablation stage
     inputs: dict[str, str] = field(default_factory=dict)  # read name -> sha256
     claims: dict[str, dict] = field(default_factory=dict)  # producer -> its manifest's outputs
-    sealed: bool = False  # set once the declared reads are hashed
+    sealed: bool = False  # set once the stage has loaded every run
 
     @property
     def id(self) -> str:
@@ -298,7 +303,7 @@ class Run:
         if name in self.inputs:
             return path
         if self.sealed:
-            raise RuntimeError(f"{self.id} reads {name}, which its stage row does not declare")
+            raise RuntimeError(f"{self.id} reads {name} after its stage's load")
         if not path.is_file():
             raise _missing(path, producer)
         digest = sha256_file(path)
@@ -321,17 +326,20 @@ class Run:
                                               "not a manifest with outputs")
         return self.claims[producer]
 
-    def load(self, kind: str, names: Sequence[str], parse: Callable[[], Any]) -> Any:
-        """The artifact parsed from the hashed reads ``names``, parsed once per store."""
-        key = (kind, *((name, self.inputs[name]) for name in names))
+    def load(self, kind: str, reads: Sequence[Read], parse: Callable[[], Any]) -> Any:
+        """The artifact that ``parse`` makes of ``reads``, once each is read; parsed once per
+        store."""
+        for read in reads:
+            self.read(*read)
+        key = (kind, *((name, self.inputs[name]) for name, _ in reads))
         if key not in self.store:
             self.store[key] = parse()
         return self.store[key]
 
     def plants(self) -> list[dict]:
         """Each plant of ``benchmark.json`` as its ``plant_id`` and ``training`` flag."""
-        path = self.read(*PLANT_LIST)
-        return self.load("plants", [path.name], lambda: read_json(path, lambda bench: [
+        path = self.out / PLANT_LIST[0]
+        return self.load("plants", [PLANT_LIST], lambda: read_json(path, lambda bench: [
             {"plant_id": storage.field(p, "plant_id", str),
              "training": storage.field(p, "training", bool)}
             for p in bench["plants"]],
@@ -342,8 +350,8 @@ class Run:
 
     def graph(self, root: str, pid: str) -> kg.KnowledgeGraph:
         """A plant's graph as synth (``plants``) or build-graph (``graphs``) wrote it."""
-        names = _graph_files(root, pid)
-        return self.load("graph", names, lambda: kg.load_graph(*(self.out / n for n in names)))
+        reads = _graph_reads(root, pid)
+        return self.load("graph", reads, lambda: kg.load_graph(*(self.out / n for n, _ in reads)))
 
     def log_texts(self) -> dict[str, str]:
         """The text of every log in the built graphs, by id."""
@@ -353,7 +361,7 @@ class Run:
 
     def filtered_triplets(self) -> list[triplets_mod.Triplet]:
         """The sampled triplets that pass the quality filter."""
-        return self.load("filtered", [TRIPLETS[0], *_graphs(self, "graphs")], self._filter)
+        return self.load("filtered", [TRIPLETS, *_graphs(self, "graphs")], self._filter)
 
     def _filter(self) -> list[triplets_mod.Triplet]:
         tpath = self.out / TRIPLETS[0]
@@ -369,7 +377,10 @@ class Run:
             raise MissingArtifactError(f"{tpath}: {exc.args[0]}") from None
 
     def benchmark(self) -> ir_eval.Benchmark:
-        return self.load("benchmark", [PLANT_LIST[0], *_benchmark_files(self)], self._benchmark)
+        """Each plant's corpus, queries and qrels, as synth wrote them."""
+        return self.load("benchmark", [PLANT_LIST, *_from("synth", [
+            f"plants/{pid}/{name}" for pid in self.plant_ids() for name in PLANT_FILES])],
+            self._benchmark)
 
     def _benchmark(self) -> ir_eval.Benchmark:
         """The benchmark, checked as each plant joins, so an inconsistency names the files of
@@ -399,54 +410,57 @@ class Run:
         return bench
 
 
-def _graph_files(root: str, pid: str) -> list[str]:
-    return [f"{root}/{pid}/nodes.jsonl", f"{root}/{pid}/edges.jsonl"]
+def _graph_reads(root: str, pid: str) -> list[Read]:
+    return _from(GRAPH_ROOTS[root], [f"{root}/{pid}/nodes.jsonl", f"{root}/{pid}/edges.jsonl"])
 
 
-def _graphs(r: Run, root: str, training: bool = False) -> list[str]:
-    return [name for pid in r.plant_ids(training) for name in _graph_files(root, pid)]
-
-
-def _benchmark_files(r: Run) -> list[str]:
-    """Each plant's nodes, edges, queries and qrels, as ``Run.benchmark`` reads them."""
-    return [f"plants/{pid}/{name}" for pid in r.plant_ids()
-            for name in ("nodes.jsonl", "edges.jsonl", "queries.jsonl", "qrels.txt")]
+def _graphs(r: Run, root: str, training: bool = False) -> list[Read]:
+    return [read for pid in r.plant_ids(training) for read in _graph_reads(root, pid)]
 
 
 def _from(producer: str | None, names: Sequence[str]) -> list[Read]:
     return [(name, producer) for name in names]
 
 
+def _stem(r: Run, stem: str, suffixes: Sequence[str], producer: str) -> Path:
+    """``stem`` under --out, once ``stem`` plus each suffix is read."""
+    for suffix in suffixes:
+        r.read(stem + suffix, producer)
+    return r.out / stem
+
+
 @dataclass(frozen=True)
 class Stage:
-    """One row of the stage table: what a stage reads and writes, and how it runs."""
+    """One row of the stage table: how a stage loads and runs, and what it writes."""
 
     name: str
-    reads: Callable[[Run], list[Read]]
+    load: Callable[[Run], Any]  # what one run needs, read through Run.read and Run.load
+    run: Callable[[Run, Any], tuple[Any, Any]]  # -> (manifest config, value for the caller)
     writes: Callable[[Run], list[str]]  # names under --out
-    run: Callable[[Run], tuple[Any, Any]]  # -> (manifest config, value for the caller)
     per_ablation: bool = False  # one run per entry of the config's ablations
 
 
 def _runs(stage: Stage, cfg: RunConfig, out: Path, strict: bool, store: dict) -> list[Run]:
-    return [Run(stage.name, cfg, out, strict, store, ablation)
+    """One run per ablation (or one run), all sharing the producers' manifest claims."""
+    claims: dict[str, dict] = {}
+    return [Run(stage.name, cfg, out, strict, store, ablation, claims=claims)
             for ablation in (cfg.ablations if stage.per_ablation else [None])]
 
 
 def _run(stage: Stage, runs: Sequence[Run]) -> list[Any]:
-    """Parse timings.json and hash every run's reads (checked under --strict), then run each
-    and write its manifest and timing; a corrupt timings.json or a failed read stops the
-    stage before it writes. The first run's time includes the hashing of every run's reads."""
+    """Parse timings.json and load every run, each read required, hashed, checked under
+    --strict and parsed; then run each and write its manifest and timing. A corrupt
+    timings.json or a failed load stops the stage before it writes, and a read after the
+    load raises. The first run's time includes the loading of every run."""
     t0 = time.perf_counter()
     timings = runs[0].out / "timings.json"
     data = read_json(timings) if timings.exists() else {}
+    loaded = [stage.load(r) for r in runs]
     for r in runs:
-        for name, producer in stage.reads(r):
-            r.read(name, producer)
         r.sealed = True
     results = []
-    for r in runs:
-        config, result = stage.run(r)
+    for r, value in zip(runs, loaded):
+        config, result = stage.run(r, value)
         _dump(_manifest_path(r.out, r.id), {
             "stage": r.id.replace(":", "-"), "seed": r.cfg.seed, "config": config,
             "inputs": r.inputs, "outputs": {n: sha256_file(r.out / n) for n in stage.writes(r)}})
@@ -465,12 +479,12 @@ def _dump(path: Path, obj: Any) -> None:
 # Stages
 
 
-PLANT_FILES = ("nodes.jsonl", "edges.jsonl", "queries.jsonl", "qrels.txt")
-VECTOR_FILES = ("vectors.gemb", "vectors.ids")  # only train-ge reads them, of training plants
-GE_FILES = (".gemb", ".ids", ".rels.json")
+TABLE_FILES = (".gemb", ".ids")  # a table pair, as storage.write_table writes it
+VECTOR_FILES = tuple(f"vectors{suffix}" for suffix in TABLE_FILES)  # of training plants only
+GE_FILES = (*TABLE_FILES, ".rels.json")
 
 
-def _synth(r: Run) -> tuple[dict, None]:
+def _synth(r: Run, _: None) -> tuple[dict, None]:
     plants = [synth.generate_plant(pcfg) for pcfg in r.cfg.plant_configs]
     bench = ir_eval.Benchmark([gp.bench for gp in plants])
     bench.validate()  # id collisions fail here, before any file is written
@@ -494,10 +508,10 @@ def _synth(r: Run) -> tuple[dict, None]:
     return {"plants": [asdict(p) for p in r.cfg.plant_configs]}, None
 
 
-def _build_graph(r: Run) -> tuple[dict, None]:
+def _build_graph(r: Run, graphs: dict[str, kg.KnowledgeGraph]) -> tuple[dict, None]:
     matcher = kg.LexicalMatcher()
-    for pid in r.plant_ids():
-        g = kg.build_graph(r.graph("plants", pid))
+    for pid, g in graphs.items():
+        g = kg.build_graph(g)
         if r.cfg.raw["enrich"]:
             g = kg.predict_links(g, matcher)
         if r.cfg.raw["expand_context"]:  # a longer text keeps the checked graph valid
@@ -512,18 +526,19 @@ def _build_graph(r: Run) -> tuple[dict, None]:
     return {key: r.cfg.raw[key] for key in ("enrich", "expand_context")}, None
 
 
-def _train_ge_reads(r: Run) -> list[Read]:
-    vectors = [f"plants/{pid}/{name}" for pid in r.plant_ids(training=True)
-               for name in VECTOR_FILES]
+def _train_ge_load(r: Run) -> dict[str, tuple[kg.KnowledgeGraph, dict | None]]:
+    """Each training plant's built graph, and its text vectors by node id when they
+    initialise the embeddings."""
     text_init = r.cfg.ge.init_mode is graph_embed.InitMode.TEXT_VECTORS
-    return [PLANT_LIST, *_from("build-graph", _graphs(r, "graphs", training=True)),
-            *_from("synth", vectors if text_init else [])]
+    return {pid: (r.graph("graphs", pid), dict(zip(*read_table(
+        _stem(r, f"plants/{pid}/vectors", TABLE_FILES, "synth")))) if text_init else None)
+        for pid in r.plant_ids(training=True)}
 
 
-def _train_ge(r: Run) -> tuple[dict, None]:
+def _train_ge(r: Run, loaded: dict[str, tuple[kg.KnowledgeGraph, dict | None]]
+              ) -> tuple[dict, None]:
     splits = {}  # every plant's LP split is checked before the first plant trains
-    for pid in r.plant_ids(training=True):
-        g = r.graph("graphs", pid)
+    for pid, (g, _) in loaded.items():
         train_edges, test_edges = graph_embed.split_edges(
             g, r.cfg.lp_fraction, derive_seed(r.cfg.seed, f"ge-split:{pid}")
         ) if g.edges else ([], [])
@@ -536,14 +551,11 @@ def _train_ge(r: Run) -> tuple[dict, None]:
     plants = {}  # every plant is initialised and trained before the first file is written
     for pid, (g, train_edges, _) in splits.items():
         plant_cfg = replace(r.cfg.ge, rng_seed=derive_seed(r.cfg.seed, f"ge:{pid}"))
-        text_vectors = None
-        vectors = r.out / "plants" / pid / "vectors"
-        if plant_cfg.init_mode is graph_embed.InitMode.TEXT_VECTORS:
-            text_vectors = dict(zip(*read_table(vectors)))
         try:
-            emb = graph_embed.init_embeddings(g, plant_cfg, text_vectors)
+            emb = graph_embed.init_embeddings(g, plant_cfg, loaded[pid][1])
         except KeyError as exc:  # the text vectors do not cover the graph's nodes
-            raise EmbeddingFileError(f"{vectors}.ids: {exc.args[0]}") from None
+            raise EmbeddingFileError(
+                f"{r.out / 'plants' / pid / 'vectors'}.ids: {exc.args[0]}") from None
         plants[pid] = kg.KnowledgeGraph(g.nodes, train_edges), emb, plant_cfg  # an edge subset
     trained = graph_embed.train_plant_embeddings(plants)
     for pid, emb in trained.items():  # the tables are stored as float32
@@ -566,21 +578,14 @@ def _train_ge(r: Run) -> tuple[dict, None]:
     return {**r.cfg.raw["graph_embed"], "lp": lp_summary}, None
 
 
-def _sample_triplets_reads(r: Run) -> list[Read]:
-    pids = r.plant_ids(training=True)
-    return [PLANT_LIST, *_from("train-ge", [f"ge/{pid}{sfx}" for pid in pids for sfx in GE_FILES]),
-            *_from("build-graph", _graphs(r, "graphs", training=True))]
-
-
-def _sample_triplets(r: Run) -> tuple[dict, None]:
+def _sample_triplets(r: Run, loaded: dict[str, tuple[graph_embed.EmbeddingTable,
+                                                     kg.KnowledgeGraph]]) -> tuple[dict, None]:
     params = r.cfg.sampling
     all_triplets: list[triplets_mod.Triplet] = []
     meta = {}
     tdir = r.out / "triplets"
     tdir.mkdir(parents=True, exist_ok=True)
-    for pid in r.plant_ids(training=True):
-        emb = graph_embed.load_embeddings(r.out / "ge" / pid)
-        g = r.graph("graphs", pid)
+    for pid, (emb, g) in loaded.items():
         log_ids = [n.id for n in g.text_logs()]
         try:
             index = ann.build_index(emb, log_ids)
@@ -606,26 +611,22 @@ def _fresh_encoder(cfg: RunConfig, label: str = "encoder-init") -> EncoderParams
     return init_encoder(enc["dim"], enc["vocab_buckets"], derive_seed(cfg.seed, label))
 
 
-def _saved_encoder(cfg: RunConfig, stem: Path) -> EncoderParams:
-    """The encoder saved at ``stem``, whose dim and bucket count must be the config's: the
-    dim sets every init row's draw and the bucket count sets where each feature hashes, so a
-    table of another size reads as another encoder."""
-    p = load_encoder(stem.with_suffix(".gemb"), stem.with_suffix(".json"))
-    enc = cfg.raw["encoder"]
+def _saved_encoder(r: Run, stem: str, producer: str) -> EncoderParams:
+    """The encoder ``producer`` saved at ``stem``, whose dim and bucket count must be the
+    config's: the dim sets every init row's draw and the bucket count sets where each feature
+    hashes, so a table of another size reads as another encoder."""
+    path = _stem(r, stem, (".gemb", ".json"), producer)
+    p = load_encoder(f"{path}.gemb", f"{path}.json")
+    enc = r.cfg.raw["encoder"]
     if (p.dim, p.vocab_buckets) != (enc["dim"], enc["vocab_buckets"]):
-        raise CorruptFileError(f"{stem.with_suffix('.json')}: dim {p.dim} and vocab_buckets "
+        raise CorruptFileError(f"{path}.json: dim {p.dim} and vocab_buckets "
                                f"{p.vocab_buckets} differ from the config's encoder section")
     return p
 
 
-def _triplet_reads(r: Run) -> list[Read]:
-    """The triplets and the built graphs whose log texts they name."""
-    return [TRIPLETS, PLANT_LIST, *_from("build-graph", _graphs(r, "graphs"))]
-
-
-def _train_docsim(r: Run) -> tuple[dict, None]:
-    texts = r.log_texts()
-    filtered = r.filtered_triplets()
+def _train_docsim(r: Run, loaded: tuple[dict[str, str], list[triplets_mod.Triplet]]
+                  ) -> tuple[dict, None]:
+    texts, filtered = loaded
     dcfg = replace(r.cfg.docsim, rng_seed=derive_seed(r.cfg.seed, "docsim"))
     result = train.train_docsim(_fresh_encoder(r.cfg), filtered, texts, dcfg)
     edir = r.out / "encoders"
@@ -637,14 +638,15 @@ def _train_docsim(r: Run) -> tuple[dict, None]:
             "epoch_losses": result.epoch_losses}, None
 
 
-def _gen_pairs(r: Run) -> tuple[dict, None]:
-    filtered = r.filtered_triplets()
+def _gen_pairs(r: Run, loaded: tuple[list[triplets_mod.Triplet], dict[str, kg.KnowledgeGraph]]
+               ) -> tuple[dict, None]:
+    filtered, graphs = loaded
     m = r.cfg.raw["quality"]["query_terms"]
     pdir = r.out / "pairs"
     pdir.mkdir(parents=True, exist_ok=True)
     get_rows: list[pairs_mod.QueryDocPair] = []
-    for pid in r.plant_ids(training=True):
-        corpus = {n.id: n.text for n in r.graph("graphs", pid).text_logs()}
+    for g in graphs.values():
+        corpus = {n.id: n.text for n in g.text_logs()}
         plant_triplets = [t for t in filtered if t.query in corpus]
         if not plant_triplets:
             continue
@@ -680,28 +682,25 @@ def _pair_reads(r: Run) -> list[tuple[pairs_mod.PairSource, Read]]:
     return reads
 
 
-def _biencoder_reads(r: Run) -> list[Read]:
-    reads = [read for _, read in _pair_reads(r)]
-    if r.ablation["docsim"]:
-        reads += _from("train-docsim", ["encoders/docsim.gemb", "encoders/docsim.json"])
-    reads += [PLANT_LIST, *_from("build-graph", _graphs(r, "graphs"))]
-    corpus = r.cfg.raw["composition"]["drmm_corpus"]
-    return reads + _from(None, [corpus] if corpus else [])
-
-
-def _drmm_texts(path: str) -> dict[str, str]:
+def _drmm_texts(path: Path) -> dict[str, str]:
     """Doc id -> text of the DRMM corpus file; a line that is no record with both exits 3."""
     return dict(read_json_lines(
         path, lambda rec: (storage.field(rec, "id", str), storage.field(rec, "text", str)),
         "DRMM corpus line is not a record with id and text"))
 
 
-def _train_biencoder(r: Run) -> tuple[dict, dict]:
+BiEncoderJob = tuple[list[pairs_mod.QueryDocPair], pairs_mod.CompositionReport, dict[str, str],
+                     EncoderParams]
+
+
+def _train_biencoder_load(r: Run) -> BiEncoderJob:
+    """An ablation's pair rows and their composition, checked to hold a positive and to name
+    only documents with a text, those texts, and the encoder it starts from."""
     job = r.ablation
     components = []  # each pair file and its rows, parsed once per store
-    for source, (name, producer) in _pair_reads(r):
-        path = r.read(name, producer)
-        components.append((path, r.load(f"pairs:{source.value}", [name],
+    for source, read in _pair_reads(r):
+        path = r.read(*read)
+        components.append((path, r.load(f"pairs:{source.value}", [read],
                                         lambda: pairs_mod.load_pairs(path, source))))
     pair_rows, report = pairs_mod.compose_dataset([rows for _, rows in components])
     if not report.positives:
@@ -710,16 +709,20 @@ def _train_biencoder(r: Run) -> tuple[dict, dict]:
     texts = r.log_texts()
     corpus = r.cfg.raw["composition"]["drmm_corpus"]
     if corpus:
-        texts = {**texts, **_drmm_texts(corpus)}
+        texts = {**texts, **_drmm_texts(r.read(corpus, None))}
     unknown = next((pr.doc_id for pr in pair_rows if pr.doc_id not in texts), None)
     if unknown is not None:  # name the first pair file that holds it
         path = next(path for path, rows in components
                     if any(pr.doc_id == unknown for pr in rows))
         raise CorruptFileError(f"{path}: no text for document {unknown!r}")
-    if job["docsim"]:
-        start = _saved_encoder(r.cfg, r.out / "encoders" / "docsim")
-    else:
-        start = _fresh_encoder(r.cfg)
+    start = (_saved_encoder(r, "encoders/docsim", "train-docsim") if job["docsim"]
+             else _fresh_encoder(r.cfg))
+    return pair_rows, report, texts, start
+
+
+def _train_biencoder(r: Run, loaded: BiEncoderJob) -> tuple[dict, dict]:
+    pair_rows, report, texts, start = loaded
+    job = r.ablation
     bcfg = replace(r.cfg.biencoder, rng_seed=derive_seed(r.cfg.seed, f"biencoder:{job['name']}"))
     result = train.train_biencoder(start, pair_rows, texts, bcfg)
     target = r.out / _encoder_dir(r)
@@ -732,16 +735,8 @@ def _train_biencoder(r: Run) -> tuple[dict, dict]:
     return {**r.cfg.raw["biencoder"], **info}, info
 
 
-def _evaluate_reads(r: Run) -> list[Read]:
-    edir = _encoder_dir(r)
-    return [*_from(f"train-biencoder:{r.ablation['name']}",
-                   [f"{edir}/biencoder.gemb", f"{edir}/biencoder.json"]),
-            PLANT_LIST, *_from("synth", _benchmark_files(r))]
-
-
-def _evaluate(r: Run) -> tuple[dict, dict]:
-    edir = r.out / _encoder_dir(r)
-    report = ir_eval.evaluate_run(_saved_encoder(r.cfg, edir / "biencoder"), r.benchmark())
+def _evaluate(r: Run, loaded: tuple[EncoderParams, ir_eval.Benchmark]) -> tuple[dict, dict]:
+    report = ir_eval.evaluate_run(*loaded)
     stem, metrics = f"report-{r.ablation['name']}", asdict(report)
     _dump(r.out / f"{stem}.json", metrics)
     (r.out / f"{stem}.txt").write_text(report.format_table() + "\n", encoding="utf-8")
@@ -750,27 +745,31 @@ def _evaluate(r: Run) -> tuple[dict, dict]:
 
 
 TABLE = [
-    Stage("synth", lambda r: [],
+    Stage("synth", lambda r: None, _synth,
           lambda r: [f"plants/{p.plant_id}/{name}" for p in r.cfg.plant_configs
                      for name in PLANT_FILES + VECTOR_FILES * p.training]
-          + ["sid.jsonl", "benchmark.json"],
-          _synth),
-    Stage("build-graph", lambda r: [PLANT_LIST, *_from("synth", _graphs(r, "plants"))],
-          lambda r: _graphs(r, "graphs"), _build_graph),
-    Stage("train-ge", _train_ge_reads,
+          + ["sid.jsonl", "benchmark.json"]),
+    Stage("build-graph", lambda r: {pid: r.graph("plants", pid) for pid in r.plant_ids()},
+          _build_graph, lambda r: [name for name, _ in _graphs(r, "graphs")]),
+    Stage("train-ge", _train_ge_load, _train_ge,
           lambda r: [f"ge/{pid}{sfx}" for pid in r.plant_ids(training=True)
-                     for sfx in (*GE_FILES, ".lp.json")],
-          _train_ge),
-    Stage("sample-triplets", _sample_triplets_reads,
-          lambda r: ["triplets/triplets.jsonl", "triplets/meta.json"], _sample_triplets),
-    Stage("train-docsim", _triplet_reads,
-          lambda r: ["encoders/docsim.gemb", "encoders/docsim.json"], _train_docsim),
-    Stage("gen-pairs", _triplet_reads, lambda r: ["pairs/get.jsonl"], _gen_pairs),
-    Stage("train-biencoder", _biencoder_reads,
+                     for sfx in (*GE_FILES, ".lp.json")]),
+    Stage("sample-triplets", lambda r: {pid: (
+              graph_embed.load_embeddings(_stem(r, f"ge/{pid}", GE_FILES, "train-ge")),
+              r.graph("graphs", pid)) for pid in r.plant_ids(training=True)},
+          _sample_triplets, lambda r: ["triplets/triplets.jsonl", "triplets/meta.json"]),
+    Stage("train-docsim", lambda r: (r.log_texts(), r.filtered_triplets()), _train_docsim,
+          lambda r: ["encoders/docsim.gemb", "encoders/docsim.json"]),
+    Stage("gen-pairs", lambda r: (r.filtered_triplets(), {
+              pid: r.graph("graphs", pid) for pid in r.plant_ids(training=True)}),
+          _gen_pairs, lambda r: ["pairs/get.jsonl"]),
+    Stage("train-biencoder", _train_biencoder_load, _train_biencoder,
           lambda r: [f"{_encoder_dir(r)}/biencoder.{ext}" for ext in ("gemb", "json")],
-          _train_biencoder, per_ablation=True),
-    Stage("evaluate", _evaluate_reads,
-          lambda r: [f"report-{r.ablation['name']}.{ext}" for ext in ("json", "txt")], _evaluate,
+          per_ablation=True),
+    Stage("evaluate", lambda r: (_saved_encoder(r, f"{_encoder_dir(r)}/biencoder",
+                                                f"train-biencoder:{r.ablation['name']}"),
+                                 r.benchmark()),
+          _evaluate, lambda r: [f"report-{r.ablation['name']}.{ext}" for ext in ("json", "txt")],
           per_ablation=True),
 ]
 

@@ -110,9 +110,6 @@ class KnowledgeGraph:
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._nodes
 
-    def has_edge(self, src: str, dst: str, rel: Relation) -> bool:
-        return dst in self.out_neighbors(src, rel)
-
     def out_neighbors(self, src: str, rel: Relation) -> tuple[str, ...]:
         return self._out[rel].get(src, ())
 

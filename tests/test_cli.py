@@ -668,11 +668,30 @@ CORRUPTIONS = {
 UNPARSEABLE = ("drop-last-2-bytes", "append-junk")
 
 
+def _reads(out, cfg, row):
+    """Each read under --out that a run of ``row`` made (every ablation's, for a per-ablation
+    stage), as its manifest's inputs list it, with the run of the row that writes it."""
+    producer = {name: run.id for other in cli.TABLE for run in cli._runs(other, cfg, out, False, {})
+                for name in other.writes(run)}
+    inputs = [name for run in cli._runs(row, cfg, out, False, {}) for name in json.loads(
+        cli._manifest_path(out, run.id).read_text(encoding="utf-8"))["inputs"]]
+    return list(dict.fromkeys((name, producer[name]) for name in inputs if name in producer))
+
+
+def test_manifests_list_every_read_under_out(damage_run):
+    """The reads the fault matrix damages: each stage's files under --out, from its manifests."""
+    cfg_path, out = damage_run
+    cfg = cli.load_run_config(str(cfg_path), None)
+    assert {row.name: len(_reads(out, cfg, row)) for row in cli.TABLE} == {
+        "synth": 0, "build-graph": 5, "train-ge": 5, "sample-triplets": 6, "train-docsim": 6,
+        "gen-pairs": 6, "train-biencoder": 9, "evaluate": 13}
+
+
 def _damage_each_read(damage_run, caplog, stage, damage, strict):
-    """Run ``stage`` once for each read under --out that a run of its row declares (every
-    ablation's reads, for a per-ablation stage), with that file damaged in place, skipping a
-    damage that leaves the bytes as they were. The read and every file the stage writes are
-    restored after each run. Return each read whose run broke the contract, with what it did.
+    """Run ``stage`` once for each of its reads under --out (``_reads``), with that file
+    damaged in place, skipping a damage that leaves the bytes as they were. The read and
+    every file the stage writes are restored after each run. Return each read whose run
+    broke the contract, with what it did.
 
     Every run that fails logs one error line and no traceback. Under --strict each run exits
     3, leaves the stage's manifests as they were, and logs a provenance error, or, for a deleted
@@ -682,8 +701,9 @@ def _damage_each_read(damage_run, caplog, stage, damage, strict):
     """
     cfg_path, out = damage_run
     row = next(row for row in cli.TABLE if row.name == stage)
-    runs = cli._runs(row, cli.load_run_config(str(cfg_path), None), out, False, {})
-    reads = dict.fromkeys(read for run in runs for read in row.reads(run) if read[1])
+    cfg = cli.load_run_config(str(cfg_path), None)
+    runs = cli._runs(row, cfg, out, False, {})
+    reads = _reads(out, cfg, row)
     manifests = [cli._manifest_path(out, run.id) for run in runs]
     written = [out / "timings.json", *manifests,
                *(out / name for run in runs for name in row.writes(run))]
@@ -730,7 +750,7 @@ def _damage_each_read(damage_run, caplog, stage, damage, strict):
 @pytest.mark.parametrize("damage", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("stage", [row.name for row in cli.TABLE])
 def test_fault_matrix(damage_run, caplog, stage, damage):
-    """Each read under --out that a stage row declares, damaged, exits 0 or a documented
+    """Each read under --out that a stage's manifests list, damaged, exits 0 or a documented
     code without --strict, with one error line and no traceback; an unparseable or deleted
     read exits 3 with a line that starts with the file's path."""
     assert _damage_each_read(damage_run, caplog, stage, damage, strict=False) == []
@@ -739,7 +759,7 @@ def test_fault_matrix(damage_run, caplog, stage, damage):
 @pytest.mark.parametrize("damage", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("stage", [row.name for row in cli.TABLE])
 def test_strict_fault_matrix(damage_run, caplog, stage, damage):
-    """Each read under --out that a stage row declares, damaged, exits 3 under --strict with
+    """Each read under --out that a stage's manifests list, damaged, exits 3 under --strict with
     one provenance or not-found error line, before the stage touches its manifests."""
     assert _damage_each_read(damage_run, caplog, stage, damage, strict=True) == []
 
@@ -756,6 +776,53 @@ def test_corrupt_timings_stops_the_stage_before_it_writes(pipeline_run, tmp_path
     message = fails(caplog, ["train-docsim", "--config", str(cfg_path), "--out", str(out)])
     assert message.startswith(f"{timings}: ")
     assert [path.read_bytes() for path in encoders] == [b"stale", b"stale"]
+
+
+@pytest.mark.parametrize("stage, name", [("build-graph", "plants/Y/nodes.jsonl"),
+                                         ("evaluate", "ablations/docsim+sid+get/biencoder.json")])
+def test_failed_load_of_the_last_run_writes_nothing(pipeline_run, tmp_path, caplog, stage, name):
+    """Every plant, or every ablation, is loaded before the first file is written: a corrupt
+    read of the last one leaves every file as it was, in bytes and mtime."""
+    cfg_path, out1, *_ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    path = out / name
+    path.write_bytes(path.read_bytes() + b"junk\n")
+    before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.rglob("*") if p.is_file()}
+    assert fails(caplog, [stage, "--config", str(cfg_path), "--out", str(out)]).startswith(
+        f"{path}:")
+    assert {p: (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in out.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize("stage, producers", [
+    ("train-biencoder", {"synth", "build-graph", "gen-pairs", "train-docsim"}),
+    ("evaluate", {"synth", "train-biencoder-sid", "train-biencoder-docsim+sid+get"})])
+def test_strict_parses_each_producer_manifest_once(pipeline_run, tmp_path, monkeypatch, stage,
+                                                   producers):
+    """The runs of one stage share their producers' claims."""
+    cfg_path, out1, *_ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    parsed = Counter()
+    read_json = cli.read_json
+
+    def counted(path, *args):
+        parsed[path.name] += 1
+        return read_json(path, *args)
+
+    monkeypatch.setattr(cli, "read_json", counted)
+    assert cli.main([stage, "--config", str(cfg_path), "--out", str(out), "--strict"]) == 0
+    assert {name: n for name, n in parsed.items() if name.startswith("manifest-")} == {
+        f"manifest-{producer}.json": 1 for producer in producers}
+
+
+def test_a_read_after_the_load_raises(tmp_path):
+    """Whatever a run reads, its stage's load reads first."""
+    stage = cli.Stage("late", lambda r: None, lambda r, _: (r.read(*cli.PLANT_LIST), None),
+                      lambda r: [])
+    with pytest.raises(RuntimeError, match="late reads benchmark.json after its stage's load"):
+        cli._run(stage, cli._runs(stage, cli.RunConfig({}), tmp_path, False, {}))
 
 
 @pytest.mark.parametrize("name", ["encoders/docsim.gemb", "encoders/docsim.json"])

@@ -27,8 +27,8 @@ def test_small_graph_accessors(small_graph):
     assert len(g.functional_locations()) == 3
     assert g.reported_fls("log1") == ("fl1",)
     assert g.out_neighbors("log1", Relation.RELATED_TO) == ("log2",)
-    assert g.has_edge("fl1", "fl-root", Relation.PART_OF)
-    assert not g.has_edge("fl-root", "fl1", Relation.PART_OF)
+    assert "fl-root" in g.out_neighbors("fl1", Relation.PART_OF)
+    assert "fl1" not in g.out_neighbors("fl-root", Relation.PART_OF)
     assert g.edge_counts()[Relation.REPORTS_ABOUT] == 3
 
 
@@ -217,8 +217,8 @@ def test_graphs_built_without_checks_equal_checked_graphs(small_graph, source):
     assert "orphan" not in built and "mention" in built
     assert_checked(built, require_linked_logs=True)
     enriched = predict_links(built, LexicalMatcher())
-    assert enriched.has_edge("mention", fl_id, Relation.REPORTS_ABOUT)
-    assert not built.has_edge("mention", fl_id, Relation.REPORTS_ABOUT)
+    assert fl_id in enriched.out_neighbors("mention", Relation.REPORTS_ABOUT)
+    assert fl_id not in built.out_neighbors("mention", Relation.REPORTS_ABOUT)
     assert_checked(enriched, require_linked_logs=True)
 
 
@@ -234,7 +234,7 @@ def test_predict_links_rejects_a_part_of_cycle(small_graph):
             return []
 
     out = predict_links(small_graph, PartOfMatcher(Edge("fl2", "fl1", Relation.PART_OF)))
-    assert out.has_edge("fl2", "fl1", Relation.PART_OF)
+    assert "fl1" in out.out_neighbors("fl2", Relation.PART_OF)
     assert_checked(out)
     with pytest.raises(GraphInvariantError, match="PartOf cycle"):
         predict_links(small_graph, PartOfMatcher(Edge("fl-root", "fl1", Relation.PART_OF)))
@@ -267,16 +267,16 @@ def _matcher_graph():
 
 def test_code_mentions_become_reports_about():
     g = predict_links(_matcher_graph(), LexicalMatcher())
-    assert g.has_edge("logA", "flP", Relation.REPORTS_ABOUT)
-    assert g.has_edge("logB", "flP", Relation.REPORTS_ABOUT)
-    assert g.has_edge("logD", "flF", Relation.REPORTS_ABOUT)
+    assert "flP" in g.out_neighbors("logA", Relation.REPORTS_ABOUT)
+    assert "flP" in g.out_neighbors("logB", Relation.REPORTS_ABOUT)
+    assert "flF" in g.out_neighbors("logD", Relation.REPORTS_ABOUT)
 
 
 def test_longest_code_wins_on_overlap():
     g = predict_links(_matcher_graph(), LexicalMatcher())
     # "FL 1-1-2" must bind to the longer code, not to its prefix "FL 1-1"
-    assert g.has_edge("logD", "flSubSub", Relation.REPORTS_ABOUT)
-    assert not g.has_edge("logD", "flSub", Relation.REPORTS_ABOUT)
+    assert "flSubSub" in g.out_neighbors("logD", Relation.REPORTS_ABOUT)
+    assert "flSub" not in g.out_neighbors("logD", Relation.REPORTS_ABOUT)
 
 
 def test_code_match_is_case_insensitive_and_bounded():
@@ -290,20 +290,20 @@ def test_code_match_is_case_insensitive_and_bounded():
         edges=[],
     )
     out = predict_links(g, LexicalMatcher())
-    assert out.has_edge("l1", "flP", Relation.REPORTS_ABOUT)
-    assert not out.has_edge("l2", "flP", Relation.REPORTS_ABOUT)
-    assert not out.has_edge("l3", "flP", Relation.REPORTS_ABOUT)
+    assert "flP" in out.out_neighbors("l1", Relation.REPORTS_ABOUT)
+    assert "flP" not in out.out_neighbors("l2", Relation.REPORTS_ABOUT)
+    assert "flP" not in out.out_neighbors("l3", Relation.REPORTS_ABOUT)
 
 
 def test_time_window_related_to():
     g = predict_links(_matcher_graph(), LexicalMatcher())
     # logA (t=1000) and logB (t=2000) share flP and are 1000 s apart
-    assert g.has_edge("logA", "logB", Relation.RELATED_TO)
-    assert not g.has_edge("logB", "logA", Relation.RELATED_TO)  # earlier -> later only
+    assert "logB" in g.out_neighbors("logA", Relation.RELATED_TO)
+    assert "logA" not in g.out_neighbors("logB", Relation.RELATED_TO)  # earlier -> later only
     # logC is exactly window+1 after logA: outside
-    assert not g.has_edge("logA", "logC", Relation.RELATED_TO)
+    assert "logC" not in g.out_neighbors("logA", Relation.RELATED_TO)
     # but within the window of logB (2000 -> 260201 is inside 259200? no: 258201 <= 259200)
-    assert g.has_edge("logB", "logC", Relation.RELATED_TO)
+    assert "logC" in g.out_neighbors("logB", Relation.RELATED_TO)
 
 
 def test_time_window_boundary_inclusive():
@@ -313,7 +313,7 @@ def test_time_window_boundary_inclusive():
         edges=[("a", "f", Relation.REPORTS_ABOUT), ("b", "f", Relation.REPORTS_ABOUT)],
     )
     out = predict_links(g, LexicalMatcher())
-    assert out.has_edge("a", "b", Relation.RELATED_TO)
+    assert "b" in out.out_neighbors("a", Relation.RELATED_TO)
 
 
 def test_logs_without_timestamp_skip_time_heuristic():
@@ -351,7 +351,7 @@ def test_predict_links_rejects_bad_proposals(caplog):
 
     with caplog.at_level(logging.WARNING, logger="plantsearch.kg"):
         out = predict_links(_matcher_graph(), BadMatcher())
-    assert out.has_edge("logA", "flP", Relation.REPORTS_ABOUT)
+    assert "flP" in out.out_neighbors("logA", Relation.REPORTS_ABOUT)
     assert out.edge_counts()[Relation.RELATED_TO] == 0
     assert sum("rejected proposal" in r.message for r in caplog.records) == 2
 
