@@ -27,6 +27,7 @@ or unparseable artifact or provenance mismatch, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import ann, graph_embed, ir_eval, kg, pairs as pairs_mod, storage, synth, train
 from . import triplets as triplets_mod
-from .encoder import EncoderParams, init_encoder, load_encoder, save_encoder
+from .encoder import EncoderParams, Featurizer, init_encoder, load_encoder, save_encoder
 from .losses import NonFiniteError
 from .storage import (
     CorruptFileError, EmbeddingFileError, derive_seed, read_json, read_json_lines, read_table,
@@ -279,7 +280,8 @@ class Run:
     parsed from to the parsed artifact, so the stages of one ``pipeline`` parse each file
     once. It serves one config, and nothing may mutate what it holds. Encoders stay out of
     it: each stage reads a different one, and each is only an init seed plus its trained
-    rows, read again in milliseconds.
+    rows, read again in milliseconds. Featurized texts stay out of it too: every run of a
+    stage shares one ``features``, which the stage drops when it ends.
     """
 
     stage: str
@@ -291,6 +293,7 @@ class Run:
     inputs: dict[str, str] = field(default_factory=dict)  # read name -> sha256
     claims: dict[str, dict] = field(default_factory=dict)  # producer -> its manifest's outputs
     sealed: bool = False  # set once the stage has loaded every run
+    features: Featurizer = field(default_factory=Featurizer)  # shared by the stage's runs
 
     @property
     def id(self) -> str:
@@ -370,7 +373,7 @@ class Run:
         try:
             return pairs_mod.quality_filter(
                 tset, self.log_texts(), pairs_mod.EncoderCosineScorer(
-                    _fresh_encoder(self.cfg, "scorer"), quality["scorer_scale"]),
+                    _fresh_encoder(self.cfg, "scorer"), quality["scorer_scale"], self.features),
                 t_pos=quality["t_pos"], t_margin=quality["t_margin"],
             ).triplets
         except KeyError as exc:  # a triplet names a document no built graph has
@@ -441,9 +444,11 @@ class Stage:
 
 
 def _runs(stage: Stage, cfg: RunConfig, out: Path, strict: bool, store: dict) -> list[Run]:
-    """One run per ablation (or one run), all sharing the producers' manifest claims."""
+    """One run per ablation (or one run), all sharing the producers' manifest claims and one
+    featurizer."""
     claims: dict[str, dict] = {}
-    return [Run(stage.name, cfg, out, strict, store, ablation, claims=claims)
+    features = Featurizer(cfg.raw["encoder"]["vocab_buckets"])
+    return [Run(stage.name, cfg, out, strict, store, ablation, claims=claims, features=features)
             for ablation in (cfg.ablations if stage.per_ablation else [None])]
 
 
@@ -451,7 +456,8 @@ def _run(stage: Stage, runs: Sequence[Run]) -> list[Any]:
     """Parse timings.json and load every run, each read required, hashed, checked under
     --strict and parsed; then run each and write its manifest and timing. A corrupt
     timings.json or a failed load stops the stage before it writes, and a read after the
-    load raises. The first run's time includes the loading of every run."""
+    load raises. The first run's time includes the loading of every run. A stage that
+    featurizes logs how many distinct texts its runs' featurizer held for how many taken."""
     t0 = time.perf_counter()
     timings = runs[0].out / "timings.json"
     data = read_json(timings) if timings.exists() else {}
@@ -468,6 +474,10 @@ def _run(stage: Stage, runs: Sequence[Run]) -> list[Any]:
         data[r.id], t0 = round(t1 - t0, 3), t1
         _dump(timings, data)
         results.append(result)
+    features = runs[0].features
+    if features.requested:
+        logger.debug("%s: featurized %d distinct texts for %d requested", stage.name,
+                     features.distinct, features.requested)
     return results
 
 
@@ -628,7 +638,7 @@ def _train_docsim(r: Run, loaded: tuple[dict[str, str], list[triplets_mod.Triple
                   ) -> tuple[dict, None]:
     texts, filtered = loaded
     dcfg = replace(r.cfg.docsim, rng_seed=derive_seed(r.cfg.seed, "docsim"))
-    result = train.train_docsim(_fresh_encoder(r.cfg), filtered, texts, dcfg)
+    result = train.train_docsim(_fresh_encoder(r.cfg), filtered, texts, dcfg, r.features)
     edir = r.out / "encoders"
     edir.mkdir(parents=True, exist_ok=True)
     save_encoder(result.params, edir / "docsim.gemb", edir / "docsim.json")
@@ -695,7 +705,8 @@ BiEncoderJob = tuple[list[pairs_mod.QueryDocPair], pairs_mod.CompositionReport, 
 
 def _train_biencoder_load(r: Run) -> BiEncoderJob:
     """An ablation's pair rows and their composition, checked to hold a positive and to name
-    only documents with a text, those texts, and the encoder it starts from."""
+    only documents with a text, those texts, and the encoder it starts from. The pairs' texts
+    go to the stage's featurizer, whose first take featurizes every ablation's at once."""
     job = r.ablation
     components = []  # each pair file and its rows, parsed once per store
     for source, read in _pair_reads(r):
@@ -717,6 +728,7 @@ def _train_biencoder_load(r: Run) -> BiEncoderJob:
         raise CorruptFileError(f"{path}: no text for document {unknown!r}")
     start = (_saved_encoder(r, "encoders/docsim", "train-docsim") if job["docsim"]
              else _fresh_encoder(r.cfg))
+    r.features.want([texts[pr.doc_id] for pr in pair_rows] + [pr.query_text for pr in pair_rows])
     return pair_rows, report, texts, start
 
 
@@ -724,7 +736,7 @@ def _train_biencoder(r: Run, loaded: BiEncoderJob) -> tuple[dict, dict]:
     pair_rows, report, texts, start = loaded
     job = r.ablation
     bcfg = replace(r.cfg.biencoder, rng_seed=derive_seed(r.cfg.seed, f"biencoder:{job['name']}"))
-    result = train.train_biencoder(start, pair_rows, texts, bcfg)
+    result = train.train_biencoder(start, pair_rows, texts, bcfg, r.features)
     target = r.out / _encoder_dir(r)
     target.mkdir(parents=True, exist_ok=True)
     save_encoder(result.params, target / "biencoder.gemb", target / "biencoder.json")
@@ -816,7 +828,10 @@ def stage_pipeline(cfg: RunConfig, out_dir: Path, strict: bool = False) -> None:
 STAGES["pipeline"] = stage_pipeline
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one: a parse
+    keeps nothing in the parser."""
     parser = argparse.ArgumentParser(
         prog="plantsearch",
         description="Graph-aware contrastive retrieval pipeline for plant logs",

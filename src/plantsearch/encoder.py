@@ -22,6 +22,7 @@ import logging
 import re
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -96,14 +97,40 @@ def featurize(text: str, vocab_buckets: int = DEFAULT_VOCAB_BUCKETS) -> TokenFea
     return TokenFeatures(ids, counts, len(feats))
 
 
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i] .. starts[i] + lengths[i] - 1`` for every i, concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
+
+def _renumbered(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` from a presence mask over ids 0 .. max, not a
+    sort; when every id up to the max is present, the ids are their own positions."""
+    present = np.zeros(int(ids.max()) + 1 if ids.size else 0, dtype=bool)
+    present[ids] = True
+    if present.all():
+        return np.arange(len(present)), ids
+    return np.flatnonzero(present), np.cumsum(present)[ids] - 1
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Featurized texts in CSR layout: row i spans ``indptr[i]:indptr[i + 1]``."""
+    """Featurized texts in CSR layout: row i spans ``indptr[i]:indptr[i + 1]``.
+
+    Each entry's pooling weight, count / total, is divided once per matrix (:attr:`weights`)
+    and read by every :meth:`pooling_weights` and :meth:`pooling` call. :meth:`take` slices
+    rows into a new matrix, so a stage featurizes its texts once and each run trains on its
+    own rows (``Featurizer``).
+    """
 
     indptr: np.ndarray  # int64, n_texts + 1 offsets
     bucket_ids: np.ndarray  # int64, sorted unique within each row
     counts: np.ndarray  # int64, parallel to bucket_ids
     totals: np.ndarray  # int64, feature count of each text
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Every entry's pooling weight, count / total of its text, divided once per matrix."""
+        return self.counts / np.repeat(self.totals, np.diff(self.indptr))
 
     def pooling_weights(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(u, W) for texts ``rows``: sorted distinct bucket ids and dense pooling weights.
@@ -113,26 +140,21 @@ class FeatureMatrix:
         texts and ``W.T @ G`` is the table gradient of vector gradients G.
         ``u`` and the columns come from a presence mask over ids 0 .. max,
         not a sort, so this is meant for a :meth:`compact` matrix, whose ids
-        are dense. :meth:`pooling` sorts instead: its ids span every bucket.
+        are dense. When the texts hold every id up to their max, ``u`` is
+        that range and the ids are the columns. :meth:`pooling` sorts
+        instead: its ids span every bucket.
         """
         text, entry = self._entries(rows)
-        ids = self.bucket_ids[entry]
-        present = np.zeros(int(ids.max()) + 1 if ids.size else 0, dtype=bool)
-        present[ids] = True
-        u = np.flatnonzero(present)
-        col = (np.cumsum(present) - 1)[ids]
+        u, col = _renumbered(self.bucket_ids[entry])
         w = np.zeros((len(rows), len(u)))
-        w.ravel()[text * len(u) + col] = self.counts[entry] / self.totals[rows][text]
+        w.ravel()[text * len(u) + col] = self.weights[entry]
         return u, w
 
     def _entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The position among ``rows`` and the CSR entry of every bucket of those texts."""
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
-        text = np.repeat(np.arange(len(rows)), lengths)
-        entry = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths,
-                                                     lengths)
-        return text, entry
+        return np.repeat(np.arange(len(rows)), lengths), concat_ranges(starts, lengths)
 
     def pooling(self) -> Pooling:
         """Every text's pooling weights in compact form, in blocks of bounded dense size.
@@ -141,11 +163,10 @@ class FeatureMatrix:
         reordered or recased) share one row, so their vectors are bit-identical.
         """
         first: dict[bytes, int] = {}
+        bounds = zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist())
         inverse = np.array([
-            first.setdefault(self.bucket_ids[lo:hi].tobytes()
-                             + (self.counts[lo:hi] / total).tobytes(), i)
-            for i, (lo, hi, total) in enumerate(zip(self.indptr[:-1], self.indptr[1:],
-                                                     self.totals))
+            first.setdefault(self.bucket_ids[lo:hi].tobytes() + self.weights[lo:hi].tobytes(), i)
+            for i, (lo, hi) in enumerate(bounds)
         ], dtype=np.int64)
         rows, inverse = np.unique(inverse, return_inverse=True)
         step = max(1, _POOL_BLOCK // max(1, len(np.unique(self.bucket_ids))))
@@ -155,7 +176,7 @@ class FeatureMatrix:
             text, entry = self._entries(block)
             u, col = np.unique(self.bucket_ids[entry], return_inverse=True)
             blocks.append((len(block), u, (text * len(u) + col).astype(np.int32),
-                           self.counts[entry] / self.totals[block][text]))
+                           self.weights[entry]))
         return Pooling(blocks, inverse)
 
     def compact(self) -> tuple[FeatureMatrix, np.ndarray]:
@@ -166,10 +187,26 @@ class FeatureMatrix:
         :meth:`pooling_weights` gives the same ``W`` over positions into a
         table gathered at those buckets. The new ids are dense in
         ``[0, len(buckets))``, so the presence mask of a
-        :meth:`pooling_weights` call has at most that many flags.
+        :meth:`pooling_weights` call has at most that many flags. The ids are
+        renumbered through a presence mask too when it has fewer flags than
+        four per entry (its flags and counts then take less memory than a
+        sort's buffers), and through ``np.unique`` otherwise, so the bucket
+        count sets no allocation size.
         """
-        buckets, local = np.unique(self.bucket_ids, return_inverse=True)
+        ids = self.bucket_ids
+        if ids.size and ids.max() < 4 * ids.size:
+            buckets, local = _renumbered(ids)
+        else:
+            buckets, local = np.unique(ids, return_inverse=True)
         return replace(self, bucket_ids=local), buckets
+
+    def take(self, rows: np.ndarray) -> FeatureMatrix:
+        """The matrix of texts ``rows`` (repeats allowed), in that order."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        entry = concat_ranges(starts, lengths)
+        return FeatureMatrix(np.concatenate([[0], np.cumsum(lengths)]), self.bucket_ids[entry],
+                             self.counts[entry], self.totals[rows])
 
 
 @dataclass(frozen=True)
@@ -222,6 +259,55 @@ def featurize_many(texts: Sequence[str],
     row_of = keys // vocab_buckets
     indptr = np.searchsorted(row_of, np.arange(len(lengths) + 1))
     return FeatureMatrix(indptr, keys - row_of * vocab_buckets, counts, lengths)
+
+
+class Featurizer:
+    """Featurizes each distinct text once over its life, into one :class:`FeatureMatrix`.
+
+    ``want`` names texts that a later ``take`` will ask for; the first ``take`` that meets a
+    text not yet held featurizes every wanted text with its own in one ``featurize_many``
+    call. One lives as long as one pipeline stage, so that stage featurizes each text once.
+    The held matrix keeps its bucket ids in the smallest unsigned type below
+    ``vocab_buckets`` and its counts as int32, 6 bytes an entry instead of 16 at the default
+    65,536 buckets; ``take`` returns int64 arrays.
+    """
+
+    def __init__(self, vocab_buckets: int = DEFAULT_VOCAB_BUCKETS):
+        self.vocab_buckets = vocab_buckets
+        self.requested = 0  # texts asked for by every take
+        self._row: dict[str, int] = {}
+        self._wanted: dict[str, None] = {}
+        self._fm = FeatureMatrix(np.zeros(1, dtype=np.int64),
+                                 np.empty(0, dtype=np.min_scalar_type(vocab_buckets - 1)),
+                                 np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64))
+
+    @property
+    def distinct(self) -> int:
+        return len(self._row)
+
+    def want(self, texts: Sequence[str]) -> None:
+        self._wanted.update(dict.fromkeys(t for t in texts if t not in self._row))
+
+    def take(self, texts: Sequence[str], vocab_buckets: int) -> FeatureMatrix:
+        """The matrix whose row i equals ``featurize(texts[i], vocab_buckets)``."""
+        if vocab_buckets != self.vocab_buckets:
+            raise ValueError(f"{vocab_buckets} buckets asked of a featurizer of "
+                             f"{self.vocab_buckets}")
+        self.want(texts)
+        if self._wanted:
+            new, old = featurize_many(list(self._wanted), vocab_buckets), self._fm
+            for text in self._wanted:
+                self._row[text] = len(self._row)
+            self._wanted = {}
+            self._fm = FeatureMatrix(
+                np.concatenate([old.indptr, new.indptr[1:] + old.indptr[-1]]),
+                np.concatenate([old.bucket_ids, new.bucket_ids.astype(old.bucket_ids.dtype)]),
+                np.concatenate([old.counts, new.counts.astype(old.counts.dtype)]),
+                np.concatenate([old.totals, new.totals]))
+        self.requested += len(texts)
+        fm = self._fm.take(np.array([self._row[t] for t in texts], dtype=np.int64))
+        return replace(fm, bucket_ids=fm.bucket_ids.astype(np.int64),
+                       counts=fm.counts.astype(np.int64))
 
 
 @dataclass(frozen=True)

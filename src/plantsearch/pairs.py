@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, encode_batch, word_tokens
+from .encoder import EncoderParams, Featurizer, word_tokens
 from .storage import field, read_json_lines, write_json_lines
 from .triplets import Triplet, TripletSet
 
@@ -90,17 +90,20 @@ class EncoderCosineScorer:
 
     Stand-in for an externally trained relevance scorer: deterministic
     given its params, with scores in [-scale, scale]. Zero-vector texts
-    score 0. Each distinct text is encoded once per call, and all pairs
-    are scored in one row-wise pass whose ddots (``np.vecdot``) round as
-    ``losses.cosine`` does, bit for bit.
+    score 0. Each distinct text is taken once per call from ``features``
+    (a new ``Featurizer`` when it is None) and encoded as ``encode_batch``
+    does, and all pairs are scored in one row-wise pass whose ddots
+    (``np.vecdot``) round as ``losses.cosine`` does, bit for bit.
     """
 
     params: EncoderParams
     scale: float = 10.0
+    features: Featurizer | None = None
 
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         row = {t: i for i, t in enumerate(dict.fromkeys(t for pair in pairs for t in pair))}
-        vecs = encode_batch(self.params, list(row))
+        vb = self.params.vocab_buckets
+        vecs = (self.features or Featurizer(vb)).take(list(row), vb).pooling().encode(self.params)
         a, b = (vecs[[row[pair[side]] for pair in pairs]] for side in (0, 1))
         na, nb = np.sqrt(np.vecdot(a, a)), np.sqrt(np.vecdot(b, b))
         zero = (na == 0.0) | (nb == 0.0)

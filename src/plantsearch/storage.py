@@ -125,10 +125,29 @@ _DECODER = json.JSONDecoder()
 _JSON_SPACE = " \t\n\r"  # the whitespace json.loads skips around a document
 
 
+def _record_encoder(ensure_ascii: bool) -> Callable[[dict], str]:
+    """``json.dumps(rec, sort_keys=True, ensure_ascii=ensure_ascii)`` as one function.
+
+    ``JSONEncoder.encode`` builds a C encoder on every call; this builds one, with the
+    arguments ``JSONEncoder.iterencode`` passes, and falls back to ``encode`` when the C
+    accelerator is absent. Its circular-reference markers are emptied by every encode that
+    succeeds, so one encoder serves a whole file.
+    """
+    enc = _ENCODERS[ensure_ascii]
+    if json.encoder.c_make_encoder is None:
+        return enc.encode
+    make = json.encoder.c_make_encoder(
+        {}, enc.default,
+        json.encoder.encode_basestring_ascii if ensure_ascii else json.encoder.encode_basestring,
+        enc.indent, enc.key_separator, enc.item_separator, enc.sort_keys, enc.skipkeys,
+        enc.allow_nan)
+    return lambda rec: "".join(make(rec, 0))
+
+
 def write_json_lines(path: str | Path, records: Iterable[dict], ensure_ascii: bool = False) -> None:
     """One line of sorted-key JSON per record, written at once. Non-ASCII characters are
     written as they are, or as ``\\uXXXX`` escapes under ``ensure_ascii``."""
-    encode = _ENCODERS[ensure_ascii].encode
+    encode = _record_encoder(ensure_ascii)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join([f"{encode(rec)}\n" for rec in records]))
 

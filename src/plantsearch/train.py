@@ -9,19 +9,22 @@ buckets: the texts' vectors are ``W @ table[u]`` and the table gradient
 is ``W.T @ G``, with W the batch's pooling weights
 (``FeatureMatrix.pooling_weights``). ``table`` holds only the rows of the
 training texts' buckets, gathered once, and the texts' bucket ids are
-renumbered to positions in it (``FeatureMatrix.compact``).
+renumbered to positions in it (``FeatureMatrix.compact``). A batch whose
+buckets are the whole table reads and updates ``table`` itself, not a
+gathered copy of it. Each run takes its texts' rows from a ``Featurizer``:
+its own, or one that a pipeline stage shares among its runs, so that the
+stage featurizes each text once.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, featurize_many
+from .encoder import EncoderParams, FeatureMatrix, Featurizer, concat_ranges
 from .losses import NonFiniteError, mnr_loss_grad, triplet_loss_grad_batch
 from .pairs import PairLabel, QueryDocPair
 from .triplets import Triplet
@@ -88,12 +91,14 @@ def train_docsim(
     triplets: Sequence[Triplet],
     texts: Mapping[str, str],
     cfg: DocSimConfig,
+    features: Featurizer | None = None,
 ) -> TrainResult:
     """Triplet-margin SGD over document triplets; returns updated params.
 
     Texts are resolved once through ``texts`` (missing ids raise
-    KeyError) and featurized once; mini-batches follow a seeded shuffle
-    each epoch and the mean epoch loss is recorded in the result.
+    KeyError) and taken once from ``features`` (a new ``Featurizer`` when
+    none is given); mini-batches follow a seeded shuffle each epoch and the
+    mean epoch loss is recorded in the result.
     """
     cfg.validate()
     if cfg.epochs == 0 or not triplets:
@@ -105,7 +110,7 @@ def train_docsim(
     for doc_id in doc_ids:
         if doc_id not in texts:
             raise KeyError(f"no text for document {doc_id!r}")
-    fm, buckets = featurize_many([texts[d] for d in doc_ids], p.vocab_buckets).compact()
+    fm, buckets = _take(features, [texts[d] for d in doc_ids], p).compact()
     row_of = {d: i for i, d in enumerate(doc_ids)}
     members = np.array([[row_of[t.query], row_of[t.positive], row_of[t.negative]]
                         for t in triplets])
@@ -123,7 +128,8 @@ def train_docsim(
             batch = members[order[lo : lo + cfg.batch_size]]
             m = len(batch)
             u, w = fm.pooling_weights(batch.T.ravel())  # queries, positives, negatives
-            x = w @ table[u]
+            whole = len(u) == len(table)
+            x = w @ (table if whole else table[u])
             losses, gq, gp, gn = triplet_loss_grad_batch(x[:m], x[m : 2 * m], x[2 * m :],
                                                          cfg.margin)
             for loss in losses.tolist():  # one by one in batch order, not a pairwise sum
@@ -131,7 +137,7 @@ def train_docsim(
             batch_active = int(np.count_nonzero(losses))
             if batch_active:
                 g = (1.0 / m) * np.concatenate([gq, gp, gn])
-                table[u] -= cfg.learning_rate * (w.T @ g)
+                _step(table, u, whole, cfg.learning_rate * (w.T @ g))
             active += batch_active
             steps += 1
         if not np.isfinite(total_loss):
@@ -144,22 +150,35 @@ def train_docsim(
     return TrainResult(p.with_rows(buckets, table), epoch_losses, steps)
 
 
+def _take(features: Featurizer | None, texts: list[str], p: EncoderParams) -> FeatureMatrix:
+    return (features or Featurizer(p.vocab_buckets)).take(texts, p.vocab_buckets)
+
+
+def _step(table: np.ndarray, u: np.ndarray, whole: bool, update: np.ndarray) -> None:
+    """``table[u] -= update``, in place when ``u`` is every row of ``table``."""
+    if whole:
+        table -= update
+    else:
+        table[u] -= update
+
+
 def _pack_batches(
     positives: Sequence[QueryDocPair], order: np.ndarray, batch_size: int
-) -> list[list[QueryDocPair]]:
-    """Greedy packing that never repeats a query text within a batch."""
-    batches: list[list[QueryDocPair]] = []
+) -> list[list[int]]:
+    """Greedy packing of positions into ``positives`` that never repeats a query text within
+    a batch."""
+    batches: list[list[int]] = []
     queries: list[set[str]] = []
-    for i in order:
-        pair = positives[i]
+    for i in order.tolist():
+        query = positives[i].query_text
         for b, qset in zip(batches, queries):
-            if len(b) < batch_size and pair.query_text not in qset:
-                b.append(pair)
-                qset.add(pair.query_text)
+            if len(b) < batch_size and query not in qset:
+                b.append(i)
+                qset.add(query)
                 break
         else:
-            batches.append([pair])
-            queries.append({pair.query_text})
+            batches.append([i])
+            queries.append({query})
     return batches
 
 
@@ -168,35 +187,40 @@ def train_biencoder(
     pairs: Sequence[QueryDocPair],
     texts: Mapping[str, str],
     cfg: BiEncoderConfig,
+    features: Featurizer | None = None,
 ) -> TrainResult:
     """MNR training on positive pairs with in-batch plus explicit negatives.
 
     Positive rows form the batches (duplicate queries spread across
     batches); each query's label-0 docs are appended to its batch as
-    extra negative columns. The learning rate follows a linear warmup
-    over ``warmup_steps`` optimizer steps, then stays at the base rate.
+    extra negative columns, each once, after the batch's positives. Texts
+    are taken once from ``features`` (a new ``Featurizer`` when none is
+    given). The learning rate follows a linear warmup over
+    ``warmup_steps`` optimizer steps, then stays at the base rate.
     """
     cfg.validate()
     positives = [pr for pr in pairs if pr.label is PairLabel.POSITIVE]
     if not positives:
         raise ValueError("no positive pairs to train on")
-    negatives: dict[str, list[str]] = defaultdict(list)
-    for pr in pairs:
-        if pr.label is PairLabel.NEGATIVE:
-            negatives[pr.query_text].append(pr.doc_id)
-
     doc_ids = list(dict.fromkeys(pr.doc_id for pr in pairs))
     for doc_id in doc_ids:
         if doc_id not in texts:
             raise KeyError(f"no text for document {doc_id!r}")
-    queries = list(dict.fromkeys(pr.query_text for pr in pairs))
-    fm, buckets = featurize_many([texts[d] for d in doc_ids] + queries,
-                                 p.vocab_buckets).compact()
-    doc_row = {d: i for i, d in enumerate(doc_ids)}
-    query_row = {q: len(doc_ids) + i for i, q in enumerate(queries)}
-
     if cfg.epochs == 0:
         return TrainResult(p, [], 0)
+
+    queries = list(dict.fromkeys(pr.query_text for pr in pairs))
+    fm, buckets = _take(features, [texts[d] for d in doc_ids] + queries, p).compact()
+    doc_row = {d: i for i, d in enumerate(doc_ids)}
+    query_row = {q: len(doc_ids) + i for i, q in enumerate(queries)}
+    pos_query = np.array([query_row[pr.query_text] for pr in positives], dtype=np.int64)
+    pos_doc = np.array([doc_row[pr.doc_id] for pr in positives], dtype=np.int64)
+    # Each query's label-0 docs in pair order, as CSR over the text rows: query row r's are
+    # neg_doc[neg_ptr[r]:neg_ptr[r + 1]].
+    neg = np.array([(query_row[pr.query_text], doc_row[pr.doc_id]) for pr in pairs
+                    if pr.label is PairLabel.NEGATIVE], dtype=np.int64).reshape(-1, 2)
+    neg = neg[np.argsort(neg[:, 0], kind="stable")]
+    neg_doc, neg_ptr = neg[:, 1], np.searchsorted(neg[:, 0], np.arange(len(fm.totals) + 1))
 
     rng = np.random.default_rng(cfg.rng_seed)
     table = p.rows(buckets)
@@ -209,18 +233,17 @@ def train_biencoder(
         batches = _pack_batches(positives, order, cfg.batch_size)
         widest = (0, 0)
         for batch in batches:
-            all_docs = [pr.doc_id for pr in batch]
-            seen = set(all_docs)
-            for pr in batch:
-                for doc_id in negatives.get(pr.query_text, ()):
-                    if doc_id not in seen:
-                        seen.add(doc_id)
-                        all_docs.append(doc_id)
-            u, w = fm.pooling_weights(np.array([query_row[pr.query_text] for pr in batch]
-                                               + [doc_row[d] for d in all_docs]))
+            q, d = pos_query[batch], pos_doc[batch]
+            starts = neg_ptr[q]
+            lengths = neg_ptr[q + 1] - starts
+            # the label-0 docs at their first appearance after the batch's positives
+            docs = np.concatenate([d, neg_doc[concat_ranges(starts, lengths)]])
+            first = np.unique(docs, return_index=True)[1]
+            u, w = fm.pooling_weights(np.concatenate([q, d, docs[np.sort(first[first >= len(d)])]]))
             if w.shape[1] > widest[1]:
                 widest = w.shape
-            x = w @ table[u]
+            whole = len(u) == len(table)
+            x = w @ (table if whole else table[u])
             loss, g_q, g_d = mnr_loss_grad(x[: len(batch)], x[len(batch) :],
                                            cfg.similarity_scale)
             if not np.isfinite(loss):
@@ -229,7 +252,7 @@ def train_biencoder(
             rows_seen += len(batch)
             step += 1
             lr = effective_lr(cfg.learning_rate, step, cfg.warmup_steps)
-            table[u] -= lr * (w.T @ np.concatenate([g_q, g_d]))
+            _step(table, u, whole, lr * (w.T @ np.concatenate([g_q, g_d])))
         epoch_losses.append(loss_sum / rows_seen)
         logger.debug("bi-encoder epoch %d mean loss %.6f, %d steps, widest batch %d texts x "
                      "%d buckets", epoch, epoch_losses[-1], len(batches), *widest)

@@ -557,7 +557,8 @@ def oracle_train_biencoder(table, pairs, texts, cfg):
         order = rng.permutation(len(positives))
         loss_sum = 0.0
         rows_seen = 0
-        for batch in _pack_batches(positives, order, cfg.batch_size):
+        for packed in _pack_batches(positives, order, cfg.batch_size):
+            batch = [positives[i] for i in packed]
             batch_docs = [pr.doc_id for pr in batch]
             extras = []
             for pr in batch:
@@ -647,7 +648,8 @@ def dense_train_biencoder(table, pairs, texts, cfg):
         order = rng.permutation(len(positives))
         loss_sum = 0.0
         rows_seen = 0
-        for batch in _pack_batches(positives, order, cfg.batch_size):
+        for packed in _pack_batches(positives, order, cfg.batch_size):
+            batch = [positives[i] for i in packed]
             all_docs = [pr.doc_id for pr in batch]
             seen = set(all_docs)
             for pr in batch:

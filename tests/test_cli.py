@@ -1,8 +1,11 @@
 import json
 import os
+import re
 import shutil
 import struct
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -306,6 +309,43 @@ def test_strict_needs_the_producer_manifest(pipeline_run, tmp_path, caplog):
     message = fails(caplog, ["build-graph", "--config", str(cfg_path), "--out", str(out),
                              "--strict"])
     assert "manifest-synth.json not found" in message
+
+
+def test_training_stages_featurize_each_text_once(pipeline_run, tmp_path, monkeypatch, caplog):
+    """``train-docsim`` (its quality filter's scorer and ``train_docsim``) and
+    ``train-biencoder`` (every ablation) each pass every text they need to ``featurize_many``
+    once, and log how many distinct texts that was for how many their runs took."""
+    from plantsearch.triplets import load_triplets
+
+    cfg_path, out1, _, _ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    texts = {n.id: n.text for pid in ("X", "Y")
+             for n in kg.load_graph(*(out / "graphs" / pid / f"{name}.jsonl"
+                                      for name in ("nodes", "edges"))).text_logs()}
+    rows = pairs.load_pairs(out / "sid.jsonl") + pairs.load_pairs(out / "pairs" / "get.jsonl")
+    needs = {
+        "train-docsim": {texts[d] for t in load_triplets(out / "triplets" / "triplets.jsonl")
+                         for d in (t.query, t.positive, t.negative)},
+        "train-biencoder": {texts[pr.doc_id] for pr in rows} | {pr.query_text for pr in rows},
+    }
+    featurize_many, passed = encoder.featurize_many, []
+    for module in list(sys.modules.values()):  # every plantsearch name bound to it
+        if module and module.__name__.startswith("plantsearch") and getattr(
+                module, "featurize_many", None) is featurize_many:
+            monkeypatch.setattr(module, "featurize_many", lambda batch, vocab_buckets: (
+                passed.extend(batch), featurize_many(batch, vocab_buckets))[1])
+    for stage, need in needs.items():
+        passed.clear()
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="plantsearch.cli"):
+            assert cli.main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert len(passed) == len(set(passed)) and set(passed) == need, stage
+        logged = [m for m in caplog.messages if "featurized" in m]
+        assert len(logged) == 1, logged
+        m = re.fullmatch(rf"{stage}: featurized {len(need)} distinct texts for (\d+) requested",
+                         logged[0])
+        assert m and int(m[1]) > len(need), logged
 
 
 def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch, caplog):
@@ -1055,6 +1095,23 @@ def test_seed_override_changes_outputs(tmp_path):
     a = (out_a / "plants" / "M" / "nodes.jsonl").read_bytes()
     b = (out_b / "plants" / "M" / "nodes.jsonl").read_bytes()
     assert a != b
+
+
+def test_main_calls_parse_independently(tmp_path, monkeypatch):
+    """``main`` builds its parser once, and a flag or stage of one call leaks into no later
+    call."""
+    calls = []
+    for stage in ("synth", "build-graph"):
+        monkeypatch.setitem(cli.STAGES, stage, lambda cfg, out, strict, stage=stage:
+                            calls.append((stage, cfg.seed, out, strict)))
+    assert cli.main(["synth", "--seed", "5", "--out", str(tmp_path / "a"), "--strict"]) == 0
+    assert cli.main(["build-graph"]) == 0
+    assert cli.main(["synth", "--out", str(tmp_path / "b")]) == 0
+    seed = cli.DEFAULT_RUN_CONFIG["seed"]
+    assert calls == [("synth", 5, tmp_path / "a", True),
+                     ("build-graph", seed, Path("runs/out"), False),
+                     ("synth", seed, tmp_path / "b", False)]
+    assert cli.build_parser() is cli.build_parser()
 
 
 UNSAFE_NAMES = {"empty": "", "dot": ".", "dotdot": "..", "slash": "X/1", "backslash": "X\\1",

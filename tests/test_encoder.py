@@ -108,6 +108,42 @@ def test_featurize_many_rows_equal_featurize(vocab_buckets):
     assert len(featurize_many([], vocab_buckets).totals) == 0
 
 
+def _same_matrix(got, want):
+    for key in ("indptr", "bucket_ids", "counts", "totals"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+
+
+def test_featurizer_takes_featurize_many_rows_featurizing_each_text_once(monkeypatch):
+    """Every take equals ``featurize_many`` of its texts, array for array; the wanted texts and
+    the first take's own are featurized in one call, and a later take featurizes only the
+    texts no earlier call held."""
+    texts = ["Pumpe leckt am Flansch", "", "!!!", "Lömi ÄRGER über Öl", "ab ab cd", "x y"]
+    calls = []
+
+    def counted(batch, vocab_buckets):
+        calls.append(list(batch))
+        return featurize_many(batch, vocab_buckets)
+
+    monkeypatch.setattr(encoder, "featurize_many", counted)
+    features = encoder.Featurizer(64)
+    features.want(texts[:3] + texts[:1])
+    for take in (texts[2:4] + texts[2:3], texts[:0], texts[::-1], texts[4:] + ["neu"]):
+        _same_matrix(features.take(take, 64), featurize_many(take, 64))
+    assert calls == [texts[:4], ["x y", "ab ab cd"], ["neu"]]
+    assert features.distinct == 7 and features.requested == 3 + 0 + 6 + 3
+    with pytest.raises(ValueError, match="128 buckets"):
+        features.take(texts, 128)
+
+
+def test_feature_matrix_take_equals_featurize_many_of_those_texts():
+    texts = ["Pumpe leckt", "", "Filter Filter verstopft", "ab", "Pumpe leckt"]
+    fm = featurize_many(texts, 32)
+    for rows in ([], [1], [4, 0, 0, 2], [3, 1, 2]):
+        _same_matrix(fm.take(np.array(rows, dtype=np.int64)),
+                     featurize_many([texts[i] for i in rows], 32))
+
+
 def test_encode_is_mean_of_feature_rows():
     p = init_encoder(dim=4, vocab_buckets=64, seed=1)
     text = "ab cd ab"
@@ -369,3 +405,40 @@ def test_pooling_weights_mask_equals_unique_form():
             want_u, want_w = oracle_unique_pooling_weights(m, rows)
             assert u.dtype == want_u.dtype and u.tobytes() == want_u.tobytes(), trial
             assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes(), trial
+
+
+def test_pooling_weights_of_batches_that_cover_every_bucket_or_miss_some():
+    """``compact`` renumbers as ``np.unique`` does, and on compact matrices, batches that hold
+    every bucket, every bucket up to their highest but not the last, or leave gaps give the
+    ``np.unique`` form's ``u`` and ``W`` byte for byte."""
+    rng = np.random.default_rng(9)
+    words = ["pumpe", "leckt", "filter", "druck", "ventil", "lager", "motor", "welle"]
+    texts = ["", "!!!"] + [" ".join(rng.choice(words, size=int(rng.integers(1, 6))))
+                           for _ in range(40)]
+    # buckets {0, 1}, {2} and {1, 3} of 4
+    small = encoder.FeatureMatrix(*(np.array(a, dtype=np.int64) for a in (
+        [0, 2, 3, 5], [0, 1, 2, 1, 3], [1, 2, 1, 1, 1], [3, 1, 2])))
+    cases = [(small, np.arange(4), [[0, 1, 2], [2, 1, 0], [0], [1, 0, 0], [0, 1], [2], [1, 2]])]
+    for vocab_buckets in (4, 16, 64, 2**16):
+        fm = featurize_many(texts, vocab_buckets)
+        compact, buckets = fm.compact()  # a presence mask renumbers all but the 2**16 ids
+        want_buckets, want_ids = np.unique(fm.bucket_ids, return_inverse=True)
+        assert buckets.tobytes() == want_buckets.tobytes() and buckets.dtype == np.int64
+        assert compact.bucket_ids.tobytes() == want_ids.tobytes()
+        assert compact.bucket_ids.dtype == np.int64
+        cases.append((compact, buckets, [np.arange(len(texts)), np.array([0, 1])] + [
+            rng.integers(0, len(texts), size=int(rng.integers(1, 12))) for _ in range(40)]))
+    kinds = Counter()
+    for compact, buckets, batches in cases:
+        for rows in map(np.array, batches):
+            u, w = compact.pooling_weights(rows)
+            want_u, want_w = oracle_unique_pooling_weights(compact, rows)
+            assert u.dtype == want_u.dtype and u.tobytes() == want_u.tobytes()
+            assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes()
+            if len(u) == len(buckets):
+                kinds["every bucket"] += 1
+            elif len(u) and len(u) == u[-1] + 1:
+                kinds["every bucket up to the highest"] += 1
+            else:
+                kinds["gaps"] += 1
+    assert len(kinds) == 3 and min(kinds.values()) >= 3, kinds

@@ -124,6 +124,31 @@ def test_writers_golden_bytes(tmp_path):
     assert (tmp_path / "empty.jsonl").read_bytes() == b""
 
 
+WRITER_RECORDS = [
+    {"text": "Lager β läuft heiß   \"zitiert\"\n\ttab", "id": "log:ä", "ts": 7},
+    {"score": 0.1, "big": 1e300, "small": -2.5e-308, "neg": -0.0, "nan": float("nan"),
+     "inf": float("inf"), "ninf": float("-inf"), "none": None, "flag": True},
+    {"nested": [[1, 2.5, None], [], {"b": "ü", "a": [False, "x"]}], "empty": {}},
+    {},
+]
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+@pytest.mark.parametrize("ensure_ascii", [False, True])
+def test_json_lines_writer_equals_json_dumps(tmp_path, monkeypatch, ensure_ascii, accelerated):
+    """Each line is ``json.dumps(rec, sort_keys=True, ensure_ascii=...)``, through the one C
+    encoder built per file or, without the C accelerator, through ``JSONEncoder.encode``."""
+    import json
+
+    if not accelerated:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    path = tmp_path / "x.jsonl"
+    write_json_lines(path, WRITER_RECORDS, ensure_ascii=ensure_ascii)
+    assert path.read_text(encoding="utf-8").split("\n") == [
+        json.dumps(rec, sort_keys=True, ensure_ascii=ensure_ascii) for rec in WRITER_RECORDS
+    ] + [""]
+
+
 # name -> file bytes that the reader and its per-line oracle must treat alike
 READER_INPUTS = {
     "crlf": b'{"a": 1}\r\n{"a": 2}\r\n',

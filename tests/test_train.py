@@ -11,7 +11,8 @@ from oracles import (
     oracle_train_biencoder,
     oracle_train_docsim,
 )
-from plantsearch.encoder import encode, init_encoder, load_encoder, save_encoder
+from plantsearch import encoder, train
+from plantsearch.encoder import Featurizer, encode, init_encoder, load_encoder, save_encoder
 from plantsearch.losses import cosine
 from plantsearch.pairs import PairLabel, PairSource, QueryDocPair
 from plantsearch.train import (
@@ -60,7 +61,7 @@ def test_pack_batches_never_repeats_query():
         _pair("beta", f"e{i}", PairLabel.POSITIVE) for i in range(2)
     ]
     order = np.arange(len(pairs))
-    batches = _pack_batches(pairs, order, batch_size=4)
+    batches = [[pairs[i] for i in batch] for batch in _pack_batches(pairs, order, batch_size=4)]
     for batch in batches:
         queries = [p.query_text for p in batch]
         assert len(queries) == len(set(queries))
@@ -200,11 +201,22 @@ def test_train_biencoder_deterministic():
     np.testing.assert_array_equal(dense_table(r1.params), dense_table(r2.params))
 
 
-def test_train_biencoder_epochs_zero():
+def test_train_biencoder_epochs_zero(monkeypatch):
+    """No epoch returns the start params before any text is featurized, but after the check
+    that every document has a text."""
+    featurized = []
+    monkeypatch.setattr(encoder, "featurize_many", lambda *args: featurized.append(args))
     p = init_encoder(dim=8, vocab_buckets=64, seed=1)
-    result = train_biencoder(p, _biencoder_pairs(), _TEXTS, BiEncoderConfig(epochs=0))
+    features = Featurizer(64)
+    result = train_biencoder(p, _biencoder_pairs(), _TEXTS, BiEncoderConfig(epochs=0), features)
     np.testing.assert_array_equal(dense_table(result.params), dense_table(p))
     assert result.steps == 0
+    result = train_biencoder(p, _biencoder_pairs(), _TEXTS, BiEncoderConfig(epochs=0))
+    assert result.steps == 0 and result.params is p
+    assert featurized == [] and features.requested == features.distinct == 0
+    with pytest.raises(KeyError, match="ghost"):
+        train_biencoder(p, [_pair("q", "ghost", PairLabel.POSITIVE)], _TEXTS,
+                        BiEncoderConfig(epochs=0))
 
 
 def _assert_matches_oracle(got, want):
@@ -227,8 +239,24 @@ def _random_corpus(rng, n_docs):
     return texts
 
 
+def _record_steps(monkeypatch) -> list[bool]:
+    """Whether each SGD step of ``train`` updates the whole gathered table in place."""
+    wholes = []
+
+    def step(table, u, whole, update):
+        wholes.append(whole)
+        real_step(table, u, whole, update)
+
+    real_step = train._step
+    monkeypatch.setattr(train, "_step", step)
+    return wholes
+
+
 @pytest.mark.parametrize("epochs", [0, 3])
-def test_docsim_matches_per_text_oracle(epochs):
+def test_docsim_matches_per_text_oracle(epochs, monkeypatch):
+    """Steps whose batch covers the whole gathered table update it in place, the others
+    gather the rows of a part of it; the configs run both kinds."""
+    wholes = _record_steps(monkeypatch)
     rng = np.random.default_rng(epochs)
     texts = dict(_TEXTS, **_random_corpus(rng, 30))
     ids = sorted(texts)
@@ -246,10 +274,14 @@ def test_docsim_matches_per_text_oracle(epochs):
         _assert_matches_oracle(got, oracle_train_docsim(dense_table(p), triplets, texts, cfg))
         if epochs:
             assert not np.array_equal(dense_table(got.params), dense_table(p))
+    assert set(wholes) == ({True, False} if epochs else set())
 
 
 @pytest.mark.parametrize("epochs", [0, 3])
-def test_biencoder_matches_per_text_oracle(epochs):
+def test_biencoder_matches_per_text_oracle(epochs, monkeypatch):
+    """Steps whose batch covers the whole gathered table update it in place, the others
+    gather the rows of a part of it; the configs run both kinds."""
+    wholes = _record_steps(monkeypatch)
     rng = np.random.default_rng(epochs)
     texts = dict(_TEXTS, **_random_corpus(rng, 30))
     docs = sorted(d for d in texts if d not in ("e1", "e2"))  # zero-norm rows are an MNR error
@@ -268,6 +300,7 @@ def test_biencoder_matches_per_text_oracle(epochs):
         _assert_matches_oracle(got, oracle_train_biencoder(dense_table(start), pairs, texts, cfg))
         if epochs:
             assert not np.array_equal(dense_table(got.params), dense_table(start))
+    assert set(wholes) == ({True, False} if epochs else set())
 
 
 @pytest.mark.parametrize("dim, buckets", [(8, 64), (5, 32), (64, 1 << 16)])
