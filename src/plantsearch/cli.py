@@ -12,13 +12,13 @@ bad value exits 2 before any stage runs. Stages set only their ``rng_seed``.
 
 Each stage is one row of ``TABLE``: a load function, which reads and
 parses what one run needs, each file tied to the stage that produces it
-(or to the config that names it); a run function, which computes and
-writes; and the files it writes. ``train-biencoder`` and ``evaluate`` run
-once per ablation of the config, every other stage once. One runner loads
-every run (each read hashed, checked under --strict against its
-producer's manifest, and parsed) before any run writes, then runs each
-and writes its manifest and timing. A manifest's inputs are the files its
-run's load read.
+(or to the config that names it); and a run function, which computes and
+writes, each file through ``Run.write``, which records it. ``train-biencoder``
+and ``evaluate`` run once per ablation of the config, every other stage
+once. One runner loads every run (each read hashed, checked under --strict
+against its producer's manifest, and parsed) before any run writes, then
+runs each and writes its manifest and timing. A manifest's inputs are the
+files its run's load read, and its outputs the files its run wrote.
 
 Exit codes: 0 success, 2 config or input validation error, 3 missing
 or unparseable artifact or provenance mismatch, 4 numerical failure.
@@ -166,8 +166,9 @@ class RunConfig:
                            "use_drmm": comp["use_drmm"], "docsim": True}],
         }, lists, "config")
         self.raw.update(lists)
-        if not lists["plants"]:
-            raise ConfigError("config.plants is empty")
+        for key, given in lists.items():
+            if not given:
+                raise ConfigError(f"config.{key} is empty")
         self.plant_configs = []
         for i, (plant, entry) in enumerate(zip(entries["plants"], lists["plants"])):
             if "seed" not in entry:
@@ -274,7 +275,7 @@ def _manifest_path(out_dir: Path, run_id: str) -> Path:
 
 @dataclass
 class Run:
-    """One run of one stage: its settings, the reads it has hashed, and the artifact store.
+    """One run of one stage: its settings, hashed reads, recorded writes and the artifact store.
 
     The store maps an artifact kind plus the names and sha256 digests of the files it is
     parsed from to the parsed artifact, so the stages of one ``pipeline`` parse each file
@@ -292,6 +293,7 @@ class Run:
     ablation: Mapping[str, Any] | None = None  # set for each run of a per-ablation stage
     inputs: dict[str, str] = field(default_factory=dict)  # read name -> sha256
     claims: dict[str, dict] = field(default_factory=dict)  # producer -> its manifest's outputs
+    outputs: list[str] = field(default_factory=list)  # names under --out, as the run wrote them
     sealed: bool = False  # set once the stage has loaded every run
     features: Featurizer = field(default_factory=Featurizer)  # shared by the stage's runs
 
@@ -319,6 +321,15 @@ class Run:
                     f"{name} is not among the outputs of {_manifest_path(self.out, producer)}")
         self.inputs[name] = digest
         return path
+
+    def write(self, stem: str, suffixes: Sequence[str] = ("",)) -> Path:
+        """``stem`` under --out, its directory made, once ``stem`` plus each suffix is recorded
+        as an output. Only a run writes, never a load."""
+        if not self.sealed:
+            raise RuntimeError(f"{self.id} writes {stem} in its stage's load")
+        self.outputs += [stem + suffix for suffix in suffixes]
+        (self.out / stem).parent.mkdir(parents=True, exist_ok=True)
+        return self.out / stem
 
     def _claims(self, producer: str) -> dict[str, str]:
         if producer not in self.claims:
@@ -417,8 +428,8 @@ def _graph_reads(root: str, pid: str) -> list[Read]:
     return _from(GRAPH_ROOTS[root], [f"{root}/{pid}/nodes.jsonl", f"{root}/{pid}/edges.jsonl"])
 
 
-def _graphs(r: Run, root: str, training: bool = False) -> list[Read]:
-    return [read for pid in r.plant_ids(training) for read in _graph_reads(root, pid)]
+def _graphs(r: Run, root: str) -> list[Read]:
+    return [read for pid in r.plant_ids() for read in _graph_reads(root, pid)]
 
 
 def _from(producer: str | None, names: Sequence[str]) -> list[Read]:
@@ -434,12 +445,11 @@ def _stem(r: Run, stem: str, suffixes: Sequence[str], producer: str) -> Path:
 
 @dataclass(frozen=True)
 class Stage:
-    """One row of the stage table: how a stage loads and runs, and what it writes."""
+    """One row of the stage table: how a stage loads and runs; each run records its writes."""
 
     name: str
     load: Callable[[Run], Any]  # what one run needs, read through Run.read and Run.load
     run: Callable[[Run, Any], tuple[Any, Any]]  # -> (manifest config, value for the caller)
-    writes: Callable[[Run], list[str]]  # names under --out
     per_ablation: bool = False  # one run per entry of the config's ablations
 
 
@@ -454,10 +464,11 @@ def _runs(stage: Stage, cfg: RunConfig, out: Path, strict: bool, store: dict) ->
 
 def _run(stage: Stage, runs: Sequence[Run]) -> list[Any]:
     """Parse timings.json and load every run, each read required, hashed, checked under
-    --strict and parsed; then run each and write its manifest and timing. A corrupt
-    timings.json or a failed load stops the stage before it writes, and a read after the
-    load raises. The first run's time includes the loading of every run. A stage that
-    featurizes logs how many distinct texts its runs' featurizer held for how many taken."""
+    --strict and parsed; then run each and write its manifest, with the outputs it recorded,
+    and its timing. A corrupt timings.json or a failed load stops the stage before it writes;
+    a read after the load, or a write in it, raises. The first run's time includes the loading
+    of every run. A stage that featurizes logs how many distinct texts its runs' featurizer
+    held for how many taken."""
     t0 = time.perf_counter()
     timings = runs[0].out / "timings.json"
     data = read_json(timings) if timings.exists() else {}
@@ -469,7 +480,7 @@ def _run(stage: Stage, runs: Sequence[Run]) -> list[Any]:
         config, result = stage.run(r, value)
         _dump(_manifest_path(r.out, r.id), {
             "stage": r.id.replace(":", "-"), "seed": r.cfg.seed, "config": config,
-            "inputs": r.inputs, "outputs": {n: sha256_file(r.out / n) for n in stage.writes(r)}})
+            "inputs": r.inputs, "outputs": {n: sha256_file(r.out / n) for n in r.outputs}})
         t1 = time.perf_counter()
         data[r.id], t0 = round(t1 - t0, 3), t1
         _dump(timings, data)
@@ -490,8 +501,8 @@ def _dump(path: Path, obj: Any) -> None:
 
 
 TABLE_FILES = (".gemb", ".ids")  # a table pair, as storage.write_table writes it
-VECTOR_FILES = tuple(f"vectors{suffix}" for suffix in TABLE_FILES)  # of training plants only
 GE_FILES = (*TABLE_FILES, ".rels.json")
+ENCODER_FILES = (".gemb", ".json")  # as encoder.save_encoder writes them
 
 
 def _synth(r: Run, _: None) -> tuple[dict, None]:
@@ -501,18 +512,19 @@ def _synth(r: Run, _: None) -> tuple[dict, None]:
     sid_rows: list[pairs_mod.QueryDocPair] = []
     plant_meta = []
     for pcfg, gp in zip(r.cfg.plant_configs, plants):
-        pdir = r.out / "plants" / pcfg.plant_id
-        pdir.mkdir(parents=True, exist_ok=True)
-        kg.save_graph(gp.graph, pdir / "nodes.jsonl", pdir / "edges.jsonl")
+        pid = pcfg.plant_id
+        kg.save_graph(gp.graph, r.write(f"plants/{pid}/nodes.jsonl"),
+                      r.write(f"plants/{pid}/edges.jsonl"))
         if pcfg.training:
             ids = sorted(gp.text_vectors)
-            write_table(pdir / "vectors", ids, np.stack([gp.text_vectors[i] for i in ids]))
-        ir_eval.save_queries({pcfg.plant_id: gp.bench.queries}, pdir / "queries.jsonl")
-        ir_eval.save_qrels(gp.bench.qrels, pdir / "qrels.txt")
+            write_table(r.write(f"plants/{pid}/vectors", TABLE_FILES), ids,
+                        np.stack([gp.text_vectors[i] for i in ids]))
+        ir_eval.save_queries({pid: gp.bench.queries}, r.write(f"plants/{pid}/queries.jsonl"))
+        ir_eval.save_qrels(gp.bench.qrels, r.write(f"plants/{pid}/qrels.txt"))
         sid_rows.extend(gp.sid_pairs)
-        plant_meta.append({"plant_id": pcfg.plant_id, "training": pcfg.training})
-    pairs_mod.save_pairs(sid_rows, r.out / "sid.jsonl")
-    _dump(r.out / "benchmark.json", {"plants": plant_meta})
+        plant_meta.append({"plant_id": pid, "training": pcfg.training})
+    pairs_mod.save_pairs(sid_rows, r.write("sid.jsonl"))
+    _dump(r.write(PLANT_LIST[0]), {"plants": plant_meta})
     logger.info("synth: %d plants, %d queries total",
                 len(bench.plants), sum(len(p.queries) for p in bench.plants))
     return {"plants": [asdict(p) for p in r.cfg.plant_configs]}, None
@@ -530,9 +542,8 @@ def _build_graph(r: Run, graphs: dict[str, kg.KnowledgeGraph]) -> tuple[dict, No
                 if n.kind is kg.NodeKind.TEXT_LOG else n
                 for node_id, n in g.nodes.items()
             }, g.edges)
-        gdir = r.out / "graphs" / pid
-        gdir.mkdir(parents=True, exist_ok=True)
-        kg.save_graph(g, gdir / "nodes.jsonl", gdir / "edges.jsonl")
+        kg.save_graph(g, r.write(f"graphs/{pid}/nodes.jsonl"),
+                      r.write(f"graphs/{pid}/edges.jsonl"))
     return {key: r.cfg.raw[key] for key in ("enrich", "expand_context")}, None
 
 
@@ -576,13 +587,11 @@ def _train_ge(r: Run, loaded: dict[str, tuple[kg.KnowledgeGraph, dict | None]]
         trained[pid], test_edges, list(g.nodes), {i: n.kind for i, n in g.nodes.items()},
         train_edges=train_edges,
     ) for pid, (g, train_edges, test_edges) in splits.items()}
-    gedir = r.out / "ge"
-    gedir.mkdir(parents=True, exist_ok=True)
     lp_summary = {}
     for pid, report in reports.items():
         lp_summary[pid] = report.scaled()
-        graph_embed.save_embeddings(trained[pid], gedir / pid)
-        _dump(gedir / f"{pid}.lp.json", asdict(report))
+        graph_embed.save_embeddings(trained[pid], r.write(f"ge/{pid}", GE_FILES))
+        _dump(r.write(f"ge/{pid}.lp.json"), asdict(report))
         logger.info("train-ge %s: MRR %.2f, AUC %.2f", pid, report.scaled()["mrr"],
                     report.scaled()["auc"])
     return {**r.cfg.raw["graph_embed"], "lp": lp_summary}, None
@@ -593,8 +602,6 @@ def _sample_triplets(r: Run, loaded: dict[str, tuple[graph_embed.EmbeddingTable,
     params = r.cfg.sampling
     all_triplets: list[triplets_mod.Triplet] = []
     meta = {}
-    tdir = r.out / "triplets"
-    tdir.mkdir(parents=True, exist_ok=True)
     for pid, (emb, g) in loaded.items():
         log_ids = [n.id for n in g.text_logs()]
         try:
@@ -611,8 +618,8 @@ def _sample_triplets(r: Run, loaded: dict[str, tuple[graph_embed.EmbeddingTable,
         }
         logger.info("sample-triplets %s: %d triplets, %d skipped",
                     pid, len(tset.triplets), tset.skipped)
-    triplets_mod.save_triplets(all_triplets, tdir / "triplets.jsonl")
-    _dump(tdir / "meta.json", {"params": asdict(params), "plants": meta})
+    triplets_mod.save_triplets(all_triplets, r.write(TRIPLETS[0]))
+    _dump(r.write("triplets/meta.json"), {"params": asdict(params), "plants": meta})
     return asdict(params), None
 
 
@@ -625,7 +632,7 @@ def _saved_encoder(r: Run, stem: str, producer: str) -> EncoderParams:
     """The encoder ``producer`` saved at ``stem``, whose dim and bucket count must be the
     config's: the dim sets every init row's draw and the bucket count sets where each feature
     hashes, so a table of another size reads as another encoder."""
-    path = _stem(r, stem, (".gemb", ".json"), producer)
+    path = _stem(r, stem, ENCODER_FILES, producer)
     p = load_encoder(f"{path}.gemb", f"{path}.json")
     enc = r.cfg.raw["encoder"]
     if (p.dim, p.vocab_buckets) != (enc["dim"], enc["vocab_buckets"]):
@@ -639,9 +646,8 @@ def _train_docsim(r: Run, loaded: tuple[dict[str, str], list[triplets_mod.Triple
     texts, filtered = loaded
     dcfg = replace(r.cfg.docsim, rng_seed=derive_seed(r.cfg.seed, "docsim"))
     result = train.train_docsim(_fresh_encoder(r.cfg), filtered, texts, dcfg, r.features)
-    edir = r.out / "encoders"
-    edir.mkdir(parents=True, exist_ok=True)
-    save_encoder(result.params, edir / "docsim.gemb", edir / "docsim.json")
+    path = r.write("encoders/docsim", ENCODER_FILES)
+    save_encoder(result.params, f"{path}.gemb", f"{path}.json")
     logger.info("train-docsim: %d triplets kept, losses %s",
                 len(filtered), [round(x, 4) for x in result.epoch_losses])
     return {**r.cfg.raw["docsim"], "kept_triplets": len(filtered),
@@ -652,8 +658,6 @@ def _gen_pairs(r: Run, loaded: tuple[list[triplets_mod.Triplet], dict[str, kg.Kn
                ) -> tuple[dict, None]:
     filtered, graphs = loaded
     m = r.cfg.raw["quality"]["query_terms"]
-    pdir = r.out / "pairs"
-    pdir.mkdir(parents=True, exist_ok=True)
     get_rows: list[pairs_mod.QueryDocPair] = []
     for g in graphs.values():
         corpus = {n.id: n.text for n in g.text_logs()}
@@ -666,7 +670,7 @@ def _gen_pairs(r: Run, loaded: tuple[list[triplets_mod.Triplet], dict[str, kg.Kn
             for q in sorted({t.query for t in plant_triplets})
         }
         get_rows.extend(pairs_mod.triplets_to_pairs(plant_triplets, queries))
-    pairs_mod.save_pairs(get_rows, pdir / "get.jsonl")
+    pairs_mod.save_pairs(get_rows, r.write("pairs/get.jsonl"))
     logger.info("gen-pairs: %d GET rows from %d triplets", len(get_rows), len(filtered))
     return {"query_terms": m, "quality": r.cfg.raw["quality"],
             "kept_triplets": len(filtered)}, None
@@ -737,9 +741,8 @@ def _train_biencoder(r: Run, loaded: BiEncoderJob) -> tuple[dict, dict]:
     job = r.ablation
     bcfg = replace(r.cfg.biencoder, rng_seed=derive_seed(r.cfg.seed, f"biencoder:{job['name']}"))
     result = train.train_biencoder(start, pair_rows, texts, bcfg, r.features)
-    target = r.out / _encoder_dir(r)
-    target.mkdir(parents=True, exist_ok=True)
-    save_encoder(result.params, target / "biencoder.gemb", target / "biencoder.json")
+    path = r.write(f"{_encoder_dir(r)}/biencoder", ENCODER_FILES)
+    save_encoder(result.params, f"{path}.gemb", f"{path}.json")
     info = {"name": job["name"], "composition": asdict(report), "docsim": job["docsim"],
             "epoch_losses": result.epoch_losses, "steps": result.steps}
     logger.info("%s: %d steps, losses %s", r.id, result.steps,
@@ -750,39 +753,30 @@ def _train_biencoder(r: Run, loaded: BiEncoderJob) -> tuple[dict, dict]:
 def _evaluate(r: Run, loaded: tuple[EncoderParams, ir_eval.Benchmark]) -> tuple[dict, dict]:
     report = ir_eval.evaluate_run(*loaded)
     stem, metrics = f"report-{r.ablation['name']}", asdict(report)
-    _dump(r.out / f"{stem}.json", metrics)
-    (r.out / f"{stem}.txt").write_text(report.format_table() + "\n", encoding="utf-8")
+    _dump(r.write(f"{stem}.json"), metrics)
+    r.write(f"{stem}.txt").write_text(report.format_table() + "\n", encoding="utf-8")
     logger.info("evaluate %s:\n%s", stem, report.format_table())
     return {"k": 10}, metrics
 
 
 TABLE = [
-    Stage("synth", lambda r: None, _synth,
-          lambda r: [f"plants/{p.plant_id}/{name}" for p in r.cfg.plant_configs
-                     for name in PLANT_FILES + VECTOR_FILES * p.training]
-          + ["sid.jsonl", "benchmark.json"]),
+    Stage("synth", lambda r: None, _synth),
     Stage("build-graph", lambda r: {pid: r.graph("plants", pid) for pid in r.plant_ids()},
-          _build_graph, lambda r: [name for name, _ in _graphs(r, "graphs")]),
-    Stage("train-ge", _train_ge_load, _train_ge,
-          lambda r: [f"ge/{pid}{sfx}" for pid in r.plant_ids(training=True)
-                     for sfx in (*GE_FILES, ".lp.json")]),
+          _build_graph),
+    Stage("train-ge", _train_ge_load, _train_ge),
     Stage("sample-triplets", lambda r: {pid: (
               graph_embed.load_embeddings(_stem(r, f"ge/{pid}", GE_FILES, "train-ge")),
               r.graph("graphs", pid)) for pid in r.plant_ids(training=True)},
-          _sample_triplets, lambda r: ["triplets/triplets.jsonl", "triplets/meta.json"]),
-    Stage("train-docsim", lambda r: (r.log_texts(), r.filtered_triplets()), _train_docsim,
-          lambda r: ["encoders/docsim.gemb", "encoders/docsim.json"]),
+          _sample_triplets),
+    Stage("train-docsim", lambda r: (r.log_texts(), r.filtered_triplets()), _train_docsim),
     Stage("gen-pairs", lambda r: (r.filtered_triplets(), {
               pid: r.graph("graphs", pid) for pid in r.plant_ids(training=True)}),
-          _gen_pairs, lambda r: ["pairs/get.jsonl"]),
-    Stage("train-biencoder", _train_biencoder_load, _train_biencoder,
-          lambda r: [f"{_encoder_dir(r)}/biencoder.{ext}" for ext in ("gemb", "json")],
-          per_ablation=True),
+          _gen_pairs),
+    Stage("train-biencoder", _train_biencoder_load, _train_biencoder, per_ablation=True),
     Stage("evaluate", lambda r: (_saved_encoder(r, f"{_encoder_dir(r)}/biencoder",
                                                 f"train-biencoder:{r.ablation['name']}"),
                                  r.benchmark()),
-          _evaluate, lambda r: [f"report-{r.ablation['name']}.{ext}" for ext in ("json", "txt")],
-          per_ablation=True),
+          _evaluate, per_ablation=True),
 ]
 
 
@@ -847,12 +841,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(out: str) -> Path:
+    """``--out``, which must be a directory or not exist yet below one."""
+    path = Path(out)
+    blocker = next((p for p in (path, *path.parents) if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise ConfigError(f"--out {path}: {blocker} is not a directory")
+    return path
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config, args.seed)
-        STAGES[args.command](cfg, Path(args.out), args.strict)
+        STAGES[args.command](cfg, _out_dir(args.out), args.strict)
     except (MissingArtifactError, FileNotFoundError, CorruptFileError) as exc:
         logger.error("%s", exc)  # CorruptFileError is a ValueError, so it is caught first
         return 3

@@ -12,7 +12,8 @@ The init rows come in blocks of ``_INIT_BLOCK`` buckets, each block from
 its own seeded stream: bucket j's row is row ``j % 16`` of
 ``default_rng([seed, j // 16]).normal(0, 1/sqrt(dim), (16, dim))``. A
 read draws only the blocks of the buckets it names, once per seed, so no
-whole table is ever drawn and ``vocab_buckets`` sets no allocation size.
+whole table is ever drawn. The memo's index holds one int64 per block up to
+the highest drawn, so ``MAX_VOCAB_BUCKETS`` bounds it at 8 MB.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_DIM = 64
 DEFAULT_VOCAB_BUCKETS = 1 << 16
+# Keeps the init memo's block index within 8 MB and featurize_many's (text, bucket) keys
+# far inside int64.
+MAX_VOCAB_BUCKETS = 1 << 24
 HASH_ALGO = "fnv1a-64"
 
 # Buckets per init block: each block's rows are one draw from its own stream.
@@ -239,6 +243,7 @@ def featurize_many(texts: Sequence[str],
 
     Each distinct word is hashed once per call; texts share its bucket ids.
     """
+    _check_vocab_buckets(vocab_buckets)
     word_buckets: dict[str, list[int]] = {}
     hashed: list[int] = []
     totals: list[int] = []
@@ -259,6 +264,11 @@ def featurize_many(texts: Sequence[str],
     row_of = keys // vocab_buckets
     indptr = np.searchsorted(row_of, np.arange(len(lengths) + 1))
     return FeatureMatrix(indptr, keys - row_of * vocab_buckets, counts, lengths)
+
+
+def _check_vocab_buckets(vocab_buckets: int) -> None:
+    if not 1 <= vocab_buckets <= MAX_VOCAB_BUCKETS:
+        raise ValueError(f"vocab_buckets must be in [1, {MAX_VOCAB_BUCKETS}], got {vocab_buckets}")
 
 
 class Featurizer:
@@ -392,8 +402,7 @@ class EncoderParams:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if self.vocab_buckets < 1:
-            raise ValueError(f"vocab_buckets must be positive, got {self.vocab_buckets}")
+        _check_vocab_buckets(self.vocab_buckets)
         ids = self.bucket_ids
         if ids.ndim != 1 or (len(ids) and (ids[0] < 0 or ids[-1] >= self.vocab_buckets
                                            or (np.diff(ids) <= 0).any())):

@@ -57,6 +57,8 @@ class Benchmark:
                 if doc_id in seen_docs:
                     raise ValueError(f"doc id {doc_id!r} appears in two plants")
                 seen_docs.add(doc_id)
+            if not plant.queries:  # its metrics would be the mean of nothing
+                raise ValueError(f"plant {plant.plant_id!r} has no queries")
             query_ids = {q.query_id for q in plant.queries}
             for q in plant.queries:
                 if q.query_id in seen_queries:

@@ -242,6 +242,7 @@ HEADER_DAMAGE = {
     "one-bucket-id-fewer": lambda blob: _edit_ids(blob, lambda ids: ids[:-1]),
     "one-bucket-id-more": lambda blob: _edit_ids(blob, lambda ids: ids + [ids[-1] + 1]),
     "vocab-buckets-not-the-configs": lambda blob: _edit_header(blob, vocab_buckets=(1 << 16) + 1),
+    "vocab-buckets-past-the-bound": lambda blob: _edit_header(blob, vocab_buckets=(1 << 24) + 1),
 }
 
 
@@ -642,7 +643,8 @@ def _dangling_edge(blob):
     return blob + json.dumps(edge).encode() + b"\n"
 
 
-# case -> (stage, file, damage, the file the error line starts with, if not the damaged one)
+# case -> (stage, file or files, damage, the file the error line starts with, if not the
+# (last) damaged one)
 INCONSISTENT_ARTIFACTS = {
     "ids-one-row-more": ("train-ge", "plants/X/vectors.ids", _one_more_id, None),
     "ids-repeated-id": ("train-ge", "plants/X/vectors.ids", _repeated_id, None),
@@ -663,17 +665,20 @@ INCONSISTENT_ARTIFACTS = {
                             "plants/X/queries.jsonl"),
     "doc-in-two-plants": ("evaluate", "plants/Y/nodes.jsonl", _doc_of_plant_x,
                           "plants/X/nodes.jsonl"),
+    "plant-without-queries": ("evaluate", ("plants/Y/queries.jsonl", "plants/Y/qrels.txt"),
+                              lambda blob: b"", "plants/Y/queries.jsonl"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INCONSISTENT_ARTIFACTS))
 def test_exit_3_on_inconsistent_artifact(pipeline_run, tmp_path, caplog, case):
-    stage, name, damage, named_first = INCONSISTENT_ARTIFACTS[case]
+    stage, names, damage, named_first = INCONSISTENT_ARTIFACTS[case]
     cfg_path, trained, *_ = pipeline_run
     out = tmp_path / "inconsistent"
     shutil.copytree(trained, out)
-    path = out / name
-    path.write_bytes(damage(path.read_bytes()))
+    for name in [names] if isinstance(names, str) else names:
+        path = out / name
+        path.write_bytes(damage(path.read_bytes()))
     message = fails(caplog, [stage, "--config", str(cfg_path), "--out", str(out)])
     assert message.startswith(f"{out / named_first}, {path}: " if named_first else f"{path}: ")
 
@@ -708,13 +713,17 @@ CORRUPTIONS = {
 UNPARSEABLE = ("drop-last-2-bytes", "append-junk")
 
 
+def _manifest(out, run):
+    return json.loads(cli._manifest_path(out, run.id).read_text(encoding="utf-8"))
+
+
 def _reads(out, cfg, row):
     """Each read under --out that a run of ``row`` made (every ablation's, for a per-ablation
-    stage), as its manifest's inputs list it, with the run of the row that writes it."""
+    stage), as its manifest's inputs list it, with the run whose manifest's outputs list it."""
     producer = {name: run.id for other in cli.TABLE for run in cli._runs(other, cfg, out, False, {})
-                for name in other.writes(run)}
-    inputs = [name for run in cli._runs(row, cfg, out, False, {}) for name in json.loads(
-        cli._manifest_path(out, run.id).read_text(encoding="utf-8"))["inputs"]]
+                for name in _manifest(out, run)["outputs"]}
+    inputs = [name for run in cli._runs(row, cfg, out, False, {})
+              for name in _manifest(out, run)["inputs"]]
     return list(dict.fromkeys((name, producer[name]) for name in inputs if name in producer))
 
 
@@ -746,7 +755,7 @@ def _damage_each_read(damage_run, caplog, stage, damage, strict):
     reads = _reads(out, cfg, row)
     manifests = [cli._manifest_path(out, run.id) for run in runs]
     written = [out / "timings.json", *manifests,
-               *(out / name for run in runs for name in row.writes(run))]
+               *(out / name for run in runs for name in _manifest(out, run)["outputs"])]
     args = [stage, "--config", str(cfg_path), "--out", str(out)] + ["--strict"] * strict
     corrupt = CORRUPTIONS[damage]
     failed = []
@@ -857,12 +866,18 @@ def test_strict_parses_each_producer_manifest_once(pipeline_run, tmp_path, monke
         f"manifest-{producer}.json": 1 for producer in producers}
 
 
-def test_a_read_after_the_load_raises(tmp_path):
-    """Whatever a run reads, its stage's load reads first."""
-    stage = cli.Stage("late", lambda r: None, lambda r, _: (r.read(*cli.PLANT_LIST), None),
-                      lambda r: [])
-    with pytest.raises(RuntimeError, match="late reads benchmark.json after its stage's load"):
+@pytest.mark.parametrize("load, run, message", [
+    (lambda r: None, lambda r, _: (r.read(*cli.PLANT_LIST), None),
+     "late reads benchmark.json after its stage's load"),
+    (lambda r: r.write("benchmark.json"), lambda r, _: ({}, None),
+     "late writes benchmark.json in its stage's load"),
+], ids=["read-in-the-run", "write-in-the-load"])
+def test_a_read_after_the_load_raises(tmp_path, load, run, message):
+    """Whatever a run reads, its stage's load reads first, and only a run writes."""
+    stage = cli.Stage("late", load, run)
+    with pytest.raises(RuntimeError, match=message):
         cli._run(stage, cli._runs(stage, cli.RunConfig({}), tmp_path, False, {}))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", ["encoders/docsim.gemb", "encoders/docsim.json"])
@@ -1083,7 +1098,7 @@ def test_train_ge_without_a_training_plant(tmp_path):
                         encoding="utf-8")
     for stage in ("synth", "build-graph", "train-ge"):
         assert cli.main([stage, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
-    assert list((tmp_path / "o" / "ge").iterdir()) == []
+    assert not (tmp_path / "o" / "ge").exists()
 
 
 def test_seed_override_changes_outputs(tmp_path):
@@ -1219,6 +1234,39 @@ def test_exit_2_on_quality_out_of_range(tmp_path, caplog, quality, message):
     assert fails(caplog, ["pipeline", "--config", str(cfg_path), "--out", str(out)],
                  code=2) == message
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"plants": []}, "config.plants is empty"),
+    ({"ablations": []}, "config.ablations is empty"),
+    ({"encoder": {"vocab_buckets": 0}},
+     "config.encoder: vocab_buckets must be in [1, 16777216], got 0"),
+    ({"encoder": {"vocab_buckets": (1 << 24) + 1}},
+     "config.encoder: vocab_buckets must be in [1, 16777216], got 16777217"),
+], ids=["plants-empty", "ablations-empty", "vocab-buckets-0", "vocab-buckets-past-the-bound"])
+def test_exit_2_on_empty_list_or_table_size_out_of_range(tmp_path, caplog, override, message):
+    """Checked at load, so ``pipeline`` and the per-ablation stages stop before they write."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**MICRO_CONFIG, **override}), encoding="utf-8")
+    out = tmp_path / "o"
+    for stage in ("pipeline", "train-biencoder", "evaluate"):
+        assert fails(caplog, [stage, "--config", str(cfg_path), "--out", str(out)],
+                     code=2) == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("stage", ["synth", "pipeline"])
+def test_exit_2_on_out_not_a_directory(tmp_path, caplog, stage, below):
+    """An --out that is, or lies under, an existing file stops before any stage runs."""
+    cfg_path, blocker = tmp_path / "cfg.json", tmp_path / "file"
+    cfg_path.write_text(json.dumps(MICRO_CONFIG), encoding="utf-8")
+    blocker.write_bytes(b"kept\n")
+    out = blocker / "sub" if below else blocker
+    assert fails(caplog, [stage, "--config", str(cfg_path), "--out", str(out)],
+                 code=2) == f"--out {out}: {blocker} is not a directory"
+    assert sorted(tmp_path.iterdir()) == [cfg_path, blocker]
+    assert blocker.read_bytes() == b"kept\n"
 
 
 def test_integer_runs_where_the_default_is_a_float(tmp_path):

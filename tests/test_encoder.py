@@ -204,6 +204,12 @@ def test_init_encoder_validation():
         init_encoder(dim=1)
     with pytest.raises(ValueError):
         init_encoder(dim=8, vocab_buckets=0)
+    for vocab_buckets in (0, encoder.MAX_VOCAB_BUCKETS + 1):
+        with pytest.raises(ValueError, match=f"vocab_buckets must be in .*, got {vocab_buckets}"):
+            init_encoder(dim=8, vocab_buckets=vocab_buckets)
+        with pytest.raises(ValueError, match=f"vocab_buckets must be in .*, got {vocab_buckets}"):
+            featurize_many(["pumpe leckt"], vocab_buckets)
+    init_encoder(dim=8, vocab_buckets=encoder.MAX_VOCAB_BUCKETS)
     with pytest.raises(ValueError):
         EncoderParams(0, 2, 8, np.array([1, 2]), np.zeros((4, 2)))  # 4 rows for 2 bucket ids
 
@@ -419,7 +425,7 @@ def test_pooling_weights_of_batches_that_cover_every_bucket_or_miss_some():
     small = encoder.FeatureMatrix(*(np.array(a, dtype=np.int64) for a in (
         [0, 2, 3, 5], [0, 1, 2, 1, 3], [1, 2, 1, 1, 1], [3, 1, 2])))
     cases = [(small, np.arange(4), [[0, 1, 2], [2, 1, 0], [0], [1, 0, 0], [0, 1], [2], [1, 2]])]
-    for vocab_buckets in (4, 16, 64, 2**16):
+    for vocab_buckets in (4, 16, 64, 2**16, 2**24):
         fm = featurize_many(texts, vocab_buckets)
         compact, buckets = fm.compact()  # a presence mask renumbers all but the 2**16 ids
         want_buckets, want_ids = np.unique(fm.bucket_ids, return_inverse=True)

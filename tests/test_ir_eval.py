@@ -280,6 +280,11 @@ def test_benchmark_validate_errors():
     with pytest.raises(ValueError, match="no relevant document"):
         b.validate()
 
+    b = _benchmark()
+    b.plants[1].queries, b.plants[1].qrels = [], {}
+    with pytest.raises(ValueError, match="plant 'P2' has no queries"):
+        b.validate()
+
 
 def test_evaluate_run_matches_rank_corpus():
     p = init_encoder(dim=16, vocab_buckets=256, seed=5)
