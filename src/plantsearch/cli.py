@@ -41,7 +41,8 @@ import numpy as np
 
 from . import ann, graph_embed, ir_eval, kg, pairs as pairs_mod, storage, synth, train
 from . import triplets as triplets_mod
-from .encoder import EncoderParams, Featurizer, init_encoder, load_encoder, save_encoder
+from .encoder import DEFAULT_DIM, DEFAULT_VOCAB_BUCKETS, EncoderParams, Featurizer, init_encoder
+from .encoder import load_encoder, save_encoder
 from .losses import NonFiniteError
 from .storage import (
     CorruptFileError, EmbeddingFileError, derive_seed, read_json, read_json_lines, read_table,
@@ -87,12 +88,11 @@ DEFAULT_RUN_CONFIG: dict[str, Any] = {
     "graph_embed": {**_defaults(graph_embed.GETrainConfig), "init_mode": "text_vectors",
                     "lp_test_fraction": 0.01},
     "sampling": _defaults(triplets_mod.SamplingParams),
-    "quality": {"t_pos": 1.0, "t_margin": 0.2, "scorer_scale": 10.0, "query_terms": 3},
-    "encoder": {"dim": 64, "vocab_buckets": 65536},
+    "quality": {"t_pos": 1.0, "t_margin": 0.2, "query_terms": 3},
+    "encoder": {"dim": DEFAULT_DIM, "vocab_buckets": DEFAULT_VOCAB_BUCKETS},
     "docsim": _defaults(train.DocSimConfig),
     "biencoder": _defaults(train.BiEncoderConfig),
-    "composition": {"use_get": True, "use_sid": True, "use_drmm": False,
-                    "drmm_pairs": None, "drmm_corpus": None},
+    "composition": {"drmm_pairs": None, "drmm_corpus": None},
     "ablations": [
         {"name": "sid", "use_get": False, "use_sid": True, "docsim": False},
         {"name": "sid+get", "use_get": True, "use_sid": True, "docsim": False},
@@ -100,7 +100,7 @@ DEFAULT_RUN_CONFIG: dict[str, Any] = {
     ],
 }
 
-PLANT_DEFAULTS = _defaults(synth.PlantConfig)
+PLANT_DEFAULTS = {k: v for k, v in _defaults(synth.PlantConfig).items() if k != "vec_dim"}
 
 
 def _merged(defaults: Mapping[str, Any], override: Mapping[str, Any], where: str) -> dict:
@@ -152,18 +152,19 @@ def _checked(default: Any, value: Any, where: str) -> Any:
 
 class RunConfig:
     """The run config, checked whole and with every stage config built once; ``raw`` holds
-    every merged section, and ``plants`` and ``ablations`` as given."""
+    every merged section, and ``plants`` and ``ablations`` as given. Each value has one source:
+    a plant's ``vec_dim`` is ``graph_embed.dim``, and an ablation's flags are its entry's."""
 
     def __init__(self, raw: Mapping[str, Any]):
         lists = {key: raw.get(key, DEFAULT_RUN_CONFIG[key]) for key in ("plants", "ablations")}
         self.raw = _merged({k: v for k, v in DEFAULT_RUN_CONFIG.items() if k not in lists},
                            {k: v for k, v in raw.items() if k not in lists}, "config")
         self.seed = self.raw["seed"]
-        comp, dim = self.raw["composition"], self.raw["graph_embed"]["dim"]
+        dim = self.raw["graph_embed"]["dim"]  # each plant's vec_dim: text vectors init the GE
         entries = _merged({  # each entry over its defaults; a missing id or name exits 2 as empty
-            "plants": [{**PLANT_DEFAULTS, "plant_id": "", "vec_dim": dim}],
-            "ablations": [{"name": "", "use_get": comp["use_get"], "use_sid": comp["use_sid"],
-                           "use_drmm": comp["use_drmm"], "docsim": True}],
+            "plants": [{**PLANT_DEFAULTS, "plant_id": ""}],
+            "ablations": [{"name": "", "use_get": True, "use_sid": True, "use_drmm": False,
+                           "docsim": True}],
         }, lists, "config")
         self.raw.update(lists)
         for key, given in lists.items():
@@ -173,7 +174,8 @@ class RunConfig:
         for i, (plant, entry) in enumerate(zip(entries["plants"], lists["plants"])):
             if "seed" not in entry:
                 plant["seed"] = derive_seed(self.seed, f"synth:{plant['plant_id']}")
-            self.plant_configs.append(_valid(f"plants[{i}]", synth.PlantConfig(**plant)))
+            self.plant_configs.append(_valid(f"plants[{i}]",
+                                             synth.PlantConfig(**plant, vec_dim=dim)))
         _check_names([p.plant_id for p in self.plant_configs], "plant id")
         self.ablations = entries["ablations"]
         _check_names([a["name"] for a in self.ablations], "ablation name")
@@ -194,9 +196,6 @@ class RunConfig:
         if quality["query_terms"] < 1:
             raise ConfigError(f"config.quality.query_terms must be >= 1, "
                               f"got {quality['query_terms']}")
-        if quality["scorer_scale"] <= 0:
-            raise ConfigError(f"config.quality.scorer_scale must be > 0, "
-                              f"got {quality['scorer_scale']}")
         try:  # the encoder size checks
             init_encoder(self.raw["encoder"]["dim"], self.raw["encoder"]["vocab_buckets"])
         except ValueError as exc:
@@ -384,7 +383,7 @@ class Run:
         try:
             return pairs_mod.quality_filter(
                 tset, self.log_texts(), pairs_mod.EncoderCosineScorer(
-                    _fresh_encoder(self.cfg, "scorer"), quality["scorer_scale"], self.features),
+                    _fresh_encoder(self.cfg, "scorer"), features=self.features),
                 t_pos=quality["t_pos"], t_margin=quality["t_margin"],
             ).triplets
         except KeyError as exc:  # a triplet names a document no built graph has
@@ -709,8 +708,7 @@ BiEncoderJob = tuple[list[pairs_mod.QueryDocPair], pairs_mod.CompositionReport, 
 
 def _train_biencoder_load(r: Run) -> BiEncoderJob:
     """An ablation's pair rows and their composition, checked to hold a positive and to name
-    only documents with a text, those texts, and the encoder it starts from. The pairs' texts
-    go to the stage's featurizer, whose first take featurizes every ablation's at once."""
+    only documents with a text, those texts, and the encoder it starts from."""
     job = r.ablation
     components = []  # each pair file and its rows, parsed once per store
     for source, read in _pair_reads(r):
@@ -732,7 +730,6 @@ def _train_biencoder_load(r: Run) -> BiEncoderJob:
         raise CorruptFileError(f"{path}: no text for document {unknown!r}")
     start = (_saved_encoder(r, "encoders/docsim", "train-docsim") if job["docsim"]
              else _fresh_encoder(r.cfg))
-    r.features.want([texts[pr.doc_id] for pr in pair_rows] + [pr.query_text for pr in pair_rows])
     return pair_rows, report, texts, start
 
 
@@ -756,7 +753,7 @@ def _evaluate(r: Run, loaded: tuple[EncoderParams, ir_eval.Benchmark]) -> tuple[
     _dump(r.write(f"{stem}.json"), metrics)
     r.write(f"{stem}.txt").write_text(report.format_table() + "\n", encoding="utf-8")
     logger.info("evaluate %s:\n%s", stem, report.format_table())
-    return {"k": 10}, metrics
+    return {"k": ir_eval.K}, metrics
 
 
 TABLE = [

@@ -274,9 +274,9 @@ def _check_vocab_buckets(vocab_buckets: int) -> None:
 class Featurizer:
     """Featurizes each distinct text once over its life, into one :class:`FeatureMatrix`.
 
-    ``want`` names texts that a later ``take`` will ask for; the first ``take`` that meets a
-    text not yet held featurizes every wanted text with its own in one ``featurize_many``
-    call. One lives as long as one pipeline stage, so that stage featurizes each text once.
+    Each ``take`` featurizes the texts it asks for that no earlier one held, in one
+    ``featurize_many`` call. One lives as long as one pipeline stage, so that stage featurizes
+    each text once.
     The held matrix keeps its bucket ids in the smallest unsigned type below
     ``vocab_buckets`` and its counts as int32, 6 bytes an entry instead of 16 at the default
     65,536 buckets; ``take`` returns int64 arrays.
@@ -286,7 +286,6 @@ class Featurizer:
         self.vocab_buckets = vocab_buckets
         self.requested = 0  # texts asked for by every take
         self._row: dict[str, int] = {}
-        self._wanted: dict[str, None] = {}
         self._fm = FeatureMatrix(np.zeros(1, dtype=np.int64),
                                  np.empty(0, dtype=np.min_scalar_type(vocab_buckets - 1)),
                                  np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64))
@@ -295,20 +294,16 @@ class Featurizer:
     def distinct(self) -> int:
         return len(self._row)
 
-    def want(self, texts: Sequence[str]) -> None:
-        self._wanted.update(dict.fromkeys(t for t in texts if t not in self._row))
-
     def take(self, texts: Sequence[str], vocab_buckets: int) -> FeatureMatrix:
         """The matrix whose row i equals ``featurize(texts[i], vocab_buckets)``."""
         if vocab_buckets != self.vocab_buckets:
             raise ValueError(f"{vocab_buckets} buckets asked of a featurizer of "
                              f"{self.vocab_buckets}")
-        self.want(texts)
-        if self._wanted:
-            new, old = featurize_many(list(self._wanted), vocab_buckets), self._fm
-            for text in self._wanted:
+        fresh = list(dict.fromkeys(t for t in texts if t not in self._row))
+        if fresh:
+            new, old = featurize_many(fresh, vocab_buckets), self._fm
+            for text in fresh:
                 self._row[text] = len(self._row)
-            self._wanted = {}
             self._fm = FeatureMatrix(
                 np.concatenate([old.indptr, new.indptr[1:] + old.indptr[-1]]),
                 np.concatenate([old.bucket_ids, new.bucket_ids.astype(old.bucket_ids.dtype)]),

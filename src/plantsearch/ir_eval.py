@@ -24,6 +24,7 @@ from .storage import CorruptFileError, read_json_lines, write_json_lines
 logger = logging.getLogger(__name__)
 
 AP_NORMALIZER_NOTE = "AP@k normalizer: min(|relevant|, k)"
+K = 10  # the cutoff of every evaluate_run metric, which each report field and header names
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,8 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def evaluate_run(p: EncoderParams, b: Benchmark, k: int = 10) -> EvalReport:
-    """Macro-averaged retrieval metrics: per plant, then unweighted across plants.
+def evaluate_run(p: EncoderParams, b: Benchmark) -> EvalReport:
+    """Macro-averaged retrieval metrics at ``K``: per plant, then unweighted across plants.
 
     Each plant's queries are ranked in one batch by :func:`rank_queries`, whose memo holds
     each plant corpus's pooling weights across evaluations.
@@ -224,9 +225,9 @@ def evaluate_run(p: EncoderParams, b: Benchmark, k: int = 10) -> EvalReport:
         for q, ranking in zip(plant.queries, rankings):
             grades = plant.qrels.get(q.query_id, {})
             relevant = {d for d, g in grades.items() if g > 0}
-            aps.append(ap_at_k(ranking, relevant, k))
-            rrs.append(rr_at_k(ranking, relevant, k))
-            ndcgs.append(ndcg_at_k(ranking, grades, k))
+            aps.append(ap_at_k(ranking, relevant, K))
+            rrs.append(rr_at_k(ranking, relevant, K))
+            ndcgs.append(ndcg_at_k(ranking, grades, K))
         per_plant[plant.plant_id] = PlantMetrics(
             map10=float(np.mean(aps)), mrr10=float(np.mean(rrs)), ndcg10=float(np.mean(ndcgs))
         )

@@ -87,6 +87,8 @@ class PlantConfig:
     def validate(self) -> None:
         if not self.plant_id:
             raise ValueError("plant_id must be non-empty")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_fl < 2:
             raise ValueError(f"n_fl must be >= 2, got {self.n_fl}")
         if self.tree_branching < 1:

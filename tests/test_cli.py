@@ -412,13 +412,13 @@ def _drmm_pairs(tmp_path):
     return pairs_path
 
 
-def _drmm_config(tmp_path, pairs_path, use_drmm=True, corpus=True):
-    """A config whose one ablation, ``drmm``, uses DRMM pairs; ``use_drmm`` is the
-    composition's default for ablations, and ``corpus`` whether it names the DRMM corpus."""
+def _drmm_config(tmp_path, pairs_path, corpus=True):
+    """A config whose one ablation, ``drmm``, uses DRMM pairs; ``corpus`` is whether it names
+    the DRMM corpus."""
     corpus_path = tmp_path / "drmm-corpus.jsonl"
     corpus_path.write_text("".join(json.dumps(r) + "\n" for r in DRMM_CORPUS), encoding="utf-8")
     config = dict(TINY_CONFIG,
-                  composition={"use_drmm": use_drmm, "drmm_pairs": str(pairs_path),
+                  composition={"drmm_pairs": str(pairs_path),
                                "drmm_corpus": str(corpus_path) if corpus else None},
                   ablations=[{"name": "drmm", "use_get": False, "use_sid": True,
                               "use_drmm": True, "docsim": False}])
@@ -430,10 +430,10 @@ def _drmm_config(tmp_path, pairs_path, use_drmm=True, corpus=True):
 @pytest.fixture(scope="module")
 def drmm_run(tmp_path_factory):
     """The tiny pipeline with DRMM pairs from files the config names, and one ablation that
-    uses them although the composition does not."""
+    uses them."""
     root = tmp_path_factory.mktemp("drmm")
     pairs_path = _drmm_pairs(root)
-    cfg_path, corpus_path = _drmm_config(root, pairs_path, use_drmm=False)
+    cfg_path, corpus_path = _drmm_config(root, pairs_path)
     out = root / "run"
     assert cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
     return out, pairs_path, corpus_path
@@ -513,11 +513,11 @@ def test_exit_3_on_drmm_pairs_without_corpus(pipeline_run, tmp_path, caplog, com
 
 
 @pytest.mark.parametrize("command, ablations", [
-    ("train-biencoder", [{"name": "default"}]),  # every flag from the composition
-    ("pipeline", TINY_CONFIG["ablations"])], ids=["train-biencoder-default", "pipeline-sid"])
+    ("train-biencoder", [{"name": "default", "use_drmm": True}]),  # every other flag built in
+    ("pipeline", [dict(a, use_drmm=True) for a in TINY_CONFIG["ablations"]])],
+    ids=["train-biencoder-default", "pipeline-sid"])
 def test_exit_2_on_drmm_job_without_pairs(pipeline_run, tmp_path, caplog, command, ablations):
-    """An ablation that omits ``use_drmm`` takes the composition's, here true without
-    ``composition.drmm_pairs``."""
+    """An ablation that uses DRMM pairs while ``composition.drmm_pairs`` is unset."""
     _, out1, *_ = pipeline_run
     out = tmp_path / "run"
     shutil.copytree(out1, out)
@@ -525,8 +525,7 @@ def test_exit_2_on_drmm_job_without_pairs(pipeline_run, tmp_path, caplog, comman
     for path in out.glob("manifest-train-biencoder-*"):
         path.unlink()
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, composition={"use_drmm": True},
-                                        ablations=ablations)), encoding="utf-8")
+    cfg_path.write_text(json.dumps(dict(TINY_CONFIG, ablations=ablations)), encoding="utf-8")
     message = fails(caplog, [command, "--config", str(cfg_path), "--out", str(out)], code=2)
     assert f"ablation {ablations[0]['name']!r}" in message
     assert "composition.drmm_pairs" in message
@@ -1153,10 +1152,22 @@ def test_exit_2_on_unsafe_or_repeated_name(tmp_path, caplog, config):
     assert list(tmp_path.iterdir()) == [cfg_path]  # --out, or a path beside it, never made
 
 
-def test_exit_2_on_unknown_config_key(tmp_path):
+@pytest.mark.parametrize("config, key, where", [
+    ({"nope": 1}, "nope", "config"),
+    # each of these restated another setting, which is now its one source
+    ({"plants": [dict(MICRO_CONFIG["plants"][0], vec_dim=64)]}, "vec_dim", "config.plants[0]"),
+    *(({"composition": {key: True}}, key, "config.composition")
+      for key in ("use_get", "use_sid", "use_drmm")),
+    ({"quality": {"scorer_scale": 10.0}}, "scorer_scale", "config.quality"),
+], ids=["nope", "plant-vec-dim", "composition-use-get", "composition-use-sid",
+        "composition-use-drmm", "quality-scorer-scale"])
+def test_exit_2_on_unknown_config_key(tmp_path, caplog, config, key, where):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"nope": 1}), encoding="utf-8")
-    assert cli.main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    cfg_path.write_text(json.dumps({**MICRO_CONFIG, **config}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert fails(caplog, ["pipeline", "--config", str(cfg_path), "--out", str(out)],
+                 code=2) == f"unknown key {key!r} in {where}"
+    assert not out.exists()
 
 
 def test_exit_2_on_invalid_json(tmp_path):
@@ -1194,15 +1205,15 @@ MISTYPED = {
                                                   jargon_pairs=[["lömi"]])]},
                                  "config.plants[0].jargon_pairs[0]"),
     "enrich-string": ({"enrich": "no"}, "config.enrich"),
-    "composition-use-get-string": ({"composition": {"use_get": "no"}},
-                                   "config.composition.use_get"),
     "composition-drmm-corpus-number": ({"composition": {"drmm_corpus": 5}},
                                        "config.composition.drmm_corpus"),
     "ablation-docsim-string": ({"ablations": [{"name": "a", "docsim": "no"}]},
                                "config.ablations[0].docsim"),
+    "ablation-use-get-string": ({"ablations": [{"name": "a", "use_get": "no"}]},
+                                "config.ablations[0].use_get"),
     "seed-float": ({"seed": 7.9}, "config.seed"),
-    "quality-scorer-scale-nan": ({"quality": {"scorer_scale": float("nan")}},
-                                 "config.quality.scorer_scale"),
+    "quality-t-margin-nan": ({"quality": {"t_margin": float("nan")}},
+                             "config.quality.t_margin"),
     "graph-embed-learning-rate-infinity": ({"graph_embed": {"learning_rate": float("inf")}},
                                            "config.graph_embed.learning_rate"),
 }
@@ -1223,11 +1234,9 @@ def test_exit_2_on_mistyped_config_value(tmp_path, caplog, case):
 @pytest.mark.parametrize("quality, message", [
     ({"query_terms": 0}, "config.quality.query_terms must be >= 1, got 0"),
     ({"query_terms": -2}, "config.quality.query_terms must be >= 1, got -2"),
-    ({"scorer_scale": 0}, "config.quality.scorer_scale must be > 0, got 0"),
-    ({"scorer_scale": -1.0}, "config.quality.scorer_scale must be > 0, got -1.0"),
 ])
 def test_exit_2_on_quality_out_of_range(tmp_path, caplog, quality, message):
-    """A query needs a term and the scorer a positive scale; both are checked at load."""
+    """A query needs a term, which is checked at load."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**MICRO_CONFIG, "quality": quality}), encoding="utf-8")
     out = tmp_path / "o"
@@ -1243,7 +1252,10 @@ def test_exit_2_on_quality_out_of_range(tmp_path, caplog, quality, message):
      "config.encoder: vocab_buckets must be in [1, 16777216], got 0"),
     ({"encoder": {"vocab_buckets": (1 << 24) + 1}},
      "config.encoder: vocab_buckets must be in [1, 16777216], got 16777217"),
-], ids=["plants-empty", "ablations-empty", "vocab-buckets-0", "vocab-buckets-past-the-bound"])
+    ({"plants": [dict(MICRO_CONFIG["plants"][0], seed=-3)]},
+     "config.plants[0]: seed must be >= 0, got -3"),
+], ids=["plants-empty", "ablations-empty", "vocab-buckets-0", "vocab-buckets-past-the-bound",
+        "plant-seed-negative"])
 def test_exit_2_on_empty_list_or_table_size_out_of_range(tmp_path, caplog, override, message):
     """Checked at load, so ``pipeline`` and the per-ablation stages stop before they write."""
     cfg_path = tmp_path / "cfg.json"

@@ -289,7 +289,7 @@ def test_benchmark_validate_errors():
 def test_evaluate_run_matches_rank_corpus():
     p = init_encoder(dim=16, vocab_buckets=256, seed=5)
     b = _benchmark()
-    report = evaluate_run(p, b, k=10)
+    report = evaluate_run(p, b)
     # recompute every metric through the public ranking function
     for plant in b.plants:
         aps, rrs, ndcgs = [], [], []

@@ -1,7 +1,11 @@
 import ast
+import importlib
+import re
 from pathlib import Path
+from typing import Mapping
 
 import plantsearch
+from plantsearch import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +33,25 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(plantsearch.__all__) - used - {"__version__"}) == []
+
+
+def test_readme_names_only_config_keys_that_exist():
+    """The README's "Top-level sections:" sentence lists the run config's sections, in order,
+    and each backticked ``<section>.<key>`` whose section is a config section names one of its
+    keys, or an attribute of the ``plantsearch.<section>`` module (such as
+    ``graph_embed.train_plant_embeddings``)."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Top-level sections: (.*?)\.\s", readme, re.S)[1]
+    assert re.findall(r"`(\w+)`", sentence) == list(cli.DEFAULT_RUN_CONFIG)
+    stale = []
+    for section, key in re.findall(r"`(\w+)\.(\w+)`", readme):
+        if section not in cli.DEFAULT_RUN_CONFIG:
+            continue
+        default = cli.DEFAULT_RUN_CONFIG[section]
+        try:
+            module = importlib.import_module(f"plantsearch.{section}")
+        except ModuleNotFoundError:
+            module = None
+        if not (isinstance(default, Mapping) and key in default or hasattr(module, key)):
+            stale.append(f"{section}.{key}")
+    assert stale == []

@@ -124,7 +124,7 @@ def test_jargon_forms_recorded(plant):
 def test_untrained_retrieval_leaves_headroom(plant):
     """An untrained hashed encoder must not already solve the benchmark."""
     p = init_encoder(dim=64, vocab_buckets=4096, seed=0)
-    report = evaluate_run(p, Benchmark([generate_plant(_cfg()).bench]), k=10)
+    report = evaluate_run(p, Benchmark([generate_plant(_cfg()).bench]))
     assert 0.0 < report.mean_ndcg10 < 0.9
 
 
@@ -163,6 +163,7 @@ def test_config_validation():
         _cfg(n_fl=5, n_queries=5).validate()
     for bad in (
         dict(plant_id=""),
+        dict(seed=-1),
         dict(n_fl=1),
         dict(tree_branching=0),
         dict(n_logs=0),
