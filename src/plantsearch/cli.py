@@ -153,7 +153,8 @@ def _checked(default: Any, value: Any, where: str) -> Any:
 class RunConfig:
     """The run config, checked whole and with every stage config built once; ``raw`` holds
     every merged section, and ``plants`` and ``ablations`` as given. Each value has one source:
-    a plant's ``vec_dim`` is ``graph_embed.dim``, and an ablation's flags are its entry's."""
+    a plant's ``vec_dim`` is ``graph_embed.dim``, and an ablation's flags are its entry's. Each
+    ablation must use some pair source, DRMM pairs only when ``composition.drmm_pairs`` is set."""
 
     def __init__(self, raw: Mapping[str, Any]):
         lists = {key: raw.get(key, DEFAULT_RUN_CONFIG[key]) for key in ("plants", "ablations")}
@@ -179,6 +180,12 @@ class RunConfig:
         _check_names([p.plant_id for p in self.plant_configs], "plant id")
         self.ablations = entries["ablations"]
         _check_names([a["name"] for a in self.ablations], "ablation name")
+        for job in self.ablations:
+            if job["use_drmm"] and not self.raw["composition"]["drmm_pairs"]:
+                raise ConfigError(f"ablation {job['name']!r} uses DRMM pairs, but "
+                                  "composition.drmm_pairs is not set")
+            if not (job["use_get"] or job["use_sid"] or job["use_drmm"]):
+                raise ConfigError(f"ablation {job['name']!r} selects no pair sources")
         ge = dict(self.raw["graph_embed"])
         self.lp_fraction, mode = ge.pop("lp_test_fraction"), ge.pop("init_mode")
         modes = [m.value for m in graph_embed.InitMode]
@@ -278,10 +285,12 @@ class Run:
 
     The store maps an artifact kind plus the names and sha256 digests of the files it is
     parsed from to the parsed artifact, so the stages of one ``pipeline`` parse each file
-    once. It serves one config, and nothing may mutate what it holds. Encoders stay out of
-    it: each stage reads a different one, and each is only an init seed plus its trained
-    rows, read again in milliseconds. Featurized texts stay out of it too: every run of a
-    stage shares one ``features``, which the stage drops when it ends.
+    once. It serves one config, and nothing may mutate what it holds. It also holds the two
+    untrained encoders, the quality filter's ``scorer`` and the ``encoder-init`` that every
+    encoder trains from, so that each keeps the init rows it reads for every later run.
+    Saved encoders stay out of it: each stage reads a different one, and each is only an init
+    seed plus its trained rows, read again in milliseconds. Featurized texts stay out of it
+    too: every run of a stage shares one ``features``, which the stage drops when it ends.
     """
 
     stage: str
@@ -383,7 +392,7 @@ class Run:
         try:
             return pairs_mod.quality_filter(
                 tset, self.log_texts(), pairs_mod.EncoderCosineScorer(
-                    _fresh_encoder(self.cfg, "scorer"), features=self.features),
+                    _fresh_encoder(self, "scorer"), features=self.features),
                 t_pos=quality["t_pos"], t_margin=quality["t_margin"],
             ).triplets
         except KeyError as exc:  # a triplet names a document no built graph has
@@ -622,9 +631,12 @@ def _sample_triplets(r: Run, loaded: dict[str, tuple[graph_embed.EmbeddingTable,
     return asdict(params), None
 
 
-def _fresh_encoder(cfg: RunConfig, label: str = "encoder-init") -> EncoderParams:
-    enc = cfg.raw["encoder"]
-    return init_encoder(enc["dim"], enc["vocab_buckets"], derive_seed(cfg.seed, label))
+def _fresh_encoder(r: Run, label: str = "encoder-init") -> EncoderParams:
+    """The untrained encoder of seed label ``label``, one per store, so that every run that
+    reads it shares the init rows it has read."""
+    enc, seed = r.cfg.raw["encoder"], derive_seed(r.cfg.seed, label)
+    return r.load(f"encoder:{label}", [],
+                  lambda: init_encoder(enc["dim"], enc["vocab_buckets"], seed))
 
 
 def _saved_encoder(r: Run, stem: str, producer: str) -> EncoderParams:
@@ -640,11 +652,11 @@ def _saved_encoder(r: Run, stem: str, producer: str) -> EncoderParams:
     return p
 
 
-def _train_docsim(r: Run, loaded: tuple[dict[str, str], list[triplets_mod.Triplet]]
-                  ) -> tuple[dict, None]:
-    texts, filtered = loaded
+def _train_docsim(r: Run, loaded: tuple[dict[str, str], list[triplets_mod.Triplet],
+                                         EncoderParams]) -> tuple[dict, None]:
+    texts, filtered, start = loaded
     dcfg = replace(r.cfg.docsim, rng_seed=derive_seed(r.cfg.seed, "docsim"))
-    result = train.train_docsim(_fresh_encoder(r.cfg), filtered, texts, dcfg, r.features)
+    result = train.train_docsim(start, filtered, texts, dcfg, r.features)
     path = r.write("encoders/docsim", ENCODER_FILES)
     save_encoder(result.params, f"{path}.gemb", f"{path}.json")
     logger.info("train-docsim: %d triplets kept, losses %s",
@@ -681,18 +693,11 @@ def _encoder_dir(r: Run) -> str:
 
 def _pair_reads(r: Run) -> list[tuple[pairs_mod.PairSource, Read]]:
     """Each pair source an ablation uses, read from the stage or config file that makes it."""
-    job, drmm = r.ablation, r.cfg.raw["composition"]["drmm_pairs"]
-    if job["use_drmm"] and not drmm:
-        raise ConfigError(f"ablation {job['name']!r} uses DRMM pairs, but "
-                          "composition.drmm_pairs is not set")
     made_by = {pairs_mod.PairSource.GET: ("pairs/get.jsonl", "gen-pairs"),
                pairs_mod.PairSource.SID: ("sid.jsonl", "synth"),
-               pairs_mod.PairSource.DRMM: (drmm, None)}
-    reads = [(source, read) for source, read in made_by.items()
-             if job[f"use_{source.value.lower()}"]]
-    if not reads:
-        raise ConfigError(f"ablation {job['name']!r} selects no pair sources")
-    return reads
+               pairs_mod.PairSource.DRMM: (r.cfg.raw["composition"]["drmm_pairs"], None)}
+    return [(source, read) for source, read in made_by.items()
+            if r.ablation[f"use_{source.value.lower()}"]]
 
 
 def _drmm_texts(path: Path) -> dict[str, str]:
@@ -729,7 +734,7 @@ def _train_biencoder_load(r: Run) -> BiEncoderJob:
                     if any(pr.doc_id == unknown for pr in rows))
         raise CorruptFileError(f"{path}: no text for document {unknown!r}")
     start = (_saved_encoder(r, "encoders/docsim", "train-docsim") if job["docsim"]
-             else _fresh_encoder(r.cfg))
+             else _fresh_encoder(r))
     return pair_rows, report, texts, start
 
 
@@ -765,7 +770,8 @@ TABLE = [
               graph_embed.load_embeddings(_stem(r, f"ge/{pid}", GE_FILES, "train-ge")),
               r.graph("graphs", pid)) for pid in r.plant_ids(training=True)},
           _sample_triplets),
-    Stage("train-docsim", lambda r: (r.log_texts(), r.filtered_triplets()), _train_docsim),
+    Stage("train-docsim", lambda r: (r.log_texts(), r.filtered_triplets(), _fresh_encoder(r)),
+          _train_docsim),
     Stage("gen-pairs", lambda r: (r.filtered_triplets(), {
               pid: r.graph("graphs", pid) for pid in r.plant_ids(training=True)}),
           _gen_pairs),

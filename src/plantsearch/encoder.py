@@ -10,10 +10,10 @@ changed (:class:`EncoderParams`).
 
 The init rows come in blocks of ``_INIT_BLOCK`` buckets, each block from
 its own seeded stream: bucket j's row is row ``j % 16`` of
-``default_rng([seed, j // 16]).normal(0, 1/sqrt(dim), (16, dim))``. A
-read draws only the blocks of the buckets it names, once per seed, so no
-whole table is ever drawn. The memo's index holds one int64 per block up to
-the highest drawn, so ``MAX_VOCAB_BUCKETS`` bounds it at 8 MB.
+``default_rng([seed, j // 16]).normal(0, 1/sqrt(dim), (16, dim))``. Each
+table keeps the init rows it has read, as sorted bucket ids plus rows; a
+read of rows it lacks draws each of their blocks once and keeps only those
+rows, so no whole table is ever drawn and nothing is held for the process.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 import logging
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -35,8 +35,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_DIM = 64
 DEFAULT_VOCAB_BUCKETS = 1 << 16
-# Keeps the init memo's block index within 8 MB and featurize_many's (text, bucket) keys
-# far inside int64.
+# Keeps featurize_many's (text, bucket) keys far inside int64.
 MAX_VOCAB_BUCKETS = 1 << 24
 HASH_ALGO = "fnv1a-64"
 
@@ -315,63 +314,13 @@ class Featurizer:
                        counts=fm.counts.astype(np.int64))
 
 
-@dataclass(frozen=True)
-class _InitBlocks:
-    """The init blocks of one ``(seed, dim)`` drawn so far: block b's rows are
-    ``rows[start[b]:start[b] + _INIT_BLOCK]``. ``start`` is -1 for a block not drawn, and it
-    ends at the highest block drawn."""
-
-    key: tuple[int, int]
-    start: np.ndarray  # int64
-    rows: np.ndarray  # (drawn blocks * _INIT_BLOCK, dim) float64, read-only
-
-
-# The init blocks of the last (seed, dim) read.
-_init_memo: _InitBlocks | None = None
-
-
-def _init_rows(seed: int, dim: int, u: np.ndarray) -> np.ndarray:
-    """Init rows ``u`` of the seeded Gaussian(0, 1/sqrt(dim)) table, as a new array.
-
-    The one-entry memo draws each block once per ``(seed, dim)`` and drops the
-    blocks it holds before it draws for another key. When every block of ``u``
-    is held, the read is index arithmetic and one gather.
-    """
-    global _init_memo
-    memo = _init_memo
-    if memo is None or memo.key != (seed, dim):
-        _init_memo = None
-        memo = _InitBlocks((seed, dim), np.empty(0, dtype=np.int64), np.empty((0, dim)))
-    block = u // _INIT_BLOCK
-    try:
-        start = memo.start[block]
-    except IndexError:  # a block past the highest drawn
-        start = None
-    if start is None or start.min(initial=0) < 0:
-        memo = _with_blocks(memo, block)
-        start = memo.start[block]
-    _init_memo = memo
-    return memo.rows[start + u % _INIT_BLOCK]
-
-
-def _with_blocks(memo: _InitBlocks, block: np.ndarray) -> _InitBlocks:
-    """``memo`` with the blocks ``block`` names, drawing each one it lacks."""
-    t0 = time.perf_counter()
-    seed, dim = memo.key
-    start = np.full(max(len(memo.start), block.max() + 1), -1, dtype=np.int64)
-    start[: len(memo.start)] = memo.start
-    new = np.unique(block[start[block] < 0])
-    start[new] = len(memo.rows) + _INIT_BLOCK * np.arange(len(new))
-    rows = np.empty((len(memo.rows) + _INIT_BLOCK * len(new), dim))
-    rows[: len(memo.rows)] = memo.rows
-    scale = 1.0 / np.sqrt(dim)
-    for b, lo in zip(new.tolist(), start[new].tolist()):
-        rows[lo : lo + _INIT_BLOCK] = np.random.default_rng([seed, b]).normal(
-            0.0, scale, size=(_INIT_BLOCK, dim))
-    rows.flags.writeable = False
-    logger.debug("encoder init seed %d: drew %d blocks in %.4f s", seed, len(new),
-                 time.perf_counter() - t0)
-    return _InitBlocks(memo.key, start, rows)
+def _find(ids: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``u`` is in the sorted ``ids`` (clipped to the last), and whether it is
+    there."""
+    if not len(ids):
+        return np.zeros(len(u), dtype=np.int64), np.zeros(len(u), dtype=bool)
+    pos = np.minimum(np.searchsorted(ids, u), len(ids) - 1)
+    return pos, ids[pos] == u
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,6 +340,9 @@ class EncoderParams:
     bucket_ids: np.ndarray  # int64, strictly increasing, below vocab_buckets
     trained: np.ndarray  # (len(bucket_ids), dim) float64
     rounded: bool = False
+    # The init rows read so far, as sorted bucket ids and their rows (rounded when ``rounded``
+    # is set). A table that ``with_rows`` makes starts with none.
+    _init: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -407,23 +359,42 @@ class EncoderParams:
                              f"{len(ids)} bucket ids of dim {self.dim}")
         if not np.isfinite(self.trained).all():
             raise ValueError("trained rows contain non-finite values")
+        object.__setattr__(self, "_init", (np.empty(0, dtype=np.int64), np.empty((0, self.dim))))
 
     def rows(self, u: np.ndarray) -> np.ndarray:
-        """Rows ``u`` of the table, as a new float64 array: init rows from the memo, with the
-        trained rows laid over them. When every row of ``u`` is held, no init row is read,
-        so no block is drawn."""
-        held = None
-        if len(self.bucket_ids):
-            pos = np.minimum(np.searchsorted(self.bucket_ids, u), len(self.bucket_ids) - 1)
-            held = self.bucket_ids[pos] == u
-            if held.all():
-                return self.trained[pos]
-        out = _init_rows(self.seed, self.dim, u)
-        if self.rounded:
-            out = out.astype(np.float32).astype(np.float64)
-        if held is not None:
-            out[held] = self.trained[pos[held]]
+        """Rows ``u`` of the table, as a new float64 array: the trained rows it holds, and the
+        init rows of the others (:meth:`_init_rows`). When every row of ``u`` is held, no init
+        row is read."""
+        pos, held = _find(self.bucket_ids, u)
+        if held.all():
+            return self.trained[pos]
+        if not held.any():
+            return self._init_rows(u)
+        out = np.empty((len(u), self.dim))
+        out[held], out[~held] = self.trained[pos[held]], self._init_rows(u[~held])
         return out
+
+    def _init_rows(self, u: np.ndarray) -> np.ndarray:
+        """Init rows ``u``, as a new array, from the init rows this table has read so far. A
+        read of rows it lacks draws each of their blocks once and keeps only those rows."""
+        ids, rows = self._init
+        pos, held = _find(ids, u)
+        if not held.all():
+            t0 = time.perf_counter()
+            new = np.unique(u[~held])
+            blocks = np.split(new, np.flatnonzero(np.diff(new // _INIT_BLOCK)) + 1)
+            drawn = np.concatenate([np.random.default_rng([self.seed, int(b[0]) // _INIT_BLOCK])
+                                    .normal(0.0, 1.0 / np.sqrt(self.dim), (_INIT_BLOCK, self.dim))
+                                    [b % _INIT_BLOCK] for b in blocks])
+            if self.rounded:
+                drawn = drawn.astype(np.float32).astype(np.float64)
+            at = np.searchsorted(ids, new)
+            ids, rows = np.insert(ids, at, new), np.insert(rows, at, drawn, axis=0)
+            object.__setattr__(self, "_init", (ids, rows))  # a memo: the table stays the same
+            pos = np.searchsorted(ids, u)
+            logger.debug("encoder init seed %d: drew %d blocks for %d rows in %.4f s", self.seed,
+                         len(blocks), len(new), time.perf_counter() - t0)
+        return rows[pos]
 
     def with_rows(self, ids: np.ndarray, rows: np.ndarray) -> EncoderParams:
         """This table with rows ``ids`` (strictly increasing) set to ``rows``; of those, only
@@ -441,7 +412,7 @@ def init_encoder(
     vocab_buckets: int = DEFAULT_VOCAB_BUCKETS,
     seed: int = 0,
 ) -> EncoderParams:
-    """Seeded Gaussian(0, 1/sqrt(dim)) bucket table, drawn block by block as its rows are
+    """Seeded Gaussian(0, 1/sqrt(dim)) bucket table, whose init rows are drawn as they are
     first read."""
     return EncoderParams(seed, dim, vocab_buckets, np.empty(0, dtype=np.int64), np.empty((0, dim)))
 

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -6,7 +7,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import numpy as np
 import pytest
 
-from plantsearch import encoder, ir_eval
+from plantsearch import ir_eval
 from plantsearch.ann import knn_rows
 from plantsearch.graph_embed import EmbeddingTable, train_plant_embeddings
 from plantsearch.kg import Edge, KnowledgeGraph, Node, NodeKind, Relation
@@ -14,10 +15,24 @@ from plantsearch.kg import Edge, KnowledgeGraph, Node, NodeKind, Relation
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """Each test starts with no init blocks and no corpus memoized, so what it draws and
-    featurizes does not depend on the tests run before it."""
-    encoder._init_memo = None
+    """Each test starts with no corpus memoized, so what it featurizes does not depend on the
+    tests run before it."""
     ir_eval._corpus_pooling.cache_clear()
+
+
+@pytest.fixture
+def init_streams(monkeypatch):
+    """How many times each ``[seed, block]`` init stream is built during the test."""
+    built = Counter()
+    default_rng = np.random.default_rng
+
+    def counted(seed=None):
+        if isinstance(seed, list):
+            built[tuple(seed)] += 1
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return built
 
 
 def make_graph(logs, fls, edges):

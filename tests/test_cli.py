@@ -3,6 +3,7 @@ import os
 import re
 import shutil
 import struct
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -112,6 +113,26 @@ def test_pipeline_reruns_byte_identical(pipeline_run):
     keys1, keys2 = (json.loads((out / "timings.json").read_text(encoding="utf-8")).keys()
                     for out in (out1, out2))
     assert keys1 == keys2
+
+
+def test_pipeline_is_byte_identical_across_processes(tmp_path):
+    """Two processes with other string hash seeds write the same files, byte for byte, but for
+    timings.json, at one BLAS thread."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    src = str(Path(cli.__file__).parents[1])
+    trees = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"run{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "plantsearch.cli", "pipeline", "--config",
+                        str(cfg_path), "--out", str(out)], env=env, check=True,
+                       capture_output=True)
+        trees.append({str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+                      if p.is_file() and p.name != "timings.json"})
+    assert sorted(trees[0]) == sorted(trees[1]) and "report.json" in trees[0]
+    assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
 
 
 def test_strict_mode_catches_tampered_artifacts(pipeline_run, tmp_path):
@@ -349,9 +370,10 @@ def test_training_stages_featurize_each_text_once(pipeline_run, tmp_path, monkey
         assert m and int(m[1]) > len(need), logged
 
 
-def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch, caplog):
+def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch, init_streams):
     """Each artifact is parsed once, and each init block of each encoder seed (the scorer's,
-    then the one every encoder starts from) is drawn once."""
+    and the one every encoder starts from) is drawn once: the store holds one encoder of each,
+    and the saved encoders hold every row they read."""
     calls = {"load_graph": [], "quality_filter": 0, "load_pairs": []}
     load_graph, quality_filter, load_pairs = kg.load_graph, pairs.quality_filter, pairs.load_pairs
 
@@ -373,21 +395,15 @@ def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch, caplog):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
     out = tmp_path / "run"
-    with caplog.at_level("DEBUG", logger="plantsearch.encoder"):
-        assert cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
     # plants/X, plants/Y, graphs/X and graphs/Y, each parsed once
     assert len(calls["load_graph"]) == 4 and len(set(calls["load_graph"])) == 4
     assert calls["quality_filter"] == 1
     # sid.jsonl and pairs/get.jsonl, each parsed once for both ablations
     assert sorted(calls["load_pairs"]) == [str(out / "pairs" / "get.jsonl"), str(out / "sid.jsonl")]
-    draws = [r.getMessage().split(": drew ") for r in caplog.records
-             if "drew" in r.getMessage()]
-    seeds = [f"encoder init seed {derive_seed(3, label)}" for label in ("scorer", "encoder-init")]
-    names = [seed for seed, _ in draws]
-    assert names == sorted(names, key=seeds.index) and set(names) == set(seeds)
-    # the memo holds the last seed's blocks, each drawn once: as many as its lines drew
-    drawn = sum(int(line.split()[0]) for seed, line in draws if seed == seeds[1])
-    assert drawn == (encoder._init_memo.start >= 0).sum() > 0
+    assert {seed for seed, _ in init_streams} == {derive_seed(3, label)
+                                                  for label in ("scorer", "encoder-init")}
+    assert len(init_streams) == 724 and set(init_streams.values()) == {1}
     timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
     for ablation in TINY_CONFIG["ablations"]:
         assert f"train-biencoder:{ablation['name']}" in timings
@@ -531,6 +547,23 @@ def test_exit_2_on_drmm_job_without_pairs(pipeline_run, tmp_path, caplog, comman
     assert "composition.drmm_pairs" in message
     # the first bi-encoder run stops before it writes
     assert not list(out.glob("manifest-train-biencoder*")) and not (out / "ablations").exists()
+
+
+@pytest.mark.parametrize("ablations, message", [
+    ([{"name": "d", "use_drmm": True}],
+     "ablation 'd' uses DRMM pairs, but composition.drmm_pairs is not set"),
+    ([{"name": "none", "use_get": False, "use_sid": False}],
+     "ablation 'none' selects no pair sources"),
+], ids=["drmm-without-pairs", "no-pair-source"])
+def test_exit_2_on_ablation_rule_before_any_write(tmp_path, caplog, ablations, message):
+    """The ablation rules are checked with the config at load, so a pipeline that breaks one
+    exits 2 before synth writes anything under --out."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(MICRO_CONFIG, ablations=ablations)), encoding="utf-8")
+    out = tmp_path / "o"
+    assert fails(caplog, ["pipeline", "--config", str(cfg_path), "--out", str(out)],
+                 code=2) == message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fraction", [0.01, 0.98], ids=["no-test", "no-train"])

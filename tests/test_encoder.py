@@ -276,26 +276,33 @@ def test_saved_rows_load_as_the_whole_rounded_table(tmp_path, seed):
         whole, tmp_path / "whole2.gemb").tobytes()
 
 
-def test_init_memo_draws_each_table_once(tmp_path, caplog):
-    """Each init block is drawn once per seed, whatever table size reads it; the memo holds the
-    last seed's blocks only, read-only."""
+def test_each_encoder_draws_the_init_rows_it_lacks_once(tmp_path, caplog, init_streams):
+    """A read draws each block of the init rows its encoder lacks once and keeps those rows,
+    so an encoder never draws a row it holds, trained or read before, and reads of another
+    seed between do not drop its rows. Two encoders of one seed each draw their own."""
     p = init_encoder(dim=8, vocab_buckets=256, seed=11)
     with caplog.at_level("DEBUG", logger="plantsearch.encoder"):
-        first = p.rows(np.array([3, 1, 3]))  # block 0
-        save_encoder(p.with_rows(np.array([5]), np.ones((1, 8))),  # row 5: block 0 again
+        first = p.rows(np.array([3, 1, 3]))  # block 0, drawn once for both rows
+        init_encoder(dim=8, vocab_buckets=256, seed=12).rows(np.array([0, 40]))
+        p.rows(np.array([1, 3, 1]))  # both held
+        assert init_streams == {(11, 0): 1, (12, 0): 1, (12, 2): 1}
+        p.rows(np.array([5, 3, 255]))  # rows 5 and 255 are new: block 0 again, and block 15
+        assert init_streams == {(11, 0): 2, (11, 15): 1, (12, 0): 1, (12, 2): 1}
+        save_encoder(p.with_rows(np.array([5]), np.ones((1, 8))),
                      tmp_path / "enc.gemb", tmp_path / "enc.json")
-        for _ in range(2):  # loading the same seed again draws the other 15 blocks once
-            load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json").rows(np.arange(256))
-        init_encoder(dim=8, vocab_buckets=4096, seed=11).rows(np.array([300, 40, 301]))
-        init_encoder(dim=8, vocab_buckets=256, seed=12).rows(np.array([0]))
+        init_streams.clear()
+        for _ in range(2):  # each loaded encoder draws all 16 blocks once, for its 255 init rows
+            loaded = load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json")
+            for _ in range(2):
+                loaded.rows(np.arange(256))
+        assert init_streams == {(11, b): 2 for b in range(16)}
     lines = [r.getMessage() for r in caplog.records]
     draws = [line.split(" in ")[0] for line in lines if "drew" in line]
-    assert draws == ["encoder init seed 11: drew 1 blocks", "encoder init seed 11: drew 15 blocks",
-                     "encoder init seed 11: drew 1 blocks", "encoder init seed 12: drew 1 blocks"]
+    assert draws == ["encoder init seed 11: drew 1 blocks for 2 rows",
+                     "encoder init seed 12: drew 2 blocks for 2 rows",
+                     "encoder init seed 11: drew 2 blocks for 2 rows",
+                     *["encoder init seed 11: drew 16 blocks for 255 rows"] * 2]
     assert "saved encoder " + str(tmp_path / "enc.gemb") + ": 1 of 256 rows held" in lines
-    memo = encoder._init_memo  # the last seed's one block, read-only
-    assert memo.key == (12, 8) and np.flatnonzero(memo.start >= 0).tolist() == [0]
-    assert memo.rows.shape == (16, 8) and not memo.rows.flags.writeable
     first[:] = 0.0  # rows come out as a copy
     np.testing.assert_array_equal(p.rows(np.array([3, 1])), oracle_init_table(11, 8, 256)[[3, 1]])
 
@@ -303,23 +310,29 @@ def test_init_memo_draws_each_table_once(tmp_path, caplog):
 @pytest.mark.parametrize("seed", range(6))
 def test_rows_equal_the_block_oracle_in_any_read_order(seed):
     """Init rows equal the block oracle for any ids, repeated and unsorted, any table size above
-    them and any order of reads, also when reads of another seed or dim drop the memo between."""
+    them and any order of reads, from a new encoder or from one that keeps the rows of its
+    earlier reads, with reads of another seed or dim between."""
     rng = np.random.default_rng(seed)
     dim, top = int(rng.integers(2, 9)), int(rng.integers(1, 700))
     want = {key: oracle_init_table(*key, top) for key in ((seed, dim), (seed + 1, dim),
                                                           (seed, dim + 1))}
-    for _ in range(12):
+    tables = {}  # the last encoder of each key
+    for _ in range(20):
         key = list(want)[0] if rng.random() < 0.6 else list(want)[int(rng.integers(1, 3))]
         u = rng.integers(0, top, size=int(rng.integers(0, 60)))
-        p = init_encoder(key[1], int(rng.integers(u.max(initial=0) + 1, 2 * top + 2)), key[0])
+        p = tables.get(key)
+        if p is None or u.max(initial=0) >= p.vocab_buckets or rng.random() < 0.3:
+            p = tables[key] = init_encoder(
+                key[1], int(rng.integers(u.max(initial=0) + 1, 2 * top + 2)), key[0])
         got = p.rows(u)
         assert got.shape == (len(u), key[1]) and got.tobytes() == want[key][u].tobytes()
     assert dense_table(init_encoder(dim, top, seed)).tobytes() == want[seed, dim].tobytes()
 
 
-def test_scattered_rows_allocate_their_blocks_not_the_table():
+def test_scattered_rows_allocate_their_rows_not_their_blocks():
     """532 scattered rows of a 65,536 x 64 table (the trained-row count at seed 7) allocate
-    the 8 KiB blocks they fall in and their own copy, not the 32 MiB table."""
+    their own rows and copies of them, within 3 MiB, less than the 3.9 MiB of the 496 blocks
+    they fall in, and far less than the 32 MiB table."""
     u = np.random.default_rng(7).choice(1 << 16, size=532, replace=False)
     blocks = len(np.unique(u // 16))
     p = init_encoder(dim=64, vocab_buckets=1 << 16, seed=7)
@@ -330,23 +343,26 @@ def test_scattered_rows_allocate_their_blocks_not_the_table():
     finally:
         tracemalloc.stop()
     assert got.tobytes() == oracle_init_table(7, 64, 1 << 16)[u].tobytes()
-    assert peak < blocks * 16 * 64 * 8 + (1 << 19) and peak < 5 << 20
+    assert peak < 3 << 20 < blocks * 16 * 64 * 8
 
 
-def test_held_rows_read_without_an_init_draw(tmp_path):
+def test_held_rows_read_without_an_init_draw(tmp_path, init_streams):
     ids, rows = np.array([2, 5, 9]), np.arange(24.0).reshape(3, 8)
     trained = init_encoder(dim=8, vocab_buckets=256, seed=11).with_rows(ids, rows)
     save_encoder(trained, tmp_path / "enc.gemb", tmp_path / "enc.json")
-    encoder._init_memo = None
+    init_streams.clear()  # with_rows read the init rows of ids
     loaded = load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json")
     for p in (trained, loaded):
         got = p.rows(np.array([9, 2, 9]))
         assert got.dtype == np.float64 and got.tobytes() == rows[[2, 0, 2]].tobytes()
         got[:] = 0.0  # rows come out as a copy
         assert p.rows(ids).tobytes() == rows.tobytes()
-    assert encoder._init_memo is None
-    loaded.rows(np.array([2, 3]))  # row 3 is not held: its init row needs its block
-    assert np.flatnonzero(encoder._init_memo.start >= 0).tolist() == [0]
+    assert not init_streams
+    # row 3 is not held: its init row needs block 0, and the held rows 2 and 9 need nothing
+    got = loaded.rows(np.array([2, 3, 9]))
+    assert init_streams == {(11, 0): 1}
+    assert got[[0, 2]].tobytes() == rows[[0, 2]].tobytes()
+    assert got[1].tobytes() == oracle_init_table(11, 8, 16)[3].astype("<f4").astype(float).tobytes()
 
 
 def test_encoder_header_pins_mean_pooling(tmp_path):
