@@ -46,7 +46,6 @@ from .kg import (
     Edge,
     GraphInvariantError,
     KnowledgeGraph,
-    LexicalMatcher,
     Node,
     NodeKind,
     Relation,
@@ -97,7 +96,7 @@ __all__ = [
     "__version__",
     # kg
     "Node", "Edge", "NodeKind", "Relation", "KnowledgeGraph",
-    "GraphInvariantError", "LexicalMatcher",
+    "GraphInvariantError",
     "load_graph", "save_graph", "build_graph", "predict_links", "expand_context",
     # encoder
     "EncoderParams", "featurize", "featurize_many", "init_encoder", "encode", "encode_batch",

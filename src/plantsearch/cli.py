@@ -539,11 +539,10 @@ def _synth(r: Run, _: None) -> tuple[dict, None]:
 
 
 def _build_graph(r: Run, graphs: dict[str, kg.KnowledgeGraph]) -> tuple[dict, None]:
-    matcher = kg.LexicalMatcher()
     for pid, g in graphs.items():
         g = kg.build_graph(g)
         if r.cfg.raw["enrich"]:
-            g = kg.predict_links(g, matcher)
+            g = kg.predict_links(g)
         if r.cfg.raw["expand_context"]:  # a longer text keeps the checked graph valid
             g = kg.KnowledgeGraph({
                 node_id: kg.Node(node_id, n.kind, kg.expand_context(g, node_id), n.code, n.ts)
@@ -587,10 +586,8 @@ def _train_ge(r: Run, loaded: dict[str, tuple[kg.KnowledgeGraph, dict | None]]
                 f"{r.out / 'plants' / pid / 'vectors'}.ids: {exc.args[0]}") from None
         plants[pid] = kg.KnowledgeGraph(g.nodes, train_edges), emb, plant_cfg  # an edge subset
     trained = graph_embed.train_plant_embeddings(plants)
-    for pid, emb in trained.items():  # the tables are stored as float32
-        with np.errstate(over="ignore"):
-            if not np.isfinite(emb.vectors.astype(np.float32)).all():
-                raise NonFiniteError(f"plant {pid!r}: trained node vectors overflow float32")
+    for pid, emb in trained.items():
+        _check_float32(emb.vectors, f"plant {pid!r}: trained node vectors")
     reports = {pid: graph_embed.eval_link_prediction(
         trained[pid], test_edges, list(g.nodes), {i: n.kind for i, n in g.nodes.items()},
         train_edges=train_edges,
@@ -603,6 +600,14 @@ def _train_ge(r: Run, loaded: dict[str, tuple[kg.KnowledgeGraph, dict | None]]
         logger.info("train-ge %s: MRR %.2f, AUC %.2f", pid, report.scaled()["mrr"],
                     report.scaled()["auc"])
     return {**r.cfg.raw["graph_embed"], "lp": lp_summary}, None
+
+
+def _check_float32(rows: np.ndarray, what: str) -> None:
+    """Raise NonFiniteError unless the trained ``rows`` stay finite as the float32 that their
+    file stores, so that a run that overflows it fails before it writes."""
+    with np.errstate(over="ignore"):
+        if not np.isfinite(rows.astype(np.float32)).all():
+            raise NonFiniteError(f"{what} overflow float32")
 
 
 def _sample_triplets(r: Run, loaded: dict[str, tuple[graph_embed.EmbeddingTable,
@@ -657,6 +662,7 @@ def _train_docsim(r: Run, loaded: tuple[dict[str, str], list[triplets_mod.Triple
     texts, filtered, start = loaded
     dcfg = replace(r.cfg.docsim, rng_seed=derive_seed(r.cfg.seed, "docsim"))
     result = train.train_docsim(start, filtered, texts, dcfg, r.features)
+    _check_float32(result.params.trained, f"{r.id}: trained encoder rows")
     path = r.write("encoders/docsim", ENCODER_FILES)
     save_encoder(result.params, f"{path}.gemb", f"{path}.json")
     logger.info("train-docsim: %d triplets kept, losses %s",
@@ -743,6 +749,7 @@ def _train_biencoder(r: Run, loaded: BiEncoderJob) -> tuple[dict, dict]:
     job = r.ablation
     bcfg = replace(r.cfg.biencoder, rng_seed=derive_seed(r.cfg.seed, f"biencoder:{job['name']}"))
     result = train.train_biencoder(start, pair_rows, texts, bcfg, r.features)
+    _check_float32(result.params.trained, f"{r.id}: trained encoder rows")
     path = r.write(f"{_encoder_dir(r)}/biencoder", ENCODER_FILES)
     save_encoder(result.params, f"{path}.gemb", f"{path}.json")
     info = {"name": job["name"], "composition": asdict(report), "docsim": job["docsim"],

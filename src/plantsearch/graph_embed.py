@@ -335,14 +335,8 @@ def train_plant_embeddings(
         by_step = np.argsort(batch, kind="stable")
         step, plant = batch[by_step], np.repeat(np.arange(len(state)), counts)[by_step]
         src, dst, rel = np.concatenate([pl.ends[o] for pl, o in zip(state, orders)])[by_step].T
-        place = np.empty_like(by_step)
-        place[by_step] = np.arange(by_step.size)
-        negs = np.empty((by_step.size, k), dtype=np.int64)
-        first = 0
-        for pl, o in zip(state, orders):
-            negs[place[first:first + o.size]] = _draw_negatives(pl.rng, pl.corruptions,
-                                                                pl.group[o], k)
-            first += o.size
+        negs = np.concatenate([_draw_negatives(pl.rng, pl.corruptions, pl.group[o], k)
+                               for pl, o in zip(state, orders)])[by_step]
         n_on = np.zeros(by_step.size, dtype=np.int64)  # live pairs per edge
         edge_loss = np.zeros(by_step.size)
         bounds = np.concatenate([[0], np.cumsum(np.bincount(step))]).tolist()
@@ -384,25 +378,21 @@ def train_plant_embeddings(
 def _log_epoch(epoch: int, state: Sequence[_Plant], counts: Sequence[int], plant: np.ndarray,
                step: np.ndarray, n_on: np.ndarray, edge_loss: np.ndarray) -> None:
     """Check each plant's epoch loss and log its counts, from the epoch's per-edge live
-    pairs and losses in step order. A plant's loss adds the sum of each of its batches
-    in order, as one batch's ``loss.sum()`` after the other."""
+    pairs and losses in step order."""
+    n = len(state)
     active = n_on > 0
-    seg = (step * len(state) + plant)[active]  # (step, plant) of each active edge
-    cuts = np.flatnonzero(np.diff(seg, prepend=-1))  # where each busy batch starts
-    busy = seg[cuts] % len(state)  # the plant of each busy batch
-    losses = edge_loss[active]
-    epoch_loss = [0.0] * len(state)
-    for p, lo, hi in zip(busy.tolist(), cuts.tolist(), np.append(cuts[1:], seg.size).tolist()):
-        epoch_loss[p] += float(losses[lo:hi].sum())
-    live = np.bincount(plant, weights=n_on, minlength=len(state))
-    edges = np.bincount(plant[active], minlength=len(state))
-    busy_batches = np.bincount(busy, minlength=len(state))
+    seg = (step * n + plant)[active]  # (step, plant) of each active edge, sorted
+    busy = seg[np.diff(seg, prepend=-1) != 0] % n  # the plant of each busy batch
+    loss = np.bincount(plant, weights=edge_loss, minlength=n)
+    live = np.bincount(plant, weights=n_on, minlength=n)
+    edges = np.bincount(plant[active], minlength=n)
+    busy_batches = np.bincount(busy, minlength=n)
     for p, pl in enumerate(state):
-        if not np.isfinite(epoch_loss[p]):
+        if not np.isfinite(loss[p]):
             raise NonFiniteError(f"plant {pl.pid!r}: non-finite training loss in epoch {epoch}")
         batches = -(-counts[p] // BATCH)
         logger.debug("ge epoch %d plant %s mean loss %.6f, %d live pairs, %d active edges in "
-                     "%d batches (%d with none)", epoch, pl.pid, epoch_loss[p] / len(pl.ends),
+                     "%d batches (%d with none)", epoch, pl.pid, loss[p] / len(pl.ends),
                      live[p], edges[p], batches, batches - busy_batches[p])
 
 

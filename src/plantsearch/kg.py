@@ -87,7 +87,8 @@ class KnowledgeGraph:
     read from a file (:func:`load_graph`) or generated by ``synth`` goes
     through it. The plain constructor checks nothing: it builds graphs
     derived from a checked one whose invariants hold by construction, such
-    as a subset of its edges or its nodes with expanded texts.
+    as a subset of its edges, the graph :func:`predict_links` enriches with
+    lexical links, or its nodes with expanded texts.
     """
 
     def __init__(self, nodes: Mapping[str, Node], edges: Sequence[Edge]):
@@ -314,92 +315,63 @@ def _code_pattern(codes: tuple[str, ...]) -> re.Pattern | None:
 RELATED_WINDOW_S = 259200  # 3 days
 
 
-class LexicalMatcher:
-    """Default matcher: FL code mentions and a shared-FL time window.
+def _mentions(g: KnowledgeGraph) -> list[Edge]:
+    """A ReportsAbout link from each log to each FL whose code it mentions (case-insensitive
+    whole phrase, longest code wins on overlap; of FLs that share a code, the first by id),
+    by log id, then code."""
+    fls = g.functional_locations()
+    pattern = _code_pattern(tuple(fl.code or "" for fl in fls))
+    if pattern is None:
+        return []
+    by_code = {}
+    for fl in sorted(fls, key=lambda n: n.id):
+        by_code.setdefault((fl.code or "").lower(), fl.id)
+    links = []
+    for log in sorted(g.text_logs(), key=lambda n: n.id):
+        mentioned = {m.group(0).lower() for m in pattern.finditer(log.text)}
+        links += [Edge(log.id, by_code[code], Relation.REPORTS_ABOUT) for code in sorted(mentioned)]
+    return links
 
-    ReportsAbout: a log mentions an FL's code (case-insensitive whole
-    phrase, longest code wins on overlap). RelatedTo: two logs report
-    about a common FL and their timestamps lie within
-    ``RELATED_WINDOW_S`` seconds; the edge runs earlier -> later
-    (lexicographic id order on equal timestamps). Logs without a
-    timestamp never enter the time-window heuristic.
+
+def _time_window_links(g: KnowledgeGraph) -> list[Edge]:
+    """A RelatedTo link between each two logs that report about a common FL and whose
+    timestamps lie within ``RELATED_WINDOW_S`` seconds, earlier -> later (lexicographic id
+    order on equal timestamps), by FL id. Logs without a timestamp get none."""
+    by_fl: dict[str, list[Node]] = defaultdict(list)
+    for log in g.text_logs():
+        if log.ts is None:
+            continue
+        for fl in g.reported_fls(log.id):
+            by_fl[fl].append(log)
+    links = []
+    for fl in sorted(by_fl):
+        logs = sorted(by_fl[fl], key=lambda n: (n.ts, n.id))
+        for i, a in enumerate(logs):
+            for b in logs[i + 1 :]:
+                assert a.ts is not None and b.ts is not None
+                if b.ts - a.ts > RELATED_WINDOW_S:
+                    break
+                links.append(Edge(a.id, b.id, Relation.RELATED_TO))
+    return links
+
+
+def _with_links(g: KnowledgeGraph, links: Sequence[Edge]) -> KnowledgeGraph:
+    """``g`` with each of ``links`` that it lacks appended once, in order."""
+    present = set(g.edges)
+    fresh = [e for e in dict.fromkeys(links) if e not in present]
+    return KnowledgeGraph(g.nodes, [*g.edges, *fresh]) if fresh else g
+
+
+def predict_links(g: KnowledgeGraph) -> KnowledgeGraph:
+    """Enrich a graph with the lexical links it lacks: the ReportsAbout links of its logs'
+    FL code mentions, then the RelatedTo time-window links of the graph those enriched.
+
+    Each ReportsAbout link joins a log of ``g`` to one of its FLs, and each RelatedTo link
+    two distinct logs, so the enriched graph is valid by construction and is built without
+    a check. Links already present are skipped, so no edge is removed or repeated.
     """
-
-    def propose_reports_about(self, g: KnowledgeGraph) -> list[Edge]:
-        fls = g.functional_locations()
-        pattern = _code_pattern(tuple(fl.code or "" for fl in fls))
-        if pattern is None:
-            return []
-        by_code = {}
-        for fl in sorted(fls, key=lambda n: n.id):
-            by_code.setdefault((fl.code or "").lower(), fl.id)
-        proposals = []
-        for log in sorted(g.text_logs(), key=lambda n: n.id):
-            mentioned = {m.group(0).lower() for m in pattern.finditer(log.text)}
-            for code in sorted(mentioned):
-                proposals.append(Edge(log.id, by_code[code], Relation.REPORTS_ABOUT))
-        return proposals
-
-    def propose_related_to(self, g: KnowledgeGraph) -> list[Edge]:
-        by_fl: dict[str, list[Node]] = defaultdict(list)
-        for log in g.text_logs():
-            if log.ts is None:
-                continue
-            for fl in g.reported_fls(log.id):
-                by_fl[fl].append(log)
-        proposals = []
-        seen: set[tuple[str, str]] = set()
-        for fl in sorted(by_fl):
-            logs = sorted(by_fl[fl], key=lambda n: (n.ts, n.id))
-            for i, a in enumerate(logs):
-                for b in logs[i + 1 :]:
-                    assert a.ts is not None and b.ts is not None
-                    if b.ts - a.ts > RELATED_WINDOW_S:
-                        break
-                    key = (a.id, b.id)
-                    if a.id != b.id and key not in seen:
-                        seen.add(key)
-                        proposals.append(Edge(a.id, b.id, Relation.RELATED_TO))
-        return proposals
-
-
-def predict_links(g: KnowledgeGraph, matcher: LexicalMatcher) -> KnowledgeGraph:
-    """Enrich a graph with matcher-proposed edges: ``matcher.propose_reports_about(g)``,
-    then ``matcher.propose_related_to`` on the graph those enriched.
-
-    Type-invalid, dangling, self-loop or duplicate proposals are
-    rejected with a warning instead of inserted; per-relation edge
-    counts therefore never decrease. The accepted edges are checked one
-    by one, so the enriched graph is built without a second full check;
-    a PartOf proposal that closes a cycle raises GraphInvariantError.
-    """
-
-    def _accept(graph: KnowledgeGraph, proposals: Iterable[Edge]) -> KnowledgeGraph:
-        fresh: list[Edge] = []
-        present = set(graph.edges)
-        rejected = 0
-        for e in proposals:
-            try:
-                _validate_edge(e, graph.nodes)
-            except GraphInvariantError as exc:
-                rejected += 1
-                logger.warning("predict_links: rejected proposal: %s", exc)
-                continue
-            if e in present:
-                continue
-            present.add(e)
-            fresh.append(e)
-        if rejected:
-            logger.warning("predict_links: %d proposal(s) rejected", rejected)
-        if not fresh:
-            return graph
-        edges = [*graph.edges, *fresh]
-        if any(e.rel is Relation.PART_OF for e in fresh):
-            _check_part_of_acyclic(edges)
-        return KnowledgeGraph(graph.nodes, edges)
-
-    enriched = _accept(g, matcher.propose_reports_about(g))
-    enriched = _accept(enriched, matcher.propose_related_to(enriched))
+    enriched = _with_links(g, _mentions(g))
+    enriched = _with_links(enriched, _time_window_links(enriched))
     before, after = g.edge_counts(), enriched.edge_counts()
     logger.info(
         "predict_links: %s",

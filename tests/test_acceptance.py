@@ -53,7 +53,6 @@ from plantsearch.ir_eval import ap_at_k, ndcg_at_k, rr_at_k
 from plantsearch.kg import (
     Edge,
     KnowledgeGraph,
-    LexicalMatcher,
     NodeKind,
     Relation,
     predict_links,
@@ -372,9 +371,7 @@ def lp_arms():
                 plant.text_vectors,
             )
         )
-        enriched = predict_links(
-            KnowledgeGraph.from_parts(nodes, train_edges), LexicalMatcher()
-        )
+        enriched = predict_links(KnowledgeGraph.from_parts(nodes, train_edges))
         held_out = set(test_edges)
         train_enriched = [e for e in enriched.edges if e not in held_out]
         arms["enr"].append(

@@ -446,13 +446,13 @@ def _drmm_config(tmp_path, pairs_path, corpus=True):
 @pytest.fixture(scope="module")
 def drmm_run(tmp_path_factory):
     """The tiny pipeline with DRMM pairs from files the config names, and one ablation that
-    uses them."""
+    uses them; returns the run directory, the two files and the config."""
     root = tmp_path_factory.mktemp("drmm")
     pairs_path = _drmm_pairs(root)
     cfg_path, corpus_path = _drmm_config(root, pairs_path)
     out = root / "run"
     assert cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
-    return out, pairs_path, corpus_path
+    return out, pairs_path, corpus_path, cfg_path
 
 
 def test_drmm_pairs_reach_the_ablation(drmm_run):
@@ -464,7 +464,7 @@ def test_drmm_pairs_reach_the_ablation(drmm_run):
 
 
 def test_drmm_files_are_manifest_inputs(drmm_run):
-    out, pairs_path, corpus_path = drmm_run
+    out, pairs_path, corpus_path, _ = drmm_run
 
     def inputs(stage):
         return json.loads((out / f"manifest-{stage}.json").read_text(encoding="utf-8"))["inputs"]
@@ -750,13 +750,15 @@ def _manifest(out, run):
 
 
 def _reads(out, cfg, row):
-    """Each read under --out that a run of ``row`` made (every ablation's, for a per-ablation
-    stage), as its manifest's inputs list it, with the run whose manifest's outputs list it."""
+    """Each read that a run of ``row`` made (every ablation's, for a per-ablation stage), as
+    its manifest's inputs list it, with the run whose manifest's outputs list it, or None for
+    a file the config names outside --out. A stage that the pipeline skipped has no manifest."""
     producer = {name: run.id for other in cli.TABLE for run in cli._runs(other, cfg, out, False, {})
+                if cli._manifest_path(out, run.id).is_file()
                 for name in _manifest(out, run)["outputs"]}
     inputs = [name for run in cli._runs(row, cfg, out, False, {})
               for name in _manifest(out, run)["inputs"]]
-    return list(dict.fromkeys((name, producer[name]) for name in inputs if name in producer))
+    return list(dict.fromkeys((name, producer.get(name)) for name in inputs))
 
 
 def test_manifests_list_every_read_under_out(damage_run):
@@ -766,25 +768,28 @@ def test_manifests_list_every_read_under_out(damage_run):
     assert {row.name: len(_reads(out, cfg, row)) for row in cli.TABLE} == {
         "synth": 0, "build-graph": 5, "train-ge": 5, "sample-triplets": 6, "train-docsim": 6,
         "gen-pairs": 6, "train-biencoder": 9, "evaluate": 13}
+    assert all(producer for row in cli.TABLE for _, producer in _reads(out, cfg, row))
 
 
-def _damage_each_read(damage_run, caplog, stage, damage, strict):
-    """Run ``stage`` once for each of its reads under --out (``_reads``), with that file
-    damaged in place, skipping a damage that leaves the bytes as they were. The read and
-    every file the stage writes are restored after each run. Return each read whose run
-    broke the contract, with what it did.
+def _damage_each_read(damage_run, caplog, stage, damage, strict, config_named=False):
+    """Run ``stage`` once for each of its reads (``_reads``) under --out, or, with
+    ``config_named``, outside it, with that file damaged in place, skipping a damage that
+    leaves the bytes as they were. The read and every file the stage writes are restored after
+    each run. Return each read whose run broke the contract, with what it did.
 
-    Every run that fails logs one error line and no traceback. Under --strict each run exits
-    3, leaves the stage's manifests as they were, and logs a provenance error, or, for a deleted
-    read, ``<path> not found: run <producer> first``. Without --strict a deleted read gives
-    that line too, an UNPARSEABLE damage exits 3 with a line that starts with the file's path,
-    and any other damage exits 0, 2 or 3.
+    Every run that fails logs one error line and no traceback, and leaves the files the stage
+    writes as they were. A deleted read exits 3 with ``<path> not found: run <producer>
+    first``, or ``check the run config`` for a config-named one. Under --strict any other
+    damage to a read under --out exits 3 with a provenance error. Otherwise an UNPARSEABLE
+    damage exits 3 with a line that starts with the file's path, and any other damage exits
+    0, 2 or 3.
     """
     cfg_path, out = damage_run
     row = next(row for row in cli.TABLE if row.name == stage)
     cfg = cli.load_run_config(str(cfg_path), None)
     runs = cli._runs(row, cfg, out, False, {})
-    reads = _reads(out, cfg, row)
+    reads = [(name, producer) for name, producer in _reads(out, cfg, row)
+             if (producer is None) == config_named]
     manifests = [cli._manifest_path(out, run.id) for run in runs]
     written = [out / "timings.json", *manifests,
                *(out / name for run in runs for name in _manifest(out, run)["outputs"])]
@@ -799,6 +804,7 @@ def _damage_each_read(damage_run, caplog, stage, damage, strict):
         kept = {p: p.read_bytes() for p in written if p.exists()}
         for p in manifests * strict:
             p.write_bytes(b"stale")  # a run would overwrite it, though with the same bytes
+        before = {p: p.read_bytes() for p in written if p.exists()}
         if corrupt is None:
             path.unlink()
         else:
@@ -810,15 +816,16 @@ def _damage_each_read(damage_run, caplog, stage, damage, strict):
             errors = [r for r in caplog.records if r.levelname == "ERROR"]
             line = errors[0].getMessage() if errors else ""
             if corrupt is None:
-                ok = rc == 3 and line == f"{path} not found: run {producer.split(':')[0]} first"
-            elif strict:
+                ok = rc == 3 and line == f"{path} not found: " + (
+                    f"run {producer.split(':')[0]} first" if producer else "check the run config")
+            elif strict and producer:
                 ok = rc == 3 and line.startswith(f"provenance hash mismatch for {name}: ")
             elif damage in UNPARSEABLE:
                 ok = rc == 3 and line.startswith(f"{path}:")
             else:
                 ok = rc in (0, 2, 3)
             ok = ok and len(errors) == (rc != 0) and not any(r.exc_info for r in errors)
-            ok = ok and all(p.read_bytes() == b"stale" for p in manifests * strict)
+            ok = ok and (rc == 0 or {p: p.read_bytes() for p in written if p.exists()} == before)
             if not ok:
                 failed.append((name, rc, line))
         finally:
@@ -843,6 +850,31 @@ def test_strict_fault_matrix(damage_run, caplog, stage, damage):
     """Each read under --out that a stage's manifests list, damaged, exits 3 under --strict with
     one provenance or not-found error line, before the stage touches its manifests."""
     assert _damage_each_read(damage_run, caplog, stage, damage, strict=True) == []
+
+
+@pytest.fixture(scope="module")
+def drmm_damage_run(drmm_run, tmp_path_factory):
+    """A copy of the DRMM pipeline run, whose config-named files the fault matrix damages and
+    repairs in place."""
+    out1, _, _, cfg_path = drmm_run
+    out = tmp_path_factory.mktemp("drmm-damage") / "run"
+    shutil.copytree(out1, out)
+    return cfg_path, out
+
+
+@pytest.mark.parametrize("damage", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("strict", [False, True])
+def test_fault_matrix_over_config_named_reads(drmm_damage_run, caplog, strict, damage):
+    """The DRMM pairs and corpus files, damaged, exit as a damaged read under --out does
+    without --strict, in both modes: --strict checks no provenance for a file the config
+    names."""
+    cfg_path, out = drmm_damage_run
+    cfg = cli.load_run_config(str(cfg_path), None)
+    row = next(row for row in cli.TABLE if row.name == "train-biencoder")
+    assert sorted(name for name, producer in _reads(out, cfg, row) if producer is None) == sorted(
+        cfg.raw["composition"][key] for key in ("drmm_pairs", "drmm_corpus"))
+    assert _damage_each_read(drmm_damage_run, caplog, "train-biencoder", damage, strict,
+                             config_named=True) == []
 
 
 def test_corrupt_timings_stops_the_stage_before_it_writes(pipeline_run, tmp_path, caplog):
@@ -1122,6 +1154,38 @@ def test_train_ge_failure_writes_nothing(two_plant_graphs, tmp_path, caplog, cas
     message = fails(caplog, ["train-ge", "--config", str(cfg_path), "--out", str(out)], code)
     assert message.startswith(start.format(out=out)), message
     assert not (out / "ge").exists()
+
+
+# case -> (config section, setting, value, the run that overflows, the directory it writes)
+ENCODER_OVERFLOWS = {
+    "docsim-learning-rate": ("docsim", "learning_rate", 1e41, "train-docsim", "encoders"),
+    "biencoder-learning-rate": ("biencoder", "learning_rate", 1e40, "train-biencoder:sid",
+                                "ablations/sid"),
+    "biencoder-similarity-scale": ("biencoder", "similarity_scale", 1e308,
+                                   "train-biencoder:sid", "ablations/sid"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the overflow provoked here
+@pytest.mark.parametrize("case", sorted(ENCODER_OVERFLOWS))
+def test_encoder_overflow_writes_nothing(pipeline_run, tmp_path, caplog, case):
+    """Trained encoder rows that are finite but overflow the float32 they are stored in exit 4
+    with a line naming the run, before the run writes."""
+    section, key, value, run_id, written = ENCODER_OVERFLOWS[case]
+    cfg_path, out1, *_ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    shutil.rmtree(out / written)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    config = json.loads(cfg_path.read_text(encoding="utf-8"))
+    config[section] = {**config[section], key: value}
+    overflow_cfg = tmp_path / "cfg.json"
+    overflow_cfg.write_text(json.dumps(config), encoding="utf-8")
+    message = fails(caplog, [run_id.split(":")[0], "--config", str(overflow_cfg),
+                             "--out", str(out)], 4)
+    assert message == f"numerical failure: {run_id}: trained encoder rows overflow float32"
+    assert not (out / written).exists()
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_train_ge_without_a_training_plant(tmp_path):

@@ -55,3 +55,22 @@ def test_readme_names_only_config_keys_that_exist():
         if not (isinstance(default, Mapping) and key in default or hasattr(module, key)):
             stale.append(f"{section}.{key}")
     assert stale == []
+
+
+def test_readme_lists_every_process_level_cache():
+    """The README's "process-level caches that remain" sentence names, as backticked
+    ``<module>.<name>`` items, exactly the ``functools.cache`` and ``functools.lru_cache``
+    functions of the package."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"process-level caches that remain are (.*?)\.\s", readme, re.S)[1]
+    cached = set()
+    for path in sorted((ROOT / "src" / "plantsearch").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                fn = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name in ("cache", "lru_cache"):
+                    cached.add(f"{path.stem}.{node.name}")
+    assert set(map(".".join, re.findall(r"`(\w+)\.(\w+)`", sentence))) == cached
