@@ -359,6 +359,8 @@ class EncoderParams:
                              f"{len(ids)} bucket ids of dim {self.dim}")
         if not np.isfinite(self.trained).all():
             raise ValueError("trained rows contain non-finite values")
+        # Read-only, so a table never changes once built and memos may key on its identity.
+        ids.flags.writeable = self.trained.flags.writeable = False
         object.__setattr__(self, "_init", (np.empty(0, dtype=np.int64), np.empty((0, self.dim))))
 
     def rows(self, u: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -88,39 +89,63 @@ def rank_corpus(p: EncoderParams, query_text: str, corpus: Mapping[str, str]) ->
     return rank_queries(p, [query_text], corpus)[0]
 
 
-@functools.lru_cache
-def _corpus_pooling(vocab_buckets: int, texts: tuple[str, ...]) -> Pooling:
-    """The texts' pooling weights, memoized by content.
+class _Corpus:
+    """A corpus's pooling weights and, for each live encoder, its document vectors and norms.
 
-    They hold no table data, so an encoder whose rows changed between calls
-    is still read afresh.
+    The vectors are keyed weakly by the encoder, which hashes by identity: an encoder that
+    ``with_rows`` returns is a new key, and an encoder's entry goes when it is collected. The
+    held arrays are read-only, as are an encoder's trained rows, so no write in place can make
+    them disagree.
     """
-    return featurize_many(texts, vocab_buckets).pooling()
+
+    def __init__(self, pooling: Pooling):
+        self.pooling = pooling
+        self._vectors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    def __contains__(self, p: EncoderParams) -> bool:
+        return p in self._vectors
+
+    def vectors(self, p: EncoderParams) -> tuple[np.ndarray, np.ndarray]:
+        """Every document's vector under ``p`` and its norm, encoded on the first call."""
+        held = self._vectors.get(p)
+        if held is None:
+            docs = self.pooling.encode(p)
+            norms = np.sqrt(np.vecdot(docs, docs))
+            docs.flags.writeable = norms.flags.writeable = False
+            held = self._vectors[p] = docs, norms
+        return held
+
+
+@functools.lru_cache
+def _corpus_pooling(vocab_buckets: int, texts: tuple[str, ...]) -> _Corpus:
+    """The texts' prepared corpus, memoized by content."""
+    return _Corpus(featurize_many(texts, vocab_buckets).pooling())
 
 
 def rank_queries(p: EncoderParams, query_texts: Sequence[str],
                  corpus: Mapping[str, str]) -> list[list[str]]:
     """:func:`rank_corpus` for each query.
 
-    The corpus's pooling weights come from an LRU memo keyed by its texts
-    in id order, so on a memo hit only the queries are featurized. Each
-    call encodes the corpus with one gemm per block against the current
-    table. Each score is one ddot (``np.vecdot``), so documents with equal
-    vectors tie exactly, and the stable sort over id-sorted rows puts tied
-    documents in ascending id order.
+    The corpus comes from an LRU memo keyed by its texts in id order, so on a
+    memo hit only the queries are featurized; it holds each live encoder's
+    document vectors, so an encoder encodes a corpus once. Each score is one
+    ddot (``np.vecdot``), so documents with equal vectors tie exactly, and
+    the stable sort over id-sorted rows puts tied documents in ascending id
+    order.
     """
     doc_ids = sorted(corpus)
     if not doc_ids:
         raise ValueError("empty corpus")
     hits = _corpus_pooling.cache_info().hits
-    pooling = _corpus_pooling(p.vocab_buckets, tuple(corpus[d] for d in doc_ids))
+    prepared = _corpus_pooling(p.vocab_buckets, tuple(corpus[d] for d in doc_ids))
     hit = _corpus_pooling.cache_info().hits > hits
-    logger.debug("rank_queries: corpus memo %s, texts featurized: %d", "hit" if hit else "miss",
-                 len(query_texts) + (0 if hit else len(doc_ids)))
-    docs = pooling.encode(p)
+    logger.debug("rank_queries: corpus memo %s, texts featurized: %d, doc vectors %s",
+                 "hit" if hit else "miss", len(query_texts) + (0 if hit else len(doc_ids)),
+                 "held" if p in prepared else "encoded")
+    docs, doc_norms = prepared.vectors(p)
     queries = encode_batch(p, query_texts)
     dots = np.vecdot(docs[None, :, :], queries[:, None, :])
-    norms = np.sqrt(np.vecdot(docs, docs))[None, :] * np.sqrt(np.vecdot(queries, queries))[:, None]
+    norms = doc_norms[None, :] * np.sqrt(np.vecdot(queries, queries))[:, None]
     scores = np.where(norms == 0.0, 0.0, dots / np.where(norms == 0.0, 1.0, norms))
     order = np.argsort(-scores, axis=1, kind="stable")
     return [[doc_ids[i] for i in row] for row in order.tolist()]
@@ -213,7 +238,8 @@ def evaluate_run(p: EncoderParams, b: Benchmark) -> EvalReport:
     """Macro-averaged retrieval metrics at ``K``: per plant, then unweighted across plants.
 
     Each plant's queries are ranked in one batch by :func:`rank_queries`, whose memo holds
-    each plant corpus's pooling weights across evaluations.
+    each plant corpus's pooling weights across evaluations, and its document vectors under
+    ``p`` while ``p`` lives.
     """
     b.validate()
     if not b.plants:

@@ -82,8 +82,11 @@ def mnr_loss_grad(
         raise ValueError("empty batch")
     if d.shape[0] < n:
         raise ValueError(f"need at least {n} doc rows, got {d.shape[0]}")
-    qn = np.linalg.norm(q, axis=1)
-    dn = np.linalg.norm(d, axis=1)
+    # A row of norm above ~1.3e154 overflows its squares: its norm reads inf and its unit
+    # vector zero, so it takes no gradient, and the float32 check of the trained table reports it.
+    with np.errstate(over="ignore"):
+        qn = np.linalg.norm(q, axis=1)
+        dn = np.linalg.norm(d, axis=1)
     for name, norms in (("query", qn), ("doc", dn)):
         bad = np.nonzero(norms == 0.0)[0]
         if bad.size:

@@ -684,6 +684,21 @@ def oracle_rank_corpus(p, query_texts, corpus):
     return rankings
 
 
+def oracle_uncached_rank_queries(p, query_texts, corpus):
+    """The former ``rank_queries``: featurizes, pools and encodes the corpus on every call,
+    then scores each query by one ddot per document."""
+    from plantsearch.encoder import encode_batch, featurize_many
+
+    doc_ids = sorted(corpus)
+    docs = featurize_many([corpus[d] for d in doc_ids], p.vocab_buckets).pooling().encode(p)
+    queries = encode_batch(p, query_texts)
+    dots = np.vecdot(docs[None, :, :], queries[:, None, :])
+    norms = np.sqrt(np.vecdot(docs, docs))[None, :] * np.sqrt(np.vecdot(queries, queries))[:, None]
+    scores = np.where(norms == 0.0, 0.0, dots / np.where(norms == 0.0, 1.0, norms))
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return [[doc_ids[i] for i in row] for row in order.tolist()]
+
+
 def oracle_score_pairs(scorer, pairs):
     """The former ``EncoderCosineScorer.score_pairs``: each distinct text encoded once in one
     batch, then one ``losses.cosine`` call per pair."""

@@ -1166,7 +1166,6 @@ ENCODER_OVERFLOWS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy on the overflow provoked here
 @pytest.mark.parametrize("case", sorted(ENCODER_OVERFLOWS))
 def test_encoder_overflow_writes_nothing(pipeline_run, tmp_path, caplog, case):
     """Trained encoder rows that are finite but overflow the float32 they are stored in exit 4

@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import asdict
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from plantsearch import ir_eval, pairs, synth
-from plantsearch.encoder import init_encoder
+from plantsearch.encoder import Pooling, init_encoder
 from plantsearch.ir_eval import (
     AP_NORMALIZER_NOTE,
     Benchmark,
@@ -23,7 +24,14 @@ from plantsearch.ir_eval import (
     save_queries,
 )
 
-from oracles import dense_table, oracle_ap, oracle_ndcg, oracle_rank_corpus, oracle_rr
+from oracles import (
+    dense_table,
+    oracle_ap,
+    oracle_ndcg,
+    oracle_rank_corpus,
+    oracle_rr,
+    oracle_uncached_rank_queries,
+)
 
 
 def test_ap_hand_computed():
@@ -144,10 +152,11 @@ def test_rank_queries_logs_memo_hits_and_texts_featurized(caplog):
         rank_queries(p, ["ventil"], corpus)  # kept from the first call
         rank_queries(p, ["filter"], other)
         rank_queries(p, ["ventil", "druck"], corpus)  # still kept after another corpus
-    assert _memo_lines(caplog) == ["rank_queries: corpus memo miss, texts featurized: 5",
-                                   "rank_queries: corpus memo hit, texts featurized: 1",
-                                   "rank_queries: corpus memo miss, texts featurized: 2",
-                                   "rank_queries: corpus memo hit, texts featurized: 2"]
+    assert _memo_lines(caplog) == [
+        "rank_queries: corpus memo miss, texts featurized: 5, doc vectors encoded",
+        "rank_queries: corpus memo hit, texts featurized: 1, doc vectors held",
+        "rank_queries: corpus memo miss, texts featurized: 2, doc vectors encoded",
+        "rank_queries: corpus memo hit, texts featurized: 2, doc vectors held"]
 
 
 def test_corpus_memo_follows_the_table_and_the_texts(caplog):
@@ -192,6 +201,67 @@ def test_corpus_memo_holds_the_recent_corpora(caplog):
     events = [line.split(",")[0].split()[-1] for line in _memo_lines(caplog)]
     assert events == ["miss"] * size + ["hit", "hit", "miss", "miss"]
     assert ir_eval._corpus_pooling.cache_info().currsize == size
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """Every ``Pooling.encode`` call of the test, as (pooling, encoder)."""
+    calls = []
+    encode = Pooling.encode
+
+    def counted(self, p):
+        calls.append((self, p))
+        return encode(self, p)
+
+    monkeypatch.setattr(Pooling, "encode", counted)
+    return calls
+
+
+def _prepared(p, corpus):
+    return ir_eval._corpus_pooling(p.vocab_buckets, tuple(corpus[d] for d in sorted(corpus)))
+
+
+def test_corpus_vectors_are_encoded_once_per_encoder(encodes):
+    """An encoder encodes a corpus once over many calls; another encoder of the same seed, and
+    the encoder that ``with_rows`` returns, each encode their own. Every ranking equals the
+    per-text oracle and the path that encodes the corpus on each call."""
+    plant = synth.generate_plant(synth.PlantConfig(plant_id="S", seed=7, n_logs=120)).bench
+    queries = [q.text for q in plant.queries]
+    p = init_encoder(dim=16, vocab_buckets=1024, seed=4)
+    twin = init_encoder(dim=16, vocab_buckets=1024, seed=4)
+    trained = p.with_rows(np.arange(1024), dense_table(init_encoder(16, 1024, seed=5)))
+    for text in queries[:10]:
+        assert rank_corpus(p, text, plant.corpus) == oracle_rank_corpus(p, [text], plant.corpus)[0]
+    for q in (twin, trained, p, twin, trained):
+        ranked = rank_queries(q, queries, plant.corpus)
+        assert ranked == oracle_uncached_rank_queries(q, queries, plant.corpus)
+        assert ranked == oracle_rank_corpus(q, queries, plant.corpus)
+    prepared = _prepared(p, plant.corpus)
+    assert [q for pooling, q in encodes if pooling is prepared.pooling] == [p, twin, trained]
+    assert p in prepared and twin in prepared and trained in prepared
+    assert prepared.vectors(p)[0].tobytes() == prepared.vectors(twin)[0].tobytes()
+
+
+def test_corpus_drops_the_vectors_of_a_collected_encoder():
+    corpus = {"a": "pumpe leckt", "b": "kessel druck"}
+    p = init_encoder(dim=8, vocab_buckets=64, seed=3)
+    rank_corpus(p, "pumpe", corpus)
+    prepared = _prepared(p, corpus)
+    assert p in prepared and len(prepared._vectors) == 1
+    del p
+    gc.collect()
+    assert len(prepared._vectors) == 0
+
+
+def test_held_vectors_and_tables_are_read_only():
+    corpus = {"a": "pumpe leckt", "b": "kessel druck"}
+    p = init_encoder(dim=8, vocab_buckets=64, seed=3).with_rows(np.array([1, 5]), np.ones((2, 8)))
+    rank_corpus(p, "pumpe", corpus)
+    docs, norms = _prepared(p, corpus).vectors(p)
+    for array in (docs, norms, p.trained, p.bucket_ids):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert rank_corpus(p, "pumpe", corpus) == oracle_rank_corpus(p, ["pumpe"], corpus)[0]
 
 
 def test_evaluations_share_the_rank_queries_memo(caplog):
