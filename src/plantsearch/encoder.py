@@ -332,6 +332,11 @@ class EncoderParams:
     ``rounded`` is set, as it is for every table read from disk.
     Pooling is always the mean; persisted headers record it as ``"pooling":
     "mean"`` so that they stay self-describing.
+
+    The table takes ownership of ``bucket_ids`` and ``trained`` and makes them
+    read-only, so it never changes once built and memos may key on its
+    identity; an array that is a view of another is copied first, so no write
+    through its base can change the table.
     """
 
     seed: int
@@ -359,8 +364,12 @@ class EncoderParams:
                              f"{len(ids)} bucket ids of dim {self.dim}")
         if not np.isfinite(self.trained).all():
             raise ValueError("trained rows contain non-finite values")
-        # Read-only, so a table never changes once built and memos may key on its identity.
-        ids.flags.writeable = self.trained.flags.writeable = False
+        for name in ("bucket_ids", "trained"):
+            array = getattr(self, name)
+            if array.base is not None:
+                array = array.copy()
+                object.__setattr__(self, name, array)
+            array.flags.writeable = False
         object.__setattr__(self, "_init", (np.empty(0, dtype=np.int64), np.empty((0, self.dim))))
 
     def rows(self, u: np.ndarray) -> np.ndarray:

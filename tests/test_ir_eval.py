@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from plantsearch import ir_eval, pairs, synth
-from plantsearch.encoder import Pooling, init_encoder
+from plantsearch.encoder import EncoderParams, Pooling, init_encoder
 from plantsearch.ir_eval import (
     AP_NORMALIZER_NOTE,
     Benchmark,
@@ -168,7 +168,7 @@ def test_corpus_memo_follows_the_table_and_the_texts(caplog):
     with caplog.at_level("DEBUG", logger="plantsearch.ir_eval"):
         rank_corpus(p, query, corpus)
         before = rank_corpus(p, query, corpus)
-        # training changes the table's rows; the memo holds no table data
+        # ``with_rows`` returns a new encoder, so the memo encodes its vectors afresh
         p = p.with_rows(np.arange(512), dense_table(init_encoder(16, 512, seed=6)))
         after = rank_corpus(p, query, corpus)
         # the same texts under other ids, in the same id order
@@ -262,6 +262,19 @@ def test_held_vectors_and_tables_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     assert rank_corpus(p, "pumpe", corpus) == oracle_rank_corpus(p, ["pumpe"], corpus)[0]
+
+
+def test_a_table_built_from_views_ignores_writes_to_their_bases():
+    """A table copies an array that is a view, so a later write to the view's base changes
+    neither the table nor the vectors held for it; the caller's base stays writeable."""
+    corpus = {"a": "pumpe leckt", "b": "kessel druck"}
+    ids, rows = np.array([0, 1, 5, 9]), np.ones((4, 8))
+    p = EncoderParams(3, 8, 64, ids[1:3], rows[1:3])
+    before = rank_corpus(p, "pumpe", corpus)
+    ids[1:3], rows[1:3] = [2, 7], -1.0
+    assert p.bucket_ids.tolist() == [1, 5] and (p.trained == 1.0).all()
+    assert rank_corpus(p, "pumpe", corpus) == before == oracle_rank_corpus(p, ["pumpe"], corpus)[0]
+    assert ids.flags.writeable and rows.flags.writeable
 
 
 def test_evaluations_share_the_rank_queries_memo(caplog):
