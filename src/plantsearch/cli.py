@@ -42,7 +42,7 @@ import numpy as np
 from . import ann, graph_embed, ir_eval, kg, pairs as pairs_mod, storage, synth, train
 from . import triplets as triplets_mod
 from .encoder import DEFAULT_DIM, DEFAULT_VOCAB_BUCKETS, EncoderParams, Featurizer, init_encoder
-from .encoder import load_encoder, save_encoder
+from .encoder import has_word_token, load_encoder, save_encoder
 from .losses import NonFiniteError
 from .storage import (
     CorruptFileError, EmbeddingFileError, derive_seed, read_json, read_json_lines, read_table,
@@ -422,8 +422,7 @@ class Run:
                         f"doc id {doc_id!r} appears in two plants")
             queries = ir_eval.load_queries(pdir / "queries.jsonl").get(pid, [])
             qrels = ir_eval.load_qrels(pdir / "qrels.txt")
-            bench.plants.append(ir_eval.BenchmarkPlant(pid, corpus, queries, qrels,
-                                                       training=meta["training"]))
+            bench.plants.append(ir_eval.BenchmarkPlant(pid, corpus, queries, qrels))
             try:
                 bench.validate()
             except ValueError as exc:
@@ -484,7 +483,8 @@ def _run(stage: Stage, runs: Sequence[Run]) -> list[Any]:
     for r in runs:
         r.sealed = True
     results = []
-    for r, value in zip(runs, loaded):
+    for i, r in enumerate(runs):
+        value, loaded[i] = loaded[i], None  # a run's inputs go once it has run
         config, result = stage.run(r, value)
         _dump(_manifest_path(r.out, r.id), {
             "stage": r.id.replace(":", "-"), "seed": r.cfg.seed, "config": config,
@@ -718,8 +718,10 @@ BiEncoderJob = tuple[list[pairs_mod.QueryDocPair], pairs_mod.CompositionReport, 
 
 
 def _train_biencoder_load(r: Run) -> BiEncoderJob:
-    """An ablation's pair rows and their composition, checked to hold a positive and to name
-    only documents with a text, those texts, and the encoder it starts from."""
+    """An ablation's pair rows and their composition, checked to hold a positive, to name only
+    documents with a text and to have a word token in each query and document text (a text
+    without one pools to the zero vector, which MNR cannot rank); those texts, and the
+    encoder it starts from."""
     job = r.ablation
     components = []  # each pair file and its rows, parsed once per store
     for source, read in _pair_reads(r):
@@ -739,6 +741,14 @@ def _train_biencoder_load(r: Run) -> BiEncoderJob:
         path = next(path for path, rows in components
                     if any(pr.doc_id == unknown for pr in rows))
         raise CorruptFileError(f"{path}: no text for document {unknown!r}")
+    wordless = {text for text in {pr.query_text for pr in pair_rows}
+                | {texts[pr.doc_id] for pr in pair_rows} if not has_word_token(text)}
+    if wordless:  # name the first pair that has one, and its pair file
+        path, pr = next((path, pr) for path, rows in components for pr in rows
+                        if pr.query_text in wordless or texts[pr.doc_id] in wordless)
+        what = (f"query {pr.query_text!r}" if pr.query_text in wordless
+                else f"document {pr.doc_id!r}")
+        raise ConfigError(f"{path}: {what} has no word token to train on")
     start = (_saved_encoder(r, "encoders/docsim", "train-docsim") if job["docsim"]
              else _fresh_encoder(r))
     return pair_rows, report, texts, start

@@ -67,6 +67,11 @@ def word_tokens(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
+def has_word_token(text: str) -> bool:
+    """Whether ``text`` has a word token; a text without one pools to the zero vector."""
+    return _WORD_RE.search(text.lower()) is not None
+
+
 def _word_features(word: str) -> list[str]:
     marked = f"<{word}>"
     return [marked] + [marked[i : i + 3] for i in range(len(marked) - 2)]

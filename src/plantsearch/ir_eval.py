@@ -40,7 +40,6 @@ class BenchmarkPlant:
     corpus: dict[str, str]  # doc id -> text
     queries: list[Query]
     qrels: dict[str, dict[str, int]]  # query id -> doc id -> grade
-    training: bool = False
 
 
 @dataclass

@@ -311,7 +311,7 @@ def generate_plant(cfg: PlantConfig) -> GeneratedPlant:
     corpus = {
         n.id: n.text for n in nodes if n.kind is NodeKind.TEXT_LOG
     }
-    bench = BenchmarkPlant(pid, corpus, queries, qrels, training=cfg.training)
+    bench = BenchmarkPlant(pid, corpus, queries, qrels)
 
     # Topic-signal vectors: a shared subtree component plus noise.
     text_vectors: dict[str, np.ndarray] = {}

@@ -2,29 +2,29 @@
 
 Stage one (document similarity) fits triplets under a euclidean margin
 loss; stage two (bi-encoder) fits query-document pairs under the
-multiple negatives ranking loss with in-batch negatives. Both stages
-update only the encoder's bucket table, and because the encoder is
-linear in that table, each SGD step is two gemms over the mini-batch's
-buckets: the texts' vectors are ``W @ table[u]`` and the table gradient
-is ``W.T @ G``, with W the batch's pooling weights
-(``FeatureMatrix.pooling_weights``). ``table`` holds only the rows of the
-training texts' buckets, gathered once, and the texts' bucket ids are
-renumbered to positions in it (``FeatureMatrix.compact``). A batch whose
-buckets are the whole table reads and updates ``table`` itself, not a
-gathered copy of it. Each run takes its texts' rows from a ``Featurizer``:
-its own, or one that a pipeline stage shares among its runs, so that the
-stage featurizes each text once.
+multiple negatives ranking loss with in-batch negatives. Both run one SGD
+loop over the encoder's bucket table, each stage giving only its batches
+and its loss. As the encoder is linear in that table, each step is two
+gemms over the mini-batch's buckets: the texts' vectors are
+``W @ table[u]`` and the table gradient is ``W.T @ G``, with W the batch's
+pooling weights (``FeatureMatrix.pooling_weights``). ``table`` holds only
+the rows of the training texts' buckets, gathered once, and the texts'
+bucket ids are renumbered to positions in it (``FeatureMatrix.compact``).
+A batch whose buckets are the whole table reads and updates ``table``
+itself, not a gathered copy of it. Each run takes its texts' rows from a
+``Featurizer``: its own, or one that a pipeline stage shares among its
+runs, so that the stage featurizes each text once.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, FeatureMatrix, Featurizer, concat_ranges
+from .encoder import EncoderParams, Featurizer, concat_ranges
 from .losses import NonFiniteError, mnr_loss_grad, triplet_loss_grad_batch
 from .pairs import PairLabel, QueryDocPair
 from .triplets import Triplet
@@ -104,62 +104,25 @@ def train_docsim(
     if cfg.epochs == 0 or not triplets:
         return TrainResult(p, [], 0)
 
-    doc_ids = list(dict.fromkeys(
-        d for t in triplets for d in (t.query, t.positive, t.negative)
-    ))
+    doc_ids = list(dict.fromkeys(d for t in triplets for d in (t.query, t.positive, t.negative)))
     for doc_id in doc_ids:
         if doc_id not in texts:
             raise KeyError(f"no text for document {doc_id!r}")
-    fm, buckets = _take(features, [texts[d] for d in doc_ids], p).compact()
     row_of = {d: i for i, d in enumerate(doc_ids)}
     members = np.array([[row_of[t.query], row_of[t.positive], row_of[t.negative]]
                         for t in triplets])
-
+    n, size = len(triplets), cfg.batch_size
     rng = np.random.default_rng(cfg.rng_seed)
-    table = p.rows(buckets)
-    n = len(triplets)
-    epoch_losses: list[float] = []
-    steps = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        total_loss = 0.0
-        active = 0
-        for lo in range(0, n, cfg.batch_size):
-            batch = members[order[lo : lo + cfg.batch_size]]
-            m = len(batch)
-            u, w = fm.pooling_weights(batch.T.ravel())  # queries, positives, negatives
-            whole = len(u) == len(table)
-            x = w @ (table if whole else table[u])
-            losses, gq, gp, gn = triplet_loss_grad_batch(x[:m], x[m : 2 * m], x[2 * m :],
-                                                         cfg.margin)
-            for loss in losses.tolist():  # one by one in batch order, not a pairwise sum
-                total_loss += loss
-            batch_active = int(np.count_nonzero(losses))
-            if batch_active:
-                g = (1.0 / m) * np.concatenate([gq, gp, gn])
-                _step(table, u, whole, cfg.learning_rate * (w.T @ g))
-            active += batch_active
-            steps += 1
-        if not np.isfinite(total_loss):
-            raise NonFiniteError(f"non-finite docsim loss in epoch {epoch}")
-        epoch_losses.append(total_loss / n)
-        logger.debug("docsim epoch %d mean loss %.6f, %d of %d triplets active",
-                     epoch, epoch_losses[-1], active, n)
-    if not np.isfinite(table).all():
-        raise NonFiniteError("non-finite encoder table after docsim training")
-    return TrainResult(p.with_rows(buckets, table), epoch_losses, steps)
+    epochs = ([(b.T.ravel(), len(b))  # queries, positives, negatives
+               for b in np.split(members[rng.permutation(n)], range(size, n, size))]
+              for _ in range(cfg.epochs))
 
+    def loss(x, m):  # an inactive hinge has a zero gradient; a batch with none takes no step
+        losses, *g = triplet_loss_grad_batch(x[:m], x[m : 2 * m], x[2 * m :], cfg.margin)
+        return losses.tolist(), int(np.count_nonzero(losses)), (1.0 / m) * np.concatenate(g)
 
-def _take(features: Featurizer | None, texts: list[str], p: EncoderParams) -> FeatureMatrix:
-    return (features or Featurizer(p.vocab_buckets)).take(texts, p.vocab_buckets)
-
-
-def _step(table: np.ndarray, u: np.ndarray, whole: bool, update: np.ndarray) -> None:
-    """``table[u] -= update``, in place when ``u`` is every row of ``table``."""
-    if whole:
-        table -= update
-    else:
-        table[u] -= update
+    return _fit(p, [texts[d] for d in doc_ids], features, epochs, loss,
+                cfg.learning_rate, 0, "docsim", "triplets")
 
 
 def _pack_batches(
@@ -210,7 +173,6 @@ def train_biencoder(
         return TrainResult(p, [], 0)
 
     queries = list(dict.fromkeys(pr.query_text for pr in pairs))
-    fm, buckets = _take(features, [texts[d] for d in doc_ids] + queries, p).compact()
     doc_row = {d: i for i, d in enumerate(doc_ids)}
     query_row = {q: len(doc_ids) + i for i, q in enumerate(queries)}
     pos_query = np.array([query_row[pr.query_text] for pr in positives], dtype=np.int64)
@@ -220,42 +182,70 @@ def train_biencoder(
     neg = np.array([(query_row[pr.query_text], doc_row[pr.doc_id]) for pr in pairs
                     if pr.label is PairLabel.NEGATIVE], dtype=np.int64).reshape(-1, 2)
     neg = neg[np.argsort(neg[:, 0], kind="stable")]
-    neg_doc, neg_ptr = neg[:, 1], np.searchsorted(neg[:, 0], np.arange(len(fm.totals) + 1))
+    neg_doc = neg[:, 1]
+    neg_ptr = np.searchsorted(neg[:, 0], np.arange(len(doc_ids) + len(queries) + 1))
+
+    def batch(positions: list[int]) -> tuple[np.ndarray, int]:
+        q, d = pos_query[positions], pos_doc[positions]
+        starts = neg_ptr[q]
+        # the label-0 docs at their first appearance after the batch's positives
+        docs = np.concatenate([d, neg_doc[concat_ranges(starts, neg_ptr[q + 1] - starts)]])
+        first = np.unique(docs, return_index=True)[1]
+        return np.concatenate([q, d, docs[np.sort(first[first >= len(d)])]]), len(positions)
 
     rng = np.random.default_rng(cfg.rng_seed)
+    epochs = ([batch(b) for b in _pack_batches(positives, rng.permutation(len(positives)),
+                                               cfg.batch_size)]
+              for _ in range(cfg.epochs))
+
+    def loss(x, m):  # every row of an MNR batch has a gradient
+        value, *g = mnr_loss_grad(x[:m], x[m:], cfg.similarity_scale)
+        return [value * m], m, np.concatenate(g)
+
+    return _fit(p, [texts[d] for d in doc_ids] + queries, features, epochs, loss,
+                cfg.learning_rate, cfg.warmup_steps, "bi-encoder", "positive pairs")
+
+
+def _fit(p: EncoderParams, texts: list[str], features: Featurizer | None,
+         epochs: Iterable[list[tuple[np.ndarray, int]]],
+         loss: Callable[[np.ndarray, int], tuple[list[float], int, np.ndarray]],
+         learning_rate: float, warmup_steps: int, stage: str, items: str) -> TrainResult:
+    """SGD of the rows of ``texts``' buckets, the loop of both stages. Each epoch lists its
+    batches as (text rows to pool, number of ``items`` they hold). ``loss`` maps a batch's
+    pooled vectors and item count to its epoch-loss terms, its active items and the vectors'
+    gradient; a batch with an active item steps at ``effective_lr``."""
+    fm, buckets = (features or Featurizer(p.vocab_buckets)).take(texts, p.vocab_buckets).compact()
     table = p.rows(buckets)
     epoch_losses: list[float] = []
     step = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(positives))
-        loss_sum = 0.0
-        rows_seen = 0
-        batches = _pack_batches(positives, order, cfg.batch_size)
-        widest = (0, 0)
-        for batch in batches:
-            q, d = pos_query[batch], pos_doc[batch]
-            starts = neg_ptr[q]
-            lengths = neg_ptr[q + 1] - starts
-            # the label-0 docs at their first appearance after the batch's positives
-            docs = np.concatenate([d, neg_doc[concat_ranges(starts, lengths)]])
-            first = np.unique(docs, return_index=True)[1]
-            u, w = fm.pooling_weights(np.concatenate([q, d, docs[np.sort(first[first >= len(d)])]]))
-            if w.shape[1] > widest[1]:
-                widest = w.shape
+    for epoch, batches in enumerate(epochs):
+        total, seen, active, widest = 0.0, 0, 0, (0, 0)
+        for rows, m in batches:
+            u, w = fm.pooling_weights(rows)
+            widest = max(widest, w.shape, key=lambda shape: shape[1])
             whole = len(u) == len(table)
-            x = w @ (table if whole else table[u])
-            loss, g_q, g_d = mnr_loss_grad(x[: len(batch)], x[len(batch) :],
-                                           cfg.similarity_scale)
-            if not np.isfinite(loss):
-                raise NonFiniteError(f"non-finite bi-encoder loss in epoch {epoch}")
-            loss_sum += loss * len(batch)
-            rows_seen += len(batch)
+            terms, batch_active, g = loss(w @ (table if whole else table[u]), m)
+            for term in terms:  # one by one in batch order, not a pairwise sum
+                total += term
+            if not np.isfinite(total):
+                raise NonFiniteError(f"non-finite {stage} loss in epoch {epoch}")
             step += 1
-            lr = effective_lr(cfg.learning_rate, step, cfg.warmup_steps)
-            _step(table, u, whole, lr * (w.T @ np.concatenate([g_q, g_d])))
-        epoch_losses.append(loss_sum / rows_seen)
-        logger.debug("bi-encoder epoch %d mean loss %.6f, %d steps, widest batch %d texts x "
-                     "%d buckets", epoch, epoch_losses[-1], len(batches), *widest)
+            if batch_active:
+                _step(table, u, whole, effective_lr(learning_rate, step, warmup_steps) * (w.T @ g))
+            seen += m
+            active += batch_active
+        epoch_losses.append(total / seen)
+        logger.debug("%s epoch %d mean loss %.6f, %d of %d %s active, %d steps, widest batch "
+                     "%d texts x %d buckets", stage, epoch, epoch_losses[-1], active, seen,
+                     items, len(batches), *widest)
     if not np.isfinite(table).all():
-        raise NonFiniteError("non-finite encoder table after bi-encoder training")
+        raise NonFiniteError(f"non-finite encoder table after {stage} training")
     return TrainResult(p.with_rows(buckets, table), epoch_losses, step)
+
+
+def _step(table: np.ndarray, u: np.ndarray, whole: bool, update: np.ndarray) -> None:
+    """``table[u] -= update``, in place when ``u`` is every row of ``table``."""
+    if whole:
+        table -= update
+    else:
+        table[u] -= update

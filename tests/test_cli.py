@@ -5,13 +5,14 @@ import shutil
 import struct
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conftest import assert_checked
-from plantsearch import cli, encoder, kg, pairs
+from plantsearch import cli, encoder, ir_eval, kg, pairs
 from plantsearch.losses import NonFiniteError
 from plantsearch.storage import derive_seed, read_matrix, write_matrix
 
@@ -528,6 +529,36 @@ def test_exit_3_on_drmm_pairs_without_corpus(pipeline_run, tmp_path, caplog, com
     assert message == f"{pairs_path}: no text for document 'drmm:1'"
 
 
+@pytest.mark.parametrize("text", ["document", "query"])
+@pytest.mark.parametrize("command", ["train-biencoder", "pipeline"])
+def test_exit_2_on_drmm_text_without_word_token(pipeline_run, tmp_path, caplog, command, text):
+    """A pair text without a word token pools to the zero vector, which MNR cannot rank: the
+    load of the ``drmm`` run, after ``sid``'s, names it and its pair file before any run
+    writes."""
+    _, out1, *_ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    shutil.rmtree(out / "ablations")
+    for path in out.glob("manifest-train-biencoder-*"):
+        path.unlink()
+    pairs_path = tmp_path / "drmm-pairs.jsonl"
+    rows = [dict(row, query="??") if row["query"] == "motor ueberhitzt" and text == "query"
+            else row for row in DRMM_PAIRS]
+    pairs_path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    cfg_path, corpus_path = _drmm_config(tmp_path, pairs_path)
+    if text == "document":
+        corpus_path.write_text("".join(json.dumps(dict(r, text="!!!") if r["id"] == "drmm:2"
+                                                  else r) + "\n" for r in DRMM_CORPUS),
+                               encoding="utf-8")
+    config = json.loads(cfg_path.read_text(encoding="utf-8"))
+    config["ablations"] = [TINY_CONFIG["ablations"][0], *config["ablations"]]
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    message = fails(caplog, [command, "--config", str(cfg_path), "--out", str(out)], code=2)
+    what = "document 'drmm:2'" if text == "document" else "query '??'"
+    assert message == f"{pairs_path}: {what} has no word token to train on"
+    assert not list(out.glob("manifest-train-biencoder*")) and not (out / "ablations").exists()
+
+
 @pytest.mark.parametrize("command, ablations", [
     ("train-biencoder", [{"name": "default", "use_drmm": True}]),  # every other flag built in
     ("pipeline", [dict(a, use_drmm=True) for a in TINY_CONFIG["ablations"]])],
@@ -942,6 +973,26 @@ def test_a_read_after_the_load_raises(tmp_path, load, run, message):
     with pytest.raises(RuntimeError, match=message):
         cli._run(stage, cli._runs(stage, cli.RunConfig({}), tmp_path, False, {}))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_evaluate_lets_each_encoder_go_once_it_has_run(pipeline_run, tmp_path, monkeypatch):
+    """A stage drops each run's loaded value once the run has run, so while evaluate scores
+    an ablation's encoder, every encoder it scored before, and the corpus vectors held for
+    it, has been collected."""
+    cfg_path, out1, *_ = pipeline_run
+    out = tmp_path / "run"
+    shutil.copytree(out1, out)
+    scored, alive = [], []
+
+    def evaluate_run(p, bench):
+        alive.append([ref() is not None for ref in scored])
+        scored.append(weakref.ref(p))
+        return real(p, bench)
+
+    real = ir_eval.evaluate_run
+    monkeypatch.setattr(ir_eval, "evaluate_run", evaluate_run)
+    assert cli.main(["evaluate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert alive == [[False] * i for i in range(len(TINY_CONFIG["ablations"]))]
 
 
 @pytest.mark.parametrize("name", ["encoders/docsim.gemb", "encoders/docsim.json"])

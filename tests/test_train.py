@@ -342,6 +342,8 @@ def test_compact_training_equals_whole_table_training(tmp_path, dim, buckets):
 
 
 def test_training_logs_per_epoch_diagnostics(caplog):
+    """Both stages log one line per epoch in the shared loop's format: the epoch's mean loss,
+    its active items, its steps and its widest batch."""
     p = init_encoder(dim=8, vocab_buckets=64, seed=4)
     # margin 0.15 keeps the four fixture hinges active and a1 -> a1 -> b1 inactive
     triplets = _docsim_triplets() + [Triplet("a1", "a1", "b1", NegKind.HARD)]
@@ -351,10 +353,17 @@ def test_training_logs_per_epoch_diagnostics(caplog):
                         BiEncoderConfig(epochs=1, batch_size=2, rng_seed=1))
     lines = [r.getMessage() for r in caplog.records]
     assert len(lines) == 3
+    shared = (r"(?P<stage>\S+) epoch (?P<epoch>\d) mean loss \S+, (?P<active>\d) of (?P<n>\d) "
+              r"(?P<items>[a-z ]+) active, (?P<steps>\d) steps, "
+              r"widest batch (?P<texts>\d+) texts x \d+ buckets")
     for epoch, line in enumerate(lines[:2]):
-        m = re.fullmatch(rf"docsim epoch {epoch} mean loss \S+, (\d) of 5 triplets active", line)
-        assert m and 1 <= int(m[1]) <= 4, line
+        m = re.fullmatch(shared, line)
+        # five triplets in batches of three and two, each pooling three texts per triplet
+        assert m and (m["stage"], m["epoch"], m["n"], m["items"], m["steps"]) == (
+            "docsim", str(epoch), "5", "triplets", "2"), line
+        assert 1 <= int(m["active"]) <= 4 and m["texts"] in ("6", "9"), line
     # three positives with distinct queries, two per batch; the first batch pools two
     # queries, their two positives and both label-0 docs of "pumpe leckt"
-    assert re.fullmatch(r"bi-encoder epoch 0 mean loss \S+, 2 steps, "
-                        r"widest batch 6 texts x \d+ buckets", lines[2]), lines[2]
+    m = re.fullmatch(shared, lines[2])
+    assert m and (m["stage"], m["epoch"], m["active"], m["n"], m["items"], m["steps"],
+                  m["texts"]) == ("bi-encoder", "0", "3", "3", "positive pairs", "2", "6"), lines[2]
