@@ -18,7 +18,9 @@ and ``evaluate`` run once per ablation of the config, every other stage
 once. One runner loads every run (each read hashed, checked under --strict
 against its producer's manifest, and parsed) before any run writes, then
 runs each and writes its manifest and timing. A manifest's inputs are the
-files its run's load read, and its outputs the files its run wrote.
+files its run's load read, and its outputs the files its run wrote. A run
+that writes what a later stage reads also hands the parsed value to
+``Run.keep``, so a ``pipeline`` parses none of the files it wrote itself.
 
 Exit codes: 0 success, 2 config or input validation error, 3 missing
 or unparseable artifact or provenance mismatch, 4 numerical failure.
@@ -264,6 +266,8 @@ def load_run_config(path: str | None, seed_override: int | None) -> RunConfig:
 Read = tuple[str, str | None]  # a name under --out and its producer, or a config path and None
 PLANT_LIST: Read = ("benchmark.json", "synth")
 TRIPLETS: Read = ("triplets/triplets.jsonl", "sample-triplets")
+SID_PAIRS: Read = ("sid.jsonl", "synth")
+GET_PAIRS: Read = ("pairs/get.jsonl", "gen-pairs")
 PLANT_FILES = ("nodes.jsonl", "edges.jsonl", "queries.jsonl", "qrels.txt")
 GRAPH_ROOTS = {"plants": "synth", "graphs": "build-graph"}  # each graph directory's producer
 
@@ -285,7 +289,14 @@ class Run:
 
     The store maps an artifact kind plus the names and sha256 digests of the files it is
     parsed from to the parsed artifact, so the stages of one ``pipeline`` parse each file
-    once. It serves one config, and nothing may mutate what it holds. It also holds the two
+    once. A run that writes such files seeds it through ``keep`` with the value their parse
+    would give, equal to it in order and float32 rounding, so a later stage of the same
+    ``pipeline`` parses none of them: synth its plant list, graphs, text-vector tables, SID
+    pairs and benchmark; build-graph its graphs; train-ge its tables; sample-triplets its
+    triplets; gen-pairs its GET pairs. Every read is still required, hashed and checked under
+    --strict, so a file changed since it was written misses the store and is parsed. A stage
+    run alone starts from an empty store and parses each of its reads once.
+    It serves one config, and nothing may mutate what it holds. It also holds the two
     untrained encoders, the quality filter's ``scorer`` and the ``encoder-init`` that every
     encoder trains from, so that each keeps the init rows it reads for every later run.
     Saved encoders stay out of it: each stage reads a different one, and each is only an init
@@ -304,6 +315,7 @@ class Run:
     outputs: list[str] = field(default_factory=list)  # names under --out, as the run wrote them
     sealed: bool = False  # set once the stage has loaded every run
     features: Featurizer = field(default_factory=Featurizer)  # shared by the stage's runs
+    kept: list[tuple[str, list[str], Any]] = field(default_factory=list)  # (kind, names, value)
 
     @property
     def id(self) -> str:
@@ -353,10 +365,15 @@ class Run:
         store."""
         for read in reads:
             self.read(*read)
-        key = (kind, *((name, self.inputs[name]) for name, _ in reads))
+        key = _key(kind, [name for name, _ in reads], self.inputs)
         if key not in self.store:
             self.store[key] = parse()
         return self.store[key]
+
+    def keep(self, kind: str, reads: Sequence[Read], value: Any) -> None:
+        """File ``value``, which must equal what ``load`` parses of ``reads``, files this run
+        wrote, in the store under the key ``load`` builds, once the runner has hashed them."""
+        self.kept.append((kind, [name for name, _ in reads], value))
 
     def plants(self) -> list[dict]:
         """Each plant of ``benchmark.json`` as its ``plant_id`` and ``training`` flag."""
@@ -381,13 +398,30 @@ class Run:
             n.id: n.text for pid in self.plant_ids() for n in self.graph("graphs", pid).text_logs()
         })
 
+    def triplets(self) -> list[triplets_mod.Triplet]:
+        """The sampled triplets, as sample-triplets wrote them."""
+        return self.load("triplets", [TRIPLETS],
+                         lambda: triplets_mod.load_triplets(self.out / TRIPLETS[0]))
+
+    def text_vectors(self, pid: str) -> dict[str, np.ndarray]:
+        """A training plant's text vectors by node id, as synth wrote them."""
+        stem = f"plants/{pid}/vectors"
+        return self.load("vectors", _files(stem, TABLE_FILES, "synth"),
+                         lambda: dict(zip(*read_table(self.out / stem))))
+
+    def ge_table(self, pid: str) -> graph_embed.EmbeddingTable:
+        """A training plant's graph embeddings, as train-ge wrote them."""
+        stem = f"ge/{pid}"
+        return self.load("ge", _files(stem, GE_FILES, "train-ge"),
+                         lambda: graph_embed.load_embeddings(self.out / stem))
+
     def filtered_triplets(self) -> list[triplets_mod.Triplet]:
         """The sampled triplets that pass the quality filter."""
         return self.load("filtered", [TRIPLETS, *_graphs(self, "graphs")], self._filter)
 
     def _filter(self) -> list[triplets_mod.Triplet]:
         tpath = self.out / TRIPLETS[0]
-        tset = triplets_mod.TripletSet(triplets_mod.load_triplets(tpath))
+        tset = triplets_mod.TripletSet(self.triplets())
         quality = self.cfg.raw["quality"]
         try:
             return pairs_mod.quality_filter(
@@ -400,9 +434,7 @@ class Run:
 
     def benchmark(self) -> ir_eval.Benchmark:
         """Each plant's corpus, queries and qrels, as synth wrote them."""
-        return self.load("benchmark", [PLANT_LIST, *_from("synth", [
-            f"plants/{pid}/{name}" for pid in self.plant_ids() for name in PLANT_FILES])],
-            self._benchmark)
+        return self.load("benchmark", _benchmark_reads(self.plant_ids()), self._benchmark)
 
     def _benchmark(self) -> ir_eval.Benchmark:
         """The benchmark, checked as each plant joins, so an inconsistency names the files of
@@ -431,8 +463,18 @@ class Run:
         return bench
 
 
+def _key(kind: str, names: Sequence[str], digests: Mapping[str, str]) -> tuple:
+    """The store key of the ``kind`` parsed from the files ``names``, by their digests."""
+    return (kind, *((name, digests[name]) for name in names))
+
+
 def _graph_reads(root: str, pid: str) -> list[Read]:
     return _from(GRAPH_ROOTS[root], [f"{root}/{pid}/nodes.jsonl", f"{root}/{pid}/edges.jsonl"])
+
+
+def _benchmark_reads(pids: Sequence[str]) -> list[Read]:
+    return [PLANT_LIST, *_from("synth", [f"plants/{pid}/{name}" for pid in pids
+                                         for name in PLANT_FILES])]
 
 
 def _graphs(r: Run, root: str) -> list[Read]:
@@ -443,11 +485,8 @@ def _from(producer: str | None, names: Sequence[str]) -> list[Read]:
     return [(name, producer) for name in names]
 
 
-def _stem(r: Run, stem: str, suffixes: Sequence[str], producer: str) -> Path:
-    """``stem`` under --out, once ``stem`` plus each suffix is read."""
-    for suffix in suffixes:
-        r.read(stem + suffix, producer)
-    return r.out / stem
+def _files(stem: str, suffixes: Sequence[str], producer: str) -> list[Read]:
+    return _from(producer, [stem + suffix for suffix in suffixes])
 
 
 @dataclass(frozen=True)
@@ -471,11 +510,12 @@ def _runs(stage: Stage, cfg: RunConfig, out: Path, strict: bool, store: dict) ->
 
 def _run(stage: Stage, runs: Sequence[Run]) -> list[Any]:
     """Parse timings.json and load every run, each read required, hashed, checked under
-    --strict and parsed; then run each and write its manifest, with the outputs it recorded,
-    and its timing. A corrupt timings.json or a failed load stops the stage before it writes;
-    a read after the load, or a write in it, raises. The first run's time includes the loading
-    of every run. A stage that featurizes logs how many distinct texts its runs' featurizer
-    held for how many taken."""
+    --strict and parsed; then run each, write its manifest, with the outputs it recorded, and
+    its timing, and file what it kept in the store under those outputs' digests. A corrupt
+    timings.json or a failed load stops the stage before it writes; a read after the load, or
+    a write in it, raises. The first run's time includes the loading of every run. A stage
+    that featurizes logs how many distinct texts its runs' featurizer held for how many
+    taken."""
     t0 = time.perf_counter()
     timings = runs[0].out / "timings.json"
     data = read_json(timings) if timings.exists() else {}
@@ -486,9 +526,12 @@ def _run(stage: Stage, runs: Sequence[Run]) -> list[Any]:
     for i, r in enumerate(runs):
         value, loaded[i] = loaded[i], None  # a run's inputs go once it has run
         config, result = stage.run(r, value)
+        outputs = {n: sha256_file(r.out / n) for n in r.outputs}
         _dump(_manifest_path(r.out, r.id), {
             "stage": r.id.replace(":", "-"), "seed": r.cfg.seed, "config": config,
-            "inputs": r.inputs, "outputs": {n: sha256_file(r.out / n) for n in r.outputs}})
+            "inputs": r.inputs, "outputs": outputs})
+        for kind, names, kept in r.kept:
+            r.store[_key(kind, names, outputs)] = kept
         t1 = time.perf_counter()
         data[r.id], t0 = round(t1 - t0, 3), t1
         _dump(timings, data)
@@ -513,26 +556,40 @@ GE_FILES = (*TABLE_FILES, ".rels.json")
 ENCODER_FILES = (".gemb", ".json")  # as encoder.save_encoder writes them
 
 
+def _save_graph(r: Run, root: str, pid: str, g: kg.KnowledgeGraph) -> kg.KnowledgeGraph:
+    """Write ``g`` as the ``root`` graph of plant ``pid``; keep and return it as read back."""
+    reads = _graph_reads(root, pid)
+    g = kg.save_graph(g, *(r.write(name) for name, _ in reads))
+    r.keep("graph", reads, g)
+    return g
+
+
 def _synth(r: Run, _: None) -> tuple[dict, None]:
     plants = [synth.generate_plant(pcfg) for pcfg in r.cfg.plant_configs]
     bench = ir_eval.Benchmark([gp.bench for gp in plants])
     bench.validate()  # id collisions fail here, before any file is written
     sid_rows: list[pairs_mod.QueryDocPair] = []
     plant_meta = []
+    read_bench = ir_eval.Benchmark([])  # the benchmark as Run.benchmark parses it
     for pcfg, gp in zip(r.cfg.plant_configs, plants):
         pid = pcfg.plant_id
-        kg.save_graph(gp.graph, r.write(f"plants/{pid}/nodes.jsonl"),
-                      r.write(f"plants/{pid}/edges.jsonl"))
+        g = _save_graph(r, "plants", pid, gp.graph)
         if pcfg.training:
-            ids = sorted(gp.text_vectors)
-            write_table(r.write(f"plants/{pid}/vectors", TABLE_FILES), ids,
-                        np.stack([gp.text_vectors[i] for i in ids]))
+            ids, stem = sorted(gp.text_vectors), f"plants/{pid}/vectors"
+            matrix = write_table(r.write(stem, TABLE_FILES), ids,
+                                 np.stack([gp.text_vectors[i] for i in ids]))
+            r.keep("vectors", _files(stem, TABLE_FILES, "synth"), dict(zip(ids, matrix)))
         ir_eval.save_queries({pid: gp.bench.queries}, r.write(f"plants/{pid}/queries.jsonl"))
-        ir_eval.save_qrels(gp.bench.qrels, r.write(f"plants/{pid}/qrels.txt"))
+        qrels = ir_eval.save_qrels(gp.bench.qrels, r.write(f"plants/{pid}/qrels.txt"))
+        read_bench.plants.append(ir_eval.BenchmarkPlant(
+            pid, {n.id: n.text for n in g.text_logs()}, list(gp.bench.queries), qrels))
         sid_rows.extend(gp.sid_pairs)
         plant_meta.append({"plant_id": pid, "training": pcfg.training})
-    pairs_mod.save_pairs(sid_rows, r.write("sid.jsonl"))
+    pairs_mod.save_pairs(sid_rows, r.write(SID_PAIRS[0]))
     _dump(r.write(PLANT_LIST[0]), {"plants": plant_meta})
+    r.keep("pairs:SID", [SID_PAIRS], sid_rows)
+    r.keep("plants", [PLANT_LIST], plant_meta)
+    r.keep("benchmark", _benchmark_reads([p.plant_id for p in r.cfg.plant_configs]), read_bench)
     logger.info("synth: %d plants, %d queries total",
                 len(bench.plants), sum(len(p.queries) for p in bench.plants))
     return {"plants": [asdict(p) for p in r.cfg.plant_configs]}, None
@@ -549,8 +606,7 @@ def _build_graph(r: Run, graphs: dict[str, kg.KnowledgeGraph]) -> tuple[dict, No
                 if n.kind is kg.NodeKind.TEXT_LOG else n
                 for node_id, n in g.nodes.items()
             }, g.edges)
-        kg.save_graph(g, r.write(f"graphs/{pid}/nodes.jsonl"),
-                      r.write(f"graphs/{pid}/edges.jsonl"))
+        _save_graph(r, "graphs", pid, g)
     return {key: r.cfg.raw[key] for key in ("enrich", "expand_context")}, None
 
 
@@ -558,9 +614,8 @@ def _train_ge_load(r: Run) -> dict[str, tuple[kg.KnowledgeGraph, dict | None]]:
     """Each training plant's built graph, and its text vectors by node id when they
     initialise the embeddings."""
     text_init = r.cfg.ge.init_mode is graph_embed.InitMode.TEXT_VECTORS
-    return {pid: (r.graph("graphs", pid), dict(zip(*read_table(
-        _stem(r, f"plants/{pid}/vectors", TABLE_FILES, "synth")))) if text_init else None)
-        for pid in r.plant_ids(training=True)}
+    return {pid: (r.graph("graphs", pid), r.text_vectors(pid) if text_init else None)
+            for pid in r.plant_ids(training=True)}
 
 
 def _train_ge(r: Run, loaded: dict[str, tuple[kg.KnowledgeGraph, dict | None]]
@@ -595,7 +650,9 @@ def _train_ge(r: Run, loaded: dict[str, tuple[kg.KnowledgeGraph, dict | None]]
     lp_summary = {}
     for pid, report in reports.items():
         lp_summary[pid] = report.scaled()
-        graph_embed.save_embeddings(trained[pid], r.write(f"ge/{pid}", GE_FILES))
+        stem = f"ge/{pid}"
+        r.keep("ge", _files(stem, GE_FILES, "train-ge"),
+               graph_embed.save_embeddings(trained[pid], r.write(stem, GE_FILES)))
         _dump(r.write(f"ge/{pid}.lp.json"), asdict(report))
         logger.info("train-ge %s: MRR %.2f, AUC %.2f", pid, report.scaled()["mrr"],
                     report.scaled()["auc"])
@@ -632,6 +689,7 @@ def _sample_triplets(r: Run, loaded: dict[str, tuple[graph_embed.EmbeddingTable,
         logger.info("sample-triplets %s: %d triplets, %d skipped",
                     pid, len(tset.triplets), tset.skipped)
     triplets_mod.save_triplets(all_triplets, r.write(TRIPLETS[0]))
+    r.keep("triplets", [TRIPLETS], all_triplets)
     _dump(r.write("triplets/meta.json"), {"params": asdict(params), "plants": meta})
     return asdict(params), None
 
@@ -648,7 +706,9 @@ def _saved_encoder(r: Run, stem: str, producer: str) -> EncoderParams:
     """The encoder ``producer`` saved at ``stem``, whose dim and bucket count must be the
     config's: the dim sets every init row's draw and the bucket count sets where each feature
     hashes, so a table of another size reads as another encoder."""
-    path = _stem(r, stem, ENCODER_FILES, producer)
+    for read in _files(stem, ENCODER_FILES, producer):
+        r.read(*read)
+    path = r.out / stem
     p = load_encoder(f"{path}.gemb", f"{path}.json")
     enc = r.cfg.raw["encoder"]
     if (p.dim, p.vocab_buckets) != (enc["dim"], enc["vocab_buckets"]):
@@ -687,7 +747,8 @@ def _gen_pairs(r: Run, loaded: tuple[list[triplets_mod.Triplet], dict[str, kg.Kn
             for q in sorted({t.query for t in plant_triplets})
         }
         get_rows.extend(pairs_mod.triplets_to_pairs(plant_triplets, queries))
-    pairs_mod.save_pairs(get_rows, r.write("pairs/get.jsonl"))
+    pairs_mod.save_pairs(get_rows, r.write(GET_PAIRS[0]))
+    r.keep("pairs:GET", [GET_PAIRS], get_rows)
     logger.info("gen-pairs: %d GET rows from %d triplets", len(get_rows), len(filtered))
     return {"query_terms": m, "quality": r.cfg.raw["quality"],
             "kept_triplets": len(filtered)}, None
@@ -699,8 +760,7 @@ def _encoder_dir(r: Run) -> str:
 
 def _pair_reads(r: Run) -> list[tuple[pairs_mod.PairSource, Read]]:
     """Each pair source an ablation uses, read from the stage or config file that makes it."""
-    made_by = {pairs_mod.PairSource.GET: ("pairs/get.jsonl", "gen-pairs"),
-               pairs_mod.PairSource.SID: ("sid.jsonl", "synth"),
+    made_by = {pairs_mod.PairSource.GET: GET_PAIRS, pairs_mod.PairSource.SID: SID_PAIRS,
                pairs_mod.PairSource.DRMM: (r.cfg.raw["composition"]["drmm_pairs"], None)}
     return [(source, read) for source, read in made_by.items()
             if r.ablation[f"use_{source.value.lower()}"]]
@@ -783,9 +843,8 @@ TABLE = [
     Stage("build-graph", lambda r: {pid: r.graph("plants", pid) for pid in r.plant_ids()},
           _build_graph),
     Stage("train-ge", _train_ge_load, _train_ge),
-    Stage("sample-triplets", lambda r: {pid: (
-              graph_embed.load_embeddings(_stem(r, f"ge/{pid}", GE_FILES, "train-ge")),
-              r.graph("graphs", pid)) for pid in r.plant_ids(training=True)},
+    Stage("sample-triplets", lambda r: {pid: (r.ge_table(pid), r.graph("graphs", pid))
+                                        for pid in r.plant_ids(training=True)},
           _sample_triplets),
     Stage("train-docsim", lambda r: (r.log_texts(), r.filtered_triplets(), _fresh_encoder(r)),
           _train_docsim),
@@ -876,8 +935,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = load_run_config(args.config, args.seed)
         STAGES[args.command](cfg, _out_dir(args.out), args.strict)
-    except (MissingArtifactError, FileNotFoundError, CorruptFileError) as exc:
+    except (MissingArtifactError, CorruptFileError) as exc:
         logger.error("%s", exc)  # CorruptFileError is a ValueError, so it is caught first
+        return 3
+    except (FileNotFoundError, IsADirectoryError) as exc:  # a path the runner opens
+        logger.error("%s: %s", exc.filename, exc.strerror)
         return 3
     except ValueError as exc:  # ConfigError among them
         logger.error("%s", exc)

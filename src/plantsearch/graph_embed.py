@@ -507,11 +507,14 @@ def eval_link_prediction(
 # Persistence: matrix + ids sidecar + relation translations
 
 
-def save_embeddings(emb: EmbeddingTable, stem: str | Path) -> None:
-    write_table(stem, emb.node_ids, emb.vectors)
+def save_embeddings(emb: EmbeddingTable, stem: str | Path) -> EmbeddingTable:
+    """Write a table; returns it as :func:`load_embeddings` reads it back, its node vectors
+    rounded to float32 (the translations' JSON floats read back exactly)."""
+    vectors = write_table(stem, emb.node_ids, emb.vectors)
     rels = {rel.value: emb.relation_params[rel].tolist() for rel in Relation}
     Path(f"{stem}.rels.json").write_text(json.dumps(rels, sort_keys=True) + "\n",
                                          encoding="utf-8")
+    return EmbeddingTable(emb.node_ids, vectors, emb.relation_params)
 
 
 def load_embeddings(stem: str | Path) -> EmbeddingTable:

@@ -272,11 +272,17 @@ def evaluate_run(p: EncoderParams, b: Benchmark) -> EvalReport:
 # File formats: TREC qrels and line-JSON queries
 
 
-def save_qrels(qrels: Mapping[str, Mapping[str, int]], path: str | Path) -> None:
+def save_qrels(qrels: Mapping[str, Mapping[str, int]], path: str | Path
+               ) -> dict[str, dict[str, int]]:
+    """Write one line per grade, by query id, then doc id; returns the qrels as
+    :func:`load_qrels` reads them back."""
+    out: dict[str, dict[str, int]] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for query_id in sorted(qrels):
             for doc_id in sorted(qrels[query_id]):
                 fh.write(f"{query_id} 0 {doc_id} {qrels[query_id][doc_id]}\n")
+                out.setdefault(query_id, {})[doc_id] = qrels[query_id][doc_id]
+    return out
 
 
 def load_qrels(path: str | Path) -> dict[str, dict[str, int]]:

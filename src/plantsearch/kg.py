@@ -262,13 +262,17 @@ def _node_record(n: Node) -> dict:
     return rec
 
 
-def save_graph(g: KnowledgeGraph, nodes_path: str | Path, edges_path: str | Path) -> None:
+def save_graph(g: KnowledgeGraph, nodes_path: str | Path, edges_path: str | Path
+               ) -> KnowledgeGraph:
     """Write a graph back out in the line-delimited JSON interchange format: nodes by id
-    with text as it is, edges by (rel, src, dst) with non-ASCII characters escaped."""
-    write_json_lines(nodes_path, [_node_record(g.nodes[i]) for i in sorted(g.nodes)])
-    edges = sorted((e.rel.value, e.src, e.dst) for e in g.edges)
-    write_json_lines(edges_path, [{"src": src, "dst": dst, "rel": rel} for rel, src, dst in edges],
-                     ensure_ascii=True)
+    with text as it is, edges by (rel, src, dst) with non-ASCII characters escaped. Returns
+    the graph in that order, as :func:`load_graph` reads it back."""
+    g = KnowledgeGraph({i: g.nodes[i] for i in sorted(g.nodes)},
+                       sorted(g.edges, key=lambda e: (e.rel.value, e.src, e.dst)))
+    write_json_lines(nodes_path, [_node_record(n) for n in g.nodes.values()])
+    write_json_lines(edges_path, [{"src": e.src, "dst": e.dst, "rel": e.rel.value}
+                                  for e in g.edges], ensure_ascii=True)
+    return g
 
 
 # ---------------------------------------------------------------------------

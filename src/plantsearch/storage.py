@@ -37,7 +37,8 @@ class EmbeddingFileError(CorruptFileError):
     """Corrupt or truncated embedding file."""
 
 
-def write_matrix(path: str | Path, matrix: np.ndarray) -> None:
+def write_matrix(path: str | Path, matrix: np.ndarray) -> np.ndarray:
+    """Write ``matrix`` rounded to float32; returns it as ``read_matrix`` reads it back."""
     m = np.ascontiguousarray(matrix, dtype="<f4")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {matrix.shape}")
@@ -46,6 +47,7 @@ def write_matrix(path: str | Path, matrix: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, m.shape[0], m.shape[1]))
         fh.write(memoryview(m))  # the array's own bytes, no second copy
+    return m.astype(np.float64)
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
@@ -103,10 +105,12 @@ def read_ids(path: str | Path) -> list[str]:
     return [ids[i] for i in range(len(ids))]
 
 
-def write_table(stem: str | Path, ids: Sequence[str], matrix: np.ndarray) -> None:
-    """Write the table pair: the matrix to ``<stem>.gemb``, its row ids to ``<stem>.ids``."""
-    write_matrix(f"{stem}.gemb", matrix)
+def write_table(stem: str | Path, ids: Sequence[str], matrix: np.ndarray) -> np.ndarray:
+    """Write the table pair: the matrix to ``<stem>.gemb``, its row ids to ``<stem>.ids``.
+    Returns the matrix as ``read_table`` reads it back."""
+    read_back = write_matrix(f"{stem}.gemb", matrix)
     write_ids(f"{stem}.ids", ids)
+    return read_back
 
 
 def read_table(stem: str | Path) -> tuple[list[str], np.ndarray]:

@@ -260,8 +260,9 @@ def generate_plant(cfg: PlantConfig) -> GeneratedPlant:
         target = int(rng.integers(5, 9)) if rng.random() < cfg.short_log_rate else int(
             rng.integers(14, 25)
         )
-        while len(words) < target:
-            words.append(FILLER_WORDS[int(rng.integers(0, len(FILLER_WORDS)))])
+        # one draw of every filler word: the same values and stream as one draw per word
+        words += [FILLER_WORDS[j] for j in rng.integers(0, len(FILLER_WORDS),
+                                                        size=max(target - len(words), 0))]
         words = [words[j] for j in rng.permutation(len(words))]
         if rng.random() < _OWN_CODE_RATE:
             words.insert(int(rng.integers(0, len(words) + 1)), fl.code)

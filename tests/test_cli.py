@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,10 +10,11 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import assert_checked
-from plantsearch import cli, encoder, ir_eval, kg, pairs
+from plantsearch import cli, encoder, graph_embed, ir_eval, kg, pairs, triplets
 from plantsearch.losses import NonFiniteError
 from plantsearch.storage import derive_seed, read_matrix, write_matrix
 
@@ -123,7 +125,7 @@ def test_pipeline_is_byte_identical_across_processes(tmp_path):
     cfg_path.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
     src = str(Path(cli.__file__).parents[1])
     trees = []
-    for hash_seed in ("1", "2"):
+    for hash_seed in ("1", "12345"):
         out = tmp_path / f"run{hash_seed}"
         env = {**os.environ, "PYTHONHASHSEED": hash_seed, "OPENBLAS_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -371,43 +373,140 @@ def test_training_stages_featurize_each_text_once(pipeline_run, tmp_path, monkey
         assert m and int(m[1]) > len(need), logged
 
 
-def test_pipeline_parses_each_artifact_once(tmp_path, monkeypatch, init_streams):
-    """Each artifact is parsed once, and each init block of each encoder seed (the scorer's,
-    and the one every encoder starts from) is drawn once: the store holds one encoder of each,
-    and the saved encoders hold every row they read."""
-    calls = {"load_graph": [], "quality_filter": 0, "load_pairs": []}
-    load_graph, quality_filter, load_pairs = kg.load_graph, pairs.quality_filter, pairs.load_pairs
+# Every parser of a file that a stage reads, and the files each call parses.
+PARSERS = {
+    (kg, "load_graph"): lambda nodes, edges: [nodes, edges],
+    (pairs, "load_pairs"): lambda path, source=None: [path],
+    (triplets, "load_triplets"): lambda path: [path],
+    (graph_embed, "load_embeddings"): lambda stem: [f"{stem}{s}" for s in cli.GE_FILES],
+    (cli, "read_table"): lambda stem: [f"{stem}{s}" for s in cli.TABLE_FILES],
+    (ir_eval, "load_queries"): lambda path: [path],
+    (ir_eval, "load_qrels"): lambda path: [path],
+    (cli, "load_encoder"): lambda gemb, header: [gemb, header],
+    (cli, "read_json"): lambda path, *args: [path],
+}
 
-    def counted_load_graph(nodes_path, edges_path):
-        calls["load_graph"].append((str(nodes_path), str(edges_path)))
-        return load_graph(nodes_path, edges_path)
 
-    def counted_quality_filter(*args, **kwargs):
-        calls["quality_filter"] += 1
-        return quality_filter(*args, **kwargs)
+@pytest.fixture
+def parsed(monkeypatch):
+    """How many times each file is parsed, by its path, but for timings.json."""
+    counts = Counter()
 
-    def counted_load_pairs(path, default_source=None):
-        calls["load_pairs"].append(str(path))
-        return load_pairs(path, default_source)
+    def counted(real, files):
+        def parse(*args):
+            counts.update(str(f) for f in files(*args) if Path(f).name != "timings.json")
+            return real(*args)
+        return parse
 
-    monkeypatch.setattr(kg, "load_graph", counted_load_graph)
-    monkeypatch.setattr(pairs, "quality_filter", counted_quality_filter)
-    monkeypatch.setattr(pairs, "load_pairs", counted_load_pairs)
+    for (module, name), files in PARSERS.items():
+        monkeypatch.setattr(module, name, counted(getattr(module, name), files))
+    return counts
+
+
+def test_pipeline_parses_none_of_the_files_it_wrote(tmp_path, monkeypatch, parsed,
+                                                    init_streams):
+    """Each stage that writes what a later stage reads keeps its parsed value in the store, so
+    a ``pipeline`` parses only the saved encoders, each once. Each init block of each encoder
+    seed (the scorer's, and the one every encoder starts from) is drawn once: the store holds
+    one encoder of each, and the saved encoders hold every row they read."""
+    filtered = []
+    quality_filter = pairs.quality_filter
+    monkeypatch.setattr(pairs, "quality_filter", lambda *args, **kwargs: (
+        filtered.append(1), quality_filter(*args, **kwargs))[1])
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
     out = tmp_path / "run"
     assert cli.main(["pipeline", "--config", str(cfg_path), "--out", str(out)]) == 0
-    # plants/X, plants/Y, graphs/X and graphs/Y, each parsed once
-    assert len(calls["load_graph"]) == 4 and len(set(calls["load_graph"])) == 4
-    assert calls["quality_filter"] == 1
-    # sid.jsonl and pairs/get.jsonl, each parsed once for both ablations
-    assert sorted(calls["load_pairs"]) == [str(out / "pairs" / "get.jsonl"), str(out / "sid.jsonl")]
+    encoders = ["encoders/docsim"] + [f"ablations/{a['name']}/biencoder"
+                                      for a in TINY_CONFIG["ablations"]]
+    assert parsed == {str(out / f"{stem}{suffix}"): 1
+                      for stem in encoders for suffix in cli.ENCODER_FILES}
+    assert filtered == [1]
     assert {seed for seed, _ in init_streams} == {derive_seed(3, label)
                                                   for label in ("scorer", "encoder-init")}
     assert len(init_streams) == 724 and set(init_streams.values()) == {1}
     timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
     for ablation in TINY_CONFIG["ablations"]:
         assert f"train-biencoder:{ablation['name']}" in timings
+
+
+def test_a_stage_run_alone_parses_each_read_once(tmp_path, parsed):
+    """A stage run on its own starts from an empty store: it parses each file its manifests
+    list as inputs once, and no other."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+    cfg, out = cli.load_run_config(str(cfg_path), None), tmp_path / "run"
+    for row in cli.TABLE:
+        parsed.clear()
+        assert cli.main([row.name, "--config", str(cfg_path), "--out", str(out)]) == 0
+        inputs = {str(out / name) for run in cli._runs(row, cfg, out, False, {})
+                  for name in _manifest(out, run)["inputs"]}
+        assert parsed == {name: 1 for name in inputs}, row.name
+
+
+def _exact(value):
+    """``value`` as nested tuples, equal only for values of equal types, order and bytes."""
+    if isinstance(value, kg.KnowledgeGraph):
+        return "graph", _exact(dict(value.nodes)), _exact(value.edges)
+    if isinstance(value, graph_embed.EmbeddingTable):
+        return "table", _exact(value.node_ids), _exact(value.vectors), _exact(
+            value.relation_params)
+    if isinstance(value, np.ndarray):
+        return "array", value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, *(_exact(getattr(value, f.name))
+                                       for f in dataclasses.fields(value))
+    if isinstance(value, dict):
+        return "dict", *((_exact(k), _exact(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, *map(_exact, value)
+    return type(value).__name__, value
+
+
+def test_each_kept_value_equals_a_fresh_parse(tmp_path, monkeypatch):
+    """Every value a writer keeps in a ``pipeline`` store equals, in types, order and float32
+    rounding, what a store of its own parses from the files the writer wrote."""
+    kept = []
+    keep = cli.Run.keep
+    monkeypatch.setattr(cli.Run, "keep", lambda r, kind, reads, value: (
+        kept.append((kind, [name for name, _ in reads])), keep(r, kind, reads, value))[1])
+    cfg, out, store = cli.RunConfig(TINY_CONFIG), tmp_path / "run", {}
+    for row in cli.TABLE:
+        cli.STAGES[row.name](cfg, out, False, store)
+    fresh = cli.Run("check", cfg, out, False, {})
+    for pid in fresh.plant_ids():
+        fresh.graph("plants", pid), fresh.graph("graphs", pid)
+    for pid in fresh.plant_ids(training=True):
+        fresh.text_vectors(pid), fresh.ge_table(pid)
+    fresh.benchmark(), fresh.triplets()
+    for source, (name, producer) in [(pairs.PairSource.SID, cli.SID_PAIRS),
+                                     (pairs.PairSource.GET, cli.GET_PAIRS)]:
+        fresh.load(f"pairs:{source.value}", [(name, producer)],
+                   lambda: pairs.load_pairs(out / name, source))
+    keys = [cli._key(kind, names, fresh.inputs) for kind, names in kept]
+    assert sorted({key[0] for key in keys}) == ["benchmark", "ge", "graph", "pairs:GET",
+                                                "pairs:SID", "plants", "triplets", "vectors"]
+    assert len(set(keys)) == len(keys) == 11  # 4 graphs, 1 of each other kind
+    for key in keys:
+        assert _exact(store[key]) == _exact(fresh.store[key]), key[0]
+
+
+def test_a_file_changed_since_it_was_written_is_parsed(tmp_path, parsed):
+    """A kept graph is filed under its files' digests, so a file that changes after its
+    writer ran misses the store, and the reader parses what the file now holds."""
+    cfg, out, store = cli.RunConfig(TINY_CONFIG), tmp_path / "run", {}
+    cli.STAGES["synth"](cfg, out, False, store)
+    nodes = out / "plants" / "Y" / "nodes.jsonl"
+    lines = nodes.read_text(encoding="utf-8").splitlines(keepends=True)
+    log = next(i for i, line in enumerate(lines) if '"text_log"' in line)
+    lines[log] = lines[log].replace('"text": "', '"text": "Edited ', 1)
+    nodes.write_text("".join(lines), encoding="utf-8")
+    parsed.clear()
+    cli.STAGES["build-graph"](cfg, out, False, store)
+    assert parsed == {str(nodes): 1, str(nodes.with_name("edges.jsonl")): 1}
+    edited = json.loads(lines[log])
+    built = cli.Run("check", cfg, out, False, store).graph("graphs", "Y")
+    assert built.nodes[edited["id"]].text.startswith("Edited ")
 
 
 DRMM_PAIRS = [
@@ -1161,9 +1260,10 @@ def test_graph_stages_build_only_graphs_that_pass_the_checks(hooked_graph_chain)
     _, _, graphs = hooked_graph_chain
     # per plant, besides the graph it loads, build-graph builds the filtered, the enriched
     # (one of the two link-prediction steps adds edges on these plants) and the expanded
-    # graph, and train-ge builds the training subgraph
+    # graph, and the copy in file order that it writes and keeps, and train-ge builds the
+    # training subgraph
     assert Counter(stage for stage, _ in graphs) == {
-        "build-graph": 2 * 4, "train-ge": 2 * 2, "sample-triplets": 2}
+        "build-graph": 2 * 5, "train-ge": 2 * 2, "sample-triplets": 2}
     for _, g in graphs:
         assert_checked(g)
 
@@ -1451,6 +1551,21 @@ def test_exit_3_on_config_directory(tmp_path, caplog):
     message = fails(caplog, ["synth", "--config", str(config), "--out", str(out)])
     assert message.startswith(f"{config}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, name", [("synth", "timings.json"),
+                                         ("synth", "manifest-synth.json"),
+                                         ("build-graph", "graphs/M/nodes.jsonl")])
+def test_exit_3_on_a_directory_the_runner_opens(tmp_path, caplog, stage, name):
+    """A directory where a stage reads timings.json or writes a file exits 3 with one line
+    that starts with its path."""
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg_path.write_text(json.dumps(MICRO_CONFIG), encoding="utf-8")
+    if stage != "synth":
+        assert cli.main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    (out / name).mkdir(parents=True)
+    assert fails(caplog, [stage, "--config", str(cfg_path), "--out", str(out)]).startswith(
+        f"{out / name}: ")
 
 
 def test_exit_2_on_config_not_utf8(tmp_path, caplog):

@@ -7,6 +7,7 @@ from plantsearch.kg import Relation, build_graph, save_graph
 from plantsearch.pairs import PairLabel, PairSource
 from plantsearch.synth import (
     DEFAULT_JARGON_PAIRS,
+    FILLER_WORDS,
     GeneratedPlant,
     PlantConfig,
     generate_plant,
@@ -204,3 +205,15 @@ def test_code_mentions_without_edges_exist(plant):
                 cited_unlinked += 1
                 break
     assert cited_unlinked > 0
+
+
+@pytest.mark.parametrize("n", range(26))
+def test_one_filler_draw_equals_a_draw_per_word(n):
+    """Each log draws its filler words in one ``size=n`` call: the values and the generator's
+    state after it are those of n scalar calls, so every generated plant stays the same."""
+    per_word, at_once = np.random.default_rng(11), np.random.default_rng(11)
+    per_word.random(), at_once.random()  # start mid-stream, as a log's draws do
+    bound = len(FILLER_WORDS)
+    assert [int(per_word.integers(0, bound)) for _ in range(n)] == at_once.integers(
+        0, bound, size=n).tolist()
+    assert per_word.bit_generator.state == at_once.bit_generator.state
