@@ -938,7 +938,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (MissingArtifactError, CorruptFileError) as exc:
         logger.error("%s", exc)  # CorruptFileError is a ValueError, so it is caught first
         return 3
-    except (FileNotFoundError, IsADirectoryError) as exc:  # a path the runner opens
+    # a path the runner opens: missing, a directory, or a file where a directory goes
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         logger.error("%s: %s", exc.filename, exc.strerror)
         return 3
     except ValueError as exc:  # ConfigError among them

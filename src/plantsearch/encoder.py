@@ -125,9 +125,9 @@ class FeatureMatrix:
     """Featurized texts in CSR layout: row i spans ``indptr[i]:indptr[i + 1]``.
 
     Each entry's pooling weight, count / total, is divided once per matrix (:attr:`weights`)
-    and read by every :meth:`pooling_weights` and :meth:`pooling` call. :meth:`take` slices
-    rows into a new matrix, so a stage featurizes its texts once and each run trains on its
-    own rows (``Featurizer``).
+    and read by :meth:`pooling`. :meth:`take` slices rows into a new matrix, so a stage
+    featurizes its texts once and each run trains on its own rows (``Featurizer``); training
+    turns a run's :meth:`compact` matrix into one dense count matrix and drops it.
     """
 
     indptr: np.ndarray  # int64, n_texts + 1 offsets
@@ -139,24 +139,6 @@ class FeatureMatrix:
     def weights(self) -> np.ndarray:
         """Every entry's pooling weight, count / total of its text, divided once per matrix."""
         return self.counts / np.repeat(self.totals, np.diff(self.indptr))
-
-    def pooling_weights(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u, W) for texts ``rows``: sorted distinct bucket ids and dense pooling weights.
-
-        ``W[i, j]`` is count / total of bucket ``u[j]`` in text ``rows[i]``
-        (an empty text is a zero row), so ``W @ table[u]`` mean-pools the
-        texts and ``W.T @ G`` is the table gradient of vector gradients G.
-        ``u`` and the columns come from a presence mask over ids 0 .. max,
-        not a sort, so this is meant for a :meth:`compact` matrix, whose ids
-        are dense. When the texts hold every id up to their max, ``u`` is
-        that range and the ids are the columns. :meth:`pooling` sorts
-        instead: its ids span every bucket.
-        """
-        text, entry = self._entries(rows)
-        u, col = _renumbered(self.bucket_ids[entry])
-        w = np.zeros((len(rows), len(u)))
-        w.ravel()[text * len(u) + col] = self.weights[entry]
-        return u, w
 
     def _entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The position among ``rows`` and the CSR entry of every bucket of those texts."""
@@ -191,12 +173,11 @@ class FeatureMatrix:
         """This matrix with each bucket id renumbered to its position among the sorted
         distinct ids, and those ids.
 
-        The renumbering is monotone, so every row's ids stay sorted and
-        :meth:`pooling_weights` gives the same ``W`` over positions into a
-        table gathered at those buckets. The new ids are dense in
-        ``[0, len(buckets))``, so the presence mask of a
-        :meth:`pooling_weights` call has at most that many flags. The ids are
-        renumbered through a presence mask too when it has fewer flags than
+        The renumbering is monotone, so every row's ids stay sorted and pool
+        the same weights over positions into a table gathered at those
+        buckets. The new ids are dense in ``[0, len(buckets))``, so a matrix
+        of the texts' counts over them has one column per bucket. The ids are
+        renumbered through a presence mask when it has fewer flags than
         four per entry (its flags and counts then take less memory than a
         sort's buffers), and through ``np.unique`` otherwise, so the bucket
         count sets no allocation size.

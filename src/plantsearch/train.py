@@ -7,9 +7,12 @@ loop over the encoder's bucket table, each stage giving only its batches
 and its loss. As the encoder is linear in that table, each step is two
 gemms over the mini-batch's buckets: the texts' vectors are
 ``W @ table[u]`` and the table gradient is ``W.T @ G``, with W the batch's
-pooling weights (``FeatureMatrix.pooling_weights``). ``table`` holds only
-the rows of the training texts' buckets, gathered once, and the texts'
-bucket ids are renumbered to positions in it (``FeatureMatrix.compact``).
+pooling weights, count / total, over the buckets ``u`` that its texts hold.
+``table`` holds only the rows of the training texts' buckets, gathered
+once, and the texts' bucket ids are renumbered to positions in it
+(``FeatureMatrix.compact``). Each run holds its texts' bucket counts once,
+as one dense texts × table-rows matrix in the smallest unsigned type that
+holds the largest count, so a batch's W is a row gather and one division.
 A batch whose buckets are the whole table reads and updates ``table``
 itself, not a gathered copy of it. Each run takes its texts' rows from a
 ``Featurizer``: its own, or one that a pipeline stage shares among its
@@ -24,7 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, Featurizer, concat_ranges
+from .encoder import EncoderParams, FeatureMatrix, Featurizer, concat_ranges
 from .losses import NonFiniteError, mnr_loss_grad, triplet_loss_grad_batch
 from .pairs import PairLabel, QueryDocPair
 from .triplets import Triplet
@@ -214,14 +217,15 @@ def _fit(p: EncoderParams, texts: list[str], features: Featurizer | None,
     batches as (text rows to pool, number of ``items`` they hold). ``loss`` maps a batch's
     pooled vectors and item count to its epoch-loss terms, its active items and the vectors'
     gradient; a batch with an active item steps at ``effective_lr``."""
-    fm, buckets = (features or Featurizer(p.vocab_buckets)).take(texts, p.vocab_buckets).compact()
+    counts, totals, buckets = _run_counts(
+        (features or Featurizer(p.vocab_buckets)).take(texts, p.vocab_buckets))
     table = p.rows(buckets)
     epoch_losses: list[float] = []
     step = 0
     for epoch, batches in enumerate(epochs):
         total, seen, active, widest = 0.0, 0, 0, (0, 0)
         for rows, m in batches:
-            u, w = fm.pooling_weights(rows)
+            u, w = _batch_weights(counts, totals, rows)
             widest = max(widest, w.shape, key=lambda shape: shape[1])
             whole = len(u) == len(table)
             terms, batch_active, g = loss(w @ (table if whole else table[u]), m)
@@ -232,6 +236,7 @@ def _fit(p: EncoderParams, texts: list[str], features: Featurizer | None,
             step += 1
             if batch_active:
                 _step(table, u, whole, effective_lr(learning_rate, step, warmup_steps) * (w.T @ g))
+            del u, w, g  # freed before the next batch's weights are built
             seen += m
             active += batch_active
         epoch_losses.append(total / seen)
@@ -241,6 +246,33 @@ def _fit(p: EncoderParams, texts: list[str], features: Featurizer | None,
     if not np.isfinite(table).all():
         raise NonFiniteError(f"non-finite encoder table after {stage} training")
     return TrainResult(p.with_rows(buckets, table), epoch_losses, step)
+
+
+def _run_counts(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fm``'s texts as a dense (texts × compact buckets) count matrix in the smallest unsigned
+    type that holds its largest count, their totals clamped to 1 (an empty text's zero row
+    divides by 1), and the buckets (``FeatureMatrix.compact``)."""
+    fm, buckets = fm.compact()
+    counts = np.zeros((len(fm.totals), len(buckets)),
+                      dtype=np.min_scalar_type(fm.counts.max(initial=0)))
+    counts[np.repeat(np.arange(len(fm.totals)), np.diff(fm.indptr)), fm.bucket_ids] = fm.counts
+    return counts, np.maximum(fm.totals, 1), buckets
+
+
+def _batch_weights(counts: np.ndarray, totals: np.ndarray,
+                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, W) for texts ``rows`` of a :func:`_run_counts` matrix: the sorted columns they hold
+    and their dense pooling weights over those columns, ``W[i, j]`` = count / total of column
+    ``u[j]`` in text ``rows[i]``. The division is ``FeatureMatrix.weights``' own, so W is
+    bit-identical to a scatter of those weights. A batch that misses a column keeps to the
+    columns it holds: a gemm over every column sums in another order, which moves the last
+    bit of the epoch losses."""
+    c = counts[rows]
+    present = c.any(0)
+    if present.all():
+        return np.arange(len(present)), c / totals[rows, None]
+    u = np.flatnonzero(present)
+    return u, c[:, u] / totals[rows, None]
 
 
 def _step(table: np.ndarray, u: np.ndarray, whole: bool, update: np.ndarray) -> None:

@@ -306,7 +306,7 @@ def oracle_sample_triplets(index, g, p):
 
 
 def oracle_unique_pooling_weights(fm, rows):
-    """``FeatureMatrix.pooling_weights`` with ``u`` and the columns from ``np.unique``."""
+    """:func:`oracle_pooling_weights` with ``u`` and the columns from ``np.unique``."""
     starts = fm.indptr[rows]
     lengths = fm.indptr[rows + 1] - starts
     text = np.repeat(np.arange(len(rows)), lengths)
@@ -579,6 +579,23 @@ def oracle_train_biencoder(table, pairs, texts, cfg):
     return DenseRun(table, epoch_losses, step)
 
 
+def oracle_pooling_weights(fm, rows):
+    """The former ``FeatureMatrix.pooling_weights``: (u, W) for texts ``rows`` of ``fm``, the
+    sorted distinct bucket ids and a scatter of each entry's weight into dense zeros.
+
+    ``W[i, j]`` is count / total of bucket ``u[j]`` in text ``rows[i]`` (an empty text is a
+    zero row). ``u`` and the columns come from a presence mask over ids 0 .. max, so when the
+    texts hold every id up to their max, ``u`` is that range and the ids are the columns.
+    """
+    from plantsearch.encoder import _renumbered
+
+    text, entry = fm._entries(rows)
+    u, col = _renumbered(fm.bucket_ids[entry])
+    w = np.zeros((len(rows), len(u)))
+    w.ravel()[text * len(u) + col] = fm.weights[entry]
+    return u, w
+
+
 def dense_train_docsim(table, triplets, texts, cfg):
     """The batched docsim SGD on a copy of a whole table, as it ran before training gathered
     only its texts' rows: the same gemms over the table's own bucket ids."""
@@ -605,7 +622,7 @@ def dense_train_docsim(table, triplets, texts, cfg):
         for lo in range(0, n, cfg.batch_size):
             batch = members[order[lo : lo + cfg.batch_size]]
             m = len(batch)
-            u, w = fm.pooling_weights(batch.T.ravel())
+            u, w = oracle_pooling_weights(fm, batch.T.ravel())
             x = w @ table[u]
             losses, gq, gp, gn = triplet_loss_grad_batch(x[:m], x[m : 2 * m], x[2 * m :],
                                                          cfg.margin)
@@ -657,8 +674,8 @@ def dense_train_biencoder(table, pairs, texts, cfg):
                     if doc_id not in seen:
                         seen.add(doc_id)
                         all_docs.append(doc_id)
-            u, w = fm.pooling_weights(np.array([query_row[pr.query_text] for pr in batch]
-                                               + [doc_row[d] for d in all_docs]))
+            u, w = oracle_pooling_weights(fm, np.array([query_row[pr.query_text] for pr in batch]
+                                                       + [doc_row[d] for d in all_docs]))
             x = w @ table[u]
             loss, g_q, g_d = mnr_loss_grad(x[: len(batch)], x[len(batch) :],
                                            cfg.similarity_scale)

@@ -1568,6 +1568,17 @@ def test_exit_3_on_a_directory_the_runner_opens(tmp_path, caplog, stage, name):
         f"{out / name}: ")
 
 
+def test_exit_3_on_a_file_where_a_directory_goes(tmp_path, caplog):
+    """A file where build-graph makes its graphs directory exits 3 with one line that starts
+    with the path it could not make under that file."""
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg_path.write_text(json.dumps(MICRO_CONFIG), encoding="utf-8")
+    assert cli.main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 0
+    (out / "graphs").write_text("not a directory\n", encoding="utf-8")
+    assert fails(caplog, ["build-graph", "--config", str(cfg_path), "--out", str(out)]).startswith(
+        f"{out / 'graphs' / 'M'}: ")
+
+
 def test_exit_2_on_config_not_utf8(tmp_path, caplog):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_bytes(b'{"seed": "\xff"}')

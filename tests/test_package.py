@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import Mapping
 
@@ -8,6 +11,18 @@ import plantsearch
 from plantsearch import cli
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m plantsearch`` is the ``plantsearch`` command: its ``--help`` exits 0 and
+    lists the stages."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "plantsearch", "--help"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: plantsearch ")
+    assert all(name in done.stdout for name in cli.STAGES)
 
 
 def test_all_names_the_package_surface():

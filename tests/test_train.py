@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,11 +10,19 @@ from oracles import (
     dense_train_biencoder,
     dense_train_docsim,
     oracle_dense_round_trip,
+    oracle_pooling_weights,
     oracle_train_biencoder,
     oracle_train_docsim,
 )
 from plantsearch import encoder, train
-from plantsearch.encoder import Featurizer, encode, init_encoder, load_encoder, save_encoder
+from plantsearch.encoder import (
+    Featurizer,
+    encode,
+    featurize_many,
+    init_encoder,
+    load_encoder,
+    save_encoder,
+)
 from plantsearch.losses import cosine
 from plantsearch.pairs import PairLabel, PairSource, QueryDocPair
 from plantsearch.train import (
@@ -301,6 +311,63 @@ def test_biencoder_matches_per_text_oracle(epochs, monkeypatch):
         if epochs:
             assert not np.array_equal(dense_table(got.params), dense_table(start))
     assert set(wholes) == ({True, False} if epochs else set())
+
+
+def test_run_counts_give_the_former_batch_weights():
+    """Each batch's columns and weights from a run's count matrix equal the former per-batch
+    scatter (``oracle_pooling_weights`` over the compact matrix) byte for byte: batches that
+    hold every column or some, repeated rows, texts with no word token, and a bucket count
+    above 255, which needs uint16 counts."""
+    rng = np.random.default_rng(12)
+    words = ["pumpe", "leckt", "filter", "druck", "ventil", "lager", "motor", "welle"]
+    texts = ["", "!!!"] + [" ".join(rng.choice(words, size=int(rng.integers(1, 8))))
+                           for _ in range(40)]
+    kinds = Counter()
+    for vocab_buckets, extra, dtype in [(64, [], np.uint8), (2**16, [], np.uint8),
+                                        (2**16, ["motor " * 300], np.uint16)]:
+        fm = featurize_many(texts + extra, vocab_buckets)
+        counts, totals, buckets = train._run_counts(fm)
+        compact, want_buckets = fm.compact()
+        assert buckets.tobytes() == want_buckets.tobytes()
+        assert counts.dtype == dtype and counts.shape == (len(texts + extra), len(buckets))
+        n = len(counts)
+        batches = [np.arange(n), np.arange(n)[::-1], np.array([0, 1]), np.array([0, 0, 1]),
+                   np.array([], dtype=np.int64), np.array([n - 1, n - 1])] + [
+            rng.integers(0, n, size=int(rng.integers(1, 3 * n))) for _ in range(30)]
+        for rows in batches:
+            u, w = train._batch_weights(counts, totals, rows)
+            want_u, want_w = oracle_pooling_weights(compact, rows)
+            assert u.dtype == want_u.dtype and u.tobytes() == want_u.tobytes()
+            assert w.shape == want_w.shape and w.tobytes() == want_w.tobytes()
+            kinds["whole" if len(u) == len(buckets) else "partial"] += 1
+    assert min(kinds["whole"], kinds["partial"]) >= 3, kinds
+
+
+def test_biencoder_run_holds_no_float64_texts_by_buckets_matrix():
+    """A bi-encoder run over 2,000 texts and 2,000 compact buckets peaks below one float64
+    texts x buckets matrix: the run holds its counts as uint8 and drops its int64 feature
+    matrix before the first batch. The texts are dense (a fifth of the buckets each) and the
+    batches wide, so the feature matrix held through the loop would cross the line too."""
+    rng = np.random.default_rng(5)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    lexicon = ["".join(rng.choice(letters, size=int(rng.integers(4, 9)))) for _ in range(3000)]
+    texts = {f"d{i}": " ".join(rng.choice(lexicon, size=70)) for i in range(1000)}
+    pairs = [_pair(" ".join(rng.choice(lexicon, size=70)), d, PairLabel.POSITIVE) for d in texts]
+    all_texts = list(texts.values()) + [pr.query_text for pr in pairs]
+    features = Featurizer(2048)
+    n_texts, n_buckets = len(set(all_texts)), len(np.unique(
+        features.take(all_texts, 2048).bucket_ids))  # held before tracing starts
+    assert n_texts >= 2000 and n_buckets >= 2000
+    cfg = BiEncoderConfig(epochs=1, batch_size=384, warmup_steps=0)
+    tracemalloc.start()
+    try:
+        result = train_biencoder(init_encoder(dim=8, vocab_buckets=2048, seed=2), pairs, texts,
+                                 cfg, features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.steps == 3
+    assert peak < n_texts * n_buckets * 8, (peak, n_texts * n_buckets * 8)
 
 
 @pytest.mark.parametrize("dim, buckets", [(8, 64), (5, 32), (64, 1 << 16)])
