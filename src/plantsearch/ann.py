@@ -81,7 +81,10 @@ def knn_rows(
     position and can split such ties. Each query's top k are the
     candidates scoring above its k-th best score, then those at that
     score in ascending row order, sorted stably by descending score;
-    rows ascend in id order, so ties break by ascending id.
+    rows ascend in id order, so ties break by ascending id. Most queries
+    hold exactly k candidates at or above their k-th score and take them
+    all; the cumulative cut among the ties runs only on the queries that
+    hold more.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -104,9 +107,13 @@ def knn_rows(
         neg[:, outside] = np.inf
         neg[b, block] = np.inf
         kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
-        above, at_kth = neg < kth, neg == kth
-        room = k - np.count_nonzero(above, axis=1)[:, None]
-        take = above | (at_kth & (np.cumsum(at_kth, axis=1) <= room))
+        take = neg <= kth
+        full = np.flatnonzero(np.count_nonzero(take, axis=1) > k)  # more ties than room
+        if full.size:
+            sub, cut = neg[full], kth[full]
+            above, at_kth = sub < cut, sub == cut
+            room = k - np.count_nonzero(above, axis=1)[:, None]
+            take[full] = above | (at_kth & (np.cumsum(at_kth, axis=1) <= room))
         top = np.nonzero(take)[1].reshape(block.size, k)  # ascending rows per query
         top = np.take_along_axis(top, np.argsort(neg[b[:, None], top], axis=1, kind="stable"),
                                  axis=1)

@@ -25,7 +25,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .kg import Edge, KnowledgeGraph, NodeKind, Relation, RELATION_SIGNATURES
-from .losses import NonFiniteError, cosine, edge_scores, edge_steps, rows_at
+from .losses import NonFiniteError, cosine, cosines, edge_scores, edge_steps, rows_at
 from .storage import EmbeddingFileError, read_json, read_table, write_table
 
 logger = logging.getLogger(__name__)
@@ -271,10 +271,12 @@ def train_plant_embeddings(
 
     The shuffled edges that draw negatives run in consecutive batches of
     ``BATCH``. One ``edge_scores`` pass scores a batch against the table
-    as it stands at the batch start, and ``edge_steps`` forms the mean
-    hinge gradients of its edges with an active hinge. Node rows then
-    take those steps through one ordered scatter (``rows_at``), sources,
-    then destinations, then negatives, in batch order. Each relation row
+    as it stands at the batch start; its (edges, negatives, dim) gather of
+    negative rows lives only for that call. ``edge_steps`` then forms the
+    mean hinge gradients of the edges with an active hinge from the live
+    pairs' negative rows, taken from the table again. Node rows take those
+    steps through the ordered scatter ``rows_at``, sources, then
+    destinations, then negatives, in batch order. Each relation row
     takes the mean of its active edges' steps: every edge of a relation
     shares its translation, so a sum would scale its step with their number.
     At ``BATCH = 1`` this is the per-edge SGD loop, bit for bit.
@@ -342,8 +344,8 @@ def train_plant_embeddings(
         bounds = np.concatenate([[0], np.cumsum(np.bincount(step))]).tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             a = vec[src[lo:hi]] + rel_mat[rel[lo:hi]]
-            d, b = vec[dst[lo:hi]], vec[negs[lo:hi]]
-            sc = edge_scores(a, d, b, margin)
+            d = vec[dst[lo:hi]]
+            sc = edge_scores(a, d, vec[negs[lo:hi]], margin)  # the gather dies with the call
             if not np.isfinite(sc.terms).all():  # a NaN term would read as inactive below
                 bad = state[plant[lo + np.isfinite(sc.terms).all(axis=1).argmin()]]
                 raise NonFiniteError(f"plant {bad.pid!r}: non-finite edge scores in epoch {epoch}")
@@ -352,14 +354,17 @@ def train_plant_embeddings(
             act = n_on[lo:hi].nonzero()[0]
             if act.size == 0:
                 continue
-            loss, g_a, g_dst, g_negs = edge_steps(a[act], d[act], b[act], sc.take(act))
-            edge_loss[lo + act] = loss
+            live = negs[lo:hi][on]
+            loss, g_a, g_dst, g_negs = edge_steps(a, d, vec[live], sc)
+            del a, d, sc  # none is held through the scatter
+            edge_loss[lo:hi] = loss
             # Rows may repeat within a plant's batch; the scatter applies every step in this
             # order, which keeps each plant's sources, then destinations, then negatives.
-            rows = np.concatenate([src[lo:hi][act], dst[lo:hi][act], negs[lo:hi][on]])
-            steps = np.concatenate([g_a, g_dst, g_negs])
-            steps *= lr
-            rows_at(np.subtract, vec, rows, steps)
+            g_dst *= lr
+            g_negs *= lr
+            rows_at(np.subtract, vec, src[lo:hi][act], g_a * lr)
+            rows_at(np.subtract, vec, dst[lo:hi][act], g_dst)
+            rows_at(np.subtract, vec, live, g_negs)
             # Each relation's steps, summed one by one in batch order from +0.0 (g_a holds
             # no -0.0, so the first add returns the first step itself).
             r = rel[lo:hi][act]
@@ -417,6 +422,10 @@ def split_edges(
     return train, test
 
 
+# Scores per link-prediction block: 400 KB, the size of a (64, 800) kNN score block.
+LP_BLOCK = 64 * 800
+
+
 @dataclass
 class LPReport:
     """Link-prediction metrics, all in [0, 1]; formatting scales by 100."""
@@ -452,6 +461,13 @@ def eval_link_prediction(
     counting ties as half; an edge with no corruptions contributes rank
     1 and AUC 1.0. When ``train_edges`` is given it must be disjoint
     from ``test_edges``.
+
+    The test edges of each destination kind are scored together against
+    that kind's pool members, in blocks of at most ``LP_BLOCK`` scores,
+    and the members' norms are computed once. Each score is one ddot over
+    the norm product that score_edge divides by, so it equals score_edge
+    bit for bit, and the rank and AUC counts of a block are vectorized
+    with the true destination's own column left out.
     """
     if not test_edges:
         raise ValueError("no test edges")
@@ -466,33 +482,44 @@ def eval_link_prediction(
         if node_id not in kinds:
             raise KeyError(f"no kind known for pool node {node_id!r}")
 
-    # Per kind: candidate positions and vectors, built once. Each edge's true
-    # and candidate scores come from one edge_scores call, whose ddots
-    # (np.vecdot, like np.dot) make them equal cosine() bit for bit.
     pool_by_kind: dict[NodeKind, list[str]] = {kind: [] for kind in NodeKind}
     for node_id in pool:
         pool_by_kind[kinds[node_id]].append(node_id)
-    cands = {kind: ({c: j for j, c in enumerate(ids)}, emb.vectors[[emb.row(c) for c in ids]])
-             for kind, ids in pool_by_kind.items()}
+    edges_by_kind: dict[NodeKind, list[int]] = {kind: [] for kind in NodeKind}
+    for i, e in enumerate(test_edges):
+        edges_by_kind[RELATION_SIGNATURES[e.rel][1]].append(i)
 
     ranks = np.empty(len(test_edges), dtype=np.float64)
     aucs = np.empty(len(test_edges), dtype=np.float64)
-    for i, e in enumerate(test_edges):
-        pos, vectors = cands[RELATION_SIGNATURES[e.rel][1]]
-        a = emb.vector(e.src) + emb.relation_params[e.rel]
-        sc = edge_scores(a[None], emb.vector(e.dst)[None], vectors[None], 0.0)
-        true_score, scores = sc.s_pos[0], sc.s_neg[0]
-        dst_pos = pos.get(e.dst)
-        if dst_pos is not None:
-            scores = np.delete(scores, dst_pos)
-        if scores.size == 0:
-            ranks[i], aucs[i] = 1.0, 1.0
+    for kind, which in edges_by_kind.items():
+        if not which:
             continue
-        higher_or_tied = int((scores >= true_score).sum())
-        ties = int((scores == true_score).sum())
-        below = int((scores < true_score).sum())
-        ranks[i] = 1 + higher_or_tied
-        aucs[i] = (below + 0.5 * ties) / scores.size
+        ids = pool_by_kind[kind]
+        col = {c: j for j, c in enumerate(ids)}
+        cands = emb.vectors[[emb.row(c) for c in ids]]
+        norms = np.sqrt(np.vecdot(cands, cands))
+        edges = [test_edges[i] for i in which]
+        a = emb.vectors[[emb.row(e.src) for e in edges]] + np.stack(
+            [emb.relation_params[e.rel] for e in edges])
+        d = emb.vectors[[emb.row(e.dst) for e in edges]]
+        na = np.sqrt(np.vecdot(a, a))
+        true = cosines(np.vecdot(a, d), na, np.sqrt(np.vecdot(d, d)))[:, None]
+        own = np.array([col.get(e.dst, -1) for e in edges])
+        counts = np.empty((3, len(edges)), dtype=np.int64)  # above or tied, tied, below
+        step = max(1, LP_BLOCK // max(1, len(ids)))
+        for lo in range(0, len(edges), step):
+            hi = lo + step
+            scores = cosines(np.vecdot(cands, a[lo:hi, None, :]), na[lo:hi, None], norms)
+            r = np.flatnonzero(own[lo:hi] >= 0)
+            scores[r, own[lo:hi][r]] = np.nan  # the true destination itself: in no count
+            t = true[lo:hi]
+            counts[:, lo:hi] = [np.count_nonzero(cmp, axis=1)
+                                for cmp in (scores >= t, scores == t, scores < t)]
+        size = len(ids) - (own >= 0)  # each edge's corruptions
+        auc = np.ones(len(edges))  # an edge with no corruptions: rank 1 and AUC 1
+        some = size > 0
+        auc[some] = (counts[2][some] + 0.5 * counts[1][some]) / size[some]
+        ranks[which], aucs[which] = 1.0 + counts[0], auc
 
     return LPReport(
         mrr=float((1.0 / ranks).mean()),

@@ -124,10 +124,18 @@ class EdgeScores(NamedTuple):
     s_neg: np.ndarray  # (n, k) cos(a, negative)
     terms: np.ndarray  # (n, k) hinge terms (margin - s_pos) + s_neg
 
-    def take(self, idx) -> "EdgeScores":
-        """Rows ``idx`` of every field: an int gives one edge's scalars and (k,) rows, an
-        index array a smaller batch."""
-        return EdgeScores(*(field[idx] for field in self))
+
+def cosines(dots: np.ndarray, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """``dots / (n1 * n2)``, the norms broadcast against the dot products, with 0.0 where
+    either norm is exactly 0.0. The quotient is formed plainly and only those entries are
+    set afterwards, so a NaN norm still gives a NaN cosine."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero norms, set to 0.0 below
+        out = dots / (n1 * n2)
+    for norms in (n1, n2):
+        zero = norms == 0.0
+        if zero.any():
+            out[np.broadcast_to(zero, out.shape)] = 0.0
+    return out
 
 
 def edge_scores(a: np.ndarray, dst: np.ndarray, negs: np.ndarray, margin) -> EdgeScores:
@@ -136,32 +144,37 @@ def edge_scores(a: np.ndarray, dst: np.ndarray, negs: np.ndarray, margin) -> Edg
 
     Each row dot product and norm is one BLAS ddot (``np.vecdot``), so a
     row rounds exactly like ``np.dot`` and ``np.linalg.norm`` on that
-    edge alone, whatever else is in the batch. A zero-norm operand scores 0.
+    edge alone, whatever else is in the batch. A zero-norm operand scores 0
+    (``cosines``).
     """
     na = np.sqrt(np.vecdot(a, a))
     nd = np.sqrt(np.vecdot(dst, dst))
-    s_pos = np.divide(np.vecdot(a, dst), na * nd, out=np.zeros(na.shape),
-                      where=(na != 0.0) & (nd != 0.0))
     norms = np.sqrt(np.vecdot(negs, negs))
-    s_neg = np.divide(np.vecdot(negs, a[:, None, :]), na[:, None] * norms,
-                      out=np.zeros(norms.shape), where=(norms != 0.0) & (na != 0.0)[:, None])
+    s_pos = cosines(np.vecdot(a, dst), na, nd)
+    s_neg = cosines(np.vecdot(negs, a[:, None, :]), na[:, None], norms)
     terms = (margin - s_pos)[:, None] + s_neg
     return EdgeScores(na, nd, s_pos, norms, s_neg, terms)
 
 
 def edge_steps(
-    a: np.ndarray, dst: np.ndarray, negs: np.ndarray, sc: EdgeScores
+    a: np.ndarray, dst: np.ndarray, live: np.ndarray, sc: EdgeScores
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mean hinges max(0, terms) of n edges and their gradients, from the edges'
-    ``edge_scores`` rows ``sc`` and their vectors (``a`` and ``dst`` (n, dim),
-    ``negs`` (n, k, dim)).
+    ``edge_scores`` rows ``sc``, their vectors ``a`` and ``dst`` (n, dim) and
+    the (m, dim) vectors ``live`` of their m live pairs' negatives.
 
-    Returns (loss (n,), g_a (n, dim), g_dst (n, dim), g_negs (m, dim)). Only
-    the m live pairs, the (edge, negative) pairs whose term is positive
-    (``sc.terms > 0``), have a gradient: g_negs holds their negatives'
-    gradients in row-major (edge, negative) order, and every other
-    negative's gradient is zero and not formed. An edge with no live pair
-    has loss and gradients zero. A zero-norm operand has zero gradient.
+    The live pairs are the (edge, negative) pairs whose term is positive
+    (``sc.terms > 0``), in row-major (edge, negative) order, so ``live`` is
+    ``negs[sc.terms > 0]``, which a caller may gather from its table rather
+    than from the scored (n, k, dim) block. Only the e active edges, those
+    with a live pair, and the live pairs have a gradient. Returns (loss (n,),
+    g_a (e, dim), g_dst (e, dim), g_negs (m, dim)): the active edges' rows
+    in edge order and the live pairs' negatives' rows in pair order. Every
+    other edge has loss and gradients zero, and every other negative's
+    gradient is zero; none of them is formed. A zero-norm operand has zero
+    gradient: the quotients are formed plainly, and the rows of a norm that
+    is exactly 0.0 are then set to 0.0.
+
     Each row equals a per-negative cosine-gradient loop over that edge
     alone bit for bit: products and quotients keep the loop's operand
     order, the loss adds the terms one by one by ``cumsum`` over the (n, k)
@@ -177,35 +190,59 @@ def edge_steps(
     if not np.isfinite(loss).all():
         raise NonFiniteError("non-finite ranking loss")
 
-    edge, neg = on.nonzero()  # the live pairs
-    na, nd, s_pos = sc.na[:, None], sc.nd[:, None], sc.s_pos[:, None]
-    pos = ((sc.na != 0.0) & (sc.nd != 0.0))[:, None]
-    a_e, na_e, b = a[edge], sc.na[edge][:, None], negs[edge, neg]
-    nb, s_neg = sc.norms[edge, neg][:, None], sc.s_neg[edge, neg][:, None]
-    zero = (nb == 0.0) | (na_e == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero norms, masked out below
-        g_a_pos = np.where(pos, dst / (na * nd) - s_pos * a / (na * na), 0.0)
-        g_dst_pos = np.where(pos, a / (na * nd) - s_pos * dst / (nd * nd), 0.0)
-        step = b / (na_e * nb) - s_neg * a_e / (na_e * na_e)  # the a-gradient of cos(a, b)
-        g_negs = a_e / (na_e * nb) - s_neg * b / (nb * nb)  # the negative's gradient
-    np.copyto(step, 0.0, where=zero)
-    step -= g_a_pos[edge]
+    n_on = on.sum(axis=1)
+    act = n_on.nonzero()[0]
+    at = np.repeat(np.arange(act.size), n_on[act])  # each live pair's active edge
+    a, dst, na, nd, s_pos = (v[act] for v in (a, dst, sc.na[:, None], sc.nd[:, None],
+                                              sc.s_pos[:, None]))
+    nb, s_neg = sc.norms[on][:, None], sc.s_neg[on][:, None]
+    nn, aa, ab = na * nd, na * na, na[at] * nb
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero norms, set to 0.0 below
+        g_a_pos = dst / nn - s_pos * a / aa
+        g_dst_pos = a / nn - s_pos * dst / (nd * nd)
+        # The live pairs' (m, dim) terms, formed in place: one temporary of that size.
+        a_e = a[at]
+        step = live / ab  # the a-gradient of cos(a, b)
+        tmp = s_neg * a_e
+        tmp /= aa[at]
+        step -= tmp
+        g_negs = np.divide(a_e, ab, out=a_e)  # the negative's gradient
+        np.multiply(s_neg, live, out=tmp)
+        tmp /= nb * nb
+        g_negs -= tmp
+        del tmp
+    if not nn.all():  # a zero norm, or a product that underflows
+        zero = ((na == 0.0) | (nd == 0.0))[:, 0]
+        g_a_pos[zero] = g_dst_pos[zero] = 0.0
+    if not ab.all():
+        zero = ((na[at] == 0.0) | (nb == 0.0))[:, 0]
+        step[zero] = g_negs[zero] = 0.0
+    step -= g_a_pos[at]
     step /= k
     g_a = np.zeros(a.shape)
-    rows_at(np.add, g_a, edge, step)
+    rows_at(np.add, g_a, at, step)
     g_a += 0.0
+    del step
     g_dst = np.zeros(dst.shape)
-    rows_at(np.add, g_dst, edge, -(g_dst_pos / k)[edge])
+    rows_at(np.add, g_dst, at, -(g_dst_pos / k)[at])
     g_dst += 0.0
-    np.copyto(g_negs, 0.0, where=zero)
     g_negs /= k
     return loss, g_a, g_dst, g_negs
+
+
+# Flat-index entries per ufunc.at call in rows_at: 16K int64 entries, 128 KB.
+AT_CHUNK = 16384
 
 
 def rows_at(ufunc: np.ufunc, table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """``ufunc.at(table, rows, values)`` for a C-contiguous (r, dim) ``table`` and
     (len(rows), dim) ``values``: the same updates in the same order, each row's in
-    the order of ``rows``, through ``ufunc.at``'s faster path over the flat table."""
+    the order of ``rows``, through ``ufunc.at``'s faster path over the flat table.
+    The flat index is built for about ``AT_CHUNK`` entries of rows at a time and
+    the chunks apply in order, so the updates keep their order and their bits."""
     dim = table.shape[1]
-    ufunc.at(np.reshape(table, -1, copy=False), (rows[:, None] * dim + np.arange(dim)).ravel(),
-             values.ravel())
+    flat, cols = np.reshape(table, -1, copy=False), np.arange(dim)
+    chunk = max(1, AT_CHUNK // dim)
+    for lo in range(0, rows.size, chunk):
+        ufunc.at(flat, (rows[lo : lo + chunk, None] * dim + cols).ravel(),
+                 values[lo : lo + chunk].ravel())

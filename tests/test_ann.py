@@ -177,6 +177,37 @@ def test_knn_rows_equals_oracle_for_every_query():
     assert ties > 50
 
 
+def test_knn_rows_tie_cut_on_over_full_rows_equals_oracle():
+    """Exact copies, spread over the ids, put more candidates at the k-th score than the
+    query has room for on several queries of one block. Every query gets the oracle's
+    neighbors, with and without a row mask, in one call and one row at a time."""
+    rng = np.random.default_rng(13)
+    base = rng.normal(size=(5, 3))
+    vectors = {f"d{i:03d}": (base[i % 5] if i < 30 else rng.normal(size=3)).tolist()
+               for i in range(45)}
+    index = build_index(make_table(vectors), list(vectors))
+    ids = sorted(vectors)
+    for among in (None, {i for j, i in enumerate(ids) if j % 7 != 3}):
+        mask = None if among is None else index.row_mask(among)
+        queries = ids if among is None else sorted(among)
+        rows = np.array([index.row(q) for q in queries])
+        assert rows.size <= KNN_BLOCK
+        for k in (1, 3, 4, 8):
+            cols, scores = knn_rows(index, rows, k, mask)
+            over_full = 0
+            for q, row, row_scores in zip(queries, cols.tolist(), scores.tolist()):
+                want = oracle_knn(vectors, q, k, among)
+                assert [index.ids[c] for c in row] == want, (k, q)
+                one_cols, one_scores = knn_rows(index, np.array([index.row(q)]), k, mask)
+                assert one_cols.tolist() == [row] and one_scores.tolist() == [row_scores]
+                sims = np.vecdot(index.matrix, index.matrix[index.row(q)])
+                sims[index.row(q)] = -np.inf
+                if mask is not None:
+                    sims[~mask] = -np.inf
+                over_full += np.count_nonzero(sims >= row_scores[-1]) > k
+            assert over_full >= 10, (k, over_full)
+
+
 def test_knn_rows_validation():
     vectors = {"q": [1.0, 0.0], "a": [0.5, 0.0], "b": [0.0, 1.0]}
     index = build_index(make_table(vectors), list(vectors))

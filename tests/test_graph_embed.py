@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -422,6 +423,49 @@ def test_train_raises_on_non_finite_edge_scores():
         train_one(g, init_embeddings(g, cfg, plant.text_vectors), cfg, pid="M")
 
 
+@pytest.mark.parametrize("operand", [0, 1, 2])
+def test_train_raises_on_a_nan_table_row(monkeypatch, operand):
+    """A NaN in a row that a batch scores, as its a = src + rel, its destination or one of
+    its negatives, makes that row's norm NaN. The scores set only norms that are exactly
+    0.0 to a zero cosine, so the NaN reaches the non-finite check. (A table that holds a
+    NaN before training is refused when the stacked table is built.)"""
+    scores = graph_embed.edge_scores
+
+    def nan_row(*args):
+        args = [np.array(x) for x in args[:3]] + [args[3]]
+        args[operand][(0,) * (args[operand].ndim - 1) + (1,)] = np.nan
+        return scores(*args)
+
+    monkeypatch.setattr(graph_embed, "edge_scores", nan_row)
+    g = _chain_graph()
+    cfg = GETrainConfig(dim=4, epochs=2, rng_seed=3)
+    with pytest.raises(NonFiniteError, match="^plant 'P': non-finite edge scores in epoch 0$"):
+        train_one(g, init_embeddings(g, cfg), cfg)
+
+
+def test_train_step_holds_no_negative_gather_or_whole_flat_index():
+    """One epoch of two plants with 40 negatives per edge peaks below 4.4 of its (edges x
+    negatives x dim) negative gathers. At random initialization most pairs are live, so
+    the step's live-pair rows are nearly as large as the gather. This step peaks at 4.07
+    gathers; it reached 5.07 when it kept its gather alive through the scatter, 4.68 when
+    ``rows_at`` built its flat index for every row at once, and 8.10 when it copied the
+    active edges' negative block and scattered one concatenated step array."""
+    plants = {}
+    for pid, seed in (("P", 1), ("Q", 2)):
+        g = generate_plant(PlantConfig(plant_id=pid, seed=seed, n_fl=30, n_logs=300,
+                                       n_queries=2)).graph
+        cfg = GETrainConfig(dim=64, epochs=1, negatives_per_edge=40, rng_seed=seed)
+        plants[pid] = (g, init_embeddings(g, cfg), cfg)
+    gather = len(plants) * graph_embed.BATCH * 40 * 64 * 8
+    tracemalloc.start()
+    try:
+        train_plant_embeddings(plants)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.4 * gather, (peak, peak / gather)
+
+
 def test_split_edges_sizes():
     g = _chain_graph(6)  # 6 + 2 + 5 = 13 edges
     n = len(g.edges)
@@ -529,6 +573,73 @@ def test_eval_link_prediction_bitwise_equals_cosine_loop():
             f"{e.dst}-twin" in pool and score_edge(table, e.src, e.rel, e.dst) == score_edge(
                 table, e.src, e.rel, f"{e.dst}-twin") for e in test_edges)
     assert tied > 50
+
+
+def _lp_case_table():
+    """Logs l00-l11 and FLs f00-f07 with exact ties and zero norms: f01 and f02 copy f00,
+    l01 copies l00, f07 is zero, and l10 + related_to and f06 + part_of are zero."""
+    rng = np.random.default_rng(406)
+    vectors = {f"l{i:02d}": rng.normal(size=4).tolist() for i in range(12)}
+    vectors.update({f"f{i:02d}": rng.normal(size=4).tolist() for i in range(8)})
+    rels = {rel.value: rng.normal(size=4).tolist() for rel in Relation}
+    vectors["f01"] = vectors["f02"] = list(vectors["f00"])
+    vectors["l01"] = list(vectors["l00"])
+    vectors["f07"] = [0.0] * 4
+    vectors["l10"] = [-x for x in rels["related_to"]]
+    vectors["f06"] = [-x for x in rels["part_of"]]
+    kinds = {i: "text_log" if i[0] == "l" else "functional_location" for i in vectors}
+    return vectors, rels, kinds
+
+
+LP_CASES = {  # name: (test edges, pool)
+    # every relation in one call; ties with the destination's copies; a zero a = src + rel;
+    # a zero-norm destination and candidate; f05 is outside the pool
+    "all": ([("l00", "f00", "reports_about"), ("l02", "l01", "related_to"),
+             ("l10", "l03", "related_to"), ("f06", "f03", "part_of"),
+             ("l04", "f07", "reports_about"), ("l05", "f05", "reports_about"),
+             ("f03", "f02", "part_of"), ("l09", "l00", "related_to")]
+            + [(f"l{i:02d}", f"f0{i % 5}", "reports_about") for i in range(2, 12)]
+            + [(f"l{i:02d}", f"l{(i + 3) % 12:02d}", "related_to") for i in range(12)],
+            [f"l{i:02d}" for i in range(12)] + [f"f0{i}" for i in range(8) if i != 5]),
+    # the FL pool holds only the destination: rank 1 and AUC 1
+    "lone": ([("l06", "f03", "reports_about"), ("l07", "l08", "related_to")],
+             [f"l{i:02d}" for i in range(12)] + ["f03"]),
+    # no FL in the pool at all, and the destination outside it
+    "none": ([("l06", "f03", "reports_about"), ("f04", "f05", "part_of")],
+             [f"l{i:02d}" for i in range(12)]),
+}
+
+
+@pytest.mark.parametrize("block", [1, 30, None])
+@pytest.mark.parametrize("case", sorted(LP_CASES))
+def test_eval_lp_per_kind_pass_equals_score_edge_loop(monkeypatch, case, block):
+    """Each kind's test edges, scored together in blocks of one edge, of a few edges or
+    of all of them, give the metrics of one score_edge call per candidate bit for bit, and
+    the pure-Python oracle's, on exact ties, zero norms, a destination outside the pool, a
+    pool that holds only the destination or none of its kind, and all three relations."""
+    if block is not None:
+        monkeypatch.setattr(graph_embed, "LP_BLOCK", block)
+    vectors, rels, kinds = _lp_case_table()
+    edges, pool = LP_CASES[case]
+    table = make_table(vectors, rels)
+    kind_of = {node_id: NodeKind(k) for node_id, k in kinds.items()}
+    test_edges = [Edge(s, d, Relation(r)) for s, d, r in edges]
+    report = eval_link_prediction(table, test_edges, pool, kind_of)
+    want = oracle_np_link_prediction(table, test_edges, pool, kind_of,
+                                     {rel: RELATION_SIGNATURES[rel][1] for rel in Relation})
+    assert asdict(report) == dict(want, n_edges=len(edges))
+    pure = oracle_link_prediction(vectors, rels, [(s, d, r) for s, d, r in edges], pool, kinds,
+                                  {rel.value: RELATION_SIGNATURES[rel][1].value
+                                   for rel in Relation})
+    for key, value in pure.items():
+        assert getattr(report, key) == pytest.approx(value, abs=1e-12), key
+    if case == "all":
+        assert score_edge(table, "l00", Relation.REPORTS_ABOUT, "f00") == score_edge(
+            table, "l00", Relation.REPORTS_ABOUT, "f01")  # the copies tie exactly
+        assert report.hits_at_1 < 1.0
+    else:
+        first = eval_link_prediction(table, test_edges[:1], pool, kind_of)
+        assert (first.mrr, first.auc) == (1.0, 1.0)
 
 
 def test_eval_lp_hand_case_auc():

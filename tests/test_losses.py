@@ -11,12 +11,14 @@ from oracles import (
     oracle_np_cosine,
     oracle_triplet_loss_grad,
 )
+from plantsearch import losses
 from plantsearch.losses import (
     NonFiniteError,
     cosine,
     edge_scores,
     edge_steps,
     mnr_loss_grad,
+    rows_at,
     triplet_loss_grad_batch,
 )
 
@@ -35,6 +37,14 @@ def dense_negs(g_negs, terms):
     return out
 
 
+def dense_edges(g, terms):
+    """``edge_steps``'s active-edge rows spread into (n, dim) zeros: +0.0 for an edge
+    with no positive term."""
+    out = np.zeros((terms.shape[0],) + g.shape[1:])
+    out[(terms > 0.0).any(axis=1)] = g
+    return out
+
+
 def one_edge(src, rel, dst, negs, margin):
     """``edge_scores`` then ``edge_steps`` on one edge: (loss, g_a, g_dst, g_negs), the
     last (k, dim) with zero rows for the negatives that are not live.
@@ -44,8 +54,9 @@ def one_edge(src, rel, dst, negs, margin):
     """
     a = src + rel
     sc = edge_scores(a[None], dst[None], negs[None], margin)
-    loss, g_a, g_dst, g_negs = edge_steps(a[None], dst[None], negs[None], sc)
-    return float(loss[0]), g_a[0], g_dst[0], dense_negs(g_negs, sc.terms)[0]
+    loss, g_a, g_dst, g_negs = edge_steps(a[None], dst[None], negs[None][sc.terms > 0.0], sc)
+    return (float(loss[0]), dense_edges(g_a, sc.terms)[0], dense_edges(g_dst, sc.terms)[0],
+            dense_negs(g_negs, sc.terms)[0])
 
 # Hand-computed: (query, positive, negative, margin, expected loss).
 # Distances use 3-4-5 style vectors so every expectation is exact.
@@ -315,17 +326,89 @@ def test_edge_ranking_bitwise_equals_per_negative_loop():
         a, dst, negs, margin = (np.array([c[i] for c in cases]) for i in range(4))
         batch = edge_scores(a, dst, negs, margin)
         assert batch.terms.shape == (len(cases), shape[0])
-        loss, g_a, g_dst, g_negs = edge_steps(a, dst, negs, batch)
+        loss, g_a, g_dst, g_negs = edge_steps(a, dst, negs[batch.terms > 0.0], batch)
         assert g_negs.shape == ((batch.terms > 0.0).sum(), shape[1])
+        assert g_a.shape == g_dst.shape == ((batch.terms > 0.0).any(axis=1).sum(), shape[1])
+        g_a, g_dst = dense_edges(g_a, batch.terms), dense_edges(g_dst, batch.terms)
         g_negs = dense_negs(g_negs, batch.terms)
         for i, (_, _, _, _, want) in enumerate(cases):
-            one = edge_scores(a[i][None], dst[i][None], negs[i][None], margin[i]).take(0)
-            for field, w in zip(batch.take(i), one):
-                assert np.asarray(field).tobytes() == np.asarray(w).tobytes(), (shape, i)
+            one = edge_scores(a[i][None], dst[i][None], negs[i][None], margin[i])
+            for field, w in zip(batch, one):
+                assert field[i].tobytes() == w[0].tobytes(), (shape, i)
             assert loss[i] == want[0], (shape, i)
             for g, w in zip((g_a[i], g_dst[i], g_negs[i]), (want[2], want[3], want[4])):
                 assert g.tobytes() == w.tobytes(), (shape, i)
     assert len(groups) > 1 and max(len(c) for c in groups.values()) > 10
+
+
+def test_edge_batch_mixing_zero_norm_rows_equals_per_edge_oracle():
+    """One edge_scores/edge_steps batch whose rows mix a zero a = src + rel, a zero
+    destination and zero negatives with ordinary rows equals the per-negative loop row by
+    row, bit for bit: a zero norm scores 0 and takes a zero gradient, and every other row
+    is as if alone."""
+    rng = np.random.default_rng(9)
+    n, k, dim = 14, 5, 4
+    src, rel, dst = rng.normal(size=(3, n, dim))
+    negs = rng.normal(size=(n, k, dim))
+    rel[0] = -src[0]  # zero src + rel
+    dst[1] = 0.0  # zero destination
+    negs[2, [0, 3]] = 0.0  # zero negatives
+    rel[3], dst[3], negs[3, 1] = -src[3], 0.0, 0.0  # all three at once
+    negs[5:9, 2] = 0.0
+    dst[10] = 0.0
+    a = src + rel
+    margin = np.full(n, 0.5)
+    margin[[0, 3]] = 1.0
+    sc = edge_scores(a, dst, negs, margin)
+    assert sc.s_pos[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0] and not sc.s_neg[0].any()
+    on = sc.terms > 0.0
+    assert on[0].all() and on[2, 0]  # live pairs of zero norm, with zero gradients
+    loss, g_a, g_dst, g_negs = edge_steps(a, dst, negs[on], sc)
+    g_a, g_dst, g_negs = dense_edges(g_a, sc.terms), dense_edges(g_dst, sc.terms), dense_negs(
+        g_negs, sc.terms)
+    for i in range(n):
+        want = oracle_edge_ranking_loss_grad(src[i], rel[i], dst[i], negs[i], margin[i])
+        assert loss[i] == want[0], i
+        for g, w in zip((g_a[i], g_dst[i], g_negs[i]), (want[2], want[3], want[4])):
+            assert g.tobytes() == w.tobytes(), i
+
+
+def test_edge_scores_keep_a_nan_norm():
+    """Only norms that are exactly 0.0 score 0: a NaN operand gives NaN scores and terms."""
+    a, dst = np.ones((2, 3)), np.ones((2, 3))
+    negs = np.ones((2, 2, 3))
+    negs[1, 0, 2] = np.nan
+    sc = edge_scores(a, dst, negs, 0.1)
+    assert np.isnan(sc.terms[1, 0]) and np.isfinite(np.delete(sc.terms.ravel(), 2)).all()
+    a[0, 1] = np.nan
+    sc = edge_scores(a, dst, negs, 0.1)
+    assert np.isnan(sc.s_pos[0]) and np.isnan(sc.terms[0]).all()
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 64])
+def test_rows_at_in_chunks_equals_ordered_loop(monkeypatch, chunk):
+    """rows_at over more rows than one chunk, with rows repeated within and across the
+    chunk boundaries, applies every update in order, as a per-row loop does, bit for bit.
+    The values span many magnitudes, so the reversed order gives other bits."""
+    if chunk is not None:
+        monkeypatch.setattr(losses, "AT_CHUNK", chunk)
+    rng = np.random.default_rng(17)
+    dim = 3
+    per = max(1, losses.AT_CHUNK // dim)  # rows per ufunc.at call
+    rows = rng.integers(0, 6, size=2 * per + 61)
+    rows[per - 2 : per + 2] = rows[per - 2]  # one row on both sides of a boundary
+    values = rng.normal(size=(rows.size, dim)) * 10.0 ** rng.integers(-9, 9, size=(rows.size, 1))
+    for ufunc in (np.add, np.subtract):
+        start = rng.normal(size=(6, dim))
+        want, backwards = start.copy(), start.copy()
+        for r, v in zip(rows.tolist(), values):
+            want[r] = ufunc(want[r], v)
+        for r, v in zip(rows[::-1].tolist(), values[::-1]):
+            backwards[r] = ufunc(backwards[r], v)
+        got = start.copy()
+        rows_at(ufunc, got, rows, values)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() != backwards.tobytes()
 
 
 def test_finite_diff_check_flags_wrong_gradient():
