@@ -667,6 +667,13 @@ def _check_float32(rows: np.ndarray, what: str) -> None:
             raise NonFiniteError(f"{what} overflow float32")
 
 
+def _stored_losses(losses: list[float]) -> list[float]:
+    """Per-epoch losses rounded to float32, as the tables are stored: a BLAS thread count that
+    reorders a sum moves a float64 loss in its last few bits, and the rounded one only when it
+    lies that close to a float32 rounding boundary."""
+    return np.asarray(losses, dtype=np.float32).tolist()
+
+
 def _sample_triplets(r: Run, loaded: dict[str, tuple[graph_embed.EmbeddingTable,
                                                      kg.KnowledgeGraph]]) -> tuple[dict, None]:
     params = r.cfg.sampling
@@ -728,7 +735,7 @@ def _train_docsim(r: Run, loaded: tuple[dict[str, str], list[triplets_mod.Triple
     logger.info("train-docsim: %d triplets kept, losses %s",
                 len(filtered), [round(x, 4) for x in result.epoch_losses])
     return {**r.cfg.raw["docsim"], "kept_triplets": len(filtered),
-            "epoch_losses": result.epoch_losses}, None
+            "epoch_losses": _stored_losses(result.epoch_losses)}, None
 
 
 def _gen_pairs(r: Run, loaded: tuple[list[triplets_mod.Triplet], dict[str, kg.KnowledgeGraph]]
@@ -823,7 +830,7 @@ def _train_biencoder(r: Run, loaded: BiEncoderJob) -> tuple[dict, dict]:
     path = r.write(f"{_encoder_dir(r)}/biencoder", ENCODER_FILES)
     save_encoder(result.params, f"{path}.gemb", f"{path}.json")
     info = {"name": job["name"], "composition": asdict(report), "docsim": job["docsim"],
-            "epoch_losses": result.epoch_losses, "steps": result.steps}
+            "epoch_losses": _stored_losses(result.epoch_losses), "steps": result.steps}
     logger.info("%s: %d steps, losses %s", r.id, result.steps,
                 [round(x, 4) for x in result.epoch_losses])
     return {**r.cfg.raw["biencoder"], **info}, info

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import storage
 from .encoder import EncoderParams, Pooling, encode_batch, featurize_many
+from .losses import cosines
 from .storage import CorruptFileError, read_json_lines, write_json_lines
 
 logger = logging.getLogger(__name__)
@@ -143,9 +144,8 @@ def rank_queries(p: EncoderParams, query_texts: Sequence[str],
                  "held" if p in prepared else "encoded")
     docs, doc_norms = prepared.vectors(p)
     queries = encode_batch(p, query_texts)
-    dots = np.vecdot(docs[None, :, :], queries[:, None, :])
-    norms = doc_norms[None, :] * np.sqrt(np.vecdot(queries, queries))[:, None]
-    scores = np.where(norms == 0.0, 0.0, dots / np.where(norms == 0.0, 1.0, norms))
+    scores = cosines(np.vecdot(docs[None, :, :], queries[:, None, :]), doc_norms[None, :],
+                     np.sqrt(np.vecdot(queries, queries))[:, None])
     order = np.argsort(-scores, axis=1, kind="stable")
     return [[doc_ids[i] for i in row] for row in order.tolist()]
 

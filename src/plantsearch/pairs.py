@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .encoder import EncoderParams, Featurizer, word_tokens
+from .losses import cosines
 from .storage import field, read_json_lines, write_json_lines
 from .triplets import Triplet, TripletSet
 
@@ -105,9 +106,7 @@ class EncoderCosineScorer:
         vb = self.params.vocab_buckets
         vecs = (self.features or Featurizer(vb)).take(list(row), vb).pooling().encode(self.params)
         a, b = (vecs[[row[pair[side]] for pair in pairs]] for side in (0, 1))
-        na, nb = np.sqrt(np.vecdot(a, a)), np.sqrt(np.vecdot(b, b))
-        zero = (na == 0.0) | (nb == 0.0)
-        cos = np.where(zero, 0.0, np.vecdot(a, b) / np.where(zero, 1.0, na * nb))
+        cos = cosines(np.vecdot(a, b), np.sqrt(np.vecdot(a, a)), np.sqrt(np.vecdot(b, b)))
         return (self.scale * cos).tolist()
 
 

@@ -5,16 +5,15 @@ loss; stage two (bi-encoder) fits query-document pairs under the
 multiple negatives ranking loss with in-batch negatives. Both run one SGD
 loop over the encoder's bucket table, each stage giving only its batches
 and its loss. As the encoder is linear in that table, each step is two
-gemms over the mini-batch's buckets: the texts' vectors are
-``W @ table[u]`` and the table gradient is ``W.T @ G``, with W the batch's
-pooling weights, count / total, over the buckets ``u`` that its texts hold.
-``table`` holds only the rows of the training texts' buckets, gathered
-once, and the texts' bucket ids are renumbered to positions in it
-(``FeatureMatrix.compact``). Each run holds its texts' bucket counts once,
-as one dense texts × table-rows matrix in the smallest unsigned type that
-holds the largest count, so a batch's W is a row gather and one division.
-A batch whose buckets are the whole table reads and updates ``table``
-itself, not a gathered copy of it. Each run takes its texts' rows from a
+gemms over the whole run table: the texts' vectors are ``W @ table`` and
+the table gradient is ``W.T @ G``, with W the batch's pooling weights,
+count / total, over every bucket of the run. ``table`` holds only the rows
+of the training texts' buckets, gathered once, and the texts' bucket ids
+are renumbered to positions in it (``FeatureMatrix.compact``). Each run
+holds its texts' bucket counts once, as one dense texts × table-rows
+matrix in the smallest unsigned type that holds the largest count, so a
+batch's W is a row gather and one division, and every step reads and
+updates ``table`` itself. Each run takes its texts' rows from a
 ``Featurizer``: its own, or one that a pipeline stage shares among its
 runs, so that the stage featurizes each text once.
 """
@@ -223,26 +222,25 @@ def _fit(p: EncoderParams, texts: list[str], features: Featurizer | None,
     epoch_losses: list[float] = []
     step = 0
     for epoch, batches in enumerate(epochs):
-        total, seen, active, widest = 0.0, 0, 0, (0, 0)
+        total, seen, active, widest = 0.0, 0, 0, 0
         for rows, m in batches:
-            u, w = _batch_weights(counts, totals, rows)
-            widest = max(widest, w.shape, key=lambda shape: shape[1])
-            whole = len(u) == len(table)
-            terms, batch_active, g = loss(w @ (table if whole else table[u]), m)
+            w = counts[rows] / totals[rows, None]
+            widest = max(widest, len(w))
+            terms, batch_active, g = loss(w @ table, m)
             for term in terms:  # one by one in batch order, not a pairwise sum
                 total += term
             if not np.isfinite(total):
                 raise NonFiniteError(f"non-finite {stage} loss in epoch {epoch}")
             step += 1
             if batch_active:
-                _step(table, u, whole, effective_lr(learning_rate, step, warmup_steps) * (w.T @ g))
-            del u, w, g  # freed before the next batch's weights are built
+                table -= effective_lr(learning_rate, step, warmup_steps) * (w.T @ g)
+            del w, g  # freed before the next batch's weights are built
             seen += m
             active += batch_active
         epoch_losses.append(total / seen)
         logger.debug("%s epoch %d mean loss %.6f, %d of %d %s active, %d steps, widest batch "
-                     "%d texts x %d buckets", stage, epoch, epoch_losses[-1], active, seen,
-                     items, len(batches), *widest)
+                     "%d texts x %d table rows", stage, epoch, epoch_losses[-1], active, seen,
+                     items, len(batches), widest, len(table))
     if not np.isfinite(table).all():
         raise NonFiniteError(f"non-finite encoder table after {stage} training")
     return TrainResult(p.with_rows(buckets, table), epoch_losses, step)
@@ -257,27 +255,3 @@ def _run_counts(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                       dtype=np.min_scalar_type(fm.counts.max(initial=0)))
     counts[np.repeat(np.arange(len(fm.totals)), np.diff(fm.indptr)), fm.bucket_ids] = fm.counts
     return counts, np.maximum(fm.totals, 1), buckets
-
-
-def _batch_weights(counts: np.ndarray, totals: np.ndarray,
-                   rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, W) for texts ``rows`` of a :func:`_run_counts` matrix: the sorted columns they hold
-    and their dense pooling weights over those columns, ``W[i, j]`` = count / total of column
-    ``u[j]`` in text ``rows[i]``. The division is ``FeatureMatrix.weights``' own, so W is
-    bit-identical to a scatter of those weights. A batch that misses a column keeps to the
-    columns it holds: a gemm over every column sums in another order, which moves the last
-    bit of the epoch losses."""
-    c = counts[rows]
-    present = c.any(0)
-    if present.all():
-        return np.arange(len(present)), c / totals[rows, None]
-    u = np.flatnonzero(present)
-    return u, c[:, u] / totals[rows, None]
-
-
-def _step(table: np.ndarray, u: np.ndarray, whole: bool, update: np.ndarray) -> None:
-    """``table[u] -= update``, in place when ``u`` is every row of ``table``."""
-    if whole:
-        table -= update
-    else:
-        table[u] -= update

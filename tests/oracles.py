@@ -579,18 +579,24 @@ def oracle_train_biencoder(table, pairs, texts, cfg):
     return DenseRun(table, epoch_losses, step)
 
 
-def oracle_pooling_weights(fm, rows):
+def oracle_pooling_weights(fm, rows, columns=None):
     """The former ``FeatureMatrix.pooling_weights``: (u, W) for texts ``rows`` of ``fm``, the
-    sorted distinct bucket ids and a scatter of each entry's weight into dense zeros.
+    sorted bucket ids of W's columns and a scatter of each entry's weight into dense zeros.
 
     ``W[i, j]`` is count / total of bucket ``u[j]`` in text ``rows[i]`` (an empty text is a
-    zero row). ``u`` and the columns come from a presence mask over ids 0 .. max, so when the
-    texts hold every id up to their max, ``u`` is that range and the ids are the columns.
+    zero row). ``u`` is ``columns`` when given: a run's sorted bucket ids, which hold every id
+    of its texts, as training pools each batch over the whole run table. Otherwise ``u`` is the
+    texts' distinct ids, and ``u`` and the columns come from a presence mask over ids 0 .. max,
+    so when the texts hold every id up to their max, ``u`` is that range and the ids are the
+    columns.
     """
     from plantsearch.encoder import _renumbered
 
     text, entry = fm._entries(rows)
-    u, col = _renumbered(fm.bucket_ids[entry])
+    if columns is None:
+        u, col = _renumbered(fm.bucket_ids[entry])
+    else:
+        u, col = columns, np.searchsorted(columns, fm.bucket_ids[entry])
     w = np.zeros((len(rows), len(u)))
     w.ravel()[text * len(u) + col] = fm.weights[entry]
     return u, w
@@ -598,7 +604,8 @@ def oracle_pooling_weights(fm, rows):
 
 def dense_train_docsim(table, triplets, texts, cfg):
     """The batched docsim SGD on a copy of a whole table, as it ran before training gathered
-    only its texts' rows: the same gemms over the table's own bucket ids."""
+    only its texts' rows: the same gemms as training, over the run's buckets in the table's own
+    bucket ids."""
     from plantsearch.encoder import featurize_many
     from plantsearch.losses import triplet_loss_grad_batch
 
@@ -609,6 +616,7 @@ def dense_train_docsim(table, triplets, texts, cfg):
         d for t in triplets for d in (t.query, t.positive, t.negative)
     ))
     fm = featurize_many([texts[d] for d in doc_ids], len(table))
+    columns = np.unique(fm.bucket_ids)
     row_of = {d: i for i, d in enumerate(doc_ids)}
     members = np.array([[row_of[t.query], row_of[t.positive], row_of[t.negative]]
                         for t in triplets])
@@ -622,7 +630,7 @@ def dense_train_docsim(table, triplets, texts, cfg):
         for lo in range(0, n, cfg.batch_size):
             batch = members[order[lo : lo + cfg.batch_size]]
             m = len(batch)
-            u, w = oracle_pooling_weights(fm, batch.T.ravel())
+            u, w = oracle_pooling_weights(fm, batch.T.ravel(), columns)
             x = w @ table[u]
             losses, gq, gp, gn = triplet_loss_grad_batch(x[:m], x[m : 2 * m], x[2 * m :],
                                                          cfg.margin)
@@ -637,7 +645,7 @@ def dense_train_docsim(table, triplets, texts, cfg):
 
 def dense_train_biencoder(table, pairs, texts, cfg):
     """The batched bi-encoder MNR SGD on a copy of a whole table, as it ran before training
-    gathered only its texts' rows."""
+    gathered only its texts' rows: the same gemms as training, over the run's buckets."""
     from collections import defaultdict
 
     from plantsearch.encoder import featurize_many
@@ -654,6 +662,7 @@ def dense_train_biencoder(table, pairs, texts, cfg):
     doc_ids = list(dict.fromkeys(pr.doc_id for pr in pairs))
     queries = list(dict.fromkeys(pr.query_text for pr in pairs))
     fm = featurize_many([texts[d] for d in doc_ids] + queries, len(table))
+    columns = np.unique(fm.bucket_ids)
     doc_row = {d: i for i, d in enumerate(doc_ids)}
     query_row = {q: len(doc_ids) + i for i, q in enumerate(queries)}
     if cfg.epochs == 0:
@@ -675,7 +684,7 @@ def dense_train_biencoder(table, pairs, texts, cfg):
                         seen.add(doc_id)
                         all_docs.append(doc_id)
             u, w = oracle_pooling_weights(fm, np.array([query_row[pr.query_text] for pr in batch]
-                                                       + [doc_row[d] for d in all_docs]))
+                                                       + [doc_row[d] for d in all_docs]), columns)
             x = w @ table[u]
             loss, g_q, g_d = mnr_loss_grad(x[: len(batch)], x[len(batch) :],
                                            cfg.similarity_scale)

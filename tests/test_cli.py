@@ -118,24 +118,49 @@ def test_pipeline_reruns_byte_identical(pipeline_run):
     assert keys1 == keys2
 
 
-def test_pipeline_is_byte_identical_across_processes(tmp_path):
-    """Two processes with other string hash seeds write the same files, byte for byte, but for
-    timings.json, at one BLAS thread."""
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(TINY_CONFIG), encoding="utf-8")
+def _pipeline_files(cfg: dict, out: Path, **env: str) -> dict[str, bytes]:
+    """Every file but timings.json that ``pipeline`` writes for ``cfg`` in a new process whose
+    environment adds ``env``, by its path under ``out``."""
+    cfg_path = out.with_suffix(".json")
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     src = str(Path(cli.__file__).parents[1])
-    trees = []
-    for hash_seed in ("1", "12345"):
-        out = tmp_path / f"run{hash_seed}"
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        subprocess.run([sys.executable, "-m", "plantsearch.cli", "pipeline", "--config",
-                        str(cfg_path), "--out", str(out)], env=env, check=True,
-                       capture_output=True)
-        trees.append({str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
-                      if p.is_file() and p.name != "timings.json"})
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "plantsearch.cli", "pipeline", "--config",
+                    str(cfg_path), "--out", str(out)], env=env, check=True, capture_output=True)
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
+            if p.is_file() and p.name != "timings.json"}
+
+
+def _assert_same_files(trees: list[dict[str, bytes]]) -> None:
     assert sorted(trees[0]) == sorted(trees[1]) and "report.json" in trees[0]
     assert [name for name in trees[0] if trees[0][name] != trees[1][name]] == []
+
+
+def test_pipeline_is_byte_identical_across_processes(tmp_path):
+    """Two processes with other string hash seeds write the same files, byte for byte, but for
+    timings.json."""
+    _assert_same_files([_pipeline_files(TINY_CONFIG, tmp_path / f"run{hash_seed}",
+                                        PYTHONHASHSEED=hash_seed)
+                        for hash_seed in ("1", "12345")])
+
+
+# Three default plants, two of them training, and one ablation: a bi-encoder run whose float64
+# epoch losses differ in their last bits at one and two BLAS threads (TINY_CONFIG's do not).
+BLAS_CONFIG = {
+    "plants": [{"plant_id": pid, "n_fl": 20, "n_logs": 230, "n_queries": 8, "training": training}
+               for pid, training in (("A", True), ("B", False), ("C", True))],
+    "ablations": [{"name": "sid+get", "use_get": True, "use_sid": True, "docsim": False}],
+}
+
+
+def test_pipeline_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    """The files but timings.json are the same at OPENBLAS_NUM_THREADS 1 and 2: the manifests
+    and report store each epoch loss rounded to float32. On a host with one CPU the two runs
+    are equal whatever they store, as OpenBLAS then runs one thread."""
+    _assert_same_files([_pipeline_files(BLAS_CONFIG, tmp_path / f"threads{threads}",
+                                        OPENBLAS_NUM_THREADS=threads)
+                        for threads in ("1", "2")])
 
 
 def test_strict_mode_catches_tampered_artifacts(pipeline_run, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from plantsearch import ir_eval, pairs, synth
-from plantsearch.encoder import EncoderParams, Pooling, init_encoder
+from plantsearch.encoder import EncoderParams, Pooling, encode_batch, featurize_many, init_encoder
 from plantsearch.ir_eval import (
     AP_NORMALIZER_NOTE,
     Benchmark,
@@ -137,6 +137,44 @@ def test_rank_queries_duplicate_texts_tie_by_ascending_id():
         corpus = {f"d{i:03d}": texts[int(rng.integers(len(texts)))] for i in rng.permutation(n)}
         queries = [texts[0], " ".join(rng.choice(words, size=3)), ""]
         assert rank_queries(p, queries, corpus) == oracle_rank_corpus(p, queries, corpus)
+
+
+def test_pair_scores_and_rankings_keep_the_former_zero_norm_rule():
+    """``EncoderCosineScorer.score_pairs`` and ``rank_queries`` score with ``losses.cosines``,
+    whose quotient is set to 0.0 where either norm is 0.0, on texts with no word token (zero
+    norms) and texts whose vectors overflow (inf norms; the dot product of two of them sums
+    +inf and -inf to NaN). An encoder holds no NaN row, so NaN reaches these call sites only
+    so.
+
+    The pair scores equal the former ``np.where(zero, 0.0, dots / np.where(zero, 1.0,
+    na * nb))`` bit for bit. The former ranking rule tested the product of the norms for 0.0,
+    so the rankings differ from it where a 0.0 norm meets an inf norm: the former product was
+    NaN, and so was the score. A table of float32 values gives no inf norm."""
+    p = init_encoder(dim=8, vocab_buckets=4096, seed=2)
+    ids = featurize_many(["leckt"], 4096).bucket_ids
+    p = p.with_rows(ids, 1e200 * np.where(np.arange(len(ids) * 8) % 3, 1.0, -1.0).reshape(-1, 8))
+    texts = ["pumpe leckt", "!!!", "filter druck", "", "ventil leckt", "motor heiss", "filter"]
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflows and inf - inf
+        vecs = encode_batch(p, texts)
+        norms = np.sqrt(np.vecdot(vecs, vecs))
+        assert (norms == 0.0).sum() == 2 and np.isinf(norms).sum() == 2
+
+        i, j = np.divmod(np.arange(len(texts) ** 2), len(texts))  # every pair of texts
+        zero = (norms[i] == 0.0) | (norms[j] == 0.0)
+        cos = np.where(zero, 0.0,
+                       np.vecdot(vecs[i], vecs[j]) / np.where(zero, 1.0, norms[i] * norms[j]))
+        got = pairs.EncoderCosineScorer(p).score_pairs(list(zip(np.take(texts, i).tolist(),
+                                                                np.take(texts, j).tolist())))
+        assert np.isnan(cos).any() and np.array(got).tobytes() == (10.0 * cos).tobytes()
+
+        corpus = {f"d{k}": text for k, text in enumerate(texts)}  # ids sort as the texts do
+        dots = np.vecdot(vecs[None, :, :], vecs[:, None, :])
+        products = norms[None, :] * norms[:, None]
+        former = np.where(products == 0.0, 0.0, dots / np.where(products == 0.0, 1.0, products))
+        either_zero = (norms[None, :] == 0.0) | (norms[:, None] == 0.0)
+        assert (either_zero & np.isnan(former)).any()
+        order = np.argsort(-np.where(either_zero, 0.0, former), axis=1, kind="stable")
+        assert rank_queries(p, texts, corpus) == [[f"d{k}" for k in row] for row in order.tolist()]
 
 
 def _memo_lines(caplog):
