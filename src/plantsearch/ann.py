@@ -40,10 +40,7 @@ class FlatIndex:
         return mask
 
     def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        for node_id in self.ids:
-            h.update(node_id.encode("utf-8"))
-            h.update(b"\0")
+        h = hashlib.sha256("".join(f"{i}\0" for i in self.ids).encode("utf-8"))
         h.update(np.ascontiguousarray(self.matrix, dtype="<f8").tobytes())
         return h.hexdigest()[:16]
 
@@ -72,15 +69,16 @@ def knn_rows(
     """Top-k neighbor rows and cosines of the query rows ``rows``, each query excluded:
     two (len(rows), k) arrays, each row by descending cosine with ties broken by
     ascending id. ``among``, a ``FlatIndex.row_mask``, restricts the candidates to a
-    subset of the indexed ids; ``None`` takes them all. k must not exceed any query's
+    subset of the indexed ids; ``None`` takes them all. A query is excluded from its
+    own neighbors only where it is a candidate. k must not exceed any query's
     candidate count.
 
-    Queries are scored ``KNN_BLOCK`` at a time, one ddot per pair
-    (``np.vecdot``): a pair's score does not depend on which other rows
-    are scored, so equal rows tie exactly. A gemm or gemv rounds by row
-    position and can split such ties. Each query's top k are the
-    candidates scoring above its k-th best score, then those at that
-    score in ascending row order, sorted stably by descending score;
+    Queries are scored ``KNN_BLOCK`` at a time against the candidate rows
+    only, one ddot per pair (``np.vecdot``): a pair's score does not depend
+    on which other rows are scored, so equal rows tie exactly. A gemm or
+    gemv rounds by row position and can split such ties. Each query's top
+    k are the candidates scoring above its k-th best score, then those at
+    that score in ascending row order, sorted stably by descending score;
     rows ascend in id order, so ties break by ascending id. Most queries
     hold exactly k candidates at or above their k-th score and take them
     all; the cumulative cut among the ties runs only on the queries that
@@ -89,23 +87,28 @@ def knn_rows(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if among is None:
-        among = np.ones(len(idx), dtype=bool)
+        cand, matrix = np.arange(len(idx)), idx.matrix
     elif not isinstance(among, np.ndarray) or among.dtype != bool or among.shape != (len(idx),):
         raise ValueError(f"row mask must be bool of shape ({len(idx)},)")
+    else:
+        cand = np.flatnonzero(among)
+        matrix = idx.matrix[cand]
     rows = np.asarray(rows, dtype=np.int64)
-    available = np.count_nonzero(among) - among[rows]
+    col = np.full(len(idx), -1)
+    col[cand] = np.arange(cand.size)
+    own = col[rows]  # each query's candidate column, -1 outside the candidates
+    available = cand.size - (own >= 0)
     if rows.size and k > available.min():
         raise ValueError(f"k={k} exceeds {int(available.min())} available candidates")
-    outside = np.flatnonzero(~among)
     cols = np.empty((rows.size, k), dtype=np.int64)
     scores = np.empty((rows.size, k))
     for lo in range(0, rows.size, KNN_BLOCK):
         block = rows[lo : lo + KNN_BLOCK]
         b = np.arange(block.size)
-        sims = np.vecdot(idx.matrix, idx.matrix[block][:, None, :])  # (block, n)
+        sims = np.vecdot(matrix, idx.matrix[block][:, None, :])  # (block, candidates)
         neg = -sims
-        neg[:, outside] = np.inf
-        neg[b, block] = np.inf
+        mine = own[lo : lo + KNN_BLOCK]
+        neg[b[mine >= 0], mine[mine >= 0]] = np.inf
         kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
         take = neg <= kth
         full = np.flatnonzero(np.count_nonzero(take, axis=1) > k)  # more ties than room
@@ -114,9 +117,9 @@ def knn_rows(
             above, at_kth = sub < cut, sub == cut
             room = k - np.count_nonzero(above, axis=1)[:, None]
             take[full] = above | (at_kth & (np.cumsum(at_kth, axis=1) <= room))
-        top = np.nonzero(take)[1].reshape(block.size, k)  # ascending rows per query
+        top = np.nonzero(take)[1].reshape(block.size, k)  # ascending columns per query
         top = np.take_along_axis(top, np.argsort(neg[b[:, None], top], axis=1, kind="stable"),
                                  axis=1)
-        cols[lo : lo + block.size] = top
+        cols[lo : lo + block.size] = cand[top]
         scores[lo : lo + block.size] = sims[b[:, None], top]
     return cols, scores

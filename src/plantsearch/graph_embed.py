@@ -272,10 +272,12 @@ def train_plant_embeddings(
     The shuffled edges that draw negatives run in consecutive batches of
     ``BATCH``. One ``edge_scores`` pass scores a batch against the table
     as it stands at the batch start; its (edges, negatives, dim) gather of
-    negative rows lives only for that call. ``edge_steps`` then forms the
+    negative rows lives only for that call, and it reads its destinations'
+    and negatives' norms from one held norm per node row, which the loop
+    renews for the rows each scatter writes. ``edge_steps`` then forms the
     mean hinge gradients of the edges with an active hinge from the live
     pairs' negative rows, taken from the table again. Node rows take those
-    steps through the ordered scatter ``rows_at``, sources, then
+    steps through one ordered scatter ``rows_at``, sources, then
     destinations, then negatives, in batch order. Each relation row
     takes the mean of its active edges' steps: every edge of a relation
     shares its translation, so a sum would scale its step with their number.
@@ -327,6 +329,7 @@ def train_plant_embeddings(
         outs[pid] = out
 
     lr, margin, k = cfg.learning_rate, cfg.ranking_margin, cfg.negatives_per_edge
+    norm = np.sqrt(np.vecdot(vec, vec))  # each row's norm, renewed where a scatter writes
     for epoch in range(cfg.epochs):
         orders = [pl.rng.permutation(len(pl.ends)) for pl in state]
         # An edge whose same-kind nodes are all true neighbors draws nothing and is skipped.
@@ -345,7 +348,8 @@ def train_plant_embeddings(
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             a = vec[src[lo:hi]] + rel_mat[rel[lo:hi]]
             d = vec[dst[lo:hi]]
-            sc = edge_scores(a, d, vec[negs[lo:hi]], margin)  # the gather dies with the call
+            sc = edge_scores(a, d, vec[negs[lo:hi]], margin,  # the gather dies with the call
+                             norm[dst[lo:hi]], norm[negs[lo:hi]])
             if not np.isfinite(sc.terms).all():  # a NaN term would read as inactive below
                 bad = state[plant[lo + np.isfinite(sc.terms).all(axis=1).argmin()]]
                 raise NonFiniteError(f"plant {bad.pid!r}: non-finite edge scores in epoch {epoch}")
@@ -360,11 +364,17 @@ def train_plant_embeddings(
             edge_loss[lo:hi] = loss
             # Rows may repeat within a plant's batch; the scatter applies every step in this
             # order, which keeps each plant's sources, then destinations, then negatives.
-            g_dst *= lr
-            g_negs *= lr
-            rows_at(np.subtract, vec, src[lo:hi][act], g_a * lr)
-            rows_at(np.subtract, vec, dst[lo:hi][act], g_dst)
-            rows_at(np.subtract, vec, live, g_negs)
+            rows = np.concatenate([src[lo:hi][act], dst[lo:hi][act], live])
+            steps = np.concatenate([g_a, g_dst, g_negs])
+            del g_dst, g_negs
+            steps *= lr
+            rows_at(np.subtract, vec, rows, steps)
+            del steps
+            written = np.zeros(len(vec), dtype=bool)
+            written[rows] = True
+            rows = written.nonzero()[0]
+            new = vec[rows]
+            norm[rows] = np.sqrt(np.vecdot(new, new))
             # Each relation's steps, summed one by one in batch order from +0.0 (g_a holds
             # no -0.0, so the first add returns the first step itself).
             r = rel[lo:hi][act]

@@ -14,7 +14,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,8 +29,7 @@ AP_NORMALIZER_NOTE = "AP@k normalizer: min(|relevant|, k)"
 K = 10  # the cutoff of every evaluate_run metric, which each report field and header names
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     query_id: str
     text: str
 

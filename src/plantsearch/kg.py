@@ -13,10 +13,9 @@ import graphlib
 import logging
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .storage import CorruptFileError, read_json_lines, write_json_lines
 
@@ -46,8 +45,7 @@ class GraphInvariantError(ValueError):
     """A structural graph invariant does not hold."""
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One graph node: a text log or a functional location.
 
     FL nodes must carry a short code (the abbreviation that appears in
@@ -71,8 +69,7 @@ class Node:
             raise GraphInvariantError(f"text log {self.id!r} has empty text")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     rel: Relation
@@ -94,11 +91,16 @@ class KnowledgeGraph:
     def __init__(self, nodes: Mapping[str, Node], edges: Sequence[Edge]):
         self._nodes = dict(nodes)
         self._edges = tuple(edges)
+
+    @functools.cached_property
+    def _out(self) -> dict[Relation, dict[str, tuple[str, ...]]]:
+        """Each relation's out-neighbours by source, in edge order, built on the first
+        ``out_neighbors`` call: most graphs a stage builds or loads never make one."""
         out: dict[Relation, dict[str, list[str]]] = {rel: defaultdict(list) for rel in Relation}
         for e in self._edges:
             out[e.rel][e.src].append(e.dst)
-        self._out = {rel: {src: tuple(dsts) for src, dsts in by_src.items()}
-                     for rel, by_src in out.items()}
+        return {rel: {src: tuple(dsts) for src, dsts in by_src.items()}
+                for rel, by_src in out.items()}
 
     @property
     def nodes(self) -> Mapping[str, Node]:

@@ -138,9 +138,12 @@ def cosines(dots: np.ndarray, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     return out
 
 
-def edge_scores(a: np.ndarray, dst: np.ndarray, negs: np.ndarray, margin) -> EdgeScores:
+def edge_scores(a: np.ndarray, dst: np.ndarray, negs: np.ndarray, margin, nd: np.ndarray,
+                norms: np.ndarray) -> EdgeScores:
     """Score n edges in one array pass: ``a = src + rel`` and ``dst`` are (n, dim),
-    ``negs`` is (n, k, dim) and ``margin`` a float or one per edge.
+    ``negs`` is (n, k, dim) and ``margin`` a float or one per edge. ``nd`` (n,) and
+    ``norms`` (n, k) are the norms of ``dst`` and ``negs``, ``sqrt(vecdot(v, v))`` of
+    each row, which a caller holds for its table rows.
 
     Each row dot product and norm is one BLAS ddot (``np.vecdot``), so a
     row rounds exactly like ``np.dot`` and ``np.linalg.norm`` on that
@@ -148,8 +151,6 @@ def edge_scores(a: np.ndarray, dst: np.ndarray, negs: np.ndarray, margin) -> Edg
     (``cosines``).
     """
     na = np.sqrt(np.vecdot(a, a))
-    nd = np.sqrt(np.vecdot(dst, dst))
-    norms = np.sqrt(np.vecdot(negs, negs))
     s_pos = cosines(np.vecdot(a, dst), na, nd)
     s_neg = cosines(np.vecdot(negs, a[:, None, :]), na[:, None], norms)
     terms = (margin - s_pos)[:, None] + s_neg

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,8 +37,7 @@ class PairSource(str, Enum):
     DRMM = "DRMM"
 
 
-@dataclass(frozen=True)
-class QueryDocPair:
+class QueryDocPair(NamedTuple):
     query_text: str
     doc_id: str
     label: PairLabel

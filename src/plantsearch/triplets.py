@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class SamplingParams:
             raise ValueError(f"min_text_chars must be >= 0, got {self.min_text_chars}")
 
 
-@dataclass(frozen=True)
-class Triplet:
+class Triplet(NamedTuple):
     query: str
     positive: str
     negative: str

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import knn_one, make_table
-from oracles import oracle_knn
+from oracles import oracle_knn, oracle_np_knn
 from plantsearch.ann import KNN_BLOCK, build_index, knn_rows
 
 
@@ -221,3 +221,75 @@ def test_knn_rows_validation():
     with pytest.raises(ValueError, match="exceeds 1"):
         knn_rows(index, rows, 2, among=mask)  # "a" and "b" each have one other candidate
     assert knn_rows(index, np.array([2]), 2, among=mask)[0].tolist() == [[0, 1]]  # q outside
+
+
+def test_fingerprint_equals_the_per_id_digest():
+    """The ids go into the digest in one update; the digest is the one of an update per id
+    and per separator, on non-ASCII ids and on an empty index."""
+    import hashlib
+
+    from plantsearch.ann import FlatIndex
+
+    def per_id(index):
+        h = hashlib.sha256()
+        for node_id in index.ids:
+            h.update(node_id.encode("utf-8"))
+            h.update(b"\0")
+        h.update(np.ascontiguousarray(index.matrix, dtype="<f8").tobytes())
+        return h.hexdigest()[:16]
+
+    vectors = {"Pumpe é": [1.0, 0.0], "植物:log:1": [0.6, 0.8], "a b": [0.0, -1.0],
+               "ünïcode\U0001f33f": [0.3, 0.1]}
+    indexes = [build_index(make_table(vectors), list(vectors)),
+               FlatIndex([], np.zeros((0, 2)))]
+    for index in indexes:
+        assert index.fingerprint() == per_id(index)
+    assert indexes[1].fingerprint() == hashlib.sha256().hexdigest()[:16]
+
+
+def test_knn_never_returns_masked_rows_that_outscore_or_tie():
+    """Rows outside the mask that are copies of the query (cosine 1, above every candidate)
+    or copies of a candidate (an exact tie, with a smaller id) are never returned; the
+    candidates come back as the oracle ranks them among themselves."""
+    rng = np.random.default_rng(3)
+    for dim in (2, 16, 64):
+        q, others = rng.normal(size=dim), rng.normal(size=(6, dim))
+        vectors = {"m0": (2.0 * q).tolist(), "m1": q.tolist(), "q": q.tolist()}
+        vectors |= {f"x{i}": v.tolist() for i, v in enumerate(others)}
+        vectors |= {f"a{i}": others[i].tolist() for i in range(3)}  # masked ties, smaller ids
+        among = {"q"} | {f"x{i}" for i in range(6)}
+        index = build_index(make_table(vectors), list(vectors))
+        mask = index.row_mask(among)
+        for k in range(1, 7):
+            got = knn_one(index, "q", k, among=mask)
+            assert [doc for doc, _ in got] == oracle_knn(vectors, "q", k, among)
+            assert not {doc for doc, _ in got} - among
+
+
+def test_knn_rows_equal_the_whole_index_oracle_bit_for_bit():
+    """Row by row, neighbors and cosines equal ``oracle_np_knn``, which scores each query
+    against every indexed row and masks the candidates afterwards: with no mask, with a
+    mask of every row, and with partial masks whose queries lie in and outside the mask. A
+    query outside the mask keeps every candidate, itself not among them."""
+    rng = np.random.default_rng(41)
+    for trial in range(8):
+        dim = int(rng.choice([3, 16, 64]))
+        n = int(rng.integers(KNN_BLOCK + 5, 2 * KNN_BLOCK + 40))
+        matrix = rng.normal(size=(n, dim))
+        matrix[rng.random(n) < 0.2] = matrix[0]  # exact ties
+        matrix[rng.random(n) < 0.05] = 0.0
+        vectors = {f"d{i:03d}": row.tolist() for i, row in enumerate(matrix)}
+        index = build_index(make_table(vectors), list(vectors))
+        rows = rng.permutation(n)[: int(rng.integers(1, n))]
+        for mask in (None, np.ones(n, dtype=bool), rng.random(n) < 0.6):
+            k = int(rng.integers(1, 20))
+            cols, scores = knn_rows(index, rows, k, mask)
+            for row, got_cols, got_scores in zip(rows.tolist(), cols, scores):
+                want = oracle_np_knn(index, index.ids[row], k, mask)
+                assert [index.ids[c] for c in got_cols] == [doc for doc, _ in want], trial
+                assert got_scores.tobytes() == np.array([s for _, s in want]).tobytes(), trial
+                if mask is not None and not mask[row]:
+                    assert mask[got_cols].all()
+        whole = knn_rows(index, rows, 5)
+        masked = knn_rows(index, rows, 5, np.ones(n, dtype=bool))
+        assert [a.tobytes() for a in whole] == [a.tobytes() for a in masked]

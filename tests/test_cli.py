@@ -488,6 +488,15 @@ def _exact(value):
     return type(value).__name__, value
 
 
+def test_exact_tells_records_apart_by_type_name():
+    edge = kg.Edge("l1", "f1", kg.Relation.REPORTS_ABOUT)
+    assert _exact(edge) == _exact(kg.Edge(*edge))
+    assert _exact(edge) != _exact(tuple(edge))
+    assert _exact(edge)[0] == "Edge" and _exact(kg.Node("l1", kg.NodeKind.TEXT_LOG))[0] == "Node"
+    query = ir_eval.Query("q1", "text")
+    assert _exact(query) != _exact(("q1", "text")) and _exact(query)[0] == "Query"
+
+
 def test_each_kept_value_equals_a_fresh_parse(tmp_path, monkeypatch):
     """Every value a writer keeps in a ``pipeline`` store equals, in types, order and float32
     rounding, what a store of its own parses from the files the writer wrote."""

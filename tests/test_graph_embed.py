@@ -426,13 +426,13 @@ def test_train_raises_on_non_finite_edge_scores():
 @pytest.mark.parametrize("operand", [0, 1, 2])
 def test_train_raises_on_a_nan_table_row(monkeypatch, operand):
     """A NaN in a row that a batch scores, as its a = src + rel, its destination or one of
-    its negatives, makes that row's norm NaN. The scores set only norms that are exactly
-    0.0 to a zero cosine, so the NaN reaches the non-finite check. (A table that holds a
-    NaN before training is refused when the stacked table is built.)"""
+    its negatives, makes that row's dot products NaN. The scores set only norms that are
+    exactly 0.0 to a zero cosine, so the NaN reaches the non-finite check. (A table that
+    holds a NaN before training is refused when the stacked table is built.)"""
     scores = graph_embed.edge_scores
 
     def nan_row(*args):
-        args = [np.array(x) for x in args[:3]] + [args[3]]
+        args = [np.array(x) for x in args[:3]] + list(args[3:])
         args[operand][(0,) * (args[operand].ndim - 1) + (1,)] = np.nan
         return scores(*args)
 
@@ -443,13 +443,120 @@ def test_train_raises_on_a_nan_table_row(monkeypatch, operand):
         train_one(g, init_embeddings(g, cfg), cfg)
 
 
+def _recorded_run(monkeypatch, plants, recompute):
+    """Trained tables and each epoch's per-edge losses; ``recompute`` scores every batch
+    with norms formed afresh from its gathered rows, as the loop did before it held them."""
+    losses, scores = [], graph_embed.edge_scores
+    log_epoch = graph_embed._log_epoch
+
+    def fresh_norms(a, dst, negs, margin, nd, norms):
+        return scores(a, dst, negs, margin, np.sqrt(np.vecdot(dst, dst)),
+                      np.sqrt(np.vecdot(negs, negs)))
+
+    def record(epoch, state, counts, plant, step, n_on, edge_loss):
+        losses.append(edge_loss.tobytes())
+        log_epoch(epoch, state, counts, plant, step, n_on, edge_loss)
+
+    with monkeypatch.context() as m:
+        m.setattr(graph_embed, "_log_epoch", record)
+        if recompute:
+            m.setattr(graph_embed, "edge_scores", fresh_norms)
+        return train_plant_embeddings(plants), losses
+
+
+def test_held_norms_and_one_scatter_equal_recomputed_norms(monkeypatch):
+    """Training on held row norms equals, bit for bit, the same loop with every norm formed
+    afresh in each batch, in its tables, relation rows and epoch losses; and both equal the
+    oracle that scatters sources, then destinations, then negatives in three passes. In the
+    crossed graph at margin 2.0 every pair is live; f1, (l0, f0)'s only corruption, repeats
+    among its negatives, in every batch that holds (l0, f0), and is the destination of (l1,
+    f1) in the same batch once a batch holds both edges. The chain plant adds a zero row."""
+    rng = np.random.default_rng(12)
+    crossed, chain = _crossed_graph(), _chain_graph(10)
+    k = 3
+    cfg = GETrainConfig(dim=8, epochs=4, ranking_margin=2.0, negatives_per_edge=k,
+                        init_mode=InitMode.TEXT_VECTORS)
+    vectors = {pid: {n: rng.normal(size=8) for n in sorted(graph.nodes)}
+               for pid, graph in (("X", crossed), ("C", chain))}
+    vectors["C"]["l5"] = np.zeros(8)
+    plants = {pid: (graph, init_embeddings(graph, cfg, vectors[pid]), replace(cfg, rng_seed=seed))
+              for pid, graph, seed in (("X", crossed, 1), ("C", chain, 2))}
+    scatters = []
+    at = graph_embed.rows_at
+
+    def record_scatter(ufunc, table, rows, values):
+        if ufunc is np.subtract and table.shape[0] == 4:  # the crossed plant alone
+            scatters.append(rows.copy())
+        at(ufunc, table, rows, values)
+
+    for batch in BATCHES:
+        monkeypatch.setattr(graph_embed, "BATCH", batch)
+        held, held_losses = _recorded_run(monkeypatch, plants, recompute=False)
+        fresh, fresh_losses = _recorded_run(monkeypatch, plants, recompute=True)
+        assert held_losses == fresh_losses and len(held_losses) == cfg.epochs
+        for pid, (graph, start, plant_cfg) in plants.items():
+            assert _table_bytes(held[pid]) == _table_bytes(fresh[pid]), (batch, pid)
+            want = (oracle_train_graph_embeddings(graph, start, plant_cfg) if batch == 1 else
+                    oracle_minibatch_train_graph_embeddings(graph, start, plant_cfg, batch))
+            assert _table_bytes(held[pid]) == _table_bytes(want), (batch, pid)
+        scatters.clear()
+        monkeypatch.setattr(graph_embed, "rows_at", record_scatter)
+        train_one(crossed, plants["X"][1], cfg)
+        monkeypatch.setattr(graph_embed, "rows_at", at)
+        f1 = plants["X"][1].row("f1")
+        both = 0
+        for rows in scatters:  # sources, destinations, then k negatives per edge
+            edges = rows.size // (2 + k)
+            assert rows.size == edges * (2 + k)
+            negs, dsts = rows[2 * edges:].tolist(), rows[edges:2 * edges].tolist()
+            assert len(set(negs)) < len(negs)
+            both += f1 in dsts and f1 in negs
+        assert (both > 0) == (batch > 1)
+        assert len(scatters) == cfg.epochs * -(-4 // batch)
+
+
+def test_a_nan_written_by_a_step_stops_the_next_batch_that_reads_its_row(monkeypatch):
+    """A step that writes a NaN into its first source row renews that row's held norm to
+    NaN. Training goes on through the batches that do not read the row and raises
+    NonFiniteError at the first that does, here 33 batches later and as a negative, which
+    the batch scores with the NaN norm it holds for the row."""
+    at, scores = graph_embed.rows_at, graph_embed.edge_scores
+    calls = []
+
+    def poison_first(ufunc, table, rows, values):
+        if ufunc is np.subtract and not calls[-1]["poisoned"]:
+            values[0, 0] = np.nan
+            calls[-1]["poisoned"] = True
+        at(ufunc, table, rows, values)
+
+    def watch(a, dst, negs, margin, nd, norms):
+        poisoned = bool(calls) and calls[-1]["poisoned"]
+        calls.append({"poisoned": poisoned, "nan": [name for name, v in (("a", a), ("dst", dst),
+                                                                        ("negs", negs))
+                                                    if np.isnan(v).any()]})
+        assert np.array_equal(np.isnan(nd), np.isnan(dst).any(axis=1))
+        assert np.array_equal(np.isnan(norms), np.isnan(negs).any(axis=2))
+        return scores(a, dst, negs, margin, nd, norms)
+
+    monkeypatch.setattr(graph_embed, "rows_at", poison_first)
+    monkeypatch.setattr(graph_embed, "edge_scores", watch)
+    monkeypatch.setattr(graph_embed, "BATCH", 2)
+    g = generate_plant(PlantConfig(plant_id="P", seed=1, n_fl=10, n_logs=60, n_queries=2)).graph
+    cfg = GETrainConfig(dim=4, epochs=2, ranking_margin=2.0, rng_seed=3)
+    with pytest.raises(NonFiniteError, match="^plant 'P': non-finite edge scores in epoch 0$"):
+        train_one(g, init_embeddings(g, cfg), cfg)
+    assert calls[0]["poisoned"] and calls[-1]["nan"] == ["negs"] and len(calls) == 34
+    assert not any(call["nan"] for call in calls[:-1])
+
+
 def test_train_step_holds_no_negative_gather_or_whole_flat_index():
     """One epoch of two plants with 40 negatives per edge peaks below 4.4 of its (edges x
     negatives x dim) negative gathers. At random initialization most pairs are live, so
-    the step's live-pair rows are nearly as large as the gather. This step peaks at 4.07
-    gathers; it reached 5.07 when it kept its gather alive through the scatter, 4.68 when
-    ``rows_at`` built its flat index for every row at once, and 8.10 when it copied the
-    active edges' negative block and scattered one concatenated step array."""
+    the step's live-pair rows are nearly as large as the gather. This step, with its one
+    concatenated scatter, peaks at 3.63 gathers (3.94 with three scatters and a norm per
+    gathered negative); it reached 5.07 when it kept its gather alive through the scatter,
+    4.68 when ``rows_at`` built its flat index for every row at once, and 8.10 when it
+    copied the active edges' negative block and scattered one concatenated step array."""
     plants = {}
     for pid, seed in (("P", 1), ("Q", 2)):
         g = generate_plant(PlantConfig(plant_id=pid, seed=seed, n_fl=30, n_logs=300,

@@ -97,14 +97,45 @@ def test_duplicate_edges_dropped_with_warning(caplog):
             fls=[("f1", "C1", "desc")],
             edges=[("l1", "f1", Relation.REPORTS_ABOUT)] * 3,
         )
-    assert len(g.edges) == 1
+    assert g.edges == (Edge("l1", "f1", Relation.REPORTS_ABOUT),)
     assert any("duplicate edge" in r.message for r in caplog.records)
+
+
+def test_records_are_immutable_and_compare_by_their_fields():
+    """Graph, triplet, pair and query records: a field cannot be set, equal fields make
+    equal records with equal hashes (the hash of the tuple of their fields), one differing
+    field makes them unequal, and a record equals the plain tuple of its fields."""
+    from plantsearch.ir_eval import Query
+    from plantsearch.pairs import PairLabel, PairSource, QueryDocPair
+    from plantsearch.triplets import NegKind, Triplet
+
+    cases = [
+        (Node, ("fl1", NodeKind.FUNCTIONAL_LOCATION, "Pump", "P1", None), "text", "Valve"),
+        (Node, ("l1", NodeKind.TEXT_LOG, "Leak at P1", None, 7), "ts", 8),
+        (Edge, ("l1", "fl1", Relation.REPORTS_ABOUT), "rel", Relation.RELATED_TO),
+        (Triplet, ("q", "p", "n", NegKind.HARD), "neg_kind", NegKind.EASY),
+        (QueryDocPair, ("pump leak", "l1", PairLabel.POSITIVE, PairSource.SID), "label",
+         PairLabel.NEGATIVE),
+        (Query, ("q1", "pump leak"), "text", "valve"),
+    ]
+    for cls, values, name, other in cases:
+        record, twin = cls(*values), cls(*values)
+        with pytest.raises(AttributeError):
+            setattr(record, name, other)
+        assert record == twin and hash(record) == hash(twin) == hash(values)
+        assert record == values and tuple(record) == values
+        assert record != cls(*(other if f == name else v for f, v in zip(cls._fields, values)))
+    assert Node("l1", NodeKind.TEXT_LOG) == ("l1", NodeKind.TEXT_LOG, "", None, None)
+    assert Node._fields == ("id", "kind", "text", "code", "ts")
+    assert Edge._fields == ("src", "dst", "rel")
 
 
 def test_save_load_round_trip(tmp_path, small_graph):
     nodes_path, edges_path = tmp_path / "n.jsonl", tmp_path / "e.jsonl"
-    save_graph(small_graph, nodes_path, edges_path)
+    saved = save_graph(small_graph, nodes_path, edges_path)
     back = load_graph(nodes_path, edges_path)
+    assert back.nodes == saved.nodes and list(back.nodes) == list(saved.nodes)
+    assert back.edges == saved.edges
     assert set(back.nodes) == set(small_graph.nodes)
     assert set(back.edges) == set(small_graph.edges)
     for node_id, n in small_graph.nodes.items():

@@ -45,6 +45,13 @@ def dense_edges(g, terms):
     return out
 
 
+def scored(a, dst, negs, margin):
+    """``edge_scores`` with the destination and negative norms that training holds, one
+    ``sqrt(vecdot(v, v))`` per row."""
+    return edge_scores(a, dst, negs, margin, np.sqrt(np.vecdot(dst, dst)),
+                       np.sqrt(np.vecdot(negs, negs)))
+
+
 def one_edge(src, rel, dst, negs, margin):
     """``edge_scores`` then ``edge_steps`` on one edge: (loss, g_a, g_dst, g_negs), the
     last (k, dim) with zero rows for the negatives that are not live.
@@ -53,7 +60,7 @@ def one_edge(src, rel, dst, negs, margin):
     gradient w.r.t. each of them.
     """
     a = src + rel
-    sc = edge_scores(a[None], dst[None], negs[None], margin)
+    sc = scored(a[None], dst[None], negs[None], margin)
     loss, g_a, g_dst, g_negs = edge_steps(a[None], dst[None], negs[None][sc.terms > 0.0], sc)
     return (float(loss[0]), dense_edges(g_a, sc.terms)[0], dense_edges(g_dst, sc.terms)[0],
             dense_negs(g_negs, sc.terms)[0])
@@ -324,7 +331,7 @@ def test_edge_ranking_bitwise_equals_per_negative_loop():
     # the per-negative loop bit for bit.
     for shape, cases in groups.items():
         a, dst, negs, margin = (np.array([c[i] for c in cases]) for i in range(4))
-        batch = edge_scores(a, dst, negs, margin)
+        batch = scored(a, dst, negs, margin)
         assert batch.terms.shape == (len(cases), shape[0])
         loss, g_a, g_dst, g_negs = edge_steps(a, dst, negs[batch.terms > 0.0], batch)
         assert g_negs.shape == ((batch.terms > 0.0).sum(), shape[1])
@@ -332,7 +339,7 @@ def test_edge_ranking_bitwise_equals_per_negative_loop():
         g_a, g_dst = dense_edges(g_a, batch.terms), dense_edges(g_dst, batch.terms)
         g_negs = dense_negs(g_negs, batch.terms)
         for i, (_, _, _, _, want) in enumerate(cases):
-            one = edge_scores(a[i][None], dst[i][None], negs[i][None], margin[i])
+            one = scored(a[i][None], dst[i][None], negs[i][None], margin[i])
             for field, w in zip(batch, one):
                 assert field[i].tobytes() == w[0].tobytes(), (shape, i)
             assert loss[i] == want[0], (shape, i)
@@ -359,7 +366,7 @@ def test_edge_batch_mixing_zero_norm_rows_equals_per_edge_oracle():
     a = src + rel
     margin = np.full(n, 0.5)
     margin[[0, 3]] = 1.0
-    sc = edge_scores(a, dst, negs, margin)
+    sc = scored(a, dst, negs, margin)
     assert sc.s_pos[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0] and not sc.s_neg[0].any()
     on = sc.terms > 0.0
     assert on[0].all() and on[2, 0]  # live pairs of zero norm, with zero gradients
@@ -378,10 +385,10 @@ def test_edge_scores_keep_a_nan_norm():
     a, dst = np.ones((2, 3)), np.ones((2, 3))
     negs = np.ones((2, 2, 3))
     negs[1, 0, 2] = np.nan
-    sc = edge_scores(a, dst, negs, 0.1)
+    sc = scored(a, dst, negs, 0.1)
     assert np.isnan(sc.terms[1, 0]) and np.isfinite(np.delete(sc.terms.ravel(), 2)).all()
     a[0, 1] = np.nan
-    sc = edge_scores(a, dst, negs, 0.1)
+    sc = scored(a, dst, negs, 0.1)
     assert np.isnan(sc.s_pos[0]) and np.isnan(sc.terms[0]).all()
 
 
