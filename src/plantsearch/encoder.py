@@ -23,7 +23,6 @@ import logging
 import re
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -124,50 +123,15 @@ def _renumbered(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class FeatureMatrix:
     """Featurized texts in CSR layout: row i spans ``indptr[i]:indptr[i + 1]``.
 
-    Each entry's pooling weight, count / total, is divided once per matrix (:attr:`weights`)
-    and read by :meth:`pooling`. :meth:`take` slices rows into a new matrix, so a stage
-    featurizes its texts once and each run trains on its own rows (``Featurizer``); training
-    turns a run's :meth:`compact` matrix into one dense count matrix and drops it.
+    :meth:`take` slices rows into a new matrix, so a stage featurizes its texts once and each
+    run reads its own rows (``Featurizer``). Every encoder read turns a matrix into one dense
+    count matrix over its :meth:`compact` buckets (:func:`count_matrix`) and drops it.
     """
 
     indptr: np.ndarray  # int64, n_texts + 1 offsets
-    bucket_ids: np.ndarray  # int64, sorted unique within each row
-    counts: np.ndarray  # int64, parallel to bucket_ids
+    bucket_ids: np.ndarray  # sorted unique per row; int64, or a Featurizer's uint8/16/32
+    counts: np.ndarray  # parallel to bucket_ids; int64, or a Featurizer's int32
     totals: np.ndarray  # int64, feature count of each text
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Every entry's pooling weight, count / total of its text, divided once per matrix."""
-        return self.counts / np.repeat(self.totals, np.diff(self.indptr))
-
-    def _entries(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The position among ``rows`` and the CSR entry of every bucket of those texts."""
-        starts = self.indptr[rows]
-        lengths = self.indptr[rows + 1] - starts
-        return np.repeat(np.arange(len(rows)), lengths), concat_ranges(starts, lengths)
-
-    def pooling(self) -> Pooling:
-        """Every text's pooling weights in compact form, in blocks of bounded dense size.
-
-        Texts with equal pooling weights (equal texts, or one text's words
-        reordered or recased) share one row, so their vectors are bit-identical.
-        """
-        first: dict[bytes, int] = {}
-        bounds = zip(self.indptr[:-1].tolist(), self.indptr[1:].tolist())
-        inverse = np.array([
-            first.setdefault(self.bucket_ids[lo:hi].tobytes() + self.weights[lo:hi].tobytes(), i)
-            for i, (lo, hi) in enumerate(bounds)
-        ], dtype=np.int64)
-        rows, inverse = np.unique(inverse, return_inverse=True)
-        step = max(1, _POOL_BLOCK // max(1, len(np.unique(self.bucket_ids))))
-        blocks = []
-        for lo in range(0, len(rows), step):
-            block = rows[lo : lo + step]
-            text, entry = self._entries(block)
-            u, col = np.unique(self.bucket_ids[entry], return_inverse=True)
-            blocks.append((len(block), u, (text * len(u) + col).astype(np.int32),
-                           self.weights[entry]))
-        return Pooling(blocks, inverse)
 
     def compact(self) -> tuple[FeatureMatrix, np.ndarray]:
         """This matrix with each bucket id renumbered to its position among the sorted
@@ -187,7 +151,7 @@ class FeatureMatrix:
             buckets, local = _renumbered(ids)
         else:
             buckets, local = np.unique(ids, return_inverse=True)
-        return replace(self, bucket_ids=local), buckets
+        return replace(self, bucket_ids=local), buckets.astype(np.int64, copy=False)
 
     def take(self, rows: np.ndarray) -> FeatureMatrix:
         """The matrix of texts ``rows`` (repeats allowed), in that order."""
@@ -196,30 +160,6 @@ class FeatureMatrix:
         entry = concat_ranges(starts, lengths)
         return FeatureMatrix(np.concatenate([[0], np.cumsum(lengths)]), self.bucket_ids[entry],
                              self.counts[entry], self.totals[rows])
-
-
-@dataclass(frozen=True)
-class Pooling:
-    """Mean pooling of many texts, held without a dense matrix and independent of any table.
-
-    Block ``(n, u, flat, weight)`` pools ``n`` distinct rows over the sorted
-    buckets ``u``: its dense weights ``W`` (n × len(u)) are zero but for
-    ``W.flat[flat] = weight``. Text i pools distinct row ``inverse[i]``.
-    """
-
-    blocks: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
-    inverse: np.ndarray  # int64, text -> distinct row
-
-    def encode(self, p: EncoderParams) -> np.ndarray:
-        """Every text's mean-pooled vector: one gemm ``W @ p.rows(u)`` per block."""
-        out = np.zeros((sum(n for n, *_ in self.blocks), p.dim))
-        lo = 0
-        for n, u, flat, weight in self.blocks:
-            w = np.zeros((n, len(u)))
-            w.ravel()[flat] = weight
-            out[lo : lo + n] = w @ p.rows(u)
-            lo += n
-        return out[self.inverse]
 
 
 def featurize_many(texts: Sequence[str],
@@ -264,7 +204,7 @@ class Featurizer:
     each text once.
     The held matrix keeps its bucket ids in the smallest unsigned type below
     ``vocab_buckets`` and its counts as int32, 6 bytes an entry instead of 16 at the default
-    65,536 buckets; ``take`` returns int64 arrays.
+    65,536 buckets, and ``take`` returns them in those types.
     """
 
     def __init__(self, vocab_buckets: int = DEFAULT_VOCAB_BUCKETS):
@@ -295,9 +235,7 @@ class Featurizer:
                 np.concatenate([old.counts, new.counts.astype(old.counts.dtype)]),
                 np.concatenate([old.totals, new.totals]))
         self.requested += len(texts)
-        fm = self._fm.take(np.array([self._row[t] for t in texts], dtype=np.int64))
-        return replace(fm, bucket_ids=fm.bucket_ids.astype(np.int64),
-                       counts=fm.counts.astype(np.int64))
+        return self._fm.take(np.array([self._row[t] for t in texts], dtype=np.int64))
 
 
 def _find(ids: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -425,13 +363,49 @@ def encode(p: EncoderParams, text: str) -> np.ndarray:
     return encode_features(p, featurize(text, p.vocab_buckets))
 
 
+def count_matrix(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fm``'s texts as a dense (texts × compact buckets) count matrix in the smallest unsigned
+    type that holds its largest count, their totals clamped to 1 (an empty text's zero row
+    divides by 1), and the int64 buckets of its columns (:meth:`FeatureMatrix.compact`). Text
+    i's pooling weights are ``counts[i] / totals[i]``, for training and for :func:`pool`."""
+    fm, buckets = fm.compact()
+    counts = np.zeros((len(fm.totals), len(buckets)),
+                      dtype=np.min_scalar_type(fm.counts.max(initial=0)))
+    counts[np.repeat(np.arange(len(fm.totals)), np.diff(fm.indptr)), fm.bucket_ids] = fm.counts
+    return counts, np.maximum(fm.totals, 1), buckets
+
+
+def pool(p: EncoderParams, matrix: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Every text's mean-pooled vector under ``p``, from its :func:`count_matrix`.
+
+    Texts with equal pooling weights, which are proportional count rows ("pumpe" and "pumpe
+    pumpe", words reordered or recased), share one row keyed by the counts over their gcd, so
+    their vectors are bit-identical. The distinct rows are pooled in blocks of at most
+    ``_POOL_BLOCK`` dense weights, each one gemm over the buckets its own rows hold.
+    """
+    counts, totals, buckets = matrix
+    gcd = np.maximum(np.gcd.reduce(counts, axis=1), 1)
+    first: dict[bytes, int] = {}
+    inverse = np.array([first.setdefault((row // d).tobytes(), i)
+                        for i, (row, d) in enumerate(zip(counts, gcd))], dtype=np.int64)
+    rows, inverse = np.unique(inverse, return_inverse=True)
+    out = np.empty((len(rows), p.dim))
+    step = max(1, _POOL_BLOCK // max(1, counts.shape[1]))
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        c = counts[block]
+        u = np.flatnonzero(c.any(axis=0))
+        out[lo : lo + step] = (c[:, u] / totals[block, None]) @ p.rows(buckets[u])
+    return out[inverse]
+
+
 def encode_batch(p: EncoderParams, texts: Sequence[str]) -> np.ndarray:
     """Row i equals ``encode(p, texts[i])`` within a few ulps (a gemm sums in another order).
 
-    Texts are featurized once together and pooled with one gemm per block of
-    rows (:meth:`FeatureMatrix.pooling`); equal texts get bit-identical rows.
+    Texts are featurized once together and pooled by :func:`pool`; texts with equal pooling
+    weights get bit-identical rows.
     """
-    return featurize_many(texts, p.vocab_buckets).pooling().encode(p)
+    return pool(p, count_matrix(featurize_many(texts, p.vocab_buckets)))
 
 
 def save_encoder(p: EncoderParams, matrix_path: str | Path, header_path: str | Path) -> None:

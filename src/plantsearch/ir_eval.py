@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import storage
-from .encoder import EncoderParams, Pooling, encode_batch, featurize_many
+from .encoder import EncoderParams, count_matrix, encode_batch, featurize_many, pool
 from .losses import cosines
 from .storage import CorruptFileError, read_json_lines, write_json_lines
 
@@ -89,7 +89,7 @@ def rank_corpus(p: EncoderParams, query_text: str, corpus: Mapping[str, str]) ->
 
 
 class _Corpus:
-    """A corpus's pooling weights and, for each live encoder, its document vectors and norms.
+    """A corpus's count matrix and, for each live encoder, its document vectors and norms.
 
     The vectors are keyed weakly by the encoder, which hashes by identity: an encoder that
     ``with_rows`` returns is a new key, and an encoder's entry goes when it is collected. The
@@ -97,8 +97,8 @@ class _Corpus:
     them disagree.
     """
 
-    def __init__(self, pooling: Pooling):
-        self.pooling = pooling
+    def __init__(self, matrix: tuple[np.ndarray, np.ndarray, np.ndarray]):
+        self.matrix = matrix  # encoder.count_matrix
         self._vectors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def __contains__(self, p: EncoderParams) -> bool:
@@ -108,7 +108,7 @@ class _Corpus:
         """Every document's vector under ``p`` and its norm, encoded on the first call."""
         held = self._vectors.get(p)
         if held is None:
-            docs = self.pooling.encode(p)
+            docs = pool(p, self.matrix)
             norms = np.sqrt(np.vecdot(docs, docs))
             docs.flags.writeable = norms.flags.writeable = False
             held = self._vectors[p] = docs, norms
@@ -118,7 +118,7 @@ class _Corpus:
 @functools.lru_cache
 def _corpus_pooling(vocab_buckets: int, texts: tuple[str, ...]) -> _Corpus:
     """The texts' prepared corpus, memoized by content."""
-    return _Corpus(featurize_many(texts, vocab_buckets).pooling())
+    return _Corpus(count_matrix(featurize_many(texts, vocab_buckets)))
 
 
 def rank_queries(p: EncoderParams, query_texts: Sequence[str],
@@ -236,7 +236,7 @@ def evaluate_run(p: EncoderParams, b: Benchmark) -> EvalReport:
     """Macro-averaged retrieval metrics at ``K``: per plant, then unweighted across plants.
 
     Each plant's queries are ranked in one batch by :func:`rank_queries`, whose memo holds
-    each plant corpus's pooling weights across evaluations, and its document vectors under
+    each plant corpus's count matrix across evaluations, and its document vectors under
     ``p`` while ``p`` lives.
     """
     b.validate()

@@ -386,6 +386,12 @@ def predict_links(g: KnowledgeGraph) -> KnowledgeGraph:
     return enriched
 
 
+@functools.lru_cache(maxsize=1024)
+def _expansion_pattern(desc: str) -> re.Pattern:
+    """Whitespace, then ``desc`` as a whole phrase: how an expanded mention goes on."""
+    return re.compile(r"\s+" + re.escape(desc) + r"(?![\w-])")
+
+
 def expand_context(g: KnowledgeGraph, log_id: str) -> str:
     """Inline FL descriptions after code mentions in one log's text.
 
@@ -411,11 +417,8 @@ def expand_context(g: KnowledgeGraph, log_id: str) -> str:
     def _expand(m: re.Match) -> str:
         mention = m.group(0)
         desc = by_code[mention.lower()].text
-        if not desc:
-            return mention
-        tail = m.string[m.end() :]
-        if re.match(r"\s+" + re.escape(desc) + r"(?![\w-])", tail):
-            return mention  # already expanded
+        if not desc or _expansion_pattern(desc).match(m.string, m.end()):
+            return mention  # no description, or already expanded
         return f"{mention} {desc}"
 
     return pattern.sub(_expand, log.text)

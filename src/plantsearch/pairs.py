@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, Featurizer, word_tokens
+from .encoder import EncoderParams, Featurizer, count_matrix, pool, word_tokens
 from .losses import cosines
 from .storage import field, read_json_lines, write_json_lines
 from .triplets import Triplet, TripletSet
@@ -91,8 +91,9 @@ class EncoderCosineScorer:
     Stand-in for an externally trained relevance scorer: deterministic
     given its params, with scores in [-scale, scale]. Zero-vector texts
     score 0. Each distinct text is taken once per call from ``features``
-    (a new ``Featurizer`` when it is None) and encoded as ``encode_batch``
-    does, and all pairs are scored in one row-wise pass whose ddots
+    (a new ``Featurizer`` when it is None) and pooled from their count
+    matrix (``encoder.count_matrix`` and ``encoder.pool``, as every encoder
+    read is), and all pairs are scored in one row-wise pass whose ddots
     (``np.vecdot``) round as ``losses.cosine`` does, bit for bit.
     """
 
@@ -103,7 +104,8 @@ class EncoderCosineScorer:
     def score_pairs(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
         row = {t: i for i, t in enumerate(dict.fromkeys(t for pair in pairs for t in pair))}
         vb = self.params.vocab_buckets
-        vecs = (self.features or Featurizer(vb)).take(list(row), vb).pooling().encode(self.params)
+        fm = (self.features or Featurizer(vb)).take(list(row), vb)
+        vecs = pool(self.params, count_matrix(fm))
         a, b = (vecs[[row[pair[side]] for pair in pairs]] for side in (0, 1))
         cos = cosines(np.vecdot(a, b), np.sqrt(np.vecdot(a, a)), np.sqrt(np.vecdot(b, b)))
         return (self.scale * cos).tolist()

@@ -10,10 +10,10 @@ the table gradient is ``W.T @ G``, with W the batch's pooling weights,
 count / total, over every bucket of the run. ``table`` holds only the rows
 of the training texts' buckets, gathered once, and the texts' bucket ids
 are renumbered to positions in it (``FeatureMatrix.compact``). Each run
-holds its texts' bucket counts once, as one dense texts × table-rows
-matrix in the smallest unsigned type that holds the largest count, so a
-batch's W is a row gather and one division, and every step reads and
-updates ``table`` itself. Each run takes its texts' rows from a
+holds its texts' counts once, as the dense texts × table-rows matrix that
+every encoder read pools from (``encoder.count_matrix``), so a batch's W
+is a row gather and one division, and every step reads and updates
+``table`` itself. Each run takes its texts' rows from a
 ``Featurizer``: its own, or one that a pipeline stage shares among its
 runs, so that the stage featurizes each text once.
 """
@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .encoder import EncoderParams, FeatureMatrix, Featurizer, concat_ranges
+from .encoder import EncoderParams, Featurizer, concat_ranges, count_matrix
 from .losses import NonFiniteError, mnr_loss_grad, triplet_loss_grad_batch
 from .pairs import PairLabel, QueryDocPair
 from .triplets import Triplet
@@ -216,7 +216,7 @@ def _fit(p: EncoderParams, texts: list[str], features: Featurizer | None,
     batches as (text rows to pool, number of ``items`` they hold). ``loss`` maps a batch's
     pooled vectors and item count to its epoch-loss terms, its active items and the vectors'
     gradient; a batch with an active item steps at ``effective_lr``."""
-    counts, totals, buckets = _run_counts(
+    counts, totals, buckets = count_matrix(
         (features or Featurizer(p.vocab_buckets)).take(texts, p.vocab_buckets))
     table = p.rows(buckets)
     epoch_losses: list[float] = []
@@ -244,14 +244,3 @@ def _fit(p: EncoderParams, texts: list[str], features: Featurizer | None,
     if not np.isfinite(table).all():
         raise NonFiniteError(f"non-finite encoder table after {stage} training")
     return TrainResult(p.with_rows(buckets, table), epoch_losses, step)
-
-
-def _run_counts(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``fm``'s texts as a dense (texts × compact buckets) count matrix in the smallest unsigned
-    type that holds its largest count, their totals clamped to 1 (an empty text's zero row
-    divides by 1), and the buckets (``FeatureMatrix.compact``)."""
-    fm, buckets = fm.compact()
-    counts = np.zeros((len(fm.totals), len(buckets)),
-                      dtype=np.min_scalar_type(fm.counts.max(initial=0)))
-    counts[np.repeat(np.arange(len(fm.totals)), np.diff(fm.indptr)), fm.bucket_ids] = fm.counts
-    return counts, np.maximum(fm.totals, 1), buckets

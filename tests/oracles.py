@@ -592,14 +592,65 @@ def oracle_pooling_weights(fm, rows, columns=None):
     """
     from plantsearch.encoder import _renumbered
 
-    text, entry = fm._entries(rows)
+    text, entry = _oracle_entries(fm, rows)
     if columns is None:
         u, col = _renumbered(fm.bucket_ids[entry])
     else:
         u, col = columns, np.searchsorted(columns, fm.bucket_ids[entry])
     w = np.zeros((len(rows), len(u)))
-    w.ravel()[text * len(u) + col] = fm.weights[entry]
+    w.ravel()[text * len(u) + col] = _oracle_weights(fm)[entry]
     return u, w
+
+
+def _oracle_weights(fm):
+    """The former ``FeatureMatrix.weights``: every entry's pooling weight, count / total of its
+    text."""
+    return fm.counts / np.repeat(fm.totals, np.diff(fm.indptr))
+
+
+def _oracle_entries(fm, rows):
+    """The former ``FeatureMatrix._entries``: the position among ``rows`` and the CSR entry of
+    every bucket of those texts."""
+    from plantsearch.encoder import concat_ranges
+
+    starts = fm.indptr[rows]
+    lengths = fm.indptr[rows + 1] - starts
+    return np.repeat(np.arange(len(rows)), lengths), concat_ranges(starts, lengths)
+
+
+def oracle_block_pooling(fm, p):
+    """The former ``FeatureMatrix.pooling`` followed by ``Pooling.encode``: every text's
+    mean-pooled vector, one gemm ``W @ p.rows(u)`` per block of distinct rows.
+
+    Texts with equal pooling weights (equal bucket ids and equal count / total) share one row.
+    Block ``(n, u, flat, weight)`` pools ``n`` distinct rows over the sorted buckets ``u``: its
+    dense weights ``W`` (n x len(u)) are zero but for ``W.flat[flat] = weight``.
+    """
+    from plantsearch.encoder import _POOL_BLOCK
+
+    weights = _oracle_weights(fm)
+    first = {}
+    bounds = zip(fm.indptr[:-1].tolist(), fm.indptr[1:].tolist())
+    inverse = np.array([
+        first.setdefault(fm.bucket_ids[lo:hi].tobytes() + weights[lo:hi].tobytes(), i)
+        for i, (lo, hi) in enumerate(bounds)
+    ], dtype=np.int64)
+    rows, inverse = np.unique(inverse, return_inverse=True)
+    step = max(1, _POOL_BLOCK // max(1, len(np.unique(fm.bucket_ids))))
+    blocks = []
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        text, entry = _oracle_entries(fm, block)
+        u, col = np.unique(fm.bucket_ids[entry], return_inverse=True)
+        blocks.append((len(block), u, (text * len(u) + col).astype(np.int32), weights[entry]))
+    out = np.zeros((sum(n for n, *_ in blocks), p.dim))
+    lo = 0
+    for n, u, flat, weight in blocks:
+        w = np.zeros((n, len(u)))
+        w.ravel()[flat] = weight
+        out[lo : lo + n] = w @ p.rows(u)
+        lo += n
+    return out[inverse]
 
 
 def dense_train_docsim(table, triplets, texts, cfg):
@@ -716,7 +767,7 @@ def oracle_uncached_rank_queries(p, query_texts, corpus):
     from plantsearch.encoder import encode_batch, featurize_many
 
     doc_ids = sorted(corpus)
-    docs = featurize_many([corpus[d] for d in doc_ids], p.vocab_buckets).pooling().encode(p)
+    docs = oracle_block_pooling(featurize_many([corpus[d] for d in doc_ids], p.vocab_buckets), p)
     queries = encode_batch(p, query_texts)
     dots = np.vecdot(docs[None, :, :], queries[:, None, :])
     norms = np.sqrt(np.vecdot(docs, docs))[None, :] * np.sqrt(np.vecdot(queries, queries))[:, None]
@@ -794,3 +845,38 @@ def finite_diff_check(
         denom = max(abs(grad[c]), abs(numeric), 1e-8)
         worst = max(worst, abs(grad[c] - numeric) / denom)
     return worst
+
+
+def oracle_expand_context(g, log_id):
+    """The former ``kg.expand_context``: each mention's callback copies the rest of the text
+    and matches a pattern built from ``re.escape`` of the description at its start."""
+    import re
+
+    from plantsearch.kg import NodeKind, _code_pattern
+
+    if log_id not in g.nodes:
+        raise KeyError(log_id)
+    log = g.nodes[log_id]
+    if log.kind is not NodeKind.TEXT_LOG:
+        raise ValueError(f"{log_id!r} is not a text log")
+
+    linked = [g.nodes[fl_id] for fl_id in g.reported_fls(log_id)]
+    by_code = {}
+    for fl in sorted(linked, key=lambda n: n.id):
+        if fl.code:
+            by_code.setdefault(fl.code.lower(), fl)
+    pattern = _code_pattern(tuple(by_code))
+    if pattern is None:
+        return log.text
+
+    def _expand(m):
+        mention = m.group(0)
+        desc = by_code[mention.lower()].text
+        if not desc:
+            return mention
+        tail = m.string[m.end() :]
+        if re.match(r"\s+" + re.escape(desc) + r"(?![\w-])", tail):
+            return mention  # already expanded
+        return f"{mention} {desc}"
+
+    return pattern.sub(_expand, log.text)

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from oracles import (
     dense_table,
     feature_row,
+    oracle_block_pooling,
     oracle_dense_round_trip,
     oracle_fnv1a_64,
     oracle_init_table,
@@ -116,8 +118,9 @@ def _same_matrix(got, want):
 
 
 def test_featurizer_takes_featurize_many_rows_featurizing_each_text_once(monkeypatch):
-    """Every take equals ``featurize_many`` of its texts, array for array, and featurizes in one
-    call only the texts no earlier take held."""
+    """Every take equals ``featurize_many`` of its texts, array for array, with its bucket ids
+    and counts in the held types (uint8 ids at 64 buckets, int32 counts), and featurizes in one call
+    only the texts no earlier take held."""
     texts = ["Pumpe leckt am Flansch", "", "!!!", "Lömi ÄRGER über Öl", "ab ab cd", "x y"]
     calls = []
 
@@ -128,7 +131,10 @@ def test_featurizer_takes_featurize_many_rows_featurizing_each_text_once(monkeyp
     monkeypatch.setattr(encoder, "featurize_many", counted)
     features = encoder.Featurizer(64)
     for take in (texts[2:4] + texts[2:3], texts[:0], texts[::-1], texts[4:] + ["neu"]):
-        _same_matrix(features.take(take, 64), featurize_many(take, 64))
+        got = features.take(take, 64)
+        assert got.bucket_ids.dtype == np.uint8 and got.counts.dtype == np.int32
+        _same_matrix(replace(got, bucket_ids=got.bucket_ids.astype(np.int64),
+                             counts=got.counts.astype(np.int64)), featurize_many(take, 64))
     assert calls == [texts[2:4], ["x y", "ab ab cd", "", "Pumpe leckt am Flansch"],
                      ["neu"]]
     assert features.distinct == 7 and features.requested == 3 + 0 + 6 + 3
@@ -172,6 +178,14 @@ def test_encode_batch_matches_loop():
     assert encode_batch(p, []).shape == (0, 8)
 
 
+def _blocks(fm):
+    """How many gemm blocks ``pool`` splits the matrix's texts into: its distinct rows of
+    pooling weights, ``_POOL_BLOCK`` // (its distinct buckets) rows per block."""
+    rows = len({fm.bucket_ids[lo:hi].tobytes() + (fm.counts[lo:hi] / total).tobytes()
+                for lo, hi, total in zip(fm.indptr[:-1], fm.indptr[1:], fm.totals)})
+    return -(-rows // (encoder._POOL_BLOCK // len(np.unique(fm.bucket_ids))))
+
+
 def test_encode_batch_equal_pooling_rows_are_bit_identical_across_blocks():
     """Texts with equal pooling weights share one row, even when the rows span many gemm blocks."""
     rng = np.random.default_rng(11)
@@ -179,13 +193,55 @@ def test_encode_batch_equal_pooling_rows_are_bit_identical_across_blocks():
     base = [" ".join(rng.choice(words, size=int(rng.integers(1, 12)))) for _ in range(300)]
     texts = base + [base[0], " ".join(reversed(base[1].split())), f"{base[2]} {base[2]}"]
     p = init_encoder(dim=16, vocab_buckets=1 << 16, seed=2)
-    pooling = featurize_many(texts, p.vocab_buckets).pooling()
-    assert len(pooling.blocks) > 1
+    assert _blocks(featurize_many(texts, p.vocab_buckets)) > 1
     batch = encode_batch(p, texts)
     for copy, original in ((300, 0), (301, 1), (302, 2)):
         np.testing.assert_array_equal(batch[copy], batch[original])
     for i in range(0, len(texts), 37):
         np.testing.assert_allclose(batch[i], encode(p, texts[i]), rtol=0, atol=1e-12)
+
+
+def test_pool_equals_the_former_block_pooling_byte_for_byte():
+    """``pool`` over a ``count_matrix`` gives the vectors of the former per-text dict of ids
+    and weights pooled block by block (``oracle_block_pooling``), byte for byte: corpora of
+    several gemm blocks at 64, 1,024 and 65,536 buckets, with empty texts, texts with no word
+    token, proportional counts that share a row, and a count above 255 (a uint16 matrix)."""
+    rng = np.random.default_rng(13)
+    words = np.array([f"w{i}x{j}" for i in range(400) for j in range(3)])
+    sizes = rng.integers(1, 12, size=4200)
+    base = [" ".join(w) for w in np.split(rng.choice(words, size=sizes.sum()),
+                                          np.cumsum(sizes)[:-1])]
+    special = ["", "!!!", "pumpe", "pumpe pumpe", "Pumpe leckt", "LECKT pumpe", "-- ..", "pumpe"]
+    for vocab_buckets, n in ((64, 4200), (1 << 10, 600), (1 << 16, 305)):
+        p = init_encoder(dim=16, vocab_buckets=vocab_buckets, seed=3)
+        trained = np.arange(0, vocab_buckets, 7)[:500]  # trained rows among init rows
+        p = p.with_rows(trained, rng.normal(size=(len(trained), 16)))
+        for long, dtype in (([], np.uint8), (["motor " * 300], np.uint16)):
+            texts = special + base[:n] + long
+            fm = featurize_many(texts, vocab_buckets)
+            assert _blocks(fm) > 1
+            matrix = encoder.count_matrix(fm)
+            assert matrix[0].dtype == dtype
+            got, want = encoder.pool(p, matrix), oracle_block_pooling(fm, p)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not got[:2].any() and not got[6].any()
+            assert got[2].tobytes() == got[3].tobytes() == got[7].tobytes()
+            assert got[4].tobytes() == got[5].tobytes() and got[2].any()
+
+
+def test_count_matrix_of_held_types_equals_that_of_featurize_many():
+    """A ``Featurizer`` take, in its held id and count types, gives the count matrix, totals
+    and int64 buckets of ``featurize_many``, byte for byte."""
+    texts = ["Pumpe leckt am Flansch", "", "!!!", "Lömi ÄRGER über Öl", "ab ab cd",
+             "motor " * 300]
+    for vocab_buckets, id_type in ((64, np.uint8), (1 << 16, np.uint16), (1 << 24, np.uint32)):
+        held = encoder.Featurizer(vocab_buckets).take(texts + texts[:2], vocab_buckets)
+        assert held.bucket_ids.dtype == id_type and held.counts.dtype == np.int32
+        got = encoder.count_matrix(held)
+        want = encoder.count_matrix(featurize_many(texts + texts[:2], vocab_buckets))
+        assert got[2].dtype == np.int64 and got[0].dtype == np.uint16
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_init_encoder_distribution_and_determinism():

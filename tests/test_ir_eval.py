@@ -5,8 +5,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from plantsearch import ir_eval, pairs, synth
-from plantsearch.encoder import EncoderParams, Pooling, encode_batch, featurize_many, init_encoder
+from plantsearch import encoder, ir_eval, pairs, synth
+from plantsearch.encoder import EncoderParams, encode_batch, featurize_many, init_encoder
 from plantsearch.ir_eval import (
     AP_NORMALIZER_NOTE,
     Benchmark,
@@ -243,15 +243,16 @@ def test_corpus_memo_holds_the_recent_corpora(caplog):
 
 @pytest.fixture
 def encodes(monkeypatch):
-    """Every ``Pooling.encode`` call of the test, as (pooling, encoder)."""
+    """Every ``encoder.pool`` call of the test, as (count matrix, encoder)."""
     calls = []
-    encode = Pooling.encode
+    pool = encoder.pool
 
-    def counted(self, p):
-        calls.append((self, p))
-        return encode(self, p)
+    def counted(p, matrix):
+        calls.append((matrix, p))
+        return pool(p, matrix)
 
-    monkeypatch.setattr(Pooling, "encode", counted)
+    for module in (encoder, ir_eval):
+        monkeypatch.setattr(module, "pool", counted)
     return calls
 
 
@@ -275,7 +276,7 @@ def test_corpus_vectors_are_encoded_once_per_encoder(encodes):
         assert ranked == oracle_uncached_rank_queries(q, queries, plant.corpus)
         assert ranked == oracle_rank_corpus(q, queries, plant.corpus)
     prepared = _prepared(p, plant.corpus)
-    assert [q for pooling, q in encodes if pooling is prepared.pooling] == [p, twin, trained]
+    assert [q for matrix, q in encodes if matrix is prepared.matrix] == [p, twin, trained]
     assert p in prepared and twin in prepared and trained in prepared
     assert prepared.vectors(p)[0].tobytes() == prepared.vectors(twin)[0].tobytes()
 
@@ -436,7 +437,7 @@ def test_evaluate_run_matches_rank_corpus():
 
 
 def test_evaluations_featurize_each_corpus_once(monkeypatch):
-    """Pooling weights depend on no table, so evaluations of one benchmark under several
+    """Count matrices depend on no table, so evaluations of one benchmark under several
     encoders featurize each plant's corpus once per bucket count."""
     corpus_sizes = []
     featurize = ir_eval.featurize_many

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import assert_checked, make_graph
+from oracles import oracle_expand_context
 from plantsearch.kg import (
     Edge,
     GraphInvariantError,
@@ -431,6 +432,46 @@ def test_expand_context_only_linked_fls():
 def test_expand_context_no_mentions_unchanged():
     g = _expansion_graph("alles ruhig heute")
     assert expand_context(g, "l1") == "alles ruhig heute"
+
+
+def _with_texts(g, texts):
+    return KnowledgeGraph({i: Node(i, n.kind, texts.get(i, n.text), n.code, n.ts)
+                           for i, n in g.nodes.items()}, g.edges)
+
+
+def test_expand_context_equals_the_former_per_mention_match():
+    """On every log of an enriched synth plant, and on logs whose FL descriptions hold regex
+    metacharacters, are empty or hold their own code, or whose mentions end the text, each
+    expanded once and then again, ``expand_context`` equals the former form that copies the
+    rest of the text and escapes the description at each mention."""
+    synth_graph = predict_links(build_graph(generate_plant(PlantConfig(
+        plant_id="S", seed=7, n_logs=300)).graph))
+    desc = "Ventil (V3) [alt]+ 50%?*"
+    meta = make_graph(
+        logs=[("l1", "Prüfung an V-3"), ("l2", f"V-3 {desc} ok"), ("l3", "v-3 und V-3."),
+              ("l4", f"X-9 steht, V-3 {desc}-b"), ("l5", f"V-3 {desc.lower()} und X-9"),
+              ("l6", "P-1"), ("l7", "P-1 a.b|c\\d$ und P-1 a.b|c\\d$"), ("l8", "S-1 leer"),
+              ("l9", f"V-3 oder V-3 {desc}")],
+        fls=[("flV", "V-3", desc), ("flX", "X-9", ""), ("flP", "P-1", "a.b|c\\d$"),
+             ("flS", "S-1", "Sieb S-1")],
+        edges=[(log, fl, Relation.REPORTS_ABOUT)
+               for log in ("l1", "l2", "l3", "l4", "l5", "l9") for fl in ("flV", "flX")]
+        + [(log, "flP", Relation.REPORTS_ABOUT) for log in ("l6", "l7")]
+        + [("l8", "flS", Relation.REPORTS_ABOUT)])
+    changed = 0
+    for g in (synth_graph, meta):
+        logs = [n.id for n in g.text_logs()]
+        once = {i: oracle_expand_context(g, i) for i in logs}
+        assert {i: expand_context(g, i) for i in logs} == once
+        twice = _with_texts(g, once)
+        assert {i: expand_context(twice, i) for i in logs} == {
+            i: oracle_expand_context(twice, i) for i in logs}
+        changed += sum(once[i] != g.nodes[i].text for i in logs)
+    assert expand_context(meta, "l1") == f"Prüfung an V-3 {desc}"
+    assert expand_context(meta, "l6") == "P-1 a.b|c\\d$"
+    assert expand_context(meta, "l9") == f"V-3 {desc} oder V-3 {desc}"
+    assert [expand_context(meta, i) == meta.nodes[i].text for i in ("l2", "l7")] == [True, True]
+    assert changed > 50, changed
 
 
 def test_expand_context_errors():

@@ -293,11 +293,11 @@ def test_biencoder_matches_per_text_oracle(epochs):
 
 
 def test_run_counts_give_the_former_batch_weights():
-    """Each batch's weights from a run's count matrix, ``counts[rows] / totals[rows, None]`` as
-    ``train._fit`` forms them, equal the former scatter (``oracle_pooling_weights`` over the
-    compact matrix and every column of the run) byte for byte: batches that hold every column
-    or some, repeated rows, texts with no word token, and a bucket count above 255, which
-    needs uint16 counts."""
+    """Each batch's weights from a run's ``encoder.count_matrix``, ``counts[rows] /
+    totals[rows, None]`` as ``train._fit`` forms them, equal the former scatter
+    (``oracle_pooling_weights`` over the compact matrix and every column of the run) byte for
+    byte: batches that hold every column or some, repeated rows, texts with no word token, and
+    a bucket count above 255, which needs uint16 counts."""
     rng = np.random.default_rng(12)
     words = ["pumpe", "leckt", "filter", "druck", "ventil", "lager", "motor", "welle"]
     texts = ["", "!!!"] + [" ".join(rng.choice(words, size=int(rng.integers(1, 8))))
@@ -306,7 +306,7 @@ def test_run_counts_give_the_former_batch_weights():
     for vocab_buckets, extra, dtype in [(64, [], np.uint8), (2**16, [], np.uint8),
                                         (2**16, ["motor " * 300], np.uint16)]:
         fm = featurize_many(texts + extra, vocab_buckets)
-        counts, totals, buckets = train._run_counts(fm)
+        counts, totals, buckets = encoder.count_matrix(fm)
         compact, want_buckets = fm.compact()
         assert buckets.tobytes() == want_buckets.tobytes()
         assert counts.dtype == dtype and counts.shape == (len(texts + extra), len(buckets))
