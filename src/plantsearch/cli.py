@@ -298,10 +298,10 @@ class Run:
     run alone starts from an empty store and parses each of its reads once.
     It serves one config, and nothing may mutate what it holds. It also holds the two
     untrained encoders, the quality filter's ``scorer`` and the ``encoder-init`` that every
-    encoder trains from, so that each keeps the init rows it reads for every later run.
-    Saved encoders stay out of it: each stage reads a different one, and each is only an init
-    seed plus its trained rows, read again in milliseconds. Featurized texts stay out of it
-    too: every run of a stage shares one ``features``, which the stage drops when it ends.
+    encoder trains from, so that each keeps the init rows it reads for every later run, and
+    one ``Featurizer``, which only grows, so that a ``pipeline`` featurizes each training
+    text once. Saved encoders stay out of it: each stage reads a different one, and each is
+    only an init seed plus its trained rows, read again in milliseconds.
     """
 
     stage: str
@@ -314,13 +314,18 @@ class Run:
     claims: dict[str, dict] = field(default_factory=dict)  # producer -> its manifest's outputs
     outputs: list[str] = field(default_factory=list)  # names under --out, as the run wrote them
     sealed: bool = False  # set once the stage has loaded every run
-    features: Featurizer = field(default_factory=Featurizer)  # shared by the stage's runs
     kept: list[tuple[str, list[str], Any]] = field(default_factory=list)  # (kind, names, value)
 
     @property
     def id(self) -> str:
         """The stage name, or ``<stage>:<ablation>`` for a per-ablation stage."""
         return self.stage if self.ablation is None else f"{self.stage}:{self.ablation['name']}"
+
+    @property
+    def features(self) -> Featurizer:
+        """The featurizer of the store, so that its runs featurize each text once."""
+        buckets = self.cfg.raw["encoder"]["vocab_buckets"]
+        return self.load("features", [], lambda: Featurizer(buckets))
 
     def read(self, name: str, producer: str | None) -> Path:
         """Require and hash one read; under --strict its producer's manifest must claim it."""
@@ -500,11 +505,9 @@ class Stage:
 
 
 def _runs(stage: Stage, cfg: RunConfig, out: Path, strict: bool, store: dict) -> list[Run]:
-    """One run per ablation (or one run), all sharing the producers' manifest claims and one
-    featurizer."""
+    """One run per ablation (or one run), all sharing the producers' manifest claims."""
     claims: dict[str, dict] = {}
-    features = Featurizer(cfg.raw["encoder"]["vocab_buckets"])
-    return [Run(stage.name, cfg, out, strict, store, ablation, claims=claims, features=features)
+    return [Run(stage.name, cfg, out, strict, store, ablation, claims=claims)
             for ablation in (cfg.ablations if stage.per_ablation else [None])]
 
 
@@ -514,9 +517,11 @@ def _run(stage: Stage, runs: Sequence[Run]) -> list[Any]:
     its timing, and file what it kept in the store under those outputs' digests. A corrupt
     timings.json or a failed load stops the stage before it writes; a read after the load, or
     a write in it, raises. The first run's time includes the loading of every run. A stage
-    that featurizes logs how many distinct texts its runs' featurizer held for how many
-    taken."""
+    that featurizes logs how many distinct texts the store's featurizer took in for it, and
+    for how many its runs requested."""
     t0 = time.perf_counter()
+    features = runs[0].features
+    distinct, requested = features.distinct, features.requested
     timings = runs[0].out / "timings.json"
     data = read_json(timings) if timings.exists() else {}
     loaded = [stage.load(r) for r in runs]
@@ -536,10 +541,9 @@ def _run(stage: Stage, runs: Sequence[Run]) -> list[Any]:
         data[r.id], t0 = round(t1 - t0, 3), t1
         _dump(timings, data)
         results.append(result)
-    features = runs[0].features
-    if features.requested:
+    if features.requested > requested:
         logger.debug("%s: featurized %d distinct texts for %d requested", stage.name,
-                     features.distinct, features.requested)
+                     features.distinct - distinct, features.requested - requested)
     return results
 
 
@@ -600,12 +604,8 @@ def _build_graph(r: Run, graphs: dict[str, kg.KnowledgeGraph]) -> tuple[dict, No
         g = kg.build_graph(g)
         if r.cfg.raw["enrich"]:
             g = kg.predict_links(g)
-        if r.cfg.raw["expand_context"]:  # a longer text keeps the checked graph valid
-            g = kg.KnowledgeGraph({
-                node_id: kg.Node(node_id, n.kind, kg.expand_context(g, node_id), n.code, n.ts)
-                if n.kind is kg.NodeKind.TEXT_LOG else n
-                for node_id, n in g.nodes.items()
-            }, g.edges)
+        if r.cfg.raw["expand_context"]:
+            g = kg.expand_context(g)
         _save_graph(r, "graphs", pid, g)
     return {key: r.cfg.raw[key] for key in ("enrich", "expand_context")}, None
 

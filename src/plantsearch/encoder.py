@@ -200,8 +200,8 @@ class Featurizer:
     """Featurizes each distinct text once over its life, into one :class:`FeatureMatrix`.
 
     Each ``take`` featurizes the texts it asks for that no earlier one held, in one
-    ``featurize_many`` call. One lives as long as one pipeline stage, so that stage featurizes
-    each text once.
+    ``featurize_many`` call. The ``cli`` run store holds one, so that a ``pipeline``
+    featurizes each training text once.
     The held matrix keeps its bucket ids in the smallest unsigned type below
     ``vocab_buckets`` and its counts as int32, 6 bytes an entry instead of 16 at the default
     65,536 buckets, and ``take`` returns them in those types.

@@ -15,7 +15,7 @@ import re
 from collections import defaultdict
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .storage import CorruptFileError, read_json_lines, write_json_lines
 
@@ -109,9 +109,6 @@ class KnowledgeGraph:
     @property
     def edges(self) -> tuple[Edge, ...]:
         return self._edges
-
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self._nodes
 
     def out_neighbors(self, src: str, rel: Relation) -> tuple[str, ...]:
         return self._out[rel].get(src, ())
@@ -302,10 +299,8 @@ def build_graph(raw: KnowledgeGraph) -> KnowledgeGraph:
     return KnowledgeGraph(keep_nodes, keep_edges)
 
 
-@functools.lru_cache(maxsize=1024)
 def _code_pattern(codes: tuple[str, ...]) -> re.Pattern | None:
-    """Case-insensitive whole-phrase pattern over FL codes, longest first, memoized by
-    the code tuple.
+    """Case-insensitive whole-phrase pattern over FL codes, longest first.
 
     Longest-first alternation makes an ambiguous mention resolve to the
     longest matching code. Word characters and dashes are excluded at
@@ -386,39 +381,41 @@ def predict_links(g: KnowledgeGraph) -> KnowledgeGraph:
     return enriched
 
 
-@functools.lru_cache(maxsize=1024)
-def _expansion_pattern(desc: str) -> re.Pattern:
-    """Whitespace, then ``desc`` as a whole phrase: how an expanded mention goes on."""
-    return re.compile(r"\s+" + re.escape(desc) + r"(?![\w-])")
+def expand_context(g: KnowledgeGraph) -> KnowledgeGraph:
+    """``g`` with FL descriptions inlined after code mentions in each log's text.
 
-
-def expand_context(g: KnowledgeGraph, log_id: str) -> str:
-    """Inline FL descriptions after code mentions in one log's text.
-
-    Every occurrence of a linked FL's code becomes "<code> <description>".
-    Applying the expansion twice changes nothing: a code already followed
-    by its description is left alone.
+    Every occurrence of a linked FL's code becomes "<code> <description>". Applying the
+    expansion twice changes nothing: a code already followed by its description is left
+    alone. Each distinct set of linked FLs builds its code pattern once, and each description
+    its "already expanded" pattern once. A longer text keeps the graph valid, so the expanded
+    graph is built without a check.
     """
-    if log_id not in g.nodes:
-        raise KeyError(log_id)
-    log = g.nodes[log_id]
-    if log.kind is not NodeKind.TEXT_LOG:
-        raise ValueError(f"{log_id!r} is not a text log")
+    expanded: dict[str, re.Pattern] = {}  # description -> how an expanded mention goes on
+    subs: dict[frozenset[str], Callable[[str], str] | None] = {}  # linked FLs -> expansion
 
-    linked = [g.nodes[fl_id] for fl_id in g.reported_fls(log_id)]
-    by_code: dict[str, Node] = {}
-    for fl in sorted(linked, key=lambda n: n.id):
-        if fl.code:
-            by_code.setdefault(fl.code.lower(), fl)
-    pattern = _code_pattern(tuple(by_code))
-    if pattern is None:
-        return log.text
+    def _sub(fl_ids: frozenset[str]) -> Callable[[str], str] | None:
+        descs: dict[str, str] = {}  # lower-cased code -> description, of the first FL by id
+        for fl in (g.nodes[i] for i in sorted(fl_ids)):
+            if fl.code:
+                descs.setdefault(fl.code.lower(), fl.text)
+        pattern = _code_pattern(tuple(descs))
 
-    def _expand(m: re.Match) -> str:
-        mention = m.group(0)
-        desc = by_code[mention.lower()].text
-        if not desc or _expansion_pattern(desc).match(m.string, m.end()):
-            return mention  # no description, or already expanded
-        return f"{mention} {desc}"
+        def _expand(m: re.Match) -> str:
+            mention = m.group(0)
+            desc = descs[mention.lower()]
+            if desc and desc not in expanded:
+                expanded[desc] = re.compile(r"\s+" + re.escape(desc) + r"(?![\w-])")
+            if not desc or expanded[desc].match(m.string, m.end()):
+                return mention  # no description, or already expanded
+            return f"{mention} {desc}"
 
-    return pattern.sub(_expand, log.text)
+        return None if pattern is None else functools.partial(pattern.sub, _expand)
+
+    nodes = dict(g.nodes)
+    for log in g.text_logs():
+        fl_ids = frozenset(g.reported_fls(log.id))
+        if fl_ids not in subs:
+            subs[fl_ids] = _sub(fl_ids)
+        if subs[fl_ids]:
+            nodes[log.id] = log._replace(text=subs[fl_ids](log.text))
+    return KnowledgeGraph(nodes, g.edges)

@@ -200,7 +200,7 @@ def test_load_ignores_unknown_fields(tmp_path):
     )
     edges_path.write_text("", encoding="utf-8")
     g = load_graph(nodes_path, edges_path)
-    assert "l1" in g
+    assert "l1" in g.nodes
 
 
 def test_build_graph_drops_unlinked_logs():
@@ -265,13 +265,14 @@ def test_graphs_built_without_checks_equal_checked_graphs(small_graph, source):
         [*base.edges, Edge("orphan", log_id, Relation.RELATED_TO),
          Edge("mention", other_id, Relation.REPORTS_ABOUT)])
     built = build_graph(raw)
-    assert "orphan" not in built and "mention" in built
+    assert "orphan" not in built.nodes and "mention" in built.nodes
     assert_checked(built, require_linked_logs=True)
     enriched = predict_links(built)
     assert fl_id in enriched.out_neighbors("mention", Relation.REPORTS_ABOUT)
     assert fl_id not in built.out_neighbors("mention", Relation.REPORTS_ABOUT)
     assert_checked(enriched, require_linked_logs=True)
     assert predict_links(enriched).edges == enriched.edges
+    assert_checked(expand_context(enriched), require_linked_logs=True)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +394,14 @@ def _expansion_graph(text: str):
 
 def test_expand_context_inserts_description():
     g = _expansion_graph("Leck an P-101, F-7 geprüft")
-    assert expand_context(g, "l1") == (
+    assert expand_context(g).nodes["l1"].text == (
         "Leck an P-101 Kreiselpumpe Halle 2, F-7 Vorfilter geprüft"
     )
 
 
 def test_expand_context_idempotent():
     g = _expansion_graph("Leck an P-101, F-7 geprüft")
-    once = expand_context(g, "l1")
+    once = expand_context(g).nodes["l1"].text
     g2 = make_graph(
         logs=[("l1", once)],
         fls=[("flP", "P-101", "Kreiselpumpe Halle 2"), ("flF", "F-7", "Vorfilter")],
@@ -409,12 +410,12 @@ def test_expand_context_idempotent():
             ("l1", "flF", Relation.REPORTS_ABOUT),
         ],
     )
-    assert expand_context(g2, "l1") == once
+    assert expand_context(g2).nodes["l1"].text == once
 
 
 def test_expand_context_every_occurrence():
     g = _expansion_graph("P-101 und nochmal P-101")
-    assert expand_context(g, "l1") == (
+    assert expand_context(g).nodes["l1"].text == (
         "P-101 Kreiselpumpe Halle 2 und nochmal P-101 Kreiselpumpe Halle 2"
     )
 
@@ -426,12 +427,12 @@ def test_expand_context_only_linked_fls():
         fls=[("flP", "P-101", "Kreiselpumpe"), ("flF", "F-7", "Vorfilter")],
         edges=[("l1", "flP", Relation.REPORTS_ABOUT)],
     )
-    assert expand_context(g, "l1") == "P-101 Kreiselpumpe neben F-7"
+    assert expand_context(g).nodes["l1"].text == "P-101 Kreiselpumpe neben F-7"
 
 
 def test_expand_context_no_mentions_unchanged():
     g = _expansion_graph("alles ruhig heute")
-    assert expand_context(g, "l1") == "alles ruhig heute"
+    assert expand_context(g).nodes["l1"].text == "alles ruhig heute"
 
 
 def _with_texts(g, texts):
@@ -442,8 +443,9 @@ def _with_texts(g, texts):
 def test_expand_context_equals_the_former_per_mention_match():
     """On every log of an enriched synth plant, and on logs whose FL descriptions hold regex
     metacharacters, are empty or hold their own code, or whose mentions end the text, each
-    expanded once and then again, ``expand_context`` equals the former form that copies the
-    rest of the text and escapes the description at each mention."""
+    expanded once and then again, ``expand_context`` equals the former per-log form that copies
+    the rest of the text and escapes the description at each mention, and keeps every other
+    node and every edge."""
     synth_graph = predict_links(build_graph(generate_plant(PlantConfig(
         plant_id="S", seed=7, n_logs=300)).graph))
     desc = "Ventil (V3) [alt]+ 50%?*"
@@ -462,24 +464,19 @@ def test_expand_context_equals_the_former_per_mention_match():
     for g in (synth_graph, meta):
         logs = [n.id for n in g.text_logs()]
         once = {i: oracle_expand_context(g, i) for i in logs}
-        assert {i: expand_context(g, i) for i in logs} == once
+        expanded = expand_context(g)
+        assert expanded.nodes == _with_texts(g, once).nodes and expanded.edges == g.edges
+        assert list(expanded.nodes) == list(g.nodes)
         twice = _with_texts(g, once)
-        assert {i: expand_context(twice, i) for i in logs} == {
-            i: oracle_expand_context(twice, i) for i in logs}
+        assert expand_context(twice).nodes == _with_texts(
+            g, {i: oracle_expand_context(twice, i) for i in logs}).nodes
         changed += sum(once[i] != g.nodes[i].text for i in logs)
-    assert expand_context(meta, "l1") == f"Prüfung an V-3 {desc}"
-    assert expand_context(meta, "l6") == "P-1 a.b|c\\d$"
-    assert expand_context(meta, "l9") == f"V-3 {desc} oder V-3 {desc}"
-    assert [expand_context(meta, i) == meta.nodes[i].text for i in ("l2", "l7")] == [True, True]
+    texts = {i: n.text for i, n in expand_context(meta).nodes.items()}
+    assert texts["l1"] == f"Prüfung an V-3 {desc}"
+    assert texts["l6"] == "P-1 a.b|c\\d$"
+    assert texts["l9"] == f"V-3 {desc} oder V-3 {desc}"
+    assert [texts[i] == meta.nodes[i].text for i in ("l2", "l7")] == [True, True]
     assert changed > 50, changed
-
-
-def test_expand_context_errors():
-    g = _expansion_graph("x")
-    with pytest.raises(KeyError):
-        expand_context(g, "nope")
-    with pytest.raises(ValueError):
-        expand_context(g, "flP")
 
 
 def test_saved_graph_is_deterministic(tmp_path, small_graph):
