@@ -167,7 +167,15 @@ def read_json_lines(
     that is not UTF-8, not a JSON object, or that ``parse`` rejects with a
     KeyError, TypeError or ValueError raises CorruptFileError
     ``"<path>:<line>: <what>"`` for the first such line.
+
+    A file is first decoded once and read in one JSON decode
+    (:func:`_objects_at_once`). Any file that read rejects, or whose records
+    ``parse`` rejects, is read again line by line, the only path that names a line.
     """
+    try:
+        return [parse(obj) for obj in _objects_at_once(path)]
+    except (KeyError, TypeError, ValueError):
+        pass
     with open(path, "rb") as fh:
         data = fh.read()
     out = []
@@ -179,6 +187,48 @@ def read_json_lines(
         except (KeyError, TypeError, ValueError):
             raise CorruptFileError(f"{path}:{line_no}: {what}") from None
     return out
+
+
+# Separator values for _objects_at_once: each has exactly one JSON spelling.
+_SEPARATORS = {"null": None, "true": True, "false": False}
+
+
+def _objects_at_once(path: str | Path) -> list[dict]:
+    """The JSON object of each line of the file, parsed in one decode, or ValueError
+    where the per-line reading might differ.
+
+    The lines, joined by a separator value whose JSON text the file does not contain,
+    are decoded as one array. The file is taken only if that array alternates object,
+    separator, object, ... with one object per line. Then every inserted separator is
+    a top-level element, so each line holds exactly one object between JSON
+    whitespace, as the per-line reading requires. A blank line other than the final
+    newline, a split or doubled object, or a string left open at a line's end breaks
+    the alternation or the count. The file's bytes, its text, its lines and the
+    joined text are dropped as soon as the next one is made.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    sep = next((s for s in _SEPARATORS if s not in text), None)
+    if sep is None:
+        raise ValueError("the file holds every separator's JSON text")
+    lines = text.split("\n")
+    del text
+    if not lines[-1]:
+        lines.pop()  # the file's final newline
+    if not lines:
+        return []
+    lines[0] = "[" + lines[0]
+    lines[-1] += "]"
+    n, text = len(lines), f",{sep},".join(lines)
+    del lines
+    values = _DECODER.decode(text)
+    del text
+    objects, value = values[::2], _SEPARATORS[sep]
+    if not (len(values) == 2 * n - 1
+            and all(type(obj) is dict for obj in objects)
+            and all(s is value for s in values[1::2])):
+        raise ValueError("not one JSON object per line")
+    return objects
 
 
 def read_json(

@@ -88,16 +88,21 @@ def positional_sample(
     """c of the positions 0 .. n-1 outside the sorted distinct ``excluded``, uniformly
     without replacement.
 
-    One ``rng.choice`` over the free count draws picks, and pick p maps
-    to the p-th free position by ``searchsorted``: ``excluded[j] - j``
-    free positions precede ``excluded[j]``. So the draw equals picking
-    from the filtered list of free positions, without building it.
+    One ``rng.choice`` over the free count draws picks, and :func:`_free_positions`
+    maps pick p to the p-th free position. So the draw equals picking from the
+    filtered list of free positions, without building it.
     """
     free = n - len(excluded)
     if free < c:
         raise ValueError(f"cannot draw {c} ids from {free} remaining candidates")
-    picks = rng.choice(free, size=c, replace=False)
-    return picks + np.searchsorted(excluded - np.arange(len(excluded)), picks, side="right")
+    return _free_positions(excluded, rng.choice(free, size=c, replace=False))
+
+
+def _free_positions(excluded: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """The p-th position outside the sorted distinct ``excluded`` for each pick p, row by
+    row when both are 2-d: ``excluded[j] - j`` free positions precede ``excluded[j]``."""
+    before = excluded - np.arange(excluded.shape[-1])
+    return picks + (before[..., None, :] <= picks[..., None]).sum(axis=-1)
 
 
 def sample_triplets(index: FlatIndex, g: KnowledgeGraph, p: SamplingParams) -> TripletSet:
@@ -111,20 +116,26 @@ def sample_triplets(index: FlatIndex, g: KnowledgeGraph, p: SamplingParams) -> T
     easy draw.
 
     The neighbor lists of all queries come from one :func:`knn_rows`
-    call, in blocks of queries. A query's easy negatives are positions
-    in the sorted eligible ids outside its neighbors and itself, drawn
-    by :func:`positional_sample`: one ``rng.choice`` per query, as over
-    the filtered id list.
+    call, in blocks of queries, and every query's bands are columns of
+    that neighbor matrix. A query's easy negatives are positions in the
+    sorted eligible ids outside its neighbors and itself: what one
+    ``rng.choice(free, size=c_easy, replace=False)`` per query picks
+    over the filtered id list. With ``c_easy == 1`` that call makes one
+    bounded draw (Floyd's algorithm with one pick, whose shuffle of one
+    item draws nothing), so one ``rng.integers(0, free, size=n)`` draws
+    every query's pick in the same stream; any other ``c_easy`` takes
+    one :func:`positional_sample` call per query.
     """
     p.validate()
+    nodes = g.nodes
     for node_id in index.ids:
-        if node_id not in g.nodes:
+        if node_id not in nodes:
             raise KeyError(f"indexed id {node_id!r} not in graph")
-        if g.nodes[node_id].kind is not NodeKind.TEXT_LOG:
+        if nodes[node_id].kind is not NodeKind.TEXT_LOG:
             raise ValueError(f"indexed id {node_id!r} is not a text log")
 
     corpus = sorted(index.ids)
-    eligible = [i for i in corpus if len(g.nodes[i].text) >= p.min_text_chars]
+    eligible = [i for i in corpus if len(nodes[i].text) >= p.min_text_chars]
     rng = np.random.default_rng(p.rng_seed)
     triplets: list[Triplet] = []
     # Hard band needs k_hard neighbors and the easy draw needs c_easy ids
@@ -133,21 +144,29 @@ def sample_triplets(index: FlatIndex, g: KnowledgeGraph, p: SamplingParams) -> T
         eligible = []
     skipped = len(corpus) - len(eligible)
     if eligible:
+        n = len(eligible)
         rows = np.array([index.row(i) for i in eligible])
         neighbors, _ = knn_rows(index, rows, p.k_hard, among=index.row_mask(eligible))
         position = np.empty(len(index), dtype=np.int64)  # index row -> place in eligible
-        position[rows] = np.arange(len(eligible))
-        excluded = np.sort(np.column_stack([position[neighbors], np.arange(len(eligible))]),
-                           axis=1)
-        for j, query in enumerate(eligible):
-            ranked = neighbors[j].tolist()
-            positives = [index.ids[r] for r in band_sample(ranked, p.k_pos, p.c_pos)]
-            hard = [index.ids[r] for r in band_sample(ranked, p.k_hard, p.c_hard)]
-            easy = positional_sample(len(eligible), excluded[j], p.c_easy, rng)
-            negatives = ([(eligible[e], NegKind.EASY) for e in easy.tolist()]
-                         + [(neg, NegKind.HARD) for neg in hard])
-            for emitted, (neg, kind) in enumerate(negatives):
-                triplets.append(Triplet(query, positives[emitted % len(positives)], neg, kind))
+        position[rows] = np.arange(n)
+        excluded = np.sort(np.column_stack([position[neighbors], np.arange(n)]), axis=1)
+        if p.c_easy == 1:
+            easy = _free_positions(excluded,
+                                   rng.integers(0, n - excluded.shape[1], size=(n, 1)))
+        else:
+            easy = np.array([positional_sample(n, row, p.c_easy, rng) for row in excluded])
+        columns = range(p.k_hard)
+        negatives = np.hstack([rows[easy],
+                               neighbors[:, band_sample(columns, p.k_hard, p.c_hard)]])
+        # The e-th negative of a query pairs with its positive e modulo the band width.
+        pos_columns = band_sample(columns, p.k_pos, p.c_pos)
+        positives = neighbors[:, [pos_columns[e % p.c_pos] for e in range(negatives.shape[1])]]
+        kinds = [NegKind.EASY] * p.c_easy + [NegKind.HARD] * p.c_hard
+        ids = index.ids
+        triplets = [Triplet(query, ids[pos], ids[neg], kind)
+                    for query, pos_row, neg_row in zip(eligible, positives.tolist(),
+                                                       negatives.tolist())
+                    for pos, neg, kind in zip(pos_row, neg_row, kinds)]
     if skipped:
         logger.info("sample_triplets: skipped %d of %d queries", skipped, len(corpus))
     return TripletSet(triplets, index.fingerprint(), skipped)

@@ -171,6 +171,16 @@ READER_INPUTS = {
     "empty-file": b"",
     "non-ascii": '{"a": 1, "t": "ä β"}\n{"t": "\\u00e4", "a": 2}\n'.encode(),
     "parse-rejects-third-line": b'{"a": 1}\n{"a": 2}\n{"a": "3"}\n{"b": 4}\n',
+    # The one-decode read's separator choice and its count and alternation checks: the
+    # lines of most of these, joined around a separator, still decode as one array.
+    "object-split-over-two-lines": b'{"a": 1}\n{"a": [1\n2]}\n',
+    "split-object-balanced-by-two-on-a-line": b'{"a": [1\n2]}\n{"p": 1}, {"q": 2}\n',
+    "separator-value-in-a-string": b'{"a": 1, "t": "null"}\n{"a": 2, "t": "true"}\n',
+    "every-separator-value-in-strings": b'{"a": 1, "t": "null true false"}\n{"a": 2}\n',
+    "separator-text-between-two-objects": b'{"a": 1}\nnull\n{"a": 2}\n',
+    "separator-text-balances-a-split-object": b'{"a": [1\n2]}, null, {"a": 2}\n',
+    "one-equal-to-the-true-separator": b'{"t": "null", "a": [1\n2]}, 1, {"a": 2}\n',
+    "string-open-at-a-line-end": b'{"a": 1, "t": "x\ny"}\n{"a": 2}\n',
 }
 
 

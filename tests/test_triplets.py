@@ -95,6 +95,18 @@ def test_filtered_random_sample_matches_sorted_set_oracle():
         assert got == want, trial
 
 
+@pytest.mark.parametrize("free", [2, 700, 2**31 + 11, 2**40 + 3])
+def test_one_integers_call_draws_the_stream_of_one_single_choice_per_query(free):
+    """The c_easy == 1 draw of sample_triplets: one ``rng.integers(0, free, size=n)`` picks
+    what ``rng.choice(free, size=1, replace=False)`` picks for each of n queries, and leaves
+    the generator where they leave it (an odd n leaves half of a 64-bit output buffered)."""
+    per_query, at_once = np.random.default_rng(3), np.random.default_rng(3)
+    picks = [per_query.choice(free, size=1, replace=False) for _ in range(301)]
+    assert np.concatenate(picks).tolist() == at_once.integers(0, free, size=301).tolist()
+    for draw in (lambda rng: rng.integers(0, 700, size=3).tolist(), lambda rng: rng.random()):
+        assert draw(per_query) == draw(at_once)
+
+
 def test_filtered_random_sample_exhausted():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="cannot draw"):
@@ -208,14 +220,18 @@ def test_save_load_round_trip(tmp_path):
     assert load_triplets(tmp_path / "t.jsonl") == triplets
 
 
-@pytest.mark.parametrize("seed", [7, 11, 301])
-def test_sample_triplets_equals_per_query_oracle_on_a_plant(seed):
+@pytest.mark.parametrize("seed, n_fl, n_logs",
+                         [(7, 12, 160), (11, 12, 160), (301, 12, 160), (7, 60, 800),
+                          (11, 60, 800)],
+                         ids=["7", "11", "301", "7-800-logs", "11-800-logs"])
+def test_sample_triplets_equals_per_query_oracle_on_a_plant(seed, n_fl, n_logs):
     """Block kNN and positional easy draws give the per-query loop's triplets and skip count
-    exactly, on a synthetic plant whose short logs take the skip branch."""
+    exactly, on a synthetic plant whose short logs take the skip branch; 800 logs is the
+    size of a `graph` workload plant."""
     from plantsearch.graph_embed import GETrainConfig, InitMode, init_embeddings
     from plantsearch.synth import PlantConfig, generate_plant
 
-    plant = generate_plant(PlantConfig(plant_id="P", seed=seed, n_fl=12, n_logs=160,
+    plant = generate_plant(PlantConfig(plant_id="P", seed=seed, n_fl=n_fl, n_logs=n_logs,
                                        n_queries=4))
     g = plant.graph
     cfg = GETrainConfig(dim=64, init_mode=InitMode.TEXT_VECTORS, rng_seed=seed)
