@@ -164,8 +164,9 @@ class _Corruptions(NamedTuple):
     neighbour of its (src, rel). Its neighbours' sorted distinct positions,
     each less its rank, are ``key[start[j]:start[j + 1]] - j * width``: the
     groups lie ``width`` apart, so ``key`` is sorted whole and one
-    ``searchsorted`` maps the picks of every group. No (groups x pool)
-    table is built.
+    ``searchsorted`` maps the picks of every group. All of it is built in
+    array passes over the listed neighbours, and no (groups x pool) table
+    is built.
     """
 
     free: np.ndarray  # (groups,)
@@ -176,12 +177,13 @@ class _Corruptions(NamedTuple):
     pool: np.ndarray
 
     @classmethod
-    def build(cls, pool: np.ndarray, bases: Sequence[int], sizes: Sequence[int],
-              owner: np.ndarray, taken: np.ndarray) -> "_Corruptions":
+    def build(cls, pool: np.ndarray, bases: np.ndarray | Sequence[int],
+              sizes: np.ndarray | Sequence[int], owner: np.ndarray, taken: np.ndarray
+              ) -> "_Corruptions":
         """Groups with the pool ranges ``bases``/``sizes``, where ``taken`` lists the
         positions of true neighbours in their group's range, distinct within a group and
         in any order, and ``owner`` the group of each."""
-        width = max(sizes, default=0) + 1
+        width = int(np.max(sizes, initial=0)) + 1
         key = np.sort(owner * width + taken)
         count = np.bincount(key // width, minlength=len(sizes))
         start = np.zeros(len(sizes) + 1, dtype=np.int64)
@@ -192,36 +194,34 @@ class _Corruptions(NamedTuple):
 
 
 def _corruptions(
-    g: KnowledgeGraph, emb: EmbeddingTable, edges: Sequence[Edge]
+    g: KnowledgeGraph, emb: EmbeddingTable, ends: np.ndarray
 ) -> tuple[_Corruptions, np.ndarray]:
-    """The allowed corruptions of the edges' (src, rel) groups, and each edge's group."""
-    bases: dict[NodeKind, int] = {}
-    pools: list[np.ndarray] = []
-    for kind in NodeKind:
-        bases[kind] = sum(p.size for p in pools)
-        pools.append(np.array([emb.row(i) for i in sorted(n.id for n in g.nodes_of_kind(kind))],
-                              dtype=np.int64))
+    """The allowed corruptions of the (src, rel) groups of ``g``'s edges, and each edge's
+    group, from the edges' (src row, dst row, relation index) ``ends`` in ``emb``, in edge
+    order.
+
+    One ``np.unique`` over ``src * len(Relation) + rel`` finds the groups, numbered by first
+    appearance. ``ends`` lists every edge of ``g``, so a group's true neighbours are its own
+    members' destinations, at their positions in their kind's pool.
+    """
+    pools = [np.array([emb.row(i) for i in sorted(n.id for n in g.nodes_of_kind(kind))],
+                      dtype=np.int64) for kind in NodeKind]
     pool_pos = np.empty(len(emb.node_ids), dtype=np.int64)  # row -> position in its kind's pool
     for rows in pools:
         pool_pos[rows] = np.arange(rows.size)
-    groups: dict[tuple[str, Relation], int] = {}
-    group = np.empty(len(edges), dtype=np.int64)
-    kinds: list[NodeKind] = []
-    owner: list[int] = []  # the group of each true neighbour below
-    neighbors: list[int] = []
-    for i, e in enumerate(edges):
-        j = groups.get((e.src, e.rel))
-        if j is None:
-            j = groups[(e.src, e.rel)] = len(kinds)
-            kinds.append(RELATION_SIGNATURES[e.rel][1])
-            rows = [emb.row(d) for d in g.out_neighbors(e.src, e.rel)]
-            owner += [j] * len(rows)
-            neighbors += rows
-        group[i] = j
-    sizes = {kind: rows.size for kind, rows in zip(NodeKind, pools)}
-    return _Corruptions.build(np.concatenate(pools), [bases[k] for k in kinds],
-                              [sizes[k] for k in kinds], np.array(owner, dtype=np.int64),
-                              pool_pos[np.array(neighbors, dtype=np.int64)]), group
+    size = np.array([rows.size for rows in pools], dtype=np.int64)
+    base = np.cumsum(size) - size
+    kinds = list(NodeKind)
+    dst_kind = np.array([kinds.index(RELATION_SIGNATURES[rel][1]) for rel in Relation])
+    keys, first, inverse = np.unique(ends[:, 0] * len(Relation) + ends[:, 2],
+                                     return_index=True, return_inverse=True)
+    order = np.argsort(first)  # the groups in order of first appearance
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    group = number[inverse]
+    kind = dst_kind[keys[order] % len(Relation)]
+    return _Corruptions.build(np.concatenate(pools), base[kind], size[kind], group,
+                              pool_pos[ends[:, 1]]), group
 
 
 def _draw_negatives(
@@ -232,9 +232,11 @@ def _draw_negatives(
     One ``rng.integers`` call with per-row bounds draws exactly the stream
     of one ``rng.choice(allowed_j, size=k, replace=True)`` call per group j
     of ``groups``, in order, where ``allowed_j`` is the group's pool without
-    its true neighbours. Pick p maps to the p-th free position by
-    ``searchsorted``, the map of ``triplets.positional_sample``: ``e - r``
-    free positions precede the neighbour at position e of rank r. Every
+    its true neighbours. Pick p maps to the p-th free position, p plus
+    the number of the group's neighbours that precede it. ``e - r`` free
+    positions precede the neighbour at position e of rank r, so that
+    number is the count of the group's keys ``e - r`` at or below p: one
+    ``searchsorted`` over ``key`` counts it for every pick at once. Every
     listed group must have a free position.
     """
     picks = rng.integers(0, c.free[groups][:, None], size=(groups.size, k))
@@ -318,12 +320,13 @@ def train_plant_embeddings(
         o, r = sum(sizes[:p]), p * len(Relation)
         out = EmbeddingTable(emb.node_ids, vec[o:o + sizes[p]],
                              dict(zip(Relation, rel_mat[r:r + len(Relation)])))
-        edges = list(g.edges)
-        if not edges:
+        if not g.edges:
             raise ValueError(f"plant {pid!r}: graph has no edges")
-        c, group = _corruptions(g, out, edges)
-        ends = np.array([(out.row(e.src) + o, out.row(e.dst) + o, rel_index[e.rel] + r)
-                         for e in edges], dtype=np.int64)
+        src, dst, rel = zip(*g.edges)
+        ends = np.column_stack([_values(out._row, src), _values(out._row, dst),
+                                _values(rel_index, rel)])  # rows in `out`, relation index
+        c, group = _corruptions(g, out, ends)
+        ends += (o, o, r)
         state.append(_Plant(pid, np.random.default_rng(plant_cfg.rng_seed), ends, group,
                             c._replace(pool=c.pool + o)))
         outs[pid] = out
@@ -388,6 +391,11 @@ def train_plant_embeddings(
         if not np.isfinite(out.vectors).all():
             raise NonFiniteError(f"plant {pid!r}: non-finite node vectors after training")
     return outs
+
+
+def _values(index: Mapping, keys: Sequence) -> np.ndarray:
+    """``index[key]`` of each of ``keys``, read in one C-level pass."""
+    return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
 
 
 def _log_epoch(epoch: int, state: Sequence[_Plant], counts: Sequence[int], plant: np.ndarray,

@@ -14,6 +14,7 @@ import logging
 import re
 from collections import defaultdict
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -144,26 +145,23 @@ class KnowledgeGraph:
         ``require_linked_logs`` additionally asserts that every text log
         has at least one outgoing ReportsAbout edge (the post-filtering
         invariant).
-        """
-        node_map: dict[str, Node] = {}
-        for n in nodes:
-            n.validate()
-            if n.id in node_map:
-                raise GraphInvariantError(f"duplicate node id {n.id!r}")
-            node_map[n.id] = n
 
-        kept: list[Edge] = []
-        seen: set[Edge] = set()
-        duplicates = 0
-        for e in edges:
-            _validate_edge(e, node_map)
-            if e in seen:
-                duplicates += 1
-                continue
-            seen.add(e)
-            kept.append(e)
-        if duplicates:
-            logger.warning("dropped %d duplicate edge record(s)", duplicates)
+        Nodes and edges are checked in whole-list passes: one over the
+        nodes' fields and one over the edges' endpoints, self-loops and
+        (rel, src kind, dst kind) signatures. Only when a pass fails does
+        :func:`_check_records` go through them one by one, the one code
+        that names the first fault.
+        """
+        nodes, edges = list(nodes), list(edges)
+        node_map = {n.id: n for n in nodes}
+        kind_of = {n.id: n.kind for n in nodes}
+        if not (len(node_map) == len(nodes) and _fields_hold(nodes)
+                and _edges_hold(edges, kind_of)):
+            _check_records(nodes, edges)
+
+        kept = list(dict.fromkeys(edges))
+        if len(kept) < len(edges):
+            logger.warning("dropped %d duplicate edge record(s)", len(edges) - len(kept))
 
         _check_part_of_acyclic(kept)
 
@@ -176,6 +174,38 @@ class KnowledgeGraph:
                     )
 
         return cls(node_map, kept)
+
+
+_SIGNATURES = {(rel, src, dst) for rel, (src, dst) in RELATION_SIGNATURES.items()}
+
+
+def _fields_hold(nodes: Sequence[Node]) -> bool:
+    """Whether every node has an id, and is a functional location with a code or a text
+    log with a text: what :meth:`Node.validate` asks of the two kinds."""
+    fl, log = NodeKind.FUNCTIONAL_LOCATION, NodeKind.TEXT_LOG
+    return all(i and (k is fl and c or k is log and t) for i, k, t, c, _ in nodes)
+
+
+def _edges_hold(edges: Sequence[Edge], kind_of: Mapping[str, NodeKind]) -> bool:
+    """Whether every edge joins two distinct nodes of ``kind_of`` as its relation's
+    signature allows."""
+    try:
+        return all(s != d and (r, kind_of[s], kind_of[d]) in _SIGNATURES for s, d, r in edges)
+    except KeyError:  # a dangling endpoint
+        return False
+
+
+def _check_records(nodes: Sequence[Node], edges: Sequence[Edge]) -> None:
+    """Check the nodes, then the edges, one by one, and raise GraphInvariantError for
+    the first fault."""
+    node_map: dict[str, Node] = {}
+    for n in nodes:
+        n.validate()
+        if n.id in node_map:
+            raise GraphInvariantError(f"duplicate node id {n.id!r}")
+        node_map[n.id] = n
+    for e in edges:
+        _validate_edge(e, node_map)
 
 
 def _validate_edge(e: Edge, nodes: Mapping[str, Node]) -> None:
@@ -210,10 +240,15 @@ def _check_part_of_acyclic(edges: Sequence[Edge]) -> None:
 # File loading
 
 
-# Record values to members by dict: an enum call such as Relation(value) takes about 25
-# times as long as the lookup, and more than the rest of a record's checks together.
+# Record values to members and back by dict: an enum call such as Relation(value) takes
+# about 25 times as long as the lookup, and each ``.value`` read is a Python-level call.
 _KINDS = {kind.value: kind for kind in NodeKind}
 _RELATIONS = {rel.value: rel for rel in Relation}
+_KIND_VALUES = {kind: kind.value for kind in NodeKind}
+_RELATION_VALUES = {rel: rel.value for rel in Relation}
+
+# A record straight from its field tuple, without the NamedTuple's Python-level __new__.
+_new_record = tuple.__new__
 
 
 # The two record parsers check their fields as ``storage.field`` does, inline: they run
@@ -224,14 +259,14 @@ def _node(rec: dict) -> Node:
             or code is not None and type(code) is not str
             or ts is not None and type(ts) is not int):
         raise TypeError("a node's id, text and code must be str and its ts int")
-    return Node(node_id, _KINDS[rec["kind"]], text, code, ts)
+    return _new_record(Node, (node_id, _KINDS[rec["kind"]], text, code, ts))
 
 
 def _edge(rec: dict) -> Edge:
     src, dst = rec["src"], rec["dst"]
     if type(src) is not str or type(dst) is not str:
         raise TypeError("an edge's src and dst must be str")
-    return Edge(src, dst, _RELATIONS[rec["rel"]])
+    return _new_record(Edge, (src, dst, _RELATIONS[rec["rel"]]))
 
 
 def load_graph(nodes_path: str | Path, edges_path: str | Path) -> KnowledgeGraph:
@@ -253,7 +288,7 @@ def load_graph(nodes_path: str | Path, edges_path: str | Path) -> KnowledgeGraph
 
 
 def _node_record(n: Node) -> dict:
-    rec: dict = {"id": n.id, "kind": n.kind.value, "text": n.text}
+    rec: dict = {"id": n.id, "kind": _KIND_VALUES[n.kind], "text": n.text}
     if n.code is not None:
         rec["code"] = n.code
     if n.ts is not None:
@@ -265,12 +300,13 @@ def save_graph(g: KnowledgeGraph, nodes_path: str | Path, edges_path: str | Path
                ) -> KnowledgeGraph:
     """Write a graph back out in the line-delimited JSON interchange format: nodes by id
     with text as it is, edges by (rel, src, dst) with non-ASCII characters escaped. Returns
-    the graph in that order, as :func:`load_graph` reads it back."""
+    the graph in that order, as :func:`load_graph` reads it back. A relation is a ``str``
+    enum, so it sorts by its value."""
     g = KnowledgeGraph({i: g.nodes[i] for i in sorted(g.nodes)},
-                       sorted(g.edges, key=lambda e: (e.rel.value, e.src, e.dst)))
+                       sorted(g.edges, key=itemgetter(2, 0, 1)))
     write_json_lines(nodes_path, [_node_record(n) for n in g.nodes.values()])
-    write_json_lines(edges_path, [{"src": e.src, "dst": e.dst, "rel": e.rel.value}
-                                  for e in g.edges], ensure_ascii=True)
+    write_json_lines(edges_path, [{"src": src, "dst": dst, "rel": _RELATION_VALUES[rel]}
+                                  for src, dst, rel in g.edges], ensure_ascii=True)
     return g
 
 
@@ -417,5 +453,5 @@ def expand_context(g: KnowledgeGraph) -> KnowledgeGraph:
         if fl_ids not in subs:
             subs[fl_ids] = _sub(fl_ids)
         if subs[fl_ids]:
-            nodes[log.id] = log._replace(text=subs[fl_ids](log.text))
+            nodes[log.id] = Node(log.id, log.kind, subs[fl_ids](log.text), log.code, log.ts)
     return KnowledgeGraph(nodes, g.edges)

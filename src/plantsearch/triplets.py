@@ -172,14 +172,14 @@ def sample_triplets(index: FlatIndex, g: KnowledgeGraph, p: SamplingParams) -> T
     return TripletSet(triplets, index.fingerprint(), skipped)
 
 
+# Each kind's value by dict: a ``.value`` read is a Python-level call per record.
+_NEG_KIND_VALUES = {kind: kind.value for kind in NegKind}
+
+
 def save_triplets(triplets: Iterable[Triplet], path: str | Path) -> None:
-    write_json_lines(
-        path,
-        (
-            {"q": t.query, "pos": t.positive, "neg": t.negative, "neg_kind": t.neg_kind.value}
-            for t in triplets
-        ),
-    )
+    write_json_lines(path, [{"q": q, "pos": pos, "neg": neg,
+                             "neg_kind": _NEG_KIND_VALUES[kind]}
+                            for q, pos, neg, kind in triplets])
 
 
 def _triplet(rec: dict) -> Triplet:

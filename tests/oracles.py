@@ -11,8 +11,12 @@ order, a stated tolerance. The whole-table training loops there are the
 former batched code, which training on gathered rows must equal bit for
 bit. Then comes the former per-line JSON-lines reader, which
 ``storage.read_json_lines`` must equal in what it accepts and in the
-error it raises. Last comes ``finite_diff_check``, the central-difference
-gradient check that the loss tests and the acceptance gate run.
+error it raises. Then comes ``finite_diff_check``, the central-difference
+gradient check that the loss tests and the acceptance gate run. After it
+come the former ``kg.expand_context``, the former record-by-record graph
+check, which ``KnowledgeGraph.from_parts`` must equal in the graph it
+builds, the warning it logs and the first fault it names, and the former
+per-group loop of ``graph_embed._corruptions``.
 """
 
 from __future__ import annotations
@@ -880,3 +884,97 @@ def oracle_expand_context(g, log_id):
         return f"{mention} {desc}"
 
     return pattern.sub(_expand, log.text)
+
+
+def oracle_from_parts(nodes, edges, require_linked_logs=False):
+    """The former ``KnowledgeGraph.from_parts``: each node checked and entered in turn, then
+    each edge, then the PartOf order and the linked logs, raising GraphInvariantError for
+    the first fault. Duplicate edges are dropped with a warning on the ``plantsearch.kg``
+    logger."""
+    import graphlib
+    import logging
+
+    from plantsearch.kg import (RELATION_SIGNATURES, GraphInvariantError, KnowledgeGraph,
+                                NodeKind, Relation)
+
+    node_map = {}
+    for n in nodes:
+        if not n.id:
+            raise GraphInvariantError("node with empty id")
+        if n.kind is NodeKind.FUNCTIONAL_LOCATION and not n.code:
+            raise GraphInvariantError(f"functional location {n.id!r} has no code")
+        if n.kind is NodeKind.TEXT_LOG and not n.text:
+            raise GraphInvariantError(f"text log {n.id!r} has empty text")
+        if n.id in node_map:
+            raise GraphInvariantError(f"duplicate node id {n.id!r}")
+        node_map[n.id] = n
+
+    kept, seen, duplicates = [], set(), 0
+    for e in edges:
+        if e.src not in node_map or e.dst not in node_map:
+            raise GraphInvariantError(
+                f"dangling edge endpoint: ({e.src!r}, {e.dst!r}, {e.rel.value})")
+        if e.src == e.dst:
+            raise GraphInvariantError(f"self-loop on {e.src!r} ({e.rel.value})")
+        want_src, want_dst = RELATION_SIGNATURES[e.rel]
+        src_kind, dst_kind = node_map[e.src].kind, node_map[e.dst].kind
+        if src_kind is not want_src or dst_kind is not want_dst:
+            raise GraphInvariantError(
+                f"relation/kind mismatch: {e.rel.value} requires {want_src.value} -> "
+                f"{want_dst.value}, got {src_kind.value} -> {dst_kind.value} "
+                f"({e.src!r} -> {e.dst!r})")
+        if e in seen:
+            duplicates += 1
+            continue
+        seen.add(e)
+        kept.append(e)
+    if duplicates:
+        logging.getLogger("plantsearch.kg").warning(
+            "dropped %d duplicate edge record(s)", duplicates)
+
+    sorter = graphlib.TopologicalSorter()
+    for e in kept:
+        if e.rel is Relation.PART_OF:
+            sorter.add(e.src, e.dst)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as exc:
+        raise GraphInvariantError(f"PartOf cycle through {exc.args[1][0]!r}") from None
+
+    if require_linked_logs:
+        linked = {e.src for e in kept if e.rel is Relation.REPORTS_ABOUT}
+        for n in node_map.values():
+            if n.kind is NodeKind.TEXT_LOG and n.id not in linked:
+                raise GraphInvariantError(f"text log {n.id!r} has no ReportsAbout edge")
+    return KnowledgeGraph(node_map, kept)
+
+
+def oracle_corruptions(g, emb, edges):
+    """The former ``graph_embed._corruptions``: groups numbered as they first appear in
+    ``edges``, and one ``out_neighbors`` call per group for its true neighbours."""
+    from plantsearch.graph_embed import _Corruptions
+    from plantsearch.kg import RELATION_SIGNATURES, NodeKind
+
+    bases, pools = {}, []
+    for kind in NodeKind:
+        bases[kind] = sum(p.size for p in pools)
+        pools.append(np.array([emb.row(i) for i in sorted(n.id for n in g.nodes_of_kind(kind))],
+                              dtype=np.int64))
+    pool_pos = np.empty(len(emb.node_ids), dtype=np.int64)
+    for rows in pools:
+        pool_pos[rows] = np.arange(rows.size)
+    groups, kinds, owner, neighbors = {}, [], [], []
+    group = np.empty(len(edges), dtype=np.int64)
+    for i, e in enumerate(edges):
+        j = groups.get((e.src, e.rel))
+        if j is None:
+            j = groups[(e.src, e.rel)] = len(kinds)
+            kinds.append(RELATION_SIGNATURES[e.rel][1])
+            rows = [emb.row(d) for d in g.out_neighbors(e.src, e.rel)]
+            owner += [j] * len(rows)
+            neighbors += rows
+        group[i] = j
+    sizes = {kind: rows.size for kind, rows in zip(NodeKind, pools)}
+    return _Corruptions.build(np.concatenate(pools), [bases[k] for k in kinds],
+                              [sizes[k] for k in kinds], np.array(owner, dtype=np.int64),
+                              pool_pos[np.array(neighbors, dtype=np.int64)]), group

@@ -400,6 +400,80 @@ def test_draw_negatives_equals_sequential_choice():
                 assert one.bit_generator.state == seq.bit_generator.state
 
 
+def _workload_split(seed):
+    """The training graph of a `graph` workload plant: 60 FLs and 800 logs, built and
+    enriched as build-graph builds them, in saved edge order, less a 10 % test split."""
+    from plantsearch.kg import KnowledgeGraph, build_graph, predict_links
+
+    plant = generate_plant(PlantConfig(plant_id="P", seed=seed, n_fl=60, n_logs=800,
+                                       n_queries=8))
+    g = predict_links(build_graph(plant.graph))
+    g = KnowledgeGraph(g.nodes, sorted(g.edges, key=lambda e: (e.rel.value, e.src, e.dst)))
+    train, _ = split_edges(g, 0.1, seed)
+    return KnowledgeGraph(g.nodes, train)
+
+
+@pytest.fixture(scope="module")
+def workload_splits():
+    return {f"seed-{seed}-800-logs": _workload_split(seed) for seed in (7, 11)}
+
+
+def _shuffled_table(g, seed):
+    """A table over g's nodes with its rows in a shuffled id order."""
+    ids = np.random.default_rng(seed).permutation(sorted(g.nodes)).tolist()
+    return graph_embed.EmbeddingTable(ids, np.ones((len(ids), 2)),
+                                      {rel: np.zeros(2) for rel in Relation})
+
+
+RA, RT, PO = Relation.REPORTS_ABOUT, Relation.RELATED_TO, Relation.PART_OF
+CORRUPTION_GRAPHS = {
+    # Groups of one to four neighbours whose edges interleave.
+    "multi-neighbour-groups": (
+        [(f"l{i}", f"log {i}") for i in range(6)], [(f"f{i}", f"C{i}", "fl") for i in range(5)],
+        [("l3", "f2", RA), ("l0", "f4", RA), ("l3", "l1", RT), ("l0", "f1", RA),
+         ("f3", "f0", PO), ("l3", "f0", RA), ("l0", "l2", RT), ("l3", "f4", RA),
+         ("f1", "f0", PO), ("l0", "l5", RT), ("l1", "f2", RA), ("l0", "l3", RT),
+         ("l2", "f2", RA), ("l4", "f3", RA), ("l5", "f1", RA), ("f2", "f0", PO),
+         ("l0", "l4", RT), ("l0", "l1", RT)]),
+    # l0 reports about every FL, so its group has no free position.
+    "a-full-pool": (
+        [("l0", "zero"), ("l1", "one")], [("f0", "C0", "a"), ("f1", "C1", "b")],
+        [("l1", "f0", RA), ("l0", "f1", RA), ("l0", "l1", RT), ("l0", "f0", RA),
+         ("f1", "f0", PO)]),
+}
+
+
+@pytest.mark.parametrize("case", ["seed-7-800-logs", "seed-11-800-logs",
+                                  *sorted(CORRUPTION_GRAPHS)])
+def test_corruption_groups_from_the_edge_array_equal_the_per_group_loop(case, request):
+    """The groups derived from the (src row, dst row, rel) array equal the former
+    per-group ``out_neighbors`` loop field by field, in a table whose rows are out of
+    id order too."""
+    from oracles import oracle_corruptions
+
+    if case in CORRUPTION_GRAPHS:
+        g = make_graph(*CORRUPTION_GRAPHS[case])
+        tables = [make_table({i: [1.0, 0.0] for i in g.nodes}), _shuffled_table(g, 3)]
+    else:
+        g = request.getfixturevalue("workload_splits")[case]
+        tables = [_shuffled_table(g, 5)]
+    for emb in tables:
+        ends = np.array([(emb.row(e.src), emb.row(e.dst), list(Relation).index(e.rel))
+                         for e in g.edges], dtype=np.int64)
+        got, got_group = graph_embed._corruptions(g, emb, ends)
+        want, want_group = oracle_corruptions(g, emb, list(g.edges))
+        for name, value in want._asdict().items():
+            assert np.array_equal(getattr(got, name), value), name
+            assert np.asarray(getattr(got, name)).dtype == np.asarray(value).dtype, name
+        assert type(got.width) is int
+        assert np.array_equal(got_group, want_group) and got_group.dtype == want_group.dtype
+    if case == "a-full-pool":
+        assert (want.free == 0).sum() == 1
+    else:
+        counts = np.diff(want.start)  # neighbours per group
+        assert counts.max() >= 3 and (counts > 1).sum() >= 3
+
+
 def test_train_requires_coverage_and_edges():
     g = _chain_graph()
     cfg = GETrainConfig(dim=4)

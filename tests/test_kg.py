@@ -102,6 +102,79 @@ def test_duplicate_edges_dropped_with_warning(caplog):
     assert any("duplicate edge" in r.message for r in caplog.records)
 
 
+LOG, FL = NodeKind.TEXT_LOG, NodeKind.FUNCTIONAL_LOCATION
+RA, RT, PO = Relation.REPORTS_ABOUT, Relation.RELATED_TO, Relation.PART_OF
+VALID_NODES = [Node("l1", LOG, "one"), Node("l2", LOG, "two"),
+               Node("f1", FL, "pump", code="P1"), Node("f2", FL, "hall", code="H")]
+VALID_EDGES = [Edge("l1", "f1", RA), Edge("l2", "f1", RA), Edge("l1", "l2", RT),
+               Edge("f1", "f2", PO)]
+# Each fault: the nodes and edges it appends to the valid graph, whether it needs
+# require_linked_logs, and what the error names.
+FAULTS = {
+    "empty-id": ([Node("", LOG, "x")], [], False, "node with empty id"),
+    "fl-without-code": ([Node("f-nocode", FL, "valve")], [], False, "has no code"),
+    "log-without-text": ([Node("l-notext", LOG, "")], [], False, "has empty text"),
+    "duplicate-node-id": ([Node("l1", LOG, "again")], [], False, "duplicate node id"),
+    "dangling-endpoint": ([], [Edge("l1", "ghost", RA)], False, "dangling edge endpoint"),
+    "self-loop": ([], [Edge("l2", "l2", RT)], False, "self-loop"),
+    "relation-kind-mismatch": ([], [Edge("f1", "l1", PO)], False, "relation/kind mismatch"),
+    "part-of-cycle": ([], [Edge("f2", "f1", PO)], False, "PartOf cycle"),
+    "unlinked-log": ([Node("l-alone", LOG, "alone")], [], True, "has no ReportsAbout edge"),
+}
+# Parts with no invariant fault: valid graphs, and a node whose kind is the plain string
+# of a member, which the former loop accepts alone and fails on, with an AttributeError,
+# as an edge's end.
+FAULTLESS = {
+    "valid": ([], [], False),
+    "duplicate-edges": ([], [Edge("l1", "f1", RA), Edge("l1", "l2", RT)] * 2, True),
+    "kind-given-as-its-value": ([Node("l3", "text_log", "three")], [], False),
+    "kind-given-as-its-value-on-an-edge": ([Node("l3", "text_log", "three")],
+                                           [Edge("l1", "l3", RT)], False),
+}
+PRECEDENCE_CASES = {
+    **{name: [fault[:3]] for name, fault in FAULTS.items()},
+    **{name: [case] for name, case in FAULTLESS.items()},
+    **{f"{a}+{b}": [FAULTS[a][:3], FAULTS[b][:3]]
+       for a in FAULTS for b in FAULTS if a != b},
+    **{f"duplicate-edges+{a}": [FAULTLESS["duplicate-edges"], FAULTS[a][:3]] for a in FAULTS},
+}
+
+
+def _outcome(build, nodes, edges, require_linked_logs, caplog):
+    """What ``build`` makes of the parts: the graph's nodes and edges or the exception's
+    class and message, and the plantsearch.kg log lines."""
+    caplog.clear()
+    try:
+        g = build(nodes, edges, require_linked_logs)
+        made = (list(g.nodes.items()), g.edges)
+    except Exception as exc:  # every exception must match the former loop's
+        made = (type(exc), str(exc))
+    return made, [(r.levelname, r.getMessage()) for r in caplog.records
+                  if r.name == "plantsearch.kg"]
+
+
+@pytest.mark.parametrize("case", sorted(PRECEDENCE_CASES))
+def test_bulk_checks_name_the_fault_the_former_loop_names(case, caplog):
+    """``from_parts`` builds the former record-by-record loop's graph, logs its duplicate-edge
+    warning, and raises its exception for the first fault, alone or with another fault
+    before or after it."""
+    from oracles import oracle_from_parts
+
+    nodes, edges, linked = list(VALID_NODES), list(VALID_EDGES), False
+    for more_nodes, more_edges, needs_linked in PRECEDENCE_CASES[case]:
+        nodes += more_nodes
+        edges += more_edges
+        linked |= needs_linked
+    with caplog.at_level("WARNING", logger="plantsearch.kg"):
+        want = _outcome(oracle_from_parts, nodes, edges, linked, caplog)
+        got = _outcome(KnowledgeGraph.from_parts, nodes, edges, linked, caplog)
+    assert got == want
+    if case in FAULTS:
+        assert want[0][0] is GraphInvariantError and FAULTS[case][3] in want[0][1]
+    if case == "duplicate-edges":
+        assert want[1] == [("WARNING", "dropped 4 duplicate edge record(s)")]
+
+
 def test_records_are_immutable_and_compare_by_their_fields():
     """Graph, triplet, pair and query records: a field cannot be set, equal fields make
     equal records with equal hashes (the hash of the tuple of their fields), one differing

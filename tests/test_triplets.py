@@ -220,6 +220,23 @@ def test_save_load_round_trip(tmp_path):
     assert load_triplets(tmp_path / "t.jsonl") == triplets
 
 
+def test_save_triplets_writes_sorted_key_json_lines(tmp_path):
+    """Each line is ``json.dumps`` of its record with sorted keys, non-ASCII ids as they are
+    (as ``storage.write_json_lines`` writes them), and the kind's value."""
+    import json
+
+    triplets = [Triplet("log:ä", "log:β", "log:ß", NegKind.EASY),
+                Triplet("log:ä", "log:β", "log:日本", NegKind.HARD),
+                Triplet("q", "p\u2028\"x\"", "n\\", NegKind.HARD)]
+    save_triplets(triplets, tmp_path / "t.jsonl")
+    lines = (tmp_path / "t.jsonl").read_bytes().decode("utf-8").split("\n")
+    assert lines[-1] == "" and len(lines) == len(triplets) + 1
+    for line, t in zip(lines, triplets):
+        rec = {"q": t.query, "pos": t.positive, "neg": t.negative, "neg_kind": t.neg_kind.value}
+        assert line == json.dumps(rec, sort_keys=True, ensure_ascii=False)
+    assert lines[0] == '{"neg": "log:ß", "neg_kind": "easy", "pos": "log:β", "q": "log:ä"}'
+
+
 @pytest.mark.parametrize("seed, n_fl, n_logs",
                          [(7, 12, 160), (11, 12, 160), (301, 12, 160), (7, 60, 800),
                           (11, 60, 800)],
