@@ -41,7 +41,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import ann, graph_embed, ir_eval, kg, pairs as pairs_mod, storage, synth, train
+from . import graph_embed, ir_eval, kg, pairs as pairs_mod, storage, synth, train
 from . import triplets as triplets_mod
 from .encoder import DEFAULT_DIM, DEFAULT_VOCAB_BUCKETS, EncoderParams, Featurizer, init_encoder
 from .encoder import has_word_token, load_encoder, save_encoder
@@ -680,13 +680,11 @@ def _sample_triplets(r: Run, loaded: dict[str, tuple[graph_embed.EmbeddingTable,
     all_triplets: list[triplets_mod.Triplet] = []
     meta = {}
     for pid, (emb, g) in loaded.items():
-        log_ids = [n.id for n in g.text_logs()]
+        plant_params = replace(params, rng_seed=derive_seed(r.cfg.seed, f"triplets:{pid}"))
         try:
-            index = ann.build_index(emb, log_ids)
+            tset = triplets_mod.sample_triplets(emb, g, plant_params)
         except KeyError as exc:  # the saved table does not cover the graph's logs
             raise EmbeddingFileError(f"{r.out / 'ge' / pid}: {exc.args[0]}") from None
-        plant_params = replace(params, rng_seed=derive_seed(r.cfg.seed, f"triplets:{pid}"))
-        tset = triplets_mod.sample_triplets(index, g, plant_params)
         all_triplets.extend(tset.triplets)
         meta[pid] = {
             "triplets": len(tset.triplets),

@@ -72,16 +72,12 @@ def read_matrix(path: str | Path) -> np.ndarray:
     return matrix
 
 
-_REQUIRED = object()
-
-
-def field(rec: dict, key: str, kind: type, default: Any = _REQUIRED) -> Any:
-    """``rec[key]``, or ``default`` when the key is absent and a default is given, which
-    must be exactly a ``kind``: a string field a ``str``, an integer field an ``int``
-    that is not a ``bool``. Record parsers check their fields with it instead of
-    casting, so a wrong type raises TypeError (a missing key KeyError), which
-    ``read_json_lines`` reports as ``<path>:<line>: ...``."""
-    value = rec[key] if default is _REQUIRED else rec.get(key, default)
+def field(rec: dict, key: str, kind: type) -> Any:
+    """``rec[key]``, which must be exactly a ``kind``: a string field a ``str``, an
+    integer field an ``int`` that is not a ``bool``. Record parsers check their fields
+    with it instead of casting, so a wrong type raises TypeError (a missing key
+    KeyError), which ``read_json_lines`` reports as ``<path>:<line>: ...``."""
+    value = rec[key]
     if type(value) is not kind:
         raise TypeError(f"{key!r} must be {kind.__name__}, got {value!r}")
     return value

@@ -17,8 +17,9 @@ from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
-from .ann import FlatIndex, knn_rows
-from .kg import KnowledgeGraph, NodeKind
+from .ann import FlatIndex, build_index, knn_rows
+from .graph_embed import EmbeddingTable
+from .kg import KnowledgeGraph
 from .storage import field, read_json_lines, write_json_lines
 
 logger = logging.getLogger(__name__)
@@ -105,20 +106,23 @@ def _free_positions(excluded: np.ndarray, picks: np.ndarray) -> np.ndarray:
     return picks + (before[..., None, :] <= picks[..., None]).sum(axis=-1)
 
 
-def sample_triplets(index: FlatIndex, g: KnowledgeGraph, p: SamplingParams) -> TripletSet:
-    """Per-query easy and hard triplets over an indexed text-log corpus.
+def sample_triplets(emb: EmbeddingTable, g: KnowledgeGraph, p: SamplingParams) -> TripletSet:
+    """Per-query easy and hard triplets over the text logs of ``g``, whose rows ``emb``
+    must hold (KeyError names the ones it lacks).
 
     Only logs with at least ``min_text_chars`` characters participate,
     as query, positive or negative alike. Queries are visited in sorted
     id order; one shared seeded generator makes the output
     deterministic. A query is skipped (and counted) when it is too
     short or when the eligible corpus cannot fill the hard band plus an
-    easy draw.
+    easy draw. The fingerprint is the one of the index over every text
+    log.
 
-    The neighbor lists of all queries come from one :func:`knn_rows`
-    call, in blocks of queries, and every query's bands are columns of
-    that neighbor matrix. A query's easy negatives are positions in the
-    sorted eligible ids outside its neighbors and itself: what one
+    The eligible logs' rows of that index make a second index, and one
+    :func:`knn_rows` call gives every query its neighbors in it; a
+    query's bands are columns of that neighbor matrix, and every triplet
+    id is a position in the sorted eligible ids. A query's easy negatives
+    are positions outside its neighbors and itself: what one
     ``rng.choice(free, size=c_easy, replace=False)`` per query picks
     over the filtered id list. With ``c_easy == 1`` that call makes one
     bounded draw (Floyd's algorithm with one pick, whose shuffle of one
@@ -127,48 +131,38 @@ def sample_triplets(index: FlatIndex, g: KnowledgeGraph, p: SamplingParams) -> T
     one :func:`positional_sample` call per query.
     """
     p.validate()
+    index = build_index(emb, [n.id for n in g.text_logs()])
     nodes = g.nodes
-    for node_id in index.ids:
-        if node_id not in nodes:
-            raise KeyError(f"indexed id {node_id!r} not in graph")
-        if nodes[node_id].kind is not NodeKind.TEXT_LOG:
-            raise ValueError(f"indexed id {node_id!r} is not a text log")
-
-    corpus = sorted(index.ids)
-    eligible = [i for i in corpus if len(nodes[i].text) >= p.min_text_chars]
+    rows = [r for r, i in enumerate(index.ids) if len(nodes[i].text) >= p.min_text_chars]
     rng = np.random.default_rng(p.rng_seed)
     triplets: list[Triplet] = []
     # Hard band needs k_hard neighbors and the easy draw needs c_easy ids
     # beyond them; skip rather than clamp when the corpus is small.
-    if len(eligible) - 1 < p.k_hard + p.c_easy:
-        eligible = []
-    skipped = len(corpus) - len(eligible)
-    if eligible:
+    if len(rows) - 1 < p.k_hard + p.c_easy:
+        rows = []
+    skipped = len(index) - len(rows)
+    if rows:
+        eligible = [index.ids[r] for r in rows]
         n = len(eligible)
-        rows = np.array([index.row(i) for i in eligible])
-        neighbors, _ = knn_rows(index, rows, p.k_hard, among=index.row_mask(eligible))
-        position = np.empty(len(index), dtype=np.int64)  # index row -> place in eligible
-        position[rows] = np.arange(n)
-        excluded = np.sort(np.column_stack([position[neighbors], np.arange(n)]), axis=1)
+        neighbors, _ = knn_rows(FlatIndex(eligible, index.matrix[rows]), p.k_hard)
+        excluded = np.sort(np.column_stack([neighbors, np.arange(n)]), axis=1)
         if p.c_easy == 1:
             easy = _free_positions(excluded,
                                    rng.integers(0, n - excluded.shape[1], size=(n, 1)))
         else:
             easy = np.array([positional_sample(n, row, p.c_easy, rng) for row in excluded])
         columns = range(p.k_hard)
-        negatives = np.hstack([rows[easy],
-                               neighbors[:, band_sample(columns, p.k_hard, p.c_hard)]])
+        negatives = np.hstack([easy, neighbors[:, band_sample(columns, p.k_hard, p.c_hard)]])
         # The e-th negative of a query pairs with its positive e modulo the band width.
         pos_columns = band_sample(columns, p.k_pos, p.c_pos)
         positives = neighbors[:, [pos_columns[e % p.c_pos] for e in range(negatives.shape[1])]]
         kinds = [NegKind.EASY] * p.c_easy + [NegKind.HARD] * p.c_hard
-        ids = index.ids
-        triplets = [Triplet(query, ids[pos], ids[neg], kind)
+        triplets = [Triplet(query, eligible[pos], eligible[neg], kind)
                     for query, pos_row, neg_row in zip(eligible, positives.tolist(),
                                                        negatives.tolist())
                     for pos, neg, kind in zip(pos_row, neg_row, kinds)]
     if skipped:
-        logger.info("sample_triplets: skipped %d of %d queries", skipped, len(corpus))
+        logger.info("sample_triplets: skipped %d of %d queries", skipped, len(index))
     return TripletSet(triplets, index.fingerprint(), skipped)
 
 

@@ -100,10 +100,12 @@ def make_table(vectors: dict[str, list[float]], rel_params=None) -> EmbeddingTab
     return EmbeddingTable(ids, matrix, rels)
 
 
-def knn_one(index, query_id, k, among=None):
-    """One indexed query's ``knn_rows`` neighbors as (id, cosine) pairs."""
-    cols, scores = knn_rows(index, np.array([index.row(query_id)]), k, among)
-    return [(index.ids[c], s) for c, s in zip(cols[0].tolist(), scores[0].tolist())]
+def knn_one(index, query_id, k):
+    """One indexed query's ``knn_rows`` neighbors as (id, cosine) pairs; KeyError for an id
+    the index lacks."""
+    row = {node_id: r for r, node_id in enumerate(index.ids)}[query_id]
+    cols, scores = knn_rows(index, k)
+    return [(index.ids[c], s) for c, s in zip(cols[row].tolist(), scores[row].tolist())]
 
 
 def train_one(g, emb, cfg, pid="P"):

@@ -267,10 +267,11 @@ def oracle_filtered_random_sample(corpus, excluded, c, rng):
 
 
 def oracle_np_knn(index, query_id, k, among=None):
-    """One query's top-k (id, cosine): the whole index scored by one ``np.vecdot`` per
-    query, the candidates masked, and a stable argsort over ascending rows."""
+    """One query's top-k (id, cosine) among the rows of the bool mask ``among`` (None:
+    every indexed row): the whole index scored by one ``np.vecdot`` per query, the
+    candidates masked, and a stable argsort over ascending rows."""
     mask = np.ones(len(index), dtype=bool) if among is None else among.copy()
-    q = index.row(query_id)
+    q = index.ids.index(query_id)
     mask[q] = False
     rows = np.flatnonzero(mask)
     if k > rows.size:
@@ -280,15 +281,18 @@ def oracle_np_knn(index, query_id, k, among=None):
     return [(index.ids[r], s) for r, s in zip(rows[top].tolist(), scores[top].tolist())]
 
 
-def oracle_sample_triplets(index, g, p):
-    """(triplets, skipped) of the per-query loop: one ``oracle_np_knn`` call and one
-    ``oracle_filtered_random_sample`` over the eligible ids for each query."""
+def oracle_sample_triplets(emb, g, p):
+    """(triplets, skipped) of the per-query loop over an index of every text log: one
+    ``oracle_np_knn`` call among the eligible ids and one ``oracle_filtered_random_sample``
+    over them for each query."""
+    from plantsearch.ann import build_index
     from plantsearch.triplets import NegKind, Triplet
 
+    index = build_index(emb, [n.id for n in g.text_logs()])
     corpus = sorted(index.ids)
     eligible_ids = [i for i in corpus if len(g.nodes[i].text) >= p.min_text_chars]
     eligible = set(eligible_ids)
-    eligible_rows = index.row_mask(eligible_ids)
+    eligible_rows = np.array([node_id in eligible for node_id in index.ids])
     rng = np.random.default_rng(p.rng_seed)
     triplets = []
     skipped = 0

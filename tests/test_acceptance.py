@@ -506,7 +506,6 @@ def test_jargon_bridging():
             rng_seed=derive_seed(seed, "ge"),
         )
         trained = train_one(g, init_embeddings(g, gcfg, plant.text_vectors), gcfg)
-        index = build_index(trained, [n.id for n in g.text_logs()])
         params = SamplingParams(
             k_pos=2,
             c_pos=2,
@@ -516,7 +515,7 @@ def test_jargon_bridging():
             min_text_chars=100,
             rng_seed=derive_seed(seed, "triplets"),
         )
-        sampled = sample_triplets(index, g, params)
+        sampled = sample_triplets(trained, g, params)
         texts = {n.id: n.text for n in g.text_logs()}
         scorer = EncoderCosineScorer(
             init_encoder(64, 65536, derive_seed(seed, "scorer")), 10.0

@@ -35,53 +35,6 @@ def test_knn_matches_oracle_on_random_instances():
         assert got == want, f"trial {trial}: {got} != {want}"
 
 
-def test_knn_among_forms_match_oracle_with_ties():
-    """Row masks built from a set or from a list with duplicates select the same
-    candidates; duplicated vectors tie exactly at any dimension and break by id."""
-    rng = np.random.default_rng(77)
-    ties = 0
-    for trial in range(150):
-        dim = int(rng.choice([3, 16, 64]))
-        n = int(rng.integers(4, 40))
-        vectors = {}
-        for i in range(n):
-            donor = f"d{int(rng.integers(0, i)):03d}" if i >= 2 and rng.random() < 0.3 else None
-            vectors[f"d{i:03d}"] = list(vectors[donor]) if donor else rng.normal(size=dim).tolist()
-        index = build_index(make_table(vectors), list(vectors))
-        ids = sorted(vectors)
-        query = ids[int(rng.integers(0, n))]
-        among = {i for i in ids if rng.random() < 0.7} | {query}
-        if len(among) < 3:
-            continue
-        k = int(rng.integers(1, len(among)))
-        want = oracle_knn(vectors, query, k, among)
-        listed = sorted(among) + sorted(among)[:3]
-        for ids_form in (among, listed):
-            mask = index.row_mask(ids_form)
-            assert [doc for doc, _ in knn_one(index, query, k, among=mask)] == want, trial
-        scores = [s for _, s in knn_one(index, query, len(among) - 1, among=mask)]
-        ties += len(set(scores)) < len(scores)
-    assert ties > 20
-
-
-def test_knn_row_mask_validation():
-    vectors = {"q": [1.0, 0.0], "a": [0.5, 0.0], "b": [0.0, 1.0]}
-    index = build_index(make_table(vectors), list(vectors))
-    with pytest.raises(KeyError):
-        index.row_mask(["a", "ghost"])
-    with pytest.raises(KeyError):
-        index.row_mask({"a", "ghost"})
-    with pytest.raises(ValueError):
-        knn_one(index, "q", 1, among=np.ones(2, dtype=bool))
-    with pytest.raises(ValueError):
-        knn_one(index, "q", 1, among=np.ones(3))
-    with pytest.raises(ValueError):
-        knn_one(index, "q", 1, among={"a", "q"})  # ids, not a row mask
-    mask = index.row_mask(["a", "q"])
-    assert [doc for doc, _ in knn_one(index, "q", 1, among=mask)] == ["a"]
-    assert mask.tolist() == [True, False, True]  # the caller's mask is not modified
-
-
 def test_knn_tie_break_ascending_id():
     vectors = {"q": [1.0, 0.0], "b": [2.0, 0.0], "a": [4.0, 0.0], "c": [0.0, 1.0]}
     index = build_index(make_table(vectors), list(vectors))
@@ -93,13 +46,6 @@ def test_knn_excludes_query():
     vectors = {"q": [1.0, 0.0], "a": [1.0, 0.0]}
     index = build_index(make_table(vectors), list(vectors))
     assert [doc for doc, _ in knn_one(index, "q", 1)] == ["a"]
-
-
-def test_knn_among_subset():
-    vectors = {"q": [1.0, 0.0], "a": [1.0, 0.0], "b": [0.9, 0.1], "c": [0.0, 1.0]}
-    index = build_index(make_table(vectors), list(vectors))
-    got = [doc for doc, _ in knn_one(index, "q", 2, among=index.row_mask({"b", "c", "q"}))]
-    assert got == ["b", "c"]
 
 
 def test_knn_argument_errors():
@@ -145,8 +91,9 @@ def test_fingerprint_tracks_content():
 
 
 def test_knn_rows_equals_oracle_for_every_query():
-    """Every query of indexes larger than one block, with duplicated rows (exact ties),
-    zero rows and row masks, gets the oracle's neighbors."""
+    """Every row of indexes larger than one block, with duplicated rows (exact ties) and
+    zero rows, gets the oracle's neighbors; every other index holds a subset of the
+    table's ids, ranked among themselves only."""
     rng = np.random.default_rng(31)
     ties = 0
     for trial in range(6):
@@ -162,15 +109,13 @@ def test_knn_rows_equals_oracle_for_every_query():
             else:
                 vec = rng.normal(size=dim).tolist()
             vectors[f"d{i:03d}"] = vec
-        index = build_index(make_table(vectors), list(vectors))
         ids = sorted(vectors)
         among = None if trial % 2 == 0 else {i for i in ids if rng.random() < 0.8}
-        mask = None if among is None else index.row_mask(among)
-        queries = ids if among is None else sorted(among)
-        k = int(rng.integers(1, len(queries) - 1))
-        cols, scores = knn_rows(index, np.array([index.row(q) for q in queries]), k, mask)
-        assert cols.shape == scores.shape == (len(queries), k)
-        for q, row, row_scores in zip(queries, cols.tolist(), scores.tolist()):
+        index = build_index(make_table(vectors), ids if among is None else among)
+        k = int(rng.integers(1, len(index) - 1))
+        cols, scores = knn_rows(index, k)
+        assert cols.shape == scores.shape == (len(index), k)
+        for q, row, row_scores in zip(index.ids, cols.tolist(), scores.tolist()):
             got = [index.ids[c] for c in row]
             assert got == oracle_knn(vectors, q, k, among), (trial, q)
             ties += len(set(row_scores)) < len(row_scores)
@@ -178,49 +123,59 @@ def test_knn_rows_equals_oracle_for_every_query():
 
 
 def test_knn_rows_tie_cut_on_over_full_rows_equals_oracle():
-    """Exact copies, spread over the ids, put more candidates at the k-th score than the
-    query has room for on several queries of one block. Every query gets the oracle's
-    neighbors, with and without a row mask, in one call and one row at a time."""
+    """Exact copies, spread over the ids, put more rows at the k-th score than the query
+    has room for on several queries of one block. Every query gets the oracle's
+    neighbors, over every id and over a subset of them."""
     rng = np.random.default_rng(13)
     base = rng.normal(size=(5, 3))
     vectors = {f"d{i:03d}": (base[i % 5] if i < 30 else rng.normal(size=3)).tolist()
                for i in range(45)}
-    index = build_index(make_table(vectors), list(vectors))
     ids = sorted(vectors)
     for among in (None, {i for j, i in enumerate(ids) if j % 7 != 3}):
-        mask = None if among is None else index.row_mask(among)
-        queries = ids if among is None else sorted(among)
-        rows = np.array([index.row(q) for q in queries])
-        assert rows.size <= KNN_BLOCK
+        index = build_index(make_table(vectors), ids if among is None else among)
+        assert len(index) <= KNN_BLOCK
         for k in (1, 3, 4, 8):
-            cols, scores = knn_rows(index, rows, k, mask)
+            cols, scores = knn_rows(index, k)
             over_full = 0
-            for q, row, row_scores in zip(queries, cols.tolist(), scores.tolist()):
+            for q, row, row_scores in zip(index.ids, cols.tolist(), scores.tolist()):
                 want = oracle_knn(vectors, q, k, among)
                 assert [index.ids[c] for c in row] == want, (k, q)
-                one_cols, one_scores = knn_rows(index, np.array([index.row(q)]), k, mask)
-                assert one_cols.tolist() == [row] and one_scores.tolist() == [row_scores]
-                sims = np.vecdot(index.matrix, index.matrix[index.row(q)])
-                sims[index.row(q)] = -np.inf
-                if mask is not None:
-                    sims[~mask] = -np.inf
+                sims = np.vecdot(index.matrix, index.matrix[index.ids.index(q)])
+                sims[index.ids.index(q)] = -np.inf
                 over_full += np.count_nonzero(sims >= row_scores[-1]) > k
             assert over_full >= 10, (k, over_full)
+
+
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_knn_rows_has_the_same_bits_at_every_block_size(monkeypatch, k):
+    """Neighbors and cosines do not depend on how many rows a block scores: a
+    ``KNN_BLOCK`` of 1, 7 and the row count give the default's bits, on rows with
+    exact copies (over-full tie cuts) and zero rows."""
+    from plantsearch import ann
+
+    rng = np.random.default_rng(17)
+    matrix = rng.normal(size=(150, 8))
+    matrix[rng.random(150) < 0.3] = matrix[3]
+    matrix[rng.random(150) < 0.2] = matrix[11]
+    matrix[rng.random(150) < 0.05] = 0.0
+    index = build_index(make_table({f"d{i:03d}": row for i, row in enumerate(matrix)}),
+                        [f"d{i:03d}" for i in range(150)])
+    want = knn_rows(index, k)
+    for block in (1, 7, len(index)):
+        monkeypatch.setattr(ann, "KNN_BLOCK", block)
+        assert [a.tobytes() for a in knn_rows(index, k)] == [a.tobytes() for a in want], block
 
 
 def test_knn_rows_validation():
     vectors = {"q": [1.0, 0.0], "a": [0.5, 0.0], "b": [0.0, 1.0]}
     index = build_index(make_table(vectors), list(vectors))
-    rows = np.array([0, 1, 2])
-    assert knn_rows(index, rows, 2)[0].tolist() == [[2, 1], [0, 2], [0, 1]]
+    assert knn_rows(index, 2)[0].tolist() == [[2, 1], [0, 2], [0, 1]]
     with pytest.raises(ValueError):
-        knn_rows(index, rows, 3)
+        knn_rows(index, 3)
     with pytest.raises(ValueError):
-        knn_rows(index, rows, 0)
-    mask = index.row_mask(["a", "b"])
+        knn_rows(index, 0)
     with pytest.raises(ValueError, match="exceeds 1"):
-        knn_rows(index, rows, 2, among=mask)  # "a" and "b" each have one other candidate
-    assert knn_rows(index, np.array([2]), 2, among=mask)[0].tolist() == [[0, 1]]  # q outside
+        knn_rows(build_index(make_table(vectors), ["a", "b"]), 2)
 
 
 def test_fingerprint_equals_the_per_id_digest():
@@ -247,30 +202,12 @@ def test_fingerprint_equals_the_per_id_digest():
     assert indexes[1].fingerprint() == hashlib.sha256().hexdigest()[:16]
 
 
-def test_knn_never_returns_masked_rows_that_outscore_or_tie():
-    """Rows outside the mask that are copies of the query (cosine 1, above every candidate)
-    or copies of a candidate (an exact tie, with a smaller id) are never returned; the
-    candidates come back as the oracle ranks them among themselves."""
-    rng = np.random.default_rng(3)
-    for dim in (2, 16, 64):
-        q, others = rng.normal(size=dim), rng.normal(size=(6, dim))
-        vectors = {"m0": (2.0 * q).tolist(), "m1": q.tolist(), "q": q.tolist()}
-        vectors |= {f"x{i}": v.tolist() for i, v in enumerate(others)}
-        vectors |= {f"a{i}": others[i].tolist() for i in range(3)}  # masked ties, smaller ids
-        among = {"q"} | {f"x{i}" for i in range(6)}
-        index = build_index(make_table(vectors), list(vectors))
-        mask = index.row_mask(among)
-        for k in range(1, 7):
-            got = knn_one(index, "q", k, among=mask)
-            assert [doc for doc, _ in got] == oracle_knn(vectors, "q", k, among)
-            assert not {doc for doc, _ in got} - among
-
-
 def test_knn_rows_equal_the_whole_index_oracle_bit_for_bit():
     """Row by row, neighbors and cosines equal ``oracle_np_knn``, which scores each query
-    against every indexed row and masks the candidates afterwards: with no mask, with a
-    mask of every row, and with partial masks whose queries lie in and outside the mask. A
-    query outside the mask keeps every candidate, itself not among them."""
+    against every indexed row and masks the candidates afterwards: for the whole index,
+    and for an index of a subset of its rows against the oracle masked to that subset."""
+    from plantsearch.ann import FlatIndex
+
     rng = np.random.default_rng(41)
     for trial in range(8):
         dim = int(rng.choice([3, 16, 64]))
@@ -280,16 +217,11 @@ def test_knn_rows_equal_the_whole_index_oracle_bit_for_bit():
         matrix[rng.random(n) < 0.05] = 0.0
         vectors = {f"d{i:03d}": row.tolist() for i, row in enumerate(matrix)}
         index = build_index(make_table(vectors), list(vectors))
-        rows = rng.permutation(n)[: int(rng.integers(1, n))]
-        for mask in (None, np.ones(n, dtype=bool), rng.random(n) < 0.6):
+        for keep in (np.ones(n, dtype=bool), rng.random(n) < 0.6):
+            sub = FlatIndex([i for i, kept in zip(index.ids, keep) if kept], index.matrix[keep])
             k = int(rng.integers(1, 20))
-            cols, scores = knn_rows(index, rows, k, mask)
-            for row, got_cols, got_scores in zip(rows.tolist(), cols, scores):
-                want = oracle_np_knn(index, index.ids[row], k, mask)
-                assert [index.ids[c] for c in got_cols] == [doc for doc, _ in want], trial
+            cols, scores = knn_rows(sub, k)
+            for q, got_cols, got_scores in zip(sub.ids, cols, scores):
+                want = oracle_np_knn(index, q, k, keep)
+                assert [sub.ids[c] for c in got_cols] == [doc for doc, _ in want], trial
                 assert got_scores.tobytes() == np.array([s for _, s in want]).tobytes(), trial
-                if mask is not None and not mask[row]:
-                    assert mask[got_cols].all()
-        whole = knn_rows(index, rows, 5)
-        masked = knn_rows(index, rows, 5, np.ones(n, dtype=bool))
-        assert [a.tobytes() for a in whole] == [a.tobytes() for a in masked]

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -69,6 +70,37 @@ def test_readme_names_only_config_keys_that_exist():
             module = None
         if not (isinstance(default, Mapping) and key in default or hasattr(module, key)):
             stale.append(f"{section}.{key}")
+    assert stale == []
+
+
+def test_readme_names_only_attributes_that_exist():
+    """Each backticked ``<module>.<name>`` in the README whose module is ``plantsearch`` or
+    one of its modules names an attribute of it, and each backticked ``<Class>.<name>``
+    whose class a package module holds names an attribute or a dataclass field of the
+    class; config sections are checked by the test above, and file names such as
+    ``cli.py`` are no attributes."""
+    package = ROOT / "src" / "plantsearch"
+    modules = {path.stem: importlib.import_module(f"plantsearch.{path.stem}")
+               for path in sorted(package.glob("*.py"))
+               if path.stem not in ("__init__", "__main__")}
+    modules["plantsearch"] = plantsearch
+    classes = {name: obj for module in modules.values() for name, obj in vars(module).items()
+               if isinstance(obj, type) and obj.__module__.startswith("plantsearch.")}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stale = []
+    for owner, name in re.findall(r"`(\w+)\.(\w+)`", readme):
+        if owner in cli.DEFAULT_RUN_CONFIG or (package / f"{owner}.{name}").is_file():
+            continue
+        if owner in modules:
+            found = hasattr(modules[owner], name)
+        elif owner in classes:
+            cls = classes[owner]
+            found = hasattr(cls, name) or (dataclasses.is_dataclass(cls) and name in
+                                           {f.name for f in dataclasses.fields(cls)})
+        else:
+            continue
+        if not found:
+            stale.append(f"{owner}.{name}")
     assert stale == []
 
 

@@ -114,7 +114,7 @@ def test_filtered_random_sample_exhausted():
 
 
 def _corpus_fixture(n=12, dim=4, seed=0, short_ids=()):
-    """Graph + index over n synthetic logs with seeded vectors."""
+    """Graph over n synthetic logs and one FL, and a table of seeded vectors for its nodes."""
     rng = np.random.default_rng(seed)
     long_text = "x" * 120
     logs = []
@@ -129,15 +129,14 @@ def _corpus_fixture(n=12, dim=4, seed=0, short_ids=()):
     g = make_graph(logs, fls, [(s, d, Relation(r)) for s, d, r in edges])
     vectors = {log_id: rng.normal(size=dim).tolist() for log_id, _ in logs}
     vectors["f0"] = rng.normal(size=dim).tolist()
-    table = make_table(vectors)
-    index = build_index(table, [log_id for log_id, _ in logs])
-    return g, index
+    return g, make_table(vectors)
 
 
 def test_sample_triplets_structure():
-    g, index = _corpus_fixture(n=12)
+    g, table = _corpus_fixture(n=12)
+    index = build_index(table, [n.id for n in g.text_logs()])
     p = SamplingParams(k_pos=2, c_pos=2, k_hard=6, c_hard=2, c_easy=2, min_text_chars=100)
-    tset = sample_triplets(index, g, p)
+    tset = sample_triplets(table, g, p)
     assert tset.skipped == 0
     assert tset.index_fingerprint == index.fingerprint()
     by_query = {}
@@ -165,9 +164,9 @@ def test_sample_triplets_structure():
 
 
 def test_sample_triplets_skips_short_queries():
-    g, index = _corpus_fixture(n=12, short_ids={"d03"})
+    g, table = _corpus_fixture(n=12, short_ids={"d03"})
     p = SamplingParams(k_pos=1, c_pos=1, k_hard=5, c_hard=1, c_easy=1, min_text_chars=100)
-    tset = sample_triplets(index, g, p)
+    tset = sample_triplets(table, g, p)
     assert tset.skipped == 1
     queries = {t.query for t in tset.triplets}
     assert "d03" not in queries
@@ -177,37 +176,41 @@ def test_sample_triplets_skips_short_queries():
 
 
 def test_sample_triplets_skips_small_corpus():
-    g, index = _corpus_fixture(n=6)
+    g, table = _corpus_fixture(n=6)
     p = SamplingParams(k_pos=1, c_pos=1, k_hard=5, c_hard=1, c_easy=1)
     # eligible-1 = 5 < k_hard + c_easy = 6: every query skipped, no clamping
-    tset = sample_triplets(index, g, p)
+    tset = sample_triplets(table, g, p)
     assert tset.triplets == []
     assert tset.skipped == 6
 
 
 def test_sample_triplets_deterministic():
-    g, index = _corpus_fixture(n=14)
+    g, table = _corpus_fixture(n=14)
     p = SamplingParams(k_pos=2, c_pos=2, k_hard=7, c_hard=2, c_easy=3, rng_seed=9)
-    a = sample_triplets(index, g, p)
-    b = sample_triplets(index, g, p)
+    a = sample_triplets(table, g, p)
+    b = sample_triplets(table, g, p)
     assert a.triplets == b.triplets
 
 
 def test_sample_triplets_rejects_foreign_index():
-    g, index = _corpus_fixture(n=12)
-    other_g, _ = _corpus_fixture(n=3)
+    """A table of another graph, which lacks logs of this one, raises KeyError."""
+    g, _ = _corpus_fixture(n=12)
+    _, other_table = _corpus_fixture(n=3)
     p = SamplingParams(k_pos=1, c_pos=1, k_hard=3, c_hard=1)
-    with pytest.raises(KeyError):
-        sample_triplets(index, other_g, p)
+    with pytest.raises(KeyError, match="d03"):
+        sample_triplets(other_table, g, p)
 
 
-def test_sample_triplets_rejects_non_log_ids():
-    g, _ = _corpus_fixture(n=6)
-    rng = np.random.default_rng(1)
-    vectors = {node_id: rng.normal(size=4).tolist() for node_id in g.nodes}
-    index = build_index(make_table(vectors), list(g.nodes))  # includes the FL
-    with pytest.raises(ValueError, match="not a text log"):
-        sample_triplets(index, g, SamplingParams(k_pos=1, c_pos=1, k_hard=3, c_hard=1))
+def test_sample_triplets_indexes_only_the_text_logs():
+    """Table rows of nodes that are no text log of the graph, the FL and a foreign id,
+    are neither indexed nor sampled, even as copies of a query: the triplets and the
+    fingerprint equal those of a table of the logs alone."""
+    g, table = _corpus_fixture(n=12)
+    logs = {n.id: table.vector(n.id).tolist() for n in g.text_logs()}
+    p = SamplingParams(k_pos=1, c_pos=1, k_hard=3, c_hard=1)
+    want = sample_triplets(make_table(logs), g, p)
+    got = sample_triplets(make_table(logs | {"f0": logs["d04"], "a": logs["d07"]}), g, p)
+    assert want.triplets and got == want
 
 
 def test_save_load_round_trip(tmp_path):
@@ -252,16 +255,45 @@ def test_sample_triplets_equals_per_query_oracle_on_a_plant(seed, n_fl, n_logs):
                                        n_queries=4))
     g = plant.graph
     cfg = GETrainConfig(dim=64, init_mode=InitMode.TEXT_VECTORS, rng_seed=seed)
-    index = build_index(init_embeddings(g, cfg, plant.text_vectors),
-                        [n.id for n in g.text_logs()])
+    emb = init_embeddings(g, cfg, plant.text_vectors)
     for params in (SamplingParams(rng_seed=seed),
                    SamplingParams(k_pos=3, c_pos=2, k_hard=20, c_hard=3, c_easy=4,
                                   rng_seed=seed + 1)):
-        tset = sample_triplets(index, g, params)
-        want, skipped = oracle_sample_triplets(index, g, params)
+        tset = sample_triplets(emb, g, params)
+        want, skipped = oracle_sample_triplets(emb, g, params)
         assert skipped > 0 and want
         assert tset.skipped == skipped
         assert tset.triplets == want
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_sample_triplets_ignores_short_logs_that_outscore_or_tie_eligible_ones(seed):
+    """Each log shorter than ``min_text_chars`` takes a copy of an eligible log's row, which
+    scores 1 against that log as a query and ties it as a neighbor, the smaller id first
+    about half the time. The triplets and the skip count stay; only the fingerprint
+    moves, since it hashes every log's row."""
+    from plantsearch.graph_embed import GETrainConfig, InitMode, init_embeddings
+    from plantsearch.synth import PlantConfig, generate_plant
+
+    plant = generate_plant(PlantConfig(plant_id="P", seed=seed, n_fl=12, n_logs=160,
+                                       n_queries=4))
+    g = plant.graph
+    emb = init_embeddings(g, GETrainConfig(dim=64, init_mode=InitMode.TEXT_VECTORS,
+                                           rng_seed=seed), plant.text_vectors)
+    logs = sorted(n.id for n in g.text_logs())
+    short = [i for i in logs if len(g.nodes[i].text) < SamplingParams().min_text_chars]
+    eligible = [i for i in logs if i not in short]
+    rng = np.random.default_rng(seed)
+    copied = emb.copy()
+    for log_id in short:
+        copied.vectors[copied.row(log_id)] = emb.vector(eligible[rng.integers(len(eligible))])
+    for params in (SamplingParams(rng_seed=seed),
+                   SamplingParams(k_pos=3, c_pos=2, k_hard=20, c_hard=3, c_easy=4,
+                                  rng_seed=seed + 1)):
+        want, got = sample_triplets(emb, g, params), sample_triplets(copied, g, params)
+        assert short and want.triplets
+        assert (got.triplets, got.skipped) == (want.triplets, want.skipped)
+        assert got.index_fingerprint != want.index_fingerprint
 
 
 def test_sample_triplets_equals_oracle_with_ties_and_small_corpus():
@@ -283,11 +315,11 @@ def test_sample_triplets_equals_oracle_with_ties_and_small_corpus():
     vectors["f0"] = rng.normal(size=8).tolist()
     g = make_graph(logs, [("f0", "C0", "fl")],
                    [(log_id, "f0", Relation("reports_about")) for log_id, _ in logs])
-    index = build_index(make_table(vectors), [log_id for log_id, _ in logs])
+    table = make_table(vectors)
     for params in (SamplingParams(k_hard=30, c_hard=2, c_easy=3, rng_seed=1),
                    SamplingParams(k_hard=30, c_hard=2, c_easy=3, rng_seed=2),
                    SamplingParams(k_hard=80, rng_seed=3)):
-        tset = sample_triplets(index, g, params)
-        want, skipped = oracle_sample_triplets(index, g, params)
+        tset = sample_triplets(table, g, params)
+        want, skipped = oracle_sample_triplets(table, g, params)
         assert (tset.triplets, tset.skipped) == (want, skipped)
     assert tset.triplets == [] and tset.skipped == len(logs)
