@@ -352,15 +352,12 @@ def init_encoder(
     return EncoderParams(seed, dim, vocab_buckets, np.empty(0, dtype=np.int64), np.empty((0, dim)))
 
 
-def encode_features(p: EncoderParams, feats: TokenFeatures) -> np.ndarray:
+def encode(p: EncoderParams, text: str) -> np.ndarray:
+    """Mean-pooled vector of a text; the empty feature set maps to zeros."""
+    feats = featurize(text, p.vocab_buckets)
     if feats.total == 0:
         return np.zeros(p.dim, dtype=np.float64)
     return (feats.counts.astype(np.float64) @ p.rows(feats.bucket_ids)) / feats.total
-
-
-def encode(p: EncoderParams, text: str) -> np.ndarray:
-    """Mean-pooled vector of a text; the empty feature set maps to zeros."""
-    return encode_features(p, featurize(text, p.vocab_buckets))
 
 
 def count_matrix(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -61,14 +61,6 @@ class Node(NamedTuple):
     code: str | None = None
     ts: int | None = None
 
-    def validate(self) -> None:
-        if not self.id:
-            raise GraphInvariantError("node with empty id")
-        if self.kind is NodeKind.FUNCTIONAL_LOCATION and not self.code:
-            raise GraphInvariantError(f"functional location {self.id!r} has no code")
-        if self.kind is NodeKind.TEXT_LOG and not self.text:
-            raise GraphInvariantError(f"text log {self.id!r} has empty text")
-
 
 class Edge(NamedTuple):
     src: str
@@ -146,18 +138,23 @@ class KnowledgeGraph:
         has at least one outgoing ReportsAbout edge (the post-filtering
         invariant).
 
-        Nodes and edges are checked in whole-list passes: one over the
-        nodes' fields and one over the edges' endpoints, self-loops and
-        (rel, src kind, dst kind) signatures. Only when a pass fails does
-        :func:`_check_records` go through them one by one, the one code
-        that names the first fault.
+        Each node, then each edge, is checked once, in record order:
+        :func:`_node_fault` and :func:`_edge_fault` hold every rule of a
+        record, and the first record with a fault raises
+        GraphInvariantError with the message of its first fault.
         """
-        nodes, edges = list(nodes), list(edges)
-        node_map = {n.id: n for n in nodes}
-        kind_of = {n.id: n.kind for n in nodes}
-        if not (len(node_map) == len(nodes) and _fields_hold(nodes)
-                and _edges_hold(edges, kind_of)):
-            _check_records(nodes, edges)
+        node_map: dict[str, Node] = {}
+        for n in nodes:
+            fault = _node_fault(n, node_map)
+            if fault:
+                raise GraphInvariantError(fault)
+            node_map[n.id] = n
+        kind_of = {i: n.kind for i, n in node_map.items()}
+        edges = list(edges)
+        for e in edges:
+            fault = _edge_fault(e, kind_of)
+            if fault:
+                raise GraphInvariantError(fault)
 
         kept = list(dict.fromkeys(edges))
         if len(kept) < len(edges):
@@ -165,64 +162,51 @@ class KnowledgeGraph:
 
         _check_part_of_acyclic(kept)
 
-        if require_linked_logs:
-            linked = {e.src for e in kept if e.rel is Relation.REPORTS_ABOUT}
-            for n in node_map.values():
-                if n.kind is NodeKind.TEXT_LOG and n.id not in linked:
-                    raise GraphInvariantError(
-                        f"text log {n.id!r} has no ReportsAbout edge"
-                    )
+        unlinked = _unlinked_logs(node_map.values(), kept) if require_linked_logs else []
+        if unlinked:
+            raise GraphInvariantError(f"text log {unlinked[0]!r} has no ReportsAbout edge")
 
         return cls(node_map, kept)
 
 
-_SIGNATURES = {(rel, src, dst) for rel, (src, dst) in RELATION_SIGNATURES.items()}
+def _node_fault(n: Node, earlier: Mapping[str, Node]) -> str | None:
+    """The first fault of node ``n``, after the nodes ``earlier``, or None: an empty id, a
+    functional location without a code, a text log without a text, an id already taken.
+    Each field is tested before the kind, since looking up an enum member costs more."""
+    if not n.id:
+        return "node with empty id"
+    if not n.code and n.kind is NodeKind.FUNCTIONAL_LOCATION:
+        return f"functional location {n.id!r} has no code"
+    if not n.text and n.kind is NodeKind.TEXT_LOG:
+        return f"text log {n.id!r} has empty text"
+    if n.id in earlier:
+        return f"duplicate node id {n.id!r}"
+    return None
 
 
-def _fields_hold(nodes: Sequence[Node]) -> bool:
-    """Whether every node has an id, and is a functional location with a code or a text
-    log with a text: what :meth:`Node.validate` asks of the two kinds."""
-    fl, log = NodeKind.FUNCTIONAL_LOCATION, NodeKind.TEXT_LOG
-    return all(i and (k is fl and c or k is log and t) for i, k, t, c, _ in nodes)
+def _edge_fault(e: Edge, kind_of: Mapping[str, NodeKind]) -> str | None:
+    """The first fault of edge ``e`` between the nodes of ``kind_of``, or None: an endpoint
+    that is no node, a self-loop, or ends whose kinds its relation's signature does not
+    allow. Kinds compare by identity, so a kind given as its plain string fits no
+    signature."""
+    src, dst, rel = e
+    if src not in kind_of or dst not in kind_of:
+        return f"dangling edge endpoint: ({src!r}, {dst!r}, {rel.value})"
+    if src == dst:
+        return f"self-loop on {src!r} ({rel.value})"
+    want_src, want_dst = RELATION_SIGNATURES[rel]
+    if kind_of[src] is not want_src or kind_of[dst] is not want_dst:
+        return (f"relation/kind mismatch: {rel.value} requires {want_src.value} -> "
+                f"{want_dst.value}, got {kind_of[src].value} -> {kind_of[dst].value} "
+                f"({src!r} -> {dst!r})")
+    return None
 
 
-def _edges_hold(edges: Sequence[Edge], kind_of: Mapping[str, NodeKind]) -> bool:
-    """Whether every edge joins two distinct nodes of ``kind_of`` as its relation's
-    signature allows."""
-    try:
-        return all(s != d and (r, kind_of[s], kind_of[d]) in _SIGNATURES for s, d, r in edges)
-    except KeyError:  # a dangling endpoint
-        return False
-
-
-def _check_records(nodes: Sequence[Node], edges: Sequence[Edge]) -> None:
-    """Check the nodes, then the edges, one by one, and raise GraphInvariantError for
-    the first fault."""
-    node_map: dict[str, Node] = {}
-    for n in nodes:
-        n.validate()
-        if n.id in node_map:
-            raise GraphInvariantError(f"duplicate node id {n.id!r}")
-        node_map[n.id] = n
-    for e in edges:
-        _validate_edge(e, node_map)
-
-
-def _validate_edge(e: Edge, nodes: Mapping[str, Node]) -> None:
-    if e.src not in nodes or e.dst not in nodes:
-        raise GraphInvariantError(
-            f"dangling edge endpoint: ({e.src!r}, {e.dst!r}, {e.rel.value})"
-        )
-    if e.src == e.dst:
-        raise GraphInvariantError(f"self-loop on {e.src!r} ({e.rel.value})")
-    want_src, want_dst = RELATION_SIGNATURES[e.rel]
-    if nodes[e.src].kind is not want_src or nodes[e.dst].kind is not want_dst:
-        raise GraphInvariantError(
-            f"relation/kind mismatch: {e.rel.value} requires "
-            f"{want_src.value} -> {want_dst.value}, got "
-            f"{nodes[e.src].kind.value} -> {nodes[e.dst].kind.value} "
-            f"({e.src!r} -> {e.dst!r})"
-        )
+def _unlinked_logs(nodes: Iterable[Node], edges: Iterable[Edge]) -> list[str]:
+    """The ids of the text logs of ``nodes`` without an outgoing ReportsAbout edge, in node
+    order."""
+    linked = {e.src for e in edges if e.rel is Relation.REPORTS_ABOUT}
+    return [n.id for n in nodes if n.kind is NodeKind.TEXT_LOG and n.id not in linked]
 
 
 def _check_part_of_acyclic(edges: Sequence[Edge]) -> None:
@@ -322,16 +306,11 @@ def build_graph(raw: KnowledgeGraph) -> KnowledgeGraph:
     its ReportsAbout edges, whose FL ends are kept, so the result needs
     no second check.
     """
-    linked = {e.src for e in raw.edges if e.rel is Relation.REPORTS_ABOUT}
-    keep_nodes = {
-        n.id: n
-        for n in raw.nodes.values()
-        if n.kind is NodeKind.FUNCTIONAL_LOCATION or n.id in linked
-    }
-    keep_edges = [e for e in raw.edges if e.src in keep_nodes and e.dst in keep_nodes]
-    dropped = len(raw.nodes) - len(keep_nodes)
+    dropped = set(_unlinked_logs(raw.nodes.values(), raw.edges))
+    keep_nodes = {i: n for i, n in raw.nodes.items() if i not in dropped}
+    keep_edges = [e for e in raw.edges if e.src not in dropped and e.dst not in dropped]
     if dropped:
-        logger.info("build_graph: dropped %d unlinked text log(s)", dropped)
+        logger.info("build_graph: dropped %d unlinked text log(s)", len(dropped))
     return KnowledgeGraph(keep_nodes, keep_edges)
 
 

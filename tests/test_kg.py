@@ -84,9 +84,9 @@ def test_duplicate_node_and_empty_fields():
             [Node("x", NodeKind.TEXT_LOG, "a"), Node("x", NodeKind.TEXT_LOG, "b")], []
         )
     with pytest.raises(GraphInvariantError, match="has no code"):
-        Node("f", NodeKind.FUNCTIONAL_LOCATION, "desc").validate()
+        KnowledgeGraph.from_parts([Node("f", NodeKind.FUNCTIONAL_LOCATION, "desc")], [])
     with pytest.raises(GraphInvariantError, match="empty text"):
-        Node("l", NodeKind.TEXT_LOG, "").validate()
+        KnowledgeGraph.from_parts([Node("l", NodeKind.TEXT_LOG, "")], [])
 
 
 def test_duplicate_edges_dropped_with_warning(caplog):
@@ -131,8 +131,18 @@ FAULTLESS = {
     "kind-given-as-its-value-on-an-edge": ([Node("l3", "text_log", "three")],
                                            [Edge("l1", "l3", RT)], False),
 }
+# Two faults in one record, which only the order of the checks inside that record decides
+# between, and what the error names.
+ONE_RECORD_FAULTS = {
+    "duplicate-id-with-empty-text": ([Node("l1", LOG, "")], [], False, "has empty text"),
+    "duplicate-fl-id-without-code": ([Node("f1", FL, "pump")], [], False, "has no code"),
+    "dangling-self-loop": ([], [Edge("ghost", "ghost", RT)], False, "dangling edge endpoint"),
+    "self-loop-with-kind-mismatch": ([], [Edge("f1", "f1", RT)], False, "self-loop"),
+    "dangling-source-on-part-of": ([], [Edge("ghost", "f1", PO)], False,
+                                   "dangling edge endpoint"),
+}
 PRECEDENCE_CASES = {
-    **{name: [fault[:3]] for name, fault in FAULTS.items()},
+    **{name: [fault[:3]] for name, fault in {**FAULTS, **ONE_RECORD_FAULTS}.items()},
     **{name: [case] for name, case in FAULTLESS.items()},
     **{f"{a}+{b}": [FAULTS[a][:3], FAULTS[b][:3]]
        for a in FAULTS for b in FAULTS if a != b},
@@ -156,8 +166,8 @@ def _outcome(build, nodes, edges, require_linked_logs, caplog):
 @pytest.mark.parametrize("case", sorted(PRECEDENCE_CASES))
 def test_bulk_checks_name_the_fault_the_former_loop_names(case, caplog):
     """``from_parts`` builds the former record-by-record loop's graph, logs its duplicate-edge
-    warning, and raises its exception for the first fault, alone or with another fault
-    before or after it."""
+    warning, and raises its exception for the first fault, alone, with another fault
+    before or after it, or with another fault in the same record."""
     from oracles import oracle_from_parts
 
     nodes, edges, linked = list(VALID_NODES), list(VALID_EDGES), False
@@ -169,8 +179,9 @@ def test_bulk_checks_name_the_fault_the_former_loop_names(case, caplog):
         want = _outcome(oracle_from_parts, nodes, edges, linked, caplog)
         got = _outcome(KnowledgeGraph.from_parts, nodes, edges, linked, caplog)
     assert got == want
-    if case in FAULTS:
-        assert want[0][0] is GraphInvariantError and FAULTS[case][3] in want[0][1]
+    named = {**FAULTS, **ONE_RECORD_FAULTS}
+    if case in named:
+        assert want[0][0] is GraphInvariantError and named[case][3] in want[0][1]
     if case == "duplicate-edges":
         assert want[1] == [("WARNING", "dropped 4 duplicate edge record(s)")]
 
