@@ -89,7 +89,8 @@ def rank_corpus(p: EncoderParams, query_text: str, corpus: Mapping[str, str]) ->
 
 
 class _Corpus:
-    """A corpus's count matrix and, for each live encoder, its document vectors and norms.
+    """A corpus's doc ids in ascending order, their texts' count matrix in that order and, for
+    each live encoder, its document vectors and norms.
 
     The vectors are keyed weakly by the encoder, which hashes by identity: an encoder that
     ``with_rows`` returns is a new key, and an encoder's entry goes when it is collected. The
@@ -97,7 +98,9 @@ class _Corpus:
     them disagree.
     """
 
-    def __init__(self, matrix: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    def __init__(self, ids: np.ndarray, matrix: tuple[np.ndarray, np.ndarray, np.ndarray]):
+        ids.flags.writeable = False
+        self.ids = ids  # an object array, so a ranking is one ``ids[order].tolist()``
         self.matrix = matrix  # encoder.count_matrix
         self._vectors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -116,37 +119,39 @@ class _Corpus:
 
 
 @functools.lru_cache
-def _corpus_pooling(vocab_buckets: int, texts: tuple[str, ...]) -> _Corpus:
-    """The texts' prepared corpus, memoized by content."""
-    return _Corpus(count_matrix(featurize_many(texts, vocab_buckets)))
+def _corpus_pooling(vocab_buckets: int, ids: tuple[str, ...], texts: tuple[str, ...]) -> _Corpus:
+    """The prepared corpus of the doc ids ``ids`` with the texts ``texts``, memoized by both
+    as the caller's mapping orders them."""
+    doc_ids, doc_texts = zip(*sorted(zip(ids, texts)))  # ids are distinct: no text compared
+    return _Corpus(np.array(doc_ids, dtype=object),
+                   count_matrix(featurize_many(doc_texts, vocab_buckets)))
 
 
 def rank_queries(p: EncoderParams, query_texts: Sequence[str],
                  corpus: Mapping[str, str]) -> list[list[str]]:
     """:func:`rank_corpus` for each query.
 
-    The corpus comes from an LRU memo keyed by its texts in id order, so on a
-    memo hit only the queries are featurized; it holds each live encoder's
-    document vectors, so an encoder encodes a corpus once. Each score is one
-    ddot (``np.vecdot``), so documents with equal vectors tie exactly, and
-    the stable sort over id-sorted rows puts tied documents in ascending id
-    order.
+    The corpus comes from an LRU memo keyed by its ids and its texts in the mapping's order,
+    two tuples built without a sort, so on a memo hit only the queries are featurized and
+    the ids come sorted from the memo; a corpus under other ids, or inserted in another
+    order, is another entry. The memo holds each live encoder's document vectors, so an
+    encoder encodes a corpus once. Each score is one ddot (``np.vecdot``), so documents with
+    equal vectors tie exactly, and the stable sort over id-sorted rows puts tied documents in
+    ascending id order.
     """
-    doc_ids = sorted(corpus)
-    if not doc_ids:
+    if not corpus:
         raise ValueError("empty corpus")
     hits = _corpus_pooling.cache_info().hits
-    prepared = _corpus_pooling(p.vocab_buckets, tuple(corpus[d] for d in doc_ids))
+    prepared = _corpus_pooling(p.vocab_buckets, tuple(corpus), tuple(corpus.values()))
     hit = _corpus_pooling.cache_info().hits > hits
     logger.debug("rank_queries: corpus memo %s, texts featurized: %d, doc vectors %s",
-                 "hit" if hit else "miss", len(query_texts) + (0 if hit else len(doc_ids)),
+                 "hit" if hit else "miss", len(query_texts) + (0 if hit else len(corpus)),
                  "held" if p in prepared else "encoded")
     docs, doc_norms = prepared.vectors(p)
     queries = encode_batch(p, query_texts)
     scores = cosines(np.vecdot(docs[None, :, :], queries[:, None, :]), doc_norms[None, :],
                      np.sqrt(np.vecdot(queries, queries))[:, None])
-    order = np.argsort(-scores, axis=1, kind="stable")
-    return [[doc_ids[i] for i in row] for row in order.tolist()]
+    return prepared.ids[np.argsort(-scores, axis=1, kind="stable")].tolist()
 
 
 def ap_at_k(ranking: Sequence[str], relevant: set[str], k: int) -> float:

@@ -205,14 +205,16 @@ def _edge_fault(e: Edge, kind_of: Mapping[str, NodeKind]) -> str | None:
 def _unlinked_logs(nodes: Iterable[Node], edges: Iterable[Edge]) -> list[str]:
     """The ids of the text logs of ``nodes`` without an outgoing ReportsAbout edge, in node
     order."""
-    linked = {e.src for e in edges if e.rel is Relation.REPORTS_ABOUT}
-    return [n.id for n in nodes if n.kind is NodeKind.TEXT_LOG and n.id not in linked]
+    reports_about, text_log = Relation.REPORTS_ABOUT, NodeKind.TEXT_LOG  # one lookup each
+    linked = {e.src for e in edges if e.rel is reports_about}
+    return [n.id for n in nodes if n.kind is text_log and n.id not in linked]
 
 
 def _check_part_of_acyclic(edges: Sequence[Edge]) -> None:
     sorter = graphlib.TopologicalSorter()  # each FL after the FLs it is part of
+    part_of = Relation.PART_OF  # one enum lookup, not one per edge
     for e in edges:
-        if e.rel is Relation.PART_OF:
+        if e.rel is part_of:
             sorter.add(e.src, e.dst)
     try:
         sorter.prepare()

@@ -128,9 +128,13 @@ class EdgeScores(NamedTuple):
 def cosines(dots: np.ndarray, n1: np.ndarray, n2: np.ndarray) -> np.ndarray:
     """``dots / (n1 * n2)``, the norms broadcast against the dot products, with 0.0 where
     either norm is exactly 0.0. The quotient is formed plainly and only those entries are
-    set afterwards, so a NaN norm still gives a NaN cosine."""
+    set afterwards, so a NaN norm still gives a NaN cosine. When every norm product is
+    above 0.0 no norm is 0.0, so the quotient is returned without that pass."""
     with np.errstate(divide="ignore", invalid="ignore"):  # zero norms, set to 0.0 below
-        out = dots / (n1 * n2)
+        products = n1 * n2
+        out = dots / products
+    if 0.0 < products.min(initial=np.inf):  # False for a 0.0 or NaN product
+        return out
     for norms in (n1, n2):
         zero = norms == 0.0
         if zero.any():

@@ -189,6 +189,18 @@ def oracle_np_cosine(a, b) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def oracle_masked_cosines(dots, n1, n2):
+    """The former ``losses.cosines``: the quotient under ``np.errstate``, then a pass per
+    norm array that sets to 0.0 every entry of a norm that is exactly 0.0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = dots / (n1 * n2)
+    for norms in (n1, n2):
+        zero = norms == 0.0
+        if zero.any():
+            out[np.broadcast_to(zero, out.shape)] = 0.0
+    return out
+
+
 def oracle_cosine_grads(a, b):
     """(cos, d cos/d a, d cos/d b); zero vectors give zero everywhere."""
     na, nb = np.linalg.norm(a), np.linalg.norm(b)

@@ -209,7 +209,7 @@ def test_corpus_memo_follows_the_table_and_the_texts(caplog):
         # ``with_rows`` returns a new encoder, so the memo encodes its vectors afresh
         p = p.with_rows(np.arange(512), dense_table(init_encoder(16, 512, seed=6)))
         after = rank_corpus(p, query, corpus)
-        # the same texts under other ids, in the same id order
+        # the same texts under other ids, in the same id order: another memo entry
         renamed = {f"x{d}": text for d, text in corpus.items()}
         renamed_ranking = rank_corpus(p, query, renamed)
         changed = dict(corpus, d07=corpus["d07"] + " wort39")
@@ -220,7 +220,32 @@ def test_corpus_memo_follows_the_table_and_the_texts(caplog):
     assert renamed_ranking == [f"x{d}" for d in after]
     assert changed_ranking == oracle_rank_corpus(p, [query], changed)[0]
     assert [line.split(",")[0] for line in _memo_lines(caplog)] == [
-        f"rank_queries: corpus memo {event}" for event in ("miss", "hit", "hit", "hit", "miss")]
+        f"rank_queries: corpus memo {event}" for event in ("miss", "hit", "hit", "miss", "miss")]
+
+
+def test_corpus_memo_keys_the_mapping_as_given(caplog):
+    """The memo keys a corpus by its ids and texts in insertion order, so one corpus in two
+    orders, its texts under other ids, and a dict changed in place between calls are each
+    their own entry, and each ranks as the per-text oracle does."""
+    rng = np.random.default_rng(4)
+    words = [f"teil{i}" for i in range(12)]
+    corpus = {f"d{i:02d}": " ".join(rng.choice(words, size=3)) for i in rng.permutation(40)}
+    corpus["d99"] = corpus["d03"]  # an exact tie, which ascending id breaks
+    queries = [corpus["d03"], "teil1 teil2", ""]
+    p = init_encoder(dim=16, vocab_buckets=256, seed=8)
+    reordered = dict(sorted(corpus.items()))
+    renamed = {f"x{d}": text for d, text in reversed(corpus.items())}
+    edited = dict(corpus)
+    with caplog.at_level("DEBUG", logger="plantsearch.ir_eval"):
+        for mapping in (corpus, reordered, renamed, edited, corpus, reordered):
+            assert rank_queries(p, queries, mapping) == oracle_rank_corpus(p, queries, mapping)
+        # in place: a delete, a new text, and one text moved to a new id
+        for change in (lambda d: d.pop("d05"), lambda d: d.update(d07="teil1 teil2"),
+                       lambda d: d.update(d40=d.pop("d01"))):
+            change(edited)
+            assert rank_queries(p, queries, edited) == oracle_rank_corpus(p, queries, edited)
+    events = [line.split(",")[0].split()[-1] for line in _memo_lines(caplog)]
+    assert events == ["miss", "miss", "miss", "hit", "hit", "hit", "miss", "miss", "miss"]
 
 
 def test_corpus_memo_holds_the_recent_corpora(caplog):
@@ -257,7 +282,7 @@ def encodes(monkeypatch):
 
 
 def _prepared(p, corpus):
-    return ir_eval._corpus_pooling(p.vocab_buckets, tuple(corpus[d] for d in sorted(corpus)))
+    return ir_eval._corpus_pooling(p.vocab_buckets, tuple(corpus), tuple(corpus.values()))
 
 
 def test_corpus_vectors_are_encoded_once_per_encoder(encodes):
@@ -296,8 +321,9 @@ def test_held_vectors_and_tables_are_read_only():
     corpus = {"a": "pumpe leckt", "b": "kessel druck"}
     p = init_encoder(dim=8, vocab_buckets=64, seed=3).with_rows(np.array([1, 5]), np.ones((2, 8)))
     rank_corpus(p, "pumpe", corpus)
-    docs, norms = _prepared(p, corpus).vectors(p)
-    for array in (docs, norms, p.trained, p.bucket_ids):
+    prepared = _prepared(p, corpus)
+    docs, norms = prepared.vectors(p)
+    for array in (docs, norms, prepared.ids, p.trained, p.bucket_ids):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
     assert rank_corpus(p, "pumpe", corpus) == oracle_rank_corpus(p, ["pumpe"], corpus)[0]

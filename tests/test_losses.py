@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from oracles import (
     finite_diff_check,
     oracle_cosine,
     oracle_edge_ranking_loss_grad,
+    oracle_masked_cosines,
     oracle_mnr,
     oracle_np_cosine,
     oracle_triplet_loss_grad,
@@ -15,6 +17,7 @@ from plantsearch import losses
 from plantsearch.losses import (
     NonFiniteError,
     cosine,
+    cosines,
     edge_scores,
     edge_steps,
     mnr_loss_grad,
@@ -181,6 +184,44 @@ def test_cosine_hand_values():
     for _ in range(50):
         a, b = rng.normal(size=(2, 4))
         assert cosine(a, b) == pytest.approx(oracle_cosine(a, b), abs=1e-12)
+
+
+# (dots, n1, n2) shapes of the call sites: a ranking of 3 queries, pairs or edge positives,
+# edge negatives, and an empty batch
+COSINE_SHAPES = [((3, 500), (1, 500), (3, 1)), ((64,), (64,), (64,)),
+                 ((64, 8), (64, 1), (64, 8)), ((0, 8), (0, 1), (0, 8))]
+
+
+@pytest.mark.parametrize("shapes", COSINE_SHAPES)
+def test_cosines_of_nonzero_norms_equal_the_masked_quotient(shapes):
+    """Norms whose products are all above 0.0 give the former masked path's values bit for
+    bit, with no warning."""
+    rng = np.random.default_rng(len(shapes[0]))
+    for scale in (1e-3, 1.0, 1e150):
+        dots = rng.normal(size=shapes[0]) * scale
+        n1, n2 = (rng.random(size=s) * scale + 1e-300 for s in shapes[1:])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cosines(dots, n1, n2)
+        assert got.shape == shapes[0]
+        assert got.tobytes() == oracle_masked_cosines(dots, n1, n2).tobytes()
+
+
+@pytest.mark.parametrize("norm", [0.0, np.nan, np.inf, 1e-200])
+def test_cosines_of_a_zero_nan_inf_or_underflowing_norm_keep_the_masked_values(norm):
+    """A norm of 0.0, NaN or inf, alone or beside a 0.0 norm, and two nonzero norms whose
+    product underflows to 0.0 (1e-200 * 1e-200), give the former masked path's values and
+    raise no warning: a 0.0 norm scores 0.0, a NaN norm NaN, and an underflowed product
+    divides to a signed inf."""
+    dots = np.array([[0.5, -0.5, 0.0, 2.0], [1.0, -1.0, 3.0, 0.0]])
+    n1 = np.array([1.0, 2.0, norm, norm])
+    for n2 in (np.array([[4.0], [1e-200]]), np.array([[4.0], [0.0]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cosines(dots, n1, n2)
+        assert got.tobytes() == oracle_masked_cosines(dots, n1, n2).tobytes()
+        assert (got[(n1 == 0.0) | (n2 == 0.0)] == 0.0).all()
+    assert np.isinf(cosines(dots[:1, :1], np.array([1e-200]), np.array([1e-200]))).all()
 
 
 def test_mnr_loss_matches_oracle():
