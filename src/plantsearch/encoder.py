@@ -24,7 +24,7 @@ import re
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import MutableMapping, Sequence
 
 import numpy as np
 
@@ -143,14 +143,15 @@ class FeatureMatrix:
         of the texts' counts over them has one column per bucket. The ids are
         renumbered through a presence mask when it has fewer flags than
         four per entry (its flags and counts then take less memory than a
-        sort's buffers), and through ``np.unique`` otherwise, so the bucket
-        count sets no allocation size.
+        sort's buffers), and otherwise by a search of the sorted distinct
+        ids, so the bucket count sets no allocation size.
         """
         ids = self.bucket_ids
         if ids.size and ids.max() < 4 * ids.size:
             buckets, local = _renumbered(ids)
         else:
-            buckets, local = np.unique(ids, return_inverse=True)
+            buckets = np.unique(ids)
+            local = np.searchsorted(buckets, ids)
         return replace(self, bucket_ids=local), buckets.astype(np.int64, copy=False)
 
     def take(self, rows: np.ndarray) -> FeatureMatrix:
@@ -162,14 +163,18 @@ class FeatureMatrix:
                              self.counts[entry], self.totals[rows])
 
 
-def featurize_many(texts: Sequence[str],
-                   vocab_buckets: int = DEFAULT_VOCAB_BUCKETS) -> FeatureMatrix:
+def featurize_many(texts: Sequence[str], vocab_buckets: int = DEFAULT_VOCAB_BUCKETS,
+                   words: MutableMapping[str, list[int]] | None = None) -> FeatureMatrix:
     """Featurize texts into one matrix whose row i equals ``featurize(texts[i])``.
 
-    Each distinct word is hashed once per call; texts share its bucket ids.
+    Each distinct word is hashed once per call; texts share its bucket ids. ``words`` maps
+    words to their bucket ids at ``vocab_buckets``: the call reads each word it holds and adds
+    each word it hashes, so an empty dict collects the texts' word table. A reader passes
+    ``ChainMap({}, table)``, which hashes only the words the table lacks, into the call's own
+    dict, and leaves the table as it was.
     """
     _check_vocab_buckets(vocab_buckets)
-    word_buckets: dict[str, list[int]] = {}
+    word_buckets = {} if words is None else words
     hashed: list[int] = []
     totals: list[int] = []
     for text in texts:
@@ -377,32 +382,40 @@ def pool(p: EncoderParams, matrix: tuple[np.ndarray, np.ndarray, np.ndarray]) ->
 
     Texts with equal pooling weights, which are proportional count rows ("pumpe" and "pumpe
     pumpe", words reordered or recased), share one row keyed by the counts over their gcd, so
-    their vectors are bit-identical. The distinct rows are pooled in blocks of at most
-    ``_POOL_BLOCK`` dense weights, each one gemm over the buckets its own rows hold.
+    their vectors are bit-identical. The distinct rows, each a key's first text, are pooled in
+    blocks of at most ``_POOL_BLOCK`` dense weights, each one gemm over the buckets its own rows
+    hold. Every column is held by some distinct row, so a single block takes every column, and
+    a single text, which has no twin, is that block with no key built.
     """
     counts, totals, buckets = matrix
+    if len(counts) == 1:
+        return (counts / totals[:, None]) @ p.rows(buckets)
     gcd = np.maximum(np.gcd.reduce(counts, axis=1), 1)
     first: dict[bytes, int] = {}
-    inverse = np.array([first.setdefault((row // d).tobytes(), i)
-                        for i, (row, d) in enumerate(zip(counts, gcd))], dtype=np.int64)
-    rows, inverse = np.unique(inverse, return_inverse=True)
-    out = np.empty((len(rows), p.dim))
+    at = np.array([first.setdefault((row // d).tobytes(), i)
+                   for i, (row, d) in enumerate(zip(counts, gcd))], dtype=np.intp)
+    rows = np.fromiter(first.values(), np.intp, len(first))  # ascending
     step = max(1, _POOL_BLOCK // max(1, counts.shape[1]))
-    for lo in range(0, len(rows), step):
-        block = rows[lo : lo + step]
-        c = counts[block]
-        u = np.flatnonzero(c.any(axis=0))
-        out[lo : lo + step] = (c[:, u] / totals[block, None]) @ p.rows(buckets[u])
-    return out[inverse]
+    if len(rows) <= step:
+        out = (counts[rows] / totals[rows, None]) @ p.rows(buckets)
+    else:
+        out = np.empty((len(rows), p.dim))
+        for lo in range(0, len(rows), step):
+            block = rows[lo : lo + step]
+            c = counts[block]
+            u = np.flatnonzero(c.any(axis=0))
+            out[lo : lo + step] = (c[:, u] / totals[block, None]) @ p.rows(buckets[u])
+    return out[np.searchsorted(rows, at)]
 
 
-def encode_batch(p: EncoderParams, texts: Sequence[str]) -> np.ndarray:
+def encode_batch(p: EncoderParams, texts: Sequence[str],
+                 words: MutableMapping[str, list[int]] | None = None) -> np.ndarray:
     """Row i equals ``encode(p, texts[i])`` within a few ulps (a gemm sums in another order).
 
-    Texts are featurized once together and pooled by :func:`pool`; texts with equal pooling
-    weights get bit-identical rows.
+    Texts are featurized once together, through ``words`` as :func:`featurize_many` takes it,
+    and pooled by :func:`pool`; texts with equal pooling weights get bit-identical rows.
     """
-    return pool(p, count_matrix(featurize_many(texts, p.vocab_buckets)))
+    return pool(p, count_matrix(featurize_many(texts, p.vocab_buckets, words)))
 
 
 def save_encoder(p: EncoderParams, matrix_path: str | Path, header_path: str | Path) -> None:

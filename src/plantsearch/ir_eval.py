@@ -12,6 +12,7 @@ import functools
 import logging
 import math
 import weakref
+from collections import ChainMap
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -89,8 +90,11 @@ def rank_corpus(p: EncoderParams, query_text: str, corpus: Mapping[str, str]) ->
 
 
 class _Corpus:
-    """A corpus's doc ids in ascending order, their texts' count matrix in that order and, for
-    each live encoder, its document vectors and norms.
+    """A corpus's doc ids in ascending order, their texts' count matrix in that order, the
+    table of their words' bucket ids and, for each live encoder, its document vectors and norms.
+
+    The word table is the one the corpus's own ``featurize_many`` pass collected, at the
+    memo key's bucket count; queries read it through a ``ChainMap`` and never add to it.
 
     The vectors are keyed weakly by the encoder, which hashes by identity: an encoder that
     ``with_rows`` returns is a new key, and an encoder's entry goes when it is collected. The
@@ -98,10 +102,12 @@ class _Corpus:
     them disagree.
     """
 
-    def __init__(self, ids: np.ndarray, matrix: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    def __init__(self, ids: np.ndarray, matrix: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 words: dict[str, list[int]]):
         ids.flags.writeable = False
         self.ids = ids  # an object array, so a ranking is one ``ids[order].tolist()``
         self.matrix = matrix  # encoder.count_matrix
+        self.words = words  # word -> bucket ids, as featurize_many takes them
         self._vectors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def __contains__(self, p: EncoderParams) -> bool:
@@ -123,8 +129,9 @@ def _corpus_pooling(vocab_buckets: int, ids: tuple[str, ...], texts: tuple[str, 
     """The prepared corpus of the doc ids ``ids`` with the texts ``texts``, memoized by both
     as the caller's mapping orders them."""
     doc_ids, doc_texts = zip(*sorted(zip(ids, texts)))  # ids are distinct: no text compared
-    return _Corpus(np.array(doc_ids, dtype=object),
-                   count_matrix(featurize_many(doc_texts, vocab_buckets)))
+    words: dict[str, list[int]] = {}
+    matrix = count_matrix(featurize_many(doc_texts, vocab_buckets, words))
+    return _Corpus(np.array(doc_ids, dtype=object), matrix, words)
 
 
 def rank_queries(p: EncoderParams, query_texts: Sequence[str],
@@ -134,10 +141,11 @@ def rank_queries(p: EncoderParams, query_texts: Sequence[str],
     The corpus comes from an LRU memo keyed by its ids and its texts in the mapping's order,
     two tuples built without a sort, so on a memo hit only the queries are featurized and
     the ids come sorted from the memo; a corpus under other ids, or inserted in another
-    order, is another entry. The memo holds each live encoder's document vectors, so an
-    encoder encodes a corpus once. Each score is one ddot (``np.vecdot``), so documents with
-    equal vectors tie exactly, and the stable sort over id-sorted rows puts tied documents in
-    ascending id order.
+    order, is another entry. The queries are encoded against the corpus's word table, so
+    only their words outside the corpus are hashed, and the table does not grow. The memo
+    holds each live encoder's document vectors, so an encoder encodes a corpus once. Each
+    score is one ddot (``np.vecdot``), so documents with equal vectors tie exactly, and the
+    stable sort over id-sorted rows puts tied documents in ascending id order.
     """
     if not corpus:
         raise ValueError("empty corpus")
@@ -148,7 +156,7 @@ def rank_queries(p: EncoderParams, query_texts: Sequence[str],
                  "hit" if hit else "miss", len(query_texts) + (0 if hit else len(corpus)),
                  "held" if p in prepared else "encoded")
     docs, doc_norms = prepared.vectors(p)
-    queries = encode_batch(p, query_texts)
+    queries = encode_batch(p, query_texts, ChainMap({}, prepared.words))
     scores = cosines(np.vecdot(docs[None, :, :], queries[:, None, :]), doc_norms[None, :],
                      np.sqrt(np.vecdot(queries, queries))[:, None])
     return prepared.ids[np.argsort(-scores, axis=1, kind="stable")].tolist()

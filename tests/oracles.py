@@ -673,6 +673,42 @@ def oracle_block_pooling(fm, p):
     return out[inverse]
 
 
+def oracle_compact(fm):
+    """The former ``FeatureMatrix.compact``: the sort branch renumbers through
+    ``np.unique(return_inverse=True)``."""
+    from dataclasses import replace
+
+    from plantsearch.encoder import _renumbered
+
+    ids = fm.bucket_ids
+    if ids.size and ids.max() < 4 * ids.size:
+        buckets, local = _renumbered(ids)
+    else:
+        buckets, local = np.unique(ids, return_inverse=True)
+    return replace(fm, bucket_ids=local), buckets.astype(np.int64, copy=False)
+
+
+def oracle_pool(p, matrix):
+    """The former ``encoder.pool``: distinct rows from a second ``np.unique(return_inverse=True)``
+    over each text's first-text index, and every block gathers the columns its rows hold."""
+    from plantsearch import encoder
+
+    counts, totals, buckets = matrix
+    gcd = np.maximum(np.gcd.reduce(counts, axis=1), 1)
+    first = {}
+    inverse = np.array([first.setdefault((row // d).tobytes(), i)
+                        for i, (row, d) in enumerate(zip(counts, gcd))], dtype=np.int64)
+    rows, inverse = np.unique(inverse, return_inverse=True)
+    out = np.empty((len(rows), p.dim))
+    step = max(1, encoder._POOL_BLOCK // max(1, counts.shape[1]))
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        c = counts[block]
+        u = np.flatnonzero(c.any(axis=0))
+        out[lo : lo + step] = (c[:, u] / totals[block, None]) @ p.rows(buckets[u])
+    return out[inverse]
+
+
 def dense_train_docsim(table, triplets, texts, cfg):
     """The batched docsim SGD on a copy of a whole table, as it ran before training gathered
     only its texts' rows: the same gemms as training, over the run's buckets in the table's own

@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from collections import Counter
+from collections import ChainMap, Counter
 from dataclasses import replace
 
 import numpy as np
@@ -10,9 +10,11 @@ from oracles import (
     dense_table,
     feature_row,
     oracle_block_pooling,
+    oracle_compact,
     oracle_dense_round_trip,
     oracle_fnv1a_64,
     oracle_init_table,
+    oracle_pool,
     oracle_pooling_weights,
     oracle_unique_pooling_weights,
 )
@@ -242,6 +244,88 @@ def test_count_matrix_of_held_types_equals_that_of_featurize_many():
         assert got[2].dtype == np.int64 and got[0].dtype == np.uint16
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_arrays(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _id_matrix(rows, dtype):
+    """A matrix of the sorted unique id ``rows`` in ``dtype``, each id counted once."""
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    ids = np.array([b for r in rows for b in r], dtype=dtype)
+    return encoder.FeatureMatrix(np.concatenate([[0], np.cumsum(lengths)]), ids,
+                                 np.ones(len(ids), dtype=np.int32), lengths)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+def test_compact_equals_the_former_unique_inverse(dtype):
+    """``compact`` equals the former form with ``np.unique(return_inverse=True)``
+    (``oracle_compact``), array for array and dtype for dtype, on its presence-mask branch
+    (ids dense below their max), its sort branch (sparse ids) and empty matrices."""
+    rng = np.random.default_rng(5)
+    top = min(int(np.iinfo(dtype).max), 1 << 40)
+    cases = {"mask": [], "sort": []}
+    for span, size in ((24, 12), (top, 5)):
+        for _ in range(20):
+            rows = [np.unique(rng.integers(0, span, size=int(rng.integers(0, size)))).tolist()
+                    for _ in range(int(rng.integers(1, 5)))]
+            fm = _id_matrix(rows, dtype)
+            ids = fm.bucket_ids
+            cases["mask" if ids.size and ids.max() < 4 * ids.size else "sort"].append(fm)
+    cases["sort"] += [_id_matrix([], dtype), _id_matrix([[], []], dtype)]
+    assert len(cases["mask"]) >= 10 and len(cases["sort"]) >= 10
+    for fm in cases["mask"] + cases["sort"]:
+        (got, got_buckets), (want, want_buckets) = fm.compact(), oracle_compact(fm)
+        _same_arrays((got.bucket_ids, got_buckets), (want.bucket_ids, want_buckets))
+        _same_arrays((got.indptr, got.counts, got.totals), (fm.indptr, fm.counts, fm.totals))
+
+
+@pytest.mark.parametrize("one_block", [True, False])
+def test_pool_equals_the_former_unique_inverse_pool(monkeypatch, one_block):
+    """``pool`` equals the former form with a second ``np.unique(return_inverse=True)`` and a
+    column gather in every block (``oracle_pool``), byte for byte: proportional rows, empty
+    texts, texts with no word token and single texts, in one block that takes every column
+    and, with ``_POOL_BLOCK`` made small, in blocks of two rows, each over its own columns."""
+    texts = ["", "pumpe", "!!!", "pumpe pumpe", "Pumpe leckt", "LECKT pumpe", "kessel", "",
+             "pumpe leckt pumpe leckt", "Lömi ärger über Öl", "kessel druck", "ventil"]
+    p = init_encoder(dim=8, vocab_buckets=1 << 16, seed=3)
+    p = p.with_rows(np.arange(0, 1 << 16, 5), np.ones(((1 << 16) // 5 + 1, 8)))
+    for batch in (texts, texts[:3], [""], [], texts[4:6], texts[4:5], texts[9:10]):
+        matrix = encoder.count_matrix(featurize_many(batch, p.vocab_buckets))
+        if not one_block:
+            monkeypatch.setattr(encoder, "_POOL_BLOCK", 2 * max(1, matrix[0].shape[1]))
+        got, want = encoder.pool(p, matrix), oracle_pool(p, matrix)
+        _same_arrays((got,), (want,))
+    got = encoder.pool(p, encoder.count_matrix(featurize_many(texts, p.vocab_buckets)))
+    assert got[1].tobytes() == got[3].tobytes() and got[4].tobytes() == got[5].tobytes()
+    assert not got[0].any() and not got[2].any() and got[1].any()
+
+
+def test_featurize_many_with_a_word_table_equals_featurize_many_without():
+    """A call given ``ChainMap({}, table)`` equals a call without it, row for row and dtype for
+    dtype, for words in the table and out of it (umlaut words among both, whose 3-grams span
+    multi-byte characters), an empty text and a text with no word token; the table is the
+    corpus's words and their bucket ids, and reading it leaves it as it was."""
+    corpus = ["Pumpe leckt am Flansch", "Lömi läuft über", "kessel DRUCK kessel"]
+    queries = ["pumpe läuft", "Zylinder Öldruck", "", "!!! ...", "über Flansch ärger",
+               "Pumpe leckt am Flansch", "zylinder"]
+    for vocab_buckets in (64, 1 << 16):
+        table = {}
+        featurize_many(corpus, vocab_buckets, table)
+        assert set(table) == {w for text in corpus for w in word_tokens(text)}
+        for word, ids in table.items():
+            assert ids == [fnv1a_64(f.encode("utf-8")) % vocab_buckets
+                           for f in encoder._word_features(word)]
+        held = {word: list(ids) for word, ids in table.items()}
+        for batch in ([q] for q in queries), [queries]:
+            for texts in batch:
+                got = featurize_many(texts, vocab_buckets, ChainMap({}, table))
+                want = featurize_many(texts, vocab_buckets)
+                _same_arrays((got.indptr, got.bucket_ids, got.counts, got.totals),
+                             (want.indptr, want.bucket_ids, want.counts, want.totals))
+        assert table == held
 
 
 def test_init_encoder_distribution_and_determinism():

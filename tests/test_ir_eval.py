@@ -306,6 +306,57 @@ def test_corpus_vectors_are_encoded_once_per_encoder(encodes):
     assert prepared.vectors(p)[0].tobytes() == prepared.vectors(twin)[0].tobytes()
 
 
+def test_queries_read_the_corpus_word_table_and_never_add_to_it(monkeypatch):
+    """The corpus's featurize pass hashes each of its words once, into the table its memo
+    entry holds. Queries made only of corpus words hash no string; a query's other words are
+    hashed for that call alone, and the held table stays as it was. Every ranking equals the
+    per-text oracle."""
+    rng = np.random.default_rng(3)
+    words = [f"wort{i}" for i in range(30)] + ["läuft", "über", "öl"]
+    corpus = {f"d{i:02d}": " ".join(rng.choice(words, size=5)) for i in range(40)}
+    known = ["wort1 wort2", "LÄUFT über wort3 wort3", "Öl", "", "!!!"]
+    unknown = ["zylinder wort1", "Ölwanne läuft", "wort99 ärger"]
+    p = init_encoder(dim=16, vocab_buckets=512, seed=2)
+    want = oracle_rank_corpus(p, known + unknown, corpus)
+    hashed = []
+    fnv1a_64 = encoder.fnv1a_64
+    monkeypatch.setattr(encoder, "fnv1a_64", lambda data: hashed.append(data) or fnv1a_64(data))
+    assert rank_queries(p, known, corpus) == want[: len(known)]
+    table = _prepared(p, corpus).words
+    corpus_words = {w for text in corpus.values() for w in encoder.word_tokens(text)}
+    assert set(table) == corpus_words
+    assert sorted(hashed) == sorted(f.encode("utf-8") for w in corpus_words
+                                    for f in encoder._word_features(w))
+    held = {word: list(ids) for word, ids in table.items()}
+    hashed.clear()
+    assert rank_queries(p, known, corpus) == want[: len(known)]
+    assert [rank_corpus(p, text, corpus) for text in known] == want[: len(known)]
+    assert hashed == []
+    assert rank_queries(p, unknown, corpus) == want[len(known) :]
+    assert rank_queries(p, unknown, corpus) == want[len(known) :]
+    new = ["zylinder", "ölwanne", "wort99", "ärger"]
+    assert sorted(hashed) == sorted(2 * [f.encode("utf-8") for w in new
+                                         for f in encoder._word_features(w)])
+    assert _prepared(p, corpus).words is table and table == held
+
+
+def test_a_corpus_holds_one_word_table_per_bucket_count():
+    """One corpus ranked at 256 and at 512 buckets is two memo entries, each with the word
+    table of its own bucket count, and both rank as the per-text oracle does."""
+    plant = synth.generate_plant(synth.PlantConfig(plant_id="S", seed=11, n_logs=80)).bench
+    queries = [q.text for q in plant.queries] + ["zylinder pumpe", "Öl läuft über", ""]
+    encoders = [init_encoder(dim=16, vocab_buckets=b, seed=1) for b in (256, 512)]
+    for _ in range(2):
+        for p in encoders:
+            assert rank_queries(p, queries, plant.corpus) == oracle_rank_corpus(
+                p, queries, plant.corpus)
+    small, large = (_prepared(p, plant.corpus).words for p in encoders)
+    assert small.keys() == large.keys() and small != large
+    for p, table in zip(encoders, (small, large)):
+        assert all(max(ids) < p.vocab_buckets for ids in table.values())
+    assert ir_eval._corpus_pooling.cache_info().currsize == 2
+
+
 def test_corpus_drops_the_vectors_of_a_collected_encoder():
     corpus = {"a": "pumpe leckt", "b": "kessel druck"}
     p = init_encoder(dim=8, vocab_buckets=64, seed=3)
@@ -467,8 +518,8 @@ def test_evaluations_featurize_each_corpus_once(monkeypatch):
     encoders featurize each plant's corpus once per bucket count."""
     corpus_sizes = []
     featurize = ir_eval.featurize_many
-    monkeypatch.setattr(ir_eval, "featurize_many", lambda texts, vocab_buckets: (
-        corpus_sizes.append(len(texts)) or featurize(texts, vocab_buckets)))
+    monkeypatch.setattr(ir_eval, "featurize_many", lambda texts, vocab_buckets, words=None: (
+        corpus_sizes.append(len(texts)) or featurize(texts, vocab_buckets, words)))
     b = _benchmark()
     encoders = [init_encoder(dim=16, vocab_buckets=256, seed=seed) for seed in (1, 2, 3)]
     encoders.append(init_encoder(dim=16, vocab_buckets=512, seed=1))
