@@ -55,7 +55,7 @@ from .kg import (
     predict_links,
     save_graph,
 )
-from .losses import NonFiniteError, cosine, mnr_loss_grad
+from .losses import NonFiniteError, mnr_loss_grad
 from .pairs import (
     CompositionReport,
     CorpusStats,
@@ -102,7 +102,7 @@ __all__ = [
     "EncoderParams", "featurize", "featurize_many", "init_encoder", "encode", "encode_batch",
     "save_encoder", "load_encoder",
     # losses
-    "NonFiniteError", "cosine", "mnr_loss_grad",
+    "NonFiniteError", "mnr_loss_grad",
     # graph_embed
     "InitMode", "GETrainConfig", "EmbeddingTable", "LPReport",
     "init_embeddings", "score_edge", "train_plant_embeddings",

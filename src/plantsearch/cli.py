@@ -298,10 +298,10 @@ class Run:
     run alone starts from an empty store and parses each of its reads once.
     It serves one config, and nothing may mutate what it holds. It also holds the two
     untrained encoders, the quality filter's ``scorer`` and the ``encoder-init`` that every
-    encoder trains from, so that each keeps the init rows it reads for every later run, and
-    one ``Featurizer``, which only grows, so that a ``pipeline`` featurizes each training
-    text once. Saved encoders stay out of it: each stage reads a different one, and each is
-    only an init seed plus its trained rows, read again in milliseconds.
+    encoder trains from, so that each keeps the rows it reads in its one store for every
+    later run, and one ``Featurizer``, which only grows, so that a ``pipeline`` featurizes
+    each training text once. Saved encoders stay out of it: each stage reads a different
+    one, and each is only an init seed plus its trained rows, read again in milliseconds.
     """
 
     stage: str
@@ -701,7 +701,7 @@ def _sample_triplets(r: Run, loaded: dict[str, tuple[graph_embed.EmbeddingTable,
 
 def _fresh_encoder(r: Run, label: str = "encoder-init") -> EncoderParams:
     """The untrained encoder of seed label ``label``, one per store, so that every run that
-    reads it shares the init rows it has read."""
+    reads it shares its one store of the rows it has read."""
     enc, seed = r.cfg.raw["encoder"], derive_seed(r.cfg.seed, label)
     return r.load(f"encoder:{label}", [],
                   lambda: init_encoder(enc["dim"], enc["vocab_buckets"], seed))

@@ -11,9 +11,10 @@ changed (:class:`EncoderParams`).
 The init rows come in blocks of ``_INIT_BLOCK`` buckets, each block from
 its own seeded stream: bucket j's row is row ``j % 16`` of
 ``default_rng([seed, j // 16]).normal(0, 1/sqrt(dim), (16, dim))``. Each
-table keeps the init rows it has read, as sorted bucket ids plus rows; a
-read of rows it lacks draws each of their blocks once and keeps only those
-rows, so no whole table is ever drawn and nothing is held for the process.
+table reads every row from one store of the rows it has read, trained or
+init, as sorted bucket ids plus rows; a read of init rows it lacks draws
+each of their blocks once and keeps only those rows, so no whole table is
+ever drawn and nothing is held for the process.
 """
 
 from __future__ import annotations
@@ -111,11 +112,9 @@ def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _renumbered(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(ids, return_inverse=True)`` from a presence mask over ids 0 .. max, not a
-    sort; when every id up to the max is present, the ids are their own positions."""
+    sort."""
     present = np.zeros(int(ids.max()) + 1 if ids.size else 0, dtype=bool)
     present[ids] = True
-    if present.all():
-        return np.arange(len(present)), ids
     return np.flatnonzero(present), np.cumsum(present)[ids] - 1
 
 
@@ -258,7 +257,8 @@ class EncoderParams:
 
     Row b is ``trained[i]`` where ``bucket_ids[i] == b``. Every other row is
     bucket b's init row (see the module docstring), rounded to float32 when
-    ``rounded`` is set, as it is for every table read from disk.
+    ``rounded`` is set, as it is for every table read from disk. Every read
+    takes its rows from one store of the rows the table has read (:meth:`rows`).
     Pooling is always the mean; persisted headers record it as ``"pooling":
     "mean"`` so that they stay self-describing.
 
@@ -274,9 +274,9 @@ class EncoderParams:
     bucket_ids: np.ndarray  # int64, strictly increasing, below vocab_buckets
     trained: np.ndarray  # (len(bucket_ids), dim) float64
     rounded: bool = False
-    # The init rows read so far, as sorted bucket ids and their rows (rounded when ``rounded``
-    # is set). A table that ``with_rows`` makes starts with none.
-    _init: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    # Every row read so far, trained or init, as sorted bucket ids and their rows (init rows
+    # rounded when ``rounded`` is set). A table that ``with_rows`` makes starts with none.
+    _read: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -299,42 +299,39 @@ class EncoderParams:
                 array = array.copy()
                 object.__setattr__(self, name, array)
             array.flags.writeable = False
-        object.__setattr__(self, "_init", (np.empty(0, dtype=np.int64), np.empty((0, self.dim))))
+        object.__setattr__(self, "_read", (np.empty(0, dtype=np.int64), np.empty((0, self.dim))))
 
     def rows(self, u: np.ndarray) -> np.ndarray:
-        """Rows ``u`` of the table, as a new float64 array: the trained rows it holds, and the
-        init rows of the others (:meth:`_init_rows`). When every row of ``u`` is held, no init
-        row is read."""
-        pos, held = _find(self.bucket_ids, u)
-        if held.all():
-            return self.trained[pos]
-        if not held.any():
-            return self._init_rows(u)
-        out = np.empty((len(u), self.dim))
-        out[held], out[~held] = self.trained[pos[held]], self._init_rows(u[~held])
-        return out
-
-    def _init_rows(self, u: np.ndarray) -> np.ndarray:
-        """Init rows ``u``, as a new array, from the init rows this table has read so far. A
-        read of rows it lacks draws each of their blocks once and keeps only those rows."""
-        ids, rows = self._init
+        """Rows ``u`` of the table, as a new float64 array, from the one store of every row this
+        table has read. A read of rows it lacks takes their trained rows, draws the init rows of
+        the others (:meth:`_draw`) and keeps them all, so no row is taken or drawn twice."""
+        ids, rows = self._read
         pos, held = _find(ids, u)
         if not held.all():
-            t0 = time.perf_counter()
             new = np.unique(u[~held])
-            blocks = np.split(new, np.flatnonzero(np.diff(new // _INIT_BLOCK)) + 1)
-            drawn = np.concatenate([np.random.default_rng([self.seed, int(b[0]) // _INIT_BLOCK])
-                                    .normal(0.0, 1.0 / np.sqrt(self.dim), (_INIT_BLOCK, self.dim))
-                                    [b % _INIT_BLOCK] for b in blocks])
-            if self.rounded:
-                drawn = drawn.astype(np.float32).astype(np.float64)
+            where, trained = _find(self.bucket_ids, new)
+            got = np.empty((len(new), self.dim))
+            got[trained] = self.trained[where[trained]]
+            if not trained.all():
+                got[~trained] = self._draw(new[~trained])
             at = np.searchsorted(ids, new)
-            ids, rows = np.insert(ids, at, new), np.insert(rows, at, drawn, axis=0)
-            object.__setattr__(self, "_init", (ids, rows))  # a memo: the table stays the same
+            ids, rows = np.insert(ids, at, new), np.insert(rows, at, got, axis=0)
+            object.__setattr__(self, "_read", (ids, rows))  # a memo: the table stays the same
             pos = np.searchsorted(ids, u)
-            logger.debug("encoder init seed %d: drew %d blocks for %d rows in %.4f s", self.seed,
-                         len(blocks), len(new), time.perf_counter() - t0)
         return rows[pos]
+
+    def _draw(self, new: np.ndarray) -> np.ndarray:
+        """Init rows ``new`` (sorted, distinct), drawing each of their blocks once."""
+        t0 = time.perf_counter()
+        blocks = np.split(new, np.flatnonzero(np.diff(new // _INIT_BLOCK)) + 1)
+        drawn = np.concatenate([np.random.default_rng([self.seed, int(b[0]) // _INIT_BLOCK])
+                                .normal(0.0, 1.0 / np.sqrt(self.dim), (_INIT_BLOCK, self.dim))
+                                [b % _INIT_BLOCK] for b in blocks])
+        if self.rounded:
+            drawn = drawn.astype(np.float32).astype(np.float64)
+        logger.debug("encoder init seed %d: drew %d blocks for %d rows in %.4f s", self.seed,
+                     len(blocks), len(new), time.perf_counter() - t0)
+        return drawn
 
     def with_rows(self, ids: np.ndarray, rows: np.ndarray) -> EncoderParams:
         """This table with rows ``ids`` (strictly increasing) set to ``rows``; of those, only

@@ -25,7 +25,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .kg import Edge, KnowledgeGraph, NodeKind, Relation, RELATION_SIGNATURES
-from .losses import NonFiniteError, cosine, cosines, edge_scores, edge_steps, rows_at
+from .losses import NonFiniteError, cosines, edge_scores, edge_steps, rows_at
 from .storage import EmbeddingFileError, read_json, read_table, write_table
 
 logger = logging.getLogger(__name__)
@@ -153,7 +153,11 @@ def init_embeddings(
 
 def score_edge(emb: EmbeddingTable, src: str, rel: Relation, dst: str) -> float:
     """cos(src_vector + relation_translation, dst_vector); zero vectors score 0."""
-    return cosine(emb.vector(src) + emb.relation_params[rel], emb.vector(dst))
+    a, b = emb.vector(src) + emb.relation_params[rel], emb.vector(dst)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
 
 
 class _Corruptions(NamedTuple):

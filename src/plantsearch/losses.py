@@ -20,13 +20,6 @@ class NonFiniteError(ArithmeticError):
     """A loss or gradient stopped being finite."""
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 # ---------------------------------------------------------------------------
 # Triplet margin loss on euclidean distances
 

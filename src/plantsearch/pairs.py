@@ -94,7 +94,7 @@ class EncoderCosineScorer:
     (a new ``Featurizer`` when it is None) and pooled from their count
     matrix (``encoder.count_matrix`` and ``encoder.pool``, as every encoder
     read is), and all pairs are scored in one row-wise pass whose ddots
-    (``np.vecdot``) round as ``losses.cosine`` does, bit for bit.
+    (``np.vecdot``) round as one ``np.dot`` per pair does, bit for bit.
     """
 
     params: EncoderParams

@@ -674,17 +674,11 @@ def oracle_block_pooling(fm, p):
 
 
 def oracle_compact(fm):
-    """The former ``FeatureMatrix.compact``: the sort branch renumbers through
-    ``np.unique(return_inverse=True)``."""
+    """``FeatureMatrix.compact`` as ``np.unique(return_inverse=True)`` gives it, for every
+    matrix."""
     from dataclasses import replace
 
-    from plantsearch.encoder import _renumbered
-
-    ids = fm.bucket_ids
-    if ids.size and ids.max() < 4 * ids.size:
-        buckets, local = _renumbered(ids)
-    else:
-        buckets, local = np.unique(ids, return_inverse=True)
+    buckets, local = np.unique(fm.bucket_ids, return_inverse=True)
     return replace(fm, bucket_ids=local), buckets.astype(np.int64, copy=False)
 
 
@@ -834,13 +828,12 @@ def oracle_uncached_rank_queries(p, query_texts, corpus):
 
 def oracle_score_pairs(scorer, pairs):
     """The former ``EncoderCosineScorer.score_pairs``: each distinct text encoded once in one
-    batch, then one ``losses.cosine`` call per pair."""
+    batch, then one ``oracle_np_cosine`` call per pair, as ``losses.cosine`` was."""
     from plantsearch.encoder import encode_batch
-    from plantsearch.losses import cosine
 
     texts = list(dict.fromkeys(t for pair in pairs for t in pair))
     vecs = dict(zip(texts, encode_batch(scorer.params, texts)))
-    return [scorer.scale * cosine(vecs[a], vecs[b]) for a, b in pairs]
+    return [scorer.scale * oracle_np_cosine(vecs[a], vecs[b]) for a, b in pairs]
 
 
 def oracle_read_json_lines(path, parse=dict, what="line is not a JSON object") -> list:

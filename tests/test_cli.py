@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import golden_digests
 from conftest import assert_checked
 from plantsearch import cli, encoder, graph_embed, ir_eval, kg, pairs, triplets
 from plantsearch.losses import NonFiniteError
@@ -128,6 +129,11 @@ def _pipeline_files(cfg: dict, out: Path, **env: str) -> dict[str, bytes]:
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-m", "plantsearch.cli", "pipeline", "--config",
                     str(cfg_path), "--out", str(out)], env=env, check=True, capture_output=True)
+    return _files(out)
+
+
+def _files(out: Path) -> dict[str, bytes]:
+    """Every file but timings.json under ``out``, by its path under it."""
     return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*")
             if p.is_file() and p.name != "timings.json"}
 
@@ -154,13 +160,32 @@ BLAS_CONFIG = {
 }
 
 
-def test_pipeline_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
+@pytest.fixture(scope="module")
+def blas_trees(tmp_path_factory):
+    """BLAS_CONFIG's files at OPENBLAS_NUM_THREADS 1 and 2."""
+    root = tmp_path_factory.mktemp("blas")
+    return [_pipeline_files(BLAS_CONFIG, root / f"threads{threads}", OPENBLAS_NUM_THREADS=threads)
+            for threads in ("1", "2")]
+
+
+def test_pipeline_is_byte_identical_at_one_and_two_blas_threads(blas_trees):
     """The files but timings.json are the same at OPENBLAS_NUM_THREADS 1 and 2: the manifests
     and report store each epoch loss rounded to float32. On a host with one CPU the two runs
     are equal whatever they store, as OpenBLAS then runs one thread."""
-    _assert_same_files([_pipeline_files(BLAS_CONFIG, tmp_path / f"threads{threads}",
-                                        OPENBLAS_NUM_THREADS=threads)
-                        for threads in ("1", "2")])
+    _assert_same_files(blas_trees)
+
+
+def test_outputs_match_the_golden_digests(pipeline_run, blas_trees):
+    """Every file but timings.json of the TINY_CONFIG and BLAS_CONFIG runs has the sha256 that
+    ``golden_digests.json`` holds, under the same Python, numpy and OpenBLAS stamp; a change
+    that moves an output on purpose writes that file again (``tests/golden_digests.py``)."""
+    golden = json.loads(golden_digests.GOLDEN.read_text(encoding="utf-8"))
+    here = golden_digests.stamp()
+    assert golden["stamp"] == here, f"digests stamped {golden['stamp']}, this host {here}"
+    trees = {"tiny": _files(pipeline_run[1]), "blas": blas_trees[0]}
+    moved = {run: golden_digests.moved(golden["runs"][run], golden_digests.digests(files))
+             for run, files in trees.items()}
+    assert moved == {"tiny": [], "blas": []}, f"files that moved from their digests: {moved}"
 
 
 def test_strict_mode_catches_tampered_artifacts(pipeline_run, tmp_path):

@@ -261,9 +261,9 @@ def _id_matrix(rows, dtype):
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
 def test_compact_equals_the_former_unique_inverse(dtype):
-    """``compact`` equals the former form with ``np.unique(return_inverse=True)``
-    (``oracle_compact``), array for array and dtype for dtype, on its presence-mask branch
-    (ids dense below their max), its sort branch (sparse ids) and empty matrices."""
+    """``compact`` equals ``np.unique(return_inverse=True)`` (``oracle_compact``), array for
+    array and dtype for dtype, on its presence-mask branch (ids dense below their max, every id
+    up to the max present included), its sort branch (sparse ids) and empty matrices."""
     rng = np.random.default_rng(5)
     top = min(int(np.iinfo(dtype).max), 1 << 40)
     cases = {"mask": [], "sort": []}
@@ -274,6 +274,7 @@ def test_compact_equals_the_former_unique_inverse(dtype):
             fm = _id_matrix(rows, dtype)
             ids = fm.bucket_ids
             cases["mask" if ids.size and ids.max() < 4 * ids.size else "sort"].append(fm)
+    cases["mask"].append(_id_matrix([[0, 1, 3], [2, 3]], dtype))  # every id up to the max
     cases["sort"] += [_id_matrix([], dtype), _id_matrix([[], []], dtype)]
     assert len(cases["mask"]) >= 10 and len(cases["sort"]) >= 10
     for fm in cases["mask"] + cases["sort"]:
@@ -468,6 +469,43 @@ def test_rows_equal_the_block_oracle_in_any_read_order(seed):
         got = p.rows(u)
         assert got.shape == (len(u), key[1]) and got.tobytes() == want[key][u].tobytes()
     assert dense_table(init_encoder(dim, top, seed)).tobytes() == want[seed, dim].tobytes()
+
+
+@pytest.mark.parametrize("loaded", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_rows_of_a_trained_table_equal_the_oracle_in_any_read_order(tmp_path, monkeypatch,
+                                                                      seed, loaded):
+    """Rows of a table that holds trained rows, made by ``with_rows`` or saved and loaded,
+    equal the block oracle with the trained rows laid over it (all float32-rounded when
+    loaded), for any ids, repeated and unsorted, in any order of reads. A read of rows that
+    the table has all read before makes one ``_find``, over the rows it has read."""
+    rng = np.random.default_rng(seed)
+    dim, top = int(rng.integers(2, 9)), int(rng.integers(20, 700))
+    want = oracle_init_table(seed, dim, top)
+    ids = np.unique(rng.integers(0, top, size=int(rng.integers(1, top // 2))))
+    want[ids] = rng.normal(size=(len(ids), dim))
+    p = init_encoder(dim, top, seed).with_rows(ids, want[ids])
+    assert p.bucket_ids.tolist() == ids.tolist()
+    if loaded:
+        save_encoder(p, tmp_path / "enc.gemb", tmp_path / "enc.json")
+        p = load_encoder(tmp_path / "enc.gemb", tmp_path / "enc.json")
+        want = want.astype(np.float32).astype(np.float64)
+    finds, find = [], encoder._find
+    monkeypatch.setattr(encoder, "_find", lambda *args: finds.append(args) or find(*args))
+    read, repeats = set(), 0
+    for _ in range(30):
+        u = rng.integers(0, top, size=int(rng.integers(0, 60)))
+        if read and rng.random() < 0.4:  # rows all read before
+            u = rng.choice(sorted(read), size=len(u))
+        finds.clear()
+        got = p.rows(u)
+        assert got.shape == (len(u), dim) and got.tobytes() == want[u].tobytes()
+        if read.issuperset(u.tolist()):
+            assert len(finds) == 1
+            repeats += 1
+        read.update(u.tolist())
+    assert repeats >= 5
+    assert dense_table(p).tobytes() == want.tobytes()
 
 
 def test_scattered_rows_allocate_their_rows_not_their_blocks():

@@ -16,7 +16,6 @@ from oracles import (
 from plantsearch import losses
 from plantsearch.losses import (
     NonFiniteError,
-    cosine,
     cosines,
     edge_scores,
     edge_steps,
@@ -176,14 +175,17 @@ def test_triplet_grad_finite_difference():
 
 
 def test_cosine_hand_values():
-    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert cosine(np.array([2.0, 0.0]), np.array([5.0, 0.0])) == pytest.approx(1.0, abs=1e-15)
-    assert cosine(np.array([1.0, 0.0]), np.array([-3.0, 0.0])) == pytest.approx(-1.0, abs=1e-15)
-    assert cosine(np.zeros(3), np.ones(3)) == 0.0
+    """The np cosine oracle, the one ``score_edge`` inlines, on hand values and against the
+    pure-Python oracle."""
+    a, b, c = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-3.0, 0.0])
+    assert oracle_np_cosine(a, b) == 0.0
+    assert oracle_np_cosine(2 * a, 5 * a) == pytest.approx(1.0, abs=1e-15)
+    assert oracle_np_cosine(a, c) == pytest.approx(-1.0, abs=1e-15)
+    assert oracle_np_cosine(np.zeros(3), np.ones(3)) == 0.0
     rng = np.random.default_rng(1)
     for _ in range(50):
         a, b = rng.normal(size=(2, 4))
-        assert cosine(a, b) == pytest.approx(oracle_cosine(a, b), abs=1e-12)
+        assert oracle_np_cosine(a, b) == pytest.approx(oracle_cosine(a, b), abs=1e-12)
 
 
 # (dots, n1, n2) shapes of the call sites: a ranking of 3 queries, pairs or edge positives,
