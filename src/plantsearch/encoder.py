@@ -124,7 +124,8 @@ class FeatureMatrix:
 
     :meth:`take` slices rows into a new matrix, so a stage featurizes its texts once and each
     run reads its own rows (``Featurizer``). Every encoder read turns a matrix into one dense
-    count matrix over its :meth:`compact` buckets (:func:`count_matrix`) and drops it.
+    count matrix over its :meth:`compact` buckets (:func:`count_matrix`; a single text's ids
+    are its buckets already) and drops it.
     """
 
     indptr: np.ndarray  # int64, n_texts + 1 offsets
@@ -366,10 +367,16 @@ def count_matrix(fm: FeatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """``fm``'s texts as a dense (texts × compact buckets) count matrix in the smallest unsigned
     type that holds its largest count, their totals clamped to 1 (an empty text's zero row
     divides by 1), and the int64 buckets of its columns (:meth:`FeatureMatrix.compact`). Text
-    i's pooling weights are ``counts[i] / totals[i]``, for training and for :func:`pool`."""
+    i's pooling weights are ``counts[i] / totals[i]``, for training and for :func:`pool`.
+
+    A single text's ids are already its sorted distinct buckets, so its counts are the one row
+    as they stand, with no renumbering and no scatter (a search query takes this path)."""
+    dtype = np.min_scalar_type(fm.counts.max(initial=0))
+    if len(fm.totals) == 1:
+        return (fm.counts.astype(dtype)[None, :], np.maximum(fm.totals, 1),
+                fm.bucket_ids.astype(np.int64, copy=False))
     fm, buckets = fm.compact()
-    counts = np.zeros((len(fm.totals), len(buckets)),
-                      dtype=np.min_scalar_type(fm.counts.max(initial=0)))
+    counts = np.zeros((len(fm.totals), len(buckets)), dtype=dtype)
     counts[np.repeat(np.arange(len(fm.totals)), np.diff(fm.indptr)), fm.bucket_ids] = fm.counts
     return counts, np.maximum(fm.totals, 1), buckets
 

@@ -144,22 +144,46 @@ def rank_queries(p: EncoderParams, query_texts: Sequence[str],
     order, is another entry. The queries are encoded against the corpus's word table, so
     only their words outside the corpus are hashed, and the table does not grow. The memo
     holds each live encoder's document vectors, so an encoder encodes a corpus once. Each
-    score is one ddot (``np.vecdot``), so documents with equal vectors tie exactly, and the
-    stable sort over id-sorted rows puts tied documents in ascending id order.
+    score is one ddot (``np.vecdot``), so documents with equal vectors tie exactly, and
+    :func:`_descending` over id-sorted rows puts tied documents in ascending id order; it
+    sorts stably only the rows that hold a tie. The memo's hit count and the debug line are
+    read only when debug logging is on.
     """
     if not corpus:
         raise ValueError("empty corpus")
-    hits = _corpus_pooling.cache_info().hits
+    debug = logger.isEnabledFor(logging.DEBUG)
+    hits = _corpus_pooling.cache_info().hits if debug else 0
     prepared = _corpus_pooling(p.vocab_buckets, tuple(corpus), tuple(corpus.values()))
-    hit = _corpus_pooling.cache_info().hits > hits
-    logger.debug("rank_queries: corpus memo %s, texts featurized: %d, doc vectors %s",
-                 "hit" if hit else "miss", len(query_texts) + (0 if hit else len(corpus)),
-                 "held" if p in prepared else "encoded")
+    if debug:
+        hit = _corpus_pooling.cache_info().hits > hits
+        logger.debug("rank_queries: corpus memo %s, texts featurized: %d, doc vectors %s",
+                     "hit" if hit else "miss", len(query_texts) + (0 if hit else len(corpus)),
+                     "held" if p in prepared else "encoded")
     docs, doc_norms = prepared.vectors(p)
     queries = encode_batch(p, query_texts, ChainMap({}, prepared.words))
     scores = cosines(np.vecdot(docs[None, :, :], queries[:, None, :]), doc_norms[None, :],
                      np.sqrt(np.vecdot(queries, queries))[:, None])
-    return prepared.ids[np.argsort(-scores, axis=1, kind="stable")].tolist()
+    return prepared.ids[_descending(scores)].tolist()
+
+
+def _descending(scores: np.ndarray) -> np.ndarray:
+    """``np.argsort(-scores, axis=1, kind="stable")``: each row's columns by descending score,
+    ties by ascending column, NaNs last.
+
+    Every row is sorted by numpy's default argsort, which is not stable: it orders the scores
+    as the stable sort does but may order a tie's columns otherwise. So only the rows where two
+    adjacent ranked scores are equal (``+0.0`` equals ``-0.0``) or the last is NaN (a NaN equals
+    nothing, and NaNs sort last) are sorted again, stably. Every other row's scores are
+    distinct, and one order fits them.
+    """
+    neg = -scores
+    order = np.argsort(neg, axis=1)
+    # one flat gather of every row's ranked scores (take_along_axis costs more per call)
+    ranked = neg.ravel()[order + np.arange(0, neg.size, neg.shape[1])[:, None]]
+    redo = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1) | np.isnan(ranked[:, -1])
+    if redo.any():
+        order[redo] = np.argsort(neg[redo], axis=1, kind="stable")
+    return order
 
 
 def ap_at_k(ranking: Sequence[str], relevant: set[str], k: int) -> float:

@@ -606,15 +606,13 @@ def oracle_pooling_weights(fm, rows, columns=None):
     ``W[i, j]`` is count / total of bucket ``u[j]`` in text ``rows[i]`` (an empty text is a
     zero row). ``u`` is ``columns`` when given: a run's sorted bucket ids, which hold every id
     of its texts, as training pools each batch over the whole run table. Otherwise ``u`` is the
-    texts' distinct ids, and ``u`` and the columns come from a presence mask over ids 0 .. max,
+    texts' distinct ids, and ``u`` and the columns come from ``np.unique(return_inverse=True)``,
     so when the texts hold every id up to their max, ``u`` is that range and the ids are the
     columns.
     """
-    from plantsearch.encoder import _renumbered
-
     text, entry = _oracle_entries(fm, rows)
     if columns is None:
-        u, col = _renumbered(fm.bucket_ids[entry])
+        u, col = np.unique(fm.bucket_ids[entry], return_inverse=True)
     else:
         u, col = columns, np.searchsorted(columns, fm.bucket_ids[entry])
     w = np.zeros((len(rows), len(u)))
@@ -680,6 +678,17 @@ def oracle_compact(fm):
 
     buckets, local = np.unique(fm.bucket_ids, return_inverse=True)
     return replace(fm, bucket_ids=local), buckets.astype(np.int64, copy=False)
+
+
+def oracle_count_matrix(fm):
+    """The former ``encoder.count_matrix`` for every matrix: ids renumbered by
+    ``oracle_compact`` and the counts scattered into dense zeros of the smallest unsigned type
+    that holds the largest count."""
+    fm, buckets = oracle_compact(fm)
+    counts = np.zeros((len(fm.totals), len(buckets)),
+                      dtype=np.min_scalar_type(fm.counts.max(initial=0)))
+    counts[np.repeat(np.arange(len(fm.totals)), np.diff(fm.indptr)), fm.bucket_ids] = fm.counts
+    return counts, np.maximum(fm.totals, 1), buckets
 
 
 def oracle_pool(p, matrix):

@@ -11,6 +11,7 @@ from oracles import (
     feature_row,
     oracle_block_pooling,
     oracle_compact,
+    oracle_count_matrix,
     oracle_dense_round_trip,
     oracle_fnv1a_64,
     oracle_init_table,
@@ -233,17 +234,30 @@ def test_pool_equals_the_former_block_pooling_byte_for_byte():
 
 def test_count_matrix_of_held_types_equals_that_of_featurize_many():
     """A ``Featurizer`` take, in its held id and count types, gives the count matrix, totals
-    and int64 buckets of ``featurize_many``, byte for byte."""
+    and int64 buckets of ``featurize_many``, byte for byte. A single text's matrix, which
+    skips ``compact``, equals the compacted path (``oracle_count_matrix``) array for array and
+    dtype for dtype, from either source: an empty text, a text with no word token, umlaut
+    words and a count above 255 (a uint16 row), at 64, 65,536 and 2**24 buckets; ``pool`` of
+    it equals ``oracle_pool``."""
     texts = ["Pumpe leckt am Flansch", "", "!!!", "Lömi ÄRGER über Öl", "ab ab cd",
              "motor " * 300]
     for vocab_buckets, id_type in ((64, np.uint8), (1 << 16, np.uint16), (1 << 24, np.uint32)):
-        held = encoder.Featurizer(vocab_buckets).take(texts + texts[:2], vocab_buckets)
+        featurizer = encoder.Featurizer(vocab_buckets)
+        held = featurizer.take(texts + texts[:2], vocab_buckets)
         assert held.bucket_ids.dtype == id_type and held.counts.dtype == np.int32
         got = encoder.count_matrix(held)
         want = encoder.count_matrix(featurize_many(texts + texts[:2], vocab_buckets))
         assert got[2].dtype == np.int64 and got[0].dtype == np.uint16
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        _same_arrays(got, want)
+        p = init_encoder(dim=8, vocab_buckets=vocab_buckets, seed=3)
+        for text in texts:
+            for fm in (featurize_many([text], vocab_buckets),
+                       featurizer.take([text], vocab_buckets)):
+                one = encoder.count_matrix(fm)
+                _same_arrays(one, oracle_count_matrix(fm))
+                _same_arrays((encoder.pool(p, one),), (oracle_pool(p, one),))
+                assert one[0].dtype == (np.uint16 if text.startswith("motor") else np.uint8)
+                assert one[0].shape == (1, len(fm.bucket_ids))
 
 
 def _same_arrays(got, want):
@@ -583,8 +597,9 @@ def test_load_encoder_rejects_another_init_scheme(tmp_path, init):
 
 
 def test_pooling_weights_mask_equals_unique_form():
-    """The presence-mask ``u`` and ``W`` equal the ``np.unique`` form's, byte for byte, on
-    compacted matrices with empty, one-bucket and repeated texts."""
+    """The presence mask (``encoder._renumbered``) renumbers ids as ``np.unique`` does, and
+    ``oracle_pooling_weights``'s ``u`` and ``W`` equal the ``np.unique`` form's, byte for byte,
+    on matrices and their compacted forms with empty, one-bucket and repeated texts."""
     rng = np.random.default_rng(8)
     for trial in range(60):
         n = int(rng.integers(1, 30))
@@ -601,6 +616,8 @@ def test_pooling_weights_mask_equals_unique_form():
         compact, _ = fm.compact()
         rows = rng.integers(0, n, size=int(rng.integers(0, 3 * n)))  # repeats allowed
         for m in (fm, compact):
+            _same_arrays(encoder._renumbered(m.bucket_ids),
+                         np.unique(m.bucket_ids, return_inverse=True))
             u, w = oracle_pooling_weights(m, rows)
             want_u, want_w = oracle_unique_pooling_weights(m, rows)
             assert u.dtype == want_u.dtype and u.tobytes() == want_u.tobytes(), trial

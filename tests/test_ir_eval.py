@@ -112,6 +112,34 @@ def test_rank_corpus_ties_and_zero_vectors():
         rank_corpus(p, "x", {})
 
 
+def test_descending_equals_the_stable_argsort():
+    """``ir_eval._descending`` equals ``np.argsort(-s, axis=1, kind="stable")`` on crafted
+    scores: exact ties, ``+0.0`` beside ``-0.0``, one NaN and several, a row where every score
+    ties (a zero query vector), one column, long runs of ties over a few values in rows of 500,
+    and a batch that mixes tied and untied rows. The long runs are where the default argsort
+    orders a tie otherwise, so the rows with a tie must be sorted again stably."""
+    rng = np.random.default_rng(17)
+    untied = rng.permutation(np.linspace(-1.0, 1.0, 500))
+    few = rng.choice([-0.5, -0.0, 0.0, 0.25, 0.5], size=(8, 500))
+    mixed = np.vstack([untied, few[0], rng.permutation(untied), np.zeros(500),
+                       np.where(rng.random(500) < 0.1, np.nan, untied)])
+    cases = {
+        "exact ties": np.array([[0.5, 0.2, 0.5, 0.1, 0.2, 0.5]]),
+        "signed zeros": np.array([[0.0, -0.0, 0.3, -0.0, 0.0, -0.2, 0.0]]),
+        "one NaN": np.array([[0.1, np.nan, 0.7, 0.3]]),
+        "several NaNs": np.array([[np.nan, 0.2, np.nan, 0.9, np.nan, -0.1]]),
+        "every score ties": np.zeros((2, 500)),
+        "one column": np.array([[0.4], [np.nan], [-0.0], [0.0]]),
+        "long runs of ties": few,
+        "mixed batch": mixed,
+        "untied": np.vstack([untied, -untied]),
+    }
+    for name, scores in cases.items():
+        want = np.argsort(-scores, axis=1, kind="stable")
+        got = ir_eval._descending(scores)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 @pytest.mark.parametrize("seed", [7, 301])
 def test_rank_queries_matches_oracle_on_synth_plants(seed):
     plant = synth.generate_plant(synth.PlantConfig(plant_id="S", seed=seed)).bench
